@@ -53,8 +53,8 @@ fn bench_substrates(c: &mut Criterion) {
     });
 
     // Lemma-1 range filter strategies: the same set question ("which of the
-    // users are within t of every query location") under the sweep, the
-    // per-seed batched walk, and the multi-seed batched walk.
+    // users are within t of every query location") under the sweep and the
+    // multi-seed batched walk.
     {
         let road = generate_road(&RoadConfig::with_size(10_000, 7));
         let tree = GTree::build(&road);
@@ -66,7 +66,6 @@ fn bench_substrates(c: &mut Criterion) {
         let t = 60.0;
         for filter in [
             RangeFilter::DijkstraSweep,
-            RangeFilter::GTreeLeafBatched(&tree),
             RangeFilter::GTreeMultiSeedBatched(&tree),
         ] {
             group.bench_function(format!("rangefilter_10k_{}", filter.name()), |b| {

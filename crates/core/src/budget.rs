@@ -79,8 +79,8 @@ impl QueryBudget {
         self
     }
 
-    /// Whether no limit of any kind is set. Unlimited budgets route to the
-    /// unbudgeted execution path: zero polling overhead and a guaranteed
+    /// Whether no limit of any kind is set. An unlimited budget arms an
+    /// unlimited ticker, which never exhausts: a guaranteed
     /// [`Complete`](crate::result::QueryOutcome::Complete) outcome.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.work_limit.is_none() && self.cancel.is_none()

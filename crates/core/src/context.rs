@@ -6,7 +6,7 @@
 //! extraction, `G_d` construction — so they share this context.
 
 use crate::error::MacError;
-use crate::ktcore::{maximal_kt_core_budgeted, maximal_kt_core_with, KtOutcome, KtScratch};
+use crate::ktcore::{maximal_kt_core_with_ticker, KtOutcome, KtScratch};
 use crate::network::RoadSocialNetwork;
 use crate::query::MacQuery;
 use crate::result::{Community, QueryPhase};
@@ -41,7 +41,7 @@ impl ContextScratch {
     }
 }
 
-/// Outcome of a budget-limited [`SearchContext`] build.
+/// Outcome of a [`SearchContext`] build under a budget ticker.
 #[derive(Debug)]
 pub(crate) enum BuildOutcome<'a> {
     /// The context is ready for the search stages (boxed: the context is an
@@ -117,8 +117,7 @@ impl<'a> SearchContext<'a> {
 
     /// Builds the context with an explicit (engine-resolved) range-filter
     /// strategy, optional pre-grouped G-tree user targets, and caller-owned
-    /// scratch — the serving path of
-    /// [`QuerySession`](crate::session::QuerySession).
+    /// scratch — the serving path's build, run with an unlimited budget.
     pub fn build_with(
         rsn: &'a RoadSocialNetwork,
         query: &'a MacQuery,
@@ -126,18 +125,21 @@ impl<'a> SearchContext<'a> {
         targets: Option<&LeafTargets>,
         scratch: &mut ContextScratch,
     ) -> Result<Option<Self>, MacError> {
-        let Some(core) = maximal_kt_core_with(rsn, query, filter_choice, targets, &mut scratch.kt)?
-        else {
-            return Ok(None);
-        };
-        Ok(Some(Self::assemble(rsn, query, core.vertices, scratch)))
+        let mut unlimited = BudgetTicker::unlimited();
+        match Self::build_with_ticker(rsn, query, filter_choice, targets, scratch, &mut unlimited)?
+        {
+            BuildOutcome::Ready(ctx) => Ok(Some(*ctx)),
+            BuildOutcome::Empty => Ok(None),
+            BuildOutcome::Exhausted(_) => unreachable!("an unlimited ticker never exhausts"),
+        }
     }
 
-    /// Budgeted [`build_with`](Self::build_with): the (k,t)-core extraction
-    /// runs through the budgeted filter paths and the r-dominance graph
+    /// The context build every entry point runs — the serving path of
+    /// [`QuerySession`](crate::session::QuerySession). The (k,t)-core
+    /// extraction charges `ticker` as it goes and the r-dominance graph
     /// build is charged after the fact by its measured test count, so an
     /// exhausted budget stops the pipeline between stages.
-    pub(crate) fn build_budgeted(
+    pub(crate) fn build_with_ticker(
         rsn: &'a RoadSocialNetwork,
         query: &'a MacQuery,
         filter_choice: RangeFilterChoice,
@@ -145,7 +147,7 @@ impl<'a> SearchContext<'a> {
         scratch: &mut ContextScratch,
         ticker: &mut BudgetTicker,
     ) -> Result<BuildOutcome<'a>, MacError> {
-        let core = match maximal_kt_core_budgeted(
+        let core = match maximal_kt_core_with_ticker(
             rsn,
             query,
             filter_choice,
@@ -166,7 +168,7 @@ impl<'a> SearchContext<'a> {
         Ok(BuildOutcome::Ready(Box::new(ctx)))
     }
 
-    /// Shared tail of the context builds: induced local graph, id
+    /// Tail of the context build: induced local graph, id
     /// translations, attribute matrix, and the r-dominance graph.
     fn assemble(
         rsn: &'a RoadSocialNetwork,

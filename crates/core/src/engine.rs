@@ -705,7 +705,7 @@ impl MacEngine {
             // Size the anchor core with the extraction alone first: the full
             // context build adds an O(core²) r-dominance graph, far too
             // expensive to pay just to learn the core is oversized.
-            let core = match crate::ktcore::maximal_kt_core_budgeted(
+            let core = match crate::ktcore::maximal_kt_core_with_ticker(
                 rsn,
                 &query,
                 RangeFilterChoice::DijkstraSweep,
@@ -725,7 +725,7 @@ impl MacEngine {
             if core < core_floor {
                 return None;
             }
-            let ctx = match SearchContext::build_budgeted(
+            let ctx = match SearchContext::build_with_ticker(
                 rsn,
                 &query,
                 RangeFilterChoice::DijkstraSweep,
@@ -738,9 +738,9 @@ impl MacEngine {
             };
             // Best of two repetitions, like the filter probe: the first run
             // warms caches, the second measures the steady state. Both sides
-            // run the budgeted paths, so the polling overhead cancels out of
-            // the ratio and a tripped deadline abandons the probe instead of
-            // reporting a truncated (meaningless) timing.
+            // charge the shared deadline ticker, so the polling overhead
+            // cancels out of the ratio and a tripped deadline abandons the
+            // probe instead of reporting a truncated (meaningless) timing.
             let mut time = |run: &mut dyn FnMut(&mut BudgetTicker) -> bool| {
                 let mut best = f64::INFINITY;
                 for _ in 0..2 {
@@ -754,7 +754,7 @@ impl MacEngine {
             };
             let mut gs_scratch = GsScratch::new();
             let global_seconds = time(&mut |ticker| {
-                GlobalSearch::explore_context_budgeted(
+                GlobalSearch::explore_context(
                     &ctx,
                     &mut gs_scratch,
                     GsOptions::default(),
@@ -766,14 +766,8 @@ impl MacEngine {
             // The session's default expansion knobs, so the measured cost is
             // the cost Auto-routed queries will actually pay.
             let local_seconds = time(&mut |ticker| {
-                LocalSearch::run_context_budgeted(
-                    &ctx,
-                    ExpandStrategy::default(),
-                    12,
-                    false,
-                    ticker,
-                )
-                .completed
+                LocalSearch::run_context(&ctx, ExpandStrategy::default(), 12, false, 1, ticker)
+                    .completed
             })?;
             if global_seconds < CROSSOVER_NOISE_FLOOR || local_seconds < CROSSOVER_NOISE_FLOOR {
                 return None;
@@ -1123,13 +1117,13 @@ mod tests {
         // A query-level Auto adopts the policy-level default.
         let q = query();
         assert_eq!(
-            epoch.resolve_filter_with(&q, RangeFilterChoice::GTreePoint),
-            RangeFilterChoice::GTreePoint
+            epoch.resolve_filter_with(&q, RangeFilterChoice::GTreeMultiSeedBatched),
+            RangeFilterChoice::GTreeMultiSeedBatched
         );
         // An explicit query filter always wins over the policy default.
         let q2 = query().with_range_filter(RangeFilterChoice::DijkstraSweep);
         assert_eq!(
-            epoch.resolve_filter_with(&q2, RangeFilterChoice::GTreePoint),
+            epoch.resolve_filter_with(&q2, RangeFilterChoice::GTreeMultiSeedBatched),
             RangeFilterChoice::DijkstraSweep
         );
         // Auto all the way down falls through to the calibrated rule.

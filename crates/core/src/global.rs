@@ -164,7 +164,7 @@ struct SharedPool<'b> {
     cvar: Condvar,
     /// Fast donation hint: how many workers are parked in `get_work`.
     idle: AtomicUsize,
-    budget: Option<&'b SharedBudget>,
+    budget: &'b SharedBudget,
     steal: bool,
 }
 
@@ -178,7 +178,7 @@ fn get_work(pool: &SharedPool<'_>) -> Option<Stolen> {
         if st.done {
             return None;
         }
-        if pool.budget.is_some_and(|b| b.is_exhausted()) {
+        if pool.budget.is_exhausted() {
             st.done = true;
             pool.cvar.notify_all();
             return None;
@@ -361,21 +361,6 @@ impl<'a> GlobalSearch<'a> {
         })
     }
 
-    /// Sets the number of worker threads. `1` (the default) runs serially on
-    /// the calling thread; `0` resolves to the machine's available
-    /// parallelism. Results are identical at any setting — parallel outputs
-    /// are merged in deterministic DFS order.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `ExecutionPolicy::parallelism` and pass it via \
-                `GlobalSearch::with_policy` (or execute through a \
-                `QuerySession`, which applies its policy automatically)"
-    )]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.opts.parallelism = workers;
-        self
-    }
-
     /// Overrides the full execution options (parallelism + stealing).
     pub(crate) fn with_opts(mut self, opts: GsOptions) -> Self {
         self.opts = opts;
@@ -425,7 +410,9 @@ impl<'a> GlobalSearch<'a> {
             });
         };
         let mut scratch = GsScratch::new();
-        let mut result = Self::explore_context(&ctx, &mut scratch, self.opts, top_j_mode);
+        let mut unlimited = BudgetTicker::unlimited();
+        let mut result =
+            Self::explore_context(&ctx, &mut scratch, self.opts, top_j_mode, &mut unlimited).result;
         result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
         Ok(result)
     }
@@ -440,79 +427,25 @@ impl<'a> GlobalSearch<'a> {
         }
     }
 
-    /// Explores a prebuilt [`SearchContext`] to completion — the engine-level
-    /// entry point shared by the one-shot wrappers
+    /// Explores a prebuilt [`SearchContext`] — the engine-level entry point
+    /// shared by the one-shot wrappers
     /// ([`run_non_contained`](Self::run_non_contained) /
     /// [`run_top_j`](Self::run_top_j)) and by
     /// [`QuerySession`](crate::session::QuerySession), which passes its
     /// retained scratch so warmed queries allocate nothing.
     /// `elapsed_seconds` covers only the exploration; callers overwrite it
     /// with their end-to-end timing.
+    ///
+    /// Charges `ticker` one unit per DFS task and stops cooperatively; an
+    /// unlimited ticker always runs to completion. Serial runs stop exactly
+    /// where the charge fails, so the reported cells are a prefix of the full
+    /// run's in DFS order. Parallel runs share the budget through an atomic
+    /// latch ([`SharedBudget`]) — the first worker to trip stops every other
+    /// worker at its next check, and the merge keeps only reports strictly
+    /// before the smallest dropped DFS path, so the partial result is again
+    /// one coherent prefix of the full output. `remaining` counts the tasks
+    /// and top-level cells known to be left undone.
     pub(crate) fn explore_context(
-        ctx: &SearchContext<'_>,
-        scratch: &mut GsScratch,
-        opts: GsOptions,
-        top_j_mode: bool,
-    ) -> MacSearchResult {
-        let start = Instant::now();
-        let k = ctx.query.k;
-        let q: &[u32] = &ctx.local_q;
-        let j = if top_j_mode { ctx.query.j } else { 1 };
-
-        scratch.reset();
-        let out_buf = std::mem::take(&mut scratch.out_buf);
-        let mut worker = Worker::new(ctx, k, q, j, scratch, false, Self::base_stats(ctx), out_buf);
-        let mut view =
-            SubgraphView::full_from_scratch(&ctx.local_graph, &mut worker.scratch.view_scratch);
-        let leaves0 = worker.prepare_root(&view);
-
-        let workers = Self::resolved_workers(opts, worker.scratch.sub_cells.len());
-        let (out_cells, mut stats) = if workers <= 1 {
-            // Serial: one worker, one view, cells emitted in DFS order.
-            worker.push_top_cells(leaves0);
-            worker.run_local(&mut view);
-            (
-                std::mem::take(&mut worker.out_cells),
-                std::mem::take(&mut worker.stats),
-            )
-        } else {
-            let leaves0 = leaf_slice(&worker.scratch.arena, leaves0).to_vec();
-            let top_cells: Vec<Cell> = worker.scratch.sub_cells.drain(..).collect();
-            let root_stats = std::mem::take(&mut worker.stats);
-            let outcome = Self::run_parallel(
-                ctx,
-                k,
-                q,
-                j,
-                workers,
-                opts.work_stealing,
-                leaves0,
-                top_cells,
-                root_stats,
-                None,
-            );
-            debug_assert!(outcome.frontier.is_none());
-            (outcome.cells, outcome.stats)
-        };
-        view.recycle_into(&mut worker.scratch.view_scratch);
-
-        stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        MacSearchResult {
-            cells: out_cells,
-            stats,
-        }
-    }
-
-    /// Budgeted [`explore_context`](Self::explore_context): charges one unit
-    /// per DFS task and stops cooperatively. Serial runs stop exactly where
-    /// the charge fails, so the reported cells are a prefix of the full run's
-    /// in DFS order. Parallel runs share the budget through an atomic latch
-    /// ([`SharedBudget`]) — the first worker to trip stops every other worker
-    /// at its next check, and the merge keeps only reports strictly before
-    /// the smallest dropped DFS path, so the partial result is again one
-    /// coherent prefix of the full output. `remaining` counts the tasks and
-    /// top-level cells known to be left undone.
-    pub(crate) fn explore_context_budgeted(
         ctx: &SearchContext<'_>,
         scratch: &mut GsScratch,
         opts: GsOptions,
@@ -569,7 +502,7 @@ impl<'a> GlobalSearch<'a> {
             let workers = Self::resolved_workers(opts, worker.scratch.sub_cells.len());
             if workers <= 1 {
                 worker.push_top_cells(leaves0);
-                let (done, executed, dropped) = worker.run_local_budgeted(&mut view, ticker);
+                let (done, executed, dropped) = worker.run_local(&mut view, ticker);
                 explored += executed;
                 completed = done;
                 remaining = dropped;
@@ -590,7 +523,7 @@ impl<'a> GlobalSearch<'a> {
                     leaves0,
                     top_cells,
                     root_stats,
-                    Some(&shared),
+                    &shared,
                 );
                 ticker.absorb(&shared);
                 explored += outcome.executed;
@@ -630,7 +563,7 @@ impl<'a> GlobalSearch<'a> {
         leaves0: Vec<u32>,
         top_cells: Vec<Cell>,
         root_stats: SearchStats,
-        budget: Option<&SharedBudget>,
+        budget: &SharedBudget,
     ) -> ParallelOutcome {
         let mut stats = root_stats;
         stats.parallel_workers = workers;
@@ -679,9 +612,9 @@ impl<'a> GlobalSearch<'a> {
                             Vec::new(),
                         );
                         let mut view = SubgraphView::full(&ctx.local_graph);
-                        let mut ticker = pool.budget.map(|b| b.worker());
+                        let mut ticker = pool.budget.worker();
                         let (executed, dropped, frontier) =
-                            worker.run_pool(&mut view, pool, ticker.as_mut());
+                            worker.run_pool(&mut view, pool, &mut ticker);
                         (
                             std::mem::take(&mut worker.out_cells),
                             std::mem::take(&mut worker.out_paths),
@@ -814,20 +747,13 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         }
     }
 
-    /// Drains the task stack to completion.
-    fn run_local(&mut self, view: &mut SubgraphView<'_>) {
-        while let Some(task) = self.scratch.stack.pop() {
-            self.run_task(view, task);
-        }
-    }
-
-    /// Budgeted [`run_local`](Self::run_local): charges one unit per popped
-    /// task. On exhaustion the remaining stack is unwound — pending `Retreat`
+    /// Drains the task stack, charging one unit per popped task. On
+    /// exhaustion the remaining stack is unwound — pending `Retreat`
     /// rollbacks are applied innermost-first so the shared view (and the
     /// deletion history) return to the untouched (k,t)-core state, while
     /// dropped `Visit`/`Arrange` tasks are only counted. Returns
     /// `(completed, tasks executed, tasks dropped)`.
-    fn run_local_budgeted(
+    fn run_local(
         &mut self,
         view: &mut SubgraphView<'_>,
         ticker: &mut BudgetTicker,
@@ -860,13 +786,13 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
 
     /// Work-stealing main loop: pull seeds/stolen subtrees from the pool,
     /// replay their deletion prefix, explore, donate pending subtrees to idle
-    /// workers, and (when budgeted) charge per task through the shared
-    /// ticker. Returns `(executed, dropped, local frontier)`.
+    /// workers, and charge per task through the shared ticker. Returns
+    /// `(executed, dropped, local frontier)`.
     fn run_pool(
         &mut self,
         view: &mut SubgraphView<'_>,
         pool: &SharedPool<'_>,
-        mut ticker: Option<&mut WorkerTicker<'_>>,
+        ticker: &mut WorkerTicker<'_>,
     ) -> (u64, u64, Option<Vec<u32>>) {
         let mut executed = 0u64;
         let mut dropped = 0u64;
@@ -919,42 +845,40 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
 
             let mut pops = 0u32;
             while let Some(task) = self.scratch.stack.pop() {
-                if let Some(t) = ticker.as_deref_mut() {
-                    if !t.charge(1) {
-                        // Budget tripped mid-subtree: unwind, recording the
-                        // smallest dropped path so the coordinator can cut
-                        // the merged output to a coherent prefix.
-                        let mut next = Some(task);
-                        while let Some(tk) = next {
-                            match tk {
-                                Task::Retreat { cp, arena_mark } => {
-                                    self.apply_retreat(view, cp, arena_mark);
-                                }
-                                Task::Visit {
-                                    cell, depth, idx, ..
-                                } => {
-                                    dropped += 1;
-                                    let d = depth as usize;
-                                    let mut p = Vec::with_capacity(d);
-                                    p.extend_from_slice(&self.scratch.cur_path[..d - 1]);
-                                    p.push(idx);
-                                    frontier = min_path(frontier, p);
-                                    self.scratch.arrange.recycle_cell(cell);
-                                }
-                                Task::Arrange { cell, depth, .. } => {
-                                    // An arrange is the descent *into* the
-                                    // subtree rooted at its parent's path.
-                                    dropped += 1;
-                                    let d = depth as usize;
-                                    let p = self.scratch.cur_path[..d - 1].to_vec();
-                                    frontier = min_path(frontier, p);
-                                    self.scratch.arrange.recycle_cell(cell);
-                                }
+                if !ticker.charge(1) {
+                    // Budget tripped mid-subtree: unwind, recording the
+                    // smallest dropped path so the coordinator can cut
+                    // the merged output to a coherent prefix.
+                    let mut next = Some(task);
+                    while let Some(tk) = next {
+                        match tk {
+                            Task::Retreat { cp, arena_mark } => {
+                                self.apply_retreat(view, cp, arena_mark);
                             }
-                            next = self.scratch.stack.pop();
+                            Task::Visit {
+                                cell, depth, idx, ..
+                            } => {
+                                dropped += 1;
+                                let d = depth as usize;
+                                let mut p = Vec::with_capacity(d);
+                                p.extend_from_slice(&self.scratch.cur_path[..d - 1]);
+                                p.push(idx);
+                                frontier = min_path(frontier, p);
+                                self.scratch.arrange.recycle_cell(cell);
+                            }
+                            Task::Arrange { cell, depth, .. } => {
+                                // An arrange is the descent *into* the
+                                // subtree rooted at its parent's path.
+                                dropped += 1;
+                                let d = depth as usize;
+                                let p = self.scratch.cur_path[..d - 1].to_vec();
+                                frontier = min_path(frontier, p);
+                                self.scratch.arrange.recycle_cell(cell);
+                            }
                         }
-                        break;
+                        next = self.scratch.stack.pop();
                     }
+                    break;
                 }
                 executed += 1;
                 pops += 1;
@@ -1455,18 +1379,28 @@ mod tests {
             MacQuery::new(vec![0], 2, 10.0, region.clone()),
             MacQuery::new(vec![0, 1], 3, 10.0, region).with_top_j(3),
         ];
+        let explore = |ctx: &SearchContext<'_>, scratch: &mut GsScratch| {
+            let mut unlimited = BudgetTicker::unlimited();
+            let run = GlobalSearch::explore_context(
+                ctx,
+                scratch,
+                GsOptions::default(),
+                true,
+                &mut unlimited,
+            );
+            assert!(run.completed);
+            run.result
+        };
         let mut warm = GsScratch::new();
         for query in &queries {
             let ctx = SearchContext::build(&rsn, query).unwrap().unwrap();
-            let mut fresh = GsScratch::new();
-            let expect =
-                GlobalSearch::explore_context(&ctx, &mut fresh, GsOptions::default(), true);
+            let expect = explore(&ctx, &mut GsScratch::new());
             // run twice on the warm scratch, recycling in between, to push
             // every pool through at least one reuse cycle
-            let first = GlobalSearch::explore_context(&ctx, &mut warm, GsOptions::default(), true);
+            let first = explore(&ctx, &mut warm);
             assert_results_identical(&expect, &first);
             warm.recycle(first);
-            let second = GlobalSearch::explore_context(&ctx, &mut warm, GsOptions::default(), true);
+            let second = explore(&ctx, &mut warm);
             assert_results_identical(&expect, &second);
             warm.recycle(second);
         }

@@ -82,7 +82,7 @@ pub fn maximal_kt_core(
 
 /// Computes the maximal (k,t)-core with an explicit (engine-resolved)
 /// range-filter strategy, optional pre-grouped G-tree user targets, and
-/// caller-owned scratch — the allocation-free serving path.
+/// caller-owned scratch — the allocation-free serving path, unbudgeted.
 pub fn maximal_kt_core_with(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
@@ -90,14 +90,16 @@ pub fn maximal_kt_core_with(
     targets: Option<&LeafTargets>,
     scratch: &mut KtScratch,
 ) -> Result<Option<KtCore>, MacError> {
-    match kt_core_impl(rsn, query, filter_choice, targets, scratch, None)? {
+    let mut unlimited = BudgetTicker::unlimited();
+    match maximal_kt_core_with_ticker(rsn, query, filter_choice, targets, scratch, &mut unlimited)?
+    {
         KtOutcome::Core(core) => Ok(Some(core)),
         KtOutcome::Empty => Ok(None),
-        KtOutcome::Exhausted(_) => unreachable!("unbudgeted extraction cannot exhaust"),
+        KtOutcome::Exhausted(_) => unreachable!("an unlimited ticker never exhausts"),
     }
 }
 
-/// Outcome of a budget-limited (k,t)-core extraction.
+/// Outcome of a (k,t)-core extraction under a budget ticker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum KtOutcome {
     /// The maximal (k,t)-core exists.
@@ -109,10 +111,11 @@ pub(crate) enum KtOutcome {
     Exhausted(crate::result::QueryPhase),
 }
 
-/// Budgeted [`maximal_kt_core_with`]: the range filter runs through the
-/// budgeted strategy paths and the peel is charged as a lump up front, so a
-/// spent ticker stops the extraction before the expensive stages run.
-pub(crate) fn maximal_kt_core_budgeted(
+/// The (k,t)-core extraction every entry point runs: the range filter
+/// charges `ticker` as it goes and the peel is charged as a lump up front,
+/// so a spent ticker stops the extraction before the expensive stages run.
+/// Unbudgeted callers pass [`BudgetTicker::unlimited`].
+pub(crate) fn maximal_kt_core_with_ticker(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
     filter_choice: RangeFilterChoice,
@@ -120,26 +123,12 @@ pub(crate) fn maximal_kt_core_budgeted(
     scratch: &mut KtScratch,
     ticker: &mut BudgetTicker,
 ) -> Result<KtOutcome, MacError> {
-    kt_core_impl(rsn, query, filter_choice, targets, scratch, Some(ticker))
-}
-
-/// Shared implementation of the one-shot and budgeted extractions; an absent
-/// ticker runs the original unbudgeted code paths exactly.
-fn kt_core_impl(
-    rsn: &RoadSocialNetwork,
-    query: &MacQuery,
-    filter_choice: RangeFilterChoice,
-    targets: Option<&LeafTargets>,
-    scratch: &mut KtScratch,
-    mut ticker: Option<&mut BudgetTicker>,
-) -> Result<KtOutcome, MacError> {
     query.validate(rsn)?;
     let social = rsn.social();
 
     // Lemma 1: the road-network range filter, evaluated as one set operation
     // through the resolved RangeFilter strategy (see `RangeFilterChoice`:
-    // bounded Dijkstra sweep, per-user G-tree point queries, the per-seed
-    // leaf-batched walk, or the multi-seed batched walk).
+    // the bounded Dijkstra sweep or the multi-seed batched G-tree walk).
     let KtScratch {
         q_locations,
         within,
@@ -150,30 +139,17 @@ fn kt_core_impl(
     q_locations.clear();
     q_locations.extend(query.q.iter().map(|&v| *rsn.location(v)));
     let filter = rsn.range_filter(filter_choice, q_locations.len(), query.t);
-    match ticker.as_deref_mut() {
-        Some(t) => {
-            if !filter.users_within_with_budget(
-                rsn.road(),
-                q_locations,
-                query.t,
-                rsn.locations(),
-                targets,
-                filter_scratch,
-                within,
-                t,
-            ) {
-                return Ok(KtOutcome::Exhausted(crate::result::QueryPhase::Filter));
-            }
-        }
-        None => filter.users_within_with(
-            rsn.road(),
-            q_locations,
-            query.t,
-            rsn.locations(),
-            targets,
-            filter_scratch,
-            within,
-        ),
+    if !filter.users_within_with_ticker(
+        rsn.road(),
+        q_locations,
+        query.t,
+        rsn.locations(),
+        targets,
+        filter_scratch,
+        within,
+        ticker,
+    ) {
+        return Ok(KtOutcome::Exhausted(crate::result::QueryPhase::Filter));
     }
     if query.q.iter().any(|&v| !within[v as usize]) {
         // some query users are farther than t from each other
@@ -189,12 +165,10 @@ fn kt_core_impl(
 
     // The peel visits every filtered vertex and edge a bounded number of
     // times; charge it as one lump before running it.
-    if let Some(t) = ticker {
-        if !t.charge((n_f + m_f) as u64) {
-            return Ok(KtOutcome::Exhausted(
-                crate::result::QueryPhase::CoreExtraction,
-            ));
-        }
+    if !ticker.charge((n_f + m_f) as u64) {
+        return Ok(KtOutcome::Exhausted(
+            crate::result::QueryPhase::CoreExtraction,
+        ));
     }
 
     // Lemma 2: maximal connected k-core containing Q within the filtered graph.
@@ -306,8 +280,6 @@ mod tests {
         let strategies = [
             RangeFilterChoice::Auto,
             RangeFilterChoice::DijkstraSweep,
-            RangeFilterChoice::GTreePoint,
-            RangeFilterChoice::GTreeLeafBatched,
             RangeFilterChoice::GTreeMultiSeedBatched,
         ];
         for (k, t) in [(2u32, 2.0f64), (2, 100.0), (3, 2.0), (1, 11.0)] {
@@ -334,7 +306,7 @@ mod tests {
         let rsn = network();
         assert!(rsn.gtree().is_none());
         let q = MacQuery::new(vec![0], 2, 2.0, region())
-            .with_range_filter(RangeFilterChoice::GTreePoint);
+            .with_range_filter(RangeFilterChoice::GTreeMultiSeedBatched);
         let core = maximal_kt_core(&rsn, &q).unwrap().unwrap();
         assert_eq!(core.vertices, vec![0, 1, 2]);
     }

@@ -77,8 +77,7 @@ impl<'a> LocalSearch<'a> {
 
     /// Adopts the local-framework knobs of an [`ExecutionPolicy`]: the
     /// expansion strategy, the candidate cap, and the verification
-    /// parallelism. The non-deprecated way to configure a one-shot local
-    /// search; prefer executing through a
+    /// parallelism. Prefer executing through a
     /// [`QuerySession`](crate::session::QuerySession), which applies its
     /// policy automatically.
     pub fn with_policy(mut self, policy: &ExecutionPolicy) -> Self {
@@ -127,7 +126,9 @@ impl<'a> LocalSearch<'a> {
             self.max_candidates,
             top_j_mode,
             self.parallelism,
-        );
+            &mut BudgetTicker::unlimited(),
+        )
+        .result;
         result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
         Ok(result)
     }
@@ -185,20 +186,28 @@ impl<'a> LocalSearch<'a> {
     /// covers only this phase; callers overwrite it with their end-to-end
     /// timing.
     ///
-    /// Expansion (Algorithm 4) and deduplication stay serial — they are cheap
-    /// and order-defining. With `parallelism > 1` the per-candidate
-    /// verification (Algorithm 5, including the top-j peels) fans out over
-    /// scoped worker threads pulling candidates from an atomic cursor; results
-    /// are reassembled in candidate order and worker counters folded with
-    /// [`SearchStats::merge_worker`], so the output is identical to the serial
-    /// run cell for cell.
+    /// Expansion (Algorithm 4) is charged to `ticker` as one lump (it is
+    /// bounded by the core size times the candidate cap) and stays serial —
+    /// it is cheap and order-defining. Verification (Algorithm 5, including
+    /// the top-j peels) runs in one of two ways, decided by the ticker:
+    ///
+    /// * **Limited ticker** — a serial loop that charges each candidate at
+    ///   its boundary, so an exhausted run drops whole candidates: every
+    ///   reported cell stays exact and a partial answer is a prefix of the
+    ///   full one (the same contract the budgeted global search keeps).
+    /// * **Unlimited ticker** with `parallelism > 1` — the deduplicated
+    ///   candidates fan out over scoped worker threads pulling from an atomic
+    ///   cursor; results are reassembled in candidate order and worker
+    ///   counters folded with [`SearchStats::merge_worker`], so the output is
+    ///   identical to the serial run cell for cell.
     pub(crate) fn run_context(
         ctx: &SearchContext<'_>,
         strategy: ExpandStrategy,
         max_candidates: usize,
         top_j_mode: bool,
         parallelism: usize,
-    ) -> MacSearchResult {
+        ticker: &mut BudgetTicker,
+    ) -> BudgetedRun {
         let start = Instant::now();
         let mut stats = SearchStats {
             kt_core_vertices: ctx.core_size(),
@@ -208,27 +217,62 @@ impl<'a> LocalSearch<'a> {
             ..SearchStats::default()
         };
 
-        // --- Expand (Algorithm 4) ---
+        // --- Expand (Algorithm 4), charged as one lump up front ---
+        if !ticker.charge(ctx.core_size() as u64) {
+            stats.elapsed_seconds = start.elapsed().as_secs_f64();
+            return BudgetedRun {
+                result: MacSearchResult {
+                    cells: Vec::new(),
+                    stats,
+                },
+                completed: false,
+                explored: 0,
+                remaining: 1,
+            };
+        }
         let candidates = Self::expand(ctx, strategy, max_candidates);
         stats.candidates_generated = candidates.len();
-
-        // Deduplicate up front, keeping first-occurrence order: the serial
-        // loop skipped repeats in place, so the unique sequence is the work
-        // list either way.
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
-        let unique: Vec<Vec<u32>> = candidates
-            .into_iter()
-            .filter(|cand| seen.insert(cand.clone()))
-            .collect();
+        let total = candidates.len() as u64;
 
         // --- Verify (Algorithm 5) ---
-        let workers = Self::resolved_verify_workers(parallelism, unique.len());
+        let mut seen: HashSet<Vec<u32>> = HashSet::new();
         let mut out_cells: Vec<CellResult> = Vec::new();
+        let mut explored = 0u64;
+        let mut completed = true;
+        // Only an unlimited ticker fans out: a limited one verifies serially
+        // so that an exhausted run leaves a prefix of the full answer.
+        let workers = if ticker.is_unlimited() && parallelism != 1 {
+            let distinct: HashSet<&Vec<u32>> = candidates.iter().collect();
+            Self::resolved_verify_workers(parallelism, distinct.len())
+        } else {
+            1
+        };
         if workers <= 1 {
-            for cand in &unique {
-                Self::verify_candidate(ctx, cand, top_j_mode, &mut stats, &mut out_cells);
+            for (i, cand) in candidates.into_iter().enumerate() {
+                // One candidate's verification is roughly linear in its size;
+                // charge it at the boundary so exhaustion drops it whole.
+                if !ticker.charge(cand.len() as u64 + 1) {
+                    completed = false;
+                    break;
+                }
+                explored = i as u64 + 1;
+                if !seen.insert(cand.clone()) {
+                    continue;
+                }
+                Self::verify_candidate(ctx, &cand, top_j_mode, &mut stats, &mut out_cells);
             }
         } else {
+            // An unlimited ticker cannot exhaust, so the fan-out charges the
+            // whole verification up front and never stops early.
+            ticker.charge(candidates.iter().map(|c| c.len() as u64 + 1).sum());
+            explored = total;
+            // Deduplicate up front, keeping first-occurrence order: the
+            // serial loop skips repeats in place, so the unique sequence is
+            // the work list either way.
+            let unique: Vec<Vec<u32>> = candidates
+                .into_iter()
+                .filter(|cand| seen.insert(cand.clone()))
+                .collect();
             stats.parallel_workers = workers;
             let cursor = AtomicUsize::new(0);
             // Each worker yields its (candidate index, cells) batches plus a
@@ -275,75 +319,6 @@ impl<'a> LocalSearch<'a> {
             for slot in slots {
                 out_cells.extend(slot.unwrap_or_default());
             }
-        }
-
-        stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        MacSearchResult {
-            cells: out_cells,
-            stats,
-        }
-    }
-
-    /// Budgeted [`run_context`](Self::run_context): the expansion is charged
-    /// as one lump (it is bounded by the core size times the candidate cap)
-    /// and the verification loop checks the budget at every candidate
-    /// boundary, so an exhausted run drops whole candidates — every reported
-    /// cell stays exact and a partial answer is a subset of the full one.
-    ///
-    /// Budgeted verification stays serial regardless of the policy's
-    /// parallelism: a serial prefix is what makes a partial answer a strict
-    /// subset of the full run (the same contract the budgeted global search
-    /// keeps), and the ticker's exhaustion latch still stops the whole query.
-    pub(crate) fn run_context_budgeted(
-        ctx: &SearchContext<'_>,
-        strategy: ExpandStrategy,
-        max_candidates: usize,
-        top_j_mode: bool,
-        ticker: &mut BudgetTicker,
-    ) -> BudgetedRun {
-        let start = Instant::now();
-        let mut stats = SearchStats {
-            kt_core_vertices: ctx.core_size(),
-            kt_core_edges: ctx.core_edges(),
-            dominance_tests: ctx.gd.tests_performed(),
-            memory_bytes: ctx.gd.memory_bytes(),
-            ..SearchStats::default()
-        };
-
-        // --- Expand (Algorithm 4), charged as one lump up front ---
-        if !ticker.charge(ctx.core_size() as u64) {
-            stats.elapsed_seconds = start.elapsed().as_secs_f64();
-            return BudgetedRun {
-                result: MacSearchResult {
-                    cells: Vec::new(),
-                    stats,
-                },
-                completed: false,
-                explored: 0,
-                remaining: 1,
-            };
-        }
-        let candidates = Self::expand(ctx, strategy, max_candidates);
-        stats.candidates_generated = candidates.len();
-        let total = candidates.len() as u64;
-
-        // --- Verify (Algorithm 5), budget checked per candidate ---
-        let mut out_cells: Vec<CellResult> = Vec::new();
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
-        let mut explored = 0u64;
-        let mut completed = true;
-        for (i, cand) in candidates.into_iter().enumerate() {
-            // One candidate's verification is roughly linear in its size;
-            // charge it at the boundary so exhaustion drops it whole.
-            if !ticker.charge(cand.len() as u64 + 1) {
-                completed = false;
-                break;
-            }
-            explored = i as u64 + 1;
-            if !seen.insert(cand.clone()) {
-                continue;
-            }
-            Self::verify_candidate(ctx, &cand, top_j_mode, &mut stats, &mut out_cells);
         }
 
         stats.elapsed_seconds = start.elapsed().as_secs_f64();

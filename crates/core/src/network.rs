@@ -241,7 +241,7 @@ impl RoadSocialNetwork {
     /// needs.
     ///
     /// Every strategy is exact, so the resolution is purely a performance
-    /// decision. G-tree strategies require a built index and fall back to the
+    /// decision. The G-tree walk requires a built index and falls back to the
     /// bounded Dijkstra sweep without one. `Auto` goes through
     /// [`rsn_road::rangefilter::resolve_auto`]: the t-bounded sweep wherever
     /// the radius-t ball is small (every laptop-scale preset), the
@@ -265,10 +265,6 @@ impl RoadSocialNetwork {
             explicit => explicit,
         };
         match (resolved, &self.gtree) {
-            (RangeFilterChoice::GTreePoint, Some(tree)) => RangeFilter::GTreePoint(tree),
-            (RangeFilterChoice::GTreeLeafBatched, Some(tree)) => {
-                RangeFilter::GTreeLeafBatched(tree)
-            }
             (RangeFilterChoice::GTreeMultiSeedBatched, Some(tree)) => {
                 RangeFilter::GTreeMultiSeedBatched(tree)
             }

@@ -87,8 +87,7 @@ pub struct ExecutionPolicy {
     /// Candidate budget of the local framework (minimum 1).
     pub max_candidates: usize,
     /// Budget applied when the caller does not pass an explicit one:
-    /// [`QuerySession::execute_with_default_budget`](crate::session::QuerySession::execute_with_default_budget)
-    /// and `rsn-serve`'s `submit` use it. Unlimited by default; plain
+    /// `rsn-serve`'s `submit` uses it. Unlimited by default; plain
     /// [`execute`](crate::session::QuerySession::execute) always runs exact
     /// regardless.
     pub default_budget: QueryBudget,

@@ -23,7 +23,7 @@ use crate::ctxcache::{ContextCache, ContextCacheStats};
 use crate::engine::{AlgorithmChoice, MacEngine};
 use crate::error::MacError;
 use crate::global::{GlobalSearch, GsOptions, GsScratch};
-use crate::local::{ExpandStrategy, LocalSearch};
+use crate::local::LocalSearch;
 use crate::policy::ExecutionPolicy;
 use crate::query::{MacQuery, QuerySignature};
 use crate::result::{
@@ -242,40 +242,6 @@ impl QuerySession {
         &self.policy
     }
 
-    /// Sets the number of worker threads the global search uses
-    /// (`1` = serial, `0` = all cores).
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `ExecutionPolicy::parallelism` instead — via \
-                `MacEngine::build_with_policy` or `QuerySession::with_policy`"
-    )]
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.policy.parallelism = workers;
-        self
-    }
-
-    /// Overrides the local framework's candidate-selection strategy.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `ExecutionPolicy::expand_strategy` instead — via \
-                `MacEngine::build_with_policy` or `QuerySession::with_policy`"
-    )]
-    pub fn with_expand_strategy(mut self, strategy: ExpandStrategy) -> Self {
-        self.policy.expand_strategy = strategy;
-        self
-    }
-
-    /// Overrides the local framework's candidate budget (minimum 1).
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `ExecutionPolicy::max_candidates` instead — via \
-                `MacEngine::build_with_policy` or `QuerySession::with_policy`"
-    )]
-    pub fn with_max_candidates(mut self, max_candidates: usize) -> Self {
-        self.policy.max_candidates = max_candidates.max(1);
-        self
-    }
-
     /// Enables the session-level [`ContextCache`] with room for `capacity`
     /// contexts (minimum 1): repeat queries sharing a
     /// [context signature](crate::query::QuerySignature::context_signature)
@@ -374,26 +340,29 @@ impl QuerySession {
     /// query: top-j (Problem 1) when `j > 1`, non-contained MAC (Problem 2)
     /// otherwise — the two coincide at `j = 1`.
     pub fn execute(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
-        self.run_complete(query, query.j > 1)
+        self.run_guarded(query, query.j > 1, BudgetTicker::unlimited())
+            .map(QueryOutcome::into_result)
     }
 
     /// Executes one query as Problem 2: the non-contained MAC per partition.
     pub fn execute_non_contained(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
-        self.run_complete(query, false)
+        self.run_guarded(query, false, BudgetTicker::unlimited())
+            .map(QueryOutcome::into_result)
     }
 
     /// Executes one query as Problem 1: the top-j MACs per partition.
     pub fn execute_top_j(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
-        self.run_complete(query, true)
+        self.run_guarded(query, true, BudgetTicker::unlimited())
+            .map(QueryOutcome::into_result)
     }
 
     /// Executes one query under a [`QueryBudget`], degrading gracefully: when
     /// the budget exhausts mid-query the session returns
     /// [`QueryOutcome::Partial`] carrying every community confirmed so far
     /// plus progress counters, instead of an error. An
-    /// [unlimited](QueryBudget::is_unlimited) budget takes the exact
-    /// (unbudgeted) path and always yields [`QueryOutcome::Complete`] with a
-    /// result identical to [`execute`](Self::execute).
+    /// [unlimited](QueryBudget::is_unlimited) budget never exhausts: it
+    /// always yields [`QueryOutcome::Complete`] with a result identical to
+    /// [`execute`](Self::execute).
     ///
     /// The problem is inferred from the query's `j`, as in
     /// [`execute`](Self::execute). `Err` is reserved for invalid queries and
@@ -405,7 +374,7 @@ impl QuerySession {
         query: &MacQuery,
         budget: &QueryBudget,
     ) -> Result<QueryOutcome, MacError> {
-        self.run_guarded(query, query.j > 1, Some(budget))
+        self.run_guarded(query, query.j > 1, budget.arm())
     }
 
     /// Strict variant of [`execute_with_budget`](Self::execute_with_budget):
@@ -413,24 +382,6 @@ impl QuerySession {
     /// ([`MacError::BudgetExhausted`])
     /// instead of a partial answer. For callers that would rather retry with
     /// a bigger budget than serve a truncated result.
-    /// Executes one query under the policy's
-    /// [`default_budget`](ExecutionPolicy::default_budget): the budgeted
-    /// path when the policy sets limits, the exact path (always
-    /// [`QueryOutcome::Complete`]) when it is unlimited. Per-query budgets
-    /// still win — pass one via
-    /// [`execute_with_budget`](Self::execute_with_budget).
-    pub fn execute_with_default_budget(
-        &mut self,
-        query: &MacQuery,
-    ) -> Result<QueryOutcome, MacError> {
-        if self.policy.default_budget.is_unlimited() {
-            self.execute(query).map(QueryOutcome::Complete)
-        } else {
-            let budget = self.policy.default_budget.clone();
-            self.execute_with_budget(query, &budget)
-        }
-    }
-
     pub fn execute_with_budget_strict(
         &mut self,
         query: &MacQuery,
@@ -654,10 +605,6 @@ impl QuerySession {
         }
     }
 
-    /// Unbudgeted entry used by the plain `execute*` family: routes through
-    /// the panic guard (a contained panic surfaces as
-    /// [`MacError::ExecutionPanicked`](crate::MacError::ExecutionPanicked)
-    /// with the session scratch rebuilt) but never produces a partial answer.
     /// The algorithm the policy layering requests *before* calibration: an
     /// explicit query choice wins, a query-level `Auto` falls back to the
     /// policy default (a remaining `Auto` is resolved by the engine's
@@ -677,18 +624,7 @@ impl QuerySession {
         }
     }
 
-    fn run_complete(
-        &mut self,
-        query: &MacQuery,
-        top_j_mode: bool,
-    ) -> Result<MacSearchResult, MacError> {
-        match self.run_guarded(query, top_j_mode, None)? {
-            QueryOutcome::Complete(result) => Ok(result),
-            QueryOutcome::Partial(_) => unreachable!("unbudgeted run cannot be partial"),
-        }
-    }
-
-    /// Panic-isolating wrapper around the two inner paths. A panic escaping
+    /// Panic-isolating wrapper around [`run`](Self::run). A panic escaping
     /// query execution is caught here; the session's scratch may have been
     /// mid-mutation, so it is poisoned-and-rebuilt (fresh buffers, one-time
     /// re-allocation cost) and the panic is reported as a contained
@@ -699,16 +635,10 @@ impl QuerySession {
         &mut self,
         query: &MacQuery,
         top_j_mode: bool,
-        budget: Option<&QueryBudget>,
+        mut ticker: BudgetTicker,
     ) -> Result<QueryOutcome, MacError> {
-        let guarded = catch_unwind(AssertUnwindSafe(|| match budget {
-            Some(budget) if !budget.is_unlimited() => {
-                let mut ticker = budget.arm();
-                self.run_budgeted(query, top_j_mode, &mut ticker)
-            }
-            _ => self
-                .run_exact(query, top_j_mode)
-                .map(QueryOutcome::Complete),
+        let guarded = catch_unwind(AssertUnwindSafe(|| {
+            self.run(query, top_j_mode, &mut ticker)
         }));
         let outcome = match guarded {
             Ok(outcome) => outcome,
@@ -744,22 +674,30 @@ impl QuerySession {
         outcome
     }
 
-    /// Budget-limited inner path: every pipeline stage polls the ticker, and
-    /// exhaustion at any point degrades to a [`QueryOutcome::Partial`]
-    /// carrying the cells confirmed so far (each exact — the budgeted stages
-    /// only ever drop whole units of work, never truncate a reported cell).
-    fn run_budgeted(
+    /// The query pipeline: every stage charges the ticker, and exhaustion at
+    /// any point degrades to a [`QueryOutcome::Partial`] carrying the cells
+    /// confirmed so far (each exact — the stages only ever drop whole units
+    /// of work, never truncate a reported cell). An unlimited ticker always
+    /// yields [`QueryOutcome::Complete`].
+    fn run(
         &mut self,
         query: &MacQuery,
         top_j_mode: bool,
         ticker: &mut BudgetTicker,
     ) -> Result<QueryOutcome, MacError> {
         let start = Instant::now();
+        // Pin the epoch being served: a concurrently applied NetworkDelta
+        // swaps the engine's pointer but never mutates this snapshot, so the
+        // whole query runs against one consistent network + index + grouping.
         let epoch = self.engine.epoch();
         self.fire_query_failpoint();
         let rsn = epoch.network();
+        // Queries sharing everything the context depends on (users, k, t,
+        // region) share one cache slot regardless of j / algorithm. The
+        // build path validates inside the core extraction; a cache hit skips
+        // that stage, so the cached path validates explicitly (cheap,
+        // O(|Q|)) to keep invalid queries an error either way.
         let (ctx_key, cached) = if self.cache.is_some() {
-            // See run_exact: a cache hit bypasses the validating build.
             query.validate(rsn)?;
             self.take_cached_context(epoch.id(), query)
         } else {
@@ -772,7 +710,7 @@ impl QuerySession {
             Some(parts) => SearchContext::from_parts(rsn, query, parts),
             None => {
                 let filter = epoch.resolve_filter_with(query, self.policy.filter);
-                let built = SearchContext::build_budgeted(
+                let built = SearchContext::build_with_ticker(
                     rsn,
                     query,
                     filter,
@@ -806,25 +744,28 @@ impl QuerySession {
         };
         let algorithm = epoch.resolve_algorithm(self.requested_algorithm(query), ctx.core_size());
         let (mut run, phase) = match algorithm {
+            // Verification fans out only under an unlimited ticker; a limited
+            // one keeps it serial so a partial answer is a prefix.
             AlgorithmChoice::Local => (
-                LocalSearch::run_context_budgeted(
+                LocalSearch::run_context(
                     &ctx,
                     self.policy.expand_strategy,
                     self.policy.max_candidates,
                     top_j_mode,
+                    self.policy.parallelism,
                     ticker,
                 ),
                 QueryPhase::LocalSearch,
             ),
-            // resolve_algorithm never returns Auto. Budgeted global search
-            // stays serial under the default policy — a serial prefix is what
-            // makes a partial answer a strict subset of the full run — and
-            // shares the ticker across workers (via an atomic latch) when the
-            // policy opts into parallelism.
+            // resolve_algorithm never returns Auto. Global search stays
+            // serial under the default policy — a serial prefix is what makes
+            // a partial answer a strict subset of the full run — and shares
+            // the ticker across workers (via an atomic latch) when the policy
+            // opts into parallelism.
             _ => {
                 let opts = self.gs_options();
                 (
-                    GlobalSearch::explore_context_budgeted(
+                    GlobalSearch::explore_context(
                         &ctx,
                         &mut self.gs_scratch,
                         opts,
@@ -863,75 +804,6 @@ impl QuerySession {
                 ..SearchStats::default()
             },
         }
-    }
-
-    fn run_exact(
-        &mut self,
-        query: &MacQuery,
-        top_j_mode: bool,
-    ) -> Result<MacSearchResult, MacError> {
-        let start = Instant::now();
-        // Pin the epoch being served: a concurrently applied NetworkDelta
-        // swaps the engine's pointer but never mutates this snapshot, so the
-        // whole query runs against one consistent network + index + grouping.
-        let epoch = self.engine.epoch();
-        self.fire_query_failpoint();
-        let rsn = epoch.network();
-        // Queries sharing everything the context depends on (users, k, t,
-        // region) share one cache slot regardless of j / algorithm. The
-        // build path validates inside the core extraction; a cache hit skips
-        // that stage, so the cached path validates explicitly (cheap,
-        // O(|Q|)) to keep invalid queries an error either way.
-        let (ctx_key, cached) = if self.cache.is_some() {
-            query.validate(rsn)?;
-            self.take_cached_context(epoch.id(), query)
-        } else {
-            (None, None)
-        };
-        let ctx = match cached {
-            Some(parts) => Some(SearchContext::from_parts(rsn, query, parts)),
-            None => {
-                let filter = epoch.resolve_filter_with(query, self.policy.filter);
-                SearchContext::build_with(
-                    rsn,
-                    query,
-                    filter,
-                    epoch.user_targets(),
-                    &mut self.scratch,
-                )?
-            }
-        };
-        let Some(ctx) = ctx else {
-            self.executed += 1;
-            return Ok(MacSearchResult {
-                cells: Vec::new(),
-                stats: SearchStats {
-                    elapsed_seconds: start.elapsed().as_secs_f64(),
-                    ..SearchStats::default()
-                },
-            });
-        };
-        let algorithm = epoch.resolve_algorithm(self.requested_algorithm(query), ctx.core_size());
-        let mut result = match algorithm {
-            AlgorithmChoice::Local => LocalSearch::run_context(
-                &ctx,
-                self.policy.expand_strategy,
-                self.policy.max_candidates,
-                top_j_mode,
-                self.policy.parallelism,
-            ),
-            // resolve_algorithm never returns Auto.
-            _ => {
-                let opts = self.gs_options();
-                GlobalSearch::explore_context(&ctx, &mut self.gs_scratch, opts, top_j_mode)
-            }
-        };
-        if let Some(key) = ctx_key {
-            self.store_context(epoch.id(), key, ctx.into_parts());
-        }
-        result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        self.executed += 1;
-        Ok(result)
     }
 }
 
@@ -1176,16 +1048,17 @@ mod tests {
     }
 
     #[test]
-    fn cached_budgeted_queries_match_and_invalid_queries_still_error() {
+    fn cached_queries_under_a_budget_match_and_invalid_queries_still_error() {
         let engine = MacEngine::build_uncalibrated(network());
         let mut cached = engine.session().with_context_cache(4);
         let q = query();
         let unlimited = QueryBudget::new();
+        let generous = QueryBudget::new().with_work_limit(u64::MAX);
         let first = cached.execute_with_budget(&q, &unlimited).unwrap();
-        let second = cached.execute_with_budget(&q, &unlimited).unwrap();
+        let second = cached.execute_with_budget(&q, &generous).unwrap();
         assert!(first.is_complete() && second.is_complete());
         assert_results_identical(first.result(), second.result());
-        // The budgeted path shares the cache with the exact path.
+        // Limited and unlimited budgets share one cache.
         assert!(cached.stats().context_cache_hits >= 1);
         // A cache hit must not bypass query validation.
         let mut bad = query();

@@ -71,8 +71,10 @@ pub struct BudgetTicker {
 
 impl BudgetTicker {
     /// Arms a ticker. All limits are optional; a ticker with none never
-    /// exhausts (but still pays the amortized checks — callers that know
-    /// the budget is unlimited should skip the budgeted code path entirely).
+    /// exhausts. Every query-path stage takes a ticker, so unbudgeted work
+    /// runs the same code with an unlimited one: its charge is a
+    /// decrement-and-compare, plus two `None` checks per [`CHECK_INTERVAL`]
+    /// units.
     pub fn new(
         deadline: Option<Instant>,
         work_limit: Option<u64>,
@@ -91,6 +93,12 @@ impl BudgetTicker {
     /// A ticker that never exhausts.
     pub fn unlimited() -> Self {
         BudgetTicker::new(None, None, None)
+    }
+
+    /// Whether this ticker has no deadline, work limit, or cancellation flag
+    /// — i.e. it can never exhaust.
+    pub fn is_unlimited(&self) -> bool {
+        self.deadline.is_none() && self.work_limit.is_none() && self.cancel.is_none()
     }
 
     /// Charges `units` of work. Returns `true` while the budget holds;
@@ -370,6 +378,15 @@ mod tests {
         assert!(!t.is_exhausted());
         assert_eq!(t.cause(), None);
         assert_eq!(t.spent(), 170_000);
+    }
+
+    #[test]
+    fn only_a_ticker_without_limits_is_unlimited() {
+        assert!(BudgetTicker::unlimited().is_unlimited());
+        assert!(!BudgetTicker::new(None, Some(u64::MAX), None).is_unlimited());
+        assert!(!BudgetTicker::new(Some(Instant::now()), None, None).is_unlimited());
+        let flag = Arc::new(AtomicBool::new(false));
+        assert!(!BudgetTicker::new(None, None, Some(flag)).is_unlimited());
     }
 
     #[test]

@@ -57,44 +57,22 @@ impl SsspScratch {
         SsspScratch::default()
     }
 
-    /// Runs multi-source Dijkstra, reusing this scratch's buffers, and
-    /// returns the distance field (`f64::INFINITY` beyond `bound` or for
-    /// unreachable vertices). The field stays valid until the next `run`.
+    /// Runs multi-source Dijkstra, reusing this scratch's buffers, charging
+    /// `ticker` one work unit per settled heap entry. Returns `true` when the
+    /// sweep ran to completion; the distance field ([`dist`](Self::dist)) is
+    /// then exact (`f64::INFINITY` beyond `bound` or for unreachable
+    /// vertices) and stays valid until the next `run`. On `false` the ticker
+    /// exhausted, the field is partial (a prefix of the settled vertices) and
+    /// callers must treat the run as failed. Either way the scratch is left
+    /// reusable — the next `run` resets exactly what this one touched. Pass
+    /// [`BudgetTicker::unlimited`] for a sweep that always completes.
     pub fn run(
         &mut self,
         net: &RoadNetwork,
         seeds: &[(RoadVertexId, f64)],
         bound: Option<f64>,
         allowed: Option<&[bool]>,
-    ) -> &[f64] {
-        self.run_inner(net, seeds, bound, allowed, None);
-        &self.dist
-    }
-
-    /// Budgeted variant of [`run`](Self::run): charges one work unit per
-    /// settled heap entry and stops expanding once `ticker` exhausts.
-    /// Returns `true` when the sweep ran to completion; on `false` the
-    /// distance field is partial (a prefix of the settled vertices) and
-    /// callers must treat the run as failed. Either way, the scratch is
-    /// left reusable — the next `run` resets exactly what this one touched.
-    pub fn run_budgeted(
-        &mut self,
-        net: &RoadNetwork,
-        seeds: &[(RoadVertexId, f64)],
-        bound: Option<f64>,
-        allowed: Option<&[bool]>,
         ticker: &mut BudgetTicker,
-    ) -> bool {
-        self.run_inner(net, seeds, bound, allowed, Some(ticker))
-    }
-
-    fn run_inner(
-        &mut self,
-        net: &RoadNetwork,
-        seeds: &[(RoadVertexId, f64)],
-        bound: Option<f64>,
-        allowed: Option<&[bool]>,
-        mut ticker: Option<&mut BudgetTicker>,
     ) -> bool {
         let n = net.num_vertices();
         // Reset only what the previous run wrote; (re)grow on size change.
@@ -127,10 +105,8 @@ impl SsspScratch {
             }
         }
         while let Some(HeapEntry { dist: d, vertex: v }) = self.heap.pop() {
-            if let Some(t) = ticker.as_deref_mut() {
-                if !t.charge(1) {
-                    return false;
-                }
+            if !ticker.charge(1) {
+                return false;
             }
             if d > self.dist[v as usize] {
                 continue;
@@ -181,7 +157,7 @@ pub fn multi_source_dijkstra(
     allowed: Option<&[bool]>,
 ) -> Vec<f64> {
     let mut scratch = SsspScratch::new();
-    scratch.run(net, seeds, bound, allowed);
+    scratch.run(net, seeds, bound, allowed, &mut BudgetTicker::unlimited());
     scratch.dist
 }
 

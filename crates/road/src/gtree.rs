@@ -200,12 +200,10 @@ impl GTreeUpdateStats {
     }
 }
 
-/// Reusable buffers for the batched walks
-/// ([`GTree::accumulate_source_distances`] and
-/// [`GTree::accumulate_multi_source_distances`]): the per-node entry columns —
-/// the walk's large allocations — plus the small per-seed locals are all
-/// recycled across walks and queries, so the hot path allocates nothing
-/// beyond the per-query source climbs.
+/// Reusable buffers for the batched walk ([`GTree::multi_source_within`]):
+/// the per-node entry columns — the walk's large allocations — plus the
+/// small per-seed locals are all recycled across walks and queries, so the
+/// hot path allocates nothing beyond the per-query source climbs.
 #[derive(Debug, Default)]
 pub struct RangeScratch {
     /// `entry[node]` = flat `|borders| x |seeds|` matrix: exact distance from
@@ -551,10 +549,10 @@ impl GTree {
 
     /// Groups target seeds `(item, vertex, offset)` by the leaf containing the
     /// vertex and records per-subtree occupancy, so that batched evaluation
-    /// ([`accumulate_source_distances`](Self::accumulate_source_distances))
-    /// can skip empty subtrees entirely. The vertex is resolved to its leaf
-    /// matrix row here, once, so the leaf evaluation never hashes. Seeds with
-    /// out-of-range vertices are dropped.
+    /// ([`multi_source_within`](Self::multi_source_within)) can skip empty
+    /// subtrees entirely. The vertex is resolved to its leaf matrix row here,
+    /// once, so the leaf evaluation never hashes. Seeds with out-of-range
+    /// vertices are dropped.
     pub fn group_targets<I>(&self, seeds: I) -> LeafTargets
     where
         I: IntoIterator<Item = (u32, RoadVertexId, f64)>,
@@ -770,106 +768,35 @@ impl GTree {
         }
     }
 
-    /// Leaf-batched one-to-many evaluation from a **single** source seed: for
-    /// every target seed `(item, v, toff)` of `targets`, lowers `best[item]`
-    /// to `soff + dist(u, v) + toff` when that candidate is smaller.
-    ///
-    /// This is the PR-2 per-seed walk, now a thin wrapper over the multi-seed
-    /// machinery ([`accumulate_multi_source_distances`](Self::accumulate_multi_source_distances))
-    /// with one seed and one output column. It is kept as the unit the
-    /// per-seed `GTreeLeafBatched` strategy (and its benchmarks) build on.
-    pub fn accumulate_source_distances(
-        &self,
-        u: RoadVertexId,
-        soff: f64,
-        targets: &LeafTargets,
-        prune_at: f64,
-        best: &mut [f64],
-        scratch: &mut RangeScratch,
-    ) {
-        self.accumulate_multi_source_distances(
-            &[(u, soff, 0)],
-            1,
-            targets,
-            prune_at,
-            best,
-            scratch,
-        );
-    }
-
-    /// Budgeted [`accumulate_source_distances`](Self::accumulate_source_distances):
-    /// charges the ticker as the walk proceeds (one unit per evaluated leaf
-    /// target row and per visited child) and aborts cooperatively on
-    /// exhaustion. Returns `true` when the walk completed; on `false` the
-    /// lowered `best` entries are valid upper bounds but the evaluation is
-    /// incomplete, so the caller must treat the run as failed. The scratch
-    /// stays reusable either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn accumulate_source_distances_budgeted(
-        &self,
-        u: RoadVertexId,
-        soff: f64,
-        targets: &LeafTargets,
-        prune_at: f64,
-        best: &mut [f64],
-        scratch: &mut RangeScratch,
-        ticker: &mut BudgetTicker,
-    ) -> bool {
-        self.multi_source_walk(
-            &[(u, soff, 0)],
-            1,
-            targets,
-            prune_at,
-            best,
-            None,
-            Some(ticker),
-            scratch,
-        )
-    }
-
-    /// Multi-seed leaf-batched evaluation: folds **all** source seeds
-    /// `(u, soff, column)` into a single top-down walk. For every target seed
-    /// `(item, v, toff)` of `targets` and every source seed, lowers
+    /// Multi-seed leaf-batched evaluation with the Lemma-1 **intersection
+    /// computed in-walk**: folds **all** source seeds `(u, soff, column)`
+    /// into a single top-down walk. For every target seed `(item, v, toff)`
+    /// of `targets` and every source seed, lowers
     /// `best[item * num_columns + column]` to `soff + dist(u, v) + toff` when
     /// that candidate is smaller (`best` is an item-major matrix with one
-    /// column per query location; seeds of the same location share a column).
+    /// column per query location; seeds of the same location share a
+    /// column). `best` must be pre-seeded per `(item, column)` (typically
+    /// with the along-edge shortcut distances, or `f64::INFINITY`) and
+    /// `within[item]` is maintained as "every column of the item's row is
+    /// `<= t`". Rows only ever decrease, so the flag is recomputed whenever a
+    /// leaf lowers a row and converges to the exact intersection predicate;
+    /// items in pruned subtrees keep the flag derived from their pre-seeded
+    /// row.
     ///
     /// Each node of the walk carries a flat `|borders| x |seeds|` matrix of
     /// per-seed entry distances; a subtree is pruned only when **every**
-    /// seed's lower bound exceeds `prune_at` (a seed whose leaf lies inside
-    /// the subtree is never pruned), and each occupied leaf is evaluated once
+    /// seed's lower bound exceeds `t` (a seed whose leaf lies inside the
+    /// subtree is never pruned), and each occupied leaf is evaluated once
     /// against all seed columns. All matrix accesses go through the
     /// precomputed border-index arrays — the inner loops perform zero hash
-    /// lookups. Pass `f64::INFINITY` to disable pruning; candidates are exact
-    /// in either case.
-    pub fn accumulate_multi_source_distances(
-        &self,
-        seeds: &[(RoadVertexId, f64, u32)],
-        num_columns: usize,
-        targets: &LeafTargets,
-        prune_at: f64,
-        best: &mut [f64],
-        scratch: &mut RangeScratch,
-    ) {
-        self.multi_source_walk(
-            seeds,
-            num_columns,
-            targets,
-            prune_at,
-            best,
-            None,
-            None,
-            scratch,
-        );
-    }
-
-    /// Multi-seed walk with the Lemma-1 **intersection computed in-walk**:
-    /// `best` must be pre-seeded per `(item, column)` (typically with the
-    /// along-edge shortcut distances) and `within[item]` is maintained as
-    /// "every column of the item's row is `<= t`". Rows only ever decrease,
-    /// so the flag is recomputed whenever a leaf lowers a row and converges
-    /// to the exact intersection predicate; items in pruned subtrees keep
-    /// the flag derived from their pre-seeded row.
+    /// lookups. Pass `t = f64::INFINITY` to disable pruning; row entries
+    /// `<= t` are exact in either case.
+    ///
+    /// The walk charges `ticker` one unit per evaluated leaf target row and
+    /// per visited child, and aborts cooperatively on exhaustion. Returns
+    /// `true` when the walk completed; on `false` the `best`/`within` state
+    /// reflects only part of the evaluation and the caller must treat the
+    /// run as failed. The scratch stays reusable either way.
     #[allow(clippy::too_many_arguments)]
     pub fn multi_source_within(
         &self,
@@ -880,42 +807,6 @@ impl GTree {
         best: &mut [f64],
         within: &mut [bool],
         scratch: &mut RangeScratch,
-    ) {
-        debug_assert_eq!(best.len(), within.len() * num_columns);
-        for (i, w) in within.iter_mut().enumerate() {
-            *w = best[i * num_columns..(i + 1) * num_columns]
-                .iter()
-                .all(|&d| d <= t);
-        }
-        self.multi_source_walk(
-            seeds,
-            num_columns,
-            targets,
-            t,
-            best,
-            Some(within),
-            None,
-            scratch,
-        );
-    }
-
-    /// Budgeted [`multi_source_within`](Self::multi_source_within): identical
-    /// semantics, but the walk charges `ticker` as it goes (one unit per
-    /// evaluated leaf target row and per visited child) and aborts
-    /// cooperatively on exhaustion. Returns `true` when the walk completed;
-    /// on `false` the `best`/`within` state reflects only part of the
-    /// evaluation and the caller must treat the run as failed. The scratch
-    /// stays reusable either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn multi_source_within_budgeted(
-        &self,
-        seeds: &[(RoadVertexId, f64, u32)],
-        num_columns: usize,
-        targets: &LeafTargets,
-        t: f64,
-        best: &mut [f64],
-        within: &mut [bool],
-        scratch: &mut RangeScratch,
         ticker: &mut BudgetTicker,
     ) -> bool {
         debug_assert_eq!(best.len(), within.len() * num_columns);
@@ -924,34 +815,6 @@ impl GTree {
                 .iter()
                 .all(|&d| d <= t);
         }
-        self.multi_source_walk(
-            seeds,
-            num_columns,
-            targets,
-            t,
-            best,
-            Some(within),
-            Some(ticker),
-            scratch,
-        )
-    }
-
-    /// Shared driver of the multi-seed entry points: precomputes one
-    /// [`SeedClimb`] per in-range seed and starts the recursive walk.
-    /// Returns `true` when the walk ran to completion, `false` when the
-    /// optional budget ticker exhausted mid-walk.
-    #[allow(clippy::too_many_arguments)]
-    fn multi_source_walk(
-        &self,
-        seeds: &[(RoadVertexId, f64, u32)],
-        num_columns: usize,
-        targets: &LeafTargets,
-        prune_at: f64,
-        best: &mut [f64],
-        mut within: Option<&mut [bool]>,
-        mut ticker: Option<&mut BudgetTicker>,
-        scratch: &mut RangeScratch,
-    ) -> bool {
         if self.nodes.is_empty() {
             return true;
         }
@@ -984,10 +847,10 @@ impl GTree {
             &climbs,
             num_columns,
             targets,
-            prune_at,
+            t,
             best,
-            &mut within,
-            &mut ticker,
+            within,
+            ticker,
             scratch,
         )
     }
@@ -999,8 +862,8 @@ impl GTree {
     /// `node` iff `path[len - 1 - depth] == node` — checked by slice
     /// indexing, no per-node hash set.
     ///
-    /// Charges the optional budget ticker one unit per evaluated leaf target
-    /// row and per visited child; returns `false` (after restoring the
+    /// Charges the budget ticker one unit per evaluated leaf target row and
+    /// per visited child; returns `false` (after restoring the
     /// node's entry matrix into the scratch) when the budget exhausts.
     #[allow(clippy::too_many_arguments)]
     fn multi_visit(
@@ -1013,8 +876,8 @@ impl GTree {
         targets: &LeafTargets,
         prune_at: f64,
         best: &mut [f64],
-        within: &mut Option<&mut [bool]>,
-        ticker: &mut Option<&mut BudgetTicker>,
+        within: &mut [bool],
+        ticker: &mut BudgetTicker,
         scratch: &mut RangeScratch,
     ) -> bool {
         let s_count = climbs.len();
@@ -1031,10 +894,8 @@ impl GTree {
             } = scratch;
             let node_entry = &entry[node];
             for &(item, trow, toff) in targets.per_leaf[node].iter() {
-                if let Some(t) = ticker.as_deref_mut() {
-                    if !t.charge(1) {
-                        return false;
-                    }
+                if !ticker.charge(1) {
+                    return false;
                 }
                 let trow = trow as usize;
                 seed_dist.clear();
@@ -1075,9 +936,7 @@ impl GTree {
                     }
                 }
                 if lowered {
-                    if let Some(w) = within.as_deref_mut() {
-                        w[item as usize] = row.iter().all(|&d| d <= prune_at);
-                    }
+                    within[item as usize] = row.iter().all(|&d| d <= prune_at);
                 }
             }
             return true;
@@ -1168,11 +1027,9 @@ impl GTree {
             });
             scratch.entry[child] = entry;
             if visit {
-                if let Some(t) = ticker.as_deref_mut() {
-                    if !t.charge(1) {
-                        completed = false;
-                        break;
-                    }
+                if !ticker.charge(1) {
+                    completed = false;
+                    break;
                 }
                 if !self.multi_visit(
                     child,
@@ -1550,7 +1407,14 @@ impl GTree {
                 for &v in ub {
                     region_mask[v as usize] = true;
                 }
-                let dists = sssp.run(net, &[(ub[row], 0.0)], None, Some(region_mask));
+                sssp.run(
+                    net,
+                    &[(ub[row], 0.0)],
+                    None,
+                    Some(region_mask),
+                    &mut BudgetTicker::unlimited(),
+                );
+                let dists = sssp.dist();
                 let out: Vec<f64> = ub.iter().map(|&u| dists[u as usize]).collect();
                 for &v in ub {
                     region_mask[v as usize] = false;
@@ -1720,8 +1584,10 @@ impl GTree {
         }
         let size = vertices.len();
         let mut matrix = vec![f64::INFINITY; size * size];
+        let mut unlimited = BudgetTicker::unlimited();
         for (i, &v) in vertices.iter().enumerate() {
-            let dists = scratch.run(net, &[(v, 0.0)], None, Some(region_mask));
+            scratch.run(net, &[(v, 0.0)], None, Some(region_mask), &mut unlimited);
+            let dists = scratch.dist();
             for (j, &u) in vertices.iter().enumerate() {
                 matrix[i * size + j] = dists[u as usize];
             }
@@ -2529,13 +2395,37 @@ mod tests {
         }
     }
 
+    /// Runs the batched walk from `seeds` (pruned at `t`) to completion,
+    /// lowering the item-major rows of `best`.
+    fn walk(
+        tree: &GTree,
+        seeds: &[(RoadVertexId, f64, u32)],
+        cols: usize,
+        targets: &LeafTargets,
+        t: f64,
+        best: &mut [f64],
+    ) {
+        let mut within = vec![false; best.len() / cols];
+        let mut scratch = RangeScratch::default();
+        let mut ticker = BudgetTicker::unlimited();
+        assert!(tree.multi_source_within(
+            seeds,
+            cols,
+            targets,
+            t,
+            best,
+            &mut within,
+            &mut scratch,
+            &mut ticker
+        ));
+    }
+
     /// Runs the batched walk from one source over every vertex as a target.
     fn batched_from(tree: &GTree, n: usize, source: RoadVertexId, prune_at: f64) -> Vec<f64> {
         let targets = tree.group_targets((0..n as u32).map(|v| (v, v, 0.0)));
         assert_eq!(targets.num_seeds(), n);
         let mut best = vec![f64::INFINITY; n];
-        let mut scratch = RangeScratch::default();
-        tree.accumulate_source_distances(source, 0.0, &targets, prune_at, &mut best, &mut scratch);
+        walk(tree, &[(source, 0.0, 0)], 1, &targets, prune_at, &mut best);
         best
     }
 
@@ -2587,8 +2477,7 @@ mod tests {
         let tree = GTree::build_with_capacity(&net, 5);
         let targets = tree.group_targets([(0u32, 5u32, 0.25), (1, 10, 1.5)]);
         let mut best = vec![0.1, f64::INFINITY];
-        let mut scratch = RangeScratch::default();
-        tree.accumulate_source_distances(0, 0.5, &targets, f64::INFINITY, &mut best, &mut scratch);
+        walk(&tree, &[(0, 0.5, 0)], 1, &targets, f64::INFINITY, &mut best);
         // item 0 already had a better candidate than 0.5 + dist + 0.25
         assert_eq!(best[0], 0.1);
         assert!((best[1] - (0.5 + tree.dist(0, 10) + 1.5)).abs() < 1e-9);
@@ -2644,31 +2533,30 @@ mod tests {
         let seeds = [(0u32, 0.25, 0u32), (17, 0.0, 1), (35, 1.5, 2)];
         let cols = 3usize;
         let mut multi = vec![f64::INFINITY; n * cols];
-        let mut scratch = RangeScratch::default();
-        tree.accumulate_multi_source_distances(
-            &seeds,
-            cols,
-            &targets,
-            f64::INFINITY,
-            &mut multi,
-            &mut scratch,
-        );
+        walk(&tree, &seeds, cols, &targets, f64::INFINITY, &mut multi);
         for (u, soff, col) in seeds {
             let mut single = vec![f64::INFINITY; n];
-            tree.accumulate_source_distances(
-                u,
-                soff,
+            walk(
+                &tree,
+                &[(u, soff, 0)],
+                1,
                 &targets,
                 f64::INFINITY,
                 &mut single,
-                &mut scratch,
             );
+            let exact = sssp(&net, u);
             for item in 0..n {
                 assert!(
                     (multi[item * cols + col as usize] - single[item]).abs() < 1e-9,
                     "seed {u} col {col} item {item}: multi {} single {}",
                     multi[item * cols + col as usize],
                     single[item]
+                );
+                assert!(
+                    (single[item] - (soff + exact[item])).abs() < 1e-9,
+                    "seed {u} item {item}: walk {} dijkstra {}",
+                    single[item],
+                    soff + exact[item]
                 );
             }
         }
@@ -2684,15 +2572,7 @@ mod tests {
         let targets = tree.group_targets((0..n as u32).map(|v| (v, v, 0.0)));
         let seeds = [(3u32, 0.5, 0u32), (23, 0.25, 0)];
         let mut multi = vec![f64::INFINITY; n];
-        let mut scratch = RangeScratch::default();
-        tree.accumulate_multi_source_distances(
-            &seeds,
-            1,
-            &targets,
-            f64::INFINITY,
-            &mut multi,
-            &mut scratch,
-        );
+        walk(&tree, &seeds, 1, &targets, f64::INFINITY, &mut multi);
         for v in 0..n as u32 {
             let expect = (0.5 + tree.dist(3, v)).min(0.25 + tree.dist(23, v));
             assert!(
@@ -2712,8 +2592,7 @@ mod tests {
         let targets = tree.group_targets((0..n as u32).map(|v| (v, v, 0.0)));
         let seeds = [(0u32, 0.0, 0u32), (35, 0.0, 1)];
         let mut multi = vec![f64::INFINITY; n * 2];
-        let mut scratch = RangeScratch::default();
-        tree.accumulate_multi_source_distances(&seeds, 2, &targets, t, &mut multi, &mut scratch);
+        walk(&tree, &seeds, 2, &targets, t, &mut multi);
         for v in 0..n as u32 {
             for (col, s) in [(0usize, 0u32), (1, 35)] {
                 let exact = tree.dist(s, v);
@@ -2741,7 +2620,16 @@ mod tests {
         let mut best = vec![f64::INFINITY; n * 2];
         let mut within = vec![false; n];
         let mut scratch = RangeScratch::default();
-        tree.multi_source_within(&seeds, 2, &targets, t, &mut best, &mut within, &mut scratch);
+        assert!(tree.multi_source_within(
+            &seeds,
+            2,
+            &targets,
+            t,
+            &mut best,
+            &mut within,
+            &mut scratch,
+            &mut BudgetTicker::unlimited()
+        ));
         for v in 0..n as u32 {
             let expect = tree.dist(0, v) <= t && tree.dist(35, v) <= t;
             assert_eq!(within[v as usize], expect, "within mismatch for target {v}");
@@ -2760,7 +2648,7 @@ mod tests {
         best[1] = 0.5; // pre-seeded shortcut for item 1
         let mut within = vec![false; 2];
         let mut scratch = RangeScratch::default();
-        tree.multi_source_within(
+        assert!(tree.multi_source_within(
             &seeds,
             1,
             &targets,
@@ -2768,7 +2656,8 @@ mod tests {
             &mut best,
             &mut within,
             &mut scratch,
-        );
+            &mut BudgetTicker::unlimited()
+        ));
         assert!(within[0], "item 0 is two hops from the seed");
         assert!(within[1], "pre-seeded row must survive pruning");
         assert_eq!(best[1], 0.5);
@@ -2945,8 +2834,7 @@ mod tests {
         );
         let targets = tree.group_targets((0..36u32).map(|v| (v, v, 0.0)));
         let mut best = vec![f64::INFINITY; 36];
-        let mut scratch = RangeScratch::default();
-        tree.accumulate_source_distances(17, 0.0, &targets, 3.0, &mut best, &mut scratch);
+        walk(&tree, &[(17, 0.0, 0)], 1, &targets, 3.0, &mut best);
         let d = sssp(&net, 17);
         for v in 0..36u32 {
             let exact = d[v as usize];

@@ -19,9 +19,11 @@
 //! * [`querydist::QueryDistanceIndex`] — per-query-user distance evaluation
 //!   (`D_Q`, Definition 2), served by either oracle backend.
 //! * [`rangefilter::RangeFilter`] — the Lemma-1 range filter as a **set**
-//!   operation: bounded Dijkstra sweep, per-user G-tree point queries, or the
-//!   leaf-batched G-tree evaluation that walks the hierarchy once per query
-//!   seed and prunes whole subtrees beyond `t`.
+//!   operation: a bounded Dijkstra sweep, or the multi-seed G-tree walk that
+//!   evaluates every query seed in one pass over the hierarchy and prunes
+//!   whole subtrees beyond `t`.
+//! * [`budget::BudgetTicker`] — the cooperative work budget every query-path
+//!   primitive charges; unbudgeted callers pass an unlimited one.
 //! * [`gtree::GTree`] — a hierarchical graph-partition index in the spirit of
 //!   the G-tree [Zhong et al., TKDE'15] the paper uses to accelerate range
 //!   queries; our variant assembles within-region border matrices bottom-up

@@ -16,6 +16,7 @@
 //! Both oracles are exact; choosing one is purely a performance decision, and
 //! the equivalence tests below pin them against each other.
 
+use crate::budget::BudgetTicker;
 use crate::dijkstra::{distance_to_location, SsspScratch};
 use crate::gtree::GTree;
 use crate::network::{Location, RoadNetwork, RoadVertexId};
@@ -89,7 +90,9 @@ impl DistanceOracle<'_> {
     ) -> f64 {
         match self {
             DistanceOracle::Dijkstra(pool) => pool.with_scratch(|scratch| {
-                let field = scratch.run(net, &[(u, 0.0)], bound, None);
+                let mut unlimited = BudgetTicker::unlimited();
+                scratch.run(net, &[(u, 0.0)], bound, None, &mut unlimited);
+                let field = scratch.dist();
                 field.get(v as usize).copied().unwrap_or(f64::INFINITY)
             }),
             DistanceOracle::GTree(tree) => tree.dist(u, v),
@@ -112,8 +115,10 @@ impl DistanceOracle<'_> {
                 if along.is_finite() {
                     search_bound = Some(search_bound.unwrap_or(f64::INFINITY).min(along));
                 }
-                let field = scratch.run(net, &location_seeds(net, a), search_bound, None);
-                distance_to_location(net, field, b).min(along)
+                let seeds = location_seeds(net, a);
+                let mut unlimited = BudgetTicker::unlimited();
+                scratch.run(net, &seeds, search_bound, None, &mut unlimited);
+                distance_to_location(net, scratch.dist(), b).min(along)
             }),
             DistanceOracle::GTree(tree) => gtree_location_distance(tree, net, a, b),
         }

@@ -18,6 +18,7 @@
 //!   with `|Q|` locations probed against `m ≪ |V|·|Q|` user locations, point
 //!   queries beat sweeping the whole road network.
 
+use crate::budget::BudgetTicker;
 use crate::dijkstra::distance_to_location;
 use crate::gtree::{GTree, SourceState};
 use crate::network::{Location, RoadNetwork};
@@ -110,10 +111,11 @@ impl<'a> QueryDistanceIndex<'a> {
     ) -> Backend<'static> {
         let n = net.num_vertices();
         let mut matrix = vec![f64::INFINITY; n * query_locations.len()];
+        let mut unlimited = BudgetTicker::unlimited();
         pool.with_scratch(|scratch| {
             for (i, loc) in query_locations.iter().enumerate() {
-                let field = scratch.run(net, &location_seeds(net, loc), bound, None);
-                matrix[i * n..(i + 1) * n].copy_from_slice(field);
+                scratch.run(net, &location_seeds(net, loc), bound, None, &mut unlimited);
+                matrix[i * n..(i + 1) * n].copy_from_slice(scratch.dist());
             }
         });
         Backend::Fields {

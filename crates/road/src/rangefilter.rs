@@ -2,38 +2,32 @@
 //!
 //! The MAC search opens with a set question, not a point question: *which
 //! users are within query distance `t`*? Earlier revisions answered it by
-//! probing the [`DistanceOracle`] once per user, which wastes the structure of
+//! probing a distance oracle once per user, which wastes the structure of
 //! the problem — the filter evaluates **one** small query set against **all**
 //! user locations. [`RangeFilter`] makes that set operation the unit of
-//! dispatch, with four interchangeable strategies:
+//! dispatch, with two interchangeable strategies:
 //!
 //! * [`RangeFilter::DijkstraSweep`] — one t-bounded multi-source sweep per
 //!   query location over the road graph; the strongest baseline at laptop
-//!   scale, linear in the edges within radius `t`.
-//! * [`RangeFilter::GTreePoint`] — the per-user G-tree point oracle of PR 1,
-//!   kept selectable for equivalence testing and for the regime the paper
-//!   measures (few users, continent-scale road networks).
-//! * [`RangeFilter::GTreeLeafBatched`] — the PR-2 per-seed leaf-batched
-//!   G-tree evaluation: one pruned top-down walk **per query seed**, merged
-//!   per query location ([`GTree::accumulate_source_distances`]).
+//!   scale, linear in the edges within radius `t`, and the reference every
+//!   equivalence test compares against.
 //! * [`RangeFilter::GTreeMultiSeedBatched`] — the multi-seed walk: **all**
-//!   query seeds fold into a single top-down pass with per-seed entry
-//!   columns; a subtree is pruned only when every seed is out of range, each
-//!   occupied leaf is evaluated once against all columns, and the Lemma-1
-//!   intersection is maintained in-walk
+//!   query seeds fold into a single top-down pass over the G-tree with
+//!   per-seed entry columns; a subtree is pruned only when every seed is out
+//!   of range, each occupied leaf is evaluated once against all columns, and
+//!   the Lemma-1 intersection is maintained in-walk
 //!   ([`GTree::multi_source_within`]).
 //!
-//! All four are exact and must return identical user sets; the integration
+//! Both are exact and must return identical user sets; the integration
 //! property tests (`tests/range_filter_equivalence.rs`) enforce this.
-//! [`resolve_auto`] turns `Auto` into a concrete strategy from the measured
+//! [`resolve_auto`] turns `Auto` into one of them from the measured
 //! sweep/batched crossover.
 
 use crate::budget::BudgetTicker;
 use crate::dijkstra::{distance_to_location, SsspScratch};
 use crate::gtree::{GTree, LeafTargets, RangeScratch};
 use crate::network::{Location, RoadNetwork, RoadVertexId};
-use crate::oracle::{along_edge_distance, location_seeds, DistanceOracle};
-use crate::querydist::QueryDistanceIndex;
+use crate::oracle::{along_edge_distance, location_seeds};
 
 /// Which range-filter strategy a query should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,11 +41,6 @@ pub enum RangeFilterChoice {
     Auto,
     /// Always run one t-bounded Dijkstra sweep per query location.
     DijkstraSweep,
-    /// Per-user G-tree point queries; falls back to Dijkstra without an index.
-    GTreePoint,
-    /// Per-seed leaf-batched G-tree evaluation (the PR-2 path); falls back to
-    /// Dijkstra without an index.
-    GTreeLeafBatched,
     /// Multi-seed leaf-batched G-tree evaluation — one walk for all query
     /// seeds; falls back to Dijkstra without an index.
     GTreeMultiSeedBatched,
@@ -64,8 +53,6 @@ impl RangeFilterChoice {
         match self {
             RangeFilterChoice::Auto => "auto",
             RangeFilterChoice::DijkstraSweep => "dijkstra-sweep",
-            RangeFilterChoice::GTreePoint => "gtree-point",
-            RangeFilterChoice::GTreeLeafBatched => "gtree-leaf-batched",
             RangeFilterChoice::GTreeMultiSeedBatched => "gtree-multi-seed-batched",
         }
     }
@@ -74,20 +61,19 @@ impl RangeFilterChoice {
 /// Reusable buffers for repeated range-filter evaluations.
 ///
 /// A fresh [`RangeFilter::users_within`] call allocates the buffers its
-/// strategy needs every time — a `|V_road|`-sized Dijkstra distance field (or
-/// a `|Q| × |V_road|` matrix on the sweep path of the legacy
-/// `QueryDistanceIndex`), the G-tree walk's entry-column matrices, and the
-/// per-user best-distance rows. A `FilterScratch` owns all of them and is
-/// handed to [`RangeFilter::users_within_with`], so a serving loop that
-/// issues many queries against one network reaches an allocation-free steady
-/// state once the buffers have grown to the network size.
+/// strategy needs every time — a `|V_road|`-sized Dijkstra distance field,
+/// the G-tree walk's entry-column matrices, and the per-user best-distance
+/// rows. A `FilterScratch` owns all of them and is handed to
+/// [`RangeFilter::users_within_with_ticker`], so a serving loop that issues
+/// many queries against one network reaches an allocation-free steady state
+/// once the buffers have grown to the network size.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     /// Bounded-sweep Dijkstra state (distance field + heap + touched list).
     sssp: SsspScratch,
     /// G-tree walk state (entry-column matrices + per-seed locals).
     range: RangeScratch,
-    /// Item-major best-distance matrix of the batched walks.
+    /// Item-major best-distance matrix of the batched walk.
     best: Vec<f64>,
     /// Flattened `(vertex, offset, column)` source seeds of a walk.
     seeds: Vec<(RoadVertexId, f64, u32)>,
@@ -105,10 +91,6 @@ impl FilterScratch {
 pub enum RangeFilter<'a> {
     /// One bounded multi-source Dijkstra sweep per query location.
     DijkstraSweep,
-    /// Per-user point queries against a prebuilt G-tree.
-    GTreePoint(&'a GTree),
-    /// Per-seed leaf-batched evaluation against a prebuilt G-tree.
-    GTreeLeafBatched(&'a GTree),
     /// Multi-seed leaf-batched evaluation against a prebuilt G-tree.
     GTreeMultiSeedBatched(&'a GTree),
 }
@@ -118,8 +100,6 @@ impl<'a> RangeFilter<'a> {
     pub fn name(&self) -> &'static str {
         match self {
             RangeFilter::DijkstraSweep => "dijkstra-sweep",
-            RangeFilter::GTreePoint(_) => "gtree-point",
-            RangeFilter::GTreeLeafBatched(_) => "gtree-leaf-batched",
             RangeFilter::GTreeMultiSeedBatched(_) => "gtree-multi-seed-batched",
         }
     }
@@ -129,7 +109,7 @@ impl<'a> RangeFilter<'a> {
     ///
     /// Allocates fresh working buffers per call; serving loops should hold a
     /// [`FilterScratch`] and call
-    /// [`users_within_with`](Self::users_within_with) instead.
+    /// [`users_within_with_ticker`](Self::users_within_with_ticker) instead.
     pub fn users_within(
         &self,
         net: &RoadNetwork,
@@ -151,15 +131,9 @@ impl<'a> RangeFilter<'a> {
         out
     }
 
-    /// Lemma-1 set filter writing into `out`, reusing `scratch` buffers across
-    /// calls (see [`FilterScratch`]) — identical results to
-    /// [`users_within`](Self::users_within).
-    ///
-    /// `targets` optionally supplies the user seeds already grouped by G-tree
-    /// leaf ([`group_user_targets`]); the grouping depends only on the tree
-    /// and the user locations, so a prepared engine computes it once per
-    /// network instead of once per query. It is ignored by the non-batched
-    /// strategies, and the batched strategies group on the fly when `None`.
+    /// [`users_within_with_ticker`](Self::users_within_with_ticker) with an
+    /// unlimited budget: writes the Lemma-1 set into `out`, reusing `scratch`
+    /// buffers across calls.
     #[allow(clippy::too_many_arguments)]
     pub fn users_within_with(
         &self,
@@ -171,94 +145,37 @@ impl<'a> RangeFilter<'a> {
         scratch: &mut FilterScratch,
         out: &mut Vec<bool>,
     ) {
-        let n = user_locations.len();
-        out.clear();
-        out.resize(n, true);
-        if n == 0 {
-            return;
-        }
-        match self {
-            RangeFilter::DijkstraSweep => {
-                // One t-bounded sweep per query location, evaluated straight
-                // off the scratch's distance field — no |Q| x |V| matrix.
-                for qloc in query_locations {
-                    let field = scratch
-                        .sssp
-                        .run(net, &location_seeds(net, qloc), Some(t), None);
-                    for (w, uloc) in out.iter_mut().zip(user_locations) {
-                        if *w {
-                            let d = distance_to_location(net, field, uloc)
-                                .min(along_edge_distance(qloc, uloc));
-                            if d > t {
-                                *w = false;
-                            }
-                        }
-                    }
-                }
-            }
-            RangeFilter::GTreePoint(tree) => {
-                // The per-user point path is kept for equivalence testing and
-                // the legacy oracle knob; its per-query source climbs are
-                // small and not worth pooling.
-                let oracle = DistanceOracle::GTree(tree);
-                let qdi =
-                    QueryDistanceIndex::build_with_oracle(net, &oracle, query_locations, Some(t));
-                for (w, loc) in out.iter_mut().zip(user_locations) {
-                    *w = qdi.query_distance(loc) <= t;
-                }
-            }
-            RangeFilter::GTreeLeafBatched(tree) => {
-                let owned;
-                let targets = match targets {
-                    Some(targets) => targets,
-                    None => {
-                        owned = group_user_targets(tree, net, user_locations);
-                        &owned
-                    }
-                };
-                leaf_batched_within(
-                    tree,
-                    net,
-                    query_locations,
-                    t,
-                    user_locations,
-                    targets,
-                    scratch,
-                    out,
-                );
-            }
-            RangeFilter::GTreeMultiSeedBatched(tree) => {
-                let owned;
-                let targets = match targets {
-                    Some(targets) => targets,
-                    None => {
-                        owned = group_user_targets(tree, net, user_locations);
-                        &owned
-                    }
-                };
-                multi_seed_batched_within(
-                    tree,
-                    net,
-                    query_locations,
-                    t,
-                    user_locations,
-                    targets,
-                    scratch,
-                    out,
-                );
-            }
-        }
+        let mut unlimited = BudgetTicker::unlimited();
+        self.users_within_with_ticker(
+            net,
+            query_locations,
+            t,
+            user_locations,
+            targets,
+            scratch,
+            out,
+            &mut unlimited,
+        );
     }
 
-    /// Budgeted [`users_within_with`](Self::users_within_with): identical
-    /// results when it completes, but every strategy charges `ticker` as it
-    /// goes (settled Dijkstra vertices, walked G-tree cells, evaluated users)
-    /// and aborts cooperatively on exhaustion. Returns `true` when the filter
-    /// ran to completion; on `false` the contents of `out` are unspecified
-    /// and the caller must treat the query as budget-exhausted. The scratch
-    /// stays reusable either way.
+    /// Lemma-1 set filter writing into `out`, reusing `scratch` buffers
+    /// across calls (see [`FilterScratch`]) — identical results to
+    /// [`users_within`](Self::users_within).
+    ///
+    /// `targets` optionally supplies the user seeds already grouped by G-tree
+    /// leaf ([`group_user_targets`]); the grouping depends only on the tree
+    /// and the user locations, so a prepared engine computes it once per
+    /// network instead of once per query. The sweep ignores it, and the
+    /// batched walk groups on the fly when `None`.
+    ///
+    /// Both strategies charge `ticker` as they go (settled Dijkstra
+    /// vertices, walked G-tree cells, evaluated users) and abort
+    /// cooperatively on exhaustion. Returns `true` when the filter ran to
+    /// completion; on `false` the contents of `out` are unspecified and the
+    /// caller must treat the query as budget-exhausted. The scratch stays
+    /// reusable either way.
     #[allow(clippy::too_many_arguments)]
-    pub fn users_within_with_budget(
+    pub fn users_within_with_ticker(
         &self,
         net: &RoadNetwork,
         query_locations: &[Location],
@@ -277,14 +194,11 @@ impl<'a> RangeFilter<'a> {
         }
         match self {
             RangeFilter::DijkstraSweep => {
+                // One t-bounded sweep per query location, evaluated straight
+                // off the scratch's distance field — no |Q| x |V| matrix.
                 for qloc in query_locations {
-                    if !scratch.sssp.run_budgeted(
-                        net,
-                        &location_seeds(net, qloc),
-                        Some(t),
-                        None,
-                        ticker,
-                    ) {
+                    let seeds = location_seeds(net, qloc);
+                    if !scratch.sssp.run(net, &seeds, Some(t), None, ticker) {
                         return false;
                     }
                     // The per-user evaluation is one pass over the distance
@@ -305,39 +219,6 @@ impl<'a> RangeFilter<'a> {
                 }
                 true
             }
-            RangeFilter::GTreePoint(tree) => {
-                let oracle = DistanceOracle::GTree(tree);
-                let qdi =
-                    QueryDistanceIndex::build_with_oracle(net, &oracle, query_locations, Some(t));
-                for (w, loc) in out.iter_mut().zip(user_locations) {
-                    if !ticker.charge(1) {
-                        return false;
-                    }
-                    *w = qdi.query_distance(loc) <= t;
-                }
-                true
-            }
-            RangeFilter::GTreeLeafBatched(tree) => {
-                let owned;
-                let targets = match targets {
-                    Some(targets) => targets,
-                    None => {
-                        owned = group_user_targets(tree, net, user_locations);
-                        &owned
-                    }
-                };
-                leaf_batched_within_budgeted(
-                    tree,
-                    net,
-                    query_locations,
-                    t,
-                    user_locations,
-                    targets,
-                    scratch,
-                    out,
-                    ticker,
-                )
-            }
             RangeFilter::GTreeMultiSeedBatched(tree) => {
                 let owned;
                 let targets = match targets {
@@ -347,7 +228,7 @@ impl<'a> RangeFilter<'a> {
                         &owned
                     }
                 };
-                multi_seed_batched_within_budgeted(
+                multi_seed_batched_within(
                     tree,
                     net,
                     query_locations,
@@ -363,11 +244,11 @@ impl<'a> RangeFilter<'a> {
     }
 }
 
-/// Groups the user seeds by G-tree leaf (shared by both batched strategies):
-/// an on-edge user contributes a seed at each endpoint. The grouping depends
-/// only on the tree and the user locations — a prepared engine builds it once
-/// per network and passes it to every
-/// [`RangeFilter::users_within_with`] call.
+/// Groups the user seeds by G-tree leaf for the batched walk: an on-edge
+/// user contributes a seed at each endpoint. The grouping depends only on
+/// the tree and the user locations — a prepared engine builds it once per
+/// network and passes it to every
+/// [`RangeFilter::users_within_with_ticker`] call.
 pub fn group_user_targets(
     tree: &GTree,
     net: &RoadNetwork,
@@ -420,146 +301,16 @@ pub fn add_user_target(
     );
 }
 
-/// The PR-2 per-seed leaf-batched strategy: one pruned top-down walk per
-/// query seed over the pre-grouped user targets, intersecting the
-/// per-query-location threshold predicates in this merge loop. Kept as the
-/// baseline the multi-seed walk is measured against.
-#[allow(clippy::too_many_arguments)]
-fn leaf_batched_within(
-    tree: &GTree,
-    net: &RoadNetwork,
-    query_locations: &[Location],
-    t: f64,
-    user_locations: &[Location],
-    targets: &LeafTargets,
-    scratch: &mut FilterScratch,
-    within: &mut [bool],
-) {
-    let n = user_locations.len();
-    let best = &mut scratch.best;
-    best.clear();
-    best.resize(n, f64::INFINITY);
-    for qloc in query_locations {
-        // Seed each user with the along-edge shortcut (exact when both points
-        // share an edge; INFINITY otherwise), then lower through the tree.
-        for (b, uloc) in best.iter_mut().zip(user_locations) {
-            *b = along_edge_distance(qloc, uloc);
-        }
-        for (sv, soff) in location_seeds(net, qloc)
-            .into_iter()
-            .filter(|&(_, off)| off.is_finite())
-        {
-            tree.accumulate_source_distances(sv, soff, targets, t, best, &mut scratch.range);
-        }
-        for (w, &d) in within.iter_mut().zip(best.iter()) {
-            if d > t {
-                *w = false;
-            }
-        }
-    }
-}
-
-/// Budgeted [`leaf_batched_within`]: the per-seed walks run through
-/// [`GTree::accumulate_source_distances_budgeted`] and the per-user merge
-/// loops are charged as lumps. Returns `false` on exhaustion, leaving
-/// `within` partially updated (the caller discards it).
-#[allow(clippy::too_many_arguments)]
-fn leaf_batched_within_budgeted(
-    tree: &GTree,
-    net: &RoadNetwork,
-    query_locations: &[Location],
-    t: f64,
-    user_locations: &[Location],
-    targets: &LeafTargets,
-    scratch: &mut FilterScratch,
-    within: &mut [bool],
-    ticker: &mut BudgetTicker,
-) -> bool {
-    let n = user_locations.len();
-    let best = &mut scratch.best;
-    best.clear();
-    best.resize(n, f64::INFINITY);
-    for qloc in query_locations {
-        if !ticker.charge(n as u64) {
-            return false;
-        }
-        for (b, uloc) in best.iter_mut().zip(user_locations) {
-            *b = along_edge_distance(qloc, uloc);
-        }
-        for (sv, soff) in location_seeds(net, qloc)
-            .into_iter()
-            .filter(|&(_, off)| off.is_finite())
-        {
-            if !tree.accumulate_source_distances_budgeted(
-                sv,
-                soff,
-                targets,
-                t,
-                best,
-                &mut scratch.range,
-                ticker,
-            ) {
-                return false;
-            }
-        }
-        for (w, &d) in within.iter_mut().zip(best.iter()) {
-            if d > t {
-                *w = false;
-            }
-        }
-    }
-    true
-}
-
 /// The multi-seed strategy: all query seeds fold into **one** top-down walk
 /// with per-seed entry columns (seeds of the same query location share an
 /// output column), and the Lemma-1 intersection is maintained in-walk by
 /// [`GTree::multi_source_within`]. The per-user rows are pre-seeded with the
 /// along-edge shortcuts, so users in pruned subtrees keep their exact
-/// same-edge memberships.
-#[allow(clippy::too_many_arguments)]
-fn multi_seed_batched_within(
-    tree: &GTree,
-    net: &RoadNetwork,
-    query_locations: &[Location],
-    t: f64,
-    user_locations: &[Location],
-    targets: &LeafTargets,
-    scratch: &mut FilterScratch,
-    within: &mut [bool],
-) {
-    let n = user_locations.len();
-    let cols = query_locations.len();
-    if cols == 0 {
-        return;
-    }
-    let seeds = &mut scratch.seeds;
-    seeds.clear();
-    for (q, qloc) in query_locations.iter().enumerate() {
-        for (sv, soff) in location_seeds(net, qloc)
-            .into_iter()
-            .filter(|&(_, off)| off.is_finite())
-        {
-            seeds.push((sv, soff, q as u32));
-        }
-    }
-    let best = &mut scratch.best;
-    best.clear();
-    best.resize(n * cols, f64::INFINITY);
-    for (i, uloc) in user_locations.iter().enumerate() {
-        for (q, qloc) in query_locations.iter().enumerate() {
-            best[i * cols + q] = along_edge_distance(qloc, uloc);
-        }
-    }
-    tree.multi_source_within(seeds, cols, targets, t, best, within, &mut scratch.range);
-}
-
-/// Budgeted [`multi_seed_batched_within`]: the pre-seeding pass is charged as
-/// a lump and the walk runs through [`GTree::multi_source_within_budgeted`].
+/// same-edge memberships. The pre-seeding pass is charged as a lump.
 /// Returns `false` on exhaustion, leaving `within` partially updated (the
 /// caller discards it).
 #[allow(clippy::too_many_arguments)]
-fn multi_seed_batched_within_budgeted(
+fn multi_seed_batched_within(
     tree: &GTree,
     net: &RoadNetwork,
     query_locations: &[Location],
@@ -596,7 +347,7 @@ fn multi_seed_batched_within_budgeted(
             best[i * cols + q] = along_edge_distance(qloc, uloc);
         }
     }
-    tree.multi_source_within_budgeted(
+    tree.multi_source_within(
         seeds,
         cols,
         targets,
@@ -850,11 +601,9 @@ mod tests {
         RoadNetwork::from_edges((rows * cols) as usize, &edges)
     }
 
-    fn all_filters(tree: &GTree) -> [RangeFilter<'_>; 4] {
+    fn all_filters(tree: &GTree) -> [RangeFilter<'_>; 2] {
         [
             RangeFilter::DijkstraSweep,
-            RangeFilter::GTreePoint(tree),
-            RangeFilter::GTreeLeafBatched(tree),
             RangeFilter::GTreeMultiSeedBatched(tree),
         ]
     }
@@ -1011,43 +760,35 @@ mod tests {
         let mut scratch = FilterScratch::new();
         let mut via_maintained = Vec::new();
         let mut via_regrouped = Vec::new();
+        let filter = RangeFilter::GTreeMultiSeedBatched(&tree);
         for t in [0.5, 2.0, 4.0, 100.0] {
-            for filter in [
-                RangeFilter::GTreeLeafBatched(&tree),
-                RangeFilter::GTreeMultiSeedBatched(&tree),
-            ] {
-                filter.users_within_with(
-                    &net,
-                    &q,
-                    t,
-                    &users,
-                    Some(&targets),
-                    &mut scratch,
-                    &mut via_maintained,
-                );
-                filter.users_within_with(
-                    &net,
-                    &q,
-                    t,
-                    &users,
-                    Some(&regrouped),
-                    &mut scratch,
-                    &mut via_regrouped,
-                );
-                assert_eq!(
-                    via_maintained,
-                    via_regrouped,
-                    "{} diverges on maintained targets at t = {t}",
-                    filter.name()
-                );
-                let sweep = RangeFilter::DijkstraSweep.users_within(&net, &q, t, &users);
-                assert_eq!(
-                    via_maintained,
-                    sweep,
-                    "{} diverges from the sweep at t = {t}",
-                    filter.name()
-                );
-            }
+            filter.users_within_with(
+                &net,
+                &q,
+                t,
+                &users,
+                Some(&targets),
+                &mut scratch,
+                &mut via_maintained,
+            );
+            filter.users_within_with(
+                &net,
+                &q,
+                t,
+                &users,
+                Some(&regrouped),
+                &mut scratch,
+                &mut via_regrouped,
+            );
+            assert_eq!(
+                via_maintained, via_regrouped,
+                "maintained targets diverge at t = {t}"
+            );
+            let sweep = RangeFilter::DijkstraSweep.users_within(&net, &q, t, &users);
+            assert_eq!(
+                via_maintained, sweep,
+                "walk diverges from the sweep at t = {t}"
+            );
         }
     }
 
@@ -1060,52 +801,47 @@ mod tests {
         let q = [Location::vertex(0), Location::vertex(21)];
         let mut scratch = FilterScratch::new();
         let mut out = Vec::new();
+        let mut run =
+            |filter: &RangeFilter<'_>, t: f64, out: &mut Vec<bool>, ticker: &mut BudgetTicker| {
+                filter.users_within_with_ticker(
+                    &net,
+                    &q,
+                    t,
+                    &users,
+                    Some(&targets),
+                    &mut scratch,
+                    out,
+                    ticker,
+                )
+            };
         for t in [0.0, 1.5, 3.0, 100.0] {
             for filter in all_filters(&tree) {
-                let fresh = filter.users_within(&net, &q, t, &users);
-                // A generous budget completes with identical results.
+                // The unlimited ticker is the unbudgeted reference.
+                let mut unlimited = BudgetTicker::unlimited();
+                let mut reference = Vec::new();
+                assert!(run(&filter, t, &mut reference, &mut unlimited));
+                assert!(unlimited.spent() > 0, "{} never charged", filter.name());
+                // A generous limited budget completes with identical results
+                // and the same charge.
                 let mut ticker = BudgetTicker::new(None, Some(u64::MAX), None);
                 assert!(
-                    filter.users_within_with_budget(
-                        &net,
-                        &q,
-                        t,
-                        &users,
-                        Some(&targets),
-                        &mut scratch,
-                        &mut out,
-                        &mut ticker,
-                    ),
+                    run(&filter, t, &mut out, &mut ticker),
                     "{} exhausted a generous budget",
                     filter.name()
                 );
-                assert!(ticker.spent() > 0, "{} never charged", filter.name());
-                assert_eq!(out, fresh, "{} diverges under budget", filter.name());
+                assert_eq!(ticker.spent(), unlimited.spent());
+                assert_eq!(out, reference, "{} diverges under budget", filter.name());
                 // A one-unit budget aborts; the scratch must stay reusable.
                 let mut tiny = BudgetTicker::new(None, Some(1), None);
-                assert!(!filter.users_within_with_budget(
-                    &net,
-                    &q,
-                    t,
-                    &users,
-                    Some(&targets),
-                    &mut scratch,
-                    &mut out,
-                    &mut tiny,
-                ));
+                assert!(!run(&filter, t, &mut out, &mut tiny));
                 assert_eq!(tiny.cause(), Some(ExhaustionCause::WorkLimit));
-                let mut again = BudgetTicker::new(None, Some(u64::MAX), None);
-                assert!(filter.users_within_with_budget(
-                    &net,
-                    &q,
-                    t,
-                    &users,
-                    Some(&targets),
-                    &mut scratch,
-                    &mut out,
-                    &mut again,
-                ));
-                assert_eq!(out, fresh, "{} scratch corrupted by abort", filter.name());
+                assert!(run(&filter, t, &mut out, &mut BudgetTicker::unlimited()));
+                assert_eq!(
+                    out,
+                    reference,
+                    "{} scratch corrupted by abort",
+                    filter.name()
+                );
             }
         }
     }

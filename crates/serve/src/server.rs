@@ -433,11 +433,7 @@ fn worker_loop(
     while let Some(request) = shared.queue.pop() {
         let epoch = engine.epoch().id();
         let budget = effective_budget(&request.budget, request.submitted_at);
-        let outcome = if budget.is_unlimited() {
-            session.execute(&request.query).map(QueryOutcome::Complete)
-        } else {
-            session.execute_with_budget(&request.query, &budget)
-        };
+        let outcome = session.execute_with_budget(&request.query, &budget);
         // Retire the coalescing key BEFORE publishing: a submission arriving
         // after this point starts a fresh execution on the current epoch
         // rather than reading a result computed on an older one.

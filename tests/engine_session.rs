@@ -79,8 +79,6 @@ fn workload(rsn: &RoadSocialNetwork, group: &[u32], indexed: bool) -> Vec<MacQue
         vec![
             RangeFilterChoice::Auto,
             RangeFilterChoice::DijkstraSweep,
-            RangeFilterChoice::GTreePoint,
-            RangeFilterChoice::GTreeLeafBatched,
             RangeFilterChoice::GTreeMultiSeedBatched,
         ]
     } else {
@@ -248,10 +246,8 @@ fn batch_execution_matches_individual_execution() {
 }
 
 /// The filter strategy only affects speed, never answers: the explicit
-/// G-tree point path, the explicit Dijkstra sweep, and the calibrated `Auto`
-/// resolution all agree end-to-end. (This replaces the retired
-/// `OracleChoice` compat pin: the per-user point path the legacy knob used to
-/// select is now requested directly via `RangeFilterChoice::GTreePoint`.)
+/// multi-seed G-tree walk, the explicit Dijkstra sweep, and the calibrated
+/// `Auto` resolution all agree end-to-end.
 #[test]
 fn filter_strategies_agree_end_to_end() {
     let (rsn, group) = random_network(11, 120, true);
@@ -262,11 +258,11 @@ fn filter_strategies_agree_end_to_end() {
         60.0,
         region_for(0.15),
     );
-    let point = base
+    let walk = base
         .clone()
-        .with_range_filter(RangeFilterChoice::GTreePoint);
+        .with_range_filter(RangeFilterChoice::GTreeMultiSeedBatched);
     let mut session = engine.session();
-    let via_point = session.execute(&point).unwrap();
+    let via_walk = session.execute(&walk).unwrap();
     let via_sweep = session
         .execute(
             &base
@@ -275,10 +271,10 @@ fn filter_strategies_agree_end_to_end() {
         )
         .unwrap();
     let via_auto = session.execute(&base).unwrap();
-    let via_oneshot = GlobalSearch::new(&rsn, &point).run_non_contained().unwrap();
-    assert_results_identical("point vs sweep", &via_point, &via_sweep);
-    assert_results_identical("point vs auto", &via_point, &via_auto);
-    assert_results_identical("point vs one-shot", &via_point, &via_oneshot);
+    let via_oneshot = GlobalSearch::new(&rsn, &walk).run_non_contained().unwrap();
+    assert_results_identical("walk vs sweep", &via_walk, &via_sweep);
+    assert_results_identical("walk vs auto", &via_walk, &via_auto);
+    assert_results_identical("walk vs one-shot", &via_walk, &via_oneshot);
     // An explicit query-level choice always wins over the calibrated Auto.
     let explicit = base.with_range_filter(RangeFilterChoice::DijkstraSweep);
     assert_eq!(
@@ -348,41 +344,4 @@ fn execution_policy_layers_engine_session_query() {
     assert_eq!(overridden.policy().parallelism, 2);
     let parallel = overridden.execute(&global_q).unwrap();
     assert_results_identical("parallel session ≡ serial", &parallel, &gs_reference);
-}
-
-/// The deprecated per-session setters survive as shims over the policy and
-/// still steer execution exactly as before the redesign.
-#[test]
-#[allow(deprecated)]
-fn deprecated_session_setters_still_steer_execution() {
-    let (rsn, group) = random_network(37, 120, false);
-    let engine = MacEngine::build_uncalibrated(rsn.clone());
-    let mut session = engine
-        .session()
-        .with_parallelism(2)
-        .with_expand_strategy(road_social_mac::core::ExpandStrategy::MinDegreeDriven {
-            zeta: 100.0,
-        })
-        .with_max_candidates(20);
-    assert_eq!(session.policy().parallelism, 2);
-    assert_eq!(session.policy().max_candidates, 20);
-
-    let region = region_for(0.1);
-    let query =
-        MacQuery::new(group[..2].to_vec(), 4, 50.0, region).with_algorithm(AlgorithmChoice::Local);
-    let via_shim = session.execute(&query).unwrap();
-    let reference = LocalSearch::new(&rsn, &query)
-        .with_strategy(road_social_mac::core::ExpandStrategy::MinDegreeDriven { zeta: 100.0 })
-        .with_max_candidates(20)
-        .run_non_contained()
-        .unwrap();
-    assert_results_identical("deprecated shims", &via_shim, &reference);
-
-    // The deprecated one-shot parallelism setter still works too.
-    let gs_serial = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
-    let gs_parallel = GlobalSearch::new(&rsn, &query)
-        .with_parallelism(2)
-        .run_non_contained()
-        .unwrap();
-    assert_results_identical("deprecated GS parallelism", &gs_parallel, &gs_serial);
 }

@@ -309,7 +309,7 @@ fn gtree_build_invariants_single_leaf() {
 /// End-to-end serving identity: an engine whose network is indexed with a
 /// multiway G-tree returns the same communities, sample weights, and core
 /// sizes as one indexed with the binary-bisection reference tree, across the
-/// filter strategies that actually walk the tree. Together with the
+/// sweep, the multi-seed walk, and `Auto`. Together with the
 /// distance-level proptest above this pins the contract that fanout is a
 /// build-cost knob only.
 #[test]
@@ -351,7 +351,7 @@ fn multiway_index_serves_identical_queries_to_binary() {
 
         let region = PrefRegion::from_ranges(&[(0.2, 0.5), (0.2, 0.5)]).unwrap();
         let filters = [
-            RangeFilterChoice::GTreePoint,
+            RangeFilterChoice::DijkstraSweep,
             RangeFilterChoice::GTreeMultiSeedBatched,
             RangeFilterChoice::Auto,
         ];

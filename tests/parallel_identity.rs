@@ -178,6 +178,32 @@ fn parallel_local_search_matches_serial() {
                     &got,
                 );
             }
+
+            // The session path fans verification out under an unlimited
+            // budget and keeps it serial under a limited one (a partial
+            // answer must be a prefix), answering identically either way.
+            let policy = ExecutionPolicy::new()
+                .with_parallelism(3)
+                .with_max_candidates(16);
+            let engine = MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy);
+            let mut session = engine.session();
+            let local = query.clone().with_algorithm(AlgorithmChoice::Local);
+            let fanned = session.execute(&local).unwrap();
+            let label = format!("seed {seed}, top_j {top_j}, session");
+            assert_results_identical(&label, &serial, &fanned);
+            assert!(
+                fanned.stats.parallel_workers > 1,
+                "{label}: unbudgeted session LS did not fan out"
+            );
+            let generous = QueryBudget::new().with_work_limit(u64::MAX);
+            let limited = session.execute_with_budget(&local, &generous).unwrap();
+            assert!(limited.is_complete(), "{label}: generous budget exhausted");
+            assert_results_identical(&label, &serial, limited.result());
+            assert_eq!(
+                limited.result().stats.parallel_workers,
+                0,
+                "{label}: budgeted session LS must verify serially"
+            );
         }
     }
 }

@@ -1,6 +1,5 @@
-//! Property tests for the range-filter layer: the bounded Dijkstra sweep, the
-//! per-user G-tree point oracle, the per-seed leaf-batched G-tree walk, and
-//! the multi-seed batched G-tree walk are four implementations of the same
+//! Property tests for the range-filter layer: the bounded Dijkstra sweep and
+//! the multi-seed batched G-tree walk are two implementations of the same
 //! exact set operation — "which users have `D_Q(v) <= t`" — and must return
 //! identical user sets on every input, including users located on the same
 //! edge as a query location, users at distance exactly `t`, larger query sets
@@ -50,12 +49,8 @@ fn random_locations(net: &RoadNetwork, count: usize, rng: &mut StdRng) -> Vec<Lo
         .collect()
 }
 
-fn gtree_filters(tree: &GTree) -> [RangeFilter<'_>; 3] {
-    [
-        RangeFilter::GTreePoint(tree),
-        RangeFilter::GTreeLeafBatched(tree),
-        RangeFilter::GTreeMultiSeedBatched(tree),
-    ]
+fn gtree_filters(tree: &GTree) -> [RangeFilter<'_>; 1] {
+    [RangeFilter::GTreeMultiSeedBatched(tree)]
 }
 
 fn assert_filters_agree(
@@ -81,8 +76,8 @@ fn assert_filters_agree(
 proptest! {
     #![proptest_config(ProptestConfig { cases: fuzz_cases(24), .. ProptestConfig::default() })]
 
-    /// On generated road networks with arbitrary query/user placements, all
-    /// four strategies return the same user set for every threshold.
+    /// On generated road networks with arbitrary query/user placements, both
+    /// strategies return the same user set for every threshold.
     #[test]
     fn filters_agree_on_random_networks(
         seed in 0u64..10_000,
@@ -100,7 +95,7 @@ proptest! {
 
     /// Larger query sets: |Q| swept through 1..6, so the multi-seed walk
     /// carries up to a dozen entry columns whose intersection must match the
-    /// per-location merges of the other strategies exactly.
+    /// per-location intersection of the sweep exactly.
     #[test]
     fn filters_agree_for_larger_query_sets(
         seed in 0u64..10_000,
@@ -235,7 +230,7 @@ proptest! {
         assert_filters_agree(&net, &tree, &q, t, &users);
     }
 
-    /// Thresholds below every distance: all four strategies must agree on the
+    /// Thresholds below every distance: both strategies must agree on the
     /// empty result (and on the singleton result at the query vertex itself).
     #[test]
     fn filters_agree_on_empty_results(
@@ -266,11 +261,9 @@ proptest! {
     }
 }
 
-fn all_filters(tree: &GTree) -> [RangeFilter<'_>; 4] {
+fn all_filters(tree: &GTree) -> [RangeFilter<'_>; 2] {
     [
         RangeFilter::DijkstraSweep,
-        RangeFilter::GTreePoint(tree),
-        RangeFilter::GTreeLeafBatched(tree),
         RangeFilter::GTreeMultiSeedBatched(tree),
     ]
 }

@@ -17,7 +17,7 @@ fn bench_comparison(c: &mut Criterion) {
         },
         0,
     );
-    let spec = QuerySpec::defaults(&dataset, 16, dataset.default_t, 10, 0.01, 3);
+    let spec = QuerySpec::defaults(&dataset, 16, dataset.default_t, 1, 0.01, 3);
     let query = spec.to_query();
     let engine = MacEngine::build(dataset.rsn.clone());
     let ctx = SearchContext::build(&dataset.rsn, &query)
@@ -30,12 +30,12 @@ fn bench_comparison(c: &mut Criterion) {
     group.bench_function("GS-NC", |b| {
         let mut session = engine.session();
         let query = query.clone().with_algorithm(AlgorithmChoice::Global);
-        b.iter(move || session.execute_non_contained(&query).unwrap())
+        b.iter(move || session.execute(&query).unwrap())
     });
     group.bench_function("LS-NC", |b| {
         let mut session = engine.session();
         let query = query.clone().with_algorithm(AlgorithmChoice::Local);
-        b.iter(move || session.execute_non_contained(&query).unwrap())
+        b.iter(move || session.execute(&query).unwrap())
     });
     group.bench_function("Influ", |b| {
         let algo = Influ::new(&ctx.local_graph, &ctx.attrs);

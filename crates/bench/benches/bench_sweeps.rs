@@ -24,21 +24,24 @@ fn bench_mac_algorithms(c: &mut Criterion) {
         let spec = QuerySpec::defaults(&dataset, k, dataset.default_t, 10, 0.01, 3);
         let global = spec.to_query().with_algorithm(AlgorithmChoice::Global);
         let local = spec.to_query().with_algorithm(AlgorithmChoice::Local);
+        // j = 1 asks for the non-contained MAC (Problem 2).
+        let global_nc = global.clone().with_top_j(1);
+        let local_nc = local.clone().with_top_j(1);
         group.bench_with_input(BenchmarkId::new("GS-NC", k), &k, |b, _| {
             let mut session = engine.session();
-            b.iter(|| session.execute_non_contained(&global).unwrap())
+            b.iter(|| session.execute(&global_nc).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("GS-T", k), &k, |b, _| {
             let mut session = engine.session();
-            b.iter(|| session.execute_top_j(&global).unwrap())
+            b.iter(|| session.execute(&global).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("LS-NC", k), &k, |b, _| {
             let mut session = engine.session();
-            b.iter(|| session.execute_non_contained(&local).unwrap())
+            b.iter(|| session.execute(&local_nc).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("LS-T", k), &k, |b, _| {
             let mut session = engine.session();
-            b.iter(|| session.execute_top_j(&local).unwrap())
+            b.iter(|| session.execute(&local).unwrap())
         });
     }
     group.finish();
@@ -46,7 +49,7 @@ fn bench_mac_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_sweep_sigma");
     group.sample_size(10);
     for &sigma in &[0.001f64, 0.01, 0.05] {
-        let spec = QuerySpec::defaults(&dataset, 16, dataset.default_t, 10, sigma, 3);
+        let spec = QuerySpec::defaults(&dataset, 16, dataset.default_t, 1, sigma, 3);
         let global = spec.to_query().with_algorithm(AlgorithmChoice::Global);
         let local = spec.to_query().with_algorithm(AlgorithmChoice::Local);
         group.bench_with_input(
@@ -54,7 +57,7 @@ fn bench_mac_algorithms(c: &mut Criterion) {
             &sigma,
             |b, _| {
                 let mut session = engine.session();
-                b.iter(|| session.execute_non_contained(&global).unwrap())
+                b.iter(|| session.execute(&global).unwrap())
             },
         );
         group.bench_with_input(
@@ -62,7 +65,7 @@ fn bench_mac_algorithms(c: &mut Criterion) {
             &sigma,
             |b, _| {
                 let mut session = engine.session();
-                b.iter(|| session.execute_non_contained(&local).unwrap())
+                b.iter(|| session.execute(&local).unwrap())
             },
         );
     }

@@ -51,7 +51,7 @@ fn main() {
     );
 
     let gs = session
-        .execute_top_j(&query.clone().with_algorithm(AlgorithmChoice::Global))
+        .execute(&query.clone().with_algorithm(AlgorithmChoice::Global))
         .unwrap();
     if let Some(cell) = gs.cells.first() {
         for (rank, community) in cell.communities.iter().enumerate() {
@@ -66,7 +66,12 @@ fn main() {
         println!("no MAC found (increase --scale)");
     }
     let ls = session
-        .execute_non_contained(&query.clone().with_algorithm(AlgorithmChoice::Local))
+        .execute(
+            &query
+                .clone()
+                .with_top_j(1)
+                .with_algorithm(AlgorithmChoice::Local),
+        )
         .unwrap();
     println!(
         "LS-NC found {} non-contained MAC(s) across {} partition(s)",

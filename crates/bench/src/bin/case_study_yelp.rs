@@ -43,7 +43,7 @@ fn main() {
     let engine = MacEngine::build(dataset.rsn.clone());
     let result = engine
         .session()
-        .execute_top_j(&query.with_algorithm(AlgorithmChoice::Global))
+        .execute(&query.with_algorithm(AlgorithmChoice::Global))
         .unwrap();
     println!(
         "partitions of R: {} (real attributes are correlated/zero-inflated, so few branches)",

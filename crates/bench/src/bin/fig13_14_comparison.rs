@@ -78,19 +78,20 @@ struct Row {
 
 fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row {
     let spec = QuerySpec::defaults(dataset, k, dataset.default_t, 10, 0.01, d);
-    let query = spec.to_query();
+    // j = 1: the non-contained MAC (Problem 2) the baselines compete on.
+    let query = spec.to_query().with_top_j(1);
     let engine = MacEngine::build_uncalibrated(rsn.clone());
     let mut session = engine.session();
 
     let start = Instant::now();
     let _ = session
-        .execute_non_contained(&query.clone().with_algorithm(AlgorithmChoice::Global))
+        .execute(&query.clone().with_algorithm(AlgorithmChoice::Global))
         .unwrap();
     let gs_nc = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     let _ = session
-        .execute_non_contained(&query.clone().with_algorithm(AlgorithmChoice::Local))
+        .execute(&query.clone().with_algorithm(AlgorithmChoice::Local))
         .unwrap();
     let ls_nc = start.elapsed().as_secs_f64();
 

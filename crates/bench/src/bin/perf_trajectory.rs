@@ -31,20 +31,21 @@
 //!
 //! Since PR 10 the recorder also writes `BENCH_PR10.json`: the parallel
 //! execution stage behind the `ExecutionPolicy` redesign. Every parallel
-//! configuration (one-shot GS at several worker counts with stealing on and
-//! off, parallel sessions, the multi-worker batch) is asserted
-//! cell-identical to serial before anything is timed, then serial vs
-//! all-cores serving throughput is measured under an honest hardware-aware
-//! gate: >= 1.5x on >= 4 cores, otherwise a single-core floor gated at
-//! <= 5% overhead (a 1-core record is a floor, not a scaling measurement).
+//! configuration (work-stealing sessions at several worker counts, the
+//! multi-worker batch) is asserted cell-identical to serial before anything
+//! is timed, then serial vs all-cores serving throughput is measured under
+//! an honest hardware-aware gate: >= 1.5x on >= 4 cores, otherwise a
+//! single-core floor gated at <= 5% overhead (a 1-core record is a floor,
+//! not a scaling measurement).
 //!
 //! Usage: `cargo run --release -p rsn-bench --bin perf_trajectory [reps]`
 //! (`reps` overrides the per-measurement repetitions, default 2; the best of
 //! the repetitions is recorded). `--smoke` runs the multiway-vs-binary
 //! identity gate at reduced scale plus the full 40k grid-build budget gate
 //! and the PR-10 parallel-vs-serial identity gate (timings recorded, not
-//! gated), and writes `BENCH_SMOKE.json` + `BENCH_PR10.json`, which CI
-//! uploads as workflow artifacts on every run.
+//! gated), and writes `BENCH_SMOKE.json` + `BENCH_PARALLEL_SMOKE.json`,
+//! which CI uploads as workflow artifacts on every run. The smoke run never
+//! touches the committed full-scale `BENCH_PR10.json`.
 
 use rsn_core::{
     AlgorithmChoice, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult, NetworkDelta,
@@ -63,6 +64,8 @@ const OUTPUT: &str = "BENCH_PR8.json";
 const SMOKE_OUTPUT: &str = "BENCH_SMOKE.json";
 /// The PR-10 parallel-execution record (see [`write_pr10_record`]).
 const PR10_OUTPUT: &str = "BENCH_PR10.json";
+/// The reduced-scale parallel record of a `--smoke` run.
+const PARALLEL_SMOKE_OUTPUT: &str = "BENCH_PARALLEL_SMOKE.json";
 /// On >= 4 cores the all-cores policy must beat serial serving by this much.
 const MIN_PARALLEL_SPEEDUP: f64 = 1.5;
 /// On fewer cores parallelism resolves to one worker; the policy machinery
@@ -335,11 +338,9 @@ fn run_identity_gate(road_vertices: usize, users: usize) -> (usize, usize) {
             let mut session = engine.session();
             for (qi, query) in workload.iter().enumerate() {
                 let expected = reference_session
-                    .execute_non_contained(query)
+                    .execute(query)
                     .expect("binary reference serves");
-                let got = session
-                    .execute_non_contained(query)
-                    .expect("multiway engine serves");
+                let got = session.execute(query).expect("multiway engine serves");
                 assert_results_identical(
                     &format!("identity gate ({stage}), fanout {fanout}, query {qi}"),
                     &expected,
@@ -426,11 +427,9 @@ fn measure_scenario(
         );
         let mut reference_session = reference.session();
         for (qi, query) in workload.iter().enumerate() {
-            let updated = session
-                .execute_non_contained(query)
-                .expect("updated engine serves");
+            let updated = session.execute(query).expect("updated engine serves");
             let rebuilt = reference_session
-                .execute_non_contained(query)
+                .execute(query)
                 .expect("rebuilt engine serves");
             assert_results_identical(
                 &format!("{} batch {bi}, query {qi}", scenario.name),
@@ -479,9 +478,7 @@ fn measure_scenario(
     let (serving_s, _) = best_of(reps, || {
         for _ in 0..SERVING_PASSES {
             for query in workload {
-                session
-                    .execute_non_contained(query)
-                    .expect("post-churn serving works");
+                session.execute(query).expect("post-churn serving works");
             }
         }
     });
@@ -615,9 +612,9 @@ fn write_record(
 }
 
 /// Parallel-vs-serial identity gate (PR 10): every parallel configuration —
-/// one-shot global searches at several worker counts with stealing on and
-/// off, parallel sessions, and the multi-worker batch — must answer the
-/// whole workload cell-identically to the serial path. Hard gate: panics
+/// work-stealing sessions at several worker counts and the multi-worker
+/// batch — must answer the whole workload cell-identically to the serial
+/// path. Hard gate: panics
 /// before any PR-10 timing row is produced if one answer diverges. Returns
 /// the number of result comparisons performed.
 fn run_parallel_identity_gate(engine: &MacEngine, workload: &[MacQuery]) -> usize {
@@ -625,40 +622,26 @@ fn run_parallel_identity_gate(engine: &MacEngine, workload: &[MacQuery]) -> usiz
         .session()
         .with_policy(engine.policy().clone().with_parallelism(1));
     let mut checked = 0usize;
-    for stealing in [false, true] {
-        for workers in [2usize, 0] {
-            let policy = engine
-                .policy()
-                .clone()
-                .with_parallelism(workers)
-                .with_work_stealing(stealing);
-            let mut parallel = engine.session().with_policy(policy);
-            for (qi, query) in workload.iter().enumerate() {
-                let expected = serial
-                    .execute_non_contained(query)
-                    .expect("serial session serves");
-                let got = parallel
-                    .execute_non_contained(query)
-                    .expect("parallel session serves");
-                assert_results_identical(
-                    &format!("parallel gate, workers {workers}, stealing {stealing}, query {qi}"),
-                    &expected,
-                    &got,
-                );
-                checked += 1;
-            }
+    for workers in [2usize, 0] {
+        let policy = engine.policy().clone().with_parallelism(workers);
+        let mut parallel = engine.session().with_policy(policy);
+        for (qi, query) in workload.iter().enumerate() {
+            let expected = serial.execute(query).expect("serial session serves");
+            let got = parallel.execute(query).expect("parallel session serves");
+            assert_results_identical(
+                &format!("parallel gate, workers {workers}, query {qi}"),
+                &expected,
+                &got,
+            );
+            checked += 1;
         }
     }
     // The batch path: distinct queries fan out across worker sessions, and
     // the reassembled slots must match the serial batch exactly.
     let serial_batch = serial.execute_batch(workload).expect("serial batch");
-    let mut batch_session = engine.session().with_policy(
-        engine
-            .policy()
-            .clone()
-            .with_parallelism(0)
-            .with_work_stealing(true),
-    );
+    let mut batch_session = engine
+        .session()
+        .with_policy(engine.policy().clone().with_parallelism(0));
     let parallel_batch = batch_session
         .execute_batch(workload)
         .expect("parallel batch");
@@ -680,12 +663,12 @@ fn run_parallel_identity_gate(engine: &MacEngine, workload: &[MacQuery]) -> usiz
 struct ParallelScaling {
     cores: usize,
     serial_qps: f64,
+    /// All-cores work-stealing serving throughput.
     parallel_qps: f64,
-    stealing_qps: f64,
-    /// Best parallel configuration over serial (>= 1 means parallel wins).
+    /// Parallel over serial (>= 1 means parallel wins).
     speedup: f64,
-    /// `serial/best - 1`, clamped at 0 — what the parallel machinery costs
-    /// when it cannot win (the single-core floor).
+    /// `serial/parallel - 1`, clamped at 0 — what the parallel machinery
+    /// costs when it cannot win (the single-core floor).
     overhead_frac: f64,
     gate: &'static str,
     gate_passed: bool,
@@ -702,16 +685,12 @@ fn measure_parallel_scaling(
     let serve = |policy: ExecutionPolicy| -> f64 {
         let mut session = engine.session().with_policy(policy);
         for query in workload {
-            session
-                .execute_non_contained(query)
-                .expect("warmup query serves");
+            session.execute(query).expect("warmup query serves");
         }
         let (seconds, _) = best_of(reps, || {
             for _ in 0..SERVING_PASSES {
                 for query in workload {
-                    session
-                        .execute_non_contained(query)
-                        .expect("measured query serves");
+                    session.execute(query).expect("measured query serves");
                 }
             }
         });
@@ -719,11 +698,9 @@ fn measure_parallel_scaling(
     };
     let base = engine.policy().clone();
     let serial_qps = serve(base.clone().with_parallelism(1));
-    let parallel_qps = serve(base.clone().with_parallelism(0).with_work_stealing(false));
-    let stealing_qps = serve(base.with_parallelism(0).with_work_stealing(true));
-    let best = parallel_qps.max(stealing_qps);
-    let speedup = best / serial_qps.max(1e-12);
-    let overhead_frac = (serial_qps / best.max(1e-12) - 1.0).max(0.0);
+    let parallel_qps = serve(base.with_parallelism(0));
+    let speedup = parallel_qps / serial_qps.max(1e-12);
+    let overhead_frac = (serial_qps / parallel_qps.max(1e-12) - 1.0).max(0.0);
     let (gate, gate_passed) = if cores >= 4 {
         ("parallel_speedup >= 1.5", speedup >= MIN_PARALLEL_SPEEDUP)
     } else {
@@ -736,7 +713,6 @@ fn measure_parallel_scaling(
         cores,
         serial_qps,
         parallel_qps,
-        stealing_qps,
         speedup,
         overhead_frac,
         gate,
@@ -762,9 +738,8 @@ fn write_pr10_record(
             "  \"pr\": 10,\n",
             "  \"description\": \"Work-stealing parallel execution behind the ExecutionPolicy \
              API: serial vs all-cores serving throughput through policy-configured sessions, \
-             with every parallel answer (one-shot GS at several worker counts with stealing \
-             on/off, parallel sessions, the multi-worker batch) asserted cell-identical to \
-             serial before timing. The scaling gate is hardware-aware: >= 1.5x on >= 4 cores, \
+             with every parallel answer (work-stealing sessions at several worker counts, \
+             the multi-worker batch) asserted cell-identical to serial before timing. The scaling gate is hardware-aware: >= 1.5x on >= 4 cores, \
              otherwise a single-core floor gated at <= 5% overhead — a 1-core record is a \
              floor, not a scaling measurement\",\n",
             "  \"available_cores\": {},\n",
@@ -774,7 +749,6 @@ fn write_pr10_record(
             "  \"parallel_identity_checks\": {},\n",
             "  \"serial_qps\": {:.2},\n",
             "  \"parallel_qps\": {:.2},\n",
-            "  \"parallel_stealing_qps\": {:.2},\n",
             "  \"parallel_speedup\": {:.3},\n",
             "  \"single_core_overhead_fraction\": {:.4},\n",
             "  \"scaling_gate\": \"{}\",\n",
@@ -789,7 +763,6 @@ fn write_pr10_record(
         identity_checks,
         scaling.serial_qps,
         scaling.parallel_qps,
-        scaling.stealing_qps,
         scaling.speedup,
         scaling.overhead_frac,
         scaling.gate,
@@ -858,7 +831,7 @@ fn main() {
         eprintln!("  {parallel_checked} parallel-vs-serial comparisons: identical");
         let scaling = measure_parallel_scaling(&small_engine, &small_workload, 1);
         write_pr10_record(
-            PR10_OUTPUT,
+            PARALLEL_SMOKE_OUTPUT,
             &scaling,
             parallel_checked,
             small_workload.len(),
@@ -926,19 +899,18 @@ fn main() {
     // ---- PR-10 parallel-execution stage on the continental engine:
     // identity-gate every parallel configuration, then measure serial vs
     // all-cores serving and enforce the hardware-aware scaling gate.
-    eprintln!("parallel gate: one-shot GS / sessions / batch vs serial...");
+    eprintln!("parallel gate: sessions / batch vs serial...");
     let engine = MacEngine::build(indexed.clone());
     let parallel_checked = run_parallel_identity_gate(&engine, &workload);
     eprintln!("  {parallel_checked} parallel-vs-serial comparisons: identical");
     eprintln!("measuring parallel scaling (reps={reps})...");
     let scaling = measure_parallel_scaling(&engine, &workload, reps);
     eprintln!(
-        "  {} cores | serial {:.1} q/s, parallel {:.1} q/s, stealing {:.1} q/s -> {:.2}x \
+        "  {} cores | serial {:.1} q/s, parallel {:.1} q/s -> {:.2}x \
          (overhead {:.1}%) | gate [{}]",
         scaling.cores,
         scaling.serial_qps,
         scaling.parallel_qps,
-        scaling.stealing_qps,
         scaling.speedup,
         scaling.overhead_frac * 100.0,
         scaling.gate,

@@ -121,17 +121,18 @@ pub fn measure_all(rsn: &RoadSocialNetwork, spec: &QuerySpec) -> AlgoTimings {
     let mut session = engine.session();
     let global = spec.to_query().with_algorithm(AlgorithmChoice::Global);
     let local = spec.to_query().with_algorithm(AlgorithmChoice::Local);
+    // The spec's j selects Problem 1; j = 1 is Problem 2.
     let gs_nc: MacSearchResult = session
-        .execute_non_contained(&global)
+        .execute(&global.clone().with_top_j(1))
         .unwrap_or_else(|e| panic!("GS-NC failed: {e}"));
     let gs_t = session
-        .execute_top_j(&global)
+        .execute(&global)
         .unwrap_or_else(|e| panic!("GS-T failed: {e}"));
     let ls_nc = session
-        .execute_non_contained(&local)
+        .execute(&local.clone().with_top_j(1))
         .unwrap_or_else(|e| panic!("LS-NC failed: {e}"));
     let ls_t = session
-        .execute_top_j(&local)
+        .execute(&local)
         .unwrap_or_else(|e| panic!("LS-T failed: {e}"));
     AlgoTimings {
         gs_nc: gs_nc.stats.elapsed_seconds,

@@ -38,9 +38,9 @@
 use crate::budget::{BudgetTicker, QueryBudget};
 use crate::context::{BuildOutcome, ContextScratch, SearchContext};
 use crate::error::{DeltaEntry, MacError};
-use crate::global::{GlobalSearch, GsOptions, GsScratch};
+use crate::global::{self, GsScratch};
 use crate::ktcore::KtOutcome;
-use crate::local::{ExpandStrategy, LocalSearch};
+use crate::local::{self, ExpandStrategy};
 use crate::network::RoadSocialNetwork;
 use crate::policy::ExecutionPolicy;
 use crate::query::MacQuery;
@@ -754,20 +754,12 @@ impl MacEngine {
             };
             let mut gs_scratch = GsScratch::new();
             let global_seconds = time(&mut |ticker| {
-                GlobalSearch::explore_context(
-                    &ctx,
-                    &mut gs_scratch,
-                    GsOptions::default(),
-                    false,
-                    ticker,
-                )
-                .completed
+                global::explore_context(&ctx, &mut gs_scratch, 1, ticker).completed
             })?;
             // The session's default expansion knobs, so the measured cost is
             // the cost Auto-routed queries will actually pay.
             let local_seconds = time(&mut |ticker| {
-                LocalSearch::run_context(&ctx, ExpandStrategy::default(), 12, false, 1, ticker)
-                    .completed
+                local::run_context(&ctx, ExpandStrategy::default(), 12, 1, ticker).completed
             })?;
             if global_seconds < CROSSOVER_NOISE_FLOOR || local_seconds < CROSSOVER_NOISE_FLOOR {
                 return None;

@@ -2,7 +2,7 @@
 
 use rsn_geom::GeomError;
 use rsn_graph::GraphError;
-use rsn_road::{ExhaustionCause, RoadError};
+use rsn_road::RoadError;
 
 /// Which entry of a rejected [`NetworkDelta`](crate::engine::NetworkDelta)
 /// caused the rejection — carried by [`MacError::DeltaRejected`] so the
@@ -57,11 +57,6 @@ pub enum MacError {
     Road(RoadError),
     /// An error bubbled up from the preference-domain geometry.
     Geom(GeomError),
-    /// A strict-mode query exhausted its [`QueryBudget`](crate::budget::QueryBudget)
-    /// before completing. The graceful-degradation paths return
-    /// [`QueryOutcome::Partial`](crate::result::QueryOutcome::Partial)
-    /// instead of this error.
-    BudgetExhausted(ExhaustionCause),
     /// Query execution panicked and the panic was contained by the session
     /// guard; the session scratch was rebuilt and the engine stays
     /// serviceable. Carries the panic payload's message when one exists.
@@ -116,9 +111,6 @@ impl std::fmt::Display for MacError {
             MacError::Graph(e) => write!(f, "graph error: {e}"),
             MacError::Road(e) => write!(f, "road network error: {e}"),
             MacError::Geom(e) => write!(f, "preference geometry error: {e}"),
-            MacError::BudgetExhausted(cause) => {
-                write!(f, "query budget exhausted: {cause}")
-            }
             MacError::ExecutionPanicked(msg) => {
                 write!(f, "query execution panicked (contained): {msg}")
             }

@@ -22,15 +22,15 @@
 //!   happen.
 //!
 //! * **Work stealing.** Sub-partition counts are heavily skewed — one root
-//!   cell can own almost the whole arrangement — so static distribution of
-//!   top-level cells leaves workers idle. Instead, every pending `Visit` on a
-//!   worker's stack is a self-contained unit of work: its cell, its candidate
-//!   leaves, and the deletion groups along its ancestor path fully determine
-//!   the subtree. When another worker goes idle, a busy worker donates its
-//!   **bottom-most** pending `Visit` (the largest unexplored subtree) through
-//!   a shared injector queue; the thief replays the donated deletion prefix on
-//!   its private view and explores the subtree as if it had descended there
-//!   itself. Every report is tagged with its DFS path, and the merge sorts by
+//!   cell can own almost the whole arrangement — so parallel runs never
+//!   split work statically by top-level cell. Instead, every pending `Visit`
+//!   on a worker's stack is a self-contained unit of work: its cell, its
+//!   candidate leaves, and the deletion groups along its ancestor path fully
+//!   determine the subtree. When another worker goes idle, a busy worker
+//!   donates its **bottom-most** pending `Visit` (the largest unexplored
+//!   subtree) through a shared injector queue; the thief replays the donated
+//!   deletion prefix on its private view and explores the subtree as if it
+//!   had descended there itself. Every report is tagged with its DFS path, and the merge sorts by
 //!   path — lexicographic path order **is** the serial emission order, so the
 //!   output is bit-identical to the serial run regardless of how work moved.
 //!
@@ -39,14 +39,15 @@
 //!   in a crate-internal `GsScratch` that the caller retains across queries,
 //!   so a steady-state query on a warmed session performs no heap allocation.
 //!
-//! Parallelism and stealing are selected through the session's
-//! [`ExecutionPolicy`]; results are identical at any setting.
+//! The worker count is the session's
+//! [`ExecutionPolicy::parallelism`](crate::policy::ExecutionPolicy::parallelism);
+//! results are identical at any setting. The search answers Problem 1 (the
+//! top-j MACs per cell) for the query's `j`, which at `j = 1` is Problem 2
+//! (the non-contained MAC). Queries run through a
+//! [`QuerySession`](crate::session::QuerySession).
 
 use crate::context::SearchContext;
-use crate::error::MacError;
-use crate::network::RoadSocialNetwork;
-use crate::policy::ExecutionPolicy;
-use crate::query::MacQuery;
+use crate::policy::resolve_workers;
 use crate::result::{BudgetedRun, CellResult, Community, MacSearchResult, SearchStats};
 use rsn_geom::cell::Cell;
 use rsn_geom::halfspace::HalfSpace;
@@ -58,34 +59,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-
-/// The DFS-based global search algorithm of Section V.
-#[derive(Debug, Clone)]
-pub struct GlobalSearch<'a> {
-    rsn: &'a RoadSocialNetwork,
-    query: &'a MacQuery,
-    opts: GsOptions,
-}
-
-/// Execution knobs for one global-search run, resolved by the caller (the
-/// engine's `ExecutionPolicy` or the builder shims on [`GlobalSearch`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GsOptions {
-    /// Worker threads. `1` = serial on the calling thread, `0` = all cores.
-    pub parallelism: usize,
-    /// Donate pending subtrees to idle workers (on by default). With stealing
-    /// off, parallel runs fall back to static top-level-cell distribution.
-    pub work_stealing: bool,
-}
-
-impl Default for GsOptions {
-    fn default() -> Self {
-        GsOptions {
-            parallelism: 1,
-            work_stealing: true,
-        }
-    }
-}
 
 /// A contiguous run of candidate leaves inside the scratch arena.
 ///
@@ -165,7 +138,6 @@ struct SharedPool<'b> {
     /// Fast donation hint: how many workers are parked in `get_work`.
     idle: AtomicUsize,
     budget: &'b SharedBudget,
-    steal: bool,
 }
 
 /// Pops the next work item, parking until one is donated or every worker is
@@ -337,332 +309,244 @@ struct ParallelOutcome {
     frontier: Option<Vec<u32>>,
 }
 
-impl<'a> GlobalSearch<'a> {
-    /// Creates a (serial) global search for one query.
-    pub fn new(rsn: &'a RoadSocialNetwork, query: &'a MacQuery) -> Self {
-        GlobalSearch {
-            rsn,
-            query,
-            opts: GsOptions {
-                parallelism: 1,
-                ..GsOptions::default()
-            },
-        }
+fn base_stats(ctx: &SearchContext<'_>) -> SearchStats {
+    SearchStats {
+        kt_core_vertices: ctx.core_size(),
+        kt_core_edges: ctx.core_edges(),
+        dominance_tests: ctx.gd.tests_performed(),
+        memory_bytes: ctx.gd.memory_bytes(),
+        ..SearchStats::default()
     }
+}
 
-    /// Adopts the execution knobs this one-shot search honours (parallelism
-    /// and work stealing) from an [`ExecutionPolicy`]. Results are identical
-    /// at any setting — parallel outputs are merged in deterministic DFS
-    /// order.
-    pub fn with_policy(self, policy: &ExecutionPolicy) -> Self {
-        self.with_opts(GsOptions {
-            parallelism: policy.parallelism,
-            work_stealing: policy.work_stealing,
-        })
-    }
+/// Explores a prebuilt [`SearchContext`] on `parallelism` workers (`1` =
+/// serial on the calling thread, `0` = all cores), reporting the top-`j`
+/// MACs per cell for the context query's `j`. The entry point of
+/// [`QuerySession`](crate::session::QuerySession), which passes its
+/// retained scratch so warmed queries allocate nothing, and of the engine's
+/// calibration probe. `elapsed_seconds` covers only the exploration;
+/// callers overwrite it with their end-to-end timing.
+///
+/// Charges `ticker` one unit per DFS task and stops cooperatively; an
+/// unlimited ticker always runs to completion. Serial runs stop exactly
+/// where the charge fails, so the reported cells are a prefix of the full
+/// run's in DFS order. Parallel runs share the budget through an atomic
+/// latch ([`SharedBudget`]) — the first worker to trip stops every other
+/// worker at its next check, and the merge keeps only reports strictly
+/// before the smallest dropped DFS path, so the partial result is again
+/// one coherent prefix of the full output. `remaining` counts the tasks
+/// and top-level cells known to be left undone.
+pub(crate) fn explore_context(
+    ctx: &SearchContext<'_>,
+    scratch: &mut GsScratch,
+    parallelism: usize,
+    ticker: &mut BudgetTicker,
+) -> BudgetedRun {
+    let start = Instant::now();
+    let k = ctx.query.k;
+    let q: &[u32] = &ctx.local_q;
+    let j = ctx.query.j;
 
-    /// Overrides the full execution options (parallelism + stealing).
-    pub(crate) fn with_opts(mut self, opts: GsOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Problem 2: the non-contained MAC for every partition of `R` (GS-NC).
-    pub fn run_non_contained(&self) -> Result<MacSearchResult, MacError> {
-        self.run(false)
-    }
-
-    /// Problem 1: the top-j MACs for every partition of `R` (GS-T).
-    pub fn run_top_j(&self) -> Result<MacSearchResult, MacError> {
-        self.run(true)
-    }
-
-    fn resolved_workers(opts: GsOptions, top_cells: usize) -> usize {
-        let requested = if opts.parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            opts.parallelism
-        };
-        let requested = requested.max(1);
-        if top_cells == 0 {
-            return 1;
-        }
-        if opts.work_stealing {
-            // Stealing redistributes skew at any depth, so a single top-level
-            // cell can still fan out across all requested workers.
-            requested
-        } else {
-            requested.min(top_cells)
-        }
-    }
-
-    fn run(&self, top_j_mode: bool) -> Result<MacSearchResult, MacError> {
-        let start = Instant::now();
-        let Some(ctx) = SearchContext::build(self.rsn, self.query)? else {
-            return Ok(MacSearchResult {
+    // Guard before the root arrangement, whose half-space set is
+    // quadratic in the initial leaf count.
+    if !ticker.charge(1) {
+        let mut stats = base_stats(ctx);
+        stats.elapsed_seconds = start.elapsed().as_secs_f64();
+        return BudgetedRun {
+            result: MacSearchResult {
                 cells: Vec::new(),
-                stats: SearchStats {
-                    elapsed_seconds: start.elapsed().as_secs_f64(),
-                    ..SearchStats::default()
-                },
-            });
+                stats,
+            },
+            completed: false,
+            explored: 0,
+            remaining: 1,
         };
-        let mut scratch = GsScratch::new();
-        let mut unlimited = BudgetTicker::unlimited();
-        let mut result =
-            Self::explore_context(&ctx, &mut scratch, self.opts, top_j_mode, &mut unlimited).result;
-        result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        Ok(result)
     }
 
-    fn base_stats(ctx: &SearchContext<'_>) -> SearchStats {
-        SearchStats {
-            kt_core_vertices: ctx.core_size(),
-            kt_core_edges: ctx.core_edges(),
-            dominance_tests: ctx.gd.tests_performed(),
-            memory_bytes: ctx.gd.memory_bytes(),
-            ..SearchStats::default()
+    scratch.reset();
+    let out_buf = std::mem::take(&mut scratch.out_buf);
+    let mut worker = Worker::new(ctx, k, q, j, scratch, false, base_stats(ctx), out_buf);
+    let mut view =
+        SubgraphView::full_from_scratch(&ctx.local_graph, &mut worker.scratch.view_scratch);
+    let leaves0 = worker.prepare_root(&view);
+    let total_cells = worker.scratch.sub_cells.len() as u64;
+
+    let mut explored = 1u64;
+    let completed;
+    let remaining;
+    let out_cells;
+    let mut stats;
+    // Charge the root arrangement after the fact, then walk the DFS.
+    if !ticker.charge(leaves0.len as u64 + total_cells) {
+        completed = false;
+        remaining = total_cells;
+        let GsScratch {
+            sub_cells, arrange, ..
+        } = &mut *worker.scratch;
+        for cell in sub_cells.drain(..) {
+            arrange.recycle_cell(cell);
         }
-    }
-
-    /// Explores a prebuilt [`SearchContext`] — the engine-level entry point
-    /// shared by the one-shot wrappers
-    /// ([`run_non_contained`](Self::run_non_contained) /
-    /// [`run_top_j`](Self::run_top_j)) and by
-    /// [`QuerySession`](crate::session::QuerySession), which passes its
-    /// retained scratch so warmed queries allocate nothing.
-    /// `elapsed_seconds` covers only the exploration; callers overwrite it
-    /// with their end-to-end timing.
-    ///
-    /// Charges `ticker` one unit per DFS task and stops cooperatively; an
-    /// unlimited ticker always runs to completion. Serial runs stop exactly
-    /// where the charge fails, so the reported cells are a prefix of the full
-    /// run's in DFS order. Parallel runs share the budget through an atomic
-    /// latch ([`SharedBudget`]) — the first worker to trip stops every other
-    /// worker at its next check, and the merge keeps only reports strictly
-    /// before the smallest dropped DFS path, so the partial result is again
-    /// one coherent prefix of the full output. `remaining` counts the tasks
-    /// and top-level cells known to be left undone.
-    pub(crate) fn explore_context(
-        ctx: &SearchContext<'_>,
-        scratch: &mut GsScratch,
-        opts: GsOptions,
-        top_j_mode: bool,
-        ticker: &mut BudgetTicker,
-    ) -> BudgetedRun {
-        let start = Instant::now();
-        let k = ctx.query.k;
-        let q: &[u32] = &ctx.local_q;
-        let j = if top_j_mode { ctx.query.j } else { 1 };
-
-        // Guard before the root arrangement, whose half-space set is
-        // quadratic in the initial leaf count.
-        if !ticker.charge(1) {
-            let mut stats = Self::base_stats(ctx);
-            stats.elapsed_seconds = start.elapsed().as_secs_f64();
-            return BudgetedRun {
-                result: MacSearchResult {
-                    cells: Vec::new(),
-                    stats,
-                },
-                completed: false,
-                explored: 0,
-                remaining: 1,
-            };
-        }
-
-        scratch.reset();
-        let out_buf = std::mem::take(&mut scratch.out_buf);
-        let mut worker = Worker::new(ctx, k, q, j, scratch, false, Self::base_stats(ctx), out_buf);
-        let mut view =
-            SubgraphView::full_from_scratch(&ctx.local_graph, &mut worker.scratch.view_scratch);
-        let leaves0 = worker.prepare_root(&view);
-        let total_cells = worker.scratch.sub_cells.len() as u64;
-
-        let mut explored = 1u64;
-        let completed;
-        let remaining;
-        let out_cells;
-        let mut stats;
-        // Charge the root arrangement after the fact, then walk the DFS.
-        if !ticker.charge(leaves0.len as u64 + total_cells) {
-            completed = false;
-            remaining = total_cells;
-            let GsScratch {
-                sub_cells, arrange, ..
-            } = &mut *worker.scratch;
-            for cell in sub_cells.drain(..) {
-                arrange.recycle_cell(cell);
-            }
+        out_cells = std::mem::take(&mut worker.out_cells);
+        stats = std::mem::take(&mut worker.stats);
+    } else {
+        // Stealing redistributes skew at any depth, so a single top-level
+        // cell still fans out across every requested worker.
+        let workers = if worker.scratch.sub_cells.is_empty() {
+            1
+        } else {
+            resolve_workers(parallelism, usize::MAX)
+        };
+        if workers <= 1 {
+            worker.push_top_cells(leaves0);
+            let (done, executed, dropped) = worker.run_local(&mut view, ticker);
+            explored += executed;
+            completed = done;
+            remaining = dropped;
             out_cells = std::mem::take(&mut worker.out_cells);
             stats = std::mem::take(&mut worker.stats);
         } else {
-            let workers = Self::resolved_workers(opts, worker.scratch.sub_cells.len());
-            if workers <= 1 {
-                worker.push_top_cells(leaves0);
-                let (done, executed, dropped) = worker.run_local(&mut view, ticker);
-                explored += executed;
-                completed = done;
-                remaining = dropped;
-                out_cells = std::mem::take(&mut worker.out_cells);
-                stats = std::mem::take(&mut worker.stats);
-            } else {
-                let leaves0 = leaf_slice(&worker.scratch.arena, leaves0).to_vec();
-                let top_cells: Vec<Cell> = worker.scratch.sub_cells.drain(..).collect();
-                let root_stats = std::mem::take(&mut worker.stats);
-                let shared = ticker.share();
-                let outcome = Self::run_parallel(
-                    ctx,
-                    k,
-                    q,
-                    j,
-                    workers,
-                    opts.work_stealing,
-                    leaves0,
-                    top_cells,
-                    root_stats,
-                    &shared,
-                );
-                ticker.absorb(&shared);
-                explored += outcome.executed;
-                completed = outcome.frontier.is_none();
-                remaining = outcome.dropped;
-                out_cells = outcome.cells;
-                stats = outcome.stats;
-            }
-        }
-        view.recycle_into(&mut worker.scratch.view_scratch);
-
-        stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        BudgetedRun {
-            result: MacSearchResult {
-                cells: out_cells,
-                stats,
-            },
-            completed,
-            explored,
-            remaining,
+            let leaves0 = leaf_slice(&worker.scratch.arena, leaves0).to_vec();
+            let top_cells: Vec<Cell> = worker.scratch.sub_cells.drain(..).collect();
+            let root_stats = std::mem::take(&mut worker.stats);
+            let shared = ticker.share();
+            let outcome = run_parallel(
+                ctx, k, q, j, workers, leaves0, top_cells, root_stats, &shared,
+            );
+            ticker.absorb(&shared);
+            explored += outcome.executed;
+            completed = outcome.frontier.is_none();
+            remaining = outcome.dropped;
+            out_cells = outcome.cells;
+            stats = outcome.stats;
         }
     }
+    view.recycle_into(&mut worker.scratch.view_scratch);
 
-    /// Runs the top-level cells on `workers` scoped threads with (optional)
-    /// work stealing. Each worker owns a private view of the (k,t)-core and a
-    /// private scratch; seeds and stolen subtrees flow through one mutexed
-    /// injector queue. Reports are path-tagged and merged by path sort, which
-    /// reproduces the serial DFS emission order exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel(
-        ctx: &SearchContext<'_>,
-        k: u32,
-        q: &[u32],
-        j: usize,
-        workers: usize,
-        steal: bool,
-        leaves0: Vec<u32>,
-        top_cells: Vec<Cell>,
-        root_stats: SearchStats,
-        budget: &SharedBudget,
-    ) -> ParallelOutcome {
-        let mut stats = root_stats;
-        stats.parallel_workers = workers;
-        // Seeds are pushed reversed so the LIFO queue pops cell 0 first.
-        let seeds: Vec<Stolen> = top_cells
-            .into_iter()
-            .enumerate()
-            .rev()
-            .map(|(i, cell)| Stolen {
-                cell,
-                leaves: leaves0.clone(),
-                path: vec![i as u32],
-                prefix_groups: Vec::new(),
+    stats.elapsed_seconds = start.elapsed().as_secs_f64();
+    BudgetedRun {
+        result: MacSearchResult {
+            cells: out_cells,
+            stats,
+        },
+        completed,
+        explored,
+        remaining,
+    }
+}
+
+/// Runs the top-level cells on `workers` scoped threads with work
+/// stealing. Each worker owns a private view of the (k,t)-core and a
+/// private scratch; seeds and stolen subtrees flow through one mutexed
+/// injector queue. Reports are path-tagged and merged by path sort, which
+/// reproduces the serial DFS emission order exactly.
+#[allow(clippy::too_many_arguments)]
+fn run_parallel(
+    ctx: &SearchContext<'_>,
+    k: u32,
+    q: &[u32],
+    j: usize,
+    workers: usize,
+    leaves0: Vec<u32>,
+    top_cells: Vec<Cell>,
+    root_stats: SearchStats,
+    budget: &SharedBudget,
+) -> ParallelOutcome {
+    let mut stats = root_stats;
+    stats.parallel_workers = workers;
+    // Seeds are pushed reversed so the LIFO queue pops cell 0 first.
+    let seeds: Vec<Stolen> = top_cells
+        .into_iter()
+        .enumerate()
+        .rev()
+        .map(|(i, cell)| Stolen {
+            cell,
+            leaves: leaves0.clone(),
+            path: vec![i as u32],
+            prefix_groups: Vec::new(),
+        })
+        .collect();
+    let pool = SharedPool {
+        state: Mutex::new(PoolState {
+            queue: seeds,
+            active: workers,
+            done: false,
+        }),
+        cvar: Condvar::new(),
+        idle: AtomicUsize::new(0),
+        budget,
+    };
+
+    let mut tagged: Vec<(Vec<u32>, CellResult)> = Vec::new();
+    let mut executed = 0u64;
+    let mut dropped = 0u64;
+    let mut frontier: Option<Vec<u32>> = None;
+    std::thread::scope(|scope| {
+        let pool = &pool;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut scratch = GsScratch::new();
+                    let mut worker = Worker::new(
+                        ctx,
+                        k,
+                        q,
+                        j,
+                        &mut scratch,
+                        true,
+                        SearchStats::default(),
+                        Vec::new(),
+                    );
+                    let mut view = SubgraphView::full(&ctx.local_graph);
+                    let mut ticker = pool.budget.worker();
+                    let (executed, dropped, frontier) =
+                        worker.run_pool(&mut view, pool, &mut ticker);
+                    (
+                        std::mem::take(&mut worker.out_cells),
+                        std::mem::take(&mut worker.out_paths),
+                        std::mem::take(&mut worker.stats),
+                        executed,
+                        dropped,
+                        frontier,
+                    )
+                })
             })
             .collect();
-        let pool = SharedPool {
-            state: Mutex::new(PoolState {
-                queue: seeds,
-                active: workers,
-                done: false,
-            }),
-            cvar: Condvar::new(),
-            idle: AtomicUsize::new(0),
-            budget,
-            steal,
-        };
-
-        let mut tagged: Vec<(Vec<u32>, CellResult)> = Vec::new();
-        let mut executed = 0u64;
-        let mut dropped = 0u64;
-        let mut frontier: Option<Vec<u32>> = None;
-        std::thread::scope(|scope| {
-            let pool = &pool;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut scratch = GsScratch::new();
-                        let mut worker = Worker::new(
-                            ctx,
-                            k,
-                            q,
-                            j,
-                            &mut scratch,
-                            true,
-                            SearchStats::default(),
-                            Vec::new(),
-                        );
-                        let mut view = SubgraphView::full(&ctx.local_graph);
-                        let mut ticker = pool.budget.worker();
-                        let (executed, dropped, frontier) =
-                            worker.run_pool(&mut view, pool, &mut ticker);
-                        (
-                            std::mem::take(&mut worker.out_cells),
-                            std::mem::take(&mut worker.out_paths),
-                            std::mem::take(&mut worker.stats),
-                            executed,
-                            dropped,
-                            frontier,
-                        )
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (cells, paths, wstats, wexec, wdrop, wfrontier) =
-                    handle.join().expect("GS worker panicked");
-                stats.merge_worker(&wstats);
-                executed += wexec;
-                dropped += wdrop;
-                if let Some(f) = wfrontier {
-                    frontier = min_path(frontier.take(), f);
-                }
-                debug_assert_eq!(paths.len(), cells.len());
-                tagged.extend(paths.into_iter().zip(cells));
+        for handle in handles {
+            let (cells, paths, wstats, wexec, wdrop, wfrontier) =
+                handle.join().expect("GS worker panicked");
+            stats.merge_worker(&wstats);
+            executed += wexec;
+            dropped += wdrop;
+            if let Some(f) = wfrontier {
+                frontier = min_path(frontier.take(), f);
             }
-        });
-        // A tripped budget can leave undistributed work in the queue: every
-        // leftover item is a dropped subtree rooted at its path.
-        let mut st = pool.state.into_inner().unwrap();
-        for item in st.queue.drain(..) {
-            dropped += 1;
-            frontier = min_path(frontier, item.path);
+            debug_assert_eq!(paths.len(), cells.len());
+            tagged.extend(paths.into_iter().zip(cells));
         }
+    });
+    // A tripped budget can leave undistributed work in the queue: every
+    // leftover item is a dropped subtree rooted at its path.
+    let mut st = pool.state.into_inner().unwrap();
+    for item in st.queue.drain(..) {
+        dropped += 1;
+        frontier = min_path(frontier, item.path);
+    }
 
-        tagged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        if let Some(f) = &frontier {
-            // Keep only reports strictly before the smallest dropped path —
-            // those form a prefix of the serial output (a dropped subtree's
-            // reports all sort at or after its root path).
-            let cut = tagged.partition_point(|(p, _)| p < f);
-            dropped += (tagged.len() - cut) as u64;
-            tagged.truncate(cut);
-        }
-        ParallelOutcome {
-            cells: tagged.into_iter().map(|(_, c)| c).collect(),
-            stats,
-            executed,
-            dropped,
-            frontier,
-        }
+    tagged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    if let Some(f) = &frontier {
+        // Keep only reports strictly before the smallest dropped path —
+        // those form a prefix of the serial output (a dropped subtree's
+        // reports all sort at or after its root path).
+        let cut = tagged.partition_point(|(p, _)| p < f);
+        dropped += (tagged.len() - cut) as u64;
+        tagged.truncate(cut);
+    }
+    ParallelOutcome {
+        cells: tagged.into_iter().map(|(_, c)| c).collect(),
+        stats,
+        executed,
+        dropped,
+        frontier,
     }
 }
 
@@ -911,7 +795,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
     /// ancestor groups/path entries stay in place until the `Retreat`s below
     /// it run.
     fn try_donate(&mut self, pool: &SharedPool<'_>) {
-        if !pool.steal || pool.idle.load(Ordering::Relaxed) == 0 {
+        if pool.idle.load(Ordering::Relaxed) == 0 {
             return;
         }
         let Some(pos) = self
@@ -1245,7 +1129,11 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{AlgorithmChoice, MacEngine};
+    use crate::network::RoadSocialNetwork;
     use crate::peel::peel_at_weight;
+    use crate::policy::ExecutionPolicy;
+    use crate::query::MacQuery;
     use rsn_geom::region::PrefRegion;
     use rsn_graph::graph::Graph;
     use rsn_road::network::{Location, RoadNetwork};
@@ -1282,13 +1170,22 @@ mod tests {
         RoadSocialNetwork::new(social, road, locations, attrs).unwrap()
     }
 
+    /// The global search on a fresh session (cache off, fresh scratch) of an
+    /// uncalibrated engine, with `parallelism` workers.
+    fn gs(rsn: &RoadSocialNetwork, query: &MacQuery, parallelism: usize) -> MacSearchResult {
+        MacEngine::build_uncalibrated(rsn.clone())
+            .session()
+            .with_policy(ExecutionPolicy::new().with_parallelism(parallelism))
+            .execute(&query.clone().with_algorithm(AlgorithmChoice::Global))
+            .unwrap()
+    }
+
     #[test]
     fn gs_nc_partitions_region_by_preference() {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0, 1], 3, 10.0, region);
-        let gs = GlobalSearch::new(&rsn, &query);
-        let result = gs.run_non_contained().unwrap();
+        let result = gs(&rsn, &query, 1);
         assert!(!result.is_empty());
         // both sides must appear among the distinct non-contained MACs
         let distinct = result.distinct_communities();
@@ -1304,8 +1201,7 @@ mod tests {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0, 1], 3, 10.0, region);
-        let gs = GlobalSearch::new(&rsn, &query);
-        let result = gs.run_non_contained().unwrap();
+        let result = gs(&rsn, &query, 1);
         let ctx = SearchContext::build(&rsn, &query).unwrap().unwrap();
         for cell in &result.cells {
             let oracle = peel_at_weight(&ctx, &cell.sample_weight);
@@ -1323,8 +1219,7 @@ mod tests {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0, 1], 3, 10.0, region).with_top_j(2);
-        let gs = GlobalSearch::new(&rsn, &query);
-        let result = gs.run_top_j().unwrap();
+        let result = gs(&rsn, &query, 1);
         assert!(!result.is_empty());
         for cell in &result.cells {
             assert!(!cell.communities.is_empty() && cell.communities.len() <= 2);
@@ -1344,8 +1239,7 @@ mod tests {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0], 5, 10.0, region);
-        let gs = GlobalSearch::new(&rsn, &query);
-        let result = gs.run_non_contained().unwrap();
+        let result = gs(&rsn, &query, 1);
         assert!(result.is_empty());
         assert_eq!(result.stats.kt_core_vertices, 0);
     }
@@ -1361,7 +1255,7 @@ mod tests {
         let rsn = RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
         let region = PrefRegion::from_ranges(&[]).unwrap();
         let query = MacQuery::new(vec![0], 2, 10.0, region);
-        let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let result = gs(&rsn, &query, 1);
         assert_eq!(result.num_cells(), 1);
         // vertices 3 then 2 are peeled away (scores 1 and 2), leaving the
         // triangle {0,1,2}.
@@ -1381,13 +1275,7 @@ mod tests {
         ];
         let explore = |ctx: &SearchContext<'_>, scratch: &mut GsScratch| {
             let mut unlimited = BudgetTicker::unlimited();
-            let run = GlobalSearch::explore_context(
-                ctx,
-                scratch,
-                GsOptions::default(),
-                true,
-                &mut unlimited,
-            );
+            let run = explore_context(ctx, scratch, 1, &mut unlimited);
             assert!(run.completed);
             run.result
         };
@@ -1429,31 +1317,17 @@ mod tests {
     fn parallel_gs_matches_serial_exactly() {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
-        for top_j in [false, true] {
-            let query = MacQuery::new(vec![0, 1], 3, 10.0, region.clone()).with_top_j(2);
-            let serial = GlobalSearch::new(&rsn, &query);
-            let serial_result = if top_j {
-                serial.run_top_j().unwrap()
-            } else {
-                serial.run_non_contained().unwrap()
-            };
+        // j = 1 is Problem 2 (non-contained), j = 2 Problem 1 (top-j).
+        for j in [1usize, 2] {
+            let query = MacQuery::new(vec![0, 1], 3, 10.0, region.clone()).with_top_j(j);
+            let serial_result = gs(&rsn, &query, 1);
             for workers in [2usize, 4, 0] {
-                for stealing in [true, false] {
-                    let par = GlobalSearch::new(&rsn, &query).with_opts(GsOptions {
-                        parallelism: workers,
-                        work_stealing: stealing,
-                    });
-                    let par_result = if top_j {
-                        par.run_top_j().unwrap()
-                    } else {
-                        par.run_non_contained().unwrap()
-                    };
-                    assert_results_identical(&serial_result, &par_result);
-                    assert_eq!(
-                        serial_result.stats.partitions_explored,
-                        par_result.stats.partitions_explored
-                    );
-                }
+                let par_result = gs(&rsn, &query, workers);
+                assert_results_identical(&serial_result, &par_result);
+                assert_eq!(
+                    serial_result.stats.partitions_explored,
+                    par_result.stats.partitions_explored
+                );
             }
         }
     }
@@ -1463,7 +1337,6 @@ mod tests {
         use rand::prelude::*;
         use rand::rngs::StdRng;
         let mut rng = StdRng::seed_from_u64(0x6570);
-        let mut threaded_rounds = 0;
         for round in 0..6 {
             let n = rng.random_range(12..30usize);
             let mut edges = Vec::new();
@@ -1483,37 +1356,13 @@ mod tests {
             let rsn = RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
             let region = PrefRegion::from_ranges(&[(0.1, 0.6), (0.15, 0.5)]).unwrap();
             let query = MacQuery::new(vec![0], 3, 10.0, region).with_top_j(2);
-            let serial = GlobalSearch::new(&rsn, &query).run_top_j().unwrap();
-            for stealing in [true, false] {
-                let parallel = GlobalSearch::new(&rsn, &query)
-                    .with_opts(GsOptions {
-                        parallelism: 3,
-                        work_stealing: stealing,
-                    })
-                    .run_top_j()
-                    .unwrap();
-                assert_results_identical(&serial, &parallel);
-                let workers = parallel.stats.parallel_workers;
-                // 0 only when the root arrangement yields a single top-level
-                // cell under static distribution (the run is forced serial);
-                // with stealing a single top cell still fans out, so the
-                // worker count is always the requested 3.
-                if stealing {
-                    assert_eq!(workers, 3, "round {round}: stealing run not threaded");
-                } else {
-                    assert!(
-                        workers == 0 || (2..=3).contains(&workers),
-                        "round {round}: implausible worker count {workers}"
-                    );
-                }
-                if workers > 0 {
-                    threaded_rounds += 1;
-                }
-            }
+            let serial = gs(&rsn, &query, 1);
+            let parallel = gs(&rsn, &query, 3);
+            assert_results_identical(&serial, &parallel);
+            let workers = parallel.stats.parallel_workers;
+            // Stealing fans even a single top-level cell out, so every
+            // round runs threaded on the requested 3 workers.
+            assert_eq!(workers, 3, "round {round}: stealing run not threaded");
         }
-        assert!(
-            threaded_rounds > 0,
-            "no round exercised the threaded exploration path"
-        );
     }
 }

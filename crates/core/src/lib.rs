@@ -14,7 +14,9 @@
 //! super-community; a **non-contained MAC** additionally has no r-dominating
 //! sub-community (Definition 6). Because community scores vary with the weight
 //! vector, the answer is a partition of `R`, each cell paired with its top-j
-//! MACs (Problem 1) or its non-contained MAC (Problem 2).
+//! MACs (Problem 1) or its non-contained MAC (Problem 2). The two coincide at
+//! `j = 1`, so a query's `j` selects the problem: every entry point answers
+//! Problem 1 for `j > 1` and Problem 2 for `j = 1`.
 //!
 //! ## Serving API
 //!
@@ -50,18 +52,19 @@
 //!
 //! ## Algorithms
 //!
-//! * [`GlobalSearch`] — the DFS-based Algorithm 1 (`GS-T` / `GS-NC`): peel the
+//! * [`global`] — the DFS-based Algorithm 1 (`GS-T` / `GS-NC`): peel the
 //!   maximal (k,t)-core guided by an arrangement of competitor half-spaces.
-//! * [`LocalSearch`] — the local framework of Algorithms 3–5 (`LS-T` /
-//!   `LS-NC`): expand candidates around `Q` with the Eq. 3 / Eq. 4
-//!   priorities, then verify them against the r-dominance graph.
+//! * [`local`] — the local framework of Algorithms 3–5 (`LS-T` / `LS-NC`):
+//!   expand candidates around `Q` with the Eq. 3 / Eq. 4 priorities, then
+//!   verify them against the r-dominance graph.
 //! * [`peel`] — the fixed-weight peeling oracle shared by both algorithms and
 //!   by the test suite.
 //!
-//! `GlobalSearch::new(...)` / `LocalSearch::new(...)` survive as one-shot
-//! wrappers (fresh scratch per call) for scripts and tests; a
-//! [`QuerySession`] resolves `AlgorithmChoice::Auto` between them through
-//! the engine's calibration.
+//! Both run through a [`QuerySession`]: a query's explicit
+//! [`AlgorithmChoice`] picks one, and `AlgorithmChoice::Auto` resolves
+//! between them through the engine's calibration. A one-off query is a
+//! fresh session on a throwaway engine, e.g.
+//! `MacEngine::build_uncalibrated(rsn).session().execute(&query)`.
 
 pub mod budget;
 pub mod context;
@@ -86,8 +89,7 @@ pub use engine::{
     UpdateStats,
 };
 pub use error::{DeltaEntry, MacError};
-pub use global::GlobalSearch;
-pub use local::{ExpandStrategy, LocalSearch};
+pub use local::ExpandStrategy;
 pub use network::RoadSocialNetwork;
 pub use policy::ExecutionPolicy;
 pub use query::{MacQuery, QuerySignature};
@@ -95,4 +97,4 @@ pub use result::{
     CellResult, Community, MacSearchResult, PartialResult, QueryOutcome, QueryPhase, QueryProgress,
     SearchStats,
 };
-pub use session::{BatchOutcome, BatchStats, BudgetedBatchOutcome, QuerySession, SessionStats};
+pub use session::{BatchOutcome, BatchStats, QuerySession, SessionStats};

@@ -12,13 +12,18 @@
 //! `(community, cell)` pair is additionally confirmed against the fixed-weight
 //! peeling oracle at the cell's sample point, so reported results are always
 //! consistent with the global search.
+//!
+//! A query with `j > 1` is Problem 1 (`LS-T`: each confirmed cell reports
+//! its top-j MACs); `j = 1` is Problem 2 (`LS-NC`: the candidate itself).
+//! The two agree at `j = 1` because a candidate is only reported where the
+//! peeling oracle's final community equals it. Queries run through a
+//! [`QuerySession`](crate::session::QuerySession); its
+//! [`ExecutionPolicy`](crate::policy::ExecutionPolicy) carries the
+//! expansion strategy, the candidate cap, and the verification parallelism.
 
 use crate::context::SearchContext;
-use crate::error::MacError;
-use crate::network::RoadSocialNetwork;
 use crate::peel::peel_at_weight;
-use crate::policy::ExecutionPolicy;
-use crate::query::MacQuery;
+use crate::policy::resolve_workers;
 use crate::result::{BudgetedRun, CellResult, MacSearchResult, SearchStats};
 use rsn_geom::cell::Cell;
 use rsn_geom::halfspace::HalfSpace;
@@ -52,572 +57,465 @@ impl Default for ExpandStrategy {
     }
 }
 
-/// The local search framework of Section VI.
-#[derive(Debug, Clone)]
-pub struct LocalSearch<'a> {
-    rsn: &'a RoadSocialNetwork,
-    query: &'a MacQuery,
+/// Verifies one deduplicated candidate (Algorithm 5) and appends its
+/// confirmed `(cell, communities)` pairs to `out_cells`. The unit of work
+/// both the serial loop and the parallel workers run per candidate.
+fn verify_candidate(
+    ctx: &SearchContext<'_>,
+    cand: &[u32],
+    stats: &mut SearchStats,
+    out_cells: &mut Vec<CellResult>,
+) {
+    let verified = verify(ctx, cand, stats);
+    for (cell, sample) in verified {
+        let communities = if ctx.query.j > 1 {
+            let outcome = peel_at_weight(ctx, &sample);
+            outcome
+                .top_j(ctx.query.j)
+                .into_iter()
+                .map(|locals| ctx.community_from_locals(&locals))
+                .collect()
+        } else {
+            vec![ctx.community_from_locals(cand)]
+        };
+        out_cells.push(CellResult {
+            cell,
+            sample_weight: sample,
+            communities,
+        });
+    }
+}
+
+/// Runs the expand-and-verify framework on a prebuilt [`SearchContext`] —
+/// the entry point of [`QuerySession`](crate::session::QuerySession) and of
+/// the engine's calibration probe. `elapsed_seconds`
+/// covers only this phase; callers overwrite it with their end-to-end
+/// timing.
+///
+/// Expansion (Algorithm 4) is charged to `ticker` as one lump (it is
+/// bounded by the core size times the candidate cap) and stays serial —
+/// it is cheap and order-defining. Verification (Algorithm 5, including
+/// the top-j peels) runs in one of two ways, decided by the ticker:
+///
+/// * **Limited ticker** — a serial loop that charges each candidate at
+///   its boundary, so an exhausted run drops whole candidates: every
+///   reported cell stays exact and a partial answer is a prefix of the
+///   full one (the same contract the budgeted global search keeps).
+/// * **Unlimited ticker** with `parallelism > 1` — the deduplicated
+///   candidates fan out over scoped worker threads pulling from an atomic
+///   cursor; results are reassembled in candidate order and worker
+///   counters folded with [`SearchStats::merge_worker`], so the output is
+///   identical to the serial run cell for cell.
+pub(crate) fn run_context(
+    ctx: &SearchContext<'_>,
     strategy: ExpandStrategy,
     max_candidates: usize,
     parallelism: usize,
-}
+    ticker: &mut BudgetTicker,
+) -> BudgetedRun {
+    let start = Instant::now();
+    let mut stats = SearchStats {
+        kt_core_vertices: ctx.core_size(),
+        kt_core_edges: ctx.core_edges(),
+        dominance_tests: ctx.gd.tests_performed(),
+        memory_bytes: ctx.gd.memory_bytes(),
+        ..SearchStats::default()
+    };
 
-impl<'a> LocalSearch<'a> {
-    /// Creates a local search with the default strategy (Eq. 3, λ = 10) and
-    /// at most 12 expansion candidates, verified serially.
-    pub fn new(rsn: &'a RoadSocialNetwork, query: &'a MacQuery) -> Self {
-        LocalSearch {
-            rsn,
-            query,
-            strategy: ExpandStrategy::default(),
-            max_candidates: 12,
-            parallelism: 1,
-        }
-    }
-
-    /// Adopts the local-framework knobs of an [`ExecutionPolicy`]: the
-    /// expansion strategy, the candidate cap, and the verification
-    /// parallelism. Prefer executing through a
-    /// [`QuerySession`](crate::session::QuerySession), which applies its
-    /// policy automatically.
-    pub fn with_policy(mut self, policy: &ExecutionPolicy) -> Self {
-        self.strategy = policy.expand_strategy;
-        self.max_candidates = policy.max_candidates.max(1);
-        self.parallelism = policy.parallelism;
-        self
-    }
-
-    /// Overrides the candidate-selection strategy.
-    pub fn with_strategy(mut self, strategy: ExpandStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the maximum number of expansion candidates.
-    pub fn with_max_candidates(mut self, max_candidates: usize) -> Self {
-        self.max_candidates = max_candidates.max(1);
-        self
-    }
-
-    /// Problem 2: non-contained MACs with their partitions (LS-NC).
-    pub fn run_non_contained(&self) -> Result<MacSearchResult, MacError> {
-        self.run(false)
-    }
-
-    /// Problem 1: top-j MACs with their partitions (LS-T).
-    pub fn run_top_j(&self) -> Result<MacSearchResult, MacError> {
-        self.run(true)
-    }
-
-    fn run(&self, top_j_mode: bool) -> Result<MacSearchResult, MacError> {
-        let start = Instant::now();
-        let Some(ctx) = SearchContext::build(self.rsn, self.query)? else {
-            return Ok(MacSearchResult {
-                cells: Vec::new(),
-                stats: SearchStats {
-                    elapsed_seconds: start.elapsed().as_secs_f64(),
-                    ..SearchStats::default()
-                },
-            });
-        };
-        let mut result = Self::run_context(
-            &ctx,
-            self.strategy,
-            self.max_candidates,
-            top_j_mode,
-            self.parallelism,
-            &mut BudgetTicker::unlimited(),
-        )
-        .result;
-        result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        Ok(result)
-    }
-
-    /// Verifies one deduplicated candidate (Algorithm 5) and appends its
-    /// confirmed `(cell, communities)` pairs to `out_cells`. The unit of work
-    /// both the serial loop and the parallel workers run per candidate.
-    fn verify_candidate(
-        ctx: &SearchContext<'_>,
-        cand: &[u32],
-        top_j_mode: bool,
-        stats: &mut SearchStats,
-        out_cells: &mut Vec<CellResult>,
-    ) {
-        let verified = Self::verify(ctx, cand, stats);
-        for (cell, sample) in verified {
-            let communities = if top_j_mode {
-                let outcome = peel_at_weight(ctx, &sample);
-                outcome
-                    .top_j(ctx.query.j)
-                    .into_iter()
-                    .map(|locals| ctx.community_from_locals(&locals))
-                    .collect()
-            } else {
-                vec![ctx.community_from_locals(cand)]
-            };
-            out_cells.push(CellResult {
-                cell,
-                sample_weight: sample,
-                communities,
-            });
-        }
-    }
-
-    /// Number of verification workers for `unique` deduplicated candidates:
-    /// `0` = all cores, otherwise the requested count, never more than one
-    /// worker per candidate.
-    fn resolved_verify_workers(parallelism: usize, unique: usize) -> usize {
-        if unique <= 1 {
-            return 1;
-        }
-        let requested = if parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            parallelism
-        };
-        requested.max(1).min(unique)
-    }
-
-    /// Runs the expand-and-verify framework on a prebuilt [`SearchContext`] —
-    /// the engine-level entry point shared by the one-shot wrappers and by
-    /// [`QuerySession`](crate::session::QuerySession). `elapsed_seconds`
-    /// covers only this phase; callers overwrite it with their end-to-end
-    /// timing.
-    ///
-    /// Expansion (Algorithm 4) is charged to `ticker` as one lump (it is
-    /// bounded by the core size times the candidate cap) and stays serial —
-    /// it is cheap and order-defining. Verification (Algorithm 5, including
-    /// the top-j peels) runs in one of two ways, decided by the ticker:
-    ///
-    /// * **Limited ticker** — a serial loop that charges each candidate at
-    ///   its boundary, so an exhausted run drops whole candidates: every
-    ///   reported cell stays exact and a partial answer is a prefix of the
-    ///   full one (the same contract the budgeted global search keeps).
-    /// * **Unlimited ticker** with `parallelism > 1` — the deduplicated
-    ///   candidates fan out over scoped worker threads pulling from an atomic
-    ///   cursor; results are reassembled in candidate order and worker
-    ///   counters folded with [`SearchStats::merge_worker`], so the output is
-    ///   identical to the serial run cell for cell.
-    pub(crate) fn run_context(
-        ctx: &SearchContext<'_>,
-        strategy: ExpandStrategy,
-        max_candidates: usize,
-        top_j_mode: bool,
-        parallelism: usize,
-        ticker: &mut BudgetTicker,
-    ) -> BudgetedRun {
-        let start = Instant::now();
-        let mut stats = SearchStats {
-            kt_core_vertices: ctx.core_size(),
-            kt_core_edges: ctx.core_edges(),
-            dominance_tests: ctx.gd.tests_performed(),
-            memory_bytes: ctx.gd.memory_bytes(),
-            ..SearchStats::default()
-        };
-
-        // --- Expand (Algorithm 4), charged as one lump up front ---
-        if !ticker.charge(ctx.core_size() as u64) {
-            stats.elapsed_seconds = start.elapsed().as_secs_f64();
-            return BudgetedRun {
-                result: MacSearchResult {
-                    cells: Vec::new(),
-                    stats,
-                },
-                completed: false,
-                explored: 0,
-                remaining: 1,
-            };
-        }
-        let candidates = Self::expand(ctx, strategy, max_candidates);
-        stats.candidates_generated = candidates.len();
-        let total = candidates.len() as u64;
-
-        // --- Verify (Algorithm 5) ---
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
-        let mut out_cells: Vec<CellResult> = Vec::new();
-        let mut explored = 0u64;
-        let mut completed = true;
-        // Only an unlimited ticker fans out: a limited one verifies serially
-        // so that an exhausted run leaves a prefix of the full answer.
-        let workers = if ticker.is_unlimited() && parallelism != 1 {
-            let distinct: HashSet<&Vec<u32>> = candidates.iter().collect();
-            Self::resolved_verify_workers(parallelism, distinct.len())
-        } else {
-            1
-        };
-        if workers <= 1 {
-            for (i, cand) in candidates.into_iter().enumerate() {
-                // One candidate's verification is roughly linear in its size;
-                // charge it at the boundary so exhaustion drops it whole.
-                if !ticker.charge(cand.len() as u64 + 1) {
-                    completed = false;
-                    break;
-                }
-                explored = i as u64 + 1;
-                if !seen.insert(cand.clone()) {
-                    continue;
-                }
-                Self::verify_candidate(ctx, &cand, top_j_mode, &mut stats, &mut out_cells);
-            }
-        } else {
-            // An unlimited ticker cannot exhaust, so the fan-out charges the
-            // whole verification up front and never stops early.
-            ticker.charge(candidates.iter().map(|c| c.len() as u64 + 1).sum());
-            explored = total;
-            // Deduplicate up front, keeping first-occurrence order: the
-            // serial loop skips repeats in place, so the unique sequence is
-            // the work list either way.
-            let unique: Vec<Vec<u32>> = candidates
-                .into_iter()
-                .filter(|cand| seen.insert(cand.clone()))
-                .collect();
-            stats.parallel_workers = workers;
-            let cursor = AtomicUsize::new(0);
-            // Each worker yields its (candidate index, cells) batches plus a
-            // private stats accumulator to fold after the join.
-            type WorkerYield = (Vec<(usize, Vec<CellResult>)>, SearchStats);
-            let per_worker: Vec<WorkerYield> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local_stats = SearchStats::default();
-                            let mut produced: Vec<(usize, Vec<CellResult>)> = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(cand) = unique.get(i) else { break };
-                                let mut cells = Vec::new();
-                                Self::verify_candidate(
-                                    ctx,
-                                    cand,
-                                    top_j_mode,
-                                    &mut local_stats,
-                                    &mut cells,
-                                );
-                                produced.push((i, cells));
-                            }
-                            (produced, local_stats)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("local verification worker panicked"))
-                    .collect()
-            });
-            // Reassemble in candidate order: slot i holds candidate i's cells.
-            let mut slots: Vec<Option<Vec<CellResult>>> = (0..unique.len()).map(|_| None).collect();
-            for (produced, worker_stats) in per_worker {
-                // Workers start from zeroed stats, so the fold only adds the
-                // verification counters (candidates_generated stays 0 there).
-                stats.merge_worker(&worker_stats);
-                for (i, cells) in produced {
-                    slots[i] = Some(cells);
-                }
-            }
-            for slot in slots {
-                out_cells.extend(slot.unwrap_or_default());
-            }
-        }
-
+    // --- Expand (Algorithm 4), charged as one lump up front ---
+    if !ticker.charge(ctx.core_size() as u64) {
         stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        BudgetedRun {
+        return BudgetedRun {
             result: MacSearchResult {
-                cells: out_cells,
+                cells: Vec::new(),
                 stats,
             },
-            completed,
-            explored,
-            remaining: total - explored,
-        }
+            completed: false,
+            explored: 0,
+            remaining: 1,
+        };
     }
+    let candidates = expand(ctx, strategy, max_candidates);
+    stats.candidates_generated = candidates.len();
+    let total = candidates.len() as u64;
 
-    /// Algorithm 4: best-first expansion from `Q` collecting candidate
-    /// communities (each a connected k-core containing `Q`).
-    ///
-    /// As suggested by the paper (Algorithm 4, line 1), in addition to the
-    /// plain expansion starting from `Q` we also run one expansion per
-    /// neighbour of `Q`, seeding `V_H = Q ∪ {v}`; this diversifies candidates
-    /// when several disjoint communities surround the query vertices.
-    fn expand(
-        ctx: &SearchContext<'_>,
-        strategy: ExpandStrategy,
-        max_candidates: usize,
-    ) -> Vec<Vec<u32>> {
-        let graph = &ctx.local_graph;
-        let mut seeds: Vec<Option<u32>> = vec![None];
-        let mut seen_seed: HashSet<u32> = HashSet::new();
-        for &qv in &ctx.local_q {
-            for &nb in graph.neighbors(qv) {
-                if !ctx.local_q.contains(&nb) && seen_seed.insert(nb) {
-                    seeds.push(Some(nb));
-                }
-            }
-        }
-        let mut candidates: Vec<Vec<u32>> = Vec::new();
-        for seed in seeds {
-            if candidates.len() >= max_candidates {
+    // --- Verify (Algorithm 5) ---
+    let mut seen: HashSet<Vec<u32>> = HashSet::new();
+    let mut out_cells: Vec<CellResult> = Vec::new();
+    let mut explored = 0u64;
+    let mut completed = true;
+    // Only an unlimited ticker fans out: a limited one verifies serially
+    // so that an exhausted run leaves a prefix of the full answer.
+    let workers = if ticker.is_unlimited() && parallelism != 1 {
+        let distinct: HashSet<&Vec<u32>> = candidates.iter().collect();
+        // One worker per distinct candidate at most.
+        resolve_workers(parallelism, distinct.len())
+    } else {
+        1
+    };
+    if workers <= 1 {
+        for (i, cand) in candidates.into_iter().enumerate() {
+            // One candidate's verification is roughly linear in its size;
+            // charge it at the boundary so exhaustion drops it whole.
+            if !ticker.charge(cand.len() as u64 + 1) {
+                completed = false;
                 break;
             }
-            let budget = max_candidates - candidates.len();
-            candidates.extend(Self::expand_once(ctx, strategy, seed, budget));
+            explored = i as u64 + 1;
+            if !seen.insert(cand.clone()) {
+                continue;
+            }
+            verify_candidate(ctx, &cand, &mut stats, &mut out_cells);
         }
-        candidates
+    } else {
+        // An unlimited ticker cannot exhaust, so the fan-out charges the
+        // whole verification up front and never stops early.
+        ticker.charge(candidates.iter().map(|c| c.len() as u64 + 1).sum());
+        explored = total;
+        // Deduplicate up front, keeping first-occurrence order: the
+        // serial loop skips repeats in place, so the unique sequence is
+        // the work list either way.
+        let unique: Vec<Vec<u32>> = candidates
+            .into_iter()
+            .filter(|cand| seen.insert(cand.clone()))
+            .collect();
+        stats.parallel_workers = workers;
+        let cursor = AtomicUsize::new(0);
+        // Each worker yields its (candidate index, cells) batches plus a
+        // private stats accumulator to fold after the join.
+        type WorkerYield = (Vec<(usize, Vec<CellResult>)>, SearchStats);
+        let per_worker: Vec<WorkerYield> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut local_stats = SearchStats::default();
+                        let mut produced: Vec<(usize, Vec<CellResult>)> = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(cand) = unique.get(i) else { break };
+                            let mut cells = Vec::new();
+                            verify_candidate(ctx, cand, &mut local_stats, &mut cells);
+                            produced.push((i, cells));
+                        }
+                        (produced, local_stats)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("local verification worker panicked"))
+                .collect()
+        });
+        // Reassemble in candidate order: slot i holds candidate i's cells.
+        let mut slots: Vec<Option<Vec<CellResult>>> = (0..unique.len()).map(|_| None).collect();
+        for (produced, worker_stats) in per_worker {
+            // Workers start from zeroed stats, so the fold only adds the
+            // verification counters (candidates_generated stays 0 there).
+            stats.merge_worker(&worker_stats);
+            for (i, cells) in produced {
+                slots[i] = Some(cells);
+            }
+        }
+        for slot in slots {
+            out_cells.extend(slot.unwrap_or_default());
+        }
     }
 
-    /// One best-first expansion run, optionally seeded with an extra vertex.
-    fn expand_once(
-        ctx: &SearchContext<'_>,
-        strategy: ExpandStrategy,
-        extra_seed: Option<u32>,
-        budget: usize,
-    ) -> Vec<Vec<u32>> {
-        let n = ctx.core_size();
-        let k = ctx.query.k;
-        let graph = &ctx.local_graph;
-        let zeta_layer = ctx.gd.max_layer() as f64 + 1.0;
+    stats.elapsed_seconds = start.elapsed().as_secs_f64();
+    BudgetedRun {
+        result: MacSearchResult {
+            cells: out_cells,
+            stats,
+        },
+        completed,
+        explored,
+        remaining: total - explored,
+    }
+}
 
-        let mut in_h = vec![false; n];
-        let mut deg_in_h = vec![0u32; n];
-        let mut members: Vec<u32> = Vec::new();
-        for &qv in ctx.local_q.iter().chain(extra_seed.iter()) {
-            if !in_h[qv as usize] {
-                in_h[qv as usize] = true;
-                members.push(qv);
+/// Algorithm 4: best-first expansion from `Q` collecting candidate
+/// communities (each a connected k-core containing `Q`).
+///
+/// As suggested by the paper (Algorithm 4, line 1), in addition to the
+/// plain expansion starting from `Q` we also run one expansion per
+/// neighbour of `Q`, seeding `V_H = Q ∪ {v}`; this diversifies candidates
+/// when several disjoint communities surround the query vertices.
+fn expand(
+    ctx: &SearchContext<'_>,
+    strategy: ExpandStrategy,
+    max_candidates: usize,
+) -> Vec<Vec<u32>> {
+    let graph = &ctx.local_graph;
+    let mut seeds: Vec<Option<u32>> = vec![None];
+    let mut seen_seed: HashSet<u32> = HashSet::new();
+    for &qv in &ctx.local_q {
+        for &nb in graph.neighbors(qv) {
+            if !ctx.local_q.contains(&nb) && seen_seed.insert(nb) {
+                seeds.push(Some(nb));
             }
         }
-        // deg_in_h[x] = number of neighbours of x currently inside H, for
-        // members (their within-H degree) and frontier vertices alike.
-        for &m in &members {
-            for &nb in graph.neighbors(m) {
-                deg_in_h[nb as usize] += 1;
+    }
+    let mut candidates: Vec<Vec<u32>> = Vec::new();
+    for seed in seeds {
+        if candidates.len() >= max_candidates {
+            break;
+        }
+        let budget = max_candidates - candidates.len();
+        candidates.extend(expand_once(ctx, strategy, seed, budget));
+    }
+    candidates
+}
+
+/// One best-first expansion run, optionally seeded with an extra vertex.
+fn expand_once(
+    ctx: &SearchContext<'_>,
+    strategy: ExpandStrategy,
+    extra_seed: Option<u32>,
+    budget: usize,
+) -> Vec<Vec<u32>> {
+    let n = ctx.core_size();
+    let k = ctx.query.k;
+    let graph = &ctx.local_graph;
+    let zeta_layer = ctx.gd.max_layer() as f64 + 1.0;
+
+    let mut in_h = vec![false; n];
+    let mut deg_in_h = vec![0u32; n];
+    let mut members: Vec<u32> = Vec::new();
+    for &qv in ctx.local_q.iter().chain(extra_seed.iter()) {
+        if !in_h[qv as usize] {
+            in_h[qv as usize] = true;
+            members.push(qv);
+        }
+    }
+    // deg_in_h[x] = number of neighbours of x currently inside H, for
+    // members (their within-H degree) and frontier vertices alike.
+    for &m in &members {
+        for &nb in graph.neighbors(m) {
+            deg_in_h[nb as usize] += 1;
+        }
+    }
+
+    let record_if_core = |members: &[u32], deg_in_h: &[u32], cands: &mut Vec<Vec<u32>>| {
+        let min_deg = members
+            .iter()
+            .map(|&m| deg_in_h[m as usize])
+            .min()
+            .unwrap_or(0);
+        if min_deg >= k && !members.is_empty() {
+            let mut c: Vec<u32> = members.to_vec();
+            c.sort_unstable();
+            cands.push(c);
+        }
+    };
+    let mut candidates: Vec<Vec<u32>> = Vec::new();
+    record_if_core(&members, &deg_in_h, &mut candidates);
+
+    // Lazy best-first frontier: priorities are recomputed on pop.
+    let mut frontier: HashSet<u32> = HashSet::new();
+    for &m in &members {
+        for &nb in graph.neighbors(m) {
+            if !in_h[nb as usize] {
+                frontier.insert(nb);
             }
         }
+    }
 
-        let record_if_core = |members: &[u32], deg_in_h: &[u32], cands: &mut Vec<Vec<u32>>| {
-            let min_deg = members
+    while candidates.len() < budget && members.len() < n {
+        // Pick the frontier vertex with the best priority f(v).
+        let best = frontier
+            .iter()
+            .copied()
+            .map(|v| {
+                (
+                    priority(ctx, strategy, v, &members, &deg_in_h, zeta_layer),
+                    v,
+                )
+            })
+            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+        let Some((_, v)) = best else { break };
+        frontier.remove(&v);
+        in_h[v as usize] = true;
+        members.push(v);
+        for &nb in graph.neighbors(v) {
+            deg_in_h[nb as usize] += 1;
+            if !in_h[nb as usize] {
+                frontier.insert(nb);
+            }
+        }
+        record_if_core(&members, &deg_in_h, &mut candidates);
+    }
+    candidates
+}
+
+/// Priority `f(v)` of a frontier vertex (Eq. 3 / Eq. 4).
+fn priority(
+    ctx: &SearchContext<'_>,
+    strategy: ExpandStrategy,
+    v: u32,
+    members: &[u32],
+    deg_in_h: &[u32],
+    zeta_layer: f64,
+) -> f64 {
+    let f3 = zeta_layer - ctx.gd.layer(v as usize) as f64;
+    match strategy {
+        ExpandStrategy::DegreeDriven { lambda } => {
+            let f2 = deg_in_h[v as usize] as f64;
+            lambda * f2 + f3
+        }
+        ExpandStrategy::MinDegreeDriven { zeta } => {
+            let graph = &ctx.local_graph;
+            let current_min = members
                 .iter()
                 .map(|&m| deg_in_h[m as usize])
                 .min()
                 .unwrap_or(0);
-            if min_deg >= k && !members.is_empty() {
-                let mut c: Vec<u32> = members.to_vec();
-                c.sort_unstable();
-                cands.push(c);
-            }
-        };
-        let mut candidates: Vec<Vec<u32>> = Vec::new();
-        record_if_core(&members, &deg_in_h, &mut candidates);
-
-        // Lazy best-first frontier: priorities are recomputed on pop.
-        let mut frontier: HashSet<u32> = HashSet::new();
-        for &m in &members {
-            for &nb in graph.neighbors(m) {
-                if !in_h[nb as usize] {
-                    frontier.insert(nb);
-                }
-            }
-        }
-
-        while candidates.len() < budget && members.len() < n {
-            // Pick the frontier vertex with the best priority f(v).
-            let best = frontier
+            let new_min = members
                 .iter()
-                .copied()
-                .map(|v| {
-                    (
-                        Self::priority(ctx, strategy, v, &members, &deg_in_h, zeta_layer),
-                        v,
-                    )
-                })
-                .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-            let Some((_, v)) = best else { break };
-            frontier.remove(&v);
-            in_h[v as usize] = true;
-            members.push(v);
-            for &nb in graph.neighbors(v) {
-                deg_in_h[nb as usize] += 1;
-                if !in_h[nb as usize] {
-                    frontier.insert(nb);
-                }
-            }
-            record_if_core(&members, &deg_in_h, &mut candidates);
-        }
-        candidates
-    }
-
-    /// Priority `f(v)` of a frontier vertex (Eq. 3 / Eq. 4).
-    fn priority(
-        ctx: &SearchContext<'_>,
-        strategy: ExpandStrategy,
-        v: u32,
-        members: &[u32],
-        deg_in_h: &[u32],
-        zeta_layer: f64,
-    ) -> f64 {
-        let f3 = zeta_layer - ctx.gd.layer(v as usize) as f64;
-        match strategy {
-            ExpandStrategy::DegreeDriven { lambda } => {
-                let f2 = deg_in_h[v as usize] as f64;
-                lambda * f2 + f3
-            }
-            ExpandStrategy::MinDegreeDriven { zeta } => {
-                let graph = &ctx.local_graph;
-                let current_min = members
-                    .iter()
-                    .map(|&m| deg_in_h[m as usize])
-                    .min()
-                    .unwrap_or(0);
-                let new_min = members
-                    .iter()
-                    .map(|&m| deg_in_h[m as usize] + u32::from(graph.has_edge(m, v)))
-                    .chain(std::iter::once(deg_in_h[v as usize]))
-                    .min()
-                    .unwrap_or(0);
-                let f1 = if new_min > current_min { 1.0 } else { 0.0 };
-                zeta * f1 + f3
-            }
+                .map(|&m| deg_in_h[m as usize] + u32::from(graph.has_edge(m, v)))
+                .chain(std::iter::once(deg_in_h[v as usize]))
+                .min()
+                .unwrap_or(0);
+            let f1 = if new_min > current_min { 1.0 } else { 0.0 };
+            zeta * f1 + f3
         }
     }
+}
 
-    /// Algorithm 5: verification of one candidate against `G_d`.
-    ///
-    /// Returns the sub-partitions of `R` (with sample weights) where the
-    /// candidate is the non-contained MAC.
-    fn verify(
-        ctx: &SearchContext<'_>,
-        cand: &[u32],
-        stats: &mut SearchStats,
-    ) -> Vec<(Cell, Vec<f64>)> {
-        let n = ctx.core_size();
-        let k = ctx.query.k;
-        let q = &ctx.local_q;
+/// Algorithm 5: verification of one candidate against `G_d`.
+///
+/// Returns the sub-partitions of `R` (with sample weights) where the
+/// candidate is the non-contained MAC.
+fn verify(ctx: &SearchContext<'_>, cand: &[u32], stats: &mut SearchStats) -> Vec<(Cell, Vec<f64>)> {
+    let n = ctx.core_size();
+    let k = ctx.query.k;
+    let q = &ctx.local_q;
 
-        let mut in_h = vec![false; n];
-        for &v in cand {
-            in_h[v as usize] = true;
-        }
-        let out_mask: Vec<bool> = (0..n).map(|v| !in_h[v]).collect();
+    let mut in_h = vec![false; n];
+    for &v in cand {
+        in_h[v as usize] = true;
+    }
+    let out_mask: Vec<bool> = (0..n).map(|v| !in_h[v]).collect();
 
-        // If the candidate is the entire (k,t)-core there is nothing to beat:
-        // it is the non-contained MAC wherever no proper sub-community wins,
-        // which the sample-point oracle below settles directly.
-        // --- Corollary 2: structural feasibility of removing everything outside H ---
-        // U = vertices outside H that r-dominate some member of H; they can
-        // only leave through structural cascades.
-        let mut dominates_member = vec![false; n];
-        for &h in cand {
-            for u in ctx.gd.dominators(h as usize).iter() {
-                dominates_member[u] = true;
-            }
+    // If the candidate is the entire (k,t)-core there is nothing to beat:
+    // it is the non-contained MAC wherever no proper sub-community wins,
+    // which the sample-point oracle below settles directly.
+    // --- Corollary 2: structural feasibility of removing everything outside H ---
+    // U = vertices outside H that r-dominate some member of H; they can
+    // only leave through structural cascades.
+    let mut dominates_member = vec![false; n];
+    for &h in cand {
+        for u in ctx.gd.dominators(h as usize).iter() {
+            dominates_member[u] = true;
         }
-        let free: Vec<u32> = (0..n as u32)
-            .filter(|&v| out_mask[v as usize] && !dominates_member[v as usize])
-            .collect();
-        // Simulate deleting the freely deletable vertices; everything outside H
-        // must disappear through this cascade, otherwise H is unreachable.
-        let mut sim = SubgraphView::full(&ctx.local_graph);
-        for &v in &free {
-            if sim.is_alive(v) {
-                sim.delete_cascade(v, k);
-            }
+    }
+    let free: Vec<u32> = (0..n as u32)
+        .filter(|&v| out_mask[v as usize] && !dominates_member[v as usize])
+        .collect();
+    // Simulate deleting the freely deletable vertices; everything outside H
+    // must disappear through this cascade, otherwise H is unreachable.
+    let mut sim = SubgraphView::full(&ctx.local_graph);
+    for &v in &free {
+        if sim.is_alive(v) {
+            sim.delete_cascade(v, k);
         }
-        let mut structurally_bound: Vec<bool> = vec![false; n];
-        for v in 0..n as u32 {
-            if out_mask[v as usize] && dominates_member[v as usize] && !sim.is_alive(v) {
-                structurally_bound[v as usize] = true;
-            }
+    }
+    let mut structurally_bound: Vec<bool> = vec![false; n];
+    for v in 0..n as u32 {
+        if out_mask[v as usize] && dominates_member[v as usize] && !sim.is_alive(v) {
+            structurally_bound[v as usize] = true;
         }
-        if (0..n).any(|v| out_mask[v] && dominates_member[v] && sim.is_alive(v as u32)) {
-            return Vec::new();
-        }
+    }
+    if (0..n).any(|v| out_mask[v] && dominates_member[v] && sim.is_alive(v as u32)) {
+        return Vec::new();
+    }
 
-        // --- Competitors (Corollary 3) ---
-        let lb_ge: Vec<usize> = ctx.gd.leaves_within(&in_h);
-        let mut gc_mask = out_mask.clone();
-        for v in 0..n {
-            if structurally_bound[v] {
-                gc_mask[v] = false;
-            }
+    // --- Competitors (Corollary 3) ---
+    let lb_ge: Vec<usize> = ctx.gd.leaves_within(&in_h);
+    let mut gc_mask = out_mask.clone();
+    for v in 0..n {
+        if structurally_bound[v] {
+            gc_mask[v] = false;
         }
-        let lt_gc: Vec<usize> = ctx.gd.top_within(&gc_mask);
+    }
+    let lt_gc: Vec<usize> = ctx.gd.top_within(&gc_mask);
 
-        // Anchors (Lemma 8): non-query leaf vertices of Ge whose removal keeps
-        // a connected k-core containing Q inside H. One view probed behind
-        // checkpoints — no per-anchor clone.
-        let mut h_view = SubgraphView::from_vertices(&ctx.local_graph, cand);
-        let mut anchors: Vec<usize> = Vec::new();
-        for &v in &lb_ge {
-            if q.contains(&(v as u32)) {
-                continue;
-            }
-            let cp = h_view.checkpoint();
-            h_view.delete_cascade_logged(v as u32, k);
-            let ok =
-                q.iter().all(|&qv| h_view.is_alive(qv)) && h_view.has_connected_k_core_with(k, q);
-            h_view.rollback(cp);
-            if ok {
-                anchors.push(v);
-            }
+    // Anchors (Lemma 8): non-query leaf vertices of Ge whose removal keeps
+    // a connected k-core containing Q inside H. One view probed behind
+    // checkpoints — no per-anchor clone.
+    let mut h_view = SubgraphView::from_vertices(&ctx.local_graph, cand);
+    let mut anchors: Vec<usize> = Vec::new();
+    for &v in &lb_ge {
+        if q.contains(&(v as u32)) {
+            continue;
         }
+        let cp = h_view.checkpoint();
+        h_view.delete_cascade_logged(v as u32, k);
+        let ok = q.iter().all(|&qv| h_view.is_alive(qv)) && h_view.has_connected_k_core_with(k, q);
+        h_view.rollback(cp);
+        if ok {
+            anchors.push(v);
+        }
+    }
 
-        // Constraint half-spaces: every bottom-layer member of Ge must beat
-        // every effective top-layer vertex of Gc, and every anchor must beat
-        // the other leaves of Ge.
-        let mut halfspaces: Vec<HalfSpace> = Vec::new();
+    // Constraint half-spaces: every bottom-layer member of Ge must beat
+    // every effective top-layer vertex of Gc, and every anchor must beat
+    // the other leaves of Ge.
+    let mut halfspaces: Vec<HalfSpace> = Vec::new();
+    for &x in &lb_ge {
+        for &y in &lt_gc {
+            halfspaces.push(HalfSpace::score_at_least(&ctx.attrs[x], &ctx.attrs[y]));
+        }
+    }
+    for &a in &anchors {
         for &x in &lb_ge {
-            for &y in &lt_gc {
-                halfspaces.push(HalfSpace::score_at_least(&ctx.attrs[x], &ctx.attrs[y]));
+            if x != a {
+                halfspaces.push(HalfSpace::score_at_least(&ctx.attrs[a], &ctx.attrs[x]));
             }
         }
-        for &a in &anchors {
-            for &x in &lb_ge {
-                if x != a {
-                    halfspaces.push(HalfSpace::score_at_least(&ctx.attrs[a], &ctx.attrs[x]));
-                }
-            }
-        }
-        stats.halfspaces_computed += halfspaces.len();
-
-        // Arrangement of the competitor half-spaces inside R, keeping the
-        // cells where every constraint holds.
-        let base = Cell::from_region(&ctx.query.region);
-        let mut tree = PartitionTree::new(base);
-        for hs in &halfspaces {
-            tree.insert(hs);
-            stats.halfspace_insertions += 1;
-        }
-        stats.memory_bytes = stats
-            .memory_bytes
-            .max(ctx.gd.memory_bytes() + tree.memory_bytes());
-
-        let mut results = Vec::new();
-        let leaves = tree.leaves();
-        stats.partitions_explored += leaves.len();
-        for cell in leaves {
-            let Some(sample) = cell.sample_point() else {
-                continue;
-            };
-            // Within a leaf no constraint half-space straddles, so checking the
-            // sample point checks the whole cell.
-            if !halfspaces.iter().all(|hs| hs.contains(&sample)) {
-                continue;
-            }
-            // Final confirmation against the fixed-weight peeling oracle.
-            let oracle = peel_at_weight(ctx, &sample);
-            if oracle.final_vertices == cand {
-                results.push((cell.clone(), sample));
-            }
-        }
-        results
     }
+    stats.halfspaces_computed += halfspaces.len();
+
+    // Arrangement of the competitor half-spaces inside R, keeping the
+    // cells where every constraint holds.
+    let base = Cell::from_region(&ctx.query.region);
+    let mut tree = PartitionTree::new(base);
+    for hs in &halfspaces {
+        tree.insert(hs);
+        stats.halfspace_insertions += 1;
+    }
+    stats.memory_bytes = stats
+        .memory_bytes
+        .max(ctx.gd.memory_bytes() + tree.memory_bytes());
+
+    let mut results = Vec::new();
+    let leaves = tree.leaves();
+    stats.partitions_explored += leaves.len();
+    for cell in leaves {
+        let Some(sample) = cell.sample_point() else {
+            continue;
+        };
+        // Within a leaf no constraint half-space straddles, so checking the
+        // sample point checks the whole cell.
+        if !halfspaces.iter().all(|hs| hs.contains(&sample)) {
+            continue;
+        }
+        // Final confirmation against the fixed-weight peeling oracle.
+        let oracle = peel_at_weight(ctx, &sample);
+        if oracle.final_vertices == cand {
+            results.push((cell.clone(), sample));
+        }
+    }
+    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalSearch;
+    use crate::engine::{AlgorithmChoice, MacEngine};
+    use crate::network::RoadSocialNetwork;
+    use crate::policy::ExecutionPolicy;
+    use crate::query::MacQuery;
+    use crate::result::MacSearchResult;
     use rsn_geom::region::PrefRegion;
     use rsn_graph::graph::Graph;
     use rsn_road::network::{Location, RoadNetwork};
@@ -653,15 +551,37 @@ mod tests {
         RoadSocialNetwork::new(social, road, locations, attrs).unwrap()
     }
 
+    /// Runs `query` with `algorithm` on a fresh session (cache off, fresh
+    /// scratch) of an uncalibrated engine under `policy`.
+    fn run(
+        rsn: &RoadSocialNetwork,
+        query: &MacQuery,
+        algorithm: AlgorithmChoice,
+        policy: ExecutionPolicy,
+    ) -> MacSearchResult {
+        MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+            .session()
+            .execute(&query.clone().with_algorithm(algorithm))
+            .unwrap()
+    }
+
+    fn ls(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
+        run(rsn, query, AlgorithmChoice::Local, ExecutionPolicy::new())
+    }
+
     #[test]
     fn ls_nc_results_are_valid_and_subset_of_global() {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0, 1], 3, 10.0, region);
 
-        let ls = LocalSearch::new(&rsn, &query);
-        let local = ls.run_non_contained().unwrap();
-        let global = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let local = ls(&rsn, &query);
+        let global = run(
+            &rsn,
+            &query,
+            AlgorithmChoice::Global,
+            ExecutionPolicy::new(),
+        );
 
         assert!(!local.is_empty(), "local search should find communities");
         let global_distinct: Vec<Vec<u32>> = global
@@ -684,8 +604,8 @@ mod tests {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0, 1], 3, 10.0, region);
-        let ls = LocalSearch::new(&rsn, &query).with_max_candidates(16);
-        let result = ls.run_non_contained().unwrap();
+        let policy = ExecutionPolicy::new().with_max_candidates(16);
+        let result = run(&rsn, &query, AlgorithmChoice::Local, policy);
         let distinct: Vec<Vec<u32>> = result
             .distinct_communities()
             .iter()
@@ -700,8 +620,7 @@ mod tests {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0, 1], 3, 10.0, region).with_top_j(2);
-        let ls = LocalSearch::new(&rsn, &query);
-        let result = ls.run_top_j().unwrap();
+        let result = ls(&rsn, &query);
         assert!(!result.is_empty());
         for cell in &result.cells {
             assert!(cell.communities.len() <= 2);
@@ -720,8 +639,8 @@ mod tests {
             ExpandStrategy::DegreeDriven { lambda: 10.0 },
             ExpandStrategy::MinDegreeDriven { zeta: 100.0 },
         ] {
-            let ls = LocalSearch::new(&rsn, &query).with_strategy(strategy);
-            let result = ls.run_non_contained().unwrap();
+            let policy = ExecutionPolicy::new().with_expand_strategy(strategy);
+            let result = run(&rsn, &query, AlgorithmChoice::Local, policy);
             assert!(!result.is_empty(), "strategy {strategy:?} found nothing");
         }
     }
@@ -730,30 +649,15 @@ mod tests {
     fn parallel_verification_matches_serial_exactly() {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
-        for (query, top_j) in [
-            (MacQuery::new(vec![0, 1], 3, 10.0, region.clone()), false),
-            (
-                MacQuery::new(vec![0, 1], 3, 10.0, region).with_top_j(2),
-                true,
-            ),
-        ] {
-            let serial_ls = LocalSearch::new(&rsn, &query).with_max_candidates(16);
-            let serial = if top_j {
-                serial_ls.run_top_j()
-            } else {
-                serial_ls.run_non_contained()
-            }
-            .unwrap();
+        // j = 1 is Problem 2 (LS-NC), j = 2 Problem 1 (LS-T).
+        for j in [1usize, 2] {
+            let query = MacQuery::new(vec![0, 1], 3, 10.0, region.clone()).with_top_j(j);
+            let serial_policy = ExecutionPolicy::new().with_max_candidates(16);
+            let serial = run(&rsn, &query, AlgorithmChoice::Local, serial_policy);
             let policy = ExecutionPolicy::new()
                 .with_parallelism(3)
                 .with_max_candidates(16);
-            let parallel_ls = LocalSearch::new(&rsn, &query).with_policy(&policy);
-            let parallel = if top_j {
-                parallel_ls.run_top_j()
-            } else {
-                parallel_ls.run_non_contained()
-            }
-            .unwrap();
+            let parallel = run(&rsn, &query, AlgorithmChoice::Local, policy);
             assert_eq!(serial.cells.len(), parallel.cells.len());
             for (a, b) in serial.cells.iter().zip(&parallel.cells) {
                 assert_eq!(a.sample_weight, b.sample_weight);
@@ -781,7 +685,7 @@ mod tests {
         let rsn = network();
         let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
         let query = MacQuery::new(vec![0], 5, 10.0, region);
-        let result = LocalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let result = ls(&rsn, &query);
         assert!(result.is_empty());
     }
 }

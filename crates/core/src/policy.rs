@@ -2,10 +2,9 @@
 //!
 //! An [`ExecutionPolicy`] gathers every knob that selects *how* queries
 //! execute — which algorithm answers them, which range-filter strategy, how
-//! many worker threads the global search fans out over, whether idle workers
-//! steal pending subtrees, the local framework's candidate strategy and
-//! budget, and the default [`QueryBudget`] — into one builder-style value
-//! with three override layers:
+//! many worker threads a query fans out over, the local framework's
+//! candidate strategy and budget, and the default [`QueryBudget`] — into one
+//! builder-style value with three override layers:
 //!
 //! 1. **Engine**: [`MacEngine::build_with_policy`](crate::engine::MacEngine::build_with_policy)
 //!    bakes a policy into the engine; every [`session`](crate::engine::MacEngine::session)
@@ -19,8 +18,8 @@
 //!    overrides the default budget for one query.
 //!
 //! Every policy produces **identical answers** for the algorithm the query
-//! resolves to: parallelism, work stealing, the filter strategy, and the
-//! candidate knobs change speed, never results (the parallel global search is
+//! resolves to: parallelism, the filter strategy, and the candidate knobs
+//! change speed, never results (the parallel global search is
 //! property-tested cell-identical to the serial one). The one caveat is
 //! [`algorithm`](ExecutionPolicy::algorithm): `Global` and `Local` answers
 //! may legitimately differ (the local framework is a heuristic), so layers
@@ -42,7 +41,6 @@
 //! # let rsn = rsn_core::RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
 //! let policy = ExecutionPolicy::new()
 //!     .with_parallelism(0)                 // all cores for the global search
-//!     .with_work_stealing(true)            // idle workers steal subtrees
 //!     .with_default_budget(QueryBudget::new().with_deadline(Duration::from_millis(50)));
 //! let engine = MacEngine::build_with_policy(rsn, policy);
 //! let mut session = engine.session();      // inherits the engine's policy
@@ -56,8 +54,8 @@ use crate::engine::AlgorithmChoice;
 use crate::local::ExpandStrategy;
 use rsn_road::rangefilter::RangeFilterChoice;
 
-/// How queries execute: algorithm and filter defaults, global-search
-/// parallelism, work stealing, local-framework knobs, and the default
+/// How queries execute: algorithm and filter defaults, parallelism,
+/// local-framework knobs, and the default
 /// [`QueryBudget`]. See the [module docs](self) for the engine → session →
 /// query override layering.
 #[derive(Debug, Clone)]
@@ -72,16 +70,14 @@ pub struct ExecutionPolicy {
     /// (the default) resolves through the calibrated crossover rule. All
     /// strategies return identical user sets; this only affects speed.
     pub filter: RangeFilterChoice,
-    /// Worker threads for the global search: `1` = serial (the default),
-    /// `0` = one per available core. Serving deployments that already run
-    /// one session per core usually keep `1`; parallelism pays off for
-    /// latency-critical single queries on otherwise idle cores.
+    /// Worker threads: `1` = serial (the default), `0` = one per available
+    /// core. The global search shares its arrangement subtrees among the
+    /// workers by work stealing; the local framework fans out candidate
+    /// verification; a batch spreads its distinct queries. Serving
+    /// deployments that already run one session per core usually keep `1`;
+    /// parallelism pays off for latency-critical single queries on otherwise
+    /// idle cores.
     pub parallelism: usize,
-    /// Whether idle global-search workers steal pending arrangement subtrees
-    /// from busy ones (on by default). With stealing off, work is statically
-    /// distributed over top-level cells, which can leave workers idle on
-    /// skewed arrangements. Results are identical either way.
-    pub work_stealing: bool,
     /// Candidate-selection strategy of the local framework.
     pub expand_strategy: ExpandStrategy,
     /// Candidate budget of the local framework (minimum 1).
@@ -99,7 +95,6 @@ impl Default for ExecutionPolicy {
             algorithm: AlgorithmChoice::Auto,
             filter: RangeFilterChoice::Auto,
             parallelism: 1,
-            work_stealing: true,
             expand_strategy: ExpandStrategy::default(),
             max_candidates: 12,
             default_budget: QueryBudget::unlimited(),
@@ -109,8 +104,7 @@ impl Default for ExecutionPolicy {
 
 impl ExecutionPolicy {
     /// The default policy: calibrated `Auto` algorithm and filter, serial
-    /// execution, work stealing armed (moot at parallelism 1), default local
-    /// knobs, unlimited budget.
+    /// execution, default local knobs, unlimited budget.
     pub fn new() -> Self {
         ExecutionPolicy::default()
     }
@@ -133,12 +127,6 @@ impl ExecutionPolicy {
         self
     }
 
-    /// Enables or disables work stealing between global-search workers.
-    pub fn with_work_stealing(mut self, on: bool) -> Self {
-        self.work_stealing = on;
-        self
-    }
-
     /// Sets the local framework's candidate-selection strategy.
     pub fn with_expand_strategy(mut self, strategy: ExpandStrategy) -> Self {
         self.expand_strategy = strategy;
@@ -158,6 +146,20 @@ impl ExecutionPolicy {
     }
 }
 
+/// Resolves a requested worker count (`0` = one per available core) against
+/// `cap` independent units of work: at least one worker, never more than
+/// `cap`. The one rule behind every parallel stage's fan-out width.
+pub(crate) fn resolve_workers(requested: usize, cap: usize) -> usize {
+    let requested = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    };
+    requested.min(cap).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +170,6 @@ mod tests {
         assert_eq!(p.algorithm, AlgorithmChoice::Auto);
         assert_eq!(p.filter, RangeFilterChoice::Auto);
         assert_eq!(p.parallelism, 1);
-        assert!(p.work_stealing);
         assert_eq!(p.max_candidates, 12);
         assert!(p.default_budget.is_unlimited());
     }
@@ -179,14 +180,21 @@ mod tests {
             .with_algorithm(AlgorithmChoice::Local)
             .with_filter(RangeFilterChoice::DijkstraSweep)
             .with_parallelism(4)
-            .with_work_stealing(false)
             .with_max_candidates(0) // clamped to 1
             .with_default_budget(QueryBudget::new().with_work_limit(10));
         assert_eq!(p.algorithm, AlgorithmChoice::Local);
         assert_eq!(p.filter, RangeFilterChoice::DijkstraSweep);
         assert_eq!(p.parallelism, 4);
-        assert!(!p.work_stealing);
         assert_eq!(p.max_candidates, 1);
         assert_eq!(p.default_budget.work_limit, Some(10));
+    }
+
+    #[test]
+    fn worker_count_is_at_least_one_and_capped() {
+        assert_eq!(resolve_workers(4, 2), 2);
+        assert_eq!(resolve_workers(3, usize::MAX), 3);
+        assert_eq!(resolve_workers(5, 0), 1);
+        assert_eq!(resolve_workers(1, 8), 1);
+        assert!(resolve_workers(0, usize::MAX) >= 1);
     }
 }

@@ -75,7 +75,7 @@ pub struct SearchStats {
     /// exploration ran serially on the calling thread).
     pub parallel_workers: usize,
     /// Number of in-flight DFS subtrees migrated between workers by the
-    /// work-stealing scheduler (0 for serial runs or static distribution).
+    /// work-stealing scheduler (0 for serial runs).
     pub tasks_stolen: usize,
     /// Elapsed wall-clock time in seconds.
     pub elapsed_seconds: f64,

@@ -22,9 +22,9 @@ use crate::context::{BuildOutcome, ContextParts, ContextScratch, SearchContext};
 use crate::ctxcache::{ContextCache, ContextCacheStats};
 use crate::engine::{AlgorithmChoice, MacEngine};
 use crate::error::MacError;
-use crate::global::{GlobalSearch, GsOptions, GsScratch};
-use crate::local::LocalSearch;
-use crate::policy::ExecutionPolicy;
+use crate::global::{self, GsScratch};
+use crate::local;
+use crate::policy::{resolve_workers, ExecutionPolicy};
 use crate::query::{MacQuery, QuerySignature};
 use crate::result::{
     MacSearchResult, PartialResult, QueryOutcome, QueryPhase, QueryProgress, SearchStats,
@@ -38,12 +38,13 @@ use std::time::Instant;
 
 /// A per-thread handle executing MAC queries against a prepared engine.
 ///
-/// Obtained from [`MacEngine::session`]. The entry points mirror the
-/// one-shot wrappers: [`execute`](Self::execute) infers the problem from the
-/// query's `j` (Problem 1 / top-j when `j > 1`, Problem 2 / non-contained
-/// otherwise); [`execute_non_contained`](Self::execute_non_contained) and
-/// [`execute_top_j`](Self::execute_top_j) select explicitly. Batch serving
-/// goes through [`execute_batch`](Self::execute_batch).
+/// Obtained from [`MacEngine::session`]. Every entry point derives the
+/// problem from the query's `j`: Problem 1 (the top-j MACs per partition)
+/// when `j > 1`, Problem 2 (the non-contained MAC) at `j = 1` — the two
+/// coincide there. [`execute`](Self::execute) answers exactly,
+/// [`execute_with_budget`](Self::execute_with_budget) degrades to a partial
+/// answer when its budget runs out, and [`execute_batch`](Self::execute_batch)
+/// serves many queries at once.
 #[derive(Debug)]
 pub struct QuerySession {
     engine: MacEngine,
@@ -56,8 +57,8 @@ pub struct QuerySession {
     /// and arrangement pools — reused across queries so a warmed query
     /// allocates nothing.
     gs_scratch: GsScratch,
-    /// How this session executes: algorithm/filter defaults, global-search
-    /// parallelism and work stealing, local-framework knobs, default budget.
+    /// How this session executes: algorithm/filter defaults, parallelism,
+    /// local-framework knobs, default budget.
     /// Seeded from the engine's policy at [`MacEngine::session`]; replaced
     /// wholesale by [`with_policy`](Self::with_policy).
     policy: ExecutionPolicy,
@@ -159,29 +160,12 @@ pub struct BatchStats {
     /// Number of queries served (including deduplicated ones).
     pub queries: usize,
     /// Queries answered by sharing an earlier in-batch result (exact
-    /// signature repeats; always 0 for budgeted batches, which never dedupe).
+    /// signature repeats).
     pub deduplicated: usize,
     /// Wall-clock seconds for the whole batch.
     pub elapsed_seconds: f64,
     /// Served queries per second (0.0 for an empty batch).
     pub queries_per_second: f64,
-}
-
-/// The outcome of one [`QuerySession::execute_batch_with_budget`] call.
-///
-/// Unlike the all-or-nothing [`execute_batch`](QuerySession::execute_batch),
-/// the budgeted batch degrades gracefully: every query gets its own slot, an
-/// invalid query or a contained panic records its error in place, and the
-/// batch keeps serving the remaining queries.
-#[derive(Debug)]
-pub struct BudgetedBatchOutcome {
-    /// Per-query outcomes, in input order. `Ok` carries a
-    /// [`QueryOutcome`] (complete or partial); `Err` records why that one
-    /// query failed without aborting the batch.
-    pub outcomes: Vec<Result<QueryOutcome, MacError>>,
-    /// Aggregate throughput statistics for the batch (counts every slot,
-    /// including failed ones).
-    pub stats: BatchStats,
 }
 
 impl QuerySession {
@@ -335,24 +319,13 @@ impl QuerySession {
         }
     }
 
-    /// Executes one query, resolving the algorithm and range-filter strategy
-    /// through the engine's calibration. The problem is inferred from the
-    /// query: top-j (Problem 1) when `j > 1`, non-contained MAC (Problem 2)
-    /// otherwise — the two coincide at `j = 1`.
+    /// Executes one query exactly, resolving the algorithm and range-filter
+    /// strategy through the engine's calibration. The problem follows the
+    /// query's `j`: top-j (Problem 1) when `j > 1`, non-contained MAC
+    /// (Problem 2) at `j = 1`. For Problem 2 on a `j > 1` query, pass
+    /// `query.clone().with_top_j(1)`.
     pub fn execute(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
-        self.run_guarded(query, query.j > 1, BudgetTicker::unlimited())
-            .map(QueryOutcome::into_result)
-    }
-
-    /// Executes one query as Problem 2: the non-contained MAC per partition.
-    pub fn execute_non_contained(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
-        self.run_guarded(query, false, BudgetTicker::unlimited())
-            .map(QueryOutcome::into_result)
-    }
-
-    /// Executes one query as Problem 1: the top-j MACs per partition.
-    pub fn execute_top_j(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
-        self.run_guarded(query, true, BudgetTicker::unlimited())
+        self.run_guarded(query, BudgetTicker::unlimited())
             .map(QueryOutcome::into_result)
     }
 
@@ -364,70 +337,19 @@ impl QuerySession {
     /// always yields [`QueryOutcome::Complete`] with a result identical to
     /// [`execute`](Self::execute).
     ///
-    /// The problem is inferred from the query's `j`, as in
+    /// The problem follows the query's `j`, as in
     /// [`execute`](Self::execute). `Err` is reserved for invalid queries and
-    /// contained panics — budget exhaustion is never an error here (see
-    /// [`execute_with_budget_strict`](Self::execute_with_budget_strict) for
-    /// the strict contract).
+    /// contained panics — budget exhaustion is never an error here; a caller
+    /// that would rather retry than serve a truncated answer matches on
+    /// [`QueryOutcome::Partial`]. A deadline or work limit is armed afresh
+    /// per call, so serving a batch under a per-query budget is a loop over
+    /// this method (a shared cancel flag still stops every query).
     pub fn execute_with_budget(
         &mut self,
         query: &MacQuery,
         budget: &QueryBudget,
     ) -> Result<QueryOutcome, MacError> {
-        self.run_guarded(query, query.j > 1, budget.arm())
-    }
-
-    /// Strict variant of [`execute_with_budget`](Self::execute_with_budget):
-    /// budget exhaustion is an error
-    /// ([`MacError::BudgetExhausted`])
-    /// instead of a partial answer. For callers that would rather retry with
-    /// a bigger budget than serve a truncated result.
-    pub fn execute_with_budget_strict(
-        &mut self,
-        query: &MacQuery,
-        budget: &QueryBudget,
-    ) -> Result<MacSearchResult, MacError> {
-        match self.execute_with_budget(query, budget)? {
-            QueryOutcome::Complete(result) => Ok(result),
-            QueryOutcome::Partial(partial) => Err(MacError::BudgetExhausted(partial.cause)),
-        }
-    }
-
-    /// Executes a batch of queries, arming `budget` afresh for each one
-    /// (per-query deadline/work-limit; a shared cancel flag stops the whole
-    /// batch cooperatively). Unlike [`execute_batch`](Self::execute_batch)
-    /// this never aborts early: an invalid query or a contained panic records
-    /// its error in its slot and serving continues with the next query.
-    ///
-    /// The budgeted batch runs its slots serially (deadlines are per-query
-    /// wall-clock limits — racing slots against each other would skew them);
-    /// inside each slot the session's [`ExecutionPolicy`] still applies, so a
-    /// parallel global search shares the armed ticker across its workers.
-    pub fn execute_batch_with_budget(
-        &mut self,
-        queries: &[MacQuery],
-        budget: &QueryBudget,
-    ) -> BudgetedBatchOutcome {
-        let start = Instant::now();
-        let mut outcomes = Vec::with_capacity(queries.len());
-        for query in queries {
-            outcomes.push(self.execute_with_budget(query, budget));
-        }
-        let elapsed_seconds = start.elapsed().as_secs_f64();
-        let queries_per_second = if queries.is_empty() {
-            0.0
-        } else {
-            queries.len() as f64 / elapsed_seconds.max(1e-12)
-        };
-        BudgetedBatchOutcome {
-            outcomes,
-            stats: BatchStats {
-                queries: queries.len(),
-                deduplicated: 0,
-                elapsed_seconds,
-                queries_per_second,
-            },
-        }
+        self.run_guarded(query, budget.arm())
     }
 
     /// Executes a batch of queries through this session's scratch, returning
@@ -471,7 +393,9 @@ impl QuerySession {
         let deduplicated = queries.len() - distinct.len();
         self.stats.batch_queries_deduped += deduplicated as u64;
 
-        let workers = self.resolved_batch_workers(distinct.len());
+        // At most one worker per distinct query; one worker is serial
+        // in-session execution.
+        let workers = resolve_workers(self.policy.parallelism, distinct.len());
         let mut executed: Vec<Option<MacSearchResult>> = if workers <= 1 {
             let mut out = Vec::with_capacity(distinct.len());
             for &qi in &distinct {
@@ -508,23 +432,6 @@ impl QuerySession {
                 queries_per_second,
             },
         })
-    }
-
-    /// Number of batch worker threads for `distinct` deduplicated queries
-    /// under this session's policy: `0` = all cores, never more than one
-    /// worker per distinct query, `1` = serial in-session execution.
-    fn resolved_batch_workers(&self, distinct: usize) -> usize {
-        if distinct <= 1 {
-            return 1;
-        }
-        let requested = if self.policy.parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.policy.parallelism
-        };
-        requested.max(1).min(distinct)
     }
 
     /// Parallel half of [`execute_batch`](Self::execute_batch): executes the
@@ -616,14 +523,6 @@ impl QuerySession {
         }
     }
 
-    /// The global-search options this session's policy selects.
-    fn gs_options(&self) -> GsOptions {
-        GsOptions {
-            parallelism: self.policy.parallelism,
-            work_stealing: self.policy.work_stealing,
-        }
-    }
-
     /// Panic-isolating wrapper around [`run`](Self::run). A panic escaping
     /// query execution is caught here; the session's scratch may have been
     /// mid-mutation, so it is poisoned-and-rebuilt (fresh buffers, one-time
@@ -634,12 +533,9 @@ impl QuerySession {
     fn run_guarded(
         &mut self,
         query: &MacQuery,
-        top_j_mode: bool,
         mut ticker: BudgetTicker,
     ) -> Result<QueryOutcome, MacError> {
-        let guarded = catch_unwind(AssertUnwindSafe(|| {
-            self.run(query, top_j_mode, &mut ticker)
-        }));
+        let guarded = catch_unwind(AssertUnwindSafe(|| self.run(query, &mut ticker)));
         let outcome = match guarded {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -682,7 +578,6 @@ impl QuerySession {
     fn run(
         &mut self,
         query: &MacQuery,
-        top_j_mode: bool,
         ticker: &mut BudgetTicker,
     ) -> Result<QueryOutcome, MacError> {
         let start = Instant::now();
@@ -697,7 +592,7 @@ impl QuerySession {
         // build path validates inside the core extraction; a cache hit skips
         // that stage, so the cached path validates explicitly (cheap,
         // O(|Q|)) to keep invalid queries an error either way.
-        let (ctx_key, cached) = if self.cache.is_some() {
+        let (mut ctx_key, cached) = if self.cache.is_some() {
             query.validate(rsn)?;
             self.take_cached_context(epoch.id(), query)
         } else {
@@ -717,8 +612,15 @@ impl QuerySession {
                     epoch.user_targets(),
                     &mut self.scratch,
                     ticker,
-                )?;
-                match built {
+                );
+                // No context reaches the cache on these paths; park the key
+                // husk for the next lookup so it is not reallocated.
+                if !matches!(built, Ok(BuildOutcome::Ready(_))) {
+                    if let Some(key) = ctx_key.take() {
+                        self.key_buf = Some(key);
+                    }
+                }
+                match built? {
                     BuildOutcome::Ready(ctx) => *ctx,
                     BuildOutcome::Empty => {
                         self.executed += 1;
@@ -747,11 +649,10 @@ impl QuerySession {
             // Verification fans out only under an unlimited ticker; a limited
             // one keeps it serial so a partial answer is a prefix.
             AlgorithmChoice::Local => (
-                LocalSearch::run_context(
+                local::run_context(
                     &ctx,
                     self.policy.expand_strategy,
                     self.policy.max_candidates,
-                    top_j_mode,
                     self.policy.parallelism,
                     ticker,
                 ),
@@ -762,19 +663,15 @@ impl QuerySession {
             // a partial answer a strict subset of the full run — and shares
             // the ticker across workers (via an atomic latch) when the policy
             // opts into parallelism.
-            _ => {
-                let opts = self.gs_options();
-                (
-                    GlobalSearch::explore_context(
-                        &ctx,
-                        &mut self.gs_scratch,
-                        opts,
-                        top_j_mode,
-                        ticker,
-                    ),
-                    QueryPhase::GlobalSearch,
-                )
-            }
+            _ => (
+                global::explore_context(
+                    &ctx,
+                    &mut self.gs_scratch,
+                    self.policy.parallelism,
+                    ticker,
+                ),
+                QueryPhase::GlobalSearch,
+            ),
         };
         if let Some(key) = ctx_key {
             self.store_context(epoch.id(), key, ctx.into_parts());
@@ -868,13 +765,24 @@ mod tests {
         }
     }
 
+    /// `query` run with `algorithm` on a fresh session (cache off, fresh
+    /// scratch) of its own uncalibrated engine.
+    fn fresh(
+        rsn: &RoadSocialNetwork,
+        query: &MacQuery,
+        algorithm: AlgorithmChoice,
+    ) -> MacSearchResult {
+        MacEngine::build_uncalibrated(rsn.clone())
+            .session()
+            .execute(&query.clone().with_algorithm(algorithm))
+            .unwrap()
+    }
+
     #[test]
-    fn session_matches_one_shot_global_search() {
+    fn session_matches_a_fresh_global_search() {
         let rsn = network();
         let q = query();
-        let reference = crate::GlobalSearch::new(&rsn, &q)
-            .run_non_contained()
-            .unwrap();
+        let reference = fresh(&rsn, &q, AlgorithmChoice::Global);
         let engine = MacEngine::build_uncalibrated(rsn);
         let mut session = engine.session();
         let got = session.execute(&q).unwrap();
@@ -894,21 +802,24 @@ mod tests {
         }
         let top2 = session.execute(&q2).unwrap();
         assert!(top2.cells.iter().any(|c| c.communities.len() == 2));
-        let explicit = session.execute_top_j(&q2).unwrap();
-        assert_results_identical(&top2, &explicit);
+        // Problem 1's first MAC in every cell is Problem 2's answer there.
+        assert_eq!(nc.cells.len(), top2.cells.len());
+        for (a, b) in nc.cells.iter().zip(&top2.cells) {
+            assert_eq!(a.communities[0].vertices, b.communities[0].vertices);
+        }
     }
 
     #[test]
     fn session_runs_the_local_framework_on_request() {
         let rsn = network();
         let q = query().with_algorithm(AlgorithmChoice::Local);
-        let reference = crate::LocalSearch::new(&rsn, &q)
-            .run_non_contained()
-            .unwrap();
+        let reference = fresh(&rsn, &q, AlgorithmChoice::Local);
         let engine = MacEngine::build_uncalibrated(rsn);
         let mut session = engine.session();
         let got = session.execute(&q).unwrap();
         assert_results_identical(&reference, &got);
+        // Only the local framework generates expansion candidates.
+        assert!(got.stats.candidates_generated > 0);
     }
 
     #[test]

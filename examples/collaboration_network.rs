@@ -38,7 +38,7 @@ fn main() {
     let query = MacQuery::new(authors.clone(), 5, dataset.default_t, region).with_top_j(2);
 
     println!("Query researchers: {:?} (k = 5)", authors);
-    let result = session.execute_top_j(&query).expect("valid query");
+    let result = session.execute(&query).expect("valid query");
     for (i, cell) in result.cells.iter().enumerate().take(3) {
         println!("preference partition {i}:");
         for (rank, c) in cell.communities.iter().enumerate() {

@@ -56,7 +56,7 @@ fn main() {
     let query =
         MacQuery::new(cases.clone(), 4, 20.0, region).with_algorithm(AlgorithmChoice::Local);
 
-    let result = session.execute_non_contained(&query).expect("valid query");
+    let result = session.execute(&query).expect("valid query");
 
     println!("Confirmed cases: {:?}", cases);
     if result.is_empty() {

@@ -20,7 +20,7 @@ fn main() {
     // R = [0.1, 0.5] x [0.2, 0.4], top-2 MACs.
     let query = MacQuery::new(vec![1, 2, 5], 3, 9.0, paper_region()).with_top_j(2);
 
-    let global = session.execute_top_j(&query).expect("valid query");
+    let global = session.execute(&query).expect("valid query");
     println!(
         "GS-T: {} partition(s) of R, {} distinct communities, (k,t)-core size {}",
         global.num_cells(),
@@ -40,11 +40,10 @@ fn main() {
         );
     }
 
-    // The same session serves the local framework: just ask for it.
-    let local_query = query.with_algorithm(AlgorithmChoice::Local);
-    let local = session
-        .execute_non_contained(&local_query)
-        .expect("valid query");
+    // The same session serves the local framework: just ask for it. At
+    // j = 1 the query asks for the non-contained MAC (Problem 2).
+    let local_query = query.with_top_j(1).with_algorithm(AlgorithmChoice::Local);
+    let local = session.execute(&local_query).expect("valid query");
     println!(
         "LS-NC: {} non-contained MAC(s) found in {:.4}s (global took {:.4}s; {} queries served)",
         local.distinct_communities().len(),

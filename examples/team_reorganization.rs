@@ -42,7 +42,7 @@ fn main() {
     let region = PrefRegion::from_ranges(&[(0.4, 0.6), (0.15, 0.3)]).unwrap();
     let query = MacQuery::new(anchors.clone(), 6, 25.0, region).with_top_j(3);
 
-    let result = session.execute_top_j(&query).expect("valid query");
+    let result = session.execute(&query).expect("valid query");
     println!(
         "Rebuilding the team around players {:?} (k = 6, t = 25):",
         anchors

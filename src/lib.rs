@@ -40,14 +40,14 @@
 //! assert!(!result.cells.is_empty());
 //! ```
 //!
-//! The one-shot wrappers (`GlobalSearch::new(..)` / `LocalSearch::new(..)`)
-//! remain for scripts and tests; a session resolves
-//! `AlgorithmChoice::{Global, Local, Auto}` between the same algorithms
-//! through its engine's calibration, with all network-sized scratch reused
-//! across queries.
+//! Every query runs through a session: the query's `j` picks the problem
+//! (top-j MACs for `j > 1`, the non-contained MAC for `j = 1`), and
+//! `AlgorithmChoice::{Global, Local, Auto}` picks the global search, the
+//! local framework, or whichever the engine's calibration predicts is
+//! faster, with all network-sized scratch reused across queries.
 //!
-//! *How* queries execute — parallel worker count, work stealing, algorithm
-//! and filter defaults, the default budget — is one
+//! *How* queries execute — parallel worker count, algorithm and filter
+//! defaults, the default budget — is one
 //! [`core::ExecutionPolicy`], set at [`core::MacEngine::build_with_policy`],
 //! overridable per session ([`core::QuerySession::with_policy`]), with
 //! explicit per-query choices always winning. Parallel execution is
@@ -66,8 +66,8 @@ pub use rsn_serve as serve;
 pub mod prelude {
     pub use rsn_core::{
         ktcore::maximal_kt_core, query::MacQuery, result::MacSearchResult, AlgorithmChoice,
-        ExecutionPolicy, GlobalSearch, LocalSearch, MacEngine, NetworkDelta, QueryBudget,
-        QueryOutcome, QuerySession, RoadSocialNetwork,
+        ExecutionPolicy, MacEngine, NetworkDelta, QueryBudget, QueryOutcome, QuerySession,
+        RoadSocialNetwork,
     };
     pub use rsn_datagen::presets;
     pub use rsn_dom::dominance::DominanceGraph;

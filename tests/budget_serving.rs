@@ -209,31 +209,37 @@ fn preset_cancel_flag_stops_the_query_cooperatively() {
     assert!(outcome.is_complete());
 }
 
-/// Strict mode turns exhaustion into `MacError::BudgetExhausted` instead of
-/// a partial answer.
+/// A caller that treats exhaustion as a failure (to retry with a bigger
+/// budget rather than serve a truncated answer) matches on the outcome: an
+/// exhausted work limit is a `Partial` naming its cause, a generous one a
+/// `Complete` exact answer.
 #[test]
-fn strict_mode_surfaces_exhaustion_as_an_error() {
+fn exhausted_work_limit_is_a_partial_naming_its_cause() {
     let (rsn, group) = random_network(13, 120, true);
     let engine = MacEngine::build_uncalibrated(rsn);
     let mut session = engine.session();
     let query = &workload(&group)[0];
-    let err = session
-        .execute_with_budget_strict(query, &QueryBudget::new().with_work_limit(1))
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        MacError::BudgetExhausted(ExhaustionCause::WorkLimit)
-    ));
-    // A generous strict budget still answers exactly.
-    let got = session
-        .execute_with_budget_strict(query, &QueryBudget::new().with_work_limit(u64::MAX))
+    let outcome = session
+        .execute_with_budget(query, &QueryBudget::new().with_work_limit(1))
         .unwrap();
+    assert!(matches!(
+        outcome,
+        QueryOutcome::Partial(ref partial) if partial.cause == ExhaustionCause::WorkLimit
+    ));
+    // A generous budget still answers exactly.
+    let outcome = session
+        .execute_with_budget(query, &QueryBudget::new().with_work_limit(u64::MAX))
+        .unwrap();
+    let QueryOutcome::Complete(got) = outcome else {
+        panic!("a generous budget must complete");
+    };
     let expect = engine.session().execute(query).unwrap();
-    assert_results_identical("strict complete", &expect, &got);
+    assert_results_identical("generous complete", &expect, &got);
 }
 
-/// The budgeted batch keeps serving past a per-query failure: the invalid
-/// query records its error in place, every other slot is served.
+/// A budgeted batch — one `execute_with_budget` call per slot — keeps
+/// serving past a per-query failure: the invalid query records its error in
+/// place, every other slot is served.
 #[test]
 fn budgeted_batch_keeps_going_past_an_invalid_query() {
     let (rsn, group) = random_network(17, 120, true);
@@ -242,23 +248,27 @@ fn budgeted_batch_keeps_going_past_an_invalid_query() {
     let good = workload(&group);
     let mut invalid = good[0].clone();
     invalid.q.clear();
-    let queries = vec![good[0].clone(), invalid, good[1].clone()];
-    let batch =
-        session.execute_batch_with_budget(&queries, &QueryBudget::new().with_work_limit(u64::MAX));
-    assert_eq!(batch.outcomes.len(), 3);
-    assert_eq!(batch.stats.queries, 3);
-    assert!(matches!(batch.outcomes[1], Err(MacError::EmptyQuery)));
+    let queries = [good[0].clone(), invalid, good[1].clone()];
+    let budget = QueryBudget::new().with_work_limit(u64::MAX);
+    let outcomes: Vec<_> = queries
+        .iter()
+        .map(|query| session.execute_with_budget(query, &budget))
+        .collect();
+    assert_eq!(outcomes.len(), 3);
+    assert_eq!(session.stats().served, 2);
+    assert_eq!(session.stats().errors, 1);
+    assert!(matches!(outcomes[1], Err(MacError::EmptyQuery)));
     let expect0 = engine.session().execute(&good[0]).unwrap();
     let expect2 = engine.session().execute(&good[1]).unwrap();
     assert_results_identical(
         "batch slot 0",
         &expect0,
-        batch.outcomes[0].as_ref().unwrap().result(),
+        outcomes[0].as_ref().unwrap().result(),
     );
     assert_results_identical(
         "batch slot 2",
         &expect2,
-        batch.outcomes[2].as_ref().unwrap().result(),
+        outcomes[2].as_ref().unwrap().result(),
     );
 }
 

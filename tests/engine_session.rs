@@ -1,14 +1,13 @@
 //! Session-reuse equivalence: queries executed through one reused
 //! [`QuerySession`] (scratch carried across queries, engine-resolved
 //! strategies) must return results identical to fresh per-query construction
-//! through the one-shot `GlobalSearch` / `LocalSearch` wrappers — across
-//! interleaved query shapes, algorithms, filter strategies, and thread-shared
-//! engines.
+//! — a new session with fresh scratch on a throwaway uncalibrated engine —
+//! across interleaved query shapes, algorithms, filter strategies, and
+//! thread-shared engines.
 
 use proptest::prelude::*;
 use road_social_mac::core::{
-    AlgorithmChoice, ExecutionPolicy, GlobalSearch, LocalSearch, MacEngine, MacQuery,
-    MacSearchResult, RoadSocialNetwork,
+    AlgorithmChoice, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -113,30 +112,30 @@ fn workload(rsn: &RoadSocialNetwork, group: &[u32], indexed: bool) -> Vec<MacQue
     queries
 }
 
-/// The fresh per-query construction this PR's session path must match: the
-/// legacy one-shot wrappers, with `Auto` resolved the way the session
-/// resolves it (the engine's `local_core_threshold` is far above these core
-/// sizes, so `Auto` is `Global` here).
+/// The fresh per-query construction a reused session must match: a new
+/// serial session (fresh scratch, no context cache) on a throwaway
+/// uncalibrated engine, with the algorithm made explicit and `Auto` resolved
+/// the way the session resolves it (the engine's `local_core_threshold` is
+/// far above these core sizes, so `Auto` is `Global` here).
 fn fresh_reference(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
-    let top_j = query.j > 1;
-    match query.algorithm {
-        AlgorithmChoice::Local => {
-            let ls = LocalSearch::new(rsn, query);
-            if top_j {
-                ls.run_top_j().unwrap()
-            } else {
-                ls.run_non_contained().unwrap()
-            }
-        }
-        _ => {
-            let gs = GlobalSearch::new(rsn, query);
-            if top_j {
-                gs.run_top_j().unwrap()
-            } else {
-                gs.run_non_contained().unwrap()
-            }
-        }
-    }
+    let algorithm = match query.algorithm {
+        AlgorithmChoice::Local => AlgorithmChoice::Local,
+        _ => AlgorithmChoice::Global,
+    };
+    fresh(
+        rsn,
+        &query.clone().with_algorithm(algorithm),
+        ExecutionPolicy::new(),
+    )
+}
+
+/// `query` on a new session of a throwaway uncalibrated engine under
+/// `policy`.
+fn fresh(rsn: &RoadSocialNetwork, query: &MacQuery, policy: ExecutionPolicy) -> MacSearchResult {
+    MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+        .session()
+        .execute(query)
+        .unwrap()
 }
 
 fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
@@ -271,7 +270,11 @@ fn filter_strategies_agree_end_to_end() {
         )
         .unwrap();
     let via_auto = session.execute(&base).unwrap();
-    let via_oneshot = GlobalSearch::new(&rsn, &walk).run_non_contained().unwrap();
+    let via_oneshot = fresh(
+        &rsn,
+        &walk.clone().with_algorithm(AlgorithmChoice::Global),
+        ExecutionPolicy::new(),
+    );
     assert_results_identical("walk vs sweep", &via_walk, &via_sweep);
     assert_results_identical("walk vs auto", &via_walk, &via_auto);
     assert_results_identical("walk vs one-shot", &via_walk, &via_oneshot);
@@ -322,18 +325,17 @@ fn execution_policy_layers_engine_session_query() {
     let auto_q = MacQuery::new(group[..2].to_vec(), 4, 50.0, region.clone());
     let local_q = auto_q.clone().with_algorithm(AlgorithmChoice::Local);
     let via_policy = session.execute(&auto_q).unwrap();
-    let reference = LocalSearch::new(&rsn, &local_q)
-        .with_max_candidates(20)
-        .run_non_contained()
-        .unwrap();
+    let reference = fresh(
+        &rsn,
+        &local_q,
+        ExecutionPolicy::new().with_max_candidates(20),
+    );
     assert_results_identical("policy-default Local", &via_policy, &reference);
 
     // Query-level choice wins over the policy default.
     let global_q = auto_q.clone().with_algorithm(AlgorithmChoice::Global);
     let via_query = session.execute(&global_q).unwrap();
-    let gs_reference = GlobalSearch::new(&rsn, &global_q)
-        .run_non_contained()
-        .unwrap();
+    let gs_reference = fresh(&rsn, &global_q, ExecutionPolicy::new());
     assert_results_identical("query overrides policy", &via_query, &gs_reference);
 
     // Session-level with_policy replaces the engine's policy wholesale.

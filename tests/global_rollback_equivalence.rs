@@ -1,10 +1,12 @@
-//! The undo-log refactor of `GlobalSearch` must not change its output: this
+//! The undo-log refactor of the global search must not change its output: this
 //! suite pins the rollback-based DFS against the clone-per-branch reference
 //! replica (`rsn_bench::legacy`) on datagen presets, comparing the reported
 //! cells — sample weights bit-for-bit, communities member-for-member — and
 //! additionally checks that repeated runs are deterministic.
 
-use road_social_mac::core::{GlobalSearch, MacQuery, SearchContext};
+use road_social_mac::core::{
+    AlgorithmChoice, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork, SearchContext,
+};
 use road_social_mac::datagen::presets::{build_preset_scaled, PresetName, PresetScale};
 use road_social_mac::geom::PrefRegion;
 use road_social_mac::geom::WeightVector;
@@ -32,6 +34,14 @@ fn preset_query(
     (dataset.rsn, query)
 }
 
+/// The global search on a fresh session of a throwaway uncalibrated engine.
+fn global_search(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
+    MacEngine::build_uncalibrated(rsn.clone())
+        .session()
+        .execute(&query.clone().with_algorithm(AlgorithmChoice::Global))
+        .unwrap()
+}
+
 /// Canonical form of one reported cell for comparison: the exact sample
 /// weight bits plus the sorted community.
 fn canonical(cells: &[(Vec<f64>, Vec<u32>)]) -> Vec<(Vec<u64>, Vec<u32>)> {
@@ -50,7 +60,7 @@ fn rollback_dfs_matches_clone_based_reference_on_presets() {
         (PresetName::FlLastfm, 6, 0.01),
     ] {
         let (rsn, query) = preset_query(name, k, sigma);
-        let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let result = global_search(&rsn, &query);
         let ctx = SearchContext::build(&rsn, &query)
             .unwrap()
             .expect("preset queries have a (k,t)-core");
@@ -95,8 +105,8 @@ fn rollback_dfs_matches_clone_based_reference_on_presets() {
 #[test]
 fn global_search_is_deterministic_across_runs() {
     let (rsn, query) = preset_query(PresetName::SfSlashdot, 8, 0.01);
-    let a = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
-    let b = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+    let a = global_search(&rsn, &query);
+    let b = global_search(&rsn, &query);
     assert_eq!(a.cells.len(), b.cells.len());
     for (ca, cb) in a.cells.iter().zip(b.cells.iter()) {
         assert_eq!(ca.sample_weight, cb.sample_weight);

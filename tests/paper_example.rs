@@ -3,8 +3,29 @@
 //! graph → global and local search.
 
 use road_social_mac::core::peel::peel_at_weight;
-use road_social_mac::core::{GlobalSearch, LocalSearch, MacQuery, SearchContext};
+use road_social_mac::core::{
+    AlgorithmChoice, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork,
+    SearchContext,
+};
 use road_social_mac::datagen::paper_example::{paper_example_network, paper_region};
+
+/// `query` answered by `algorithm` on a fresh session of a throwaway
+/// uncalibrated engine under `policy`.
+fn search(
+    rsn: &RoadSocialNetwork,
+    query: &MacQuery,
+    algorithm: AlgorithmChoice,
+    policy: ExecutionPolicy,
+) -> MacSearchResult {
+    MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+        .session()
+        .execute(&query.clone().with_algorithm(algorithm))
+        .unwrap()
+}
+
+fn global_search(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
+    search(rsn, query, AlgorithmChoice::Global, ExecutionPolicy::new())
+}
 
 /// Q = {v2, v3, v6} (ids 1, 2, 5), k = 3, t = 9 — the setting of Example 2.
 fn example2_query() -> MacQuery {
@@ -37,7 +58,7 @@ fn kt_core_and_dominance_graph_match_the_paper() {
 fn global_search_agrees_with_fixed_weight_peeling_everywhere() {
     let rsn = paper_example_network();
     let query = example2_query();
-    let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+    let result = global_search(&rsn, &query);
     assert!(!result.is_empty());
     let ctx = SearchContext::build(&rsn, &query).unwrap().unwrap();
     for cell in &result.cells {
@@ -56,7 +77,7 @@ fn global_search_agrees_with_fixed_weight_peeling_everywhere() {
 fn global_top_j_returns_nested_macs() {
     let rsn = paper_example_network();
     let query = example2_query().with_top_j(2);
-    let result = GlobalSearch::new(&rsn, &query).run_top_j().unwrap();
+    let result = global_search(&rsn, &query);
     for cell in &result.cells {
         assert!(!cell.communities.is_empty() && cell.communities.len() <= 2);
         for pair in cell.communities.windows(2) {
@@ -69,11 +90,13 @@ fn global_top_j_returns_nested_macs() {
 fn local_search_is_sound_wrt_global_search() {
     let rsn = paper_example_network();
     let query = example2_query();
-    let global = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
-    let local = LocalSearch::new(&rsn, &query)
-        .with_max_candidates(20)
-        .run_non_contained()
-        .unwrap();
+    let global = global_search(&rsn, &query);
+    let local = search(
+        &rsn,
+        &query,
+        AlgorithmChoice::Local,
+        ExecutionPolicy::new().with_max_candidates(20),
+    );
     let global_set: Vec<Vec<u32>> = global
         .distinct_communities()
         .iter()
@@ -98,7 +121,7 @@ fn example1_setting_has_a_five_member_mac() {
     // reports only valid (k,t)-cores.
     let rsn = paper_example_network();
     let query = MacQuery::new(vec![1], 2, 9.0, paper_region());
-    let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+    let result = global_search(&rsn, &query);
     assert!(!result.is_empty());
     for cell in &result.cells {
         let c = &cell.communities[0];
@@ -115,6 +138,6 @@ fn tighter_distance_threshold_shrinks_the_core() {
     // with t = 7 the query distance of v3 (= 9 to r6) is too large, so the
     // (3,t)-core for Q = {v2, v3, v6} disappears entirely
     let query = MacQuery::new(vec![1, 2, 5], 3, 7.0, paper_region());
-    let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+    let result = global_search(&rsn, &query);
     assert!(result.is_empty());
 }

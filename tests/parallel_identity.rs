@@ -7,8 +7,8 @@
 //! seeded random networks; timing may differ between runs, answers may not.
 
 use road_social_mac::core::{
-    AlgorithmChoice, ExecutionPolicy, ExhaustionCause, GlobalSearch, LocalSearch, MacEngine,
-    MacQuery, MacSearchResult, NetworkDelta, QueryBudget, QueryOutcome, RoadSocialNetwork,
+    AlgorithmChoice, ExecutionPolicy, ExhaustionCause, MacEngine, MacQuery, MacSearchResult,
+    NetworkDelta, QueryBudget, QueryOutcome, RoadSocialNetwork,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -72,6 +72,20 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
     ]
 }
 
+/// `query` answered by `algorithm` on a fresh session (cache off, fresh
+/// scratch) of an uncalibrated engine under `policy`.
+fn run_fresh(
+    rsn: &RoadSocialNetwork,
+    query: &MacQuery,
+    algorithm: AlgorithmChoice,
+    policy: ExecutionPolicy,
+) -> MacSearchResult {
+    MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+        .session()
+        .execute(&query.clone().with_algorithm(algorithm))
+        .unwrap()
+}
+
 fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
     assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
     for (i, (ca, cb)) in a.cells.iter().zip(&b.cells).enumerate() {
@@ -94,9 +108,9 @@ fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResul
     }
 }
 
-/// The parallel global search — work stealing on or off, several worker
-/// counts — reports exactly the serial DFS's cells, in the serial DFS's
-/// order, for both problems, on indexed and unindexed networks.
+/// The work-stealing parallel global search, at several worker counts,
+/// reports exactly the serial DFS's cells, in the serial DFS's order, for
+/// both problems, on indexed and unindexed networks.
 #[test]
 fn parallel_global_search_matches_serial() {
     for seed in [11u64, 42, 77] {
@@ -110,32 +124,18 @@ fn parallel_global_search_matches_serial() {
                     true,
                 ),
             ] {
-                let gs = GlobalSearch::new(&rsn, &query);
-                let serial = if top_j {
-                    gs.run_top_j().unwrap()
-                } else {
-                    gs.run_non_contained().unwrap()
-                };
+                let global = AlgorithmChoice::Global;
+                let serial = run_fresh(&rsn, &query, global, ExecutionPolicy::new());
                 for workers in [2usize, 3] {
-                    for stealing in [false, true] {
-                        let policy = ExecutionPolicy::new()
-                            .with_parallelism(workers)
-                            .with_work_stealing(stealing);
-                        let par = GlobalSearch::new(&rsn, &query).with_policy(&policy);
-                        let got = if top_j {
-                            par.run_top_j().unwrap()
-                        } else {
-                            par.run_non_contained().unwrap()
-                        };
-                        assert_results_identical(
-                            &format!(
-                                "seed {seed}, indexed {indexed}, top_j {top_j}, \
-                                 workers {workers}, stealing {stealing}"
-                            ),
-                            &serial,
-                            &got,
-                        );
-                    }
+                    let policy = ExecutionPolicy::new().with_parallelism(workers);
+                    let got = run_fresh(&rsn, &query, global, policy);
+                    assert_results_identical(
+                        &format!(
+                            "seed {seed}, indexed {indexed}, top_j {top_j}, workers {workers}"
+                        ),
+                        &serial,
+                        &got,
+                    );
                 }
             }
         }
@@ -156,22 +156,14 @@ fn parallel_local_search_matches_serial() {
                 true,
             ),
         ] {
-            let ls = LocalSearch::new(&rsn, &query).with_max_candidates(16);
-            let serial = if top_j {
-                ls.run_top_j().unwrap()
-            } else {
-                ls.run_non_contained().unwrap()
-            };
+            let local = AlgorithmChoice::Local;
+            let serial_policy = ExecutionPolicy::new().with_max_candidates(16);
+            let serial = run_fresh(&rsn, &query, local, serial_policy);
             for workers in [2usize, 4] {
                 let policy = ExecutionPolicy::new()
                     .with_parallelism(workers)
                     .with_max_candidates(16);
-                let par = LocalSearch::new(&rsn, &query).with_policy(&policy);
-                let got = if top_j {
-                    par.run_top_j().unwrap()
-                } else {
-                    par.run_non_contained().unwrap()
-                };
+                let got = run_fresh(&rsn, &query, local, policy);
                 assert_results_identical(
                     &format!("seed {seed}, top_j {top_j}, workers {workers}"),
                     &serial,
@@ -265,9 +257,7 @@ fn parallel_batch_matches_serial_across_epochs() {
 #[test]
 fn zero_deadline_under_parallelism_is_partial_per_query() {
     let (rsn, group) = random_network(3, 120, true);
-    let policy = ExecutionPolicy::new()
-        .with_parallelism(3)
-        .with_work_stealing(true);
+    let policy = ExecutionPolicy::new().with_parallelism(3);
     let engine = MacEngine::build_uncalibrated_with_policy(rsn, policy);
     let mut session = engine.session();
     let budget = QueryBudget::new().with_deadline(Duration::ZERO);
@@ -284,10 +274,13 @@ fn zero_deadline_under_parallelism_is_partial_per_query() {
             "query {i}: nothing can complete under a zero deadline"
         );
     }
-    // The budgeted batch path reports the same, per slot.
-    let batch = session.execute_batch_with_budget(&queries, &budget);
-    assert_eq!(batch.outcomes.len(), queries.len());
-    for (i, outcome) in batch.outcomes.iter().enumerate() {
+    // A budgeted batch — one budgeted call per slot — reports the same.
+    let outcomes: Vec<_> = queries
+        .iter()
+        .map(|query| session.execute_with_budget(query, &budget))
+        .collect();
+    assert_eq!(outcomes.len(), queries.len());
+    for (i, outcome) in outcomes.iter().enumerate() {
         match outcome {
             Ok(QueryOutcome::Partial(partial)) => {
                 assert_eq!(partial.cause, ExhaustionCause::Deadline, "slot {i}")

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use road_social_mac::core::peel::peel_at_weight;
 use road_social_mac::core::{
-    GlobalSearch, LocalSearch, MacQuery, RoadSocialNetwork, SearchContext,
+    AlgorithmChoice, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork, SearchContext,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -65,6 +65,19 @@ fn region_for(d: usize, sigma: f64) -> PrefRegion {
     PrefRegion::from_ranges(&ranges).unwrap()
 }
 
+/// `query` answered by `algorithm` on a fresh session of a throwaway
+/// uncalibrated engine.
+fn search(
+    rsn: &RoadSocialNetwork,
+    query: &MacQuery,
+    algorithm: AlgorithmChoice,
+) -> MacSearchResult {
+    MacEngine::build_uncalibrated(rsn.clone())
+        .session()
+        .execute(&query.clone().with_algorithm(algorithm))
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
@@ -74,7 +87,7 @@ proptest! {
         let (rsn, group) = random_network(seed, 150, d);
         let q: Vec<u32> = group.iter().copied().take(2).collect();
         let query = MacQuery::new(q, 4, 60.0, region_for(d, sigma));
-        let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let result = search(&rsn, &query, AlgorithmChoice::Global);
         if let Some(ctx) = SearchContext::build(&rsn, &query).unwrap() {
             for cell in &result.cells {
                 let oracle = peel_at_weight(&ctx, &cell.sample_weight);
@@ -92,7 +105,7 @@ proptest! {
         let k = 4u32;
         let t = 60.0;
         let query = MacQuery::new(q.clone(), k, t, region_for(d, 0.1));
-        let result = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let result = search(&rsn, &query, AlgorithmChoice::Global);
         for cell in &result.cells {
             let community = &cell.communities[0];
             // contains the query users
@@ -117,8 +130,8 @@ proptest! {
         let (rsn, group) = random_network(seed, 120, d);
         let q: Vec<u32> = group.iter().copied().take(2).collect();
         let query = MacQuery::new(q, 4, 60.0, region_for(d, 0.1));
-        let global = GlobalSearch::new(&rsn, &query).run_non_contained().unwrap();
-        let local = LocalSearch::new(&rsn, &query).run_non_contained().unwrap();
+        let global = search(&rsn, &query, AlgorithmChoice::Global);
+        let local = search(&rsn, &query, AlgorithmChoice::Local);
         let global_set: Vec<Vec<u32>> = global
             .distinct_communities()
             .iter()

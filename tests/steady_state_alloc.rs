@@ -133,6 +133,42 @@ fn steady_state_query_allocates_nothing() {
     assert_eq!(stats.served, 1 + warm + rounds);
 }
 
+/// A lookup that ends without a context to cache — here an empty
+/// (k,t)-core — hands the pooled cache-key husk back to the session, so the
+/// cached query that follows it still allocates nothing.
+#[test]
+fn cached_query_after_an_empty_core_query_allocates_nothing() {
+    let engine = MacEngine::build_uncalibrated(network());
+    let mut session = engine.session().with_context_cache(2);
+    let q = query();
+    // No vertex of the two-K4 fixture has degree 5, so the core is empty.
+    let region = PrefRegion::from_ranges(&[(0.1, 0.5), (0.2, 0.4)]).unwrap();
+    let empty = MacQuery::new(vec![0], 5, 10.0, region);
+
+    let reference = session.execute(&q).unwrap();
+    for _ in 0..39 {
+        assert!(session.execute(&empty).unwrap().is_empty());
+        let result = session.execute(&q).unwrap();
+        session.recycle(result);
+    }
+
+    let rounds = 16u64;
+    let mut delta = 0;
+    for _ in 0..rounds {
+        assert!(session.execute(&empty).unwrap().is_empty());
+        let before = thread_allocations();
+        let result = session.execute(&q).unwrap();
+        assert_eq!(result.cells.len(), reference.cells.len());
+        session.recycle(result);
+        delta += thread_allocations() - before;
+    }
+    assert_eq!(
+        delta, 0,
+        "cached queries after empty-core queries must be allocation-free, saw \
+         {delta} allocations over {rounds} rounds"
+    );
+}
+
 /// Without `recycle` the session still works (results own their buffers), and
 /// the per-query allocation count stays small and flat — the pools cover
 /// everything except the reported result itself.

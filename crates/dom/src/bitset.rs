@@ -79,18 +79,56 @@ impl BitSet {
             .sum()
     }
 
+    /// Clears every bit, keeping the capacity.
+    pub fn clear_all(&mut self) {
+        self.blocks.fill(0);
+    }
+
     /// Iterator over the indices of set bits, in increasing order.
+    ///
+    /// Walks only the set bits of each block (lowest first via
+    /// `trailing_zeros`, then `x &= x - 1` drops it), so the cost is one step
+    /// per set bit plus one per block.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(bi, &block)| {
-            (0..64)
-                .filter(move |bit| block & (1u64 << bit) != 0)
-                .map(move |bit| bi * 64 + bit)
-        })
+        let (word, rest) = self
+            .blocks
+            .split_first()
+            .map_or((0, &[][..]), |(&w, r)| (w, r));
+        Ones {
+            word,
+            base: 0,
+            rest,
+        }
     }
 
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.blocks.len() * 8 + std::mem::size_of::<Self>()
+    }
+}
+
+/// Set-bit iterator of [`BitSet::iter`]: `word` holds the bits not yet
+/// yielded of the block starting at bit `base`, `rest` the blocks after it.
+struct Ones<'a> {
+    word: u64,
+    base: usize,
+    rest: &'a [u64],
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&next, rest) = self.rest.split_first()?;
+            self.word = next;
+            self.rest = rest;
+            self.base += 64;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -138,6 +176,36 @@ mod tests {
         }
         let collected: Vec<usize> = s.iter().collect();
         assert_eq!(collected, vec![3, 5, 77, 199]);
+    }
+
+    #[test]
+    fn iter_walks_exactly_the_set_bits_in_order() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(17);
+        for cap in [0usize, 1, 63, 64, 65, 130, 200] {
+            for density in [0.0, 0.05, 0.5, 1.0] {
+                for _ in 0..8 {
+                    let mut s = BitSet::new(cap);
+                    for i in 0..cap {
+                        if rng.random_range(0.0..1.0) < density {
+                            s.set(i);
+                        }
+                    }
+                    // the block-boundary bits, when they exist
+                    for i in [0, 63, 64, cap.wrapping_sub(1)] {
+                        if i < cap && rng.random_range(0..2) == 0 {
+                            s.set(i);
+                        }
+                    }
+                    let got: Vec<usize> = s.iter().collect();
+                    let expect: Vec<usize> = (0..cap).filter(|&i| s.contains(i)).collect();
+                    assert_eq!(got, expect, "capacity {cap}");
+                    assert_eq!(s.iter().count(), s.count());
+                    assert!(got.windows(2).all(|w| w[0] < w[1]), "ascending");
+                }
+            }
+        }
     }
 
     #[test]

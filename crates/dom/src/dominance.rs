@@ -4,9 +4,16 @@
 //! the transitive reduction of the pair-wise r-dominance relation w.r.t. the
 //! region `R`. Construction follows the paper's adapted BBS: vertices are
 //! visited in decreasing score under the *pivot vector* of `R` (so a vertex
-//! can only be r-dominated by vertices visited before it), and transitivity is
-//! exploited so that a dominance test against a vertex already implied by the
-//! closure is skipped.
+//! can only be r-dominated by vertices visited before it). The order is a
+//! sort by pivot score; an R-tree would yield the same order, and BBS prunes
+//! none of its subtrees because `G_d` needs every relation.
+//!
+//! Each vertex is tested against the visited ones nearest first. A dominator
+//! found this way brings its whole dominator closure along, and every vertex
+//! already in the closure is skipped by transitivity without a test, so on a
+//! chain of `n` vertices the build performs `n − 1` tests. A test refills one
+//! reused half-space and evaluates it at the region's corners, listed once
+//! per build.
 //!
 //! Besides the arcs, the structure exposes everything the search algorithms
 //! need: dominator closures, r-dominance counts, layers (`l(v)` used by the
@@ -15,19 +22,16 @@
 
 use crate::attrs::AttrMatrix;
 use crate::bitset::BitSet;
-use crate::rtree::RTree;
 use rsn_geom::halfspace::HalfSpace;
-use rsn_geom::rdominance::{r_dominance_from_halfspace, DominanceRelation};
+use rsn_geom::rdominance::{r_dominance_at_corners, DominanceRelation};
 use rsn_geom::region::PrefRegion;
-use std::collections::HashMap;
+use rsn_geom::weights::score_reduced;
 
 /// The r-dominance graph over a set of attributed vertices.
 #[derive(Debug, Clone)]
 pub struct DominanceGraph {
     /// External (social-graph) vertex ids, indexed by local id.
     ids: Vec<u32>,
-    /// Map from external id to local id.
-    id_to_local: HashMap<u32, usize>,
     /// Attribute vectors, indexed by local id (row-major).
     attrs: AttrMatrix,
     /// The region the graph was built for.
@@ -44,8 +48,6 @@ pub struct DominanceGraph {
     layers: Vec<u32>,
     /// Number of r-dominance tests performed during construction (profiling).
     tests_performed: usize,
-    /// Memory used by the temporary R-tree during construction.
-    rtree_bytes: usize,
 }
 
 impl DominanceGraph {
@@ -71,57 +73,60 @@ impl DominanceGraph {
             "region dimensionality mismatch"
         );
 
-        // BBS-style visit order: decreasing pivot score via the R-tree.
-        let rtree = RTree::bulk_load_flat(attrs);
-        let rtree_bytes = rtree.memory_bytes();
+        // BBS visit order: decreasing pivot score. The pivot lies inside `R`,
+        // so a vertex can only be r-dominated by one visited before it (or by
+        // one tied with it, which the `DominatedBy` arm below records).
         let pivot = region.pivot();
-        let order = rtree.pivot_order(pivot.reduced());
+        let scores: Vec<f64> = (0..n)
+            .map(|v| score_reduced(attrs.row(v), pivot.reduced()))
+            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
 
+        let corners = region.corners();
+        let mut hs = HalfSpace::new(Vec::with_capacity(region.dim()), 0.0);
         let mut dominators: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
         let mut tests = 0usize;
-        // `visited[k]` = local ids popped so far, in pop order.
-        let mut visited: Vec<usize> = Vec::with_capacity(n);
-        for &v in &order {
-            for &u in &visited {
-                // Transitivity pruning: if u already implied as dominator of v
-                // (because some earlier vertex dominated by u ... ), skip; more
-                // precisely, if u is already recorded we skip the test.
+        for (i, &v) in order.iter().enumerate() {
+            // Nearest first: a dominator found here brings its whole closure
+            // into `dominators[v]` before its own dominators (visited earlier)
+            // are reached, so their tests are skipped by transitivity.
+            for &u in order[..i].iter().rev() {
                 if dominators[v].contains(u) {
                     continue;
                 }
-                let hs = HalfSpace::score_at_least(attrs.row(u), attrs.row(v));
+                hs.assign_score_at_least(attrs.row(u), attrs.row(v));
                 tests += 1;
-                match r_dominance_from_halfspace(&hs, region) {
+                match r_dominance_at_corners(&hs, &corners) {
                     DominanceRelation::Dominates => {
                         // u ≻ v: inherit u's dominators through transitivity.
-                        let u_doms = dominators[u].clone();
+                        union_into(&mut dominators, v, u);
                         dominators[v].set(u);
-                        dominators[v].union_with(&u_doms);
                     }
                     DominanceRelation::DominatedBy => {
                         // Can only happen on pivot-score ties; record v ≻ u.
-                        let v_doms = dominators[v].clone();
+                        union_into(&mut dominators, u, v);
                         dominators[u].set(v);
-                        dominators[u].union_with(&v_doms);
                     }
                     DominanceRelation::Incomparable | DominanceRelation::Equivalent => {}
                 }
             }
-            visited.push(v);
         }
 
         // Transitive reduction: u is a direct parent of v iff u dominates v
-        // and u is not a dominator of any other dominator of v.
+        // and dominates no other dominator of v, i.e. u is outside the union
+        // (`implied`) of the closures of v's dominators.
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut implied = BitSet::new(n);
         for v in 0..n {
-            let doms: Vec<usize> = dominators[v].iter().collect();
-            for &u in &doms {
-                let implied = doms.iter().any(|&w| w != u && dominators[w].contains(u));
-                if !implied {
-                    parents[v].push(u as u32);
-                    children[u].push(v as u32);
-                }
+            implied.clear_all();
+            for w in dominators[v].iter() {
+                implied.union_with(&dominators[w]);
+            }
+            for u in dominators[v].iter().filter(|&u| !implied.contains(u)) {
+                parents[v].push(u as u32);
+                children[u].push(v as u32);
             }
         }
 
@@ -139,7 +144,6 @@ impl DominanceGraph {
 
         DominanceGraph {
             ids: ids.to_vec(),
-            id_to_local: ids.iter().enumerate().map(|(i, &id)| (id, i)).collect(),
             attrs: attrs.clone(),
             region: region.clone(),
             dominators,
@@ -147,7 +151,6 @@ impl DominanceGraph {
             children,
             layers,
             tests_performed: tests,
-            rtree_bytes,
         }
     }
 
@@ -161,9 +164,9 @@ impl DominanceGraph {
         &self.ids
     }
 
-    /// Local id of an external id, if present.
+    /// Local id of an external id, if present (a linear scan of the ids).
     pub fn local_of(&self, id: u32) -> Option<usize> {
-        self.id_to_local.get(&id).copied()
+        self.ids.iter().position(|&x| x == id)
     }
 
     /// External id of a local id.
@@ -288,10 +291,10 @@ impl DominanceGraph {
         self.top_within(&mask2)
     }
 
-    /// Approximate memory footprint in bytes, including the construction-time
-    /// R-tree (the BBS column of Fig. 11(d)).
+    /// Approximate memory footprint of `G_d` itself in bytes (the `G_d`
+    /// column of Fig. 11(d)): ids, attributes, closures, arcs and layers.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>() + self.rtree_bytes;
+        let mut total = std::mem::size_of::<Self>();
         total += self.ids.len() * 4;
         total += self.attrs.memory_bytes();
         total += self
@@ -307,6 +310,18 @@ impl DominanceGraph {
             .sum::<usize>();
         total += self.layers.len() * 4;
         total
+    }
+}
+
+/// `sets[dst] |= sets[src]` for `dst != src`, borrowing both in place.
+fn union_into(sets: &mut [BitSet], dst: usize, src: usize) {
+    debug_assert_ne!(dst, src);
+    if dst < src {
+        let (head, tail) = sets.split_at_mut(src);
+        head[dst].union_with(&tail[0]);
+    } else {
+        let (head, tail) = sets.split_at_mut(dst);
+        tail[0].union_with(&head[src]);
     }
 }
 
@@ -450,6 +465,30 @@ mod tests {
         }
         // pruning means we performed fewer tests than the naive n*(n-1)
         assert!(gd.tests_performed() <= n * (n - 1));
+    }
+
+    #[test]
+    fn transitivity_skip_prunes_a_total_chain() {
+        // Each row adds a constant to every attribute of the previous row, so
+        // row i+1 r-dominates row i under any region and the relation is a
+        // total order. The nearest visited vertex is always the direct
+        // parent; its closure covers every other visited vertex, so only
+        // n − 1 tests run.
+        let n = 50;
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let base = [1.5, 0.25, 3.0, 2.0];
+        let attrs: Vec<Vec<f64>> = (0..n)
+            .map(|i| base.iter().map(|&x| x + 0.75 * i as f64).collect())
+            .collect();
+        let region = PrefRegion::from_ranges(&[(0.1, 0.3), (0.2, 0.4), (0.1, 0.2)]).unwrap();
+        let gd = DominanceGraph::build(&ids, &attrs, &region);
+        assert_eq!(gd.tests_performed(), n - 1);
+        for v in 0..n {
+            assert_eq!(gd.dom_count(v), n - 1 - v);
+            let parent: &[u32] = if v + 1 < n { &[v as u32 + 1] } else { &[] };
+            assert_eq!(gd.parents(v), parent);
+            assert_eq!(gd.layer(v) as usize, n - 1 - v);
+        }
     }
 
     #[test]

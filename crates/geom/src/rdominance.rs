@@ -36,10 +36,17 @@ pub fn r_dominance(a: &[f64], b: &[f64], region: &PrefRegion) -> DominanceRelati
 /// Same as [`r_dominance`] but takes the precomputed half-space
 /// `S(a) ≥ S(b)`, avoiding recomputation in hot loops.
 pub fn r_dominance_from_halfspace(hs: &HalfSpace, region: &PrefRegion) -> DominanceRelation {
+    r_dominance_at_corners(hs, &region.corners())
+}
+
+/// Same as [`r_dominance_from_halfspace`] but takes the region's
+/// precomputed [`corners`](PrefRegion::corners), so a caller testing many
+/// pairs against one region lists the corners once.
+pub fn r_dominance_at_corners(hs: &HalfSpace, corners: &[Vec<f64>]) -> DominanceRelation {
     let mut any_pos = false;
     let mut any_neg = false;
-    for corner in region.corners() {
-        let val = hs.eval(&corner);
+    for corner in corners {
+        let val = hs.eval(corner);
         if val > EPS {
             any_pos = true;
         } else if val < -EPS {

@@ -9,7 +9,7 @@
 //! * [`graph`] — social-graph substrate (k-core, k-truss, cascading deletion).
 //! * [`road`] — road-network substrate (Dijkstra, G-tree, range queries).
 //! * [`geom`] — preference-domain geometry (half-spaces, cells, partition tree).
-//! * [`dom`] — attribute R-tree and the r-dominance graph `G_d`.
+//! * [`dom`] — flat attribute matrix and the r-dominance graph `G_d`.
 //! * [`core`] — the MAC model and the global/local search algorithms.
 //! * [`serve`] — threaded serving front-end (request queue, coalescing,
 //!   per-worker context caches).

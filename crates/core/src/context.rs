@@ -19,8 +19,8 @@ use rsn_road::gtree::LeafTargets;
 use rsn_road::rangefilter::RangeFilterChoice;
 
 /// Reusable buffers for repeated [`SearchContext`] builds against one
-/// network: the (k,t)-core extraction scratch plus the context's own
-/// id-translation array. Owned by a
+/// network: the (k,t)-core extraction scratch plus the social-id → local-id
+/// buffer of the induced-subgraph build. Owned by a
 /// [`QuerySession`](crate::session::QuerySession) and threaded through every
 /// query it executes, so the network-sized allocations happen once per
 /// session instead of once per query. (The core-local structures — induced
@@ -28,9 +28,10 @@ use rsn_road::rangefilter::RangeFilterChoice;
 /// context and therefore owned per query by construction.)
 #[derive(Debug, Default)]
 pub struct ContextScratch {
-    /// (k,t)-core extraction buffers (filter scratch, masks, id maps).
+    /// (k,t)-core extraction buffers (filter scratch, peel mask and stack).
     pub(crate) kt: KtScratch,
-    /// Social-id → core-local-id translation for the context build.
+    /// Social-id → local-id buffer of
+    /// [`Graph::induced_subgraph_with`]; all `u32::MAX` between builds.
     pub(crate) old_to_new: Vec<u32>,
 }
 
@@ -168,22 +169,23 @@ impl<'a> SearchContext<'a> {
         Ok(BuildOutcome::Ready(Box::new(ctx)))
     }
 
-    /// Tail of the context build: induced local graph, id
-    /// translations, attribute matrix, and the r-dominance graph.
+    /// Tail of the context build: induced local graph, local query ids,
+    /// attribute matrix, and the r-dominance graph.
     fn assemble(
         rsn: &'a RoadSocialNetwork,
         query: &'a MacQuery,
         core_vertices: Vec<VertexId>,
         scratch: &mut ContextScratch,
     ) -> Self {
-        let (local_graph, new_to_old) = rsn.social().induced_subgraph(&core_vertices);
-        let old_to_new = &mut scratch.old_to_new;
-        old_to_new.clear();
-        old_to_new.resize(rsn.num_users(), u32::MAX);
-        for (new, &old) in new_to_old.iter().enumerate() {
-            old_to_new[old as usize] = new as u32;
-        }
-        let local_q: Vec<u32> = query.q.iter().map(|&v| old_to_new[v as usize]).collect();
+        let (local_graph, new_to_old) = rsn
+            .social()
+            .induced_subgraph_with(&core_vertices, &mut scratch.old_to_new);
+        // The core is sorted and contains Q, so a local id is a rank.
+        let local_q: Vec<u32> = query
+            .q
+            .iter()
+            .map(|v| new_to_old.binary_search(v).expect("the core contains Q") as u32)
+            .collect();
         let mut attrs = AttrMatrix::with_capacity(rsn.attribute_dim(), new_to_old.len());
         for &old in &new_to_old {
             attrs.push_row(rsn.attributes(old));

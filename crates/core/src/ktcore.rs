@@ -9,9 +9,8 @@
 use crate::error::MacError;
 use crate::network::RoadSocialNetwork;
 use crate::query::MacQuery;
-use rsn_graph::core_decomp::{coreness_upper_bound, maximal_connected_k_core_containing};
+use rsn_graph::core_decomp::{coreness_upper_bound, PeelScratch};
 use rsn_graph::graph::VertexId;
-use rsn_graph::subgraph::SubgraphView;
 use rsn_road::budget::BudgetTicker;
 use rsn_road::gtree::LeafTargets;
 use rsn_road::network::Location;
@@ -19,22 +18,21 @@ use rsn_road::rangefilter::{FilterScratch, RangeFilterChoice};
 
 /// Reusable buffers for repeated (k,t)-core extractions against one network.
 ///
-/// Everything network-sized that the extraction used to allocate per query
-/// lives here: the query-location list, the Lemma-1 membership mask, the
-/// filter's own scratch ([`FilterScratch`]), and the id-translation arrays of
-/// the induced-subgraph step. A [`QuerySession`](crate::session::QuerySession)
-/// owns one and threads it through every query, so the steady state performs
-/// none of these allocations.
+/// Everything network-sized that the extraction would otherwise allocate per
+/// query lives here: the query-location list, the Lemma-1 membership mask
+/// (which the peel then narrows in place to the core), the masked degrees and
+/// stack of the peel ([`PeelScratch`]), and the filter's own scratch
+/// ([`FilterScratch`]). A [`QuerySession`](crate::session::QuerySession)
+/// owns one and threads it through every query, so a warmed extraction
+/// allocates only the returned core.
 #[derive(Debug, Default)]
 pub struct KtScratch {
     /// Locations of the query users.
     pub(crate) q_locations: Vec<Location>,
-    /// Lemma-1 membership mask over all users.
+    /// Lemma-1 membership mask over all users; the peel's working mask.
     pub(crate) within: Vec<bool>,
-    /// Social-id → induced-id translation (u32::MAX = not kept).
-    pub(crate) old_to_new: Vec<u32>,
-    /// Users surviving the Lemma-1 filter, ascending.
-    pub(crate) kept: Vec<VertexId>,
+    /// Masked degrees and the peel/BFS stack.
+    pub(crate) peel: PeelScratch,
     /// Range-filter working buffers (Dijkstra field, walk matrices, rows).
     pub(crate) filter: FilterScratch,
 }
@@ -132,8 +130,7 @@ pub(crate) fn maximal_kt_core_with_ticker(
     let KtScratch {
         q_locations,
         within,
-        old_to_new,
-        kept,
+        peel,
         filter: filter_scratch,
     } = scratch;
     q_locations.clear();
@@ -156,9 +153,10 @@ pub(crate) fn maximal_kt_core_with_ticker(
         return Ok(KtOutcome::Empty);
     }
 
-    // Coreness upper bound on the filtered subgraph (Section III).
-    let filtered = SubgraphView::from_mask(social, within);
-    let (n_f, m_f) = (filtered.num_alive(), filtered.num_alive_edges());
+    // Coreness upper bound on the filtered subgraph (Section III), from the
+    // masked degrees the peel starts with.
+    let peel = peel.load(social, within);
+    let (n_f, m_f) = (peel.num_vertices(), peel.num_edges());
     if n_f == 0 || query.k > coreness_upper_bound(n_f, m_f).max(1) {
         return Ok(KtOutcome::Empty);
     }
@@ -171,28 +169,10 @@ pub(crate) fn maximal_kt_core_with_ticker(
         ));
     }
 
-    // Lemma 2: maximal connected k-core containing Q within the filtered graph.
-    // Build the induced subgraph explicitly so the decomposition ignores
-    // filtered-out vertices entirely.
-    kept.clear();
-    kept.extend((0..social.num_vertices() as u32).filter(|&v| within[v as usize]));
-    let (induced, new_to_old) = social.induced_subgraph(kept);
-    old_to_new.clear();
-    old_to_new.resize(social.num_vertices(), u32::MAX);
-    for (new, &old) in new_to_old.iter().enumerate() {
-        old_to_new[old as usize] = new as u32;
-    }
-    let local_q: Vec<VertexId> = query.q.iter().map(|&v| old_to_new[v as usize]).collect();
-    let core = maximal_connected_k_core_containing(&induced, query.k, &local_q)?;
-    Ok(match core {
-        Some(local_vertices) => {
-            let mut vertices: Vec<VertexId> = local_vertices
-                .into_iter()
-                .map(|v| new_to_old[v as usize])
-                .collect();
-            vertices.sort_unstable();
-            KtOutcome::Core(KtCore { vertices })
-        }
+    // Lemma 2: maximal connected k-core containing Q, peeled in place inside
+    // the Lemma-1 mask on the social graph itself.
+    Ok(match peel.connected_k_core_containing(query.k, &query.q)? {
+        Some(vertices) => KtOutcome::Core(KtCore { vertices }),
         None => KtOutcome::Empty,
     })
 }

@@ -451,4 +451,38 @@ mod tests {
         );
         assert!(matches!(err, Err(MacError::Road(_))));
     }
+
+    #[test]
+    fn rejects_non_finite_on_edge_offsets() {
+        use rsn_road::RoadError;
+        for offset in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = Location::OnEdge { u: 0, v: 1, offset };
+            let err = RoadSocialNetwork::new(
+                Graph::from_edges(2, &[(0, 1)]),
+                tiny_road(),
+                vec![Location::vertex(0), bad],
+                vec![vec![1.0], vec![2.0]],
+            );
+            assert!(
+                matches!(err, Err(MacError::Road(RoadError::InvalidOffset { .. }))),
+                "offset {offset} accepted by the constructor"
+            );
+
+            let mut rsn = RoadSocialNetwork::new(
+                Graph::from_edges(2, &[(0, 1)]),
+                tiny_road(),
+                vec![Location::vertex(0), Location::vertex(1)],
+                vec![vec![1.0], vec![2.0]],
+            )
+            .unwrap();
+            assert!(
+                matches!(
+                    rsn.set_user_location(1, bad),
+                    Err(MacError::Road(RoadError::InvalidOffset { .. }))
+                ),
+                "offset {offset} accepted by a user move"
+            );
+            assert_eq!(rsn.location(1), &Location::vertex(1));
+        }
+    }
 }

@@ -1,12 +1,19 @@
-//! k-core decomposition and maximal (connected) k-core extraction.
+//! k-core decomposition and maximal connected k-core extraction.
 //!
 //! The MAC definition (Definition 5) requires every community to be a
 //! connected k-core containing the query vertices; Lemma 2 restricts the
 //! search to the maximal connected k-core containing `Q`, and Section III uses
 //! the coreness upper bound `⌊(1 + √(9 + 8(m − n))) / 2⌋` as a quick
 //! infeasibility test before decomposing.
+//!
+//! There is one peel. [`PeelScratch::load`] takes a vertex mask over the
+//! graph (the Lemma-1 survivors, for a MAC query), counts the masked degrees
+//! in one pass, and reports the masked subgraph's `n` and `m` for the
+//! coreness bound; [`MaskedPeel::connected_k_core_containing`] then peels the
+//! mask in place and finds the component of `Q` by BFS. No induced copy of
+//! the masked subgraph is built. [`maximal_connected_k_core_containing`] is
+//! the all-alive case.
 
-use crate::connectivity::bfs_reachable;
 use crate::graph::{Graph, VertexId};
 use crate::GraphError;
 
@@ -100,33 +107,162 @@ pub fn coreness_upper_bound(n: usize, m: usize) -> u32 {
     ((1.0 + (9.0 + 8.0 * diff).sqrt()) / 2.0).floor() as u32
 }
 
-/// Returns the vertex mask of the maximal k-core of `g` (not necessarily
-/// connected): iteratively removes vertices of degree `< k`.
-pub fn maximal_k_core_mask(g: &Graph, k: u32) -> Vec<bool> {
-    let n = g.num_vertices();
-    let mut alive = vec![true; n];
-    let mut degree: Vec<u32> = (0..n).map(|v| g.degree(v as u32) as u32).collect();
-    let mut stack: Vec<u32> = (0..n as u32).filter(|&v| degree[v as usize] < k).collect();
-    for &v in &stack {
-        alive[v as usize] = false;
+/// Reusable buffers of the masked k-core peel ([`PeelScratch::load`]): the
+/// masked degrees and the stack that serves first the peel, then the BFS.
+///
+/// Both grow to the graph size once and are overwritten on every load, so a
+/// caller that keeps one scratch across peels allocates nothing but the
+/// returned core.
+#[derive(Debug, Clone, Default)]
+pub struct PeelScratch {
+    degree: Vec<u32>,
+    stack: Vec<VertexId>,
+}
+
+impl PeelScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        PeelScratch::default()
     }
-    while let Some(v) = stack.pop() {
-        for &u in g.neighbors(v) {
-            if alive[u as usize] {
-                degree[u as usize] -= 1;
-                if degree[u as usize] < k {
+
+    /// Loads the subgraph of `g` induced by `alive` for a peel: one pass over
+    /// the alive vertices' neighbour lists records every masked degree, and
+    /// with it the subgraph's vertex and edge counts.
+    ///
+    /// # Panics
+    ///
+    /// If `alive.len()` differs from `g.num_vertices()`.
+    pub fn load<'a>(&'a mut self, g: &'a Graph, alive: &'a mut [bool]) -> MaskedPeel<'a> {
+        let n = g.num_vertices();
+        assert_eq!(alive.len(), n, "mask length must equal vertex count");
+        self.degree.resize(n, 0);
+        let (mut num_vertices, mut degree_sum) = (0usize, 0usize);
+        for v in 0..n {
+            if alive[v] {
+                let d = g
+                    .neighbors(v as VertexId)
+                    .iter()
+                    .filter(|&&u| alive[u as usize])
+                    .count();
+                self.degree[v] = d as u32;
+                num_vertices += 1;
+                degree_sum += d;
+            }
+        }
+        MaskedPeel {
+            g,
+            alive,
+            scratch: self,
+            num_vertices,
+            num_edges: degree_sum / 2,
+        }
+    }
+}
+
+/// A masked subgraph loaded by [`PeelScratch::load`], ready to be peeled.
+///
+/// Its counts feed the coreness bound before the peel runs; the peel itself
+/// ([`connected_k_core_containing`](Self::connected_k_core_containing))
+/// works in place on the mask.
+#[derive(Debug)]
+pub struct MaskedPeel<'a> {
+    g: &'a Graph,
+    alive: &'a mut [bool],
+    scratch: &'a mut PeelScratch,
+    num_vertices: usize,
+    num_edges: usize,
+}
+
+impl MaskedPeel<'_> {
+    /// Number of vertices of the masked subgraph.
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// Number of edges of the masked subgraph.
+    pub fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+
+    /// The maximal connected k-core of the masked subgraph that contains
+    /// every vertex of `q`, sorted ascending.
+    ///
+    /// Peels the mask in place down to the maximal k-core (Batagelj &
+    /// Zaversnik's linear peel: every vertex of degree `< k` leaves, and each
+    /// removal decrements its alive neighbours), then runs a BFS from `q[0]`
+    /// that clears the mask bit of every vertex it reaches. The mask is
+    /// working space; its contents on return are unspecified. Returns
+    /// `Ok(None)` when a query vertex is peeled or lies in another component
+    /// of the k-core.
+    pub fn connected_k_core_containing(
+        self,
+        k: u32,
+        q: &[VertexId],
+    ) -> Result<Option<Vec<VertexId>>, GraphError> {
+        let MaskedPeel {
+            g, alive, scratch, ..
+        } = self;
+        let n = g.num_vertices();
+        let Some(&start) = q.first() else {
+            return Err(GraphError::EmptyQuery);
+        };
+        if let Some(&v) = q.iter().find(|&&v| v as usize >= n) {
+            return Err(GraphError::VertexOutOfRange {
+                vertex: v,
+                num_vertices: n,
+            });
+        }
+        let PeelScratch { degree, stack } = scratch;
+        stack.clear();
+        for v in 0..n {
+            if alive[v] && degree[v] < k {
+                alive[v] = false;
+                stack.push(v as VertexId);
+            }
+        }
+        while let Some(v) = stack.pop() {
+            for &u in g.neighbors(v) {
+                let u = u as usize;
+                if alive[u] {
+                    degree[u] -= 1;
+                    if degree[u] < k {
+                        alive[u] = false;
+                        stack.push(u as VertexId);
+                    }
+                }
+            }
+        }
+        if q.iter().any(|&v| !alive[v as usize]) {
+            return Ok(None);
+        }
+        // BFS over the k-core; a reached vertex leaves the mask, so the
+        // mask doubles as the visited set and `stack` as the queue.
+        alive[start as usize] = false;
+        stack.push(start);
+        let mut head = 0;
+        while let Some(&v) = stack.get(head) {
+            head += 1;
+            for &u in g.neighbors(v) {
+                if alive[u as usize] {
                     alive[u as usize] = false;
                     stack.push(u);
                 }
             }
         }
+        if q.iter().any(|&v| alive[v as usize]) {
+            return Ok(None);
+        }
+        stack.sort_unstable();
+        Ok(Some(stack.to_vec()))
     }
-    alive
 }
 
 /// Computes the maximal **connected** k-core containing every vertex of `q`
 /// (the `k-ĉore` of the paper): the connected component of the maximal k-core
 /// that contains all query vertices.
+///
+/// The all-alive case of the masked peel ([`PeelScratch::load`]); callers
+/// that peel repeatedly, or inside a vertex mask, hold a [`PeelScratch`].
 ///
 /// Returns `Ok(None)` when no such component exists (some query vertex falls
 /// out of the k-core, or query vertices end up in different components).
@@ -135,32 +271,10 @@ pub fn maximal_connected_k_core_containing(
     k: u32,
     q: &[VertexId],
 ) -> Result<Option<Vec<VertexId>>, GraphError> {
-    if q.is_empty() {
-        return Err(GraphError::EmptyQuery);
-    }
-    let n = g.num_vertices();
-    for &v in q {
-        if v as usize >= n {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: n,
-            });
-        }
-    }
-    let alive = maximal_k_core_mask(g, k);
-    for &v in q {
-        if !alive[v as usize] {
-            return Ok(None);
-        }
-    }
-    let component = bfs_reachable(g, q[0], &alive);
-    for &v in q {
-        if !component[v as usize] {
-            return Ok(None);
-        }
-    }
-    let vertices: Vec<VertexId> = (0..n as u32).filter(|&v| component[v as usize]).collect();
-    Ok(Some(vertices))
+    let mut alive = vec![true; g.num_vertices()];
+    PeelScratch::new()
+        .load(g, &mut alive)
+        .connected_k_core_containing(k, q)
 }
 
 #[cfg(test)]
@@ -264,12 +378,48 @@ mod tests {
     }
 
     #[test]
-    fn maximal_k_core_mask_peels_low_degree() {
+    fn masked_peel_removes_low_degree_vertices() {
+        // triangle {0,1,2} with the tail 2-3-4
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]);
-        let mask = maximal_k_core_mask(&g, 2);
-        assert_eq!(mask, vec![true, true, true, false, false]);
-        let mask3 = maximal_k_core_mask(&g, 3);
-        assert!(mask3.iter().all(|&b| !b));
+        let mut scratch = PeelScratch::new();
+        let mut alive = vec![true; 5];
+        let peel = scratch.load(&g, &mut alive);
+        assert_eq!((peel.num_vertices(), peel.num_edges()), (5, 5));
+        assert_eq!(
+            peel.connected_k_core_containing(2, &[0]).unwrap(),
+            Some(vec![0, 1, 2])
+        );
+        // the reused scratch starts over on a fresh mask
+        let mut alive = vec![true; 5];
+        let peel = scratch.load(&g, &mut alive);
+        assert_eq!(peel.connected_k_core_containing(3, &[0]).unwrap(), None);
+        let mut alive = vec![true; 5];
+        let peel = scratch.load(&g, &mut alive);
+        assert_eq!(
+            peel.connected_k_core_containing(1, &[4]).unwrap(),
+            Some(vec![0, 1, 2, 3, 4])
+        );
+    }
+
+    #[test]
+    fn masked_peel_ignores_vertices_outside_the_mask() {
+        // K4 {0,1,2,3}; masking out 3 leaves a triangle, a 2-core but no
+        // 3-core, and the masked counts exclude 3's edges
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let mut scratch = PeelScratch::new();
+        for (k, expected) in [(2, Some(vec![0, 1, 2])), (3, None)] {
+            let mut alive = vec![true, true, true, false];
+            let peel = scratch.load(&g, &mut alive);
+            assert_eq!((peel.num_vertices(), peel.num_edges()), (3, 3));
+            assert_eq!(peel.connected_k_core_containing(k, &[1]).unwrap(), expected);
+        }
+        let mut alive = vec![true, true, true, false];
+        assert!(matches!(
+            scratch
+                .load(&g, &mut alive)
+                .connected_k_core_containing(2, &[]),
+            Err(GraphError::EmptyQuery)
+        ));
     }
 
     #[test]

@@ -112,7 +112,24 @@ impl Graph {
     /// Vertices listed more than once are collapsed; order of first occurrence
     /// determines the new ids.
     pub fn induced_subgraph(&self, vertices: &[VertexId]) -> (Graph, Vec<VertexId>) {
-        let mut old_to_new = vec![u32::MAX; self.num_vertices()];
+        self.induced_subgraph_with(vertices, &mut Vec::new())
+    }
+
+    /// [`induced_subgraph`](Self::induced_subgraph) with a caller-pooled
+    /// `old id -> new id` buffer. The buffer is grown to
+    /// [`num_vertices`](Self::num_vertices) and must hold `u32::MAX` in every
+    /// slot on entry; the entries it sets are reset before returning, so a
+    /// pooled buffer costs O(|vertices|) per call instead of O(n).
+    ///
+    /// Each kept vertex's neighbour list is mapped through the buffer
+    /// directly. The lists come out sorted whenever `vertices` is ascending
+    /// (the map is then monotone); otherwise each list is sorted on its own.
+    pub fn induced_subgraph_with(
+        &self,
+        vertices: &[VertexId],
+        old_to_new: &mut Vec<u32>,
+    ) -> (Graph, Vec<VertexId>) {
+        old_to_new.resize(self.num_vertices(), u32::MAX);
         let mut new_to_old = Vec::with_capacity(vertices.len());
         for &v in vertices {
             if old_to_new[v as usize] == u32::MAX {
@@ -120,16 +137,34 @@ impl Graph {
                 new_to_old.push(v);
             }
         }
-        let mut builder = GraphBuilder::new(new_to_old.len());
-        for (new_u, &old_u) in new_to_old.iter().enumerate() {
-            for &old_v in self.neighbors(old_u) {
-                let new_v = old_to_new[old_v as usize];
-                if new_v != u32::MAX && (new_u as u32) < new_v {
-                    builder.add_edge(new_u as u32, new_v);
+        let monotone = new_to_old.windows(2).all(|w| w[0] < w[1]);
+        let mut num_ends = 0;
+        let adj = new_to_old
+            .iter()
+            .map(|&old| {
+                let mapped = || {
+                    self.neighbors(old)
+                        .iter()
+                        .map(|&u| old_to_new[u as usize])
+                        .filter(|&u| u != u32::MAX)
+                };
+                let mut list = Vec::with_capacity(mapped().count());
+                list.extend(mapped());
+                if !monotone {
+                    list.sort_unstable();
                 }
-            }
+                num_ends += list.len();
+                list
+            })
+            .collect();
+        for &old in &new_to_old {
+            old_to_new[old as usize] = u32::MAX;
         }
-        (builder.build(), new_to_old)
+        let graph = Graph {
+            adj,
+            num_edges: num_ends / 2,
+        };
+        (graph, new_to_old)
     }
 
     /// Degree sequence, useful for dataset statistics (Table II).

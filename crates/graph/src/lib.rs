@@ -8,7 +8,8 @@
 //!
 //! * [`graph::Graph`] — a compact undirected simple graph.
 //! * [`core_decomp`] — Batagelj–Zaversnik O(m) k-core decomposition, the
-//!   coreness upper bound of Section III, and maximal (connected) k-cores.
+//!   coreness upper bound of Section III, and the in-place masked peel to the
+//!   maximal connected k-core containing `Q`.
 //! * [`subgraph::SubgraphView`] — a deletable view over a graph supporting the
 //!   cascading DFS deletion of Algorithm 1 (lines 15–20) together with undo,
 //!   which the global search uses when exploring partitions of the preference

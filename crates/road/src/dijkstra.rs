@@ -8,31 +8,24 @@
 
 use crate::budget::BudgetTicker;
 use crate::network::{Location, RoadNetwork, RoadVertexId};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A heap entry ordered by smallest distance first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    vertex: RoadVertexId,
-}
+/// Min-heap entry: a distance key from [`heap_key`], then the vertex, so
+/// ties pop the smaller vertex first.
+type HeapEntry = Reverse<(u64, RoadVertexId)>;
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so that BinaryHeap (a max-heap) pops the smallest distance.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// An integer key whose order is the numeric order of `d`: a non-negative
+/// `d` (every distance a sweep computes) keeps its bit pattern with the sign
+/// bit set; a negative seed distance is bit-inverted, which places it below,
+/// in order. `+ 0.0` turns `-0.0` into `0.0`, so the two tie as they compare.
+#[inline]
+fn heap_key(d: f64) -> u64 {
+    let bits = (d + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
@@ -98,17 +91,16 @@ impl SsspScratch {
                     self.touched.push(s);
                 }
                 self.dist[s as usize] = d0;
-                self.heap.push(HeapEntry {
-                    dist: d0,
-                    vertex: s,
-                });
+                self.heap.push(Reverse((heap_key(d0), s)));
             }
         }
-        while let Some(HeapEntry { dist: d, vertex: v }) = self.heap.pop() {
+        while let Some(Reverse((key, v))) = self.heap.pop() {
             if !ticker.charge(1) {
                 return false;
             }
-            if d > self.dist[v as usize] {
+            // A stale entry: `v` was improved after this one was pushed.
+            let d = self.dist[v as usize];
+            if key != heap_key(d) {
                 continue;
             }
             if d > bound {
@@ -126,10 +118,7 @@ impl SsspScratch {
                         self.touched.push(u);
                     }
                     self.dist[u as usize] = nd;
-                    self.heap.push(HeapEntry {
-                        dist: nd,
-                        vertex: u,
-                    });
+                    self.heap.push(Reverse((heap_key(nd), u)));
                 }
             }
         }
@@ -346,6 +335,126 @@ mod tests {
         assert!(location_distance_bounded(&net, &a, &b, Some(2.0)).is_infinite());
         assert!((location_distance_bounded(&net, &a, &b, Some(5.0)) - 4.0).abs() < 1e-12);
         assert!((location_distance(&net, &a, &b) - 4.0).abs() < 1e-12);
+    }
+
+    /// A random input edge list: zero weights, repeated segments (parallel
+    /// edges in either direction) and self-loops all occur.
+    fn random_edges(rng: &mut impl rand::Rng, n: u32) -> Vec<(u32, u32, f64)> {
+        let m = rng.random_range(0..=3 * n as usize);
+        let mut edges: Vec<(u32, u32, f64)> = Vec::with_capacity(m + 4);
+        for _ in 0..m {
+            let u = rng.random_range(0..n);
+            let v = rng.random_range(0..n);
+            // integer weights make equal-length paths, and so pop ties, common
+            let w = match rng.random_range(0..4) {
+                0 => 0.0,
+                1 => rng.random_range(0..4) as f64,
+                _ => rng.random_range(0.0..5.0),
+            };
+            edges.push((u, v, w));
+            if rng.random_bool(0.1) {
+                edges.push((v, u, rng.random_range(0.0..5.0)));
+            }
+        }
+        edges
+    }
+
+    /// O(n^2) Dijkstra straight off the input edge list: settle the closest
+    /// unsettled vertex, relax every input edge at it, accept only distances
+    /// within `bound`.
+    fn naive_dijkstra(
+        n: usize,
+        edges: &[(u32, u32, f64)],
+        seeds: &[(u32, f64)],
+        bound: f64,
+    ) -> Vec<f64> {
+        let mut dist = vec![f64::INFINITY; n];
+        for &(s, d0) in seeds {
+            if d0 <= bound && d0 < dist[s as usize] {
+                dist[s as usize] = d0;
+            }
+        }
+        let mut settled = vec![false; n];
+        while let Some(v) = (0..n)
+            .filter(|&v| !settled[v] && dist[v].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+        {
+            settled[v] = true;
+            for &(a, b, w) in edges {
+                for (x, y) in [(a, b), (b, a)] {
+                    if x as usize == v && x != y {
+                        let nd = dist[v] + w;
+                        if nd < dist[y as usize] && nd <= bound {
+                            dist[y as usize] = nd;
+                        }
+                    }
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn scratch_run_is_bit_identical_to_a_naive_dijkstra() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5eed_d175);
+        let mut scratch = SsspScratch::new();
+        let mut on_edge_seeds = 0;
+        for case in 0..300 {
+            let n = rng.random_range(1..=40u32);
+            let edges = random_edges(&mut rng, n);
+            let net = RoadNetwork::from_edges(n as usize, &edges);
+            let seeds: Vec<(u32, f64)> = match net.edges().nth(case % 7) {
+                // an on-edge location at offset 0, w, or inside the edge
+                Some((u, v, w)) if case % 2 == 0 => {
+                    on_edge_seeds += 1;
+                    let offset = match case % 3 {
+                        0 => 0.0,
+                        1 => w,
+                        _ => w * rng.random_range(0.0..1.0),
+                    };
+                    vec![(u, offset), (v, (w - offset).max(0.0))]
+                }
+                _ => (0..rng.random_range(1..=3))
+                    .map(|_| (rng.random_range(0..n), rng.random_range(0..3) as f64))
+                    .collect(),
+            };
+            for bound in [None, Some(rng.random_range(0..8) as f64), Some(2.5)] {
+                let expected =
+                    naive_dijkstra(n as usize, &edges, &seeds, bound.unwrap_or(f64::INFINITY));
+                assert!(scratch.run(&net, &seeds, bound, None, &mut BudgetTicker::unlimited()));
+                let got: Vec<u64> = scratch.dist().iter().map(|d| d.to_bits()).collect();
+                let want: Vec<u64> = expected.iter().map(|d| d.to_bits()).collect();
+                assert_eq!(got, want, "case {case}, seeds {seeds:?}, bound {bound:?}");
+            }
+        }
+        assert!(on_edge_seeds > 100);
+    }
+
+    #[test]
+    fn heap_key_orders_like_the_distances() {
+        let values = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -1e-300,
+            -0.0,
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            7.25,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(
+                    heap_key(a).cmp(&heap_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

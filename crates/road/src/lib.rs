@@ -8,8 +8,9 @@
 //! to locations in `G_r` and the *query distance* (Definition 2) measures the
 //! communication cost of a community. This crate provides:
 //!
-//! * [`network::RoadNetwork`] — the weighted graph plus [`network::Location`]
-//!   (a point on a vertex or part-way along an edge).
+//! * [`network::RoadNetwork`] — the weighted graph, stored as CSR (fixed
+//!   topology, reweighted in place), plus [`network::Location`] (a point on a
+//!   vertex or part-way along an edge).
 //! * [`dijkstra`] — exact single-source / multi-source / bounded shortest
 //!   paths, plus [`dijkstra::SsspScratch`] so repeated searches reuse their
 //!   buffers instead of allocating per call.
@@ -64,7 +65,7 @@ pub enum RoadError {
     },
     /// An edge weight was negative or not finite.
     InvalidWeight(f64),
-    /// A location offset was outside `[0, weight(u, v)]`.
+    /// A location offset was outside `[0, weight(u, v)]` (NaN included).
     InvalidOffset {
         /// Requested offset.
         offset: f64,

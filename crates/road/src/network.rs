@@ -71,44 +71,60 @@ impl EdgeUpdate {
     }
 }
 
-/// An undirected weighted road network.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// An undirected weighted road network, stored as CSR: the neighbours of
+/// `v` are `adj[offsets[v]..offsets[v + 1]]`, ascending by neighbour id.
+///
+/// The topology is fixed once built; [`set_edge_weight`](Self::set_edge_weight)
+/// rewrites both directed copies of an edge in place.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoadNetwork {
-    adj: Vec<Vec<(RoadVertexId, f64)>>,
-    num_edges: usize,
+    offsets: Vec<usize>,
+    adj: Vec<(RoadVertexId, f64)>,
+}
+
+impl Default for RoadNetwork {
+    fn default() -> Self {
+        RoadNetworkBuilder::new(0).build()
+    }
 }
 
 impl RoadNetwork {
     /// Number of road vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of road segments (undirected edges).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.adj.len() / 2
     }
 
-    /// Neighbours of `v` with edge weights.
+    /// Neighbours of `v` with edge weights, ascending by neighbour id.
     #[inline]
     pub fn neighbors(&self, v: RoadVertexId) -> &[(RoadVertexId, f64)] {
-        &self.adj[v as usize]
+        &self.adj[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Degree of a road vertex.
     #[inline]
     pub fn degree(&self, v: RoadVertexId) -> usize {
-        self.adj[v as usize].len()
+        self.offsets[v as usize + 1] - self.offsets[v as usize]
+    }
+
+    /// Index into `adj` of the directed copy `u -> v`, if the edge exists.
+    fn slot(&self, u: RoadVertexId, v: RoadVertexId) -> Option<usize> {
+        let start = self.offsets[u as usize];
+        self.neighbors(u)
+            .binary_search_by_key(&v, |&(x, _)| x)
+            .ok()
+            .map(|i| start + i)
     }
 
     /// Weight of the edge `(u, v)` if it exists.
     pub fn edge_weight(&self, u: RoadVertexId, v: RoadVertexId) -> Option<f64> {
-        self.adj[u as usize]
-            .iter()
-            .find(|&&(x, _)| x == v)
-            .map(|&(_, w)| w)
+        self.slot(u, v).map(|i| self.adj[i].1)
     }
 
     /// Sets the weight of the **existing** edge `(u, v)` to `w`, returning
@@ -135,17 +151,11 @@ impl RoadNetwork {
                 });
             }
         }
-        let forward = self.adj[u as usize]
-            .iter_mut()
-            .find(|(x, _)| *x == v)
-            .ok_or(RoadError::NoSuchEdge { u, v })?;
-        let old = forward.1;
-        forward.1 = w;
-        let backward = self.adj[v as usize]
-            .iter_mut()
-            .find(|(x, _)| *x == u)
-            .expect("undirected adjacency is symmetric");
-        backward.1 = w;
+        let forward = self.slot(u, v).ok_or(RoadError::NoSuchEdge { u, v })?;
+        let backward = self.slot(v, u).expect("undirected adjacency is symmetric");
+        let old = self.adj[forward].1;
+        self.adj[forward].1 = w;
+        self.adj[backward].1 = w;
         Ok(old)
     }
 
@@ -176,11 +186,12 @@ impl RoadNetwork {
         Ok(())
     }
 
-    /// Iterator over undirected edges `(u, v, w)` with `u < v`.
+    /// Iterator over undirected edges `(u, v, w)` with `u < v`, ascending by
+    /// `(u, v)`.
     pub fn edges(&self) -> impl Iterator<Item = (RoadVertexId, RoadVertexId, f64)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
-            let u = u as RoadVertexId;
-            nbrs.iter()
+        (0..self.num_vertices() as RoadVertexId).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
                 .copied()
                 .filter(move |&(v, _)| u < v)
                 .map(move |(v, w)| (u, v, w))
@@ -189,19 +200,25 @@ impl RoadNetwork {
 
     /// Average degree `2m / n`.
     pub fn avg_degree(&self) -> f64 {
-        if self.adj.is_empty() {
+        if self.num_vertices() == 0 {
             0.0
         } else {
-            2.0 * self.num_edges as f64 / self.adj.len() as f64
+            self.adj.len() as f64 / self.num_vertices() as f64
         }
     }
 
     /// Maximum degree.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Validates a location against this network.
+    /// Validates a location against this network: its vertices exist, and
+    /// an on-edge offset names an existing edge and lies in `[0, w]` (so a
+    /// NaN or infinite offset is rejected).
     pub fn validate_location(&self, loc: &Location) -> Result<(), RoadError> {
         match *loc {
             Location::Vertex(v) => {
@@ -230,7 +247,7 @@ impl RoadNetwork {
                 let Some(w) = self.edge_weight(u, v) else {
                     return Err(RoadError::NoSuchEdge { u, v });
                 };
-                if offset < 0.0 || offset > w {
+                if !(0.0..=w).contains(&offset) {
                     return Err(RoadError::InvalidOffset {
                         offset,
                         edge_length: w,
@@ -292,18 +309,26 @@ impl RoadNetworkBuilder {
         self.edges
             .sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
         self.edges.dedup_by_key(|e| (e.0, e.1));
-        let mut adj = vec![Vec::new(); self.n];
+        let mut offsets = vec![0usize; self.n + 1];
+        for &(u, v, _) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..self.n {
+            offsets[i + 1] += offsets[i];
+        }
+        // Filling in `(u, v)` order sorts every list: `x` first meets its
+        // smaller neighbours `u` through the edges `(u, x)`, ascending, and
+        // only then its larger ones through `(x, v)`, ascending.
+        let mut fill = offsets.clone();
+        let mut adj = vec![(0, 0.0); 2 * self.edges.len()];
         for &(u, v, w) in &self.edges {
-            adj[u as usize].push((v, w));
-            adj[v as usize].push((u, w));
+            adj[fill[u as usize]] = (v, w);
+            fill[u as usize] += 1;
+            adj[fill[v as usize]] = (u, w);
+            fill[v as usize] += 1;
         }
-        for list in &mut adj {
-            list.sort_by_key(|a| a.0);
-        }
-        RoadNetwork {
-            adj,
-            num_edges: self.edges.len(),
-        }
+        RoadNetwork { offsets, adj }
     }
 }
 
@@ -403,6 +428,26 @@ mod tests {
     }
 
     #[test]
+    fn location_validation_rejects_non_finite_offsets() {
+        let net = small_net();
+        for offset in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    net.validate_location(&Location::OnEdge { u: 1, v: 2, offset }),
+                    Err(RoadError::InvalidOffset { .. })
+                ),
+                "offset {offset} accepted"
+            );
+        }
+        // the closed range [0, w] stays valid at both ends
+        for offset in [0.0, 3.0] {
+            assert!(net
+                .validate_location(&Location::OnEdge { u: 1, v: 2, offset })
+                .is_ok());
+        }
+    }
+
+    #[test]
     fn on_edge_normalization() {
         let loc = Location::on_edge(3, 1, 0.5, 2.0);
         assert_eq!(
@@ -463,6 +508,64 @@ mod tests {
         net.apply_edge_updates(&good).unwrap();
         assert_eq!(net.edge_weight(0, 1), Some(4.0));
         assert_eq!(net.edge_weight(2, 3), Some(0.5));
+    }
+
+    #[test]
+    fn csr_reweights_keep_both_directions_and_the_edge_order() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..50 {
+            let n = rng.random_range(1..=30u32);
+            let input: Vec<(u32, u32, f64)> = (0..rng.random_range(0..90))
+                .map(|_| {
+                    let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                    (u, v, rng.random_range(0..4) as f64)
+                })
+                .collect();
+            let mut net = RoadNetwork::from_edges(n as usize, &input);
+            // Reference: one copy of each segment, the cheapest, ascending
+            // by (u, v) — the order of the sorted per-vertex lists.
+            let mut expected: Vec<(u32, u32, f64)> = Vec::new();
+            for &(u, v, w) in &input {
+                let (a, b) = (u.min(v), u.max(v));
+                if a == b {
+                    continue;
+                }
+                match expected.iter_mut().find(|e| (e.0, e.1) == (a, b)) {
+                    Some(e) => e.2 = e.2.min(w),
+                    None => expected.push((a, b, w)),
+                }
+            }
+            expected.sort_by_key(|e| (e.0, e.1));
+            assert_eq!(net.edges().collect::<Vec<_>>(), expected);
+            assert_eq!(net.num_edges(), expected.len());
+
+            for e in expected.iter_mut() {
+                if rng.random_bool(0.5) {
+                    let w = rng.random_range(0.0..9.0);
+                    let (a, b) = if rng.random_bool(0.5) {
+                        (e.0, e.1)
+                    } else {
+                        (e.1, e.0)
+                    };
+                    assert_eq!(net.set_edge_weight(a, b, w), Ok(e.2));
+                    e.2 = w;
+                }
+            }
+            assert_eq!(net.edges().collect::<Vec<_>>(), expected);
+            for &(u, v, w) in &expected {
+                assert_eq!(net.edge_weight(u, v), Some(w));
+                assert_eq!(net.edge_weight(v, u), Some(w));
+            }
+            for v in 0..n {
+                let nbrs = net.neighbors(v);
+                assert_eq!(nbrs.len(), net.degree(v));
+                assert!(nbrs.windows(2).all(|p| p[0].0 < p[1].0));
+                for &(u, w) in nbrs {
+                    assert_eq!(net.edge_weight(u, v), Some(w));
+                }
+            }
+        }
     }
 
     #[test]

@@ -125,13 +125,45 @@ impl DistanceOracle<'_> {
     }
 }
 
+/// The Dijkstra seeds of a location (the `ω(u, p)` convention of the
+/// paper): one for a vertex, one per endpoint for an on-edge point. Held
+/// inline, so computing them never allocates; derefs to the seed slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LocationSeeds {
+    seeds: [(RoadVertexId, f64); 2],
+    len: usize,
+}
+
+impl std::ops::Deref for LocationSeeds {
+    type Target = [(RoadVertexId, f64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.seeds[..self.len]
+    }
+}
+
+impl IntoIterator for LocationSeeds {
+    type Item = (RoadVertexId, f64);
+    type IntoIter = std::iter::Take<std::array::IntoIter<(RoadVertexId, f64), 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.seeds.into_iter().take(self.len)
+    }
+}
+
 /// Dijkstra seeds for a location (the `ω(u, p)` convention of the paper).
-pub(crate) fn location_seeds(net: &RoadNetwork, loc: &Location) -> Vec<(RoadVertexId, f64)> {
+pub(crate) fn location_seeds(net: &RoadNetwork, loc: &Location) -> LocationSeeds {
     match *loc {
-        Location::Vertex(v) => vec![(v, 0.0)],
+        Location::Vertex(v) => LocationSeeds {
+            seeds: [(v, 0.0); 2],
+            len: 1,
+        },
         Location::OnEdge { u, v, offset } => {
             let w = net.edge_weight(u, v).unwrap_or(f64::INFINITY);
-            vec![(u, offset), (v, (w - offset).max(0.0))]
+            LocationSeeds {
+                seeds: [(u, offset), (v, (w - offset).max(0.0))],
+                len: 2,
+            }
         }
     }
 }
@@ -169,11 +201,11 @@ pub(crate) fn gtree_location_distance(
     b: &Location,
 ) -> f64 {
     let mut best = along_edge_distance(a, b);
-    for &(sa, oa) in &location_seeds(net, a) {
+    for (sa, oa) in location_seeds(net, a) {
         if !oa.is_finite() {
             continue;
         }
-        for &(sb, ob) in &location_seeds(net, b) {
+        for (sb, ob) in location_seeds(net, b) {
             if !ob.is_finite() {
                 continue;
             }

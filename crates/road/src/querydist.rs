@@ -174,7 +174,7 @@ impl<'a> QueryDistanceIndex<'a> {
                 let target_seeds = location_seeds(self.net, loc);
                 let mut best = along_edge_distance(&source.location, loc);
                 for &(ref state, off_src) in &source.seeds {
-                    for &(target, off_dst) in &target_seeds {
+                    for &(target, off_dst) in target_seeds.iter() {
                         if !off_dst.is_finite() {
                             continue;
                         }

@@ -275,8 +275,11 @@ pub fn remove_user_target(
     old_location: &Location,
 ) -> usize {
     let seeds = location_seeds(net, old_location);
-    let vertices: Vec<crate::network::RoadVertexId> = seeds.into_iter().map(|(v, _)| v).collect();
-    tree.remove_target_item(targets, user, &vertices)
+    let mut vertices = [0; 2];
+    for (slot, &(v, _)) in vertices.iter_mut().zip(seeds.iter()) {
+        *slot = v;
+    }
+    tree.remove_target_item(targets, user, &vertices[..seeds.len()])
 }
 
 /// Adds one user's seeds at `location` to a [`group_user_targets`] grouping

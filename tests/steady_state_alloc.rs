@@ -169,6 +169,33 @@ fn cached_query_after_an_empty_core_query_allocates_nothing() {
     );
 }
 
+/// A warmed uncached (k,t)-core extraction — range filter, masked degrees,
+/// in-place peel and BFS, all on pooled scratch — allocates exactly once:
+/// the returned core's member vector.
+#[test]
+fn warmed_kt_core_extraction_allocates_only_the_core() {
+    use rsn_core::ktcore::{maximal_kt_core_with, KtScratch};
+    let rsn = network();
+    let q = query();
+    let mut scratch = KtScratch::new();
+    let reference = maximal_kt_core_with(&rsn, &q, q.filter, None, &mut scratch)
+        .unwrap()
+        .expect("the fixture has a (3,t)-core");
+    for _ in 0..3 {
+        maximal_kt_core_with(&rsn, &q, q.filter, None, &mut scratch).unwrap();
+    }
+
+    let before = thread_allocations();
+    let core = maximal_kt_core_with(&rsn, &q, q.filter, None, &mut scratch).unwrap();
+    let delta = thread_allocations() - before;
+    assert_eq!(core.as_ref(), Some(&reference));
+    assert_eq!(
+        delta, 1,
+        "a warmed (k,t)-core extraction must allocate only the returned core, \
+         saw {delta} allocations"
+    );
+}
+
 /// Without `recycle` the session still works (results own their buffers), and
 /// the per-query allocation count stays small and flat — the pools cover
 /// everything except the reported result itself.

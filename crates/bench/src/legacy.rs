@@ -2,13 +2,11 @@
 //! the undo-log refactor: a BFS worklist whose branches each clone the whole
 //! `SubgraphView` and deletion history.
 //!
-//! Kept for two jobs:
-//!
-//! 1. `tests/global_rollback_equivalence.rs` pins the refactored
-//!    `GlobalSearch` against this replica — identical cells, sample weights,
-//!    and communities on datagen presets.
-//! 2. `bin/perf_trajectory.rs` measures it as the pre-refactor baseline, so
-//!    the recorded speedup is a real measurement rather than a guess.
+//! Kept as the reference of `tests/global_rollback_equivalence.rs`, which
+//! pins the global search against this replica — identical cells, sample
+//! weights, and communities on datagen presets. The replica trims with the
+//! full-BFS `retain_component_of`, so the pin also covers the search's
+//! early-exit trim.
 //!
 //! The replica is faithful to the old code path including its memory layout:
 //! scores read nested `Vec<Vec<f64>>` attribute rows, not the flat matrix.

@@ -10,7 +10,7 @@
 //! the non-contained MAC of that sub-partition, and the top-j MACs are
 //! recovered by backtracking the deletion history.
 //!
-//! Three engine-level departures from a literal transcription of the paper:
+//! Four engine-level departures from a literal transcription of the paper:
 //!
 //! * **Explicit stack.** The exploration runs on an explicit task stack
 //!   (the private `Task` enum) instead of call recursion, so the search depth
@@ -38,6 +38,16 @@
 //!   half-space cache, arrangement nodes, deletion groups, result husks) live
 //!   in a crate-internal `GsScratch` that the caller retains across queries,
 //!   so a steady-state query on a warmed session performs no heap allocation.
+//!
+//! * **Early-exit connectivity trim.** After a deletion cascade only the
+//!   component of `q[0]` can still host a MAC. The trim
+//!   ([`SubgraphView::retain_component_since`]) requires the view to have
+//!   been connected before the cascade, and every state is: the root core is
+//!   the connected k-core containing `Q` (`connected_k_core_containing`),
+//!   every committed descent trims the view to `q[0]`'s component, a
+//!   `Retreat` rolls back to such a state, and a stolen subtree replays its
+//!   prefix to the donor's alive set, which was connected. So the trim's BFS
+//!   stops once it has reached every alive neighbour of the cascade.
 //!
 //! The worker count is the session's
 //! [`ExecutionPolicy::parallelism`](crate::policy::ExecutionPolicy::parallelism);
@@ -198,8 +208,9 @@ pub(crate) struct GsScratch {
     hps_buf: Vec<u32>,
     arrange: ArrangeScratch,
     view_scratch: ViewScratch,
-    /// Scratch mask for `leaves_within_into`.
-    leaf_mark: Vec<bool>,
+    /// Word scratch for `leaves_within_into` (the union of the alive
+    /// vertices' dominator closures).
+    leaf_mark: Vec<u64>,
     /// Deletion groups committed along the current DFS path (push on descend,
     /// pop on retreat) — the backtracking history for top-j.
     deletion_groups: Vec<Vec<u32>>,
@@ -1040,7 +1051,9 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         view.delete_cascade_logged(u, self.k);
         let mut ok = self.q.iter().all(|&qv| view.is_alive(qv));
         if ok {
-            view.retain_component_of_logged(self.q[0]);
+            // The view was connected at `cp` (see the module doc), so the
+            // trim may stop once the cascade's boundary is reached.
+            view.retain_component_since(self.q[0], cp);
             ok = self.q.iter().all(|&qv| view.is_alive(qv));
         }
         if !ok {

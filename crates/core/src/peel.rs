@@ -82,7 +82,10 @@ pub fn peel_at_weight(ctx: &SearchContext<'_>, reduced_w: &[f64]) -> PeelOutcome
             view.rollback(cp);
             break;
         }
-        view.retain_component_of_logged(q[0]);
+        // The view is connected at `cp`: the root core is the connected
+        // k-core containing `Q`, and every committed step trimmed the view
+        // to `q[0]`'s component.
+        view.retain_component_since(q[0], cp);
         if q.iter().any(|&qv| !view.is_alive(qv)) {
             view.rollback(cp);
             break;

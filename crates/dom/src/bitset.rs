@@ -101,6 +101,12 @@ impl BitSet {
         }
     }
 
+    /// The backing `u64` words: bit `i` is bit `i % 64` of word `i / 64`.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.blocks
+    }
+
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.blocks.len() * 8 + std::mem::size_of::<Self>()

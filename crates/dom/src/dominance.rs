@@ -227,68 +227,69 @@ impl DominanceGraph {
     /// Vertices of `mask` that r-dominate **no other vertex of `mask`** — the
     /// bottom layer / leaf vertices of the induced sub-DAG (`l_b(G_e)` when
     /// `mask` selects the candidate community `H`, or the leaves of the
-    /// current `G'_d` during global search).
+    /// current `G'_d` during global search), in increasing local id order.
     pub fn leaves_within(&self, mask: &[bool]) -> Vec<usize> {
-        debug_assert_eq!(mask.len(), self.num_vertices());
-        let n = self.num_vertices();
-        let mut dominates_someone = vec![false; n];
-        for v in 0..n {
-            if !mask[v] {
-                continue;
-            }
-            for u in self.dominators[v].iter() {
-                if mask[u] {
-                    dominates_someone[u] = true;
-                }
-            }
-        }
-        (0..n)
-            .filter(|&v| mask[v] && !dominates_someone[v])
-            .collect()
+        let mut leaves = Vec::new();
+        self.leaves_within_into(mask, &mut Vec::new(), &mut leaves);
+        leaves.into_iter().map(|v| v as usize).collect()
     }
 
     /// Pool-backed variant of [`leaves_within`](Self::leaves_within): appends
     /// the leaf vertices (as `u32` locals, same order) to `out` instead of
-    /// allocating, using `mark` as the recycled "dominates someone" scratch.
-    /// Appending (rather than clearing) lets callers pack many leaf sets into
-    /// one flat arena and address them by `(start, len)` ranges.
-    pub fn leaves_within_into(&self, mask: &[bool], mark: &mut Vec<bool>, out: &mut Vec<u32>) {
+    /// allocating, using `mark` as the recycled word scratch. Appending
+    /// (rather than clearing) lets callers pack many leaf sets into one flat
+    /// arena and address them by `(start, len)` ranges.
+    ///
+    /// Word-parallel (the bitmap technique of Tan, Eng & Ooi, VLDB 2001):
+    /// `mark` becomes the union of the dominator closures of the masked
+    /// vertices, one `u64` OR per 64 candidates, and the leaves are the masked
+    /// vertices whose mark bit stays clear. Unmasked vertices marked along the
+    /// way are never reported, so they need no filtering.
+    pub fn leaves_within_into(&self, mask: &[bool], mark: &mut Vec<u64>, out: &mut Vec<u32>) {
         debug_assert_eq!(mask.len(), self.num_vertices());
         let n = self.num_vertices();
         mark.clear();
-        mark.resize(n, false);
-        for v in 0..n {
-            if !mask[v] {
-                continue;
-            }
-            for u in self.dominators[v].iter() {
-                if mask[u] {
-                    mark[u] = true;
-                }
+        mark.resize(n.div_ceil(64), 0);
+        for v in (0..n).filter(|&v| mask[v]) {
+            for (m, &w) in mark.iter_mut().zip(self.dominators[v].words()) {
+                *m |= w;
             }
         }
-        out.extend((0..n).filter(|&v| mask[v] && !mark[v]).map(|v| v as u32));
+        out.extend(
+            (0..n)
+                .filter(|&v| mask[v] && mark[v / 64] & (1 << (v % 64)) == 0)
+                .map(|v| v as u32),
+        );
     }
 
     /// Vertices of `mask` that are r-dominated by **no other vertex of
     /// `mask`** — the top layer of the induced sub-DAG (`l_t(G_c)` when `mask`
-    /// selects the complement of the candidate community).
+    /// selects the complement of the candidate community), in increasing
+    /// local id order.
     pub fn top_within(&self, mask: &[bool]) -> Vec<usize> {
-        debug_assert_eq!(mask.len(), self.num_vertices());
-        (0..self.num_vertices())
-            .filter(|&v| mask[v] && self.dominators[v].iter().all(|u| !mask[u]))
-            .collect()
+        self.top_within_excluding(mask, &[])
     }
 
     /// Like [`top_within`](Self::top_within) but with some vertices excluded
     /// from the mask (used for the "replace a bound vertex by its next layer"
     /// relaxation of Corollary 3).
+    ///
+    /// The mask is packed into words once; a vertex is on top when its
+    /// dominator closure does not intersect the packed mask.
     pub fn top_within_excluding(&self, mask: &[bool], excluded: &[usize]) -> Vec<usize> {
-        let mut mask2 = mask.to_vec();
-        for &v in excluded {
-            mask2[v] = false;
+        debug_assert_eq!(mask.len(), self.num_vertices());
+        let n = self.num_vertices();
+        let mut within = BitSet::new(n);
+        for v in (0..n).filter(|&v| mask[v]) {
+            within.set(v);
         }
-        self.top_within(&mask2)
+        for &v in excluded {
+            within.clear(v);
+        }
+        within
+            .iter()
+            .filter(|&v| !self.dominators[v].intersects(&within))
+            .collect()
     }
 
     /// Approximate memory footprint of `G_d` itself in bytes (the `G_d`

@@ -180,9 +180,10 @@ impl Cell {
     }
 
     /// Drops the cached vertex representation, forcing this cell (and every
-    /// cell derived from it) onto the dense-LP path. A benchmarking knob —
-    /// the perf-trajectory harness uses it to measure the pre-optimization
-    /// configuration; results are identical either way.
+    /// cell derived from it) onto the dense-LP path. A reference knob — the
+    /// legacy GS replica in `rsn-bench` (`legacy_gs_nc` with `lp_cells`) uses
+    /// it to run the pre-optimization configuration; results are identical
+    /// either way.
     pub fn disable_vertex_cache(mut self) -> Self {
         self.poly = None;
         self

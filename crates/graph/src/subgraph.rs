@@ -87,8 +87,9 @@ pub struct SubgraphView<'a> {
     /// Epoch-stamped scratch marks used by rollback/undo (no per-call allocs).
     mark: Vec<u32>,
     epoch: u32,
-    /// Epoch-stamped reachability marks + BFS queue for the connectivity trim
-    /// ([`retain_component_of_logged`]) — pooled so the trim never allocates.
+    /// Epoch-stamped reachability marks + BFS queue for the connectivity trims
+    /// ([`Self::retain_component_of_logged`], [`Self::retain_component_since`]) — pooled
+    /// so a trim never allocates.
     reach: Vec<u32>,
     reach_epoch: u32,
     queue: Vec<VertexId>,
@@ -408,40 +409,112 @@ impl<'a> SubgraphView<'a> {
     /// [`retain_component_of`](Self::retain_component_of) without
     /// materializing a record.
     ///
+    /// Makes no assumption about the view and always runs the BFS to the
+    /// end; a caller that knows the view was connected before its latest
+    /// deletions should use [`retain_component_since`](Self::retain_component_since).
     /// Uses the view's pooled epoch-stamped reach marks, so repeated trims on
     /// a warmed view perform no allocations.
     pub fn retain_component_of_logged(&mut self, root: VertexId) {
         if !self.alive[root as usize] {
             return;
         }
+        let seen = self.next_reach_epochs(1);
+        // No vertex carries the fresh stamp as a target, so the BFS never
+        // stops early.
+        self.reach_from(root, seen, seen, usize::MAX);
+        self.kill_unreached(seen);
+    }
+
+    /// Connectivity trim after the deletions since `since`: the same
+    /// alive set, degrees and log suffix as
+    /// [`retain_component_of_logged`](Self::retain_component_of_logged)`(root)`,
+    /// but the BFS stops as soon as the view is known to be connected.
+    ///
+    /// **Precondition:** the view was connected at `since`, i.e. the alive
+    /// vertices plus [`log_since`](Self::log_since)`(since)` form one
+    /// component (checked by a `debug_assert!`). Every alive vertex then had
+    /// a path from `root` before the deletions, and the part of that path
+    /// after its last deleted vertex starts at an alive neighbour of a
+    /// deleted vertex. So the view is still connected iff the BFS from `root`
+    /// reaches every such neighbour, and it stops once it has. When the BFS
+    /// runs out first, its reach set is the exact component and the
+    /// unreached vertices are removed in id order, as the full trim does.
+    pub fn retain_component_since(&mut self, root: VertexId, since: Checkpoint) {
+        if !self.alive[root as usize] {
+            return;
+        }
+        debug_assert!(
+            self.was_connected_at(since, root),
+            "retain_component_since: the view was not connected at the checkpoint"
+        );
         let graph = self.graph;
+        let target = self.next_reach_epochs(2);
+        let seen = target + 1;
+        let mut pending = 0usize;
+        for i in since.0..self.log.len() {
+            for &u in graph.neighbors(self.log[i]) {
+                if self.alive[u as usize] && self.reach[u as usize] != target {
+                    self.reach[u as usize] = target;
+                    pending += 1;
+                }
+            }
+        }
+        if self.reach_from(root, target, seen, pending) > 0 {
+            self.kill_unreached(seen);
+        }
+    }
+
+    /// Hands out `count` consecutive reach stamps that no vertex carries yet
+    /// (wiping the marks once when the counter would wrap) and sizes `reach`.
+    fn next_reach_epochs(&mut self, count: u32) -> u32 {
         let n = self.alive.len();
         if self.reach.len() < n {
             self.reach.resize(n, 0);
         }
-        self.reach_epoch = self.reach_epoch.wrapping_add(1);
-        if self.reach_epoch == 0 {
-            // Epoch counter wrapped: old stamps could alias, wipe them once.
-            self.reach.iter_mut().for_each(|m| *m = 0);
-            self.reach_epoch = 1;
+        if self.reach_epoch > u32::MAX - count {
+            self.reach.fill(0);
+            self.reach_epoch = 0;
         }
-        let epoch = self.reach_epoch;
+        let first = self.reach_epoch + 1;
+        self.reach_epoch += count;
+        first
+    }
+
+    /// BFS over the alive vertices from `root`, stamping each reached vertex
+    /// `seen`. Every reached vertex stamped `target` counts `pending` down,
+    /// and the BFS stops when it hits zero. Returns what is left of
+    /// `pending` (non-zero means the BFS ran to the end).
+    fn reach_from(&mut self, root: VertexId, target: u32, seen: u32, mut pending: usize) -> usize {
+        let graph = self.graph;
+        if self.reach[root as usize] == target {
+            pending -= 1;
+        }
+        self.reach[root as usize] = seen;
         self.queue.clear();
-        self.reach[root as usize] = epoch;
         self.queue.push(root);
         let mut head = 0;
-        while head < self.queue.len() {
+        while pending > 0 && head < self.queue.len() {
             let v = self.queue[head];
             head += 1;
             for &u in graph.neighbors(v) {
-                if self.alive[u as usize] && self.reach[u as usize] != epoch {
-                    self.reach[u as usize] = epoch;
+                let mark = &mut self.reach[u as usize];
+                if self.alive[u as usize] && *mark != seen {
+                    if *mark == target {
+                        pending -= 1;
+                    }
+                    *mark = seen;
                     self.queue.push(u);
                 }
             }
         }
-        for v in 0..n as u32 {
-            if self.alive[v as usize] && self.reach[v as usize] != epoch {
+        pending
+    }
+
+    /// Removes every alive vertex not stamped `seen`, in id order.
+    fn kill_unreached(&mut self, seen: u32) {
+        let graph = self.graph;
+        for v in 0..self.alive.len() as u32 {
+            if self.alive[v as usize] && self.reach[v as usize] != seen {
                 self.kill(v);
                 for &u in graph.neighbors(v) {
                     if self.alive[u as usize] {
@@ -450,6 +523,35 @@ impl<'a> SubgraphView<'a> {
                 }
             }
         }
+    }
+
+    /// Whether the alive vertices plus those removed since `since` form one
+    /// component around `root` — the precondition of
+    /// [`retain_component_since`](Self::retain_component_since). Runs on the
+    /// pooled reach marks, so the debug check allocates nothing either.
+    fn was_connected_at(&mut self, since: Checkpoint, root: VertexId) -> bool {
+        let graph = self.graph;
+        let removed = self.next_reach_epochs(2);
+        let seen = removed + 1;
+        for i in since.0..self.log.len() {
+            self.reach[self.log[i] as usize] = removed;
+        }
+        self.reach[root as usize] = seen;
+        self.queue.clear();
+        self.queue.push(root);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            for &u in graph.neighbors(v) {
+                let mark = &mut self.reach[u as usize];
+                if (self.alive[u as usize] || *mark == removed) && *mark != seen {
+                    *mark = seen;
+                    self.queue.push(u);
+                }
+            }
+        }
+        self.queue.len() == self.num_alive + (self.log.len() - since.0)
     }
 
     /// Restores the vertices removed by one or more deletion records.
@@ -628,6 +730,36 @@ mod tests {
         assert!(view.is_alive(0) && view.is_alive(1) && view.is_alive(2));
         assert!(!view.is_alive(4) && !view.is_alive(5) && !view.is_alive(6));
         assert_eq!(view.degree_of(2), 2);
+    }
+
+    #[test]
+    fn retain_component_since_trims_a_split_and_keeps_a_connected_view() {
+        let g = chain_of_triangles();
+        let mut view = SubgraphView::full(&g);
+        // deleting the triangle corner 5 keeps the view connected
+        let cp = view.checkpoint();
+        view.delete_single(5);
+        view.retain_component_since(0, cp);
+        assert_eq!(view.log_since(cp), &[5]);
+        // deleting the cut vertex 3 splits off {4, 6}, killed in id order
+        let cp = view.checkpoint();
+        view.delete_single(3);
+        view.retain_component_since(0, cp);
+        assert_eq!(view.log_since(cp), &[3, 4, 6]);
+        assert_eq!(view.alive_vertices(), vec![0, 1, 2]);
+        assert_eq!(view.degree_of(2), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not connected at the checkpoint")]
+    fn retain_component_since_rejects_a_view_split_before_the_checkpoint() {
+        let g = chain_of_triangles();
+        let mut view = SubgraphView::full(&g);
+        view.delete_single(3);
+        let cp = view.checkpoint();
+        view.delete_single(6);
+        view.retain_component_since(0, cp);
     }
 
     /// Two K4s {0,1,2,3} and {5,6,7,8} joined through cut vertex 4.

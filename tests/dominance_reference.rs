@@ -8,6 +8,11 @@
 //!   inverse;
 //! * layers = the length of the longest dominator chain above a vertex.
 //!
+//! The leaf and top selectors over a vertex mask (`leaves_within`,
+//! `leaves_within_into`, `top_within`, `top_within_excluding`) are checked
+//! against the pairwise relation itself, not against the closure: a leaf
+//! r-dominates no other masked vertex, a top vertex is r-dominated by none.
+//!
 //! Inputs have 2 to 5 attributes, up to 150 rows and narrow random regions.
 //! One input in three puts its rows on a small integer grid, so pivot-score
 //! ties, duplicate rows and `Equivalent` pairs occur.
@@ -59,10 +64,10 @@ fn random_input(seed: u64) -> (Vec<Vec<f64>>, PrefRegion) {
     (rows, PrefRegion::from_ranges(&ranges).unwrap())
 }
 
-/// `closure[a][b]`: `a` r-dominates `b`, directly or through a chain.
-fn reference_closure(rows: &[Vec<f64>], region: &PrefRegion) -> Vec<Vec<bool>> {
+/// `dom[a][b]`: the pairwise test says `a` r-dominates `b`.
+fn pairwise(rows: &[Vec<f64>], region: &PrefRegion) -> Vec<Vec<bool>> {
     let n = rows.len();
-    let mut c: Vec<Vec<bool>> = (0..n)
+    (0..n)
         .map(|a| {
             (0..n)
                 .map(|b| {
@@ -71,7 +76,13 @@ fn reference_closure(rows: &[Vec<f64>], region: &PrefRegion) -> Vec<Vec<bool>> {
                 })
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+/// `closure[a][b]`: `a` r-dominates `b`, directly or through a chain.
+fn reference_closure(rows: &[Vec<f64>], region: &PrefRegion) -> Vec<Vec<bool>> {
+    let n = rows.len();
+    let mut c = pairwise(rows, region);
     for k in 0..n {
         let row_k = c[k].clone();
         for row in c.iter_mut().filter(|row| row[k]) {
@@ -142,11 +153,63 @@ fn check_against_reference(seed: u64) {
     assert!(gd.tests_performed() <= n * n.saturating_sub(1) / 2);
 }
 
+/// Checks the leaf and top selectors of `seed`'s graph on random masks of
+/// every density (empty and full included) against the pairwise relation.
+fn check_selectors_against_definitions(seed: u64) {
+    let (rows, region) = random_input(seed);
+    let n = rows.len();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let gd = DominanceGraph::build(&ids, &rows, &region);
+    let dom = pairwise(&rows, &region);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    // One scratch pair across all masks, as the global search reuses it.
+    let mut mark = Vec::new();
+    let mut arena = vec![u32::MAX];
+    for density in [0.0, 0.1, 0.5, 0.9, 1.0] {
+        let mask: Vec<bool> = (0..n).map(|_| rng.random_bool(density)).collect();
+        let leaves: Vec<usize> = (0..n)
+            .filter(|&v| mask[v] && !(0..n).any(|u| mask[u] && dom[v][u]))
+            .collect();
+        let tops: Vec<usize> = (0..n)
+            .filter(|&v| mask[v] && !(0..n).any(|u| mask[u] && dom[u][v]))
+            .collect();
+        assert_eq!(gd.leaves_within(&mask), leaves, "seed {seed}: leaves");
+        assert_eq!(gd.top_within(&mask), tops, "seed {seed}: tops");
+
+        // The pooled variant appends after whatever the arena holds.
+        arena.truncate(1);
+        gd.leaves_within_into(&mask, &mut mark, &mut arena);
+        assert_eq!(arena[0], u32::MAX, "seed {seed}: arena prefix clobbered");
+        let pooled: Vec<usize> = arena[1..].iter().map(|&v| v as usize).collect();
+        assert_eq!(pooled, leaves, "seed {seed}: pooled leaves");
+
+        // Excluding vertices is the same as clearing them from the mask.
+        let excluded: Vec<usize> = (0..n).filter(|_| rng.random_bool(0.2)).collect();
+        let mut reduced = mask.clone();
+        for &v in &excluded {
+            reduced[v] = false;
+        }
+        let reduced_tops: Vec<usize> = (0..n)
+            .filter(|&v| reduced[v] && !(0..n).any(|u| reduced[u] && dom[u][v]))
+            .collect();
+        assert_eq!(
+            gd.top_within_excluding(&mask, &excluded),
+            reduced_tops,
+            "seed {seed}: tops with exclusions"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: fuzz_cases(400), .. ProptestConfig::default() })]
 
     #[test]
     fn dominance_graph_matches_the_definitions(seed in 0u64..1_000_000) {
         check_against_reference(seed);
+    }
+
+    #[test]
+    fn leaf_and_top_selectors_match_the_pairwise_relation(seed in 0u64..1_000_000) {
+        check_selectors_against_definitions(seed);
     }
 }

@@ -826,6 +826,8 @@ impl MacEngine {
     ///   contains both endpoints of a reweighted edge, climbing toward the
     ///   root only while a recomputed matrix actually changed
     ///   ([`GTree::apply_edge_updates`](rsn_road::gtree::GTree::apply_edge_updates));
+    ///   the new epoch copies just those nodes and shares every other node
+    ///   with the previous epoch;
     /// * the pre-grouped per-leaf user rows are edited for exactly the moved
     ///   users and the on-edge users of reweighted segments;
     /// * the calibration probe re-runs only when the sampled average edge

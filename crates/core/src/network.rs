@@ -31,9 +31,10 @@ pub struct EdgeUpdateOutcome {
 /// network, attribute table, G-tree index — live behind [`Arc`]s and are
 /// shared until a mutation actually touches them (copy-on-write via
 /// [`Arc::make_mut`]). A user-churn delta therefore copies only the
-/// per-user `locations` vector; the multi-megabyte G-tree matrices are
-/// deep-copied only when an edge reweight must rewrite them while a previous
-/// epoch still holds the old version.
+/// per-user `locations` vector. The G-tree shares its nodes one by one (each
+/// node sits behind its own `Arc`): an edge reweight copies the tree's
+/// per-vertex tables and only the nodes its refresh recomputes, while a
+/// previous epoch keeps sharing every other node.
 #[derive(Debug, Clone)]
 pub struct RoadSocialNetwork {
     social: Arc<Graph>,
@@ -189,7 +190,8 @@ impl RoadSocialNetwork {
         // delta with this network untouched.
         // Copy-on-write: a previous epoch may still share these Arcs, so
         // the mutating path clones them lazily (`make_mut`) — exactly once,
-        // and only for edge-reweight deltas.
+        // and only for edge-reweight deltas. The G-tree copy is shallow; its
+        // refresh copies each node it recomputes.
         Arc::make_mut(&mut self.road).apply_edge_updates(updates)?;
         let road = Arc::clone(&self.road);
         let gtree = self

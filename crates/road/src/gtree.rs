@@ -20,6 +20,12 @@
 //! **all** common ancestors (not only the LCA) makes the answer exact even
 //! when the true shortest path leaves the LCA's region. Exactness against
 //! Dijkstra is enforced by the property tests of this module.
+//!
+//! Every node lives behind its own [`Arc`], so cloning a tree shares all
+//! node matrices. An incremental reweight refresh
+//! ([`GTree::apply_edge_updates`]) copies only the nodes it recomputes; an
+//! earlier clone (a previous serving epoch) keeps the untouched nodes in
+//! common with the refreshed tree and its own copies of the rest.
 
 use crate::budget::BudgetTicker;
 use crate::dijkstra::SsspScratch;
@@ -52,15 +58,12 @@ struct GTreeNode {
     vertices: Vec<RoadVertexId>,
     /// Vertices of the region with at least one road edge leaving the region.
     borders: Vec<RoadVertexId>,
-    /// Matrix index space: all region vertices for leaves, the union of the
-    /// children's borders for internal nodes.
+    /// Matrix index space: all region vertices for leaves, the
+    /// concatenation of the children's (disjoint) border lists for internal
+    /// nodes.
     union_borders: Vec<RoadVertexId>,
-    /// Position of a vertex inside `union_borders`. Retained for construction
-    /// and as the reference the precomputed index arrays are validated
-    /// against; the query hot loops never touch it.
-    ub_index: HashMap<RoadVertexId, usize>,
     /// `border_rows[i]` = position of `borders[i]` inside `union_borders`,
-    /// precomputed at build time so matrix access is pure slice indexing.
+    /// set with the index space so matrix access is pure slice indexing.
     border_rows: Vec<usize>,
     /// `child_border_rows[k][i]` = position of child `k`'s `borders[i]`
     /// inside this node's `union_borders` (every child border is a union
@@ -78,6 +81,20 @@ struct GTreeNode {
 }
 
 impl GTreeNode {
+    fn new(parent: Option<usize>, vertices: Vec<RoadVertexId>) -> Self {
+        GTreeNode {
+            parent,
+            children: Vec::new(),
+            vertices,
+            borders: Vec::new(),
+            union_borders: Vec::new(),
+            border_rows: Vec::new(),
+            child_border_rows: Vec::new(),
+            matrix: Vec::new(),
+            contracted_children: Vec::new(),
+        }
+    }
+
     fn matrix_at(&self, i: usize, j: usize) -> f64 {
         self.matrix[i * self.union_borders.len() + j]
     }
@@ -86,7 +103,9 @@ impl GTreeNode {
 /// Hierarchical road-network distance index.
 #[derive(Debug, Clone)]
 pub struct GTree {
-    nodes: Vec<GTreeNode>,
+    /// Per-node copy-on-write: clones share every node until a refresh
+    /// rewrites it.
+    nodes: Vec<Arc<GTreeNode>>,
     leaf_of: Vec<usize>,
     /// `leaf_pos[v]` = position of vertex `v` inside its leaf's
     /// `union_borders` (leaf matrix row), precomputed so leaf evaluation
@@ -267,25 +286,19 @@ impl GTree {
         };
         let all: Vec<RoadVertexId> = (0..n as u32).collect();
         if n == 0 {
-            tree.nodes.push(GTreeNode {
-                parent: None,
-                children: Vec::new(),
-                vertices: Vec::new(),
-                borders: Vec::new(),
-                union_borders: Vec::new(),
-                ub_index: HashMap::new(),
-                border_rows: Vec::new(),
-                child_border_rows: Vec::new(),
-                matrix: Vec::new(),
-                contracted_children: Vec::new(),
-            });
+            tree.nodes.push(Arc::new(GTreeNode::new(None, Vec::new())));
             return tree;
         }
         tree.root = tree.partition(net, all, None, leaf_capacity, fanout);
         tree.compute_borders(net);
         tree.compute_matrices(net);
-        tree.precompute_index_rows();
         tree
+    }
+
+    /// Exclusive access to node `id`, copying it first when another clone of
+    /// the tree still shares it.
+    fn node_mut(&mut self, id: usize) -> &mut GTreeNode {
+        Arc::make_mut(&mut self.nodes[id])
     }
 
     /// Number of tree nodes.
@@ -295,7 +308,7 @@ impl GTree {
 
     /// Height of the tree (a single leaf tree has height 1).
     pub fn height(&self) -> usize {
-        fn depth(nodes: &[GTreeNode], i: usize) -> usize {
+        fn depth(nodes: &[Arc<GTreeNode>], i: usize) -> usize {
             1 + nodes[i]
                 .children
                 .iter()
@@ -318,10 +331,16 @@ impl GTree {
                 node.matrix.len() * std::mem::size_of::<f64>()
                     + (node.vertices.len() + node.borders.len() + node.union_borders.len())
                         * std::mem::size_of::<RoadVertexId>()
-                    + node.ub_index.len() * 2 * std::mem::size_of::<usize>()
                     + (node.border_rows.len()
                         + node.child_border_rows.iter().map(Vec::len).sum::<usize>())
                         * std::mem::size_of::<usize>()
+                    + node
+                        .contracted_children
+                        .iter()
+                        .flatten()
+                        .map(Vec::len)
+                        .sum::<usize>()
+                        * std::mem::size_of::<(u32, u32, f64)>()
             })
             .sum::<usize>()
             + self.leaf_pos.len() * std::mem::size_of::<u32>()
@@ -412,11 +431,11 @@ impl GTree {
         &self.nodes[id].child_border_rows[k]
     }
 
-    /// Position of a vertex inside a node's union borders, answered from the
-    /// build-time hash map (the reference the precomputed arrays round-trip
-    /// against in the structural property tests).
+    /// Position of a vertex inside a node's union borders, by a linear scan
+    /// (the independent lookup the precomputed row arrays round-trip against
+    /// in the structural property tests).
     pub fn ub_position_of(&self, id: usize, v: RoadVertexId) -> Option<usize> {
-        self.nodes[id].ub_index.get(&v).copied()
+        self.nodes[id].union_borders.iter().position(|&u| u == v)
     }
 
     /// Within-region distance between two union borders of a node.
@@ -670,6 +689,11 @@ impl GTree {
     /// paying the full top-of-tree cost. Everything else is untouched;
     /// out-of-range endpoints are ignored (the paired [`RoadNetwork`]
     /// mutation already rejected them).
+    ///
+    /// Only recomputed nodes are written, each through its own copy-on-write
+    /// [`Arc`]: when a clone of the tree (an earlier serving epoch) still
+    /// shares a node, that node alone is copied, and every node the refresh
+    /// leaves alone stays shared.
     pub fn apply_edge_updates(
         &mut self,
         net: &RoadNetwork,
@@ -711,12 +735,13 @@ impl GTree {
         // Reverse creation order visits children before parents, so every
         // recomputed internal matrix reads already-refreshed child matrices
         // and the children's changed-border lists are final before the parent
-        // asks. `changed[id]` = `Some(borders whose border-to-border rows
-        // changed)` once a node's matrix changed; a change confined to
-        // non-border entries (empty list) stops propagating, because parents
-        // only observe the border submatrix.
-        let mut changed: Vec<Option<Vec<RoadVertexId>>> = vec![None; self.nodes.len()];
+        // asks. `changed[id]` = `Some(positions of the borders whose
+        // border-to-border rows changed)` once a node's matrix changed; a
+        // change confined to non-border entries (empty list) stops
+        // propagating, because parents only observe the border submatrix.
+        let mut changed: Vec<Option<Vec<usize>>> = vec![None; self.nodes.len()];
         let mut region_mask = vec![false; self.num_vertices];
+        let mut row_of = vec![u32::MAX; self.num_vertices];
         let mut scratch = SsspScratch::new();
         let no_touched: Vec<RoadVertexId> = Vec::new();
         for id in (0..self.nodes.len()).rev() {
@@ -740,7 +765,7 @@ impl GTree {
                     .get(&id)
                     .map_or(no_touched.as_slice(), Vec::as_slice);
                 let (report, dijkstra_rows, patched_rows) =
-                    self.refresh_internal_matrix(net, id, &changed, touched);
+                    self.refresh_internal_matrix(net, id, &changed, touched, &mut row_of);
                 changed[id] = report;
                 stats.dirty_internal += 1;
                 let size = self.nodes[id].union_borders.len();
@@ -1136,18 +1161,8 @@ impl GTree {
         fanout: usize,
     ) -> usize {
         let id = self.nodes.len();
-        self.nodes.push(GTreeNode {
-            parent,
-            children: Vec::new(),
-            vertices: vertices.clone(),
-            borders: Vec::new(),
-            union_borders: Vec::new(),
-            ub_index: HashMap::new(),
-            border_rows: Vec::new(),
-            child_border_rows: Vec::new(),
-            matrix: Vec::new(),
-            contracted_children: Vec::new(),
-        });
+        self.nodes
+            .push(Arc::new(GTreeNode::new(parent, vertices.clone())));
         if vertices.len() <= leaf_capacity {
             for &v in &vertices {
                 self.leaf_of[v as usize] = id;
@@ -1183,7 +1198,7 @@ impl GTree {
             .into_iter()
             .map(|part| self.partition(net, part, Some(id), leaf_capacity, fanout))
             .collect();
-        self.nodes[id].children = children;
+        self.node_mut(id).children = children;
         id
     }
 
@@ -1207,7 +1222,7 @@ impl GTree {
             for &v in &self.nodes[id].vertices {
                 in_region[v as usize] = false;
             }
-            self.nodes[id].borders = borders;
+            self.node_mut(id).borders = borders;
         }
     }
 
@@ -1232,38 +1247,12 @@ impl GTree {
         let workers = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
+        let mut row_of = vec![u32::MAX; self.num_vertices];
         for level in levels.iter().rev() {
-            // Index spaces first (serial, cheap): leaves index their whole
-            // region, internal nodes the first-seen union of their children's
-            // borders (disjoint across children, which partition the region).
+            // Index spaces and row arrays first (serial, cheap): the level's
+            // contraction reads them, as does everything after the build.
             for &id in level {
-                if self.nodes[id].children.is_empty() {
-                    let vertices = self.nodes[id].vertices.clone();
-                    let ub_index: HashMap<RoadVertexId, usize> =
-                        vertices.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-                    let node = &mut self.nodes[id];
-                    node.union_borders = vertices;
-                    node.ub_index = ub_index;
-                } else {
-                    let children = self.nodes[id].children.clone();
-                    let mut union_borders: Vec<RoadVertexId> = Vec::new();
-                    let mut seen: HashMap<RoadVertexId, ()> = HashMap::new();
-                    for &c in &children {
-                        for &b in &self.nodes[c].borders {
-                            if seen.insert(b, ()).is_none() {
-                                union_borders.push(b);
-                            }
-                        }
-                    }
-                    let ub_index: HashMap<RoadVertexId, usize> = union_borders
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| (v, i))
-                        .collect();
-                    let node = &mut self.nodes[id];
-                    node.union_borders = union_borders;
-                    node.ub_index = ub_index;
-                }
+                self.set_index_space(id, &mut row_of);
             }
             // Contract the reduced border graphs, then fill every matrix row
             // of the level on the worker pool.
@@ -1276,7 +1265,7 @@ impl GTree {
                     reduced: if self.nodes[id].children.is_empty() {
                         None
                     } else {
-                        Some(self.build_reduced_graph(net, id))
+                        Some(self.build_reduced_graph(net, id, &mut row_of))
                     },
                 })
                 .collect();
@@ -1307,9 +1296,62 @@ impl GTree {
                 );
             }
             for (fill, matrix) in fills.iter().zip(matrices) {
-                self.nodes[fill.id].matrix = matrix;
+                self.node_mut(fill.id).matrix = matrix;
             }
         }
+    }
+
+    /// Sets node `id`'s matrix index space — its region for a leaf, the
+    /// concatenated border lists of its children otherwise (the children
+    /// partition the region, so those lists are disjoint) — with the
+    /// `border_rows` / `child_border_rows` arrays into it, and for a leaf the
+    /// `leaf_pos` of its vertices. The children's borders must be final.
+    /// `row_of` is an all-`u32::MAX` dense vertex lookup, restored on return.
+    fn set_index_space(&mut self, id: usize, row_of: &mut [u32]) {
+        let node = &self.nodes[id];
+        let mut child_border_rows: Vec<Vec<usize>> = Vec::with_capacity(node.children.len());
+        let union_borders: Vec<RoadVertexId> = if node.children.is_empty() {
+            node.vertices.clone()
+        } else {
+            let mut union_borders = Vec::new();
+            for &c in &node.children {
+                let borders = &self.nodes[c].borders;
+                child_border_rows
+                    .push((union_borders.len()..union_borders.len() + borders.len()).collect());
+                union_borders.extend_from_slice(borders);
+            }
+            union_borders
+        };
+        for (row, &v) in union_borders.iter().enumerate() {
+            debug_assert_eq!(row_of[v as usize], u32::MAX, "children's borders overlap");
+            row_of[v as usize] = row as u32;
+        }
+        // A border of an internal node has an edge leaving its region, hence
+        // leaving its child's: it is a union border.
+        let border_rows: Vec<usize> = node
+            .borders
+            .iter()
+            .map(|&b| {
+                debug_assert_ne!(
+                    row_of[b as usize],
+                    u32::MAX,
+                    "border outside the index space"
+                );
+                row_of[b as usize] as usize
+            })
+            .collect();
+        for &v in &union_borders {
+            row_of[v as usize] = u32::MAX;
+        }
+        if node.children.is_empty() {
+            for (row, &v) in union_borders.iter().enumerate() {
+                self.leaf_pos[v as usize] = row as u32;
+            }
+        }
+        let node = self.node_mut(id);
+        node.union_borders = union_borders;
+        node.border_rows = border_rows;
+        node.child_border_rows = child_border_rows;
     }
 
     /// Fills the matrices of one build level. Row tasks (one masked or
@@ -1398,7 +1440,11 @@ impl GTree {
     ) -> Vec<f64> {
         let node = &self.nodes[fill.id];
         match &fill.reduced {
-            Some(reduced) => reduced_dijkstra_row(reduced, row, &mut worker.dist, &mut worker.heap),
+            Some(reduced) => {
+                let mut out = vec![f64::INFINITY; node.union_borders.len()];
+                reduced_dijkstra_row(reduced, row, &mut out, &mut worker.heap);
+                out
+            }
             None => {
                 let ub = &node.union_borders;
                 let FillWorker {
@@ -1439,13 +1485,18 @@ impl GTree {
     /// **identical** shortest-path values to the full clique in exact f64
     /// terms, while grid-like cuts shrink from `|borders|²` edges to
     /// near-linear.
-    fn build_reduced_graph(&self, net: &RoadNetwork, id: usize) -> ReducedGraph {
+    fn build_reduced_graph(
+        &self,
+        net: &RoadNetwork,
+        id: usize,
+        row_of: &mut [u32],
+    ) -> ReducedGraph {
         let node = &self.nodes[id];
         let mut edges: Vec<(u32, u32, f64)> = Vec::new();
         for k in 0..node.children.len() {
             self.contract_child_clique(id, k, &mut edges);
         }
-        self.push_cross_child_edges(net, id, &mut edges);
+        self.push_cross_child_edges(net, id, row_of, &mut edges);
         assemble_reduced(node.union_borders.len(), &edges)
     }
 
@@ -1459,32 +1510,32 @@ impl GTree {
         &mut self,
         net: &RoadNetwork,
         id: usize,
-        changed: &[Option<Vec<RoadVertexId>>],
+        changed: &[Option<Vec<usize>>],
+        row_of: &mut [u32],
     ) -> ReducedGraph {
         let num_children = self.nodes[id].children.len();
-        if self.nodes[id].contracted_children.len() != num_children {
-            self.nodes[id].contracted_children = vec![None; num_children];
-        }
-        for k in 0..num_children {
+        let mut cliques = std::mem::take(&mut self.node_mut(id).contracted_children);
+        cliques.resize(num_children, None);
+        for (k, cached) in cliques.iter_mut().enumerate() {
             let child = self.nodes[id].children[k];
             let stale = changed[child].as_ref().is_some_and(|l| !l.is_empty());
-            if stale || self.nodes[id].contracted_children[k].is_none() {
+            if stale || cached.is_none() {
                 let mut clique = Vec::new();
                 self.contract_child_clique(id, k, &mut clique);
-                self.nodes[id].contracted_children[k] = Some(clique);
+                *cached = Some(clique);
             }
         }
-        let node = &self.nodes[id];
-        let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-        for cached in node.contracted_children.iter().flatten() {
-            edges.extend_from_slice(cached);
-        }
-        self.push_cross_child_edges(net, id, &mut edges);
+        let mut edges: Vec<(u32, u32, f64)> = cliques.iter().flatten().flatten().copied().collect();
+        self.node_mut(id).contracted_children = cliques;
+        self.push_cross_child_edges(net, id, row_of, &mut edges);
         assemble_reduced(self.nodes[id].union_borders.len(), &edges)
     }
 
     /// Contracts child `k`'s border clique and appends the surviving
     /// shortcuts (both directions, union-border row coordinates) to `edges`.
+    /// The shortcut `(i, j)` is dropped when [`has_witness`] finds a border
+    /// `x` with `d(i,x) < d(i,j)`, `d(x,j) < d(i,j)` and
+    /// `d(i,x) + d(x,j) <= d(i,j)`; survivors come out in `(i, j)` order.
     fn contract_child_clique(&self, id: usize, k: usize, edges: &mut Vec<(u32, u32, f64)>) {
         let node = &self.nodes[id];
         let child = &self.nodes[node.children[k]];
@@ -1492,46 +1543,26 @@ impl GTree {
         if nb < 2 {
             return;
         }
-        // Gather the child's border-to-border distances once.
-        let rows: Vec<usize> = child.borders.iter().map(|b| child.ub_index[b]).collect();
-        let mut bm: Vec<f64> = Vec::with_capacity(nb * nb);
-        for &ri in &rows {
-            for &rj in &rows {
-                bm.push(child.matrix_at(ri, rj));
+        // The child's border-to-border distances, row-major (`d(i, x)` over
+        // `x` is row `i`) and transposed (`d(x, j)` over `x` is row `j`), so
+        // both witness legs are contiguous reads.
+        let size = child.union_borders.len();
+        let mut rows = vec![0.0f64; nb * nb];
+        let mut cols = vec![0.0f64; nb * nb];
+        for (i, &ri) in child.border_rows.iter().enumerate() {
+            let src = &child.matrix[ri * size..(ri + 1) * size];
+            for (j, &rj) in child.border_rows.iter().enumerate() {
+                rows[i * nb + j] = src[rj];
+                cols[j * nb + i] = src[rj];
             }
         }
-        let mut order: Vec<u32> = Vec::new();
+        let parent_rows = &node.child_border_rows[k];
         for i in 0..nb {
-            // Witnesses sorted nearest-first from `i`: the scan stops at
-            // the first candidate at least as far as the edge itself.
-            let row = &bm[i * nb..(i + 1) * nb];
-            order.clear();
-            order.extend(0..nb as u32);
-            order.sort_by(|&x, &y| {
-                row[x as usize]
-                    .partial_cmp(&row[y as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            let row = &rows[i * nb..(i + 1) * nb];
             for j in (i + 1)..nb {
                 let dij = row[j];
-                if !dij.is_finite() {
-                    continue;
-                }
-                let mut covered = false;
-                for &x in &order {
-                    let dix = row[x as usize];
-                    if dix >= dij {
-                        break;
-                    }
-                    let dxj = bm[x as usize * nb + j];
-                    if dxj < dij && dix + dxj <= dij {
-                        covered = true;
-                        break;
-                    }
-                }
-                if !covered {
-                    let a = node.ub_index[&child.borders[i]] as u32;
-                    let b = node.ub_index[&child.borders[j]] as u32;
+                if dij.is_finite() && !has_witness(row, &cols[j * nb..(j + 1) * nb], dij) {
+                    let (a, b) = (parent_rows[i] as u32, parent_rows[j] as u32);
                     edges.push((a, b, dij));
                     edges.push((b, a, dij));
                 }
@@ -1542,35 +1573,42 @@ impl GTree {
     /// Appends the road edges crossing between children of `id` (both
     /// directions arise from scanning each endpoint's neighbor list; cross
     /// endpoints are borders of their children, hence union borders).
+    /// `row_of` is an all-`u32::MAX` dense vertex lookup, restored on return.
     fn push_cross_child_edges(
         &self,
         net: &RoadNetwork,
         id: usize,
+        row_of: &mut [u32],
         edges: &mut Vec<(u32, u32, f64)>,
     ) {
         let node = &self.nodes[id];
-        let mut child_of: HashMap<RoadVertexId, usize> = HashMap::new();
-        for (ci, &c) in node.children.iter().enumerate() {
-            for &b in &self.nodes[c].borders {
-                child_of.insert(b, ci);
+        let mut child_of_row = vec![0u32; node.union_borders.len()];
+        for (k, rows) in node.child_border_rows.iter().enumerate() {
+            for &r in rows {
+                child_of_row[r] = k as u32;
+            }
+        }
+        for (r, &b) in node.union_borders.iter().enumerate() {
+            row_of[b as usize] = r as u32;
+        }
+        for (r, &b) in node.union_borders.iter().enumerate() {
+            for &(u, w) in net.neighbors(b) {
+                let ru = row_of[u as usize];
+                if ru != u32::MAX && child_of_row[ru as usize] != child_of_row[r] {
+                    edges.push((r as u32, ru, w));
+                }
             }
         }
         for &b in &node.union_borders {
-            for &(u, w) in net.neighbors(b) {
-                if let (Some(&cb), Some(&cu)) = (child_of.get(&b), child_of.get(&u)) {
-                    if cb != cu {
-                        edges.push((node.ub_index[&b] as u32, node.ub_index[&u] as u32, w));
-                    }
-                }
-            }
+            row_of[b as usize] = u32::MAX;
         }
     }
 
     /// (Re)computes a leaf's full pairwise within-region distance matrix from
-    /// the current network weights. The node's index space (`union_borders` =
-    /// region vertices) must already be set; only `matrix` is written.
-    /// Returns whether the matrix actually changed (recomputation is
-    /// deterministic, so unchanged inputs reproduce the matrix exactly).
+    /// the current network weights and stores it when it differs from the
+    /// current one (recomputation is deterministic, so unchanged inputs
+    /// reproduce the matrix exactly). Returns whether it changed; an
+    /// unchanged leaf stays shared with any clone of the tree.
     fn fill_leaf_matrix(
         &mut self,
         net: &RoadNetwork,
@@ -1578,8 +1616,8 @@ impl GTree {
         region_mask: &mut [bool],
         scratch: &mut SsspScratch,
     ) -> bool {
-        let vertices = self.nodes[id].union_borders.clone();
-        for &v in &vertices {
+        let vertices = &self.nodes[id].union_borders;
+        for &v in vertices {
             region_mask[v as usize] = true;
         }
         let size = vertices.len();
@@ -1592,11 +1630,13 @@ impl GTree {
                 matrix[i * size + j] = dists[u as usize];
             }
         }
-        for &v in &vertices {
+        for &v in vertices {
             region_mask[v as usize] = false;
         }
         let changed = self.nodes[id].matrix != matrix;
-        self.nodes[id].matrix = matrix;
+        if changed {
+            self.node_mut(id).matrix = matrix;
+        }
         changed
     }
 
@@ -1616,8 +1656,9 @@ impl GTree {
         sub
     }
 
-    /// Borders of `id` whose border-to-border distances differ from the
-    /// snapshot `old_sub` **beyond ulp noise**. These are the only borders a
+    /// Positions (in `borders`) of the borders of `id` whose
+    /// border-to-border distances differ from the snapshot `old_sub`
+    /// **beyond ulp noise**. These are the only borders a
     /// parent refresh must treat as changed. The comparison must be
     /// tolerance-based, not exact: a refresh re-contracts changed children,
     /// and contraction changes the summation association of path weights, so
@@ -1627,9 +1668,8 @@ impl GTree {
     /// rebuild. The margin matches the patch-rule margins, so per-batch drift
     /// stays orders of magnitude below the 1e-9 tolerances the invariant
     /// suite checks.
-    fn changed_borders_since(&self, id: usize, old_sub: &[f64]) -> Vec<RoadVertexId> {
-        let node = &self.nodes[id];
-        let nb = node.borders.len();
+    fn changed_borders_since(&self, id: usize, old_sub: &[f64]) -> Vec<usize> {
+        let nb = self.nodes[id].borders.len();
         let new_sub = self.border_submatrix(id);
         (0..nb)
             .filter(|&i| {
@@ -1638,7 +1678,6 @@ impl GTree {
                     .zip(&new_sub[i * nb..(i + 1) * nb])
                     .any(|(&a, &b)| significantly_different(a, b))
             })
-            .map(|i| node.borders[i])
             .collect()
     }
 
@@ -1646,8 +1685,8 @@ impl GTree {
     /// [`apply_edge_updates`](Self::apply_edge_updates): only sources whose
     /// reduced-graph neighborhood actually changed are re-Dijkstra'd.
     ///
-    /// `changed[child]` lists a refreshed child's borders whose
-    /// border-to-border rows changed this batch (`None` = untouched);
+    /// `changed[child]` lists the positions of a refreshed child's borders
+    /// whose border-to-border rows changed this batch (`None` = untouched);
     /// `touched` lists the endpoints of cross-child edges reweighted at this
     /// node's level. Together they induce the changed set `C` of union-border
     /// rows: every reduced-graph edge whose weight (or existence, via
@@ -1667,32 +1706,32 @@ impl GTree {
     /// old`). Both comparisons carry an epsilon margin so f64 association
     /// ties fall to the re-Dijkstra side. Returns the node's changed-border
     /// list (`None` if the matrix is unchanged) plus
-    /// `(dijkstra_rows, patched_rows)`.
+    /// `(dijkstra_rows, patched_rows)`. The node is copied out of any clone
+    /// sharing it only once `C` is non-empty.
     fn refresh_internal_matrix(
         &mut self,
         net: &RoadNetwork,
         id: usize,
-        changed: &[Option<Vec<RoadVertexId>>],
+        changed: &[Option<Vec<usize>>],
         touched: &[RoadVertexId],
-    ) -> (Option<Vec<RoadVertexId>>, usize, usize) {
+        row_of: &mut [u32],
+    ) -> (Option<Vec<usize>>, usize, usize) {
         let size = self.nodes[id].union_borders.len();
         if size == 0 {
             return (None, 0, 0);
         }
         let mut in_c = vec![false; size];
-        {
-            let node = &self.nodes[id];
-            for &c in &node.children {
-                if let Some(list) = &changed[c] {
-                    for b in list {
-                        in_c[node.ub_index[b]] = true;
-                    }
+        let node = &self.nodes[id];
+        for (k, &c) in node.children.iter().enumerate() {
+            if let Some(list) = &changed[c] {
+                for &i in list {
+                    in_c[node.child_border_rows[k][i]] = true;
                 }
             }
-            for &v in touched {
-                if let Some(&row) = node.ub_index.get(&v) {
-                    in_c[row] = true;
-                }
+        }
+        for &v in touched {
+            if let Some(row) = self.ub_position_of(id, v) {
+                in_c[row] = true;
             }
         }
         let c_rows: Vec<usize> = (0..size).filter(|&r| in_c[r]).collect();
@@ -1702,29 +1741,29 @@ impl GTree {
             return (None, 0, 0);
         }
         let old_sub = self.border_submatrix(id);
-        let reduced = self.reduced_graph_for_update(net, id, changed);
-        let mut dist = Vec::new();
+        let reduced = self.reduced_graph_for_update(net, id, changed, row_of);
+        let old = std::mem::take(&mut self.node_mut(id).matrix);
+        let mut matrix = vec![f64::INFINITY; size * size];
         let mut heap = std::collections::BinaryHeap::new();
         if c_rows.len() * 2 >= size {
             // Dense change: patching cannot beat recomputing everything.
-            let old = std::mem::take(&mut self.nodes[id].matrix);
-            let mut matrix = vec![f64::INFINITY; size * size];
-            for s in 0..size {
-                let row = reduced_dijkstra_row(&reduced, s, &mut dist, &mut heap);
-                matrix[s * size..(s + 1) * size].copy_from_slice(&row);
+            for (s, row) in matrix.chunks_exact_mut(size).enumerate() {
+                reduced_dijkstra_row(&reduced, s, row, &mut heap);
             }
             let node_changed = old != matrix;
-            self.nodes[id].matrix = matrix;
+            self.node_mut(id).matrix = matrix;
             let report = node_changed.then(|| self.changed_borders_since(id, &old_sub));
             return (report, size, 0);
         }
-        let old = std::mem::take(&mut self.nodes[id].matrix);
-        let mut matrix = vec![f64::INFINITY; size * size];
         // Fresh rows for every changed source; row `c` doubles as the new
         // `new(s, c)` column by symmetry.
         for &c in &c_rows {
-            let row = reduced_dijkstra_row(&reduced, c, &mut dist, &mut heap);
-            matrix[c * size..(c + 1) * size].copy_from_slice(&row);
+            reduced_dijkstra_row(
+                &reduced,
+                c,
+                &mut matrix[c * size..(c + 1) * size],
+                &mut heap,
+            );
         }
         let mut dijkstra_rows = c_rows.len();
         let mut patched_rows = 0usize;
@@ -1734,29 +1773,18 @@ impl GTree {
             if in_c[s] {
                 continue;
             }
-            b_old.iter_mut().for_each(|x| *x = f64::INFINITY);
-            b_new.iter_mut().for_each(|x| *x = f64::INFINITY);
+            b_old.fill(f64::INFINITY);
+            b_new.fill(f64::INFINITY);
             let old_row = &old[s * size..(s + 1) * size];
             for &c in &c_rows {
                 let osc = old_row[c];
                 if osc.is_finite() {
-                    let old_c = &old[c * size..(c + 1) * size];
-                    for (slot, &oct) in b_old.iter_mut().zip(old_c) {
-                        let cand = osc + oct;
-                        if cand < *slot {
-                            *slot = cand;
-                        }
-                    }
+                    lower_by_sum(&mut b_old, osc, &old[c * size..(c + 1) * size]);
                 }
                 let new_c = &matrix[c * size..(c + 1) * size];
                 let nsc = new_c[s];
                 if nsc.is_finite() {
-                    for (slot, &nct) in b_new.iter_mut().zip(new_c) {
-                        let cand = nsc + nct;
-                        if cand < *slot {
-                            *slot = cand;
-                        }
-                    }
+                    lower_by_sum(&mut b_new, nsc, new_c);
                 }
             }
             // An infinite detour bound is exact (reweights never change
@@ -1788,54 +1816,19 @@ impl GTree {
                 }
                 patched_rows += 1;
             } else {
-                let row = reduced_dijkstra_row(&reduced, s, &mut dist, &mut heap);
-                matrix[s * size..(s + 1) * size].copy_from_slice(&row);
+                reduced_dijkstra_row(
+                    &reduced,
+                    s,
+                    &mut matrix[s * size..(s + 1) * size],
+                    &mut heap,
+                );
                 dijkstra_rows += 1;
             }
         }
         let node_changed = old != matrix;
-        self.nodes[id].matrix = matrix;
+        self.node_mut(id).matrix = matrix;
         let report = node_changed.then(|| self.changed_borders_since(id, &old_sub));
-        if std::env::var_os("GTREE_TRACE").is_some() {
-            eprintln!(
-                "refresh node {id}: size {size}, |C| {}, dijkstras {dijkstra_rows}, patched {patched_rows}, changed_borders {:?}",
-                c_rows.len(),
-                report.as_ref().map(Vec::len)
-            );
-        }
         (report, dijkstra_rows, patched_rows)
-    }
-    /// Fills the precomputed index arrays (`border_rows`, `child_border_rows`,
-    /// `leaf_pos`) from the `ub_index` maps after the matrices are built, so
-    /// every query hot loop is pure slice indexing with zero hashing.
-    fn precompute_index_rows(&mut self) {
-        for id in 0..self.nodes.len() {
-            let border_rows: Vec<usize> = self.nodes[id]
-                .borders
-                .iter()
-                .map(|b| self.nodes[id].ub_index[b])
-                .collect();
-            let child_border_rows: Vec<Vec<usize>> = self.nodes[id]
-                .children
-                .clone()
-                .iter()
-                .map(|&c| {
-                    self.nodes[c]
-                        .borders
-                        .iter()
-                        .map(|b| self.nodes[id].ub_index[b])
-                        .collect()
-                })
-                .collect();
-            if self.nodes[id].children.is_empty() {
-                for (i, &v) in self.nodes[id].union_borders.iter().enumerate() {
-                    self.leaf_pos[v as usize] = i as u32;
-                }
-            }
-            let node = &mut self.nodes[id];
-            node.border_rows = border_rows;
-            node.child_border_rows = child_border_rows;
-        }
     }
 }
 
@@ -1870,6 +1863,43 @@ fn significantly_different(a: f64, b: f64) -> bool {
     (a - b).abs() > 1e-12 * a.abs().max(b.abs()).max(1.0)
 }
 
+/// `slot[t] = min(slot[t], base + row[t])` over a whole row, as a
+/// branch-free select (`cand < slot` picks `cand`, exactly like the
+/// branching form) so it vectorises.
+fn lower_by_sum(slots: &mut [f64], base: f64, row: &[f64]) {
+    for (slot, &x) in slots.iter_mut().zip(row) {
+        let cand = base + x;
+        let cur = *slot;
+        *slot = if cand < cur { cand } else { cur };
+    }
+}
+
+/// Whether some border `x` witnesses the child shortcut `(i, j)` of length
+/// `dij`: `d(i,x) < dij`, `d(x,j) < dij` and `d(i,x) + d(x,j) <= dij`, with
+/// `row_i[x] = d(i,x)` and `col_j[x] = d(x,j)`. Tested branch-free over
+/// fixed-width chunks (so each chunk vectorises), stopping at the first
+/// chunk holding a witness. `x = i` and `x = j` never qualify: one leg is
+/// `dij` itself.
+fn has_witness(row_i: &[f64], col_j: &[f64], dij: f64) -> bool {
+    const LANES: usize = 8;
+    let witness = |a: f64, b: f64| (a < dij) & (b < dij) & (a + b <= dij);
+    let mut rows = row_i.chunks_exact(LANES);
+    let mut cols = col_j.chunks_exact(LANES);
+    for (a, b) in (&mut rows).zip(&mut cols) {
+        let mut hit = false;
+        for k in 0..LANES {
+            hit |= witness(a[k], b[k]);
+        }
+        if hit {
+            return true;
+        }
+    }
+    rows.remainder()
+        .iter()
+        .zip(cols.remainder())
+        .any(|(&a, &b)| witness(a, b))
+}
+
 /// Counting-sorts a directed edge list into CSR form over `size` vertices.
 fn assemble_reduced(size: usize, edges: &[(u32, u32, f64)]) -> ReducedGraph {
     let mut offsets = vec![0u32; size + 1];
@@ -1900,7 +1930,6 @@ fn assemble_reduced(size: usize, edges: &[(u32, u32, f64)]) -> ReducedGraph {
 struct FillWorker {
     sssp: SsspScratch,
     region_mask: Vec<bool>,
-    dist: Vec<f64>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
 }
 
@@ -1909,24 +1938,23 @@ impl FillWorker {
         FillWorker {
             sssp: SsspScratch::new(),
             region_mask: vec![false; num_vertices],
-            dist: Vec::new(),
             heap: std::collections::BinaryHeap::new(),
         }
     }
 }
 
-/// Dijkstra over a contracted reduced border graph; returns the full
-/// distance row from `source`. The scratch buffers are recycled per call.
+/// Dijkstra over a contracted reduced border graph, writing the full
+/// distance row from `source` into `dist` (one slot per graph vertex). The
+/// heap is recycled per call.
 fn reduced_dijkstra_row(
     g: &ReducedGraph,
     source: usize,
-    dist: &mut Vec<f64>,
+    dist: &mut [f64],
     heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-) -> Vec<f64> {
+) {
     use std::cmp::Reverse;
-    let n = g.offsets.len() - 1;
-    dist.clear();
-    dist.resize(n, f64::INFINITY);
+    debug_assert_eq!(dist.len(), g.offsets.len() - 1);
+    dist.fill(f64::INFINITY);
     heap.clear();
     dist[source] = 0.0;
     heap.push(Reverse((0, source as u32)));
@@ -1945,7 +1973,6 @@ fn reduced_dijkstra_row(
             }
         }
     }
-    dist.clone()
 }
 
 /// Splits a vertex set into two balanced halves while minimizing the number
@@ -2664,7 +2691,7 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_rows_round_trip_through_ub_index() {
+    fn precomputed_rows_round_trip_through_linear_lookup() {
         let net = grid(6, 6);
         let tree = GTree::build_with_capacity(&net, 6);
         for id in 0..tree.num_nodes() {
@@ -2878,5 +2905,140 @@ mod tests {
                 d[t as usize]
             );
         }
+    }
+
+    /// Every node's matrix, bit for bit.
+    fn matrix_bits(tree: &GTree) -> Vec<Vec<u64>> {
+        tree.nodes
+            .iter()
+            .map(|node| node.matrix.iter().map(|d| d.to_bits()).collect())
+            .collect()
+    }
+
+    /// Refreshing a clone copies only the nodes it recomputes: the original
+    /// keeps its matrices bit for bit (it still answers for the old weights),
+    /// and every node outside the dirty set stays the same allocation in both.
+    #[test]
+    fn refresh_of_a_clone_copies_only_dirty_nodes() {
+        let net = grid(12, 12);
+        let original = GTree::build_with_capacity(&net, 8);
+        let before = matrix_bits(&original);
+        let mut refreshed = original.clone();
+        let mut updated = net.clone();
+        // A cross-leaf edge made much longer: the refresh climbs into
+        // internal nodes and fills their clique caches.
+        let (u, v) = (5 * 12 + 6, 6 * 12 + 6);
+        updated.set_edge_weight(u, v, 9.5).unwrap();
+        let stats = refreshed.apply_edge_updates(&updated, &[EdgeUpdate::new(u, v, 9.5)]);
+        assert!(
+            stats.dirty_internal > 0,
+            "the reweight must reach an internal node"
+        );
+
+        assert_eq!(
+            matrix_bits(&original),
+            before,
+            "the shared original changed"
+        );
+        let unshared: Vec<usize> = (0..original.num_nodes())
+            .filter(|&id| !Arc::ptr_eq(&original.nodes[id], &refreshed.nodes[id]))
+            .collect();
+        assert!(!unshared.is_empty());
+        assert!(
+            unshared.len() <= stats.dirty_leaves + stats.dirty_internal,
+            "{} nodes copied for {} dirty ones",
+            unshared.len(),
+            stats.dirty_leaves + stats.dirty_internal
+        );
+        assert!(
+            refreshed.memory_bytes() > original.memory_bytes(),
+            "clique caches are counted"
+        );
+        for s in [0u32, 66, 143] {
+            let (old, new) = (sssp(&net, s), sssp(&updated, s));
+            for t in 0..144u32 {
+                assert!((original.dist(s, t) - old[t as usize]).abs() < 1e-9);
+                assert!((refreshed.dist(s, t) - new[t as usize]).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// Random road networks with zero-weight edges, tied weights and
+    /// disconnected parts.
+    fn adversarial_network(rng: &mut rand::rngs::StdRng) -> RoadNetwork {
+        use rand::prelude::*;
+        let n = rng.random_range(30..120usize);
+        let parts = rng.random_range(1..4u32);
+        let mut edges = Vec::new();
+        for v in 0..n as u32 {
+            // Integer weights in 0..=3: many ties, some zero-length roads.
+            let weight = |rng: &mut StdRng| f64::from(rng.random_range(0..4u32));
+            let next = v + parts;
+            if (next as usize) < n {
+                edges.push((v, next, weight(rng)));
+            }
+            if rng.random_bool(0.6) {
+                let u = rng.random_range(0..n as u32);
+                if u % parts == v % parts {
+                    edges.push((v, u, weight(rng)));
+                }
+            }
+        }
+        RoadNetwork::from_edges(n, &edges)
+    }
+
+    /// `contract_child_clique` keeps exactly the shortcuts the documented
+    /// witness rule keeps, in the same order: `(i, j)` survives unless some
+    /// other border `x` of the child has `d(i,x) < d(i,j)`, `d(x,j) <
+    /// d(i,j)` and `d(i,x) + d(x,j) <= d(i,j)`. The reference is the naive
+    /// O(nb³) scan over positions found by linear search.
+    #[test]
+    fn contraction_matches_naive_witness_rule() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xC0417AC7);
+        let mut checked = 0usize;
+        for _ in 0..24 {
+            let net = adversarial_network(&mut rng);
+            let tree = GTree::build_with_params(
+                &net,
+                rng.random_range(4..10),
+                [2, 4][rng.random_range(0..2)],
+            );
+            for id in 0..tree.num_nodes() {
+                for (k, &c) in tree.children_of(id).iter().enumerate() {
+                    let mut fast = Vec::new();
+                    tree.contract_child_clique(id, k, &mut fast);
+                    let borders = tree.borders_of(c);
+                    let nb = borders.len();
+                    let d = |i: usize, j: usize| {
+                        let ri = tree.ub_position_of(c, borders[i]).unwrap();
+                        let rj = tree.ub_position_of(c, borders[j]).unwrap();
+                        tree.matrix_entry(c, ri, rj)
+                    };
+                    let mut naive = Vec::new();
+                    for i in 0..nb {
+                        for j in (i + 1)..nb {
+                            let dij = d(i, j);
+                            let covered = (0..nb).filter(|&x| x != i && x != j).any(|x| {
+                                let (dix, dxj) = (d(i, x), d(x, j));
+                                dix < dij && dxj < dij && dix + dxj <= dij
+                            });
+                            if dij.is_finite() && !covered {
+                                let a = tree.ub_position_of(id, borders[i]).unwrap() as u32;
+                                let b = tree.ub_position_of(id, borders[j]).unwrap() as u32;
+                                naive.push((a, b, dij));
+                                naive.push((b, a, dij));
+                            }
+                        }
+                    }
+                    let bits = |e: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+                        e.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&fast), bits(&naive), "node {id} child {k}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 50, "only {checked} child cliques checked");
     }
 }

@@ -21,7 +21,7 @@ use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
 use road_social_mac::datagen::road::{generate_road, RoadConfig};
 use road_social_mac::datagen::social::{generate_social, PlantedGroup, SocialConfig};
 use road_social_mac::geom::PrefRegion;
-use road_social_mac::road::{Location, RangeFilterChoice, RoadNetwork};
+use road_social_mac::road::{sssp, Location, RangeFilterChoice, RoadNetwork};
 
 const GTREE_LEAF_CAPACITY: usize = 16;
 
@@ -306,9 +306,29 @@ fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
     assert_eq!(stats.epoch, 1);
     assert_eq!(engine.epoch().id(), 1);
 
-    // The pinned epoch-0 snapshot still answers like the original network:
-    // a fresh engine on the unmodified network agrees with `before`.
+    // The pinned epoch-0 snapshot still answers like the original network.
+    // Its G-tree shares every node the refresh left alone with epoch 1; the
+    // nodes the refresh rewrote must have been copied, not edited in place.
     assert_eq!(epoch0.id(), 0);
+    let tree0 = epoch0.network().gtree().expect("indexed network");
+    let epoch1 = engine.epoch();
+    let tree1 = epoch1.network().gtree().expect("indexed network");
+    let n = rsn0.road().num_vertices() as u32;
+    let mut moved = 0usize;
+    for s in (0..n).step_by(7) {
+        let exact = sssp(rsn0.road(), s);
+        for t in (0..n).step_by(3) {
+            let d = tree0.dist(s, t);
+            assert!(
+                d == exact[t as usize] || (d - exact[t as usize]).abs() < 1e-9,
+                "pinned epoch-0 G-tree drifted at {s}->{t}: {d} vs {}",
+                exact[t as usize]
+            );
+            moved += usize::from((tree1.dist(s, t) - exact[t as usize]).abs() > 1e-9);
+        }
+    }
+    assert!(moved > 0, "the reweight must change some sampled distance");
+    // A fresh engine on the unmodified network agrees with `before`.
     let unmodified = MacEngine::build_uncalibrated(rsn0.clone());
     let mut unmodified_session = unmodified.session();
     for (i, query) in queries.iter().enumerate() {
@@ -450,5 +470,43 @@ fn user_churn_delta_allocation_budget() {
         spent < 200,
         "one-user-move delta allocated {spent} times — the epoch copy is \
          deep-cloning shared state instead of Arc-sharing it"
+    );
+}
+
+/// A one-edge reweight must copy only the G-tree nodes its refresh
+/// recomputes. Each node sits behind its own `Arc`, so the epoch copy
+/// shares the rest. The budget grows with the refresh's dirty-node count,
+/// not with the tree size. A tree deep-cloned per delta costs about ten
+/// allocations per node (its index vectors), which this network's
+/// hundreds of nodes push far past the budget.
+#[test]
+fn reweight_delta_allocation_budget() {
+    let (rsn, _) = random_network(17, 3000, true);
+    let tree_nodes = rsn.gtree().expect("indexed network").num_nodes();
+    let engine = MacEngine::build_uncalibrated(rsn);
+    // Warm up: the first delta faults in lazy one-time state.
+    let (u, v, w) = engine.epoch().network().road().edges().nth(10).unwrap();
+    engine
+        .apply_updates(&NetworkDelta::new().reweight_edge(u, v, w * 1.5))
+        .unwrap();
+
+    let before = thread_allocations();
+    let stats = engine
+        .apply_updates(&NetworkDelta::new().reweight_edge(u, v, w * 2.0))
+        .unwrap();
+    let spent = thread_allocations() - before;
+    let gtree = stats.gtree.expect("indexed network refreshes its G-tree");
+    let dirty = (gtree.dirty_leaves + gtree.dirty_internal) as u64;
+    assert!(dirty >= 1);
+    assert!(
+        (dirty as usize) * 10 < tree_nodes,
+        "the reweight dirtied {dirty} of {tree_nodes} nodes; pick a more local edge"
+    );
+    let budget = 120 + 60 * dirty;
+    assert!(
+        spent < budget,
+        "one-edge reweight allocated {spent} times for {dirty} dirty of \
+         {tree_nodes} G-tree nodes (budget {budget}) — the epoch copy is \
+         deep-cloning untouched nodes"
     );
 }

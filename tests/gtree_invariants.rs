@@ -13,9 +13,9 @@
 //!   border space), so entry vectors can always be extended downwards;
 //! * distance matrices are symmetric with a zero diagonal (the road network
 //!   is undirected), and matrix values never beat the global shortest path;
-//! * the precomputed index arrays (`border_rows`, `child_border_rows`,
-//!   `leaf_pos`) round-trip through the build-time `ub_index` hash maps they
-//!   replaced.
+//! * every union-border space is duplicate-free, and the precomputed index
+//!   arrays (`border_rows`, `child_border_rows`, `leaf_pos`) round-trip
+//!   through an independent linear-scan lookup (`GTree::ub_position_of`).
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -119,8 +119,17 @@ fn check_invariants(net: &RoadNetwork, tree: &GTree) {
             }
         }
 
-        // Precomputed border-index arrays round-trip through the build-time
-        // ub_index maps they replaced.
+        // The union-border space has no duplicates, and the precomputed
+        // border-index arrays round-trip through a linear-scan lookup.
+        let mut distinct = ub.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(
+            distinct.len(),
+            ub.len(),
+            "node {} repeats a union border",
+            id
+        );
         for (i, &b) in tree.borders_of(id).iter().enumerate() {
             prop_assert_eq!(
                 tree.border_rows_of(id)[i],
@@ -162,7 +171,7 @@ proptest! {
     /// Incremental maintenance preserves every build invariant: after random
     /// reweight batches, the updated tree still satisfies the full structural
     /// suite (in particular, the precomputed `border_rows`/`leaf_pos` arrays
-    /// stay consistent with the `ub_index` reference maps — updates must
+    /// stay consistent with the linear-scan reference lookup — updates must
     /// never touch the index structure), its matrices match a from-scratch
     /// build on the updated network node for node, and distances match
     /// Dijkstra.

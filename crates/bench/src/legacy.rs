@@ -31,6 +31,21 @@ pub struct LegacyCell {
     pub community: Vec<u32>,
 }
 
+/// What [`legacy_gs_nc`] returns: the reported cells plus the shape of the
+/// search that produced them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LegacyRun {
+    /// Reported cells, in the replica's BFS order.
+    pub cells: Vec<LegacyCell>,
+    /// Arrangements built (one per explored state).
+    pub arrangements: usize,
+    /// Arrangements that returned a single cell: no half-space split the
+    /// state's cell.
+    pub unsplit_arrangements: usize,
+    /// Deletion groups on the deepest explored state's path.
+    pub max_depth: usize,
+}
+
 struct State<'g> {
     view: SubgraphView<'g>,
     cell: Cell,
@@ -44,7 +59,7 @@ struct State<'g> {
 /// (the full pre-refactor configuration); with `false` only the branch
 /// management differs from the current `GlobalSearch`, which is what the
 /// output-equivalence test isolates.
-pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> Vec<LegacyCell> {
+pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> LegacyRun {
     let k = ctx.query.k;
     let q = ctx.local_q.clone();
     let attrs: Vec<Vec<f64>> = ctx.attrs.to_rows();
@@ -52,6 +67,7 @@ pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> Vec<LegacyCell> 
 
     let mut hs_cache: HashMap<(u32, u32), HalfSpace> = HashMap::new();
     let mut out: Vec<LegacyCell> = Vec::new();
+    let (mut arrangements, mut unsplit_arrangements, mut max_depth) = (0, 0, 0);
     let mut worklist: VecDeque<State<'_>> = VecDeque::new();
     let base_cell = if lp_cells {
         Cell::from_region(&ctx.query.region).disable_vertex_cache()
@@ -98,7 +114,11 @@ pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> Vec<LegacyCell> 
             }
         }
 
-        for sub_cell in arrange(&state.cell, &hps) {
+        let sub_cells = arrange(&state.cell, &hps);
+        arrangements += 1;
+        unsplit_arrangements += usize::from(sub_cells.len() == 1);
+        max_depth = max_depth.max(state.deletion_groups.len());
+        for sub_cell in sub_cells {
             let Some(w) = sub_cell.sample_point() else {
                 continue;
             };
@@ -140,7 +160,12 @@ pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> Vec<LegacyCell> 
         }
     }
     std::hint::black_box(peak_bytes);
-    out
+    LegacyRun {
+        cells: out,
+        arrangements,
+        unsplit_arrangements,
+        max_depth,
+    }
 }
 
 fn report(state: &State<'_>, cell: Cell, sample_weight: Vec<f64>) -> LegacyCell {

@@ -10,7 +10,7 @@
 //! the non-contained MAC of that sub-partition, and the top-j MACs are
 //! recovered by backtracking the deletion history.
 //!
-//! Four engine-level departures from a literal transcription of the paper:
+//! Five engine-level departures from a literal transcription of the paper:
 //!
 //! * **Explicit stack.** The exploration runs on an explicit task stack
 //!   (the private `Task` enum) instead of call recursion, so the search depth
@@ -48,6 +48,16 @@
 //!   `Retreat` rolls back to such a state, and a stolen subtree replays its
 //!   prefix to the donor's alive set, which was connected. So the trim's BFS
 //!   stops once it has reached every alive neighbour of the cascade.
+//!
+//! * **Unsplit cells pass through.** Most arrangements split nothing: every
+//!   half-space among the new leaves covers or misses the state's cell
+//!   (Algorithm 2, lines 1–2). [`arrange_into`] then hands the cell itself
+//!   back as the single sub-cell, moved rather than copied, and its `Visit`
+//!   reuses the sample point its parent visit computed, which is the same
+//!   bits `sample_point_into` would compute again. The reuse never crosses a
+//!   steal: a donated `Visit` samples its cell afresh on the thief. Tasks,
+//!   budget charges, `partitions_explored` and DFS paths are as for a
+//!   re-arranged cell, so budgeted prefixes do not change.
 //!
 //! The worker count is the session's
 //! [`ExecutionPolicy::parallelism`](crate::policy::ExecutionPolicy::parallelism);
@@ -91,6 +101,12 @@ fn leaf_slice(arena: &[u32], r: LeafRange) -> &[u32] {
     &arena[r.start as usize..(r.start + r.len) as usize]
 }
 
+/// Bytes one deletion group adds to the memory accounting.
+#[inline]
+fn bytes_of(group: &[u32]) -> usize {
+    std::mem::size_of_val(group)
+}
+
 /// One unit of deferred work on a worker's explicit DFS stack.
 ///
 /// The stack discipline mirrors the recursion it replaces: `Arrange` plays the
@@ -109,12 +125,17 @@ enum Task {
     },
     /// Decide one sub-cell: report its community or tentatively delete the
     /// smallest-score vertex and descend. `idx` is the cell's position in its
-    /// parent arrangement — the task's coordinate in the DFS path.
+    /// parent arrangement — the task's coordinate in the DFS path. `sampled`
+    /// marks a cell that passed its parent arrangement unsplit: it is the
+    /// parent visit's cell, whose sample point `GsScratch::sample_buf` still
+    /// holds (the `Visit` runs right after the `Arrange` that queued it, which
+    /// runs right after that parent visit). A donated `Visit` drops the mark.
     Visit {
         cell: Cell,
         leaves: LeafRange,
         depth: u32,
         idx: u32,
+        sampled: bool,
     },
     /// Return from a descent: pop the deletion group, roll back, truncate the
     /// leaf arena to its pre-descent length.
@@ -214,9 +235,13 @@ pub(crate) struct GsScratch {
     /// Deletion groups committed along the current DFS path (push on descend,
     /// pop on retreat) — the backtracking history for top-j.
     deletion_groups: Vec<Vec<u32>>,
+    /// Total bytes of the vertex ids in `deletion_groups`, kept in step with
+    /// every push and pop for the memory accounting.
+    group_bytes: usize,
     /// Retired deletion-group vectors awaiting reuse.
     spare_groups: Vec<Vec<u32>>,
-    /// Sample point of the cell currently being decided.
+    /// Sample point of the cell currently being decided; a `Visit` marked
+    /// `sampled` reuses it (see `Task::Visit`).
     sample_buf: Vec<f64>,
     /// Output buffer of the current arrangement.
     sub_cells: Vec<Cell>,
@@ -249,6 +274,7 @@ impl Default for GsScratch {
             view_scratch: ViewScratch::new(),
             leaf_mark: Vec::new(),
             deletion_groups: Vec::new(),
+            group_bytes: 0,
             spare_groups: Vec::new(),
             sample_buf: Vec::new(),
             sub_cells: Vec::new(),
@@ -270,6 +296,7 @@ impl GsScratch {
     fn reset(&mut self) {
         debug_assert!(self.stack.is_empty());
         debug_assert!(self.deletion_groups.is_empty());
+        debug_assert_eq!(self.group_bytes, 0);
         self.stack.clear();
         self.arena.clear();
         self.cur_path.clear();
@@ -600,7 +627,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             debug_assert!(arena.is_empty());
             self.ctx
                 .gd
-                .leaves_within_into(view.alive_mask(), leaf_mark, arena);
+                .leaves_within_into(view.alive_words(), leaf_mark, arena);
         }
         let leaves0 = LeafRange {
             start: 0,
@@ -616,9 +643,10 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                 root_cell,
                 ..
             } = &mut *self.scratch;
+            let base = arrange.copy_cell(root_cell);
             arrange_into(
                 arrange,
-                root_cell,
+                base,
                 hps_buf.iter().map(|&i| &hs_store[i as usize]),
                 sub_cells,
             )
@@ -638,6 +666,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                 leaves: leaves0,
                 depth: 1,
                 idx: i as u32,
+                sampled: false,
             });
         }
     }
@@ -707,6 +736,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             }
             let cp0 = view.checkpoint();
             for group in &prefix_groups {
+                self.scratch.group_bytes += bytes_of(group);
                 for &v in group {
                     // Replay order within/across groups is irrelevant: the
                     // final alive set and the degrees of alive vertices only
@@ -735,6 +765,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                     leaves: LeafRange { start, len },
                     depth,
                     idx,
+                    sampled: false,
                 });
             }
 
@@ -787,12 +818,14 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             {
                 let GsScratch {
                     deletion_groups,
+                    group_bytes,
                     spare_groups,
                     ..
                 } = &mut *self.scratch;
                 while let Some(g) = deletion_groups.pop() {
                     spare_groups.push(g);
                 }
+                *group_bytes = 0;
             }
             view.rollback(cp0);
             self.scratch.arena.truncate(arena_base as usize);
@@ -817,11 +850,14 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         else {
             return;
         };
+        // The thief re-samples the cell: `sampled` refers to this worker's
+        // `sample_buf`.
         let Task::Visit {
             cell,
             leaves,
             depth,
             idx,
+            ..
         } = self.scratch.stack.remove(pos)
         else {
             unreachable!("position matched a Visit");
@@ -860,11 +896,12 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                 leaves,
                 depth,
                 idx,
+                sampled,
             } => {
                 let cur_path = &mut self.scratch.cur_path;
                 cur_path.truncate(depth as usize - 1);
                 cur_path.push(idx);
-                self.visit_cell(view, cell, leaves, depth);
+                self.visit_cell(view, cell, leaves, depth, sampled);
             }
             Task::Retreat { cp, arena_mark } => self.apply_retreat(view, cp, arena_mark),
         }
@@ -874,11 +911,13 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
     fn apply_retreat(&mut self, view: &mut SubgraphView<'_>, cp: Checkpoint, arena_mark: u32) {
         let GsScratch {
             deletion_groups,
+            group_bytes,
             spare_groups,
             arena,
             ..
         } = &mut *self.scratch;
         if let Some(g) = deletion_groups.pop() {
+            *group_bytes -= bytes_of(&g);
             spare_groups.push(g);
         }
         view.rollback(cp);
@@ -888,15 +927,18 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
     /// Track an approximate peak of live search memory (Fig. 11(d)): the DFS
     /// path holds one view plus per-level cells and deletion groups.
     fn account_memory(&mut self, view: &SubgraphView<'_>, cell_bytes: usize, depth: u32) {
+        debug_assert_eq!(
+            self.scratch.group_bytes,
+            self.scratch
+                .deletion_groups
+                .iter()
+                .map(|g| bytes_of(g))
+                .sum::<usize>()
+        );
         let live_bytes = self.ctx.gd.memory_bytes()
             + view.alive_mask().len() * 5
             + depth as usize * cell_bytes
-            + self
-                .scratch
-                .deletion_groups
-                .iter()
-                .map(|g| g.len() * std::mem::size_of::<u32>())
-                .sum::<usize>();
+            + self.scratch.group_bytes;
         self.stats.memory_bytes = self.stats.memory_bytes.max(live_bytes);
     }
 
@@ -953,7 +995,9 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
     }
 
     /// The `explore` step: arrange the current leaves' half-spaces within
-    /// `cell` and queue the resulting sub-cells for visiting (in order).
+    /// `cell` and queue the resulting sub-cells for visiting (in order). A
+    /// cell no half-space splits is queued as itself (see [`arrange_into`]),
+    /// marked `sampled`.
     fn arrange_state(
         &mut self,
         view: &mut SubgraphView<'_>,
@@ -969,7 +1013,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             } = &mut *self.scratch;
             self.ctx
                 .gd
-                .leaves_within_into(view.alive_mask(), leaf_mark, arena);
+                .leaves_within_into(view.alive_words(), leaf_mark, arena);
         }
         let leaves = LeafRange {
             start,
@@ -986,13 +1030,12 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             } = &mut *self.scratch;
             arrange_into(
                 arrange,
-                &cell,
+                cell,
                 hps_buf.iter().map(|&i| &hs_store[i as usize]),
                 sub_cells,
             )
         };
         self.stats.partitions_explored += n;
-        self.scratch.arrange.recycle_cell(cell);
         let GsScratch {
             sub_cells, stack, ..
         } = &mut *self.scratch;
@@ -1002,20 +1045,24 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                 leaves,
                 depth,
                 idx: i as u32,
+                sampled: n == 1,
             });
         }
     }
 
-    /// One sub-cell decision (lines 13–20 of Algorithm 1).
+    /// One sub-cell decision (lines 13–20 of Algorithm 1). A `sampled` cell
+    /// keeps the sample point already in `sample_buf`; it is the one
+    /// [`Cell::sample_point_into`] would compute again, bit for bit.
     fn visit_cell(
         &mut self,
         view: &mut SubgraphView<'_>,
         cell: Cell,
         leaves: LeafRange,
         depth: u32,
+        sampled: bool,
     ) {
         let ctx = self.ctx;
-        if !cell.sample_point_into(&mut self.scratch.sample_buf) {
+        if !sampled && !cell.sample_point_into(&mut self.scratch.sample_buf) {
             self.scratch.arrange.recycle_cell(cell);
             return;
         }
@@ -1066,6 +1113,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         {
             let GsScratch {
                 deletion_groups,
+                group_bytes,
                 spare_groups,
                 stack,
                 arena,
@@ -1074,6 +1122,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             let mut group = spare_groups.pop().unwrap_or_default();
             group.clear();
             group.extend_from_slice(view.log_since(cp));
+            *group_bytes += bytes_of(&group);
             deletion_groups.push(group);
             stack.push(Task::Retreat {
                 cp,

@@ -228,38 +228,55 @@ impl DominanceGraph {
     /// bottom layer / leaf vertices of the induced sub-DAG (`l_b(G_e)` when
     /// `mask` selects the candidate community `H`, or the leaves of the
     /// current `G'_d` during global search), in increasing local id order.
+    ///
+    /// Packs `mask` into words once and runs
+    /// [`leaves_within_into`](Self::leaves_within_into).
     pub fn leaves_within(&self, mask: &[bool]) -> Vec<usize> {
+        debug_assert_eq!(mask.len(), self.num_vertices());
+        let mut within = BitSet::new(mask.len());
+        for v in (0..mask.len()).filter(|&v| mask[v]) {
+            within.set(v);
+        }
         let mut leaves = Vec::new();
-        self.leaves_within_into(mask, &mut Vec::new(), &mut leaves);
+        self.leaves_within_into(within.words(), &mut Vec::new(), &mut leaves);
         leaves.into_iter().map(|v| v as usize).collect()
     }
 
-    /// Pool-backed variant of [`leaves_within`](Self::leaves_within): appends
-    /// the leaf vertices (as `u32` locals, same order) to `out` instead of
-    /// allocating, using `mark` as the recycled word scratch. Appending
-    /// (rather than clearing) lets callers pack many leaf sets into one flat
-    /// arena and address them by `(start, len)` ranges.
+    /// Pool-backed, word-level form of [`leaves_within`](Self::leaves_within)
+    /// over a packed mask: `mask` holds vertex `v` in bit `v % 64` of word
+    /// `v / 64` (the layout of [`BitSet::words`]), with no bits set past the
+    /// last vertex. Appends the leaf vertices (as `u32` locals, same order) to
+    /// `out` instead of allocating, using `mark` as the recycled word scratch.
+    /// Appending (rather than clearing) lets callers pack many leaf sets into
+    /// one flat arena and address them by `(start, len)` ranges.
     ///
     /// Word-parallel (the bitmap technique of Tan, Eng & Ooi, VLDB 2001):
     /// `mark` becomes the union of the dominator closures of the masked
-    /// vertices, one `u64` OR per 64 candidates, and the leaves are the masked
-    /// vertices whose mark bit stays clear. Unmasked vertices marked along the
-    /// way are never reported, so they need no filtering.
-    pub fn leaves_within_into(&self, mask: &[bool], mark: &mut Vec<u64>, out: &mut Vec<u32>) {
-        debug_assert_eq!(mask.len(), self.num_vertices());
-        let n = self.num_vertices();
+    /// vertices, found by iterating the set bits of `mask`, one `u64` OR per
+    /// 64 candidates. The leaves are then `mask & !mark`, emitted word by
+    /// word. The cost is one `n/64`-word OR per masked vertex plus one pass
+    /// over the words, however many vertices lie outside the mask.
+    pub fn leaves_within_into(&self, mask: &[u64], mark: &mut Vec<u64>, out: &mut Vec<u32>) {
+        debug_assert_eq!(mask.len(), self.num_vertices().div_ceil(64));
         mark.clear();
-        mark.resize(n.div_ceil(64), 0);
-        for v in (0..n).filter(|&v| mask[v]) {
-            for (m, &w) in mark.iter_mut().zip(self.dominators[v].words()) {
-                *m |= w;
+        mark.resize(mask.len(), 0);
+        for (i, &word) in mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (m, &w) in mark.iter_mut().zip(self.dominators[v].words()) {
+                    *m |= w;
+                }
             }
         }
-        out.extend(
-            (0..n)
-                .filter(|&v| mask[v] && mark[v / 64] & (1 << (v % 64)) == 0)
-                .map(|v| v as u32),
-        );
+        for (i, (&word, &m)) in mask.iter().zip(mark.iter()).enumerate() {
+            let mut bits = word & !m;
+            while bits != 0 {
+                out.push((i * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Vertices of `mask` that are r-dominated by **no other vertex of

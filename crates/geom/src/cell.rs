@@ -419,6 +419,11 @@ impl Cell {
     /// fast path: writes the representative into `out` and returns whether one
     /// exists. Other dimensionalities (and polygon-less cells) fall back to
     /// the allocating LP path and copy the result into `out`.
+    ///
+    /// The point is a function of the cell's bits alone, so a caller holding
+    /// the sample of a cell may reuse it for any bitwise-equal cell — the
+    /// global search does so for a cell that passes unsplit through
+    /// [`arrange_into`](crate::partition::arrange_into).
     pub fn sample_point_into(&self, out: &mut Vec<f64>) -> bool {
         let dim = self.dim();
         if dim == 0 {

@@ -156,10 +156,13 @@ impl ArrangeScratch {
         self.free_cells.push(cell);
     }
 
-    /// A pooled half-space husk store, shared with callers that clip cells
-    /// outside the arrangement (e.g. a root cell refresh).
-    pub fn spare_halfspaces(&mut self) -> &mut Vec<HalfSpace> {
-        &mut self.spare_hs
+    /// A pooled copy of `src`, bitwise identical to `src.clone()`, built in a
+    /// recycled husk (for a caller that keeps `src` and hands the copy to
+    /// [`arrange_into`]).
+    pub fn copy_cell(&mut self, src: &Cell) -> Cell {
+        let mut cell = self.free_cells.pop().unwrap_or_else(empty_cell_husk);
+        cell.assign_from(src, &mut self.spare_hs);
+        cell
     }
 
     /// Index of a fresh leaf node; reuses a retired slot when one exists.
@@ -226,17 +229,24 @@ fn empty_cell_husk() -> Cell {
 /// `out` in the same order `arrange` returns them. Returns the number of
 /// leaves appended. The cells are bitwise identical to the allocating path;
 /// only their backing buffers are recycled.
+///
+/// `base` is consumed: it becomes the root of the tree, so each half-space is
+/// classified once against each current leaf, and `base` itself is the first
+/// leaf until some half-space straddles it. When none does (every half-space
+/// degenerate or covering, lines 1–2 of Algorithm 2), the single leaf
+/// appended is `base`, moved through without a copy — a return value of `1`
+/// means exactly that, since a split always yields at least two leaves. A
+/// split `base` stays in the pool as a cell husk.
 pub fn arrange_into<'a>(
     scratch: &mut ArrangeScratch,
-    base: &Cell,
+    base: Cell,
     hps: impl IntoIterator<Item = &'a HalfSpace>,
     out: &mut Vec<Cell>,
 ) -> usize {
     scratch.len = 0;
     let root = scratch.alloc_node() as usize;
-    scratch.nodes[root]
-        .cell
-        .assign_from(base, &mut scratch.spare_hs);
+    let husk = std::mem::replace(&mut scratch.nodes[root].cell, base);
+    scratch.free_cells.push(husk);
     for hp in hps {
         if hp.is_degenerate() {
             continue;
@@ -355,7 +365,7 @@ mod tests {
                 .collect();
             let reference = arrange(&base(), &hps);
             out.clear();
-            let appended = arrange_into(&mut scratch, &base(), hps.iter(), &mut out);
+            let appended = arrange_into(&mut scratch, base(), hps.iter(), &mut out);
             assert_eq!(appended, out.len());
             assert_eq!(out, reference, "round {round}: pooled leaves diverged");
             // hand a few leaves back to the pool, as the search loop does
@@ -365,6 +375,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A base cell that no half-space splits comes back as the single leaf,
+    /// moved rather than copied; a split base is never handed out.
+    #[test]
+    fn unsplit_base_passes_through_without_a_copy() {
+        let mut scratch = ArrangeScratch::new();
+        let mut out = Vec::new();
+        let unsplit = [
+            HalfSpace::new(vec![1.0, 0.0], 0.5),  // covers the cell
+            HalfSpace::new(vec![0.0, 0.0], 0.0),  // degenerate
+            HalfSpace::new(vec![1.0, 0.0], -0.9), // misses the cell
+        ];
+        let cell = base().with_halfspace(HalfSpace::new(vec![1.0, 0.0], -0.2));
+        let (reference, buffer) = (cell.clone(), cell.constraints().as_ptr());
+        assert_eq!(
+            arrange_into(&mut scratch, cell, unsplit.iter(), &mut out),
+            1
+        );
+        assert_eq!(out[0], reference);
+        assert_eq!(out[0].constraints().as_ptr(), buffer, "base was copied");
+
+        let split = HalfSpace::new(vec![1.0, 0.0], -0.3);
+        let cell = out.pop().unwrap();
+        let buffer = cell.constraints().as_ptr();
+        let reference = arrange(&cell, std::slice::from_ref(&split));
+        assert_eq!(arrange_into(&mut scratch, cell, [&split], &mut out), 2);
+        assert_eq!(out, reference);
+        assert!(out.iter().all(|c| c.constraints().as_ptr() != buffer));
     }
 
     #[test]

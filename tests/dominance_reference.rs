@@ -8,8 +8,9 @@
 //!   inverse;
 //! * layers = the length of the longest dominator chain above a vertex.
 //!
-//! The leaf and top selectors over a vertex mask (`leaves_within`,
-//! `leaves_within_into`, `top_within`, `top_within_excluding`) are checked
+//! The leaf and top selectors over a vertex mask (`leaves_within`, the word
+//! form `leaves_within_into` over a packed mask, `top_within`,
+//! `top_within_excluding`) are checked
 //! against the pairwise relation itself, not against the closure: a leaf
 //! r-dominates no other masked vertex, a top vertex is r-dominated by none.
 //!
@@ -20,7 +21,7 @@
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use road_social_mac::dom::DominanceGraph;
+use road_social_mac::dom::{BitSet, DominanceGraph};
 use road_social_mac::geom::rdominance::{r_dominance, DominanceRelation};
 use road_social_mac::geom::PrefRegion;
 
@@ -176,9 +177,14 @@ fn check_selectors_against_definitions(seed: u64) {
         assert_eq!(gd.leaves_within(&mask), leaves, "seed {seed}: leaves");
         assert_eq!(gd.top_within(&mask), tops, "seed {seed}: tops");
 
-        // The pooled variant appends after whatever the arena holds.
+        // The word form over the packed mask appends after whatever the
+        // arena holds.
+        let mut packed = BitSet::new(n);
+        for v in (0..n).filter(|&v| mask[v]) {
+            packed.set(v);
+        }
         arena.truncate(1);
-        gd.leaves_within_into(&mask, &mut mark, &mut arena);
+        gd.leaves_within_into(packed.words(), &mut mark, &mut arena);
         assert_eq!(arena[0], u32::MAX, "seed {seed}: arena prefix clobbered");
         let pooled: Vec<usize> = arena[1..].iter().map(|&v| v as usize).collect();
         assert_eq!(pooled, leaves, "seed {seed}: pooled leaves");

@@ -139,10 +139,11 @@ pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> LegacyRun {
             // Tentative deletion on a branch-local copy — the allocation
             // pattern this replica exists to preserve.
             let mut view = state.view.clone();
-            let mut record = view.delete_cascade(u, k);
+            let cp = view.checkpoint();
+            view.delete_cascade(u, k);
             let mut ok = q.iter().all(|&qv| view.is_alive(qv));
             if ok {
-                record.merge(view.retain_component_of(q[0]));
+                view.retain_component_of(q[0]);
                 ok = q.iter().all(|&qv| view.is_alive(qv));
             }
             if !ok {
@@ -150,7 +151,7 @@ pub fn legacy_gs_nc(ctx: &SearchContext<'_>, lp_cells: bool) -> LegacyRun {
                 continue;
             }
             let mut deletion_groups = state.deletion_groups.clone();
-            deletion_groups.push(record.removed.clone());
+            deletion_groups.push(view.log_since(cp).to_vec());
             worklist.push_back(State {
                 view,
                 cell: sub_cell,

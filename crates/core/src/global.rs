@@ -741,7 +741,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                     // Replay order within/across groups is irrelevant: the
                     // final alive set and the degrees of alive vertices only
                     // depend on *which* vertices died.
-                    let _ = view.delete_single(v);
+                    view.delete_single(v);
                 }
             }
             let arena_base = self.scratch.arena.len() as u32;
@@ -1095,7 +1095,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         }
         // Tentative deletion (lines 15-20) behind a checkpoint.
         let cp = view.checkpoint();
-        view.delete_cascade_logged(u, self.k);
+        view.delete_cascade(u, self.k);
         let mut ok = self.q.iter().all(|&qv| view.is_alive(qv));
         if ok {
             // The view was connected at `cp` (see the module doc), so the

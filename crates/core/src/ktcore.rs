@@ -244,13 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn distance_oracle_follows_the_index() {
+    fn gtree_is_present_only_when_indexed() {
         let indexed = network().with_gtree_index_capacity(4);
         assert!(indexed.gtree().is_some());
-        assert!(indexed.distance_oracle().is_gtree());
         let plain = network();
         assert!(plain.gtree().is_none());
-        assert!(!plain.distance_oracle().is_gtree());
     }
 
     #[test]

@@ -449,7 +449,7 @@ fn verify(ctx: &SearchContext<'_>, cand: &[u32], stats: &mut SearchStats) -> Vec
             continue;
         }
         let cp = h_view.checkpoint();
-        h_view.delete_cascade_logged(v as u32, k);
+        h_view.delete_cascade(v as u32, k);
         let ok = q.iter().all(|&qv| h_view.is_alive(qv)) && h_view.has_connected_k_core_with(k, q);
         h_view.rollback(cp);
         if ok {

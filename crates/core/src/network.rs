@@ -4,7 +4,6 @@ use crate::error::MacError;
 use rsn_graph::graph::{Graph, VertexId};
 use rsn_road::gtree::{GTree, GTreeUpdateStats};
 use rsn_road::network::{EdgeUpdate, Location, RoadNetwork};
-use rsn_road::oracle::DistanceOracle;
 use rsn_road::rangefilter::{resolve_auto, RangeFilter, RangeFilterChoice};
 use std::sync::Arc;
 
@@ -108,7 +107,7 @@ impl RoadSocialNetwork {
     }
 
     /// Builds (or rebuilds) the G-tree index over the road network, enabling
-    /// the G-tree distance oracle for subsequent queries.
+    /// the G-tree range filter for subsequent queries.
     pub fn with_gtree_index(mut self) -> Self {
         self.gtree = Some(Arc::new(GTree::build(&self.road)));
         self
@@ -224,18 +223,6 @@ impl RoadSocialNetwork {
             &mut self.locations[user as usize],
             location,
         ))
-    }
-
-    /// The point-wise distance oracle this network serves: the G-tree when an
-    /// index is built, per-request bounded Dijkstra otherwise. Both are
-    /// exact — which backend answers is purely a performance property of the
-    /// network. The set-valued Lemma-1 filter goes through
-    /// [`range_filter`](Self::range_filter) instead.
-    pub fn distance_oracle(&self) -> DistanceOracle<'_> {
-        match &self.gtree {
-            Some(tree) => DistanceOracle::GTree(tree),
-            None => DistanceOracle::dijkstra(),
-        }
     }
 
     /// Resolves the Lemma-1 range filter for a query's [`RangeFilterChoice`],

@@ -77,7 +77,7 @@ pub fn peel_at_weight(ctx: &SearchContext<'_>, reduced_w: &[f64]) -> PeelOutcome
         // Tentative deletion with cascade (Algorithm 1, lines 15-20), behind
         // a checkpoint so a failed step rolls back without cloning.
         let cp = view.checkpoint();
-        view.delete_cascade_logged(u, k);
+        view.delete_cascade(u, k);
         if q.iter().any(|&qv| !view.is_alive(qv)) {
             view.rollback(cp);
             break;

@@ -102,7 +102,7 @@ fn bfs_ball(road: &RoadNetwork, center: u32, radius: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::road::{generate_road, RoadConfig};
-    use rsn_road::querydist::QueryDistanceIndex;
+    use rsn_road::dijkstra::{location_distance, sssp_from_location};
 
     #[test]
     fn assigns_one_location_per_user() {
@@ -130,13 +130,15 @@ mod tests {
         );
         // the pairwise query distance within the tight group stays bounded
         let group_locs: Vec<_> = group.iter().map(|&u| locations[u as usize]).collect();
-        let idx = QueryDistanceIndex::build(&road, &group_locs[..3], None);
-        let dq = idx.query_distance_of_members(&group_locs);
+        let dq = group_locs[..3]
+            .iter()
+            .flat_map(|q| group_locs.iter().map(move |m| (q, m)))
+            .map(|(q, m)| location_distance(&road, q, m))
+            .fold(0.0f64, f64::max);
         assert!(dq.is_finite());
         // and it is much smaller than the network diameter proxy
-        let all_idx = QueryDistanceIndex::build(&road, &[group_locs[0]], None);
-        let diameter_proxy = (0..road.num_vertices() as u32)
-            .map(|v| all_idx.query_distance_of_vertex(v))
+        let diameter_proxy = sssp_from_location(&road, &group_locs[0], None)
+            .into_iter()
             .fold(0.0f64, f64::max);
         assert!(dq <= diameter_proxy);
     }

@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use rsn_core::ktcore::maximal_kt_core;
     use rsn_core::query::MacQuery;
-    use rsn_road::querydist::QueryDistanceIndex;
+    use rsn_road::dijkstra::location_distance;
 
     #[test]
     fn example_distances_match_section_2() {
@@ -125,31 +125,29 @@ mod tests {
             Location::vertex(2),
             Location::vertex(5),
         ];
-        let idx = QueryDistanceIndex::build(&road, &q, None);
-        assert!(
-            (idx.query_distance_of_vertex(6) - 7.0).abs() < 1e-9,
-            "DQ(v7) = 7"
-        );
+        // D_Q of a member set (Definition 2): the largest query-to-member
+        // network distance.
+        let road = &road;
+        let dq = |members: &[Location]| {
+            q.iter()
+                .flat_map(|a| members.iter().map(move |b| location_distance(road, a, b)))
+                .fold(0.0f64, f64::max)
+        };
+        let dq_of_vertex = |v: u32| dq(&[Location::vertex(v)]);
+        assert!((dq_of_vertex(6) - 7.0).abs() < 1e-9, "DQ(v7) = 7");
         let h1 = [
             Location::vertex(1),
             Location::vertex(2),
             Location::vertex(5),
             Location::vertex(6),
         ];
-        assert!(
-            (idx.query_distance_of_members(&h1) - 9.0).abs() < 1e-9,
-            "DQ(H1) = 9"
-        );
+        assert!((dq(&h1) - 9.0).abs() < 1e-9, "DQ(H1) = 9");
         // all of r1..r7 are within query distance 9
         for v in 0..7u32 {
-            assert!(
-                idx.query_distance_of_vertex(v) <= 9.0 + 1e-9,
-                "r{} too far",
-                v + 1
-            );
+            assert!(dq_of_vertex(v) <= 9.0 + 1e-9, "r{} too far", v + 1);
         }
         // the periphery is not
-        assert!(idx.query_distance_of_vertex(7) > 9.0);
+        assert!(dq_of_vertex(7) > 9.0);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   coreness upper bound of Section III, and the in-place masked peel to the
 //!   maximal connected k-core containing `Q`.
 //! * [`subgraph::SubgraphView`] — a deletable view over a graph supporting the
-//!   cascading DFS deletion of Algorithm 1 (lines 15–20) together with undo,
-//!   which the global search uses when exploring partitions of the preference
-//!   region.
+//!   cascading DFS deletion of Algorithm 1 (lines 15–20) together with a
+//!   checkpoint/rollback undo log, which the global search uses when
+//!   exploring partitions of the preference region.
 //! * [`connectivity`] — BFS/connected-component helpers.
 //! * [`truss`] — k-truss decomposition, used by the ATC-style baseline and the
 //!   "other cohesiveness criteria" remark of Section II-B.
@@ -29,7 +29,7 @@ pub mod truss;
 pub use connectivity::{bfs_reachable, connected_components, is_connected_subset};
 pub use core_decomp::{core_numbers, coreness_upper_bound, maximal_connected_k_core_containing};
 pub use graph::{Graph, GraphBuilder, VertexId};
-pub use subgraph::{CascadeDelete, SubgraphView, ViewScratch};
+pub use subgraph::{SubgraphView, ViewScratch};
 
 /// Errors produced by the graph substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

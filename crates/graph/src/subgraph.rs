@@ -1,5 +1,5 @@
 //! Deletable view over a graph supporting the cascading DFS deletion of
-//! Algorithm 1 (lines 15–20) and its undo.
+//! Algorithm 1 (lines 15–20), undone through a checkpoint/rollback log.
 //!
 //! The global search of the paper repeatedly removes the smallest-score
 //! vertex of the current community and then recursively removes every vertex
@@ -7,40 +7,13 @@
 //! community containing the query vertices the step has to be rolled back
 //! (Corollary 1), and for top-j recovery the deleted groups are re-inserted
 //! in reverse order. [`SubgraphView`] provides exactly these operations while
-//! sharing the underlying immutable [`Graph`].
+//! sharing the underlying immutable [`Graph`]: every removal lands in one
+//! undo log, a [`Checkpoint`] marks a position in it, and callers read the
+//! removals since a checkpoint with [`SubgraphView::log_since`] and revert
+//! them with [`SubgraphView::rollback`].
 
 use crate::connectivity::bfs_reachable;
 use crate::graph::{Graph, VertexId};
-
-/// Record of one cascading deletion round, sufficient to undo it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CascadeDelete {
-    /// Vertices removed in this round, in removal order.
-    pub removed: Vec<VertexId>,
-}
-
-impl CascadeDelete {
-    /// Whether any vertex of `set` was removed in this round.
-    pub fn removed_any_of(&self, set: &[VertexId]) -> bool {
-        self.removed.iter().any(|v| set.contains(v))
-    }
-
-    /// Number of removed vertices.
-    pub fn len(&self) -> usize {
-        self.removed.len()
-    }
-
-    /// Whether the round removed nothing.
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty()
-    }
-
-    /// Merges another deletion round into this one (used when a cascade is
-    /// followed by a connectivity trim and both should undo together).
-    pub fn merge(&mut self, other: CascadeDelete) {
-        self.removed.extend(other.removed);
-    }
-}
 
 /// A position in a view's undo log, marking a state to roll back to.
 ///
@@ -89,11 +62,11 @@ pub struct SubgraphView<'a> {
     num_alive: usize,
     /// Every killed vertex, in kill order (the undo log).
     log: Vec<VertexId>,
-    /// Epoch-stamped scratch marks used by rollback/undo (no per-call allocs).
+    /// Epoch-stamped scratch marks used by rollback (no per-call allocs).
     mark: Vec<u32>,
     epoch: u32,
     /// Epoch-stamped reachability marks + BFS queue for the connectivity trims
-    /// ([`Self::retain_component_of_logged`], [`Self::retain_component_since`]) — pooled
+    /// ([`Self::retain_component_of`], [`Self::retain_component_since`]) — pooled
     /// so a trim never allocates.
     reach: Vec<u32>,
     reach_epoch: u32,
@@ -357,24 +330,12 @@ impl<'a> SubgraphView<'a> {
     /// Removes `seed` and then recursively removes every alive vertex whose
     /// degree drops below `k` (the DFS procedure of Algorithm 1).
     ///
-    /// Returns the removal record; the caller is responsible for checking
-    /// Corollary 1 (query vertex removed / no k-core left) and calling
-    /// [`undo`](Self::undo) — or taking a [`checkpoint`](Self::checkpoint)
-    /// first and [`rollback`](Self::rollback)ing — when the deletion must be
-    /// reverted. Prefer [`delete_cascade_logged`](Self::delete_cascade_logged)
-    /// in hot loops that don't need an owned record.
-    pub fn delete_cascade(&mut self, seed: VertexId, k: u32) -> CascadeDelete {
-        let start = self.log.len();
-        self.delete_cascade_logged(seed, k);
-        CascadeDelete {
-            removed: self.log[start..].to_vec(),
-        }
-    }
-
-    /// [`delete_cascade`](Self::delete_cascade) without materializing a
-    /// record: the removals land only in the undo log (readable through
-    /// [`log_since`](Self::log_since)).
-    pub fn delete_cascade_logged(&mut self, seed: VertexId, k: u32) {
+    /// The removals land in the undo log; the caller is responsible for
+    /// checking Corollary 1 (query vertex removed / no k-core left) and, when
+    /// the deletion must be reverted, for taking a
+    /// [`checkpoint`](Self::checkpoint) first and
+    /// [`rollback`](Self::rollback)ing to it.
+    pub fn delete_cascade(&mut self, seed: VertexId, k: u32) {
         if !self.alive[seed as usize] {
             return;
         }
@@ -400,45 +361,32 @@ impl<'a> SubgraphView<'a> {
     }
 
     /// Removes a single vertex (no cascade), updating neighbour degrees.
-    pub fn delete_single(&mut self, v: VertexId) -> CascadeDelete {
-        let mut record = CascadeDelete::default();
+    pub fn delete_single(&mut self, v: VertexId) {
         if !self.alive[v as usize] {
-            return record;
+            return;
         }
         let graph = self.graph;
         self.kill(v);
-        record.removed.push(v);
         for &u in graph.neighbors(v) {
             if self.alive[u as usize] {
                 self.degree[u as usize] -= 1;
             }
         }
-        record
     }
 
-    /// Removes every alive vertex that is not reachable from `root` and
-    /// returns the removal record (empty when `root` is dead).
+    /// Removes every alive vertex that is not reachable from `root` (nothing
+    /// when `root` is dead).
     ///
     /// After a cascade deletion the remaining graph may fall apart; only the
     /// component containing the query vertices can still host MACs, so the
     /// global search trims the rest with this method.
-    pub fn retain_component_of(&mut self, root: VertexId) -> CascadeDelete {
-        let start = self.log.len();
-        self.retain_component_of_logged(root);
-        CascadeDelete {
-            removed: self.log[start..].to_vec(),
-        }
-    }
-
-    /// [`retain_component_of`](Self::retain_component_of) without
-    /// materializing a record.
     ///
     /// Makes no assumption about the view and always runs the BFS to the
     /// end; a caller that knows the view was connected before its latest
     /// deletions should use [`retain_component_since`](Self::retain_component_since).
     /// Uses the view's pooled epoch-stamped reach marks, so repeated trims on
     /// a warmed view perform no allocations.
-    pub fn retain_component_of_logged(&mut self, root: VertexId) {
+    pub fn retain_component_of(&mut self, root: VertexId) {
         if !self.alive[root as usize] {
             return;
         }
@@ -451,7 +399,7 @@ impl<'a> SubgraphView<'a> {
 
     /// Connectivity trim after the deletions since `since`: the same
     /// alive set, degrees and log suffix as
-    /// [`retain_component_of_logged`](Self::retain_component_of_logged)`(root)`,
+    /// [`retain_component_of`](Self::retain_component_of)`(root)`,
     /// but the BFS stops as soon as the view is known to be connected.
     ///
     /// **Precondition:** the view was connected at `since`, i.e. the alive
@@ -578,36 +526,6 @@ impl<'a> SubgraphView<'a> {
         self.queue.len() == self.num_alive + (self.log.len() - since.0)
     }
 
-    /// Restores the vertices removed by one or more deletion records.
-    ///
-    /// Records must be undone in reverse order of application (most recent
-    /// first), which is what every caller naturally does; the fast path pops
-    /// the record straight off the undo log.
-    pub fn undo(&mut self, record: &CascadeDelete) {
-        if record.removed.is_empty() {
-            return;
-        }
-        let n = record.removed.len();
-        let tail_matches = self.log.len() >= n && self.log[self.log.len() - n..] == record.removed;
-        debug_assert!(
-            tail_matches,
-            "undo out of order: the record must be the most recent removals"
-        );
-        let start = if tail_matches {
-            self.log.len() - n
-        } else {
-            // Release-mode fallback for out-of-order undo of disjoint records:
-            // rewrite the log without the record's vertices, then restore.
-            let in_record: std::collections::HashSet<VertexId> =
-                record.removed.iter().copied().collect();
-            self.log.retain(|v| !in_record.contains(v));
-            self.log.extend_from_slice(&record.removed);
-            self.log.len() - n
-        };
-        self.restore_suffix(start);
-        self.log.truncate(start);
-    }
-
     /// Whether the alive subgraph still contains a connected k-core containing
     /// every vertex of `q`. Peels on the view itself behind a checkpoint, so
     /// the state is unchanged on return and nothing is cloned.
@@ -616,7 +534,7 @@ impl<'a> SubgraphView<'a> {
             return false;
         }
         let cp = self.checkpoint();
-        self.peel_to_k_core_logged(k);
+        self.peel_to_k_core(k);
         let ok = q.iter().all(|&v| self.alive[v as usize]) && {
             let reach = bfs_reachable(self.graph, q[0], &self.alive);
             q.iter().all(|&v| reach[v as usize])
@@ -625,22 +543,12 @@ impl<'a> SubgraphView<'a> {
         ok
     }
 
-    /// Peels every vertex with degree `< k` (in place) and returns the
-    /// combined removal record.
-    pub fn peel_to_k_core(&mut self, k: u32) -> CascadeDelete {
-        let start = self.log.len();
-        self.peel_to_k_core_logged(k);
-        CascadeDelete {
-            removed: self.log[start..].to_vec(),
-        }
-    }
-
-    /// [`peel_to_k_core`](Self::peel_to_k_core) without materializing a
-    /// record.
-    pub fn peel_to_k_core_logged(&mut self, k: u32) {
+    /// Peels every vertex with degree `< k` (in place); the removals land in
+    /// the undo log.
+    pub fn peel_to_k_core(&mut self, k: u32) {
         for v in 0..self.alive.len() as u32 {
             if self.alive[v as usize] && self.degree[v as usize] < k {
-                self.delete_cascade_logged(v, k);
+                self.delete_cascade(v, k);
             }
         }
     }
@@ -714,12 +622,14 @@ mod tests {
         // Deleting vertex 0 with k = 2: the triangle {0,1,2} degrades, 1 and 2
         // lose a neighbour but keep degree >= 2 (2 still has 1 and 3)?
         // degrees after removing 0: 1 -> {2}, so degree 1 < 2: cascade.
-        let record = view.delete_cascade(0, 2);
-        assert!(record.removed.contains(&0));
-        assert!(record.removed.contains(&1));
+        let cp = view.checkpoint();
+        view.delete_cascade(0, 2);
+        let removed = view.log_since(cp);
+        assert!(removed.contains(&0));
+        assert!(removed.contains(&1));
         // 2 drops to {3} after losing 0 and 1, so it cascades too, then 3.
-        assert!(record.removed.contains(&2));
-        assert!(record.removed.contains(&3));
+        assert!(removed.contains(&2));
+        assert!(removed.contains(&3));
         // the far triangle survives
         assert!(view.is_alive(4) && view.is_alive(5) && view.is_alive(6));
         assert_eq!(view.min_degree(), Some(2));
@@ -727,40 +637,13 @@ mod tests {
     }
 
     #[test]
-    fn undo_restores_exact_state() {
-        let g = chain_of_triangles();
-        let mut view = SubgraphView::full(&g);
-        let before_degrees: Vec<u32> = (0..7).map(|v| view.degree_of(v)).collect();
-        let record = view.delete_cascade(0, 2);
-        assert!(view.num_alive() < 7);
-        view.undo(&record);
-        assert_eq!(view.num_alive(), 7);
-        let after: Vec<u32> = (0..7).map(|v| view.degree_of(v)).collect();
-        assert_eq!(before_degrees, after);
-    }
-
-    #[test]
-    fn undo_overlapping_rounds_in_reverse_order() {
-        let g = chain_of_triangles();
-        let mut view = SubgraphView::full(&g);
-        let r1 = view.delete_single(3);
-        let r2 = view.delete_cascade(0, 2);
-        view.undo(&r2);
-        view.undo(&r1);
-        let fresh = SubgraphView::full(&g);
-        for v in 0..7 {
-            assert_eq!(view.degree_of(v), fresh.degree_of(v));
-            assert_eq!(view.is_alive(v), fresh.is_alive(v));
-        }
-    }
-
-    #[test]
     fn retain_component_trims_other_side() {
         let g = chain_of_triangles();
         let mut view = SubgraphView::full(&g);
         view.delete_single(3);
-        let record = view.retain_component_of(0);
-        assert_eq!(record.removed.len(), 3);
+        let cp = view.checkpoint();
+        view.retain_component_of(0);
+        assert_eq!(view.log_since(cp), &[4, 5, 6]);
         assert!(view.is_alive(0) && view.is_alive(1) && view.is_alive(2));
         assert!(!view.is_alive(4) && !view.is_alive(5) && !view.is_alive(6));
         assert_eq!(view.degree_of(2), 2);
@@ -828,8 +711,9 @@ mod tests {
     fn peel_to_k_core_matches_decomposition() {
         let g = two_k4_with_cut_vertex();
         let mut view = SubgraphView::full(&g);
-        let record = view.peel_to_k_core(3);
-        assert_eq!(record.removed, vec![4]);
+        let cp = view.checkpoint();
+        view.peel_to_k_core(3);
+        assert_eq!(view.log_since(cp), &[4]);
         assert_eq!(view.num_alive(), 8);
         assert_eq!(view.min_degree(), Some(3));
     }
@@ -838,21 +722,13 @@ mod tests {
     fn delete_dead_vertex_is_noop() {
         let g = chain_of_triangles();
         let mut view = SubgraphView::full(&g);
-        let r1 = view.delete_single(3);
-        assert_eq!(r1.len(), 1);
-        let r2 = view.delete_single(3);
-        assert!(r2.is_empty());
-        let r3 = view.delete_cascade(3, 2);
-        assert!(r3.is_empty());
-    }
-
-    #[test]
-    fn cascade_removed_any_of_query() {
-        let g = chain_of_triangles();
-        let mut view = SubgraphView::full(&g);
-        let record = view.delete_cascade(0, 2);
-        assert!(record.removed_any_of(&[1, 6]));
-        assert!(!record.removed_any_of(&[4, 5, 6]));
+        let cp = view.checkpoint();
+        view.delete_single(3);
+        assert_eq!(view.log_since(cp), &[3]);
+        let cp = view.checkpoint();
+        view.delete_single(3);
+        view.delete_cascade(3, 2);
+        assert!(view.log_since(cp).is_empty());
     }
 
     #[test]
@@ -860,7 +736,7 @@ mod tests {
         let g = chain_of_triangles();
         let mut view = SubgraphView::full(&g);
         let cp = view.checkpoint();
-        view.delete_cascade_logged(0, 2);
+        view.delete_cascade(0, 2);
         assert!(!view.log_since(cp).is_empty());
         assert!(view.num_alive() < 7);
         view.rollback(cp);
@@ -878,10 +754,10 @@ mod tests {
         let g = two_k4_with_cut_vertex();
         let mut view = SubgraphView::full(&g);
         let cp0 = view.checkpoint();
-        view.delete_cascade_logged(4, 3);
+        view.delete_cascade(4, 3);
         let alive_after_first = view.alive_vertices();
         let cp1 = view.checkpoint();
-        view.delete_cascade_logged(0, 3);
+        view.delete_cascade(0, 3);
         view.rollback(cp1);
         assert_eq!(view.alive_vertices(), alive_after_first);
         view.rollback(cp0);
@@ -900,7 +776,7 @@ mod tests {
                 assert_eq!(view.degree_of(v), fresh.degree_of(v));
                 assert_eq!(view.is_alive(v), fresh.is_alive(v));
             }
-            view.delete_cascade_logged(0, 2);
+            view.delete_cascade(0, 2);
             let mut buf = Vec::new();
             view.alive_vertices_into(&mut buf);
             assert_eq!(buf, view.alive_vertices());
@@ -939,9 +815,9 @@ mod tests {
             let cp = view.checkpoint();
             for _ in 0..rng.random_range(1..6usize) {
                 match rng.random_range(0..3u32) {
-                    0 => view.delete_cascade_logged(rng.random_range(0..n as u32), 2),
-                    1 => view.retain_component_of_logged(rng.random_range(0..n as u32)),
-                    _ => view.peel_to_k_core_logged(rng.random_range(1..4u32)),
+                    0 => view.delete_cascade(rng.random_range(0..n as u32), 2),
+                    1 => view.retain_component_of(rng.random_range(0..n as u32)),
+                    _ => view.peel_to_k_core(rng.random_range(1..4u32)),
                 }
             }
             view.rollback(cp);
@@ -978,40 +854,40 @@ mod tests {
         let n = view.alive_mask().len() as u32;
         assert_eq!(view.alive_words(), packed(view), "fresh view");
         let mut checkpoints = vec![view.checkpoint()];
-        let mut records = Vec::new();
         for step in 0..rng.random_range(1..40usize) {
             let v = rng.random_range(0..n);
             match rng.random_range(0..7u32) {
-                0 => view.delete_cascade_logged(v, rng.random_range(1..4u32)),
-                1 => records.push(view.delete_single(v)),
+                0 => view.delete_cascade(v, rng.random_range(1..4u32)),
+                1 => {
+                    // A single deletion behind its own checkpoint, which
+                    // the last case rolls back to.
+                    checkpoints.push(view.checkpoint());
+                    view.delete_single(v);
+                }
                 2 => {
                     // The early-exit trim needs a view connected at its
                     // checkpoint; make it so with a full trim first.
-                    view.retain_component_of_logged(v);
+                    view.retain_component_of(v);
                     let cp = view.checkpoint();
                     view.delete_single(rng.random_range(0..n));
                     view.retain_component_since(v, cp);
                 }
-                3 => view.retain_component_of_logged(v),
+                3 => view.retain_component_of(v),
                 4 => checkpoints.push(view.checkpoint()),
                 5 => {
                     let cp = checkpoints[rng.random_range(0..checkpoints.len())];
                     view.rollback(cp);
                     checkpoints.retain(|c| c.0 <= cp.0);
-                    records.clear();
                 }
                 _ => {
-                    // Undo the most recent single deletion if nothing was
-                    // logged after it.
-                    if let Some(r) = records.pop() {
-                        if view.log.ends_with(&r.removed) {
-                            view.undo(&r);
-                        }
+                    // Roll back to the most recent checkpoint (the first one
+                    // is never popped).
+                    let cp = *checkpoints.last().expect("the first checkpoint stays");
+                    view.rollback(cp);
+                    if checkpoints.len() > 1 {
+                        checkpoints.pop();
                     }
                 }
-            }
-            if step % 8 == 7 {
-                records.clear();
             }
             assert_eq!(view.alive_words(), packed(view), "step {step}");
         }

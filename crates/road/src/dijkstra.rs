@@ -160,75 +160,111 @@ pub fn bounded_sssp(net: &RoadNetwork, source: RoadVertexId, bound: f64) -> Vec<
     multi_source_dijkstra(net, &[(source, 0.0)], Some(bound), None)
 }
 
-/// Shortest distances from an arbitrary [`Location`] to every road vertex.
-///
-/// An on-edge location seeds both endpoints with the partial edge costs, which
-/// is exactly the paper's `ω(u, p)` convention.
-pub fn sssp_from_location(net: &RoadNetwork, loc: &Location, bound: Option<f64>) -> Vec<f64> {
+/// The Dijkstra seeds of a location (the `ω(u, p)` convention of the
+/// paper): one for a vertex, one per endpoint for an on-edge point. Held
+/// inline, so computing them never allocates; derefs to the seed slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LocationSeeds {
+    seeds: [(RoadVertexId, f64); 2],
+    len: usize,
+}
+
+impl std::ops::Deref for LocationSeeds {
+    type Target = [(RoadVertexId, f64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.seeds[..self.len]
+    }
+}
+
+impl IntoIterator for LocationSeeds {
+    type Item = (RoadVertexId, f64);
+    type IntoIter = std::iter::Take<std::array::IntoIter<(RoadVertexId, f64), 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.seeds.into_iter().take(self.len)
+    }
+}
+
+/// Dijkstra seeds for a location: `(v, 0)` for a vertex; `(u, offset)` and
+/// `(v, w − offset)` for a point part-way along the edge `u–v` of weight `w`.
+pub(crate) fn location_seeds(net: &RoadNetwork, loc: &Location) -> LocationSeeds {
     match *loc {
-        Location::Vertex(v) => multi_source_dijkstra(net, &[(v, 0.0)], bound, None),
+        Location::Vertex(v) => LocationSeeds {
+            seeds: [(v, 0.0); 2],
+            len: 1,
+        },
         Location::OnEdge { u, v, offset } => {
             let w = net.edge_weight(u, v).unwrap_or(f64::INFINITY);
-            multi_source_dijkstra(net, &[(u, offset), (v, (w - offset).max(0.0))], bound, None)
+            LocationSeeds {
+                seeds: [(u, offset), (v, (w - offset).max(0.0))],
+                len: 2,
+            }
         }
     }
 }
 
-/// Distance from a precomputed vertex-distance field to a [`Location`].
-pub fn distance_to_location(net: &RoadNetwork, dist: &[f64], loc: &Location) -> f64 {
-    match *loc {
-        Location::Vertex(v) => dist[v as usize],
-        Location::OnEdge { u, v, offset } => {
-            let w = net.edge_weight(u, v).unwrap_or(f64::INFINITY);
-            (dist[u as usize] + offset).min(dist[v as usize] + (w - offset).max(0.0))
-        }
-    }
-}
-
-/// Network distance between two locations (`dist(p, p')` of the paper);
-/// `f64::INFINITY` when they are not connected.
-pub fn location_distance(net: &RoadNetwork, a: &Location, b: &Location) -> f64 {
-    location_distance_bounded(net, a, b, None)
-}
-
-/// Network distance between two locations, pruning the search at `bound`
-/// (returns `f64::INFINITY` when the true distance exceeds the bound).
-///
-/// Two points on the same edge additionally bound the search by their direct
-/// along-edge cost: any strictly better route must be shorter than that, so
-/// when the along-edge path is already minimal the Dijkstra terminates after
-/// settling only the vertices closer than it — instead of the full network
-/// sweep the unbounded version pays.
-pub fn location_distance_bounded(
-    net: &RoadNetwork,
-    a: &Location,
-    b: &Location,
-    bound: Option<f64>,
-) -> f64 {
-    let mut search_bound = bound;
-    let mut along_edge = f64::INFINITY;
-    if let (
-        Location::OnEdge {
+/// The direct along-edge distance when both locations sit on the same edge,
+/// `f64::INFINITY` otherwise. The edge may be named in either orientation:
+/// `OnEdge { u: b, v: a, offset: o }` is the point `w − o` from `a` along
+/// the edge `a–b` of weight `w`.
+pub(crate) fn along_edge_distance(net: &RoadNetwork, a: &Location, b: &Location) -> f64 {
+    let (
+        &Location::OnEdge {
             u: u1,
             v: v1,
             offset: o1,
         },
-        Location::OnEdge {
+        &Location::OnEdge {
             u: u2,
             v: v2,
             offset: o2,
         },
     ) = (a, b)
-    {
-        if u1 == u2 && v1 == v2 {
-            along_edge = (o1 - o2).abs();
-            if along_edge == 0.0 {
-                return 0.0;
-            }
-            search_bound = Some(search_bound.unwrap_or(f64::INFINITY).min(along_edge));
-        }
+    else {
+        return f64::INFINITY;
+    };
+    if (u1, v1) == (u2, v2) {
+        (o1 - o2).abs()
+    } else if (u1, v1) == (v2, u2) {
+        let w = net.edge_weight(u1, v1).unwrap_or(f64::INFINITY);
+        (o1 - (w - o2)).abs()
+    } else {
+        f64::INFINITY
     }
-    let dist = sssp_from_location(net, a, search_bound);
+}
+
+/// Shortest distances from an arbitrary [`Location`] to every road vertex.
+///
+/// An on-edge location seeds both endpoints with the partial edge costs, which
+/// is exactly the paper's `ω(u, p)` convention.
+pub fn sssp_from_location(net: &RoadNetwork, loc: &Location, bound: Option<f64>) -> Vec<f64> {
+    multi_source_dijkstra(net, &location_seeds(net, loc), bound, None)
+}
+
+/// Distance from a precomputed vertex-distance field to a [`Location`]: the
+/// cheapest of its seeds' field entries plus their offsets.
+pub fn distance_to_location(net: &RoadNetwork, dist: &[f64], loc: &Location) -> f64 {
+    location_seeds(net, loc)
+        .into_iter()
+        .map(|(v, offset)| dist[v as usize] + offset)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Network distance between two locations (`dist(p, p')` of the paper);
+/// `f64::INFINITY` when they are not connected.
+///
+/// Two points on the same edge bound the search by their direct along-edge
+/// cost: any strictly better route must be shorter than that, so when the
+/// along-edge path is already minimal the Dijkstra terminates after settling
+/// only the vertices closer than it, instead of sweeping the whole network.
+pub fn location_distance(net: &RoadNetwork, a: &Location, b: &Location) -> f64 {
+    let along_edge = along_edge_distance(net, a, b);
+    if along_edge == 0.0 {
+        return 0.0;
+    }
+    let bound = along_edge.is_finite().then_some(along_edge);
+    let dist = sssp_from_location(net, a, bound);
     distance_to_location(net, &dist, b).min(along_edge)
 }
 
@@ -332,9 +368,49 @@ mod tests {
             offset: 4.0,
         };
         let b = Location::Vertex(0);
-        assert!(location_distance_bounded(&net, &a, &b, Some(2.0)).is_infinite());
-        assert!((location_distance_bounded(&net, &a, &b, Some(5.0)) - 4.0).abs() < 1e-12);
+        let bounded = |bound| distance_to_location(&net, &sssp_from_location(&net, &a, bound), &b);
+        assert!(bounded(Some(2.0)).is_infinite());
+        assert!((bounded(Some(5.0)) - 4.0).abs() < 1e-12);
         assert!((location_distance(&net, &a, &b) - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn same_edge_locations_use_the_along_edge_path() {
+        // A single heavy edge: two interior points are 1 apart along the edge
+        // even though the endpoint detours cost 9 / 11. The second point is
+        // also named from the other end of the edge (offset 10 - 5 from 1).
+        let net = RoadNetwork::from_edges(2, &[(0, 1, 10.0)]);
+        let q = Location::OnEdge {
+            u: 0,
+            v: 1,
+            offset: 4.0,
+        };
+        for member in [
+            Location::OnEdge {
+                u: 0,
+                v: 1,
+                offset: 5.0,
+            },
+            Location::OnEdge {
+                u: 1,
+                v: 0,
+                offset: 5.0,
+            },
+        ] {
+            assert_eq!(along_edge_distance(&net, &q, &member), 1.0, "{member:?}");
+            assert_eq!(along_edge_distance(&net, &member, &q), 1.0, "{member:?}");
+            assert_eq!(location_distance(&net, &q, &member), 1.0, "{member:?}");
+            assert_eq!(location_distance(&net, &member, &q), 1.0, "{member:?}");
+        }
+        // A point on another edge gets no shortcut.
+        let net = RoadNetwork::from_edges(3, &[(0, 1, 10.0), (1, 2, 1.0)]);
+        let other = Location::OnEdge {
+            u: 1,
+            v: 2,
+            offset: 0.5,
+        };
+        assert!(along_edge_distance(&net, &q, &other).is_infinite());
+        assert_eq!(location_distance(&net, &q, &other), 6.5);
     }
 
     /// A random input edge list: zero weights, repeated segments (parallel

@@ -115,45 +115,6 @@ pub struct GTree {
     num_vertices: usize,
 }
 
-/// Precomputed source side of a point query: the ancestor chain of the
-/// source's leaf and the distance vectors from the source to the borders of
-/// every node on that chain.
-///
-/// Query-distance evaluation probes the same few source locations (the query
-/// users) against many targets; sharing this state across targets halves the
-/// per-query work and removes the per-call source-side allocations.
-#[derive(Debug, Clone)]
-pub struct SourceState {
-    vertex: RoadVertexId,
-    leaf: usize,
-    /// Ancestor chain from the source's leaf (inclusive) to the root.
-    path: Vec<usize>,
-    /// `vecs[i]` = distances from the source to the borders of `path[i]`,
-    /// computed within that node's region.
-    vecs: Vec<Vec<f64>>,
-    /// Position of each chain node within `path`.
-    on_path: HashMap<usize, usize>,
-}
-
-impl SourceState {
-    /// The source road vertex.
-    pub fn vertex(&self) -> RoadVertexId {
-        self.vertex
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.path.len() * std::mem::size_of::<usize>()
-            + self
-                .vecs
-                .iter()
-                .map(|v| v.len() * std::mem::size_of::<f64>())
-                .sum::<usize>()
-            + self.on_path.len() * 2 * std::mem::size_of::<usize>()
-    }
-}
-
 /// Target seeds of a batched one-to-many evaluation, grouped by G-tree leaf.
 ///
 /// Built once per query via [`GTree::group_targets`] and shared by every
@@ -453,46 +414,17 @@ impl GTree {
         self.leaf_pos[v as usize] as usize
     }
 
-    /// Exact shortest-path distance between two road vertices.
+    /// Exact shortest-path distance between two road vertices
+    /// (`f64::INFINITY` when either is out of range or they are not
+    /// connected).
     pub fn dist(&self, u: RoadVertexId, v: RoadVertexId) -> f64 {
-        match self.source_state(u) {
-            Some(state) => self.dist_from_source(&state, v),
-            None => f64::INFINITY,
-        }
-    }
-
-    /// Precomputes the source-side climb for `u` so that many point queries
-    /// from the same source (the query users of the MAC range filter) share
-    /// the ancestor chain and border-distance vectors instead of recomputing
-    /// them per target. Returns `None` for an out-of-range vertex.
-    pub fn source_state(&self, u: RoadVertexId) -> Option<SourceState> {
-        if u as usize >= self.num_vertices {
-            return None;
-        }
-        let leaf = self.leaf_of[u as usize];
-        let path = self.ancestor_chain(leaf);
-        let vecs = self.climb(u, &path);
-        let on_path = path.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        Some(SourceState {
-            vertex: u,
-            leaf,
-            path,
-            vecs,
-            on_path,
-        })
-    }
-
-    /// Exact distance from a precomputed source state to `v` (equals
-    /// `self.dist(state.vertex(), v)`).
-    pub fn dist_from_source(&self, state: &SourceState, v: RoadVertexId) -> f64 {
-        let u = state.vertex;
-        if v as usize >= self.num_vertices {
+        if u as usize >= self.num_vertices || v as usize >= self.num_vertices {
             return f64::INFINITY;
         }
         if u == v {
             return 0.0;
         }
-        let leaf_u = state.leaf;
+        let leaf_u = self.leaf_of[u as usize];
         let leaf_v = self.leaf_of[v as usize];
 
         let mut best = f64::INFINITY;
@@ -504,12 +436,12 @@ impl GTree {
         }
 
         // Ancestor chains from leaf to root.
-        let path_u = &state.path;
+        let path_u = self.ancestor_chain(leaf_u);
         let path_v = self.ancestor_chain(leaf_v);
 
         // Distance vectors from u (resp. v) to the borders of each node on its
         // ancestor chain, computed within that node's region.
-        let a_vecs = &state.vecs;
+        let a_vecs = self.climb(u, &path_u);
         let b_vecs = self.climb(v, &path_v);
 
         // Combine at every common ancestor: the true path crosses the borders
@@ -518,9 +450,10 @@ impl GTree {
         // leaves coincide (handled above), so both chain positions are >= 1
         // in the active branch and the chain children are real children of
         // `w`, addressable through the precomputed border-row arrays.
-        let set_u = &state.on_path;
         for (vi, &w) in path_v.iter().enumerate() {
-            let Some(&ui) = set_u.get(&w) else { continue };
+            let Some(ui) = path_u.iter().position(|&n| n == w) else {
+                continue;
+            };
             if ui == 0 || vi == 0 {
                 // same leaf: already handled via the leaf matrix
                 continue;

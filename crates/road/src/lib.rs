@@ -13,12 +13,10 @@
 //!   vertex or part-way along an edge).
 //! * [`dijkstra`] — exact single-source / multi-source / bounded shortest
 //!   paths, plus [`dijkstra::SsspScratch`] so repeated searches reuse their
-//!   buffers instead of allocating per call.
-//! * [`oracle::DistanceOracle`] — the abstraction the MAC query path talks
-//!   to: Dijkstra with a pooled scratch, or distances assembled from the
-//!   G-tree. Both are exact; the choice is purely performance.
-//! * [`querydist::QueryDistanceIndex`] — per-query-user distance evaluation
-//!   (`D_Q`, Definition 2), served by either oracle backend.
+//!   buffers instead of allocating per call. It also owns the location seed
+//!   convention (the paper's `ω(u, p)`: an on-edge point seeds both
+//!   endpoints with its partial edge costs) and the point-to-point
+//!   [`dijkstra::location_distance`], `dist(p, p')` of the paper.
 //! * [`rangefilter::RangeFilter`] — the Lemma-1 range filter as a **set**
 //!   operation: a bounded Dijkstra sweep, or the multi-seed G-tree walk that
 //!   evaluates every query seed in one pass over the hierarchy and prunes
@@ -34,16 +32,12 @@ pub mod budget;
 pub mod dijkstra;
 pub mod gtree;
 pub mod network;
-pub mod oracle;
-pub mod querydist;
 pub mod rangefilter;
 
 pub use budget::{BudgetTicker, ExhaustionCause, SharedBudget, WorkerTicker};
 pub use dijkstra::{bounded_sssp, sssp, sssp_from_location, SsspScratch};
 pub use gtree::{GTree, GTreeUpdateStats};
 pub use network::{EdgeUpdate, Location, RoadNetwork, RoadNetworkBuilder, RoadVertexId};
-pub use oracle::{DistanceOracle, ScratchPool};
-pub use querydist::QueryDistanceIndex;
 pub use rangefilter::{AutoCalibration, FilterScratch, RangeFilter, RangeFilterChoice};
 
 /// Errors produced by the road substrate.

@@ -24,10 +24,9 @@
 //! sweep/batched crossover.
 
 use crate::budget::BudgetTicker;
-use crate::dijkstra::{distance_to_location, SsspScratch};
+use crate::dijkstra::{along_edge_distance, distance_to_location, location_seeds, SsspScratch};
 use crate::gtree::{GTree, LeafTargets, RangeScratch};
 use crate::network::{Location, RoadNetwork, RoadVertexId};
-use crate::oracle::{along_edge_distance, location_seeds};
 
 /// Which range-filter strategy a query should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -210,7 +209,7 @@ impl<'a> RangeFilter<'a> {
                     for (w, uloc) in out.iter_mut().zip(user_locations) {
                         if *w {
                             let d = distance_to_location(net, field, uloc)
-                                .min(along_edge_distance(qloc, uloc));
+                                .min(along_edge_distance(net, qloc, uloc));
                             if d > t {
                                 *w = false;
                             }
@@ -347,7 +346,7 @@ fn multi_seed_batched_within(
     best.resize(n * cols, f64::INFINITY);
     for (i, uloc) in user_locations.iter().enumerate() {
         for (q, qloc) in query_locations.iter().enumerate() {
-            best[i * cols + q] = along_edge_distance(qloc, uloc);
+            best[i * cols + q] = along_edge_distance(net, qloc, uloc);
         }
     }
     tree.multi_source_within(

@@ -1,6 +1,6 @@
 //! Reference for the early-exit connectivity trim: on a view that was
 //! connected at a checkpoint, `SubgraphView::retain_component_since` must
-//! leave exactly the state the full-BFS `retain_component_of_logged` leaves
+//! leave exactly the state the full-BFS `retain_component_of` leaves
 //! on a clone — the same alive set, the same degrees and the same log suffix
 //! (the kill order the global search records as a deletion group). The
 //! killed suffix is also checked against the test's own BFS: the vertices
@@ -110,7 +110,7 @@ fn early_exit_trim_matches_the_full_bfs_trim() {
             let root = alive[rng.random_range(0..alive.len())];
             let cp = view.checkpoint();
             if rng.random_bool(0.5) {
-                view.delete_cascade_logged(rng.random_range(0..n), rng.random_range(1..4u32));
+                view.delete_cascade(rng.random_range(0..n), rng.random_range(1..4u32));
             } else {
                 // Single deletions of well-connected vertices: these are
                 // the cut vertices of the blob structure.
@@ -129,7 +129,7 @@ fn early_exit_trim_matches_the_full_bfs_trim() {
                 .filter(|&v| view.is_alive(root) && view.is_alive(v) && !reach[v as usize])
                 .collect();
             let mut reference = view.clone();
-            reference.retain_component_of_logged(root);
+            reference.retain_component_of(root);
             view.retain_component_since(root, cp);
             let ctx = format!("round {round}, step {step}, root {root}");
             for v in 0..n {

@@ -13,7 +13,9 @@
 //! sweep and the G-tree walk must agree with the reference on them too.
 //! Inputs cover query users outside `t`, query users in different
 //! components, duplicate query users, `k` above the maximum core, `k = 1`,
-//! and filters that keep nobody.
+//! filters that keep nobody, and on-edge users named from either end of
+//! their edge (`OnEdge { u, v, .. }` and `OnEdge { u: v, v: u, .. }`) next
+//! to a query user on the same edge.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -34,7 +36,7 @@ fn fuzz_cases(full: u32) -> u32 {
 
 /// A random road-social network drawn from `rng`. The road has 1 to 12
 /// vertices and may be disconnected; about a third of the users sit on an
-/// edge.
+/// edge, named in either orientation.
 fn random_network(rng: &mut StdRng) -> RoadSocialNetwork {
     let n_road = rng.random_range(1..=12u32);
     let road_edges: Vec<(u32, u32, f64)> = (0..rng.random_range(0..=2 * n_road as usize))
@@ -62,6 +64,7 @@ fn random_network(rng: &mut StdRng) -> RoadSocialNetwork {
         .map(|_| {
             if !segments.is_empty() && rng.random_range(0..3) == 0 {
                 let (u, v, w) = segments[rng.random_range(0..segments.len())];
+                let (u, v) = if rng.random_bool(0.5) { (v, u) } else { (u, v) };
                 let quarters = (w * 4.0) as u32;
                 Location::OnEdge {
                     u,
@@ -78,7 +81,8 @@ fn random_network(rng: &mut StdRng) -> RoadSocialNetwork {
 }
 
 /// `dist(p, p')` from `p`'s plain Dijkstra field: the best way in through
-/// either endpoint of `p'`, or straight along the edge both share.
+/// either endpoint of `p'`, or straight along the edge both share, whichever
+/// end of it each location is measured from.
 fn location_distance(
     rsn: &RoadSocialNetwork,
     field: &[f64],
@@ -98,6 +102,8 @@ fn location_distance(
             {
                 if (fu, fv) == (u, v) {
                     best = best.min((foff - offset).abs());
+                } else if (fu, fv) == (v, u) {
+                    best = best.min((foff - (w - offset)).abs());
                 }
             }
             best
@@ -164,6 +170,7 @@ struct Coverage {
     k_above_max: usize,
     k_one: usize,
     duplicate_q: usize,
+    reversed_edge_pairs: usize,
 }
 
 fn check_against_reference(seed: u64, coverage: &mut Coverage) {
@@ -218,6 +225,15 @@ fn check_against_reference(seed: u64, coverage: &mut Coverage) {
         coverage.k_above_max += usize::from(k > max_core);
         coverage.k_one += usize::from(k == 1);
         coverage.duplicate_q += usize::from(q.len() > 1 && q.last() == q.first());
+        // A user on a query user's edge, named from the other end.
+        coverage.reversed_edge_pairs += usize::from(q.iter().any(|&qv| {
+            (0..n).any(|x| match (*plain.location(qv), *plain.location(x)) {
+                (Location::OnEdge { u: a, v: b, .. }, Location::OnEdge { u: c, v: d, .. }) => {
+                    (a, b) == (d, c)
+                }
+                _ => false,
+            })
+        }));
     }
 }
 
@@ -288,6 +304,7 @@ fn kt_core_reference_covers_every_case() {
         k_above_max,
         k_one,
         duplicate_q,
+        reversed_edge_pairs,
     } = coverage;
     for (name, count) in [
         ("non-empty cores", cores),
@@ -297,6 +314,10 @@ fn kt_core_reference_covers_every_case() {
         ("k above the maximum core", k_above_max),
         ("k = 1", k_one),
         ("duplicate query users", duplicate_q),
+        (
+            "users on a query user's edge in the other orientation",
+            reversed_edge_pairs,
+        ),
     ] {
         assert!(count > 0, "no query exercised {name}");
     }

@@ -14,7 +14,7 @@ use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
 use road_social_mac::datagen::road::{generate_road, RoadConfig};
 use road_social_mac::datagen::social::{generate_social, PlantedGroup, SocialConfig};
 use road_social_mac::geom::PrefRegion;
-use road_social_mac::road::QueryDistanceIndex;
+use road_social_mac::road::dijkstra::location_distance;
 
 /// Builds a small random road-social network from a seed.
 fn random_network(seed: u64, n_users: usize, d: usize) -> (RoadSocialNetwork, Vec<u32>) {
@@ -117,10 +117,13 @@ proptest! {
             let min_deg = (0..sub.num_vertices() as u32).map(|v| sub.degree(v)).min().unwrap();
             prop_assert!(min_deg as u32 >= k, "min degree {} < k {}", min_deg, k);
             // query distance <= t (communication-cost condition)
-            let q_locs: Vec<_> = q.iter().map(|&v| *rsn.location(v)).collect();
-            let idx = QueryDistanceIndex::build(rsn.road(), &q_locs, None);
-            let member_locs: Vec<_> = community.vertices.iter().map(|&v| *rsn.location(v)).collect();
-            prop_assert!(idx.query_distance_of_members(&member_locs) <= t + 1e-9);
+            let dq = community
+                .vertices
+                .iter()
+                .flat_map(|&m| q.iter().map(move |&qv| (m, qv)))
+                .map(|(m, qv)| location_distance(rsn.road(), rsn.location(qv), rsn.location(m)))
+                .fold(0.0_f64, f64::max);
+            prop_assert!(dq <= t + 1e-9, "D_Q(H) = {} > t = {}", dq, t);
         }
     }
 

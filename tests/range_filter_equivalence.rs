@@ -342,3 +342,61 @@ fn multi_query_intersection_is_identical_across_filters() {
         );
     }
 }
+
+/// A location on edge `u–v` may name the edge from either end:
+/// `OnEdge { u: 1, v: 0, offset: o }` is the point `w − o` from vertex 0.
+/// Two users on the query's edge are then joined straight along it, whichever
+/// way each is named, and every filter must see that shortcut.
+#[test]
+fn same_edge_users_named_from_the_other_end_keep_the_along_edge_path() {
+    // The path 0-1-2 with unit weights.
+    let net = RoadNetwork::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
+    let tree = GTree::build_with_capacity(&net, 2);
+    let t = 0.125;
+    let users = vec![
+        Location::OnEdge {
+            u: 1,
+            v: 0,
+            offset: 0.625,
+        }, // 0.375 from vertex 0: exactly t
+        Location::OnEdge {
+            u: 0,
+            v: 1,
+            offset: 0.375,
+        }, // the same point, named from vertex 0
+        Location::OnEdge {
+            u: 1,
+            v: 0,
+            offset: 0.5,
+        }, // 0.25 > t
+        Location::vertex(0), // 0.25 > t
+        Location::OnEdge {
+            u: 1,
+            v: 2,
+            offset: 0.0,
+        }, // vertex 1: 0.75 > t
+    ];
+    let expected = vec![true, true, false, false, false];
+    // The query point 0.25 from vertex 0, named from either end.
+    for q in [
+        Location::OnEdge {
+            u: 0,
+            v: 1,
+            offset: 0.25,
+        },
+        Location::OnEdge {
+            u: 1,
+            v: 0,
+            offset: 0.75,
+        },
+    ] {
+        for filter in all_filters(&tree) {
+            assert_eq!(
+                filter.users_within(&net, &[q], t, &users),
+                expected,
+                "{} missed a same-edge user for the query {q:?}",
+                filter.name()
+            );
+        }
+    }
+}

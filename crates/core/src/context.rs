@@ -16,7 +16,7 @@ use rsn_geom::weights::score_reduced;
 use rsn_graph::graph::{Graph, VertexId};
 use rsn_road::budget::BudgetTicker;
 use rsn_road::gtree::LeafTargets;
-use rsn_road::rangefilter::RangeFilterChoice;
+use rsn_road::rangefilter::{QueryReach, RangeFilterChoice};
 
 /// Reusable buffers for repeated [`SearchContext`] builds against one
 /// network: the (k,t)-core extraction scratch plus the social-id → local-id
@@ -71,6 +71,11 @@ pub struct ContextParts {
 }
 
 impl ContextParts {
+    /// Number of vertices in the (k,t)-core.
+    pub fn core_size(&self) -> usize {
+        self.core_vertices.len()
+    }
+
     /// Approximate heap footprint, for cache accounting/diagnostics.
     pub fn approx_bytes(&self) -> usize {
         self.core_vertices.len() * std::mem::size_of::<VertexId>()
@@ -127,8 +132,15 @@ impl<'a> SearchContext<'a> {
         scratch: &mut ContextScratch,
     ) -> Result<Option<Self>, MacError> {
         let mut unlimited = BudgetTicker::unlimited();
-        match Self::build_with_ticker(rsn, query, filter_choice, targets, scratch, &mut unlimited)?
-        {
+        match Self::build_with_ticker(
+            rsn,
+            query,
+            filter_choice,
+            targets,
+            scratch,
+            &mut unlimited,
+            None,
+        )? {
             BuildOutcome::Ready(ctx) => Ok(Some(*ctx)),
             BuildOutcome::Empty => Ok(None),
             BuildOutcome::Exhausted(_) => unreachable!("an unlimited ticker never exhausts"),
@@ -139,7 +151,8 @@ impl<'a> SearchContext<'a> {
     /// [`QuerySession`](crate::session::QuerySession). The (k,t)-core
     /// extraction charges `ticker` as it goes and the r-dominance graph
     /// build is charged after the fact by its measured test count, so an
-    /// exhausted budget stops the pipeline between stages.
+    /// exhausted budget stops the pipeline between stages. `reach` asks the
+    /// range filter to record its [`QueryReach`].
     pub(crate) fn build_with_ticker(
         rsn: &'a RoadSocialNetwork,
         query: &'a MacQuery,
@@ -147,6 +160,7 @@ impl<'a> SearchContext<'a> {
         targets: Option<&LeafTargets>,
         scratch: &mut ContextScratch,
         ticker: &mut BudgetTicker,
+        reach: Option<&mut QueryReach>,
     ) -> Result<BuildOutcome<'a>, MacError> {
         let core = match maximal_kt_core_with_ticker(
             rsn,
@@ -155,6 +169,7 @@ impl<'a> SearchContext<'a> {
             targets,
             &mut scratch.kt,
             ticker,
+            reach,
         )? {
             KtOutcome::Core(core) => core,
             KtOutcome::Empty => return Ok(BuildOutcome::Empty),

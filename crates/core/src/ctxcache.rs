@@ -1,4 +1,4 @@
-//! Session-level search-context cache.
+//! Session-level search-context and answer cache.
 //!
 //! A result-bearing MAC query pays most of its latency **before** the search
 //! proper: the Lemma-1 range filter, the (k,t)-core peel, and the `O(core²)`
@@ -9,14 +9,44 @@
 //! [`QuerySession`](crate::session::QuerySession) with a cache keeps the
 //! owned [`ContextParts`] of recently built contexts keyed by the query's
 //! [context signature](crate::query::QuerySignature::context_signature), and
-//! a repeat query skips straight to the search stage.
+//! a repeat query skips straight to the search stage. Each entry also keeps
+//! the last complete answer searched on it, stored flat and keyed by `j` and
+//! the resolved algorithm: a repeat of that exact query skips the search
+//! too.
 //!
-//! Coherence is epoch-based: the cache remembers which engine epoch its
-//! entries were built on, and the first lookup on a different epoch clears it
-//! wholesale — after a [`NetworkDelta`](crate::engine::NetworkDelta) there is
-//! no cheap way to know which cores survived, and a stale context would be a
-//! correctness bug, not a performance one. (Epoch ids are monotonic, so this
-//! also handles a session observing several updates between queries.)
+//! Coherence is by distance slack, not by epoch. Only Lemma 1 reads the road
+//! network: the peel, `G_d` and the answer depend on the kept set
+//! `{u : D_Q(u) <= t}`, the social graph, the attributes and the query. A
+//! road update keeps the topology, so every location-to-location distance
+//! moves by at most the engine's drift ([`EngineEpoch::drift`]) since the
+//! entry was built. An entry therefore records, at build time, the slack
+//! `min_u |t - D_Q(u)|` and an upper bound on the per-vertex field
+//! `max_q d(q, v)` ([`QueryReach`]). At the first lookup in a new epoch the
+//! cache syncs:
+//!
+//! * each user moved since the last sync is checked against the field at
+//!   its current location. The field knows distances only up to `t`, so it
+//!   can prove that a user stays inside the ball, never that one stays out:
+//!   the entry is dropped unless the user is a non-query user the entry
+//!   kept and an upper bound on its distance, plus the drift, stays below
+//!   `t` by more than the margin. Otherwise the entry's slack tightens to
+//!   that distance. Entries built by the G-tree walk carry no field and
+//!   drop on any move;
+//! * an entry survives while `slack > drift + margin` (the margin is
+//!   [`reuse_margin`], a relative EPS of `t`), or while the drift is exactly
+//!   0. An entry whose drift lands exactly on the margin is dropped.
+//!
+//! A kept entry answers exactly as a rebuild would, and so does its stored
+//! answer. A cache further behind than the engine's move log clears itself.
+//!
+//! Contexts are large and made of many small allocations (the dominance
+//! graph holds a few per core vertex), so an entry that has a stored answer
+//! lets its context go at the first epoch change it survives: across epochs
+//! it serves its answer, and a query wanting another `j` or algorithm
+//! rebuilds the context. Within its epoch an entry serves both, like the
+//! epoch-scoped cache it replaced. Keeping every context alive across
+//! epochs would hold the cache's full set of contexts for good, where the
+//! epoch-scoped cache dropped them at every update.
 //!
 //! Entries are **moved out** on hit and moved back in after the search
 //! completes: a cache hit is zero-copy, and a query that panics mid-search
@@ -24,23 +54,42 @@
 //! exposing torn state.
 
 use crate::context::ContextParts;
+use crate::engine::{AlgorithmChoice, EngineEpoch};
+use crate::outcome::{CompactOutcome, CompactScratch};
 use crate::query::QuerySignature;
+use crate::result::MacSearchResult;
+use rsn_graph::graph::VertexId;
+use rsn_road::network::Location;
+use rsn_road::rangefilter::{reuse_margin, QueryReach};
 
 /// Default number of cached contexts when a cache is enabled without an
 /// explicit capacity.
 pub const DEFAULT_CONTEXT_CACHE_CAPACITY: usize = 32;
 
-/// Hit/miss/eviction counters of one [`ContextCache`].
+/// Hit/miss/eviction/invalidation counters of one [`ContextCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextCacheStats {
-    /// Lookups that found a reusable context (same signature, same epoch).
+    /// Lookups that found a reusable entry (its context, and possibly its
+    /// stored answer).
     pub hits: u64,
-    /// Lookups that found nothing (first sight, evicted, or epoch-cleared).
+    /// Lookups that found nothing usable (first sight, evicted, dropped by
+    /// an update, or an entry that kept only its answer asked for another
+    /// `j` or algorithm).
     pub misses: u64,
     /// Entries dropped to make room for newer ones.
     pub evictions: u64,
-    /// Whole-cache invalidations caused by an epoch change.
+    /// Entries dropped by road updates: the drift expiries, the move drops,
+    /// and the entries of a cache that fell further behind than the
+    /// engine's move log.
     pub epoch_invalidations: u64,
+    /// Hits answered from the entry's stored answer, without a search (a
+    /// subset of `hits`).
+    pub outcome_hits: u64,
+    /// Entries dropped because the drift since their build reached their
+    /// slack minus the margin.
+    pub drift_expiries: u64,
+    /// Entries dropped because a moved user could change their kept set.
+    pub move_drops: u64,
 }
 
 impl ContextCacheStats {
@@ -55,23 +104,148 @@ impl ContextCacheStats {
     }
 }
 
-struct CacheEntry {
-    key: QuerySignature,
-    parts: ContextParts,
+/// What lets a cache entry outlive the epoch it was built on.
+#[derive(Debug)]
+pub(crate) struct Reuse {
+    /// The range filter's record at build: kept set, field, slack.
+    reach: QueryReach,
+    /// Lower bound on `min_u |t - D_Q(u)|` at build-time distances,
+    /// tightened by every move the entry survived.
+    slack: f64,
+    /// The engine's drift when the entry was built.
+    drift: f64,
 }
 
-impl std::fmt::Debug for CacheEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheEntry")
-            .field("key", &self.key)
-            .finish_non_exhaustive()
+/// Why a sync dropped an entry.
+enum Expiry {
+    Moved,
+    Drifted,
+}
+
+impl Reuse {
+    /// The reuse record of an entry built with `reach` on an epoch whose
+    /// drift is `drift`.
+    pub(crate) fn new(reach: QueryReach, drift: f64) -> Self {
+        Reuse {
+            slack: reach.slack(),
+            reach,
+            drift,
+        }
+    }
+
+    /// Brings the record from epoch `since` to `epoch`: checks every user
+    /// moved in between, then the drift.
+    fn sync(
+        &mut self,
+        key: &QuerySignature,
+        epoch: &EngineEpoch,
+        since: u64,
+    ) -> Result<(), Expiry> {
+        let t = key.t();
+        let drift = epoch.drift() - self.drift;
+        let margin = reuse_margin(t);
+        for user in epoch.moved_since(since).into_iter().flatten() {
+            if !self.admit_move(key, epoch, user, t, drift, margin) {
+                return Err(Expiry::Moved);
+            }
+        }
+        if drift == 0.0 || self.slack > drift + margin {
+            Ok(())
+        } else {
+            Err(Expiry::Drifted)
+        }
+    }
+
+    /// Whether the entry survives `user`'s move to its current location.
+    /// The field holds build-time distances only up to `t`, so it can prove
+    /// that a user stays inside the ball but never that one stays out: the
+    /// move is admitted only when the user was kept and an upper bound on
+    /// its distance from the field, plus the drift, stays below `t` by more
+    /// than the margin. Tightens the slack to that bound on success.
+    fn admit_move(
+        &mut self,
+        key: &QuerySignature,
+        epoch: &EngineEpoch,
+        user: VertexId,
+        t: f64,
+        drift: f64,
+        margin: f64,
+    ) -> bool {
+        let rsn = epoch.network();
+        if key.users().contains(&user) || !self.reach.kept(user as usize) {
+            return false;
+        }
+        if !self.reach.has_field() {
+            return false;
+        }
+        let bound = |v| self.reach.distance_bound(v).expect("the entry has a field");
+        // Paths through the edge's endpoints bound every query distance
+        // from above (a query location on the same edge only adds a
+        // shorter path), and `max_q min(..) <= min(max_q ..)`.
+        let hi = match *rsn.location(user) {
+            Location::Vertex(a) => bound(a),
+            Location::OnEdge {
+                u: a,
+                v: b,
+                offset: x,
+            } => {
+                let w = rsn.road().edge_weight(a, b).expect("a located user's edge");
+                (bound(a) + x).min(bound(b) + (w - x))
+            }
+        };
+        if t - hi > drift + margin {
+            self.slack = self.slack.min(t - hi);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.reach.approx_bytes()
+    }
+}
+
+/// One cache entry: the context, what makes it reusable across epochs, and
+/// the last complete answer searched on it.
+#[derive(Debug)]
+pub(crate) struct CachedEntry {
+    pub(crate) key: QuerySignature,
+    /// The context; an entry with a stored answer lets it go at the first
+    /// epoch change (see [`ContextCache`]).
+    pub(crate) parts: Option<ContextParts>,
+    /// The (k,t)-core size, which the algorithm resolution reads.
+    pub(crate) core_size: usize,
+    pub(crate) reuse: Reuse,
+    pub(crate) outcome: Option<CompactOutcome>,
+}
+
+impl CachedEntry {
+    /// A fresh entry holding `parts`, with no stored answer yet.
+    pub(crate) fn new(key: QuerySignature, parts: ContextParts, reuse: Reuse) -> Self {
+        CachedEntry {
+            key,
+            core_size: parts.core_size(),
+            parts: Some(parts),
+            reuse,
+            outcome: None,
+        }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.parts.as_ref().map_or(0, ContextParts::approx_bytes) + self.reuse_bytes()
+    }
+
+    fn reuse_bytes(&self) -> usize {
+        self.reuse.approx_bytes() + self.outcome.as_ref().map_or(0, |o| o.approx_bytes())
     }
 }
 
 /// A bounded, LRU-evicting map from
 /// [context signature](crate::query::QuerySignature::context_signature) to
-/// the owned parts of a built [`SearchContext`](crate::context::SearchContext),
-/// valid for exactly one engine epoch at a time.
+/// the owned parts of a built [`SearchContext`](crate::context::SearchContext)
+/// and its last complete answer, kept coherent across engine epochs by
+/// distance slack (see the [module docs](self)).
 ///
 /// The entry count is intentionally small (a serving thread sees a handful of
 /// hot signatures, and one entry can hold an `O(core)`-sized graph plus an
@@ -80,11 +254,13 @@ impl std::fmt::Debug for CacheEntry {
 #[derive(Debug)]
 pub struct ContextCache {
     /// Most recently used last.
-    entries: Vec<CacheEntry>,
+    entries: Vec<CachedEntry>,
     capacity: usize,
-    /// The engine epoch the entries were built on.
+    /// The engine epoch the entries were last synced to.
     epoch: u64,
     stats: ContextCacheStats,
+    /// Scratch of the answer compaction.
+    compact: CompactScratch,
 }
 
 impl ContextCache {
@@ -95,6 +271,7 @@ impl ContextCache {
             capacity: capacity.max(1),
             epoch: 0,
             stats: ContextCacheStats::default(),
+            compact: CompactScratch::default(),
         }
     }
 
@@ -118,9 +295,16 @@ impl ContextCache {
         self.stats
     }
 
-    /// Approximate heap footprint of all cached contexts.
+    /// Approximate heap footprint of everything cached.
     pub fn approx_bytes(&self) -> usize {
-        self.entries.iter().map(|e| e.parts.approx_bytes()).sum()
+        self.entries.iter().map(CachedEntry::approx_bytes).sum()
+    }
+
+    /// The part of [`approx_bytes`](Self::approx_bytes) spent beyond the
+    /// contexts themselves: the reuse records (kept set and distance field)
+    /// and the stored answers.
+    pub fn reuse_bytes(&self) -> usize {
+        self.entries.iter().map(CachedEntry::reuse_bytes).sum()
     }
 
     /// Drops every entry (the counters survive).
@@ -128,84 +312,130 @@ impl ContextCache {
         self.entries.clear();
     }
 
-    /// Ensures the cache is coherent with `epoch`, clearing it wholesale on a
-    /// change. Called by the session with the epoch it pinned for the query,
-    /// before any lookup or store.
-    fn sync_epoch(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            if !self.entries.is_empty() {
-                self.stats.epoch_invalidations += 1;
-                self.entries.clear();
-            }
-            self.epoch = epoch;
+    /// Brings the entries from the epoch they were last synced to up to
+    /// `epoch`, dropping those a road update could have changed. Called
+    /// with the epoch the session pinned for the query, before any lookup
+    /// or store.
+    fn sync(&mut self, epoch: &EngineEpoch) {
+        if self.epoch == epoch.id() {
+            return;
         }
+        let since = std::mem::replace(&mut self.epoch, epoch.id());
+        if self.entries.is_empty() {
+            return;
+        }
+        let stats = &mut self.stats;
+        if epoch.moved_since(since).is_none() {
+            stats.epoch_invalidations += self.entries.len() as u64;
+            self.entries.clear();
+            return;
+        }
+        self.entries
+            .retain_mut(|entry| match entry.reuse.sync(&entry.key, epoch, since) {
+                Ok(()) => {
+                    if entry.outcome.is_some() {
+                        entry.parts = None;
+                    }
+                    true
+                }
+                Err(cause) => {
+                    stats.epoch_invalidations += 1;
+                    match cause {
+                        Expiry::Moved => stats.move_drops += 1,
+                        Expiry::Drifted => stats.drift_expiries += 1,
+                    }
+                    false
+                }
+            });
     }
 
-    /// Takes the cached context for `key` out of the cache, if it was built
-    /// on `epoch`. The entry is *removed* — the caller is expected to
-    /// [`store`](Self::store) it back once the search is done, which keeps a
-    /// hit zero-copy and panic-safe. The entry's owned key comes back with
-    /// the parts so the caller can reuse its buffers (e.g. as the next
-    /// lookup's husk) instead of allocating a fresh key for the store.
-    pub fn take(
+    /// Takes the entry for `key` out of the cache, after syncing the cache
+    /// to `epoch`, when `usable` accepts it: an entry whose context is
+    /// gone serves only its stored answer. The entry is *removed* — the
+    /// caller is expected to [`store`](Self::store) it back once the query
+    /// is answered, which keeps a hit zero-copy and panic-safe. An entry
+    /// `usable` rejects is dropped, and the lookup counts as a miss.
+    pub(crate) fn take(
         &mut self,
-        epoch: u64,
+        epoch: &EngineEpoch,
         key: &QuerySignature,
-    ) -> Option<(QuerySignature, ContextParts)> {
-        self.sync_epoch(epoch);
-        match self.entries.iter().position(|e| &e.key == key) {
-            Some(pos) => {
+        usable: impl FnOnce(&CachedEntry) -> bool,
+    ) -> Option<CachedEntry> {
+        self.sync(epoch);
+        let found = self.entries.iter().position(|e| &e.key == key);
+        match found.map(|pos| self.entries.remove(pos)) {
+            Some(entry) if usable(&entry) => {
                 self.stats.hits += 1;
-                let entry = self.entries.remove(pos);
-                Some((entry.key, entry.parts))
+                Some(entry)
             }
-            None => {
+            _ => {
                 self.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts (or re-inserts, after a [`take`](Self::take)) a built context
-    /// under `key`, marking it most recently used. Evicts the least recently
-    /// used entry when full. A store for a different epoch than the entries'
-    /// clears them first.
-    pub fn store(&mut self, epoch: u64, key: QuerySignature, parts: ContextParts) {
-        self.sync_epoch(epoch);
-        if let Some(pos) = self.entries.iter().position(|e| e.key == key) {
+    /// Counts a hit answered from the entry's stored answer.
+    pub(crate) fn note_outcome_hit(&mut self) {
+        self.stats.outcome_hits += 1;
+    }
+
+    /// Inserts (or re-inserts, after a [`take`](Self::take)) an entry,
+    /// marking it most recently used; with `answer` — a complete result of
+    /// top-`j` under the resolved algorithm — the entry's stored answer is
+    /// replaced by it. Evicts the least recently used entry when full.
+    pub(crate) fn store(
+        &mut self,
+        epoch: &EngineEpoch,
+        mut entry: CachedEntry,
+        answer: Option<(&MacSearchResult, usize, AlgorithmChoice)>,
+    ) {
+        self.sync(epoch);
+        if let Some((result, j, algorithm)) = answer {
+            let slot = entry.outcome.get_or_insert_with(CompactOutcome::default);
+            if !slot.assign(result, j, algorithm, &mut self.compact) {
+                entry.outcome = None;
+            }
+        }
+        if let Some(pos) = self.entries.iter().position(|e| e.key == entry.key) {
             // Same signature stored twice (e.g. two sessions' worth of work
-            // merged): keep the newer parts, refresh recency.
+            // merged): keep the newer entry, refresh recency.
             self.entries.remove(pos);
         } else if self.entries.len() >= self.capacity {
             self.entries.remove(0);
             self.stats.evictions += 1;
         }
-        self.entries.push(CacheEntry { key, parts });
+        self.entries.push(entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::SearchContext;
+    use crate::budget::BudgetTicker;
+    use crate::context::{BuildOutcome, ContextScratch, SearchContext};
+    use crate::engine::{MacEngine, NetworkDelta};
     use crate::network::RoadSocialNetwork;
     use crate::query::MacQuery;
     use rsn_geom::region::PrefRegion;
     use rsn_graph::graph::Graph;
-    use rsn_road::network::{Location, RoadNetwork};
+    use rsn_road::network::RoadNetwork;
+    use rsn_road::rangefilter::{RangeFilterChoice, REUSE_MARGIN_EPS};
 
-    fn parts_for(query: &MacQuery, rsn: &RoadSocialNetwork) -> ContextParts {
-        SearchContext::build(rsn, query)
-            .unwrap()
-            .expect("core exists")
-            .into_parts()
-    }
-
+    /// K4 on users 0..3 plus user 4, all within distance 1 of the query
+    /// user on a unit-weight road path 0-1-2-3-4.
     fn network() -> RoadSocialNetwork {
         let social =
             Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]);
-        let road = RoadNetwork::from_edges(2, &[(0, 1, 1.0)]);
-        let locations = vec![Location::vertex(0); 5];
+        let road =
+            RoadNetwork::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]);
+        let locations = vec![
+            Location::vertex(0),
+            Location::vertex(0),
+            Location::vertex(1),
+            Location::vertex(1),
+            Location::vertex(1),
+        ];
         let attrs = vec![
             vec![5.0, 1.0],
             vec![4.0, 2.0],
@@ -216,61 +446,185 @@ mod tests {
         RoadSocialNetwork::new(social, road, locations, attrs).unwrap()
     }
 
+    /// `t = 2.5` keeps every user; the farthest sits at 1, so the slack
+    /// is exactly 1.5.
     fn query(k: u32) -> MacQuery {
         let region = PrefRegion::from_ranges(&[(0.3, 0.7)]).unwrap();
-        MacQuery::new(vec![0], k, 10.0, region)
+        MacQuery::new(vec![0], k, 2.5, region)
+    }
+
+    /// The entry a cached session would store for `query` on `epoch`.
+    fn entry_for(query: &MacQuery, epoch: &EngineEpoch) -> CachedEntry {
+        let mut reach = QueryReach::new();
+        let mut scratch = ContextScratch::new();
+        let built = SearchContext::build_with_ticker(
+            epoch.network(),
+            query,
+            RangeFilterChoice::DijkstraSweep,
+            None,
+            &mut scratch,
+            &mut BudgetTicker::unlimited(),
+            Some(&mut reach),
+        )
+        .unwrap();
+        let BuildOutcome::Ready(ctx) = built else {
+            panic!("the fixture has a core")
+        };
+        CachedEntry::new(
+            query.signature().context_signature(),
+            ctx.into_parts(),
+            Reuse::new(reach, epoch.drift()),
+        )
+    }
+
+    /// Stores the entry for `query(3)` on the current epoch, applies
+    /// `delta`, and reports whether the entry survived the next lookup.
+    fn survives(delta: NetworkDelta) -> (bool, ContextCacheStats) {
+        let engine = MacEngine::build_uncalibrated(network());
+        let q = query(3);
+        let mut cache = ContextCache::new(4);
+        let epoch = engine.epoch();
+        cache.store(&epoch, entry_for(&q, &epoch), None);
+        engine.apply_updates(&delta).unwrap();
+        let key = q.signature().context_signature();
+        let kept = cache.take(&engine.epoch(), &key, |_| true).is_some();
+        (kept, cache.stats())
     }
 
     #[test]
     fn take_store_roundtrip_counts_hits_and_misses() {
-        let rsn = network();
+        let engine = MacEngine::build_uncalibrated(network());
+        let epoch = engine.epoch();
         let q = query(3);
         let key = q.signature().context_signature();
         let mut cache = ContextCache::new(4);
-        assert!(cache.take(0, &key).is_none());
-        cache.store(0, key.clone(), parts_for(&q, &rsn));
+        assert!(cache.take(&epoch, &key, |_| true).is_none());
+        cache.store(&epoch, entry_for(&q, &epoch), None);
         assert_eq!(cache.len(), 1);
-        assert!(cache.approx_bytes() > 0);
-        let (stored_key, parts) = cache.take(0, &key).expect("hit");
-        // A take removes the entry and hands back its owned key; storing the
-        // pair back restores the hit without a key clone.
-        assert_eq!(stored_key, key);
+        assert!(cache.approx_bytes() > cache.reuse_bytes());
+        assert!(
+            cache.reuse_bytes() > 0,
+            "the entry keeps its distance field"
+        );
+        let entry = cache.take(&epoch, &key, |_| true).expect("hit");
+        // A take removes the entry; storing it back restores the hit.
+        assert_eq!(entry.key, key);
         assert!(cache.is_empty());
-        cache.store(0, stored_key, parts);
-        assert!(cache.take(0, &key).is_some());
+        cache.store(&epoch, entry, None);
+        assert!(cache.take(&epoch, &key, |_| true).is_some());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn epoch_change_invalidates_everything() {
-        let rsn = network();
-        let q = query(3);
-        let key = q.signature().context_signature();
-        let mut cache = ContextCache::new(4);
-        cache.store(0, key.clone(), parts_for(&q, &rsn));
-        assert!(cache.take(1, &key).is_none(), "new epoch must miss");
-        assert_eq!(cache.stats().epoch_invalidations, 1);
-        // The cache now follows the new epoch.
-        cache.store(1, key.clone(), parts_for(&q, &rsn));
-        assert!(cache.take(1, &key).is_some());
-    }
-
-    #[test]
     fn lru_eviction_drops_the_oldest_entry() {
-        let rsn = network();
+        let engine = MacEngine::build_uncalibrated(network());
+        let epoch = engine.epoch();
         let mut cache = ContextCache::new(2);
         let keys: Vec<_> = (1..4)
             .map(|k| query(k).signature().context_signature())
             .collect();
-        for (k, key) in (1..4).zip(&keys) {
-            cache.store(0, key.clone(), parts_for(&query(k), &rsn));
+        for k in 1..4 {
+            cache.store(&epoch, entry_for(&query(k), &epoch), None);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.take(0, &keys[0]).is_none(), "oldest entry evicted");
-        assert!(cache.take(0, &keys[1]).is_some());
-        assert!(cache.take(0, &keys[2]).is_some());
+        assert!(
+            cache.take(&epoch, &keys[0], |_| true).is_none(),
+            "oldest entry evicted"
+        );
+        assert!(cache.take(&epoch, &keys[1], |_| true).is_some());
+        assert!(cache.take(&epoch, &keys[2], |_| true).is_some());
     }
+
+    #[test]
+    fn a_reweight_below_the_slack_keeps_the_entry() {
+        // Edge (3, 4) holds no user: the drift is exactly 0.25 < 1.5.
+        let (kept, stats) = survives(NetworkDelta::new().reweight_edge(3, 4, 1.25));
+        assert!(kept);
+        assert_eq!(stats.epoch_invalidations, 0);
+    }
+
+    #[test]
+    fn a_reweight_across_t_expires_the_entry() {
+        // Users 2-4 end up at distance 3 > t.
+        let (kept, stats) = survives(NetworkDelta::new().reweight_edge(0, 1, 3.0));
+        assert!(!kept);
+        assert_eq!((stats.drift_expiries, stats.epoch_invalidations), (1, 1));
+    }
+
+    #[test]
+    fn drift_landing_exactly_on_the_margin_expires_the_entry() {
+        // Dyadic throughout: slack 1.5, margin 2.5 * 2^-30, and a drift of
+        // `slack - margin` on the user-free edge (3, 4).
+        let margin = reuse_margin(2.5);
+        assert_eq!(margin, 2.5 * REUSE_MARGIN_EPS);
+        let on_margin = 1.0 + (1.5 - margin);
+        let (kept, stats) = survives(NetworkDelta::new().reweight_edge(3, 4, on_margin));
+        assert!(!kept, "drift + margin == slack must not be reused");
+        assert_eq!(stats.drift_expiries, 1);
+        let inside = 1.0 + (1.5 - 2.0 * margin);
+        let (kept, _) = survives(NetworkDelta::new().reweight_edge(3, 4, inside));
+        assert!(kept, "drift + margin < slack is reused");
+    }
+
+    #[test]
+    fn a_move_across_t_drops_the_entry_and_a_move_inside_tightens_it() {
+        // Vertex 3 lies beyond t = 2.5 (unsettled by the sweep).
+        let (kept, stats) = survives(NetworkDelta::new().move_user(4, Location::vertex(3)));
+        assert!(!kept);
+        assert_eq!((stats.move_drops, stats.epoch_invalidations), (1, 1));
+        // Vertex 2 is at distance 2: still kept, 0.5 inside t.
+        let engine = MacEngine::build_uncalibrated(network());
+        let q = query(3);
+        let key = q.signature().context_signature();
+        let mut cache = ContextCache::new(4);
+        let epoch = engine.epoch();
+        cache.store(&epoch, entry_for(&q, &epoch), None);
+        engine
+            .apply_updates(&NetworkDelta::new().move_user(4, Location::vertex(2)))
+            .unwrap();
+        let entry = cache
+            .take(&engine.epoch(), &key, |_| true)
+            .expect("move inside t keeps");
+        // The field's bound sits at most two steps of t / 65534 above 2.
+        let slack = entry.reuse.slack;
+        assert!(
+            slack <= 0.5 && slack > 0.5 - 2.0 * 2.5 / 65534.0,
+            "slack {slack}"
+        );
+        cache.store(&engine.epoch(), entry, None);
+        // The tightened slack now rejects a drift of 0.75.
+        engine
+            .apply_updates(&NetworkDelta::new().reweight_edge(3, 4, 1.75))
+            .unwrap();
+        assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
+        assert_eq!(cache.stats().drift_expiries, 1);
+    }
+
+    #[test]
+    fn moving_a_query_user_or_falling_behind_the_log_drops_entries() {
+        let (kept, stats) = survives(NetworkDelta::new().move_user(0, Location::vertex(0)));
+        assert!(!kept, "the field is relative to the query locations");
+        assert_eq!(stats.move_drops, 1);
+
+        let engine = MacEngine::build_uncalibrated(network());
+        let q = query(3);
+        let mut cache = ContextCache::new(4);
+        let epoch = engine.epoch();
+        cache.store(&epoch, entry_for(&q, &epoch), None);
+        for _ in 0..=MOVE_LOG_TEST_EPOCHS {
+            // Same-weight reweights: new epochs with no drift and no moves.
+            engine
+                .apply_updates(&NetworkDelta::new().reweight_edge(3, 4, 1.0))
+                .unwrap();
+        }
+        let key = q.signature().context_signature();
+        assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
+        assert_eq!(cache.stats().epoch_invalidations, 1);
+    }
+
+    /// One more epoch than the engine's move log holds.
+    const MOVE_LOG_TEST_EPOCHS: usize = 64;
 }

@@ -55,6 +55,7 @@ use rsn_road::rangefilter::{
     resolve_auto_calibrated, sampled_avg_edge_weight, AutoCalibration, FilterScratch, RangeFilter,
     RangeFilterChoice,
 };
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -128,6 +129,11 @@ const CROSSOVER_PROBE_DEADLINE: Duration = Duration::from_millis(250);
 /// holds steady the measured sweep-vs-walk constant keeps describing the
 /// network and the probe would be wasted work.
 pub const RECALIBRATION_DRIFT: f64 = 0.2;
+
+/// How many epochs of user moves an epoch remembers
+/// ([`EngineEpoch::moved_since`]). A cached session further behind than
+/// this clears its cache at its next query.
+const MOVE_LOG_EPOCHS: usize = 64;
 
 /// Maximum number of query locations the calibration probe uses.
 const PROBE_QUERY_LOCATIONS: usize = 4;
@@ -309,6 +315,12 @@ struct EngineInner {
     calibrated_avg_edge_weight: f64,
     /// Whether the build requested measurement (updates only re-probe then).
     measured_build: bool,
+    /// Cumulative distance drift `C` since the build (see
+    /// [`EngineEpoch::drift`]).
+    drift: f64,
+    /// The users each of the last [`MOVE_LOG_EPOCHS`] deltas moved, oldest
+    /// first; the back entry belongs to this epoch.
+    move_log: VecDeque<Arc<[VertexId]>>,
 }
 
 struct EngineShared {
@@ -452,6 +464,31 @@ impl EngineEpoch {
         self.inner.epoch
     }
 
+    /// Cumulative distance drift `C` since the build: the sum over every
+    /// applied reweight of `|w' - w|`, doubled when a user sits part-way
+    /// along the reweighted edge. Topology is fixed, so between two epochs
+    /// no location-to-location distance moved by more than the difference
+    /// of their drifts. 0 at build; user moves add nothing.
+    pub fn drift(&self) -> f64 {
+        self.inner.drift
+    }
+
+    /// The users moved by the deltas after epoch `since`, up to and
+    /// including this epoch (a user moved twice appears twice). `None` when
+    /// `since` lies further back than the epoch remembers.
+    pub(crate) fn moved_since(&self, since: u64) -> Option<impl Iterator<Item = VertexId> + '_> {
+        let log = &self.inner.move_log;
+        let behind = self.inner.epoch.checked_sub(since)?;
+        if behind > log.len() as u64 {
+            return None;
+        }
+        Some(
+            log.iter()
+                .skip(log.len() - behind as usize)
+                .flat_map(|users| users.iter().copied()),
+        )
+    }
+
     /// Resolves a query's range-filter strategy through this epoch's
     /// calibration: an explicit query-level `filter` wins, a remaining
     /// `Auto` goes through the calibrated crossover rule with the measured
@@ -563,6 +600,8 @@ impl MacEngine {
                     epoch: 0,
                     calibrated_avg_edge_weight,
                     measured_build: measure,
+                    drift: 0.0,
+                    move_log: VecDeque::new(),
                 })),
                 policy,
                 update_lock: Mutex::new(()),
@@ -712,6 +751,7 @@ impl MacEngine {
                 targets,
                 &mut scratch.kt,
                 &mut ticker,
+                None,
             ) {
                 Ok(KtOutcome::Core(core)) => core.vertices.len(),
                 Ok(KtOutcome::Empty) | Ok(KtOutcome::Exhausted(_)) | Err(_) => return None,
@@ -732,6 +772,7 @@ impl MacEngine {
                 targets,
                 &mut scratch,
                 &mut ticker,
+                None,
             ) {
                 Ok(BuildOutcome::Ready(ctx)) => ctx,
                 Ok(BuildOutcome::Empty) | Ok(BuildOutcome::Exhausted(_)) | Err(_) => return None,
@@ -864,11 +905,13 @@ impl MacEngine {
         };
 
         let mut users_on_reweighted_edges = Vec::new();
+        let mut drift = prev.drift;
         if !delta.edge_updates.is_empty() {
             self.shared.fire_failpoint(UpdateStage::GTreeRefresh)?;
             let outcome = rsn.apply_edge_updates(&delta.edge_updates)?;
             stats.gtree = outcome.gtree;
             users_on_reweighted_edges = outcome.users_on_reweighted_edges;
+            drift += Self::delta_drift(&prev.rsn, &rsn, delta, &users_on_reweighted_edges);
         }
 
         self.shared.fire_failpoint(UpdateStage::LeafEdits)?;
@@ -930,6 +973,11 @@ impl MacEngine {
             }
         }
 
+        let mut move_log = prev.move_log.clone();
+        if move_log.len() == MOVE_LOG_EPOCHS {
+            move_log.pop_front();
+        }
+        move_log.push_back(delta.user_moves.iter().map(|&(user, _)| user).collect());
         let next = Arc::new(EngineInner {
             rsn,
             calibration,
@@ -937,6 +985,8 @@ impl MacEngine {
             epoch: prev.epoch + 1,
             calibrated_avg_edge_weight,
             measured_build: prev.measured_build,
+            drift,
+            move_log,
         });
         {
             let mut guard = match self.shared.current.write() {
@@ -952,6 +1002,35 @@ impl MacEngine {
         }
         stats.elapsed_seconds = start.elapsed().as_secs_f64();
         Ok(stats)
+    }
+
+    /// The drift one delta's reweights add (see [`EngineEpoch::drift`]):
+    /// each update contributes `|w' - w|` against the weight before the
+    /// delta, twice when one of `users_on_edges` sits on its edge. Summing
+    /// every update of an edge updated twice only overstates the bound.
+    fn delta_drift(
+        before: &RoadSocialNetwork,
+        after: &RoadSocialNetwork,
+        delta: &NetworkDelta,
+        users_on_edges: &[VertexId],
+    ) -> f64 {
+        let canonical = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
+        delta
+            .edge_updates
+            .iter()
+            .map(|upd| {
+                let old = before
+                    .road()
+                    .edge_weight(upd.u, upd.v)
+                    .expect("validated edge");
+                let edge = canonical(upd.u, upd.v);
+                let occupied = users_on_edges.iter().any(|&user| {
+                    matches!(*after.location(user),
+                        Location::OnEdge { u, v, .. } if canonical(u, v) == edge)
+                });
+                (upd.weight - old).abs() * if occupied { 2.0 } else { 1.0 }
+            })
+            .sum()
     }
 
     /// Validates a delta's edge updates against the served network before any

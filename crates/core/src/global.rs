@@ -256,7 +256,7 @@ pub(crate) struct GsScratch {
     out_buf: Vec<CellResult>,
 }
 
-fn empty_cell() -> Cell {
+pub(crate) fn empty_cell() -> Cell {
     Cell::from_region(&PrefRegion::from_ranges(&[]).expect("empty region is valid"))
 }
 
@@ -314,6 +314,24 @@ impl GsScratch {
         if result.cells.capacity() > self.out_buf.capacity() {
             self.out_buf = result.cells;
         }
+    }
+
+    /// The pools a result is assembled from: retired cell results and
+    /// communities, the cell pool, and the retired output vector.
+    pub(crate) fn result_pools(
+        &mut self,
+    ) -> (
+        &mut Vec<CellResult>,
+        &mut Vec<Community>,
+        &mut ArrangeScratch,
+        &mut Vec<CellResult>,
+    ) {
+        (
+            &mut self.spare_results,
+            &mut self.spare_communities,
+            &mut self.arrange,
+            &mut self.out_buf,
+        )
     }
 }
 

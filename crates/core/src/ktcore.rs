@@ -14,7 +14,7 @@ use rsn_graph::graph::VertexId;
 use rsn_road::budget::BudgetTicker;
 use rsn_road::gtree::LeafTargets;
 use rsn_road::network::Location;
-use rsn_road::rangefilter::{FilterScratch, RangeFilterChoice};
+use rsn_road::rangefilter::{FilterScratch, QueryReach, RangeFilterChoice};
 
 /// Reusable buffers for repeated (k,t)-core extractions against one network.
 ///
@@ -89,8 +89,15 @@ pub fn maximal_kt_core_with(
     scratch: &mut KtScratch,
 ) -> Result<Option<KtCore>, MacError> {
     let mut unlimited = BudgetTicker::unlimited();
-    match maximal_kt_core_with_ticker(rsn, query, filter_choice, targets, scratch, &mut unlimited)?
-    {
+    match maximal_kt_core_with_ticker(
+        rsn,
+        query,
+        filter_choice,
+        targets,
+        scratch,
+        &mut unlimited,
+        None,
+    )? {
         KtOutcome::Core(core) => Ok(Some(core)),
         KtOutcome::Empty => Ok(None),
         KtOutcome::Exhausted(_) => unreachable!("an unlimited ticker never exhausts"),
@@ -112,7 +119,10 @@ pub(crate) enum KtOutcome {
 /// The (k,t)-core extraction every entry point runs: the range filter
 /// charges `ticker` as it goes and the peel is charged as a lump up front,
 /// so a spent ticker stops the extraction before the expensive stages run.
-/// Unbudgeted callers pass [`BudgetTicker::unlimited`].
+/// Unbudgeted callers pass [`BudgetTicker::unlimited`]. With `reach`, the
+/// filter also records its [`QueryReach`] (a cached session keeps it to
+/// reuse the answer across road updates); without it the filter does no
+/// extra work.
 pub(crate) fn maximal_kt_core_with_ticker(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
@@ -120,6 +130,7 @@ pub(crate) fn maximal_kt_core_with_ticker(
     targets: Option<&LeafTargets>,
     scratch: &mut KtScratch,
     ticker: &mut BudgetTicker,
+    reach: Option<&mut QueryReach>,
 ) -> Result<KtOutcome, MacError> {
     query.validate(rsn)?;
     let social = rsn.social();
@@ -145,6 +156,7 @@ pub(crate) fn maximal_kt_core_with_ticker(
         filter_scratch,
         within,
         ticker,
+        reach,
     ) {
         return Ok(KtOutcome::Exhausted(crate::result::QueryPhase::Filter));
     }

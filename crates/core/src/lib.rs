@@ -75,6 +75,7 @@ pub mod global;
 pub mod ktcore;
 pub mod local;
 pub mod network;
+mod outcome;
 pub mod peel;
 pub mod policy;
 pub mod query;

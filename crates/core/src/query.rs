@@ -186,6 +186,16 @@ impl QuerySignature {
         }
     }
 
+    /// The query users `Q`.
+    pub(crate) fn users(&self) -> &[VertexId] {
+        &self.q
+    }
+
+    /// The distance threshold `t`.
+    pub(crate) fn t(&self) -> f64 {
+        f64::from_bits(self.t_bits)
+    }
+
     /// The identity of the query's **search context** (maximal (k,t)-core +
     /// r-dominance graph): everything in the signature except `j` and the
     /// algorithm, which select how the context is searched but not what it

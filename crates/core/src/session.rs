@@ -18,9 +18,9 @@
 //! `tests/engine_session.rs` for the intended concurrent shape.
 
 use crate::budget::QueryBudget;
-use crate::context::{BuildOutcome, ContextParts, ContextScratch, SearchContext};
-use crate::ctxcache::{ContextCache, ContextCacheStats};
-use crate::engine::{AlgorithmChoice, MacEngine};
+use crate::context::{BuildOutcome, ContextScratch, SearchContext};
+use crate::ctxcache::{CachedEntry, ContextCache, ContextCacheStats, Reuse};
+use crate::engine::{AlgorithmChoice, EngineEpoch, MacEngine};
 use crate::error::MacError;
 use crate::global::{self, GsScratch};
 use crate::local;
@@ -30,6 +30,7 @@ use crate::result::{
     MacSearchResult, PartialResult, QueryOutcome, QueryPhase, QueryProgress, SearchStats,
 };
 use rsn_road::budget::BudgetTicker;
+use rsn_road::rangefilter::QueryReach;
 use rsn_road::ExhaustionCause;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,8 +52,12 @@ pub struct QuerySession {
     scratch: ContextScratch,
     /// Session-level search-context cache (`None` = disabled, the default):
     /// repeat queries with the same context signature skip the range filter,
-    /// the (k,t)-core peel, and the `O(core²)` r-dominance graph build.
+    /// the (k,t)-core peel, and the `O(core²)` r-dominance graph build, and
+    /// an exact repeat of the last complete answer skips the search too.
     cache: Option<ContextCache>,
+    /// The range filter's record of a cached session's next context build;
+    /// it moves into the cache entry the build produces.
+    reach: QueryReach,
     /// Retained global-search scratch: task stack, leaf arena, half-space
     /// and arrangement pools — reused across queries so a warmed query
     /// allocates nothing.
@@ -95,6 +100,14 @@ pub struct SessionStats {
     pub context_cache_hits: u64,
     /// Context-cache misses (0 when the cache is disabled).
     pub context_cache_misses: u64,
+    /// Context-cache hits answered from a stored answer, without a search
+    /// (a subset of `context_cache_hits`).
+    pub context_cache_outcome_hits: u64,
+    /// Cache entries dropped because the road drift reached their slack.
+    pub context_cache_drift_expiries: u64,
+    /// Cache entries dropped because a moved user could change their kept
+    /// set.
+    pub context_cache_move_drops: u64,
     /// Queries inside [`execute_batch`](QuerySession::execute_batch) calls
     /// answered by sharing an earlier in-batch result instead of executing.
     pub batch_queries_deduped: u64,
@@ -111,6 +124,9 @@ impl SessionStats {
         self.panics_recovered += other.panics_recovered;
         self.context_cache_hits += other.context_cache_hits;
         self.context_cache_misses += other.context_cache_misses;
+        self.context_cache_outcome_hits += other.context_cache_outcome_hits;
+        self.context_cache_drift_expiries += other.context_cache_drift_expiries;
+        self.context_cache_move_drops += other.context_cache_move_drops;
         self.batch_queries_deduped += other.batch_queries_deduped;
     }
 
@@ -127,12 +143,13 @@ impl SessionStats {
 
 impl std::fmt::Display for SessionStats {
     /// One-line log form:
-    /// `served 120 (118 complete, 2 partial), 0 errors (0 panics recovered), cache 80/100 hits, 4 batch-deduped`.
+    /// `served 120 (118 complete, 2 partial), 0 errors (0 panics recovered), cache 80/100 hits (30 answers), 3 drift-expired, 1 move-dropped, 4 batch-deduped`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "served {} ({} complete, {} partial), {} errors ({} panics recovered), \
-             cache {}/{} hits, {} batch-deduped",
+             cache {}/{} hits ({} answers), {} drift-expired, {} move-dropped, \
+             {} batch-deduped",
             self.served,
             self.complete,
             self.partial,
@@ -140,6 +157,9 @@ impl std::fmt::Display for SessionStats {
             self.panics_recovered,
             self.context_cache_hits,
             self.context_cache_hits + self.context_cache_misses,
+            self.context_cache_outcome_hits,
+            self.context_cache_drift_expiries,
+            self.context_cache_move_drops,
             self.batch_queries_deduped,
         )
     }
@@ -175,6 +195,7 @@ impl QuerySession {
             engine,
             scratch: ContextScratch::new(),
             cache: None,
+            reach: QueryReach::new(),
             gs_scratch: GsScratch::new(),
             policy,
             key_buf: None,
@@ -218,6 +239,11 @@ impl QuerySession {
     /// ```
     pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
         self.policy = policy;
+        // Stored answers of the local framework depend on the policy's
+        // expansion knobs.
+        if let Some(cache) = self.cache.as_mut() {
+            cache.clear();
+        }
         self
     }
 
@@ -230,11 +256,13 @@ impl QuerySession {
     /// contexts (minimum 1): repeat queries sharing a
     /// [context signature](crate::query::QuerySignature::context_signature)
     /// reuse the built search context — skipping the range filter, the
-    /// (k,t)-core peel, and the `O(core²)` r-dominance graph build — as long
-    /// as the engine epoch is unchanged. An
-    /// [`apply_updates`](MacEngine::apply_updates) invalidates the cache
-    /// wholesale at the next lookup, so cached answers are always identical
-    /// to freshly computed ones.
+    /// (k,t)-core peel, and the `O(core²)` r-dominance graph build — and an
+    /// exact repeat (same `j` and resolved algorithm) of the last complete
+    /// answer on that context reuses the answer. Entries survive an
+    /// [`apply_updates`](MacEngine::apply_updates) only while the update
+    /// provably cannot change their kept set (see
+    /// [`ctxcache`](crate::ctxcache)), so cached answers are always
+    /// identical to freshly computed ones.
     pub fn with_context_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(ContextCache::new(capacity));
         self
@@ -279,43 +307,48 @@ impl QuerySession {
         self.gs_scratch.recycle(result);
     }
 
-    /// Takes the cached context for this query (if caching is on and the
-    /// entry matches the pinned epoch), counting the hit or miss. Also
-    /// returns the owned lookup key — rebuilt in place on the session's
-    /// pooled husk, so a warmed lookup computes it without allocating — which
-    /// the caller passes back to [`store_context`](Self::store_context) after
-    /// the search; a panic in between only loses the entry.
-    fn take_cached_context(
+    /// Takes the cached entry for this query (if caching is on), after
+    /// syncing the cache to the pinned `epoch`, and counts the lookup.
+    /// Also returns the owned lookup key — rebuilt in place on the session's
+    /// pooled husk, so a warmed lookup computes it without allocating —
+    /// which the caller hands back with the entry to the cache's `store`
+    /// after the query; a panic in between only loses the entry.
+    fn take_cached_entry(
         &mut self,
-        epoch_id: u64,
+        epoch: &EngineEpoch,
         query: &MacQuery,
-    ) -> (Option<QuerySignature>, Option<ContextParts>) {
+        requested: AlgorithmChoice,
+    ) -> (Option<QuerySignature>, Option<CachedEntry>) {
         let Some(cache) = self.cache.as_mut() else {
             return (None, None);
         };
         let mut key = self.key_buf.take().unwrap_or_else(QuerySignature::empty);
         query.write_context_signature(&mut key);
-        match cache.take(epoch_id, &key) {
-            Some((stored_key, parts)) => {
+        let before = cache.stats();
+        // An entry whose context is gone serves only its stored answer.
+        let taken = cache.take(epoch, &key, |entry| {
+            let algorithm = epoch.resolve_algorithm(requested, entry.core_size);
+            entry.parts.is_some()
+                || entry
+                    .outcome
+                    .as_ref()
+                    .is_some_and(|o| o.answers(query.j, algorithm))
+        });
+        let after = cache.stats();
+        self.stats.context_cache_drift_expiries += after.drift_expiries - before.drift_expiries;
+        self.stats.context_cache_move_drops += after.move_drops - before.move_drops;
+        match taken {
+            Some(entry) => {
                 self.stats.context_cache_hits += 1;
-                // The entry's key is identical to the husk; park it as the
-                // next lookup's husk so the steady state never allocates a
-                // signature.
-                self.key_buf = Some(stored_key);
-                (Some(key), Some(parts))
+                // The entry keeps its own key; park the husk for the next
+                // lookup so the steady state never allocates a signature.
+                self.key_buf = Some(key);
+                (None, Some(entry))
             }
             None => {
                 self.stats.context_cache_misses += 1;
                 (Some(key), None)
             }
-        }
-    }
-
-    /// Stores a search context's parts back into the cache (no-op when
-    /// caching is off).
-    fn store_context(&mut self, epoch_id: u64, key: QuerySignature, parts: ContextParts) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.store(epoch_id, key, parts);
         }
     }
 
@@ -592,19 +625,55 @@ impl QuerySession {
         // build path validates inside the core extraction; a cache hit skips
         // that stage, so the cached path validates explicitly (cheap,
         // O(|Q|)) to keep invalid queries an error either way.
-        let (mut ctx_key, cached) = if self.cache.is_some() {
+        let requested = self.requested_algorithm(query);
+        let (mut new_key, cached) = if self.cache.is_some() {
             query.validate(rsn)?;
-            self.take_cached_context(epoch.id(), query)
+            self.take_cached_entry(&epoch, query, requested)
         } else {
             (None, None)
         };
-        let ctx = match cached {
-            // A cached context skips the filter/peel/build stages and their
-            // budget charges entirely: only the search stage draws on the
-            // ticker, exactly as if the context had been free.
-            Some(parts) => SearchContext::from_parts(rsn, query, parts),
+        // What goes back into the cache with the context after the search:
+        // the key, the reuse record, and the stored answer.
+        let (ctx, entry_rest) = match cached {
+            Some(entry) => {
+                let algorithm = epoch.resolve_algorithm(requested, entry.core_size);
+                if let Some(outcome) = entry
+                    .outcome
+                    .as_ref()
+                    .filter(|o| o.answers(query.j, algorithm))
+                {
+                    // The stored answer is exact on this epoch (the sync
+                    // kept the entry), so it is the answer: no stage runs
+                    // and the ticker is not charged.
+                    let mut result = outcome.rehydrate(&mut self.gs_scratch);
+                    result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
+                    self.stats.context_cache_outcome_hits += 1;
+                    let cache = self.cache.as_mut().expect("a hit implies a cache");
+                    cache.note_outcome_hit();
+                    cache.store(&epoch, entry, None);
+                    self.executed += 1;
+                    return Ok(QueryOutcome::Complete(result));
+                }
+                // A cached context skips the filter/peel/build stages and
+                // their budget charges entirely: only the search stage draws
+                // on the ticker, exactly as if the context had been free.
+                let CachedEntry {
+                    key,
+                    parts,
+                    reuse,
+                    outcome,
+                    ..
+                } = entry;
+                let parts = parts.expect("the lookup only takes entries it can serve");
+                (
+                    SearchContext::from_parts(rsn, query, parts),
+                    Some((key, reuse, outcome)),
+                )
+            }
             None => {
                 let filter = epoch.resolve_filter_with(query, self.policy.filter);
+                // Only a context headed for the cache records its reach.
+                let reach = new_key.is_some().then_some(&mut self.reach);
                 let built = SearchContext::build_with_ticker(
                     rsn,
                     query,
@@ -612,16 +681,23 @@ impl QuerySession {
                     epoch.user_targets(),
                     &mut self.scratch,
                     ticker,
+                    reach,
                 );
                 // No context reaches the cache on these paths; park the key
                 // husk for the next lookup so it is not reallocated.
                 if !matches!(built, Ok(BuildOutcome::Ready(_))) {
-                    if let Some(key) = ctx_key.take() {
+                    if let Some(key) = new_key.take() {
                         self.key_buf = Some(key);
                     }
                 }
                 match built? {
-                    BuildOutcome::Ready(ctx) => *ctx,
+                    BuildOutcome::Ready(ctx) => {
+                        let rest = new_key.take().map(|key| {
+                            let reach = std::mem::take(&mut self.reach);
+                            (key, Reuse::new(reach, epoch.drift()), None)
+                        });
+                        (*ctx, rest)
+                    }
                     BuildOutcome::Empty => {
                         self.executed += 1;
                         return Ok(QueryOutcome::Complete(Self::empty_result(start)));
@@ -644,7 +720,7 @@ impl QuerySession {
                 }
             }
         };
-        let algorithm = epoch.resolve_algorithm(self.requested_algorithm(query), ctx.core_size());
+        let algorithm = epoch.resolve_algorithm(requested, ctx.core_size());
         let (mut run, phase) = match algorithm {
             // Verification fans out only under an unlimited ticker; a limited
             // one keeps it serial so a partial answer is a prefix.
@@ -673,8 +749,17 @@ impl QuerySession {
                 QueryPhase::GlobalSearch,
             ),
         };
-        if let Some(key) = ctx_key {
-            self.store_context(epoch.id(), key, ctx.into_parts());
+        if let Some((key, reuse, outcome)) = entry_rest {
+            let entry = CachedEntry {
+                outcome,
+                ..CachedEntry::new(key, ctx.into_parts(), reuse)
+            };
+            // Only a complete answer is stored; a partial one leaves the
+            // entry's previous answer in place.
+            let answer = run.completed.then_some((&run.result, query.j, algorithm));
+            if let Some(cache) = self.cache.as_mut() {
+                cache.store(&epoch, entry, answer);
+            }
         }
         run.result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
         self.executed += 1;
@@ -934,6 +1019,9 @@ mod tests {
         assert_eq!(stats.complete, 6);
         let cache_stats = cached.context_cache_stats().unwrap();
         assert_eq!(cache_stats.hits, 5);
+        // The entry stores one answer: alternating j swaps it every time,
+        // so each hit reused the context and searched.
+        assert_eq!(cache_stats.outcome_hits, 0);
         assert!(plain.context_cache_stats().is_none());
     }
 
@@ -945,6 +1033,14 @@ mod tests {
         let q = query();
         let before = cached.execute(&q).unwrap();
         assert_results_identical(&cached.execute(&q).unwrap(), &before);
+        // Every user sits at distance 0 of t = 10: a reweight by 0.5 cannot
+        // change the kept set, so the entry and its answer survive it.
+        engine
+            .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.5))
+            .unwrap();
+        let answers = cached.stats().context_cache_outcome_hits;
+        assert_results_identical(&cached.execute(&q).unwrap(), &before);
+        assert_eq!(cached.stats().context_cache_outcome_hits, answers + 1);
         // Strand user 3 on the far side of a now-expensive road segment: it
         // drops out of the (k,t)-core, so the cached context is stale and
         // must not be reused.
@@ -955,7 +1051,38 @@ mod tests {
         let after = cached.execute(&q).unwrap();
         let mut fresh = engine.session();
         assert_results_identical(&fresh.execute(&q).unwrap(), &after);
-        assert_eq!(cached.context_cache_stats().unwrap().epoch_invalidations, 1);
+        let stats = cached.context_cache_stats().unwrap();
+        // The moved user is checked first: its distance is undecided within
+        // the drift.
+        assert_eq!((stats.epoch_invalidations, stats.move_drops), (1, 1));
+        assert_eq!(cached.stats().context_cache_move_drops, 1);
+    }
+
+    #[test]
+    fn across_epochs_an_entry_serves_its_answer_and_rebuilds_other_variants() {
+        use crate::engine::NetworkDelta;
+        let engine = MacEngine::build_uncalibrated(network());
+        let mut cached = engine.session().with_context_cache(4);
+        let q1 = query();
+        let q2 = query().with_top_j(2);
+        cached.execute(&q1).unwrap();
+        engine
+            .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.5))
+            .unwrap();
+        // The entry survives the update with its answer, not its context:
+        // the same query is an answer hit, the other j rebuilds.
+        let mut fresh = engine.session();
+        assert_results_identical(&cached.execute(&q1).unwrap(), &fresh.execute(&q1).unwrap());
+        assert_results_identical(&cached.execute(&q2).unwrap(), &fresh.execute(&q2).unwrap());
+        let stats = cached.stats();
+        assert_eq!(stats.context_cache_outcome_hits, 1);
+        assert_eq!(
+            (stats.context_cache_hits, stats.context_cache_misses),
+            (1, 2)
+        );
+        // The rebuilt entry holds its context again for this epoch.
+        assert_results_identical(&cached.execute(&q1).unwrap(), &fresh.execute(&q1).unwrap());
+        assert_eq!(cached.stats().context_cache_hits, 2);
     }
 
     #[test]

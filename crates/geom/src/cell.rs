@@ -93,31 +93,13 @@ impl Cell {
     /// constraint half-spaces are parked in `spare`; missing ones are
     /// recovered from it.
     pub fn assign_from(&mut self, src: &Cell, spare: &mut Vec<HalfSpace>) {
-        self.lows.clear();
-        self.lows.extend_from_slice(&src.lows);
-        self.highs.clear();
-        self.highs.extend_from_slice(&src.highs);
-        while self.constraints.len() > src.constraints.len() {
-            spare.push(self.constraints.pop().expect("len checked"));
-        }
-        while self.constraints.len() < src.constraints.len() {
-            let husk = spare
-                .pop()
-                .unwrap_or_else(|| HalfSpace::new(Vec::new(), 0.0));
-            self.constraints.push(husk);
-        }
-        for (dst, s) in self.constraints.iter_mut().zip(&src.constraints) {
-            dst.assign_from(s);
-        }
-        match &src.poly {
-            Some(src_poly) => {
-                let mut poly = self.poly.take().unwrap_or_default();
-                poly.clear();
-                poly.extend_from_slice(src_poly);
-                self.poly = Some(poly);
-            }
-            None => self.poly = None,
-        }
+        self.assign_parts(
+            &src.lows,
+            &src.highs,
+            src.constraints.iter().map(|hs| (&hs.coeffs[..], hs.offset)),
+            src.poly.as_deref(),
+            spare,
+        );
     }
 
     /// In-place variant of [`Cell::with_halfspace`]: makes `self` the clip of
@@ -177,6 +159,61 @@ impl Cell {
     /// bounds themselves).
     pub fn constraints(&self) -> &[HalfSpace] {
         &self.constraints
+    }
+
+    /// The box bounds `(lows, highs)` of the region the cell lies in.
+    pub fn bounds(&self) -> (&[f64], &[f64]) {
+        (&self.lows, &self.highs)
+    }
+
+    /// The cached vertex representation (counter-clockwise polygon) of a
+    /// two-dimensional cell; `None` on the LP path.
+    pub fn polygon(&self) -> Option<&[(f64, f64)]> {
+        self.poly.as_deref()
+    }
+
+    /// In-place rebuild from raw parts, reusing `self`'s buffers: the box
+    /// `lows`/`highs`, the constraints as `(coeffs, offset)` pairs in order,
+    /// and the polygon. Fed the [`bounds`](Self::bounds),
+    /// [`constraints`](Self::constraints) and [`polygon`](Self::polygon) of
+    /// a cell, it yields a cell equal to it bit for bit. Excess constraint
+    /// half-spaces are parked in `spare`; missing ones are recovered from it.
+    pub(crate) fn assign_parts<'a>(
+        &mut self,
+        lows: &[f64],
+        highs: &[f64],
+        constraints: impl ExactSizeIterator<Item = (&'a [f64], f64)>,
+        poly: Option<&[(f64, f64)]>,
+        spare: &mut Vec<HalfSpace>,
+    ) {
+        self.lows.clear();
+        self.lows.extend_from_slice(lows);
+        self.highs.clear();
+        self.highs.extend_from_slice(highs);
+        let want = constraints.len();
+        while self.constraints.len() > want {
+            spare.push(self.constraints.pop().expect("len checked"));
+        }
+        while self.constraints.len() < want {
+            let husk = spare
+                .pop()
+                .unwrap_or_else(|| HalfSpace::new(Vec::new(), 0.0));
+            self.constraints.push(husk);
+        }
+        for (dst, (coeffs, offset)) in self.constraints.iter_mut().zip(constraints) {
+            dst.coeffs.clear();
+            dst.coeffs.extend_from_slice(coeffs);
+            dst.offset = offset;
+        }
+        match poly {
+            Some(src_poly) => {
+                let mut buf = self.poly.take().unwrap_or_default();
+                buf.clear();
+                buf.extend_from_slice(src_poly);
+                self.poly = Some(buf);
+            }
+            None => self.poly = None,
+        }
     }
 
     /// Drops the cached vertex representation, forcing this cell (and every

@@ -165,6 +165,21 @@ impl ArrangeScratch {
         cell
     }
 
+    /// A pooled cell rebuilt from raw parts (see [`Cell::bounds`],
+    /// [`Cell::constraints`] and [`Cell::polygon`]), bitwise identical to
+    /// the cell the parts were read from, built in a recycled husk.
+    pub fn build_cell<'a>(
+        &mut self,
+        lows: &[f64],
+        highs: &[f64],
+        constraints: impl ExactSizeIterator<Item = (&'a [f64], f64)>,
+        poly: Option<&[(f64, f64)]>,
+    ) -> Cell {
+        let mut cell = self.free_cells.pop().unwrap_or_else(empty_cell_husk);
+        cell.assign_parts(lows, highs, constraints, poly, &mut self.spare_hs);
+        cell
+    }
+
     /// Index of a fresh leaf node; reuses a retired slot when one exists.
     fn alloc_node(&mut self) -> u32 {
         let idx = self.len;

@@ -38,7 +38,10 @@ pub use budget::{BudgetTicker, ExhaustionCause, SharedBudget, WorkerTicker};
 pub use dijkstra::{bounded_sssp, sssp, sssp_from_location, SsspScratch};
 pub use gtree::{GTree, GTreeUpdateStats};
 pub use network::{EdgeUpdate, Location, RoadNetwork, RoadNetworkBuilder, RoadVertexId};
-pub use rangefilter::{AutoCalibration, FilterScratch, RangeFilter, RangeFilterChoice};
+pub use rangefilter::{
+    reuse_margin, AutoCalibration, FilterScratch, QueryReach, RangeFilter, RangeFilterChoice,
+    REUSE_MARGIN_EPS,
+};
 
 /// Errors produced by the road substrate.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,6 +22,22 @@
 //! property tests (`tests/range_filter_equivalence.rs`) enforce this.
 //! [`resolve_auto`] turns `Auto` into one of them from the measured
 //! sweep/batched crossover.
+//!
+//! # Ties at distance `t`
+//!
+//! The filter keeps a user iff `D_Q(u) = max_q d(q, u) <= t`: a user at
+//! exactly `D_Q(u) = t` is **kept**, by both strategies. On integer or
+//! dyadic weights and offsets every distance is an exact sum, so the
+//! boundary is exact there. Elsewhere the last ulp of a distance depends on
+//! the order its sum was formed in, and a user within that rounding of `t`
+//! may fall on either side.
+//!
+//! A sweep can also record a [`QueryReach`]: an upper bound on the
+//! per-vertex `max_q d(q, v)` field and the *slack* `min_u |t - D_Q(u)|`. A session's context cache
+//! reuses an answer across road updates while the cumulative distance drift
+//! since the answer was built stays strictly below that slack minus a
+//! margin ([`reuse_margin`], a stated relative EPS of `t`). An entry whose
+//! drift lands exactly on the margin is dropped.
 
 use crate::budget::BudgetTicker;
 use crate::dijkstra::{along_edge_distance, distance_to_location, location_seeds, SsspScratch};
@@ -76,12 +92,155 @@ pub struct FilterScratch {
     best: Vec<f64>,
     /// Flattened `(vertex, offset, column)` source seeds of a walk.
     seeds: Vec<(RoadVertexId, f64, u32)>,
+    /// Per-user running `max_q d(q, u)` of a sweep recording a
+    /// [`QueryReach`].
+    user_max: Vec<f64>,
 }
 
 impl FilterScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         FilterScratch::default()
+    }
+}
+
+/// Relative EPS of the cross-epoch reuse rule: an answer built with slack
+/// `s` is reused after a cumulative drift `δ` only while
+/// `s > δ + reuse_margin(t)`. It absorbs the rounding of the distance sums
+/// (about `1e-14` relative on networks of thousands of hops), with room to
+/// spare. A power of two, so the margin of a dyadic `t` is exact.
+pub const REUSE_MARGIN_EPS: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// The margin of the cross-epoch reuse rule at radius `t`:
+/// [`REUSE_MARGIN_EPS`] relative to `max(|t|, 1)`.
+pub fn reuse_margin(t: f64) -> f64 {
+    REUSE_MARGIN_EPS * t.abs().max(1.0)
+}
+
+/// What a Lemma-1 evaluation learned beyond its kept set, recorded on
+/// request for reuse across road updates.
+///
+/// * The **kept set** itself, packed one bit per user.
+/// * The **slack** `min_u |t - D_Q(u)|`, a lower bound: a user the filter
+///   dropped contributes `d - t` for the first query distance `d > t` it
+///   saw, and `0` when that distance lies beyond the sweep's bound (its
+///   amount is then unknown). A user at exactly `t` contributes `0`.
+/// * The **field** `max_q d(q, v)` per road vertex, as a 16-bit fixed-point
+///   fraction of `t` rounded up, read back as an upper bound
+///   ([`distance_bound`](Self::distance_bound)) at most `2t / 65534` above
+///   the exact value. A vertex some sweep left unsettled is only known to
+///   lie beyond `t`; its bound is infinite.
+///
+/// Only the sweep records a field and a slack; after the multi-seed walk
+/// (or for a radius that is not positive and finite) there is no field,
+/// and after the walk the slack is `0`.
+#[derive(Debug, Clone, Default)]
+pub struct QueryReach {
+    field: Vec<u16>,
+    has_field: bool,
+    /// The radius the field is a fraction of.
+    t: f64,
+    kept: Vec<u64>,
+    slack: f64,
+}
+
+/// Field code of the largest settled distance, `t` itself.
+const FIELD_SCALE: f64 = 65534.0;
+/// Field code of a vertex beyond `t`.
+const FIELD_BEYOND: u16 = u16::MAX;
+
+impl QueryReach {
+    /// An empty record; buffers grow on first use.
+    pub fn new() -> Self {
+        QueryReach::default()
+    }
+
+    /// Whether a sweep recorded the per-vertex field.
+    pub fn has_field(&self) -> bool {
+        self.has_field
+    }
+
+    /// An upper bound on `max_q d(q, v)` for road vertex `v` at the time
+    /// of the recording (infinite beyond `t`), or `None` without a field.
+    pub fn distance_bound(&self, v: RoadVertexId) -> Option<f64> {
+        if !self.has_field {
+            return None;
+        }
+        let code = self.field[v as usize];
+        Some(if code == FIELD_BEYOND {
+            f64::INFINITY
+        } else {
+            // The code floors `d / step` up to rounding; two steps cover
+            // both the floor and the rounding.
+            (f64::from(code) + 2.0) * (self.t / FIELD_SCALE)
+        })
+    }
+
+    /// Lower bound on `min_u |t - D_Q(u)|` over all users.
+    pub fn slack(&self) -> f64 {
+        self.slack
+    }
+
+    /// Whether `user` was in the kept set.
+    pub fn kept(&self, user: usize) -> bool {
+        self.kept
+            .get(user / 64)
+            .is_some_and(|w| w & (1 << (user % 64)) != 0)
+    }
+
+    /// Approximate heap footprint.
+    pub fn approx_bytes(&self) -> usize {
+        self.field.capacity() * std::mem::size_of::<u16>()
+            + self.kept.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Folds one query location's sweep field into the vertex field and
+    /// evaluates the still-kept users against it, tracking each survivor's
+    /// running `max_q d` and the dropped users' slack.
+    #[allow(clippy::too_many_arguments)]
+    fn absorb_sweep(
+        &mut self,
+        net: &RoadNetwork,
+        dist: &[f64],
+        qloc: &Location,
+        t: f64,
+        first: bool,
+        user_locations: &[Location],
+        out: &mut [bool],
+        user_max: &mut [f64],
+    ) {
+        // Settled distances never exceed `t`; floor is monotone, so the max
+        // of the codes is the code of the max.
+        let step = t / FIELD_SCALE;
+        let code = |d: f64| {
+            if d.is_finite() {
+                (d / step).min(FIELD_SCALE) as u16
+            } else {
+                FIELD_BEYOND
+            }
+        };
+        if first {
+            self.t = t;
+            self.field.clear();
+            self.field.extend(dist.iter().map(|&d| code(d)));
+        } else {
+            for (m, &d) in self.field.iter_mut().zip(dist) {
+                *m = (*m).max(code(d));
+            }
+        }
+        for ((w, uloc), umax) in out.iter_mut().zip(user_locations).zip(user_max) {
+            if *w {
+                let d =
+                    distance_to_location(net, dist, uloc).min(along_edge_distance(net, qloc, uloc));
+                if d > t {
+                    *w = false;
+                    let beyond = if d.is_finite() { d - t } else { 0.0 };
+                    self.slack = self.slack.min(beyond);
+                } else if d > *umax {
+                    *umax = d;
+                }
+            }
+        }
     }
 }
 
@@ -154,6 +313,7 @@ impl<'a> RangeFilter<'a> {
             scratch,
             out,
             &mut unlimited,
+            None,
         );
     }
 
@@ -173,6 +333,11 @@ impl<'a> RangeFilter<'a> {
     /// completion; on `false` the contents of `out` are unspecified and the
     /// caller must treat the query as budget-exhausted. The scratch stays
     /// reusable either way.
+    ///
+    /// With `reach`, the evaluation also records a [`QueryReach`] (kept set,
+    /// slack, and — for the sweep — the per-vertex field). The kept set in
+    /// `out` is the same either way; without it the filter does no extra
+    /// work.
     #[allow(clippy::too_many_arguments)]
     pub fn users_within_with_ticker(
         &self,
@@ -184,18 +349,32 @@ impl<'a> RangeFilter<'a> {
         scratch: &mut FilterScratch,
         out: &mut Vec<bool>,
         ticker: &mut BudgetTicker,
+        mut reach: Option<&mut QueryReach>,
     ) -> bool {
         let n = user_locations.len();
         out.clear();
         out.resize(n, true);
+        if let Some(reach) = reach.as_deref_mut() {
+            reach.has_field = false;
+            reach.slack = 0.0;
+        }
         if n == 0 {
             return ticker.charge(1);
         }
-        match self {
+        let completed = match self {
             RangeFilter::DijkstraSweep => {
+                // The field is a fraction of `t`.
+                let recording = reach.is_some() && t > 0.0 && t.is_finite();
+                if recording {
+                    scratch.user_max.clear();
+                    scratch.user_max.resize(n, 0.0);
+                }
+                if let Some(reach) = reach.as_deref_mut() {
+                    reach.slack = f64::INFINITY;
+                }
                 // One t-bounded sweep per query location, evaluated straight
                 // off the scratch's distance field — no |Q| x |V| matrix.
-                for qloc in query_locations {
+                for (qi, qloc) in query_locations.iter().enumerate() {
                     let seeds = location_seeds(net, qloc);
                     if !scratch.sssp.run(net, &seeds, Some(t), None, ticker) {
                         return false;
@@ -206,14 +385,40 @@ impl<'a> RangeFilter<'a> {
                         return false;
                     }
                     let field = scratch.sssp.dist();
-                    for (w, uloc) in out.iter_mut().zip(user_locations) {
-                        if *w {
-                            let d = distance_to_location(net, field, uloc)
-                                .min(along_edge_distance(net, qloc, uloc));
-                            if d > t {
-                                *w = false;
+                    match reach.as_deref_mut() {
+                        Some(reach) if recording => reach.absorb_sweep(
+                            net,
+                            field,
+                            qloc,
+                            t,
+                            qi == 0,
+                            user_locations,
+                            out,
+                            &mut scratch.user_max,
+                        ),
+                        _ => {
+                            for (w, uloc) in out.iter_mut().zip(user_locations) {
+                                if *w {
+                                    let d = distance_to_location(net, field, uloc)
+                                        .min(along_edge_distance(net, qloc, uloc));
+                                    if d > t {
+                                        *w = false;
+                                    }
+                                }
                             }
                         }
+                    }
+                }
+                if let Some(reach) = reach.as_deref_mut() {
+                    if recording && !query_locations.is_empty() {
+                        reach.has_field = true;
+                        for (&w, &umax) in out.iter().zip(&scratch.user_max) {
+                            if w {
+                                reach.slack = reach.slack.min(t - umax);
+                            }
+                        }
+                    } else {
+                        reach.slack = 0.0;
                     }
                 }
                 true
@@ -239,7 +444,15 @@ impl<'a> RangeFilter<'a> {
                     ticker,
                 )
             }
+        };
+        if let Some(reach) = reach {
+            reach.kept.clear();
+            reach.kept.resize(n.div_ceil(64), 0);
+            for (i, _) in out.iter().enumerate().filter(|(_, &w)| w) {
+                reach.kept[i / 64] |= 1 << (i % 64);
+            }
         }
+        completed
     }
 }
 
@@ -794,6 +1007,91 @@ mod tests {
         }
     }
 
+    /// The tie contract on dyadic weights, where every distance sum is
+    /// exact: a user at exactly `D_Q = t` is kept by both filters, and the
+    /// sweep's recorded slack is then 0.
+    #[test]
+    fn a_user_exactly_at_t_is_kept_by_both_filters_with_zero_slack() {
+        let net = RoadNetwork::from_edges(4, &[(0, 1, 0.75), (1, 2, 1.125), (2, 3, 0.5)]);
+        let tree = GTree::build_with_capacity(&net, 2);
+        let q = [Location::vertex(0)];
+        let users = [
+            Location::vertex(2), // 1.875
+            Location::OnEdge {
+                u: 1,
+                v: 2,
+                offset: 0.5,
+            }, // 1.25
+            Location::OnEdge {
+                u: 2,
+                v: 3,
+                offset: 0.25,
+            }, // 2.125
+        ];
+        let run = |filter: &RangeFilter<'_>, t: f64, reach: Option<&mut QueryReach>| {
+            let mut out = Vec::new();
+            let mut scratch = FilterScratch::new();
+            assert!(filter.users_within_with_ticker(
+                &net,
+                &q,
+                t,
+                &users,
+                None,
+                &mut scratch,
+                &mut out,
+                &mut BudgetTicker::unlimited(),
+                reach,
+            ));
+            out
+        };
+        for filter in all_filters(&tree) {
+            assert_eq!(
+                run(&filter, 1.875, None),
+                [true, true, false],
+                "{}",
+                filter.name()
+            );
+        }
+        let mut reach = QueryReach::new();
+        assert_eq!(
+            run(&RangeFilter::DijkstraSweep, 1.875, Some(&mut reach)),
+            [true, true, false]
+        );
+        assert_eq!(reach.slack(), 0.0, "a user at exactly t leaves no slack");
+        assert!(reach.kept(0) && reach.kept(1) && !reach.kept(2));
+        // The field bounds each settled distance from above, within two
+        // steps of t / 65534.
+        for (v, d) in [(0, 0.0), (1, 0.75), (2, 1.875)] {
+            let bound = reach.distance_bound(v).expect("the sweep records a field");
+            assert!(
+                bound >= d && bound <= d + 2.0 * 1.875 / 65534.0 + 1e-12,
+                "{v}: {bound}"
+            );
+        }
+        assert_eq!(
+            reach.distance_bound(3),
+            Some(f64::INFINITY),
+            "vertex 3 lies beyond t"
+        );
+
+        // At t = 2 the nearest boundary is 0.125 away on both sides: user 0
+        // inside (1.875), user 2 outside (2.125, reached via vertex 2).
+        run(&RangeFilter::DijkstraSweep, 2.0, Some(&mut reach));
+        assert_eq!(reach.slack(), 0.125);
+        // The walk keeps the same set but records neither field nor slack.
+        assert_eq!(
+            run(
+                &RangeFilter::GTreeMultiSeedBatched(&tree),
+                2.0,
+                Some(&mut reach)
+            ),
+            [true, true, false]
+        );
+        assert!(!reach.has_field() && reach.distance_bound(0).is_none());
+        assert_eq!(reach.slack(), 0.0);
+        assert!(reach.kept(1) && !reach.kept(2));
+    }
+
     #[test]
     fn budgeted_filters_match_unbudgeted_and_abort_on_tiny_limits() {
         let net = grid(6, 6);
@@ -814,6 +1112,7 @@ mod tests {
                     &mut scratch,
                     out,
                     ticker,
+                    None,
                 )
             };
         for t in [0.0, 1.5, 3.0, 100.0] {

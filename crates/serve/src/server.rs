@@ -162,7 +162,8 @@ pub struct ServerStats {
     /// Worker threads the server ran.
     pub workers: usize,
     /// Merged per-worker session counters (executions, partials, errors,
-    /// context-cache hits — see [`SessionStats`]).
+    /// context-cache hits, stored-answer hits, and entries dropped by road
+    /// updates — see [`SessionStats`]).
     pub sessions: SessionStats,
 }
 

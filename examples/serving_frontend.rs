@@ -66,8 +66,9 @@ fn main() {
             .summary()
     );
 
-    // Live update mid-serving: the epoch swap invalidates every worker's
-    // context cache, so the next responses answer on the new network.
+    // Live update mid-serving: at their next lookup the workers' caches drop
+    // every entry the update could have changed, so the next responses
+    // answer on the new network.
     engine
         .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 3.0))
         .expect("delta applies");

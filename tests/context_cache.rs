@@ -1,10 +1,14 @@
 //! Context-cache coherence under dynamic updates: a long-lived session with
 //! a [`ContextCache`](road_social_mac::core::ContextCache) must answer every
 //! query **identically** to a fresh cache-less session on the same engine
-//! epoch — across repeated serving passes (which hit the cache) interleaved
-//! with [`apply_updates`](road_social_mac::core::MacEngine::apply_updates)
-//! batches (which must invalidate it). The fresh session is opened per pass,
-//! so any stale context the cache wrongly reused would diverge immediately.
+//! epoch — across repeated serving passes (which hit the cache, and its
+//! stored answers) interleaved with
+//! [`apply_updates`](road_social_mac::core::MacEngine::apply_updates)
+//! batches. An entry survives a batch only while the batch provably cannot
+//! change its kept set: the batches include random traffic, reweights
+//! sized to the hot query's distance slack, and a move across `t`. The
+//! fresh session is opened per pass, so any stale entry the cache wrongly
+//! reused would diverge immediately.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -18,7 +22,9 @@ use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
 use road_social_mac::datagen::road::{generate_road, RoadConfig};
 use road_social_mac::datagen::social::{generate_social, PlantedGroup, SocialConfig};
 use road_social_mac::geom::PrefRegion;
-use road_social_mac::road::Location;
+use road_social_mac::road::dijkstra::location_distance;
+use road_social_mac::road::rangefilter::RangeFilterChoice;
+use road_social_mac::road::{Location, RoadNetwork};
 
 const GTREE_LEAF_CAPACITY: usize = 16;
 
@@ -148,6 +154,79 @@ fn random_delta(
     delta
 }
 
+/// `D_Q` of `loc` for the query users `q` at their current locations.
+fn query_distance(road: &RoadNetwork, locations: &[Location], q: &[u32], loc: &Location) -> f64 {
+    q.iter()
+        .map(|&u| location_distance(road, &locations[u as usize], loc))
+        .fold(0.0, f64::max)
+}
+
+/// The distance slack `min_u |t - D_Q(u)|` of `query` over all users.
+fn slack(road: &RoadNetwork, locations: &[Location], query: &MacQuery) -> f64 {
+    locations
+        .iter()
+        .map(|loc| (query.t - query_distance(road, locations, &query.q, loc)).abs())
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A reweight of an edge no user sits on, by exactly `drift` (or `None`
+/// when every candidate edge is occupied).
+fn reweight_by(
+    edges: &mut [(u32, u32, f64)],
+    locations: &[Location],
+    rng: &mut StdRng,
+    drift: f64,
+) -> Option<NetworkDelta> {
+    let occupied = |u: u32, v: u32| {
+        locations
+            .iter()
+            .any(|loc| matches!(*loc, Location::OnEdge { u: lu, v: lv, .. } if (lu, lv) == (u, v)))
+    };
+    for _ in 0..32 {
+        let idx = rng.random_range(0..edges.len());
+        let (u, v, w) = edges[idx];
+        if !occupied(u, v) {
+            edges[idx].2 = w + drift;
+            return Some(NetworkDelta::new().reweight_edge(u, v, w + drift));
+        }
+    }
+    None
+}
+
+/// Moves one non-query user of `query` across `t`: outward, the farthest
+/// kept user onto the road vertex farthest from the query; inward, the
+/// farthest dropped user onto a vertex at the first query user's location
+/// (its edge's first endpoint when it sits on an edge). Returns the delta
+/// and whether the move really crosses `t`.
+fn move_across_t(
+    road: &RoadNetwork,
+    locations: &mut [Location],
+    query: &MacQuery,
+    outward: bool,
+) -> Option<(NetworkDelta, bool)> {
+    let d_q =
+        |locations: &[Location], loc: &Location| query_distance(road, locations, &query.q, loc);
+    let (user, _) = (0..locations.len() as u32)
+        .filter(|u| !query.q.contains(u))
+        .map(|u| (u, d_q(locations, &locations[u as usize])))
+        .filter(|&(_, d)| (d <= query.t) == outward)
+        .max_by(|a, b| a.1.total_cmp(&b.1))?;
+    let target = if outward {
+        (0..road.num_vertices() as u32)
+            .map(|v| (v, d_q(locations, &Location::vertex(v))))
+            .max_by(|a, b| a.1.total_cmp(&b.1))?
+            .0
+    } else {
+        match locations[query.q[0] as usize] {
+            Location::Vertex(v) | Location::OnEdge { u: v, .. } => v,
+        }
+    };
+    let to = Location::vertex(target);
+    let crosses = (d_q(locations, &to) <= query.t) != outward;
+    locations[user as usize] = to;
+    Some((NetworkDelta::new().move_user(user, to), crosses))
+}
+
 /// Reduced deterministic grid under the debug profile; the full grid runs in
 /// the release CI job (same convention as the other fuzz harnesses).
 const FUZZ_CASES: u32 = if cfg!(debug_assertions) { 3 } else { 8 };
@@ -157,8 +236,11 @@ proptest! {
 
     /// Interleaves cached serving with update batches: on every epoch, two
     /// passes over the workload (the second pass served from the cache) must
-    /// both equal a fresh cache-less session opened on the same epoch; after
-    /// each delta the cache must invalidate rather than serve stale contexts.
+    /// both equal a fresh cache-less session opened on the same epoch. The
+    /// batches cycle through random traffic, a reweight of a quarter of the
+    /// hot query's slack, a reweight of exactly its slack, and moves of one
+    /// of its users across `t`, outward and inward, each of which must drop
+    /// its entry.
     #[test]
     fn cached_queries_equal_fresh_rebuilds_across_update_interleavings(seed in 0u64..200) {
         let indexed = seed % 2 == 0;
@@ -172,7 +254,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCAC4E);
         let unlimited = QueryBudget::unlimited();
 
-        for batch in 0..3u64 {
+        let batches = 6u64;
+        for batch in 0..batches {
+            let mut hot_answered = false;
             for pass in 0..2u32 {
                 // Fresh session per pass: no cache, same engine epoch.
                 let mut fresh = engine.session();
@@ -181,6 +265,7 @@ proptest! {
                     let hot = cached.execute(query).unwrap();
                     let cold = fresh.execute(query).unwrap();
                     assert_results_identical(&label, &hot, &cold);
+                    hot_answered |= i == 0 && !hot.is_empty();
                 }
             }
             // The budgeted path shares the same cache entries.
@@ -193,9 +278,34 @@ proptest! {
                 &fresh.execute(&queries[0]).unwrap(),
             );
 
-            let delta = random_delta(&mut rng, &mut edges, &mut locations);
+            let road = engine.epoch().network().road().clone();
+            let hot_slack = slack(&road, &locations, &queries[0]);
+            let drops_before = cached.context_cache_stats().expect("cache enabled").move_drops;
+            let mut crosses_t = false;
+            let delta = match batch % 5 {
+                1 if hot_slack.is_finite() => {
+                    reweight_by(&mut edges, &locations, &mut rng, hot_slack / 4.0)
+                }
+                2 if hot_slack.is_finite() => {
+                    reweight_by(&mut edges, &locations, &mut rng, hot_slack)
+                }
+                kind @ (3 | 4) => move_across_t(&road, &mut locations, &queries[0], kind == 3)
+                    .map(|(delta, crosses)| {
+                        crosses_t = crosses;
+                        delta
+                    }),
+                _ => None,
+            }
+            .unwrap_or_else(|| random_delta(&mut rng, &mut edges, &mut locations));
             let stats = engine.apply_updates(&delta).unwrap();
             prop_assert_eq!(stats.epoch, batch + 1);
+            if crosses_t && hot_answered {
+                // The next lookup syncs the cache; the hot query's entry
+                // must not survive a user crossing the edge of its ball.
+                cached.execute(&queries[0]).unwrap();
+                let drops = cached.context_cache_stats().expect("cache enabled").move_drops;
+                prop_assert!(drops > drops_before, "a move across t kept the entry");
+            }
         }
 
         // One more serving pass on the final epoch.
@@ -217,11 +327,67 @@ proptest! {
             stats
         );
         prop_assert_eq!(stats.errors, 0);
+        // Every entry an update dropped is counted once, by its cause.
         let cache_stats = cached.context_cache_stats().expect("cache enabled");
-        prop_assert!(
-            cache_stats.epoch_invalidations >= 1,
-            "updates must invalidate the cache (saw {:?})",
-            cache_stats
+        prop_assert_eq!(
+            cache_stats.epoch_invalidations,
+            cache_stats.drift_expiries + cache_stats.move_drops
         );
     }
+}
+
+/// The new coherence contract on a generated network: an update far below
+/// the hot query's distance slack keeps its entry (the repeat is answered
+/// from the stored answer), while a reweight that moves the query's users
+/// across `t` drops it — and every answer equals a fresh session's.
+#[test]
+fn sub_slack_updates_keep_entries_and_updates_across_t_drop_them() {
+    let (rsn, group) = random_network(7, 100, true);
+    let mut edges: Vec<(u32, u32, f64)> = rsn.road().edges().collect();
+    let locations: Vec<Location> = rsn.locations().to_vec();
+    // A radius 8 past the farthest user: every user is kept, so the slack
+    // is exactly 8 and the sweep settles every user's distance. (The G-tree
+    // walk records no distance field, so its entries drop on any update.)
+    let q = vec![group[0]];
+    let farthest = locations
+        .iter()
+        .map(|loc| query_distance(rsn.road(), &locations, &q, loc))
+        .fold(0.0, f64::max);
+    assert!(farthest.is_finite(), "the fixture's road is connected");
+    let query = MacQuery::new(q, 4, farthest + 8.0, region_for(0.1))
+        .with_algorithm(AlgorithmChoice::Global)
+        .with_range_filter(RangeFilterChoice::DijkstraSweep);
+    let engine = MacEngine::build_uncalibrated(rsn);
+    let mut cached = engine.session().with_context_cache(8);
+    let first = cached.execute(&query).unwrap();
+    assert!(!first.is_empty(), "the planted group answers the query");
+
+    let mut rng = StdRng::seed_from_u64(7);
+    let tiny = reweight_by(&mut edges, &locations, &mut rng, 0.5).expect("a user-free edge");
+    engine.apply_updates(&tiny).unwrap();
+    let fresh = engine.session().execute(&query).unwrap();
+    let kept = cached.execute(&query).unwrap();
+    assert_results_identical("after a sub-slack reweight", &kept, &fresh);
+    let stats = cached.context_cache_stats().unwrap();
+    assert_eq!(stats.epoch_invalidations, 0, "{stats:?}");
+    assert_eq!(
+        stats.outcome_hits, 1,
+        "the entry answers from its stored answer"
+    );
+
+    // Scale every edge up: the query's farthest users leave the ball.
+    let mut across = NetworkDelta::new();
+    for &(u, v, w) in &edges {
+        across = across.reweight_edge(u, v, w * 4.0);
+    }
+    engine.apply_updates(&across).unwrap();
+    let fresh = engine.session().execute(&query).unwrap();
+    let after = cached.execute(&query).unwrap();
+    assert_results_identical("after a reweight across t", &after, &fresh);
+    let stats = cached.context_cache_stats().unwrap();
+    assert_eq!(
+        (stats.drift_expiries, stats.epoch_invalidations),
+        (1, 1),
+        "{stats:?}"
+    );
 }

@@ -6,6 +6,12 @@
 //! (|Q| up to 6, every location contributing its own entry columns to the
 //! multi-seed walk), and thresholds yielding empty results.
 //!
+//! Both filters are also checked, on every fuzz case, against an
+//! independent reference ([`reference_within`]): a textbook Dijkstra on the
+//! road graph with every on-edge location split into a vertex of its own.
+//! It shares no code with the filters — no seed derivation, no along-edge
+//! shortcut — so a bug in a helper the two filters share cannot pass.
+//!
 //! The full fuzz sweep is heavy for debug builds, so the case counts scale
 //! with the profile: the debug CI job runs a reduced deterministic grid, the
 //! release CI job (`cargo test --release`) runs the full one.
@@ -17,6 +23,8 @@ use road_social_mac::datagen::road::{generate_road, RoadConfig};
 use road_social_mac::road::dijkstra::sssp;
 use road_social_mac::road::rangefilter::RangeFilter;
 use road_social_mac::road::{GTree, Location, RoadNetwork};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 fn fuzz_cases(full: u32) -> u32 {
     if cfg!(debug_assertions) {
@@ -49,6 +57,86 @@ fn random_locations(net: &RoadNetwork, count: usize, rng: &mut StdRng) -> Vec<Lo
         .collect()
 }
 
+/// Lemma 1 from its definition: `D_Q(u) = max_q d(q, u) <= t`, with every
+/// distance from a textbook Dijkstra on the road graph in which each on-edge
+/// location (query or user) is split into a vertex of its own. An edge
+/// holding locations becomes a chain through them in offset order; a
+/// location named from the larger endpoint is re-measured from the smaller
+/// one first, and an offset rounded past the edge's end sits at the end.
+fn reference_within(net: &RoadNetwork, q: &[Location], t: f64, users: &[Location]) -> Vec<bool> {
+    let locations: Vec<Location> = q.iter().chain(users).copied().collect();
+    let mut node_of = vec![usize::MAX; locations.len()];
+    let mut on_edge: HashMap<(u32, u32), Vec<(f64, usize)>> = HashMap::new();
+    for (i, loc) in locations.iter().enumerate() {
+        match *loc {
+            Location::Vertex(v) => node_of[i] = v as usize,
+            Location::OnEdge { u, v, offset } => {
+                let w = net
+                    .edge_weight(u, v)
+                    .expect("a location on an existing edge");
+                let (a, b, off) = if u < v {
+                    (u, v, offset)
+                } else {
+                    (v, u, w - offset)
+                };
+                on_edge
+                    .entry((a, b))
+                    .or_default()
+                    .push((off.clamp(0.0, w), i));
+            }
+        }
+    }
+    let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); net.num_vertices()];
+    let link = |adj: &mut Vec<Vec<(usize, f64)>>, a: usize, b: usize, w: f64| {
+        adj[a].push((b, w));
+        adj[b].push((a, w));
+    };
+    for (a, b, w) in net.edges() {
+        let Some(points) = on_edge.get_mut(&(a, b)) else {
+            link(&mut adj, a as usize, b as usize, w);
+            continue;
+        };
+        points.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let (mut prev, mut prev_off) = (a as usize, 0.0);
+        for &(off, i) in points.iter() {
+            let node = adj.len();
+            adj.push(Vec::new());
+            node_of[i] = node;
+            link(&mut adj, prev, node, off - prev_off);
+            (prev, prev_off) = (node, off);
+        }
+        link(&mut adj, prev, b as usize, w - prev_off);
+    }
+    let dijkstra = |source: usize| {
+        let mut dist = vec![f64::INFINITY; adj.len()];
+        let mut heap = BinaryHeap::new();
+        dist[source] = 0.0;
+        // Non-negative floats order like their bit patterns.
+        heap.push(Reverse((0.0f64.to_bits(), source)));
+        while let Some(Reverse((bits, x))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[x] {
+                continue;
+            }
+            for &(y, w) in &adj[x] {
+                if d + w < dist[y] {
+                    dist[y] = d + w;
+                    heap.push(Reverse(((d + w).to_bits(), y)));
+                }
+            }
+        }
+        dist
+    };
+    let mut d_q = vec![0.0f64; users.len()];
+    for qi in 0..q.len() {
+        let dist = dijkstra(node_of[qi]);
+        for (d, &node) in d_q.iter_mut().zip(&node_of[q.len()..]) {
+            *d = d.max(dist[node]);
+        }
+    }
+    d_q.iter().map(|&d| d <= t).collect()
+}
+
 fn gtree_filters(tree: &GTree) -> [RangeFilter<'_>; 1] {
     [RangeFilter::GTreeMultiSeedBatched(tree)]
 }
@@ -61,6 +149,12 @@ fn assert_filters_agree(
     users: &[Location],
 ) {
     let reference = RangeFilter::DijkstraSweep.users_within(net, q, t, users);
+    prop_assert_eq!(
+        &reference,
+        &reference_within(net, q, t, users),
+        "the Dijkstra sweep disagrees with the split-graph reference at t = {}",
+        t
+    );
     for filter in gtree_filters(tree) {
         let got = filter.users_within(net, q, t, users);
         prop_assert_eq!(
@@ -137,6 +231,12 @@ proptest! {
         let mut users: Vec<Location> = (0..=10)
             .map(|i| Location::OnEdge { u: 0, v: 1, offset: edge_weight * (i as f64) / 10.0 })
             .collect();
+        // ...and the same points named from the other end of the edge.
+        users.extend((0..=10).map(|i| Location::OnEdge {
+            u: 1,
+            v: 0,
+            offset: edge_weight * (10 - i) as f64 / 10.0,
+        }));
         users.extend((0..5).map(Location::vertex));
         assert_filters_agree(&net, &tree, &q, t, &users);
         let _ = seed;
@@ -180,10 +280,15 @@ proptest! {
             })
             .collect();
         let mut users = random_locations(&net, 80, &mut rng);
-        // ...including users on the very same edge.
+        // ...including users on the very same edge, named from either end.
         users.extend((0..=6).map(|i| Location::OnEdge {
             u: eu.min(ev),
             v: eu.max(ev),
+            offset: ew * (i as f64) / 6.0,
+        }));
+        users.extend((0..=6).map(|i| Location::OnEdge {
+            u: eu.max(ev),
+            v: eu.min(ev),
             offset: ew * (i as f64) / 6.0,
         }));
         assert_filters_agree(&net, &tree, &q, t, &users);
@@ -250,6 +355,7 @@ proptest! {
             reference.iter().all(|&w| !w),
             "t = 0 with users off the query vertex must filter everyone"
         );
+        prop_assert_eq!(&reference, &reference_within(&net, &q, 0.0, &users));
         for filter in gtree_filters(&tree) {
             prop_assert_eq!(
                 filter.users_within(&net, &q, 0.0, &users),
@@ -307,6 +413,7 @@ fn users_exactly_at_distance_t_are_kept_by_all_filters() {
         Location::vertex(7), // 7 > t (chord longer)
     ];
     let expected = vec![true, true, true, true, true, false, false, false];
+    assert_eq!(reference_within(&net, &q, t, &users), expected);
     for filter in all_filters(&tree) {
         assert_eq!(
             filter.users_within(&net, &q, t, &users),
@@ -378,6 +485,20 @@ fn same_edge_users_named_from_the_other_end_keep_the_along_edge_path() {
     ];
     let expected = vec![true, true, false, false, false];
     // The query point 0.25 from vertex 0, named from either end.
+    for q in [
+        Location::OnEdge {
+            u: 0,
+            v: 1,
+            offset: 0.25,
+        },
+        Location::OnEdge {
+            u: 1,
+            v: 0,
+            offset: 0.75,
+        },
+    ] {
+        assert_eq!(reference_within(&net, &[q], t, &users), expected);
+    }
     for q in [
         Location::OnEdge {
             u: 0,

@@ -164,6 +164,14 @@ fn served_responses_match_direct_execution() {
         if !coalescing {
             assert_eq!(stats.coalesced_joins, 0);
         }
+        // Stored-answer hits are a subset of the cache hits, and the
+        // shutdown line reports them.
+        let sessions = &stats.sessions;
+        assert!(sessions.context_cache_outcome_hits <= sessions.context_cache_hits);
+        if cache == 0 {
+            assert_eq!(sessions.context_cache_outcome_hits, 0);
+        }
+        assert!(stats.to_string().contains("answers"), "{stats}");
     }
 }
 

@@ -1,10 +1,12 @@
 //! Pins the zero-allocation steady state of a warmed serving session.
 //!
 //! The session owns every buffer a query needs (context scratch, global-search
-//! pools, the cache-key husk), the context cache returns its entries'
-//! owned keys on a hit, and `QuerySession::recycle` feeds a finished result's
-//! vectors back into the pools. Together a repeated query on an unchanged
-//! epoch is allocation-free — this harness counts every heap allocation on
+//! pools, the cache-key husk), the context cache keeps its entries' owned
+//! keys and stored answers, and `QuerySession::recycle` feeds a finished
+//! result's vectors back into the pools. Together a repeated query — answered
+//! from the stored answer, on the same epoch or after an update the entry
+//! survives — and a query that reuses only the cached context are
+//! allocation-free. This harness counts every heap allocation on
 //! the serving thread and asserts the steady-state count is exactly zero, so
 //! any future allocation on the hot path fails loudly instead of showing up
 //! as a latency regression.
@@ -130,7 +132,83 @@ fn steady_state_query_allocates_nothing() {
     // The loop really did serve from the cache, not rebuild contexts.
     let stats = session.stats();
     assert!(stats.context_cache_hits >= rounds);
+    assert!(stats.context_cache_outcome_hits >= rounds);
     assert_eq!(stats.served, 1 + warm + rounds);
+}
+
+/// A road update the cached entry provably survives (a reweight far below
+/// its distance slack) leaves the repeated query an allocation-free hit on
+/// the stored answer: the first lookup of the new epoch syncs the cache
+/// without allocating, and the answer is rebuilt into recycled buffers.
+#[test]
+fn answer_hit_after_a_sub_slack_update_allocates_nothing() {
+    let engine = MacEngine::build_uncalibrated(network());
+    let mut session = engine.session().with_context_cache(2);
+    let q = query();
+    let reference = session.execute(&q).unwrap();
+    for _ in 0..39 {
+        let result = session.execute(&q).unwrap();
+        session.recycle(result);
+    }
+
+    let rounds = 16u64;
+    let mut delta = 0;
+    for round in 0..rounds {
+        // Every user sits at distance 0 of t = 10; the edge weight wanders
+        // within [1, 1.5], so the drift stays far below the slack.
+        let w = 1.0 + 0.03125 * (round % 16 + 1) as f64;
+        engine
+            .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, w))
+            .unwrap();
+        let before = thread_allocations();
+        let result = session.execute(&q).unwrap();
+        assert_eq!(result.cells.len(), reference.cells.len());
+        session.recycle(result);
+        delta += thread_allocations() - before;
+    }
+    assert_eq!(
+        delta, 0,
+        "answer hits after sub-slack updates must be allocation-free, saw \
+         {delta} allocations over {rounds} updates"
+    );
+    let stats = session.stats();
+    assert_eq!(stats.context_cache_drift_expiries, 0);
+    assert!(stats.context_cache_outcome_hits >= 39 + rounds);
+}
+
+/// A hit on the cached context alone — here the other `j` of the same
+/// query, which the entry's stored answer does not cover — still runs the
+/// global search allocation-free, and storing its answer over the previous
+/// one reuses the entry's buffers.
+#[test]
+fn context_only_hit_still_explores_allocation_free() {
+    let engine = MacEngine::build_uncalibrated(network());
+    let mut session = engine.session().with_context_cache(2);
+    let queries = [query(), query().with_top_j(2)];
+    for _ in 0..40 {
+        for q in &queries {
+            let result = session.execute(q).unwrap();
+            session.recycle(result);
+        }
+    }
+    let answers = session.stats().context_cache_outcome_hits;
+
+    let before = thread_allocations();
+    let rounds = 16u64;
+    for _ in 0..rounds {
+        for q in &queries {
+            let result = session.execute(q).unwrap();
+            session.recycle(result);
+        }
+    }
+    let delta = thread_allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "context-only hits must explore allocation-free, saw {delta} \
+         allocations over {rounds} rounds"
+    );
+    // Alternating j swaps the stored answer each time: every hit searched.
+    assert_eq!(session.stats().context_cache_outcome_hits, answers);
 }
 
 /// A lookup that ends without a context to cache — here an empty

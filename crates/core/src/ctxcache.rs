@@ -33,8 +33,10 @@
 //!   that distance. Entries built by the G-tree walk carry no field and
 //!   drop on any move;
 //! * an entry survives while `slack > drift + margin` (the margin is
-//!   [`reuse_margin`], a relative EPS of `t`), or while the drift is exactly
-//!   0. An entry whose drift lands exactly on the margin is dropped.
+//!   [`reuse_margin`], a relative EPS of `t`), or while no delta since its
+//!   build changed an edge weight (counted exactly, since a change below
+//!   the rounding of the cumulative drift leaves it equal). An entry whose
+//!   drift lands exactly on the margin is dropped.
 //!
 //! A kept entry answers exactly as a rebuild would, and so does its stored
 //! answer. A cache further behind than the engine's move log clears itself.
@@ -114,6 +116,9 @@ pub(crate) struct Reuse {
     slack: f64,
     /// The engine's drift when the entry was built.
     drift: f64,
+    /// The engine's count of weight-changing deltas when the entry was
+    /// built.
+    reweighted_epochs: u64,
 }
 
 /// Why a sync dropped an entry.
@@ -123,13 +128,13 @@ enum Expiry {
 }
 
 impl Reuse {
-    /// The reuse record of an entry built with `reach` on an epoch whose
-    /// drift is `drift`.
-    pub(crate) fn new(reach: QueryReach, drift: f64) -> Self {
+    /// The reuse record of an entry built with `reach` on `epoch`.
+    pub(crate) fn new(reach: QueryReach, epoch: &EngineEpoch) -> Self {
         Reuse {
             slack: reach.slack(),
             reach,
-            drift,
+            drift: epoch.drift(),
+            reweighted_epochs: epoch.reweighted_epochs(),
         }
     }
 
@@ -149,7 +154,9 @@ impl Reuse {
                 return Err(Expiry::Moved);
             }
         }
-        if drift == 0.0 || self.slack > drift + margin {
+        // No weight changed since the build: every distance is as it was.
+        let unchanged = epoch.reweighted_epochs() == self.reweighted_epochs;
+        if unchanged || self.slack > drift + margin {
             Ok(())
         } else {
             Err(Expiry::Drifted)
@@ -233,11 +240,9 @@ impl CachedEntry {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.parts.as_ref().map_or(0, ContextParts::approx_bytes) + self.reuse_bytes()
-    }
-
-    fn reuse_bytes(&self) -> usize {
-        self.reuse.approx_bytes() + self.outcome.as_ref().map_or(0, |o| o.approx_bytes())
+        self.parts.as_ref().map_or(0, ContextParts::approx_bytes)
+            + self.reuse.approx_bytes()
+            + self.outcome.as_ref().map_or(0, |o| o.approx_bytes())
     }
 }
 
@@ -298,13 +303,6 @@ impl ContextCache {
     /// Approximate heap footprint of everything cached.
     pub fn approx_bytes(&self) -> usize {
         self.entries.iter().map(CachedEntry::approx_bytes).sum()
-    }
-
-    /// The part of [`approx_bytes`](Self::approx_bytes) spent beyond the
-    /// contexts themselves: the reuse records (kept set and distance field)
-    /// and the stored answers.
-    pub fn reuse_bytes(&self) -> usize {
-        self.entries.iter().map(CachedEntry::reuse_bytes).sum()
     }
 
     /// Drops every entry (the counters survive).
@@ -473,7 +471,7 @@ mod tests {
         CachedEntry::new(
             query.signature().context_signature(),
             ctx.into_parts(),
-            Reuse::new(reach, epoch.drift()),
+            Reuse::new(reach, epoch),
         )
     }
 
@@ -501,9 +499,8 @@ mod tests {
         assert!(cache.take(&epoch, &key, |_| true).is_none());
         cache.store(&epoch, entry_for(&q, &epoch), None);
         assert_eq!(cache.len(), 1);
-        assert!(cache.approx_bytes() > cache.reuse_bytes());
         assert!(
-            cache.reuse_bytes() > 0,
+            cache.entries[0].reuse.approx_bytes() > 0,
             "the entry keeps its distance field"
         );
         let entry = cache.take(&epoch, &key, |_| true).expect("hit");
@@ -623,6 +620,44 @@ mod tests {
         let key = q.signature().context_signature();
         assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
         assert_eq!(cache.stats().epoch_invalidations, 1);
+    }
+
+    /// An entry with no slack (users at exactly `t`) is reused only while
+    /// no delta changed a weight — decided exactly, not from the drift,
+    /// which a change below its rounding leaves equal.
+    #[test]
+    fn a_slackless_entry_drops_at_any_weight_change_even_one_the_drift_absorbs() {
+        let engine = MacEngine::build_uncalibrated(network());
+        // Drive the drift to 2^54, where a change of 0.5 rounds away.
+        let far = (1u64 << 54) as f64 + 1.0;
+        engine
+            .apply_updates(&NetworkDelta::new().reweight_edge(3, 4, far))
+            .unwrap();
+        // Users 2..4 sit at exactly t = 1.
+        let region = PrefRegion::from_ranges(&[(0.3, 0.7)]).unwrap();
+        let q = MacQuery::new(vec![0], 3, 1.0, region);
+        let key = q.signature().context_signature();
+        let mut cache = ContextCache::new(4);
+        let epoch = engine.epoch();
+        let entry = entry_for(&q, &epoch);
+        assert_eq!(entry.reuse.slack, 0.0);
+        cache.store(&epoch, entry, None);
+        // A move-only delta keeps every distance.
+        engine
+            .apply_updates(&NetworkDelta::new().move_user(4, Location::vertex(0)))
+            .unwrap();
+        let entry = cache
+            .take(&engine.epoch(), &key, |_| true)
+            .expect("no weight changed");
+        cache.store(&engine.epoch(), entry, None);
+        // Users 2..4 leave the ball, yet the drift does not move.
+        let drift = engine.epoch().drift();
+        engine
+            .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.5))
+            .unwrap();
+        assert_eq!(engine.epoch().drift(), drift);
+        assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
+        assert_eq!(cache.stats().drift_expiries, 1);
     }
 
     /// One more epoch than the engine's move log holds.

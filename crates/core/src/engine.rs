@@ -318,6 +318,9 @@ struct EngineInner {
     /// Cumulative distance drift `C` since the build (see
     /// [`EngineEpoch::drift`]).
     drift: f64,
+    /// Deltas since the build that changed some edge weight (see
+    /// [`EngineEpoch::reweighted_epochs`]).
+    reweighted_epochs: u64,
     /// The users each of the last [`MOVE_LOG_EPOCHS`] deltas moved, oldest
     /// first; the back entry belongs to this epoch.
     move_log: VecDeque<Arc<[VertexId]>>,
@@ -473,6 +476,14 @@ impl EngineEpoch {
         self.inner.drift
     }
 
+    /// How many deltas since the build changed some edge weight. Two
+    /// epochs with the same count have the same distances exactly, even
+    /// where a change too small to move the cumulative
+    /// [`drift`](Self::drift) left it equal.
+    pub(crate) fn reweighted_epochs(&self) -> u64 {
+        self.inner.reweighted_epochs
+    }
+
     /// The users moved by the deltas after epoch `since`, up to and
     /// including this epoch (a user moved twice appears twice). `None` when
     /// `since` lies further back than the epoch remembers.
@@ -601,6 +612,7 @@ impl MacEngine {
                     calibrated_avg_edge_weight,
                     measured_build: measure,
                     drift: 0.0,
+                    reweighted_epochs: 0,
                     move_log: VecDeque::new(),
                 })),
                 policy,
@@ -906,12 +918,19 @@ impl MacEngine {
 
         let mut users_on_reweighted_edges = Vec::new();
         let mut drift = prev.drift;
+        let mut reweighted_epochs = prev.reweighted_epochs;
         if !delta.edge_updates.is_empty() {
             self.shared.fire_failpoint(UpdateStage::GTreeRefresh)?;
             let outcome = rsn.apply_edge_updates(&delta.edge_updates)?;
             stats.gtree = outcome.gtree;
             users_on_reweighted_edges = outcome.users_on_reweighted_edges;
-            drift += Self::delta_drift(&prev.rsn, &rsn, delta, &users_on_reweighted_edges);
+            // A sum of terms `|w' - w| >= 0` is positive iff some weight
+            // changed.
+            let added = Self::delta_drift(&prev.rsn, &rsn, delta, &users_on_reweighted_edges);
+            if added > 0.0 {
+                drift += added;
+                reweighted_epochs += 1;
+            }
         }
 
         self.shared.fire_failpoint(UpdateStage::LeafEdits)?;
@@ -986,6 +1005,7 @@ impl MacEngine {
             calibrated_avg_edge_weight,
             measured_build: prev.measured_build,
             drift,
+            reweighted_epochs,
             move_log,
         });
         {

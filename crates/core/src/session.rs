@@ -694,7 +694,7 @@ impl QuerySession {
                     BuildOutcome::Ready(ctx) => {
                         let rest = new_key.take().map(|key| {
                             let reach = std::mem::take(&mut self.reach);
-                            (key, Reuse::new(reach, epoch.drift()), None)
+                            (key, Reuse::new(reach, &epoch), None)
                         });
                         (*ctx, rest)
                     }

@@ -33,11 +33,11 @@
 //! may fall on either side.
 //!
 //! A sweep can also record a [`QueryReach`]: an upper bound on the
-//! per-vertex `max_q d(q, v)` field and the *slack* `min_u |t - D_Q(u)|`. A session's context cache
-//! reuses an answer across road updates while the cumulative distance drift
-//! since the answer was built stays strictly below that slack minus a
-//! margin ([`reuse_margin`], a stated relative EPS of `t`). An entry whose
-//! drift lands exactly on the margin is dropped.
+//! per-vertex `max_q d(q, v)` field and the *slack* `min_u |t - D_Q(u)|`.
+//! A session's context cache reuses an answer across road updates while
+//! the cumulative distance drift since the answer was built stays strictly
+//! below that slack minus a margin ([`reuse_margin`], a stated relative EPS
+//! of `t`). An entry whose drift lands exactly on the margin is dropped.
 
 use crate::budget::BudgetTicker;
 use crate::dijkstra::{along_edge_distance, distance_to_location, location_seeds, SsspScratch};
@@ -121,10 +121,13 @@ pub fn reuse_margin(t: f64) -> f64 {
 /// request for reuse across road updates.
 ///
 /// * The **kept set** itself, packed one bit per user.
-/// * The **slack** `min_u |t - D_Q(u)|`, a lower bound: a user the filter
-///   dropped contributes `d - t` for the first query distance `d > t` it
-///   saw, and `0` when that distance lies beyond the sweep's bound (its
-///   amount is then unknown). A user at exactly `t` contributes `0`.
+/// * The **slack** `min_u |t - D_Q(u)|`, a lower bound: a kept user
+///   contributes `t - D_Q(u)`, exact, and a user at exactly `t`
+///   contributes `0`. A user the filter dropped contributes `d - t` for a
+///   lower bound `d` on the first query distance beyond `t` it saw: the
+///   sweep stops at `t`, so an endpoint it left unsettled counts as lying
+///   at `t`, and a user whose every route runs through such an endpoint
+///   adds no more than its offset from it.
 /// * The **field** `max_q d(q, v)` per road vertex, as a 16-bit fixed-point
 ///   fraction of `t` rounded up, read back as an upper bound
 ///   ([`distance_bound`](Self::distance_bound)) at most `2t / 65534` above
@@ -194,21 +197,8 @@ impl QueryReach {
             + self.kept.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Folds one query location's sweep field into the vertex field and
-    /// evaluates the still-kept users against it, tracking each survivor's
-    /// running `max_q d` and the dropped users' slack.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_sweep(
-        &mut self,
-        net: &RoadNetwork,
-        dist: &[f64],
-        qloc: &Location,
-        t: f64,
-        first: bool,
-        user_locations: &[Location],
-        out: &mut [bool],
-        user_max: &mut [f64],
-    ) {
+    /// Folds one query location's sweep field into the vertex field.
+    fn absorb_field(&mut self, dist: &[f64], t: f64, first: bool) {
         // Settled distances never exceed `t`; floor is monotone, so the max
         // of the codes is the code of the max.
         let step = t / FIELD_SCALE;
@@ -228,20 +218,24 @@ impl QueryReach {
                 *m = (*m).max(code(d));
             }
         }
-        for ((w, uloc), umax) in out.iter_mut().zip(user_locations).zip(user_max) {
-            if *w {
-                let d =
-                    distance_to_location(net, dist, uloc).min(along_edge_distance(net, qloc, uloc));
-                if d > t {
-                    *w = false;
-                    let beyond = if d.is_finite() { d - t } else { 0.0 };
-                    self.slack = self.slack.min(beyond);
-                } else if d > *umax {
-                    *umax = d;
-                }
-            }
-        }
     }
+}
+
+/// A lower bound on a dropped user's distance from one query location,
+/// read off a sweep bounded by `t`. An endpoint the sweep left unsettled
+/// lies beyond `t`, so it counts as `t`: the distance the filter reads
+/// through the other endpoint may be far above the true one.
+fn dropped_distance_floor(
+    net: &RoadNetwork,
+    dist: &[f64],
+    qloc: &Location,
+    uloc: &Location,
+    t: f64,
+) -> f64 {
+    location_seeds(net, uloc)
+        .into_iter()
+        .map(|(v, offset)| dist[v as usize].min(t) + offset)
+        .fold(along_edge_distance(net, qloc, uloc), f64::min)
 }
 
 /// An exact "users within t" filter (Lemma 1) over the road network.
@@ -363,14 +357,15 @@ impl<'a> RangeFilter<'a> {
         }
         let completed = match self {
             RangeFilter::DijkstraSweep => {
-                // The field is a fraction of `t`.
-                let recording = reach.is_some() && t > 0.0 && t.is_finite();
-                if recording {
+                // The field is a fraction of `t`; without a recording the
+                // sweep does no work beyond the kept set.
+                let mut recorder = reach
+                    .as_deref_mut()
+                    .filter(|_| t > 0.0 && t.is_finite() && !query_locations.is_empty());
+                if let Some(reach) = recorder.as_deref_mut() {
+                    reach.slack = f64::INFINITY;
                     scratch.user_max.clear();
                     scratch.user_max.resize(n, 0.0);
-                }
-                if let Some(reach) = reach.as_deref_mut() {
-                    reach.slack = f64::INFINITY;
                 }
                 // One t-bounded sweep per query location, evaluated straight
                 // off the scratch's distance field — no |Q| x |V| matrix.
@@ -385,40 +380,36 @@ impl<'a> RangeFilter<'a> {
                         return false;
                     }
                     let field = scratch.sssp.dist();
-                    match reach.as_deref_mut() {
-                        Some(reach) if recording => reach.absorb_sweep(
-                            net,
-                            field,
-                            qloc,
-                            t,
-                            qi == 0,
-                            user_locations,
-                            out,
-                            &mut scratch.user_max,
-                        ),
-                        _ => {
-                            for (w, uloc) in out.iter_mut().zip(user_locations) {
-                                if *w {
-                                    let d = distance_to_location(net, field, uloc)
-                                        .min(along_edge_distance(net, qloc, uloc));
-                                    if d > t {
-                                        *w = false;
-                                    }
+                    if let Some(reach) = recorder.as_deref_mut() {
+                        reach.absorb_field(field, t, qi == 0);
+                    }
+                    for (i, (w, uloc)) in out.iter_mut().zip(user_locations).enumerate() {
+                        if *w {
+                            let d = distance_to_location(net, field, uloc)
+                                .min(along_edge_distance(net, qloc, uloc));
+                            if d > t {
+                                *w = false;
+                                // A dropped user's slack counts from a lower
+                                // bound on its distance.
+                                if let Some(reach) = recorder.as_deref_mut() {
+                                    let floor = dropped_distance_floor(net, field, qloc, uloc, t);
+                                    reach.slack = reach.slack.min(floor - t);
                                 }
+                            } else if recorder.is_some() {
+                                // Within `t` the distance is exact: a path
+                                // through an unsettled endpoint is longer.
+                                let umax = &mut scratch.user_max[i];
+                                *umax = umax.max(d);
                             }
                         }
                     }
                 }
-                if let Some(reach) = reach.as_deref_mut() {
-                    if recording && !query_locations.is_empty() {
-                        reach.has_field = true;
-                        for (&w, &umax) in out.iter().zip(&scratch.user_max) {
-                            if w {
-                                reach.slack = reach.slack.min(t - umax);
-                            }
+                if let Some(reach) = recorder {
+                    reach.has_field = true;
+                    for (&w, &umax) in out.iter().zip(&scratch.user_max) {
+                        if w {
+                            reach.slack = reach.slack.min(t - umax);
                         }
-                    } else {
-                        reach.slack = 0.0;
                     }
                 }
                 true
@@ -1090,6 +1081,55 @@ mod tests {
         assert!(!reach.has_field() && reach.distance_bound(0).is_none());
         assert_eq!(reach.slack(), 0.0);
         assert!(reach.kept(1) && !reach.kept(2));
+    }
+
+    /// A dropped on-edge user whose near endpoint lies inside `t` and whose
+    /// far endpoint the sweep leaves unsettled: the filter reads its
+    /// distance through the near endpoint, far above the true one, so its
+    /// slack must come from the lower bound `t` at the far endpoint.
+    #[test]
+    fn a_dropped_user_behind_an_unsettled_endpoint_bounds_the_slack_from_below() {
+        // 0 -1.875- 1 -5.125- 2, and 0 -1- 3 -1.0625- 2: vertex 2 lies at
+        // 2.0625 > t = 2. The user sits 0.125 short of vertex 2, at true
+        // distance 2.1875; read through vertex 1 it would be 6.875.
+        let mut net = RoadNetwork::from_edges(
+            4,
+            &[(0, 1, 1.875), (1, 2, 5.125), (0, 3, 1.0), (3, 2, 1.0625)],
+        );
+        let q = [Location::vertex(0)];
+        let users = [
+            Location::vertex(0),
+            Location::OnEdge {
+                u: 1,
+                v: 2,
+                offset: 5.0,
+            },
+        ];
+        let mut reach = QueryReach::new();
+        let mut out = Vec::new();
+        assert!(RangeFilter::DijkstraSweep.users_within_with_ticker(
+            &net,
+            &q,
+            2.0,
+            &users,
+            None,
+            &mut FilterScratch::new(),
+            &mut out,
+            &mut BudgetTicker::unlimited(),
+            Some(&mut reach),
+        ));
+        assert_eq!(out, [true, false]);
+        assert_eq!(reach.distance_bound(2), Some(f64::INFINITY));
+        // t + 0.125 - t, below the true 0.1875 (and far below 4.875).
+        assert_eq!(reach.slack(), 0.125);
+        // A cut of 0.1875 on vertex 2's route brings the user to exactly t,
+        // where it is kept: the recorded slack must not admit that drift.
+        net.set_edge_weight(3, 2, 0.875).unwrap();
+        assert_eq!(
+            RangeFilter::DijkstraSweep.users_within(&net, &q, 2.0, &users),
+            [true, true]
+        );
+        assert!(reach.slack() < 0.1875 + reuse_margin(2.0));
     }
 
     #[test]

@@ -169,8 +169,9 @@ fn slack(road: &RoadNetwork, locations: &[Location], query: &MacQuery) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// A reweight of an edge no user sits on, by exactly `drift` (or `None`
-/// when every candidate edge is occupied).
+/// A reweight of an edge no user sits on, by exactly `drift` up or down —
+/// down only while the weight stays positive — (or `None` when every
+/// candidate edge is occupied).
 fn reweight_by(
     edges: &mut [(u32, u32, f64)],
     locations: &[Location],
@@ -186,8 +187,13 @@ fn reweight_by(
         let idx = rng.random_range(0..edges.len());
         let (u, v, w) = edges[idx];
         if !occupied(u, v) {
-            edges[idx].2 = w + drift;
-            return Some(NetworkDelta::new().reweight_edge(u, v, w + drift));
+            let to = if w > drift && rng.random_bool(0.5) {
+                w - drift
+            } else {
+                w + drift
+            };
+            edges[idx].2 = to;
+            return Some(NetworkDelta::new().reweight_edge(u, v, to));
         }
     }
     None
@@ -237,10 +243,10 @@ proptest! {
     /// Interleaves cached serving with update batches: on every epoch, two
     /// passes over the workload (the second pass served from the cache) must
     /// both equal a fresh cache-less session opened on the same epoch. The
-    /// batches cycle through random traffic, a reweight of a quarter of the
-    /// hot query's slack, a reweight of exactly its slack, and moves of one
-    /// of its users across `t`, outward and inward, each of which must drop
-    /// its entry.
+    /// batches cycle through random traffic, a reweight (up or down) of a
+    /// quarter of the hot query's slack, one of exactly its slack, and moves
+    /// of one of its users across `t`, outward and inward, each of which
+    /// must drop its entry.
     #[test]
     fn cached_queries_equal_fresh_rebuilds_across_update_interleavings(seed in 0u64..200) {
         let indexed = seed % 2 == 0;
@@ -388,6 +394,80 @@ fn sub_slack_updates_keep_entries_and_updates_across_t_drop_them() {
     assert_eq!(
         (stats.drift_expiries, stats.epoch_invalidations),
         (1, 1),
+        "{stats:?}"
+    );
+}
+
+/// A dropped on-edge user whose near endpoint lies inside `t` and whose far
+/// endpoint the bounded sweep leaves unsettled: the filter reads the user's
+/// distance through the near endpoint, far above the true one. A cut on the
+/// far endpoint's route, well below the kept users' slack but above the
+/// dropped user's true slack, brings it inside `t` — the entry must drop and
+/// the answer must change with it.
+#[test]
+fn a_cut_behind_an_unsettled_endpoint_drops_the_entry() {
+    // Road: 0 -1.875- 1 -5.125- 2 and 0 -1- 3 -1.0625- 2, so vertex 2 lies
+    // at 2.0625 > t = 2. Users 0..3 sit at vertex 0; user 4 sits 0.125 short
+    // of vertex 2 on edge 1-2, at true distance 2.1875 (6.875 through 1).
+    let road = RoadNetwork::from_edges(
+        4,
+        &[(0, 1, 1.875), (1, 2, 5.125), (0, 3, 1.0), (3, 2, 1.0625)],
+    );
+    // K5 on users 0..4: with user 4 kept the 3-core grows by one.
+    let pairs: Vec<(u32, u32)> = (0..5u32)
+        .flat_map(|a| (a + 1..5).map(move |b| (a, b)))
+        .collect();
+    let social = road_social_mac::graph::graph::Graph::from_edges(5, &pairs);
+    let mut locations = vec![Location::vertex(0); 5];
+    locations[4] = Location::OnEdge {
+        u: 1,
+        v: 2,
+        offset: 5.0,
+    };
+    let attrs = vec![
+        vec![5.0, 1.0],
+        vec![4.0, 2.0],
+        vec![3.0, 3.0],
+        vec![2.0, 4.0],
+        vec![9.0, 9.0],
+    ];
+    let rsn = RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
+    let region = PrefRegion::from_ranges(&[(0.3, 0.7)]).unwrap();
+    let query = MacQuery::new(vec![0], 3, 2.0, region)
+        .with_algorithm(AlgorithmChoice::Global)
+        .with_range_filter(RangeFilterChoice::DijkstraSweep);
+    let engine = MacEngine::build_uncalibrated(rsn);
+    let mut cached = engine.session().with_context_cache(4);
+    let before = cached.execute(&query).unwrap();
+    assert!(!before.is_empty());
+
+    // A cut of 0.25 on the user-free edge 3-2: drift 0.25, below the kept
+    // users' slack of 2; user 4 ends at 1.9375 <= t.
+    engine
+        .apply_updates(&NetworkDelta::new().reweight_edge(3, 2, 0.8125))
+        .unwrap();
+    let fresh = engine.session().execute(&query).unwrap();
+    let members = |r: &MacSearchResult| {
+        r.cells
+            .iter()
+            .flat_map(|c| c.communities.iter().flat_map(|m| m.vertices.clone()))
+            .collect::<std::collections::BTreeSet<_>>()
+    };
+    assert!(
+        members(&fresh).contains(&4),
+        "user 4 is inside t after the cut"
+    );
+    assert_ne!(
+        members(&before),
+        members(&fresh),
+        "the cut changes the answer"
+    );
+    let after = cached.execute(&query).unwrap();
+    assert_results_identical("after a cut behind an unsettled endpoint", &after, &fresh);
+    let stats = cached.context_cache_stats().unwrap();
+    assert_eq!(
+        (stats.drift_expiries, stats.outcome_hits),
+        (1, 0),
         "{stats:?}"
     );
 }

@@ -11,7 +11,6 @@
 //! which algorithm wins, by roughly what factor, and how costs scale in each
 //! parameter — are the reproduction target, not absolute seconds.
 
-pub mod legacy;
 pub mod params;
 pub mod runner;
 

@@ -58,6 +58,7 @@
 //!   steal: a donated `Visit` samples its cell afresh on the thief. Tasks,
 //!   budget charges, `partitions_explored` and DFS paths are as for a
 //!   re-arranged cell, so budgeted prefixes do not change.
+//!   [`SearchStats::unsplit_arrangements`] counts these arrangements.
 //!
 //! The worker count is the session's
 //! [`ExecutionPolicy::parallelism`](crate::policy::ExecutionPolicy::parallelism);
@@ -72,7 +73,6 @@ use crate::result::{BudgetedRun, CellResult, Community, MacSearchResult, SearchS
 use rsn_geom::cell::Cell;
 use rsn_geom::halfspace::HalfSpace;
 use rsn_geom::partition::{arrange_into, ArrangeScratch};
-use rsn_geom::region::PrefRegion;
 use rsn_graph::subgraph::{Checkpoint, SubgraphView, ViewScratch};
 use rsn_road::budget::{BudgetTicker, SharedBudget, WorkerTicker};
 use std::collections::HashMap;
@@ -256,10 +256,6 @@ pub(crate) struct GsScratch {
     out_buf: Vec<CellResult>,
 }
 
-pub(crate) fn empty_cell() -> Cell {
-    Cell::from_region(&PrefRegion::from_ranges(&[]).expect("empty region is valid"))
-}
-
 impl Default for GsScratch {
     fn default() -> Self {
         GsScratch {
@@ -279,7 +275,7 @@ impl Default for GsScratch {
             sample_buf: Vec::new(),
             sub_cells: Vec::new(),
             alive_buf: Vec::new(),
-            root_cell: empty_cell(),
+            root_cell: Cell::default(),
             spare_results: Vec::new(),
             spare_communities: Vec::new(),
             out_buf: Vec::new(),
@@ -670,6 +666,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             )
         };
         self.stats.partitions_explored += n;
+        self.stats.unsplit_arrangements += usize::from(n == 1);
         leaves0
     }
 
@@ -1054,6 +1051,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             )
         };
         self.stats.partitions_explored += n;
+        self.stats.unsplit_arrangements += usize::from(n == 1);
         let GsScratch {
             sub_cells, stack, ..
         } = &mut *self.scratch;
@@ -1165,7 +1163,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             .spare_results
             .pop()
             .unwrap_or_else(|| CellResult {
-                cell: empty_cell(),
+                cell: Cell::default(),
                 sample_weight: Vec::new(),
                 communities: Vec::new(),
             });

@@ -27,7 +27,7 @@ use crate::policy::resolve_workers;
 use crate::result::{BudgetedRun, CellResult, MacSearchResult, SearchStats};
 use rsn_geom::cell::Cell;
 use rsn_geom::halfspace::HalfSpace;
-use rsn_geom::partition::PartitionTree;
+use rsn_geom::partition::{arrange_into, ArrangeScratch};
 use rsn_graph::subgraph::SubgraphView;
 use rsn_road::budget::BudgetTicker;
 use std::collections::HashSet;
@@ -477,18 +477,16 @@ fn verify(ctx: &SearchContext<'_>, cand: &[u32], stats: &mut SearchStats) -> Vec
 
     // Arrangement of the competitor half-spaces inside R, keeping the
     // cells where every constraint holds.
+    let mut scratch = ArrangeScratch::new();
+    let mut leaves = Vec::new();
     let base = Cell::from_region(&ctx.query.region);
-    let mut tree = PartitionTree::new(base);
-    for hs in &halfspaces {
-        tree.insert(hs);
-        stats.halfspace_insertions += 1;
-    }
+    arrange_into(&mut scratch, base, &halfspaces, &mut leaves);
+    stats.halfspace_insertions += halfspaces.len();
     stats.memory_bytes = stats
         .memory_bytes
-        .max(ctx.gd.memory_bytes() + tree.memory_bytes());
+        .max(ctx.gd.memory_bytes() + scratch.tree_bytes(&leaves));
 
     let mut results = Vec::new();
-    let leaves = tree.leaves();
     stats.partitions_explored += leaves.len();
     for cell in leaves {
         let Some(sample) = cell.sample_point() else {
@@ -502,7 +500,7 @@ fn verify(ctx: &SearchContext<'_>, cand: &[u32], stats: &mut SearchStats) -> Vec
         // Final confirmation against the fixed-weight peeling oracle.
         let oracle = peel_at_weight(ctx, &sample);
         if oracle.final_vertices == cand {
-            results.push((cell.clone(), sample));
+            results.push((cell, sample));
         }
     }
     results

@@ -15,6 +15,7 @@
 use crate::engine::AlgorithmChoice;
 use crate::global::GsScratch;
 use crate::result::{CellResult, Community, MacSearchResult, SearchStats};
+use rsn_geom::cell::Cell;
 use std::collections::HashMap;
 
 /// End offsets of one cell's runs in the flat arrays of a
@@ -222,7 +223,7 @@ impl CompactOutcome {
             let poly = self.has_poly.then(|| &self.poly[p0..p1]);
             let cell = arrange.build_cell(&self.lows, &self.highs, planes, poly);
             let mut res = spare_results.pop().unwrap_or_else(|| CellResult {
-                cell: crate::global::empty_cell(),
+                cell: Cell::default(),
                 sample_weight: Vec::new(),
                 communities: Vec::new(),
             });

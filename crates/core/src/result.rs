@@ -61,6 +61,10 @@ pub struct SearchStats {
     pub kt_core_edges: usize,
     /// Number of partitions of `R` materialized during the search.
     pub partitions_explored: usize,
+    /// Number of global-search arrangements that no half-space split
+    /// (Algorithm 2, lines 1–2): their cell passes through as its own single
+    /// sub-partition. Always 0 for the local search.
+    pub unsplit_arrangements: usize,
     /// Number of distinct half-spaces computed.
     pub halfspaces_computed: usize,
     /// Number of half-space insertions into arrangements.
@@ -88,6 +92,7 @@ impl SearchStats {
     /// root's values.
     pub fn merge_worker(&mut self, worker: &SearchStats) {
         self.partitions_explored += worker.partitions_explored;
+        self.unsplit_arrangements += worker.unsplit_arrangements;
         self.halfspaces_computed += worker.halfspaces_computed;
         self.halfspace_insertions += worker.halfspace_insertions;
         self.candidates_generated += worker.candidates_generated;

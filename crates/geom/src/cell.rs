@@ -34,7 +34,10 @@ pub enum CellSide {
 /// O(#vertices) affine evaluations instead of dense-simplex LP solves, which
 /// is where the global search spent almost all of its time. Other
 /// dimensionalities fall back to the LP path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Cell::default()` is the cell of the zero-dimensional region (no bounds,
+/// no constraints), the husk that pooled cells start from.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     lows: Vec<f64>,
     highs: Vec<f64>,
@@ -46,24 +49,9 @@ pub struct Cell {
 impl Cell {
     /// The cell covering the whole region `R`.
     pub fn from_region(region: &PrefRegion) -> Self {
-        let lows = region.lows().to_vec();
-        let highs = region.highs().to_vec();
-        let poly = if lows.len() == 2 {
-            Some(vec![
-                (lows[0], lows[1]),
-                (highs[0], lows[1]),
-                (highs[0], highs[1]),
-                (lows[0], highs[1]),
-            ])
-        } else {
-            None
-        };
-        Cell {
-            lows,
-            highs,
-            constraints: Vec::new(),
-            poly,
-        }
+        let mut cell = Cell::default();
+        cell.assign_region(region);
+        cell
     }
 
     /// In-place variant of [`Cell::from_region`]: refills this cell reusing
@@ -102,11 +90,13 @@ impl Cell {
         );
     }
 
-    /// In-place variant of [`Cell::with_halfspace`]: makes `self` the clip of
-    /// `src` by `hs` (or by `¬hs` when `negate` is set, bitwise identical to
-    /// clipping by [`HalfSpace::negated`]), reusing `self`'s buffers. Excess
-    /// constraint half-spaces are parked in `spare` and missing ones are
-    /// recovered from it, so pooled cells cycle without heap traffic.
+    /// Makes `self` the clip of `src` by the half-space `hs` — or by its
+    /// complement when `negate` is set, bitwise identical to clipping by
+    /// [`HalfSpace::negated`] — reusing `self`'s buffers: `src`'s constraints
+    /// plus `hs` (or `¬hs`) last, and on the 2-D path `src`'s polygon clipped
+    /// Sutherland–Hodgman style. Excess constraint half-spaces are parked in
+    /// `spare` and missing ones are recovered from it, so pooled cells cycle
+    /// without heap traffic.
     pub fn assign_clip(
         &mut self,
         src: &Cell,
@@ -214,26 +204,6 @@ impl Cell {
             }
             None => self.poly = None,
         }
-    }
-
-    /// Drops the cached vertex representation, forcing this cell (and every
-    /// cell derived from it) onto the dense-LP path. A reference knob — the
-    /// legacy GS replica in `rsn-bench` (`legacy_gs_nc` with `lp_cells`) uses
-    /// it to run the pre-optimization configuration; results are identical
-    /// either way.
-    pub fn disable_vertex_cache(mut self) -> Self {
-        self.poly = None;
-        self
-    }
-
-    /// A new cell with the half-space `f(w) ≥ 0` added as a constraint.
-    pub fn with_halfspace(&self, hs: HalfSpace) -> Cell {
-        let mut cell = self.clone();
-        if let Some(poly) = &cell.poly {
-            cell.poly = Some(clip_polygon(poly, &hs));
-        }
-        cell.constraints.push(hs);
-        cell
     }
 
     /// Approximate memory footprint in bytes (Fig. 11(d) accounting).
@@ -400,62 +370,14 @@ impl Cell {
     /// deterministically (smallest id), so the cell's community is still
     /// enumerated instead of being silently dropped from the arrangement.
     pub fn sample_point(&self) -> Option<Vec<f64>> {
-        let dim = self.dim();
-        if dim == 0 {
-            return if self.is_empty() {
-                None
-            } else {
-                Some(Vec::new())
-            };
-        }
-        if let Some(poly) = &self.poly {
-            if poly.is_empty() {
-                return None;
-            }
-            // Average of the clip vertices: a point of the cell by convexity,
-            // numerically stable even when the polygon is a segment or point.
-            let inv = 1.0 / poly.len() as f64;
-            let avg = poly
-                .iter()
-                .fold((0.0, 0.0), |(x, y), &(px, py)| (x + px * inv, y + py * inv));
-            // Prefer the area centroid (better centred), but only when it is
-            // numerically trustworthy — the centroid formula divides by the
-            // signed area and goes haywire on near-degenerate slivers.
-            let base = match polygon_centroid(poly) {
-                Some(c) if self.min_slack(&[c.0, c.1]) >= self.min_slack(&[avg.0, avg.1]) => c,
-                _ => avg,
-            };
-            return Some(self.perturb_to_interior(vec![base.0, base.1]));
-        }
-        let (a, b) = self.lp_constraints();
-        let mut acc = vec![0.0; dim];
-        let mut count = 0usize;
-        for i in 0..dim {
-            for sign in [1.0, -1.0] {
-                let mut c = vec![0.0; dim];
-                c[i] = sign;
-                match lp::maximize(&c, &a, &b) {
-                    LpOutcome::Optimal { point, .. } => {
-                        for (j, &x) in point.iter().enumerate() {
-                            acc[j] += x;
-                        }
-                        count += 1;
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        if count == 0 {
-            return None;
-        }
-        let point: Vec<f64> = acc.into_iter().map(|x| x / count as f64).collect();
-        Some(self.perturb_to_interior(point))
+        let mut out = Vec::new();
+        self.sample_point_into(&mut out).then_some(out)
     }
 
-    /// Allocation-free variant of [`Cell::sample_point`] on the 2-D polygon
-    /// fast path: writes the representative into `out` and returns whether one
-    /// exists. Other dimensionalities (and polygon-less cells) fall back to
-    /// the allocating LP path and copy the result into `out`.
+    /// [`Cell::sample_point`] into a caller-held buffer: writes the
+    /// representative into `out` and returns whether one exists. The 2-D
+    /// polygon fast path runs on stack arrays and performs no heap
+    /// allocation; the LP path allocates its constraint system.
     ///
     /// The point is a function of the cell's bits alone, so a caller holding
     /// the sample of a cell may reuse it for any bitwise-equal cell — the
@@ -471,28 +393,50 @@ impl Cell {
             if poly.is_empty() {
                 return false;
             }
+            // Average of the clip vertices: a point of the cell by convexity,
+            // numerically stable even when the polygon is a segment or point.
             let inv = 1.0 / poly.len() as f64;
             let avg = poly
                 .iter()
                 .fold((0.0, 0.0), |(x, y), &(px, py)| (x + px * inv, y + py * inv));
+            // Prefer the area centroid (better centred), but only when it is
+            // numerically trustworthy — the centroid formula divides by the
+            // signed area and goes haywire on near-degenerate slivers.
             let base = match polygon_centroid(poly) {
                 Some(c) if self.min_slack(&[c.0, c.1]) >= self.min_slack(&[avg.0, avg.1]) => c,
                 _ => avg,
             };
-            let p = self.perturb_to_interior2([base.0, base.1]);
+            let (mut p, mut dir, mut cand) = ([0.0; 2], [0.0; 2], [0.0; 2]);
+            self.perturb_to_interior(&[base.0, base.1], &mut p, &mut dir, &mut cand);
             out.clear();
-            out.push(p[0]);
-            out.push(p[1]);
+            out.extend_from_slice(&p);
             return true;
         }
-        match self.sample_point() {
-            Some(p) => {
-                out.clear();
-                out.extend_from_slice(&p);
-                true
+        let (a, b) = self.lp_constraints();
+        let mut acc = vec![0.0; dim];
+        let mut count = 0usize;
+        for i in 0..dim {
+            for sign in [1.0, -1.0] {
+                let mut c = vec![0.0; dim];
+                c[i] = sign;
+                match lp::maximize(&c, &a, &b) {
+                    LpOutcome::Optimal { point, .. } => {
+                        for (j, &x) in point.iter().enumerate() {
+                            acc[j] += x;
+                        }
+                        count += 1;
+                    }
+                    _ => return false,
+                }
             }
-            None => false,
         }
+        let point: Vec<f64> = acc.into_iter().map(|x| x / count as f64).collect();
+        let mut scratch = vec![0.0; 2 * dim];
+        let (dir, cand) = scratch.split_at_mut(dim);
+        out.clear();
+        out.resize(dim, 0.0);
+        self.perturb_to_interior(&point, out, dir, cand);
+        true
     }
 
     /// Minimum gradient-normalized slack of the point over every half-space
@@ -513,25 +457,32 @@ impl Cell {
         slack
     }
 
-    /// Symbolic-perturbation step: starting from a point *of* the cell, nudge
-    /// it towards the feasible side of every near-tight constraint and keep
-    /// the candidate with the largest minimum slack. A flat sliver (opposing
-    /// tight constraints whose gradients cancel) stays where it is — its
-    /// relative interior *is* the boundary, and that point is the correct
-    /// symbolic limit.
-    fn perturb_to_interior(&self, point: Vec<f64>) -> Vec<f64> {
-        let base_slack = self.min_slack(&point);
+    /// Symbolic-perturbation step: starting from a `point` *of* the cell,
+    /// nudge it towards the feasible side of every near-tight constraint and
+    /// write the candidate with the largest minimum slack into `best`. A flat
+    /// sliver (opposing tight constraints whose gradients cancel) stays where
+    /// it is — its relative interior *is* the boundary, and that point is the
+    /// correct symbolic limit. `best`, `dir` and `cand` are caller-held
+    /// buffers of the cell's dimension.
+    fn perturb_to_interior(
+        &self,
+        point: &[f64],
+        best: &mut [f64],
+        dir: &mut [f64],
+        cand: &mut [f64],
+    ) {
+        best.copy_from_slice(point);
+        let base_slack = self.min_slack(point);
         if base_slack > EPS {
-            return point;
+            return;
         }
         // Sum of unit gradients of the near-tight half-spaces: the direction
         // that increases every pinching constraint at once (when one exists).
         let tight = 16.0 * EPS;
-        let dim = self.dim();
-        let mut dir = vec![0.0f64; dim];
+        dir.fill(0.0);
         for hs in &self.constraints {
             let norm = hs.coeffs.iter().map(|c| c * c).sum::<f64>().sqrt();
-            if norm > 0.0 && hs.eval(&point) / norm <= tight {
+            if norm > 0.0 && hs.eval(point) / norm <= tight {
                 for (d, &c) in dir.iter_mut().zip(&hs.coeffs) {
                     *d += c / norm;
                 }
@@ -548,7 +499,7 @@ impl Cell {
         let len = dir.iter().map(|d| d * d).sum::<f64>().sqrt();
         if len <= EPS {
             // Gradients cancel: a genuinely flat sliver with no interior.
-            return point;
+            return;
         }
         let scale: f64 = self
             .highs
@@ -557,80 +508,19 @@ impl Cell {
             .map(|(h, l)| h - l)
             .fold(0.0, f64::max)
             .max(1.0);
-        let mut best = point.clone();
         let mut best_slack = base_slack;
         for k in 0..8 {
             let eps = scale * EPS * 4.0f64.powi(k);
-            let cand: Vec<f64> = point
-                .iter()
-                .zip(&dir)
-                .map(|(&p, &d)| p + eps * d / len)
-                .collect();
-            let slack = self.min_slack(&cand);
+            for ((c, &p), &d) in cand.iter_mut().zip(point).zip(&*dir) {
+                *c = p + eps * d / len;
+            }
+            let slack = self.min_slack(cand);
             if slack > best_slack {
                 best_slack = slack;
-                best = cand;
+                best.copy_from_slice(cand);
             }
         }
-        best
     }
-
-    /// Stack-array transcription of [`Cell::perturb_to_interior`] for the 2-D
-    /// fast path: identical arithmetic in identical order, zero heap traffic.
-    fn perturb_to_interior2(&self, point: [f64; 2]) -> [f64; 2] {
-        let base_slack = self.min_slack(&point);
-        if base_slack > EPS {
-            return point;
-        }
-        let tight = 16.0 * EPS;
-        let mut dir = [0.0f64; 2];
-        for hs in &self.constraints {
-            let norm = hs.coeffs.iter().map(|c| c * c).sum::<f64>().sqrt();
-            if norm > 0.0 && hs.eval(&point) / norm <= tight {
-                for (d, &c) in dir.iter_mut().zip(&hs.coeffs) {
-                    *d += c / norm;
-                }
-            }
-        }
-        for (i, d) in dir.iter_mut().enumerate() {
-            if point[i] - self.lows[i] <= tight {
-                *d += 1.0;
-            }
-            if self.highs[i] - point[i] <= tight {
-                *d -= 1.0;
-            }
-        }
-        let len = dir.iter().map(|d| d * d).sum::<f64>().sqrt();
-        if len <= EPS {
-            return point;
-        }
-        let scale: f64 = self
-            .highs
-            .iter()
-            .zip(&self.lows)
-            .map(|(h, l)| h - l)
-            .fold(0.0, f64::max)
-            .max(1.0);
-        let mut best = point;
-        let mut best_slack = base_slack;
-        for k in 0..8 {
-            let eps = scale * EPS * 4.0f64.powi(k);
-            let cand = [point[0] + eps * dir[0] / len, point[1] + eps * dir[1] / len];
-            let slack = self.min_slack(&cand);
-            if slack > best_slack {
-                best_slack = slack;
-                best = cand;
-            }
-        }
-        best
-    }
-}
-
-/// Sutherland–Hodgman clip of a convex polygon against `f(w) ≥ 0`.
-fn clip_polygon(poly: &[(f64, f64)], hs: &HalfSpace) -> Vec<(f64, f64)> {
-    let mut out = Vec::with_capacity(poly.len() + 1);
-    clip_polygon_into(poly, hs, false, &mut out);
-    out
 }
 
 /// Buffer-reusing Sutherland–Hodgman clip against `f(w) ≥ 0` — or against the
@@ -690,6 +580,23 @@ mod tests {
         Cell::from_region(&PrefRegion::from_ranges(&[(0.1, 0.5), (0.2, 0.4)]).unwrap())
     }
 
+    /// `cell` clipped by `hs` (by `¬hs` when `negate` is set).
+    fn clip(cell: &Cell, hs: &HalfSpace, negate: bool) -> Cell {
+        let mut out = Cell::default();
+        out.assign_clip(cell, hs, negate, &mut Vec::new());
+        out
+    }
+
+    /// Whether `p` lies inside the counter-clockwise convex polygon (a
+    /// polygon of fewer than three vertices has no inside).
+    fn in_polygon(poly: &[(f64, f64)], p: &[f64]) -> bool {
+        poly.len() >= 3
+            && (0..poly.len()).all(|i| {
+                let (a, b) = (poly[i], poly[(i + 1) % poly.len()]);
+                (b.0 - a.0) * (p[1] - a.1) - (b.1 - a.1) * (p[0] - a.0) >= 0.0
+            })
+    }
+
     #[test]
     fn region_cell_contains_and_samples() {
         let cell = paper_cell();
@@ -718,10 +625,10 @@ mod tests {
     }
 
     #[test]
-    fn with_halfspace_restricts_cell() {
+    fn clip_restricts_cell() {
         let cell = paper_cell();
         let hs = HalfSpace::new(vec![1.0, 0.0], -0.3); // w1 >= 0.3
-        let sub = cell.with_halfspace(hs.clone());
+        let sub = clip(&cell, &hs, false);
         assert!(sub.contains(&[0.4, 0.3]));
         assert!(!sub.contains(&[0.2, 0.3]));
         assert!(!sub.is_empty());
@@ -729,7 +636,7 @@ mod tests {
         // the sub-cell is now entirely on the positive side
         assert_eq!(sub.classify(&hs), CellSide::Positive);
         // further restricting by the negation empties it
-        let empty = sub.with_halfspace(hs.negated());
+        let empty = clip(&sub, &hs, true);
         // only the measure-zero boundary w1 = 0.3 remains; min/max of any
         // genuine direction collapses
         let w1 = HalfSpace::new(vec![1.0, 0.0], 0.0);
@@ -742,7 +649,7 @@ mod tests {
     fn empty_cell_detection() {
         let cell = paper_cell();
         // w1 >= 0.8 is outside the box entirely
-        let impossible = cell.with_halfspace(HalfSpace::new(vec![1.0, 0.0], -0.8));
+        let impossible = clip(&cell, &HalfSpace::new(vec![1.0, 0.0], -0.8), false);
         assert!(impossible.is_empty());
         assert_eq!(
             impossible.classify(&HalfSpace::new(vec![0.0, 1.0], 0.0)),
@@ -765,15 +672,16 @@ mod tests {
         let cell = Cell::from_region(&region);
         assert!(!cell.is_empty());
         assert_eq!(cell.sample_point(), Some(vec![]));
-        let bad = cell.with_halfspace(HalfSpace::new(vec![], -1.0));
+        assert_eq!(cell, Cell::default());
+        let bad = clip(&cell, &HalfSpace::new(vec![], -1.0), false);
         assert!(bad.is_empty());
-        let good = cell.with_halfspace(HalfSpace::new(vec![], 2.0));
+        let good = clip(&cell, &HalfSpace::new(vec![], 2.0), false);
         assert!(!good.is_empty());
     }
 
     #[test]
     fn memory_accounting_positive() {
-        let cell = paper_cell().with_halfspace(HalfSpace::new(vec![1.0, 0.0], -0.3));
+        let cell = clip(&paper_cell(), &HalfSpace::new(vec![1.0, 0.0], -0.3), false);
         assert!(cell.memory_bytes() > 0);
     }
 
@@ -784,10 +692,10 @@ mod tests {
     #[test]
     fn sliver_cells_recover_a_sample() {
         let hs = HalfSpace::new(vec![1.0, 0.0], -0.3); // w1 >= 0.3
-        let sliver = paper_cell()
-            .with_halfspace(hs.clone())
-            .with_halfspace(hs.negated());
-        for cell in [sliver.clone(), sliver.clone().disable_vertex_cache()] {
+        let sliver = clip(&clip(&paper_cell(), &hs, false), &hs, true);
+        let mut lp_sliver = sliver.clone();
+        lp_sliver.poly = None;
+        for cell in [sliver, lp_sliver] {
             let p = cell
                 .sample_point()
                 .expect("measure-zero sliver must still yield a witness");
@@ -801,10 +709,12 @@ mod tests {
 
         // A near-flat (but positive-measure) sliver must also yield a strictly
         // feasible sample: the perturbation pushes off the squeezing walls.
-        let thin = paper_cell()
-            .with_halfspace(HalfSpace::new(vec![1.0, 0.0], -0.3)) // w1 >= 0.3
-            .with_halfspace(HalfSpace::new(vec![-1.0, 0.0], 0.3 + 1e-11)); // w1 <= 0.3 + 1e-11
-        for cell in [thin.clone(), thin.clone().disable_vertex_cache()] {
+        let at_least = HalfSpace::new(vec![1.0, 0.0], -0.3); // w1 >= 0.3
+        let at_most = HalfSpace::new(vec![-1.0, 0.0], 0.3 + 1e-11); // w1 <= 0.3 + 1e-11
+        let thin = clip(&clip(&paper_cell(), &at_least, false), &at_most, false);
+        let mut lp_thin = thin.clone();
+        lp_thin.poly = None;
+        for cell in [thin, lp_thin] {
             let p = cell
                 .sample_point()
                 .expect("thin sliver must still yield a witness");
@@ -812,56 +722,69 @@ mod tests {
         }
     }
 
-    /// The pooled in-place builders must reproduce their allocating
-    /// counterparts bit-for-bit, across repeated reuse of the same husk.
+    /// `assign_clip` keeps exactly the base's points on the chosen side. On
+    /// random bases (a box cut by random clips, 2-D polygon path and 3-D LP
+    /// path) and random half-spaces, a point drawn from the box lies in the
+    /// clip iff it lies in the base and on the chosen side; on the 2-D path
+    /// the clip's polygon holds exactly the same points. Points within 1e-6
+    /// of a boundary are skipped. One husk and one spare pool serve every
+    /// clip, so leftovers of an earlier clip must not leak into a later one.
     #[test]
-    fn pooled_assign_matches_allocating_builders() {
+    fn assign_clip_keeps_exactly_the_chosen_side() {
         use rand::prelude::*;
         use rand::rngs::StdRng;
         let mut rng = StdRng::seed_from_u64(0xCE11);
-        let mut husk = paper_cell(); // any starting state; gets overwritten
+        let mut husk = Cell::default();
         let mut spare = Vec::new();
-        let mut sample_buf = Vec::new();
-        for _ in 0..100 {
-            let region = PrefRegion::from_ranges(&[(0.05, 0.55), (0.1, 0.45)]).unwrap();
-            let mut cell = Cell::from_region(&region);
-            husk.assign_region(&region);
-            assert_eq!(husk, cell);
-            for _ in 0..rng.random_range(0..5usize) {
-                let hs = HalfSpace::new(
-                    vec![rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)],
+        let mut checked = 0usize;
+        for round in 0..100 {
+            let ranges: &[(f64, f64)] = if round % 2 == 0 {
+                &[(0.05, 0.55), (0.1, 0.45)]
+            } else {
+                &[(0.05, 0.35), (0.1, 0.3), (0.0, 0.25)]
+            };
+            let dim = ranges.len();
+            let random_hs = |rng: &mut StdRng| {
+                HalfSpace::new(
+                    (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect(),
                     rng.random_range(-0.6..0.6),
-                );
-                let negate = rng.random_bool(0.5);
-                let reference = if negate {
-                    cell.with_halfspace(hs.negated())
-                } else {
-                    cell.with_halfspace(hs.clone())
-                };
-                husk.assign_clip(&cell, &hs, negate, &mut spare);
-                assert_eq!(husk, reference, "assign_clip diverged from with_halfspace");
-                cell = reference;
-                // keep husk distinct from cell for the next round
-                husk.assign_region(&region);
-                husk.assign_clip(&cell, &hs, false, &mut spare);
-                husk.assign_clip(&cell, &hs, negate, &mut spare);
-                assert_eq!(
-                    husk,
-                    if negate {
-                        cell.with_halfspace(hs.negated())
-                    } else {
-                        cell.with_halfspace(hs)
-                    }
-                );
+                )
+            };
+            let mut base = Cell::from_region(&PrefRegion::from_ranges(ranges).unwrap());
+            for _ in 0..rng.random_range(0..4usize) {
+                let hs = random_hs(&mut rng);
+                base = clip(&base, &hs, rng.random_bool(0.5));
             }
-            match cell.sample_point() {
-                Some(p) => {
-                    assert!(cell.sample_point_into(&mut sample_buf));
-                    assert_eq!(sample_buf, p, "sample_point_into diverged");
+            let hs = random_hs(&mut rng);
+            let negate = rng.random_bool(0.5);
+            husk.assign_clip(&base, &hs, negate, &mut spare);
+            assert_eq!(husk, clip(&base, &hs, negate), "round {round}: husk leaked");
+            assert_eq!(husk.constraints().len(), base.constraints().len() + 1);
+            for _ in 0..200 {
+                let p: Vec<f64> = ranges
+                    .iter()
+                    .map(|&(lo, hi)| rng.random_range(lo..hi))
+                    .collect();
+                if hs.eval(&p).abs() <= 1e-6 || base.min_slack(&p).abs() <= 1e-6 {
+                    continue;
                 }
-                None => assert!(!cell.sample_point_into(&mut sample_buf)),
+                checked += 1;
+                let side = (hs.eval(&p) > 0.0) != negate;
+                let expected = base.contains(&p) && side;
+                assert_eq!(husk.contains(&p), expected, "round {round}: {p:?}");
+                if let Some(poly) = husk.polygon() {
+                    assert_eq!(
+                        in_polygon(poly, &p),
+                        expected,
+                        "round {round}: polygon at {p:?}"
+                    );
+                }
+            }
+            if let Some(p) = husk.sample_point() {
+                assert!(husk.contains(&p), "round {round}: sample escapes the clip");
             }
         }
+        assert!(checked > 10_000, "only {checked} points checked");
     }
 
     /// The 2-D polygon fast path must agree with the dense-LP fallback on
@@ -880,7 +803,7 @@ mod tests {
                     rng.random_range(-0.6..0.6),
                 );
                 if cell.classify(&hs) == CellSide::Straddles {
-                    cell = cell.with_halfspace(hs);
+                    cell = clip(&cell, &hs, false);
                 }
             }
             let probe = HalfSpace::new(

@@ -33,22 +33,14 @@ impl HalfSpace {
     /// The half-space `S(favored) ≥ S(other)` for two `d`-dimensional
     /// attribute vectors.
     pub fn score_at_least(favored: &[f64], other: &[f64]) -> Self {
-        debug_assert_eq!(favored.len(), other.len());
-        let d = favored.len();
-        let xd_f = favored[d - 1];
-        let xd_o = other[d - 1];
-        let coeffs = (0..d - 1)
-            .map(|i| (favored[i] - xd_f) - (other[i] - xd_o))
-            .collect();
-        HalfSpace {
-            coeffs,
-            offset: xd_f - xd_o,
-        }
+        let mut hs = HalfSpace::new(Vec::new(), 0.0);
+        hs.assign_score_at_least(favored, other);
+        hs
     }
 
-    /// In-place variant of [`HalfSpace::score_at_least`]: refills this
-    /// half-space reusing its coefficient buffer, so pooled half-spaces can be
-    /// recycled across queries without reallocating.
+    /// [`HalfSpace::score_at_least`] in place: refills this half-space
+    /// reusing its coefficient buffer, so pooled half-spaces can be recycled
+    /// across queries without reallocating.
     pub fn assign_score_at_least(&mut self, favored: &[f64], other: &[f64]) {
         debug_assert_eq!(favored.len(), other.len());
         let d = favored.len();

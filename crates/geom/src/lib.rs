@@ -21,7 +21,9 @@
 //! * [`lp`] — a small dense two-phase simplex solver used to classify general
 //!   convex cells against half-spaces.
 //! * [`cell::Cell`] — a convex sub-partition of `R` in H-representation.
-//! * [`partition`] — the binary arrangement index of Algorithm 2.
+//! * [`partition`] — the binary arrangement index of Algorithm 2, built in
+//!   a recyclable [`ArrangeScratch`] by [`arrange_into`]; the global and the
+//!   local search both arrange through it.
 
 pub mod cell;
 pub mod halfspace;
@@ -33,7 +35,7 @@ pub mod weights;
 
 pub use cell::{Cell, CellSide};
 pub use halfspace::HalfSpace;
-pub use partition::{arrange, arrange_into, ArrangeScratch, PartitionTree};
+pub use partition::{arrange_into, ArrangeScratch};
 pub use rdominance::{r_dominance, DominanceRelation};
 pub use region::PrefRegion;
 pub use weights::WeightVector;

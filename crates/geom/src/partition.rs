@@ -1,128 +1,17 @@
 //! The binary arrangement index of Algorithm 2.
 //!
 //! The global search partitions (sub-regions of) `R` by inserting the
-//! supporting hyperplanes of competitor half-spaces. Algorithm 2 maintains a
-//! binary tree: a hyperplane either fully covers a leaf cell (no structural
-//! change) or splits it into a negative-side child and a positive-side child.
-//! The leaves of the tree are exactly the sub-partitions of the arrangement.
+//! supporting hyperplanes of competitor half-spaces, and the local search
+//! arranges its constraint half-spaces inside `R` the same way. Algorithm 2
+//! maintains a binary tree: a hyperplane either fully covers a leaf cell (no
+//! structural change) or splits it into a negative-side child and a
+//! positive-side child. The leaves of the tree are exactly the
+//! sub-partitions of the arrangement. [`arrange_into`] builds the tree in a
+//! recyclable [`ArrangeScratch`], so arrangements cost no heap allocation
+//! once its pools have warmed up.
 
 use crate::cell::{Cell, CellSide};
 use crate::halfspace::HalfSpace;
-
-#[derive(Debug, Clone)]
-struct PartitionNode {
-    cell: Cell,
-    children: Option<(usize, usize)>,
-}
-
-/// Binary arrangement index over a base cell.
-#[derive(Debug, Clone)]
-pub struct PartitionTree {
-    nodes: Vec<PartitionNode>,
-    root: usize,
-    inserted: usize,
-}
-
-impl PartitionTree {
-    /// Creates the index for a base cell (usually the whole region `R` or one
-    /// sub-partition `ρ` of it).
-    pub fn new(base: Cell) -> Self {
-        PartitionTree {
-            nodes: vec![PartitionNode {
-                cell: base,
-                children: None,
-            }],
-            root: 0,
-            inserted: 0,
-        }
-    }
-
-    /// Number of hyperplanes inserted so far.
-    pub fn num_inserted(&self) -> usize {
-        self.inserted
-    }
-
-    /// Inserts a hyperplane, splitting every straddled leaf (Algorithm 2).
-    /// Degenerate half-spaces (identical score functions) are ignored.
-    pub fn insert(&mut self, hp: &HalfSpace) {
-        if hp.is_degenerate() {
-            return;
-        }
-        self.inserted += 1;
-        self.insert_at(self.root, hp);
-    }
-
-    fn insert_at(&mut self, node: usize, hp: &HalfSpace) {
-        match self.nodes[node].children {
-            Some((left, right)) => {
-                self.insert_at(left, hp);
-                self.insert_at(right, hp);
-            }
-            None => {
-                match self.nodes[node].cell.classify(hp) {
-                    // Lines 1-2 of Algorithm 2: the leaf is fully covered by
-                    // one side; nothing to split.
-                    CellSide::Positive | CellSide::Negative | CellSide::Empty => {}
-                    CellSide::Straddles => {
-                        let neg = self.nodes[node].cell.with_halfspace(hp.negated());
-                        let pos = self.nodes[node].cell.with_halfspace(hp.clone());
-                        let li = self.nodes.len();
-                        self.nodes.push(PartitionNode {
-                            cell: neg,
-                            children: None,
-                        });
-                        let ri = self.nodes.len();
-                        self.nodes.push(PartitionNode {
-                            cell: pos,
-                            children: None,
-                        });
-                        self.nodes[node].children = Some((li, ri));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The leaf cells (sub-partitions) of the arrangement.
-    pub fn leaves(&self) -> Vec<&Cell> {
-        let mut out = Vec::new();
-        self.collect_leaves(self.root, &mut out);
-        out
-    }
-
-    /// Number of leaf cells.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves().len()
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.cell.memory_bytes() + std::mem::size_of::<Option<(usize, usize)>>())
-            .sum()
-    }
-
-    fn collect_leaves<'a>(&'a self, node: usize, out: &mut Vec<&'a Cell>) {
-        match self.nodes[node].children {
-            Some((l, r)) => {
-                self.collect_leaves(l, out);
-                self.collect_leaves(r, out);
-            }
-            None => out.push(&self.nodes[node].cell),
-        }
-    }
-}
-
-/// Convenience wrapper: builds the arrangement of `halfspaces` inside `base`
-/// and returns the resulting sub-partitions.
-pub fn arrange(base: &Cell, halfspaces: &[HalfSpace]) -> Vec<Cell> {
-    let mut tree = PartitionTree::new(base.clone());
-    for hp in halfspaces {
-        tree.insert(hp);
-    }
-    tree.leaves().into_iter().cloned().collect()
-}
 
 #[derive(Debug)]
 struct PoolNode {
@@ -160,7 +49,7 @@ impl ArrangeScratch {
     /// recycled husk (for a caller that keeps `src` and hands the copy to
     /// [`arrange_into`]).
     pub fn copy_cell(&mut self, src: &Cell) -> Cell {
-        let mut cell = self.free_cells.pop().unwrap_or_else(empty_cell_husk);
+        let mut cell = self.free_cells.pop().unwrap_or_default();
         cell.assign_from(src, &mut self.spare_hs);
         cell
     }
@@ -175,16 +64,31 @@ impl ArrangeScratch {
         constraints: impl ExactSizeIterator<Item = (&'a [f64], f64)>,
         poly: Option<&[(f64, f64)]>,
     ) -> Cell {
-        let mut cell = self.free_cells.pop().unwrap_or_else(empty_cell_husk);
+        let mut cell = self.free_cells.pop().unwrap_or_default();
         cell.assign_parts(lows, highs, constraints, poly, &mut self.spare_hs);
         cell
+    }
+
+    /// Approximate memory footprint in bytes of the last arrangement's tree
+    /// (Fig. 11(d) accounting): every node's cell plus a child link of two
+    /// `usize` indices. `leaves` are the cells [`arrange_into`] appended; the
+    /// split (internal) cells are still in the pool.
+    pub fn tree_bytes(&self, leaves: &[Cell]) -> usize {
+        let link = std::mem::size_of::<Option<(usize, usize)>>();
+        self.nodes[..self.len]
+            .iter()
+            .filter(|n| n.children.is_some())
+            .map(|n| &n.cell)
+            .chain(leaves)
+            .map(|c| c.memory_bytes() + link)
+            .sum()
     }
 
     /// Index of a fresh leaf node; reuses a retired slot when one exists.
     fn alloc_node(&mut self) -> u32 {
         let idx = self.len;
         if idx == self.nodes.len() {
-            let cell = self.free_cells.pop().unwrap_or_else(empty_cell_husk);
+            let cell = self.free_cells.pop().unwrap_or_default();
             self.nodes.push(PoolNode {
                 cell,
                 children: None,
@@ -228,22 +132,17 @@ impl ArrangeScratch {
                 self.collect_leaves(r as usize, out);
             }
             None => {
-                let husk = self.free_cells.pop().unwrap_or_else(empty_cell_husk);
+                let husk = self.free_cells.pop().unwrap_or_default();
                 out.push(std::mem::replace(&mut self.nodes[node].cell, husk));
             }
         }
     }
 }
 
-fn empty_cell_husk() -> Cell {
-    Cell::from_region(&crate::region::PrefRegion::from_ranges(&[]).expect("empty region is valid"))
-}
-
-/// Pool-backed equivalent of [`arrange`]: builds the arrangement of the
-/// half-spaces yielded by `hps` inside `base` and appends the leaf cells to
-/// `out` in the same order `arrange` returns them. Returns the number of
-/// leaves appended. The cells are bitwise identical to the allocating path;
-/// only their backing buffers are recycled.
+/// Builds the arrangement of the half-spaces yielded by `hps` inside `base`
+/// and appends the leaf cells to `out`, left (negative-side) subtrees first.
+/// Returns the number of leaves appended. Degenerate half-spaces are skipped;
+/// the cell buffers come from, and return to, the scratch's pools.
 ///
 /// `base` is consumed: it becomes the root of the tree, so each half-space is
 /// classified once against each current leaf, and `base` itself is the first
@@ -282,30 +181,40 @@ mod tests {
         Cell::from_region(&PrefRegion::from_ranges(&[(0.1, 0.5), (0.2, 0.4)]).unwrap())
     }
 
+    /// The leaves of the arrangement of `halfspaces` inside `base`, built on
+    /// a fresh scratch.
+    fn leaves_of(base: Cell, halfspaces: &[HalfSpace]) -> Vec<Cell> {
+        let mut out = Vec::new();
+        arrange_into(&mut ArrangeScratch::new(), base, halfspaces, &mut out);
+        out
+    }
+
+    /// `cell` clipped by `hs` (by `¬hs` when `negate` is set).
+    fn clip(cell: &Cell, hs: &HalfSpace, negate: bool) -> Cell {
+        let mut out = Cell::default();
+        out.assign_clip(cell, hs, negate, &mut Vec::new());
+        out
+    }
+
     #[test]
     fn single_split_produces_two_leaves() {
-        let mut tree = PartitionTree::new(base());
-        assert_eq!(tree.num_leaves(), 1);
-        tree.insert(&HalfSpace::new(vec![1.0, 0.0], -0.3)); // w1 >= 0.3
-        assert_eq!(tree.num_leaves(), 2);
-        assert_eq!(tree.num_inserted(), 1);
+        assert_eq!(leaves_of(base(), &[]).len(), 1);
+        let split = HalfSpace::new(vec![1.0, 0.0], -0.3); // w1 >= 0.3
+        assert_eq!(leaves_of(base(), std::slice::from_ref(&split)).len(), 2);
     }
 
     #[test]
     fn covering_hyperplane_does_not_split() {
-        let mut tree = PartitionTree::new(base());
-        tree.insert(&HalfSpace::new(vec![1.0, 0.0], 0.5)); // w1 >= -0.5 always true
-        assert_eq!(tree.num_leaves(), 1);
-        tree.insert(&HalfSpace::new(vec![1.0, 0.0], -0.9)); // w1 >= 0.9 never true
-        assert_eq!(tree.num_leaves(), 1);
+        let covering = HalfSpace::new(vec![1.0, 0.0], 0.5); // w1 >= -0.5 always true
+        let missing = HalfSpace::new(vec![1.0, 0.0], -0.9); // w1 >= 0.9 never true
+        assert_eq!(leaves_of(base(), std::slice::from_ref(&covering)).len(), 1);
+        assert_eq!(leaves_of(base(), &[covering, missing]).len(), 1);
     }
 
     #[test]
     fn degenerate_hyperplane_ignored() {
-        let mut tree = PartitionTree::new(base());
-        tree.insert(&HalfSpace::new(vec![0.0, 0.0], 0.0));
-        assert_eq!(tree.num_leaves(), 1);
-        assert_eq!(tree.num_inserted(), 0);
+        let degenerate = HalfSpace::new(vec![0.0, 0.0], 0.0);
+        assert_eq!(leaves_of(base(), &[degenerate]), vec![base()]);
     }
 
     #[test]
@@ -318,7 +227,7 @@ mod tests {
         let hs1 = HalfSpace::score_at_least(&v7, &v5);
         let hs2 = HalfSpace::score_at_least(&v7, &v1);
         let hs3 = HalfSpace::score_at_least(&v1, &v5);
-        let cells = arrange(&base(), &[hs1, hs2, hs3]);
+        let cells = leaves_of(base(), &[hs1, hs2, hs3]);
         assert_eq!(cells.len(), 4, "expected the 4 partitions of Fig. 5(a)");
     }
 
@@ -329,7 +238,7 @@ mod tests {
             HalfSpace::new(vec![0.0, 1.0], -0.3),
             HalfSpace::new(vec![1.0, -1.0], 0.0),
         ];
-        let cells = arrange(&base(), &halfspaces);
+        let cells = leaves_of(base(), &halfspaces);
         assert!(cells.len() >= 4);
         // every sampled point of the base lies in at least one leaf, and the
         // interiors of distinct leaves do not overlap (checked via samples)
@@ -358,42 +267,97 @@ mod tests {
         }
     }
 
-    /// `arrange_into` must reproduce `arrange` exactly — same leaves, same
-    /// order — including when the scratch (and the recycled cells flowing
-    /// back into it) is reused across many arrangements of different shapes.
+    /// The leaves are the sign classes of the base cut by the inserted
+    /// hyperplanes (Algorithm 2). On random arrangements in 2-D (polygon
+    /// path) and 3-D (LP path): no inserted non-degenerate half-space
+    /// straddles a leaf, no two leaves share a sign vector, and a point drawn
+    /// from the base lies in the leaf whose sign vector is the point's own.
+    /// Points within 1e-6 of a hyperplane are skipped. One scratch serves
+    /// every round, and most leaves flow back into its pool, as in the
+    /// search loop.
     #[test]
-    fn pooled_arrangement_matches_allocating_arrangement() {
+    fn arrangement_leaves_are_the_sign_classes_of_the_base() {
         use rand::prelude::*;
         use rand::rngs::StdRng;
         let mut rng = StdRng::seed_from_u64(0xA22A);
         let mut scratch = ArrangeScratch::new();
         let mut out = Vec::new();
+        let mut located = 0usize;
         for round in 0..60 {
-            let n_hs = rng.random_range(0..6usize);
-            let hps: Vec<HalfSpace> = (0..n_hs)
+            let ranges: &[(f64, f64)] = if round % 3 == 2 {
+                &[(0.05, 0.35), (0.1, 0.3), (0.0, 0.25)]
+            } else {
+                &[(0.1, 0.5), (0.2, 0.4)]
+            };
+            let dim = ranges.len();
+            let hps: Vec<HalfSpace> = (0..rng.random_range(0..6usize))
                 .map(|_| {
                     HalfSpace::new(
-                        vec![rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)],
+                        (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect(),
                         rng.random_range(-0.6..0.6),
                     )
                 })
                 .collect();
-            let reference = arrange(&base(), &hps);
+            let base = Cell::from_region(&PrefRegion::from_ranges(ranges).unwrap());
             out.clear();
-            let appended = arrange_into(&mut scratch, base(), hps.iter(), &mut out);
+            let appended = arrange_into(&mut scratch, base.clone(), hps.iter(), &mut out);
             assert_eq!(appended, out.len());
-            assert_eq!(out, reference, "round {round}: pooled leaves diverged");
-            // hand a few leaves back to the pool, as the search loop does
+            let live: Vec<&HalfSpace> = hps.iter().filter(|hs| !hs.is_degenerate()).collect();
+            let signs: Vec<Vec<CellSide>> = out
+                .iter()
+                .map(|leaf| live.iter().map(|hs| leaf.classify(hs)).collect())
+                .collect();
+            for (i, leaf_signs) in signs.iter().enumerate() {
+                assert!(
+                    !leaf_signs.contains(&CellSide::Straddles),
+                    "round {round}: leaf {i} is straddled"
+                );
+                assert!(
+                    !signs[..i].contains(leaf_signs),
+                    "round {round}: leaves share the sign vector {leaf_signs:?}"
+                );
+            }
+            for _ in 0..100 {
+                let p: Vec<f64> = ranges
+                    .iter()
+                    .map(|&(lo, hi)| rng.random_range(lo..hi))
+                    .collect();
+                if live.iter().any(|hs| hs.eval(&p).abs() <= 1e-6) {
+                    continue;
+                }
+                let own: Vec<CellSide> = live
+                    .iter()
+                    .map(|hs| {
+                        if hs.eval(&p) > 0.0 {
+                            CellSide::Positive
+                        } else {
+                            CellSide::Negative
+                        }
+                    })
+                    .collect();
+                let leaf = signs
+                    .iter()
+                    .position(|s| *s == own)
+                    .unwrap_or_else(|| panic!("round {round}: no leaf has the signs of {p:?}"));
+                assert!(
+                    out[leaf].contains(&p),
+                    "round {round}: {p:?} escapes its leaf"
+                );
+                located += 1;
+            }
+            // hand most leaves back to the pool, as the search loop does
             for cell in out.drain(..) {
                 if rng.random_bool(0.7) {
                     scratch.recycle_cell(cell);
                 }
             }
         }
+        assert!(located > 3_000, "only {located} points located");
     }
 
     /// A base cell that no half-space splits comes back as the single leaf,
-    /// moved rather than copied; a split base is never handed out.
+    /// moved rather than copied; a split base is never handed out, and its
+    /// two leaves are its clips by the two sides of the hyperplane.
     #[test]
     fn unsplit_base_passes_through_without_a_copy() {
         let mut scratch = ArrangeScratch::new();
@@ -403,7 +367,7 @@ mod tests {
             HalfSpace::new(vec![0.0, 0.0], 0.0),  // degenerate
             HalfSpace::new(vec![1.0, 0.0], -0.9), // misses the cell
         ];
-        let cell = base().with_halfspace(HalfSpace::new(vec![1.0, 0.0], -0.2));
+        let cell = clip(&base(), &HalfSpace::new(vec![1.0, 0.0], -0.2), false);
         let (reference, buffer) = (cell.clone(), cell.constraints().as_ptr());
         assert_eq!(
             arrange_into(&mut scratch, cell, unsplit.iter(), &mut out),
@@ -415,16 +379,21 @@ mod tests {
         let split = HalfSpace::new(vec![1.0, 0.0], -0.3);
         let cell = out.pop().unwrap();
         let buffer = cell.constraints().as_ptr();
-        let reference = arrange(&cell, std::slice::from_ref(&split));
+        let reference = vec![clip(&cell, &split, true), clip(&cell, &split, false)];
         assert_eq!(arrange_into(&mut scratch, cell, [&split], &mut out), 2);
         assert_eq!(out, reference);
         assert!(out.iter().all(|c| c.constraints().as_ptr() != buffer));
     }
 
+    /// The tree total counts the split cells left in the pool as well as the
+    /// leaves handed out.
     #[test]
     fn memory_accounting_positive() {
-        let mut tree = PartitionTree::new(base());
-        tree.insert(&HalfSpace::new(vec![1.0, 0.0], -0.3));
-        assert!(tree.memory_bytes() > 0);
+        let mut scratch = ArrangeScratch::new();
+        let mut out = Vec::new();
+        let split = HalfSpace::new(vec![1.0, 0.0], -0.3);
+        arrange_into(&mut scratch, base(), [&split], &mut out);
+        let leaf_bytes: usize = out.iter().map(Cell::memory_bytes).sum();
+        assert!(scratch.tree_bytes(&out) > leaf_bytes + base().memory_bytes());
     }
 }

@@ -4,6 +4,13 @@
 //! when `S(v) ≥ S(v′)` for **every** weight vector in `R` (Definition 4,
 //! Fig. 3). Because the score difference is affine in the reduced weights,
 //! the test only needs to examine the vertices of the polytope defining `R`.
+//!
+//! **Float ties.** A score difference within `[-EPS, EPS]` at a corner is a
+//! tie at that corner: it counts for neither side. So a pair whose
+//! differences all lie in that band is [`DominanceRelation::Equivalent`],
+//! one corner beyond `EPS` (and none below `-EPS`) already makes it
+//! [`DominanceRelation::Dominates`], and the band is closed — a difference
+//! of exactly `EPS` is still a tie.
 
 use crate::halfspace::HalfSpace;
 use crate::region::PrefRegion;
@@ -159,6 +166,23 @@ mod tests {
         for other in [v2, v6, v5, v3] {
             assert_ne!(r_dominance(&v7, &other, &r), DominanceRelation::Dominates);
         }
+    }
+
+    /// The tie band is closed at `EPS`: a constant difference of exactly
+    /// `EPS` at every corner is a tie, the next representable value above it
+    /// is a win, and symmetrically below `-EPS`.
+    #[test]
+    fn corner_differences_within_eps_are_ties() {
+        let corners = region().corners();
+        let at =
+            |offset: f64| r_dominance_at_corners(&HalfSpace::new(vec![0.0, 0.0], offset), &corners);
+        let above = f64::from_bits(EPS.to_bits() + 1);
+        assert!(above > EPS);
+        assert_eq!(at(EPS), DominanceRelation::Equivalent);
+        assert_eq!(at(-EPS), DominanceRelation::Equivalent);
+        assert_eq!(at(0.0), DominanceRelation::Equivalent);
+        assert_eq!(at(above), DominanceRelation::Dominates);
+        assert_eq!(at(-above), DominanceRelation::DominatedBy);
     }
 
     #[test]

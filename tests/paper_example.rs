@@ -113,6 +113,51 @@ fn local_search_is_sound_wrt_global_search() {
     assert!(!local.is_empty());
 }
 
+/// LS on Example 2, pinned cell by cell: sample weights bit for bit,
+/// communities, constraint counts, and every work counter of its
+/// `SearchStats` (`memory_bytes` included, which the figure tables report).
+/// The values were recorded from the allocating arrangement tree that `verify`
+/// used before it moved onto the pooled `arrange_into`.
+#[test]
+fn local_search_cells_and_stats_are_pinned() {
+    let rsn = paper_example_network();
+    let local = search(
+        &rsn,
+        &example2_query(),
+        AlgorithmChoice::Local,
+        ExecutionPolicy::new().with_max_candidates(20),
+    );
+    let expected: [([u64; 2], &[u32], usize); 4] = [
+        ([4595583394390266370, 4599623893180221159], &[1, 2, 4, 5], 3),
+        (
+            [4598471097508773652, 4597783389558208889],
+            &[1, 2, 3, 4, 5],
+            5,
+        ),
+        (
+            [4601564221261595833, 4598717961038831323],
+            &[0, 1, 2, 3, 4, 5],
+            3,
+        ),
+        ([4594130230877431130, 4597960330662229531], &[1, 2, 5, 6], 2),
+    ];
+    assert_eq!(local.cells.len(), expected.len());
+    for (cell, (bits, members, constraints)) in local.cells.iter().zip(expected) {
+        let got: Vec<u64> = cell.sample_weight.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, bits);
+        assert_eq!(cell.communities.len(), 1);
+        assert_eq!(cell.communities[0].vertices, members);
+        assert_eq!(cell.cell.constraints().len(), constraints);
+    }
+    let s = &local.stats;
+    assert_eq!((s.kt_core_vertices, s.kt_core_edges), (7, 16));
+    assert_eq!(s.partitions_explored, 45);
+    assert_eq!((s.halfspaces_computed, s.halfspace_insertions), (38, 38));
+    assert_eq!((s.dominance_tests, s.candidates_generated), (19, 18));
+    assert_eq!(s.memory_bytes, 5520);
+    assert_eq!((s.parallel_workers, s.tasks_stolen), (0, 0));
+}
+
 #[test]
 fn example1_setting_has_a_five_member_mac() {
     // Example 1: Q = {v2}, k = 2, t = 9. The subgraph {v2, v3, v5, v6, v7}

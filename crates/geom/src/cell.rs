@@ -281,12 +281,7 @@ impl Cell {
             };
         }
         let (a, b) = self.lp_constraints();
-        match lp::minimize(&hs.coeffs, &a, &b) {
-            LpOutcome::Optimal { value, .. } => Some(value + hs.offset),
-            LpOutcome::Infeasible => None,
-            // Cells are subsets of a bounded box; unbounded cannot happen.
-            LpOutcome::Unbounded => None,
-        }
+        lp_extreme(hs, &a, &b, false)
     }
 
     /// Maximum of the affine form of `hs` over the cell; `None` when empty.
@@ -299,11 +294,7 @@ impl Cell {
             };
         }
         let (a, b) = self.lp_constraints();
-        match lp::maximize(&hs.coeffs, &a, &b) {
-            LpOutcome::Optimal { value, .. } => Some(value + hs.offset),
-            LpOutcome::Infeasible => None,
-            LpOutcome::Unbounded => None,
-        }
+        lp_extreme(hs, &a, &b, true)
     }
 
     /// Whether the cell has no feasible point (or only a degenerate sliver
@@ -340,13 +331,15 @@ impl Cell {
             }
             return CellSide::Straddles;
         }
-        let Some(min) = self.min_of(hs) else {
+        // One constraint system serves both LPs.
+        let (a, b) = self.lp_constraints();
+        let Some(min) = lp_extreme(hs, &a, &b, false) else {
             return CellSide::Empty;
         };
         if min >= -EPS {
             return CellSide::Positive;
         }
-        let Some(max) = self.max_of(hs) else {
+        let Some(max) = lp_extreme(hs, &a, &b, true) else {
             return CellSide::Empty;
         };
         if max <= EPS {
@@ -571,6 +564,22 @@ fn polygon_centroid(poly: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((cx / (3.0 * area2), cy / (3.0 * area2)))
 }
 
+/// The extreme of the affine form of `hs` over `A w ≤ b` (the maximum when
+/// `maximize`, else the minimum); `None` when the system is infeasible.
+fn lp_extreme(hs: &HalfSpace, a: &[Vec<f64>], b: &[f64], maximize: bool) -> Option<f64> {
+    let outcome = if maximize {
+        lp::maximize(&hs.coeffs, a, b)
+    } else {
+        lp::minimize(&hs.coeffs, a, b)
+    };
+    match outcome {
+        LpOutcome::Optimal { value, .. } => Some(value + hs.offset),
+        LpOutcome::Infeasible => None,
+        // Cells are subsets of a bounded box; unbounded cannot happen.
+        LpOutcome::Unbounded => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,6 +794,43 @@ mod tests {
             }
         }
         assert!(checked > 10_000, "only {checked} points checked");
+    }
+
+    /// On the dense-LP path (d = 4, so three reduced dimensions), `classify`
+    /// builds the constraint system once for both LPs; its answer must be
+    /// the one derived from `min_of` and `max_of`, which build their own.
+    #[test]
+    fn lp_classify_matches_min_and_max() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xC1A5);
+        let random_hs = |rng: &mut StdRng| {
+            HalfSpace::new(
+                (0..3).map(|_| rng.random_range(-1.0..1.0)).collect(),
+                rng.random_range(-0.3..0.3),
+            )
+        };
+        let mut seen = [0usize; 4];
+        for round in 0..300 {
+            let region = PrefRegion::from_ranges(&[(0.05, 0.3), (0.1, 0.25), (0.0, 0.3)]).unwrap();
+            let mut cell = Cell::from_region(&region);
+            for _ in 0..rng.random_range(0..5usize) {
+                cell = clip(&cell, &random_hs(&mut rng), rng.random_bool(0.5));
+            }
+            assert!(cell.polygon().is_none(), "3-D cells take the LP path");
+            let probe = random_hs(&mut rng);
+            let expected = match (cell.min_of(&probe), cell.max_of(&probe)) {
+                (None, _) => CellSide::Empty,
+                (Some(min), _) if min >= -EPS => CellSide::Positive,
+                (_, None) => CellSide::Empty,
+                (_, Some(max)) if max <= EPS => CellSide::Negative,
+                _ => CellSide::Straddles,
+            };
+            let got = cell.classify(&probe);
+            assert_eq!(got, expected, "round {round}");
+            seen[got as usize] += 1;
+        }
+        assert!(seen.iter().all(|&n| n >= 10), "outcomes {seen:?}");
     }
 
     /// The 2-D polygon fast path must agree with the dense-LP fallback on

@@ -28,7 +28,7 @@
 //! common with the refreshed tree and its own copies of the rest.
 
 use crate::budget::BudgetTicker;
-use crate::dijkstra::SsspScratch;
+use crate::dijkstra::{heap_key, SsspScratch, SweepQueue};
 use crate::network::{EdgeUpdate, RoadNetwork, RoadVertexId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1375,7 +1375,7 @@ impl GTree {
         match &fill.reduced {
             Some(reduced) => {
                 let mut out = vec![f64::INFINITY; node.union_borders.len()];
-                reduced_dijkstra_row(reduced, row, &mut out, &mut worker.heap);
+                reduced_dijkstra_row(reduced, row, &mut out, &mut worker.queue);
                 out
             }
             None => {
@@ -1677,11 +1677,11 @@ impl GTree {
         let reduced = self.reduced_graph_for_update(net, id, changed, row_of);
         let old = std::mem::take(&mut self.node_mut(id).matrix);
         let mut matrix = vec![f64::INFINITY; size * size];
-        let mut heap = std::collections::BinaryHeap::new();
+        let mut queue = SweepQueue::default();
         if c_rows.len() * 2 >= size {
             // Dense change: patching cannot beat recomputing everything.
             for (s, row) in matrix.chunks_exact_mut(size).enumerate() {
-                reduced_dijkstra_row(&reduced, s, row, &mut heap);
+                reduced_dijkstra_row(&reduced, s, row, &mut queue);
             }
             let node_changed = old != matrix;
             self.node_mut(id).matrix = matrix;
@@ -1695,7 +1695,7 @@ impl GTree {
                 &reduced,
                 c,
                 &mut matrix[c * size..(c + 1) * size],
-                &mut heap,
+                &mut queue,
             );
         }
         let mut dijkstra_rows = c_rows.len();
@@ -1753,7 +1753,7 @@ impl GTree {
                     &reduced,
                     s,
                     &mut matrix[s * size..(s + 1) * size],
-                    &mut heap,
+                    &mut queue,
                 );
                 dijkstra_rows += 1;
             }
@@ -1863,7 +1863,7 @@ fn assemble_reduced(size: usize, edges: &[(u32, u32, f64)]) -> ReducedGraph {
 struct FillWorker {
     sssp: SsspScratch,
     region_mask: Vec<bool>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    queue: SweepQueue,
 }
 
 impl FillWorker {
@@ -1871,30 +1871,25 @@ impl FillWorker {
         FillWorker {
             sssp: SsspScratch::new(),
             region_mask: vec![false; num_vertices],
-            heap: std::collections::BinaryHeap::new(),
+            queue: SweepQueue::default(),
         }
     }
 }
 
 /// Dijkstra over a contracted reduced border graph, writing the full
 /// distance row from `source` into `dist` (one slot per graph vertex). The
-/// heap is recycled per call.
-fn reduced_dijkstra_row(
-    g: &ReducedGraph,
-    source: usize,
-    dist: &mut [f64],
-    heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-) {
-    use std::cmp::Reverse;
+/// queue is recycled per call and runs unbounded.
+fn reduced_dijkstra_row(g: &ReducedGraph, source: usize, dist: &mut [f64], queue: &mut SweepQueue) {
     debug_assert_eq!(dist.len(), g.offsets.len() - 1);
     dist.fill(f64::INFINITY);
-    heap.clear();
+    queue.reset(0.0, f64::INFINITY);
     dist[source] = 0.0;
-    heap.push(Reverse((0, source as u32)));
-    while let Some(Reverse((key, v))) = heap.pop() {
-        let d = f64::from_bits(key);
+    queue.push(0.0, source as u32);
+    while let Some((key, v)) = queue.pop() {
         let v = v as usize;
-        if d > dist[v] {
+        let d = dist[v];
+        // A stale entry: `v` was improved after this one was pushed.
+        if key != heap_key(d) {
             continue;
         }
         for e in g.offsets[v] as usize..g.offsets[v + 1] as usize {
@@ -1902,7 +1897,7 @@ fn reduced_dijkstra_row(
             let nd = d + g.weights[e];
             if nd < dist[u] {
                 dist[u] = nd;
-                heap.push(Reverse((nd.to_bits(), u as u32)));
+                queue.push(nd, u as u32);
             }
         }
     }

@@ -48,8 +48,8 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use road_social_mac::core::peel::peel_at_weight;
 use road_social_mac::core::{
-    AlgorithmChoice, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork,
-    SearchContext,
+    AlgorithmChoice, Community, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult,
+    RoadSocialNetwork, SearchContext,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -115,22 +115,70 @@ impl BruteForce {
         if !in_general_position(self.kept.iter().map(|&u| scores[u as usize]).collect()) {
             return None;
         }
-        let min_score = |h: u32| {
-            (0..32)
-                .filter(|&u| h & 1 << u != 0)
-                .map(|u| scores[u])
-                .fold(f64::INFINITY, f64::min)
-        };
-        let Some(best) = self.feasible.iter().map(|&h| min_score(h)).reduce(f64::max) else {
+        let Some(best) = self
+            .feasible
+            .iter()
+            .map(|&h| min_score(&scores, h))
+            .reduce(f64::max)
+        else {
             return Some(None);
         };
         let union = self
             .feasible
             .iter()
-            .filter(|&&h| min_score(h) == best)
+            .filter(|&&h| min_score(&scores, h) == best)
             .fold(0u32, |m, &h| m | h);
-        Some(Some((0..32).filter(|&u| union & 1 << u != 0).collect()))
+        Some(Some(members(union)))
     }
+
+    /// The top-`j` answer at `w` (Problem 1): the first `j` distinct sets
+    /// `U_s = ∪{H feasible : f(H) ≥ s}` over the distinct values `s` of `f`
+    /// in descending order, each sorted; empty when no community is
+    /// feasible, and `None` when `w` is not in general position.
+    fn top_j(&self, w: &[f64], j: usize) -> Option<Vec<Vec<u32>>> {
+        let scores: Vec<f64> = self.attrs.iter().map(|x| score(x, w)).collect();
+        if !in_general_position(self.kept.iter().map(|&u| scores[u as usize]).collect()) {
+            return None;
+        }
+        let f: Vec<f64> = self
+            .feasible
+            .iter()
+            .map(|&h| min_score(&scores, h))
+            .collect();
+        let mut levels = f.clone();
+        levels.sort_by(|a, b| b.total_cmp(a));
+        levels.dedup();
+        let mut sets: Vec<Vec<u32>> = Vec::new();
+        for s in levels {
+            let union = self
+                .feasible
+                .iter()
+                .zip(&f)
+                .filter(|&(_, &fh)| fh >= s)
+                .fold(0u32, |m, (&h, _)| m | h);
+            let set = members(union);
+            if sets.last() != Some(&set) {
+                sets.push(set);
+            }
+            if sets.len() == j {
+                break;
+            }
+        }
+        Some(sets)
+    }
+}
+
+/// `f(H)`: the minimum score over the users of mask `h`.
+fn min_score(scores: &[f64], h: u32) -> f64 {
+    members(h)
+        .into_iter()
+        .map(|u| scores[u as usize])
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The users of mask `h`, ascending.
+fn members(h: u32) -> Vec<u32> {
+    (0..32).filter(|&u| h & 1 << u != 0).collect()
 }
 
 /// Whether the users in mask `h` induce a connected subgraph in which every
@@ -211,10 +259,10 @@ fn draw(region: &PrefRegion, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// The one reported cell that holds `w`, or `None` when `w` is within
-/// [`BOUNDARY`] of some cell's boundary. Panics unless exactly one cell
-/// holds `w`.
-fn locate<'r>(result: &'r MacSearchResult, w: &[f64]) -> Option<&'r [u32]> {
+/// The communities of the one reported cell that holds `w`, or `None` when
+/// `w` is within [`BOUNDARY`] of some cell's boundary. Panics unless exactly
+/// one cell holds `w`.
+fn locate<'r>(result: &'r MacSearchResult, w: &[f64]) -> Option<&'r [Community]> {
     let slacks: Vec<f64> = result
         .cells
         .iter()
@@ -230,7 +278,7 @@ fn locate<'r>(result: &'r MacSearchResult, w: &[f64]) -> Option<&'r [u32]> {
         "{w:?} lies in {} reported cells",
         holders.len()
     );
-    Some(&result.cells[holders[0]].communities[0].vertices)
+    Some(&result.cells[holders[0]].communities)
 }
 
 /// Counts of one reference suite run.
@@ -366,7 +414,11 @@ fn search_matches_brute_force_on_small_instances() {
                     continue;
                 };
                 draws.checked += 1;
-                assert_eq!(Some(found.to_vec()), expected, "{label}: GS at draw {w:?}");
+                assert_eq!(
+                    Some(found[0].vertices.clone()),
+                    expected,
+                    "{label}: GS at draw {w:?}"
+                );
             }
         }
     }
@@ -377,6 +429,76 @@ fn search_matches_brute_force_on_small_instances() {
         "only {answered} of 72 instances have an answer"
     );
     assert!(local_cells >= 36, "LS reported only {local_cells} cells");
+}
+
+/// GS-T (top-j, Problem 1) at `j = 3` agrees with the brute force on the
+/// small instances: the communities of every reported cell at its sample
+/// weight, and of the GS cell holding each of 64 uniform draws, are the
+/// first three distinct `U_s`, best first. The peel chain `C_m ⊊ … ⊊ C_0`
+/// is exactly that list: every feasible `H` with `f(H) ≥ f(C_i)` survives the
+/// deletions before `C_i` (each removes a vertex of smaller score) and so
+/// lies in `C_i`, which is feasible itself; any other `s` repeats the set of
+/// the next `f(C_i)` at or above it.
+#[test]
+fn top_j_search_matches_brute_force_on_small_instances() {
+    const J: usize = 3;
+    let mut samples = Tally::default();
+    let mut draws = Tally::default();
+    let mut nested = 0usize;
+    for d in [2usize, 3, 4] {
+        for seed in 0..24u64 {
+            let (rsn, query) = small_instance(d, 1_000 * d as u64 + seed);
+            let query = query.with_top_j(J);
+            let label = format!("d = {d}, seed {seed}");
+            let reference = BruteForce::new(&rsn, &query);
+            let result = global_search(&rsn, &query);
+            let reported = |communities: &[Community]| {
+                communities
+                    .iter()
+                    .map(|c| c.vertices.clone())
+                    .collect::<Vec<_>>()
+            };
+            for cell in &result.cells {
+                let Some(expected) = reference.top_j(&cell.sample_weight, J) else {
+                    samples.skipped += 1;
+                    continue;
+                };
+                samples.checked += 1;
+                nested += usize::from(expected.len() > 1);
+                assert_eq!(
+                    reported(&cell.communities),
+                    expected,
+                    "{label}: GS-T cell at {:?}",
+                    cell.sample_weight
+                );
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x70B3);
+            for _ in 0..64 {
+                let w = draw(&query.region, &mut rng);
+                let Some(expected) = reference.top_j(&w, J) else {
+                    draws.skipped += 1;
+                    continue;
+                };
+                if result.cells.is_empty() {
+                    assert!(expected.is_empty(), "{label}: GS-T found nothing at {w:?}");
+                    draws.checked += 1;
+                    continue;
+                }
+                let Some(found) = locate(&result, &w) else {
+                    draws.skipped += 1;
+                    continue;
+                };
+                draws.checked += 1;
+                assert_eq!(reported(found), expected, "{label}: GS-T at draw {w:?}");
+            }
+        }
+    }
+    samples.assert_mostly_checked("top-j cell samples", 300);
+    draws.assert_mostly_checked("top-j uniform draws", 3_000);
+    assert!(
+        nested >= 100,
+        "only {nested} samples have more than one community"
+    );
 }
 
 fn preset_query(name: PresetName, k: u32, sigma: f64) -> (RoadSocialNetwork, MacQuery) {
@@ -464,7 +586,7 @@ fn assert_matches_peel(label: &str, ctx: &SearchContext<'_>, result: &MacSearchR
         draws.checked += 1;
         let peel = peel_at_weight(ctx, &w);
         assert_eq!(
-            found,
+            found[0].vertices,
             ctx.community_from_locals(&peel.final_vertices).vertices,
             "{label}: draw {w:?}"
         );

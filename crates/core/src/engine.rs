@@ -252,6 +252,14 @@ pub struct UpdateStats {
     pub recalibrated: bool,
     /// Wall-clock seconds for the whole update.
     pub elapsed_seconds: f64,
+    /// Wall-clock seconds of each stage, indexed by `stage as usize` in
+    /// [`UpdateStage::ALL`] order. A stage runs from its start to the next
+    /// stage's start; `Validate` includes the epoch copy, `Swap` building
+    /// and publishing the next epoch. A skipped stage (the G-tree refresh
+    /// of a delta without reweights) reads 0. The stages sum to at most
+    /// [`elapsed_seconds`](Self::elapsed_seconds), which also counts the
+    /// wait for the update lock.
+    pub stage_seconds: [f64; 5],
 }
 
 /// The stages of one [`MacEngine::apply_updates`] call, in execution order.
@@ -880,7 +888,11 @@ impl MacEngine {
     ///   root only while a recomputed matrix actually changed
     ///   ([`GTree::apply_edge_updates`](rsn_road::gtree::GTree::apply_edge_updates));
     ///   the new epoch copies just those nodes and shares every other node
-    ///   with the previous epoch;
+    ///   with the previous epoch. Like the index build, the refresh fills
+    ///   the rows of large recomputed nodes on every core of the host,
+    ///   whatever the [`ExecutionPolicy::parallelism`] of the sessions, so
+    ///   an update applied under a running `MacServer` briefly shares the
+    ///   cores with its workers;
     /// * the pre-grouped per-leaf user rows are edited for exactly the moved
     ///   users and the on-edge users of reweighted segments;
     /// * the calibration probe re-runs only when the sampled average edge
@@ -902,6 +914,14 @@ impl MacEngine {
             });
         }
 
+        // Each stage runs from `mark` to the next stage's start.
+        let mut mark = Instant::now();
+        let mut stage_seconds = [0.0; 5];
+        let mut lap = |stage: UpdateStage| {
+            let now = Instant::now();
+            stage_seconds[stage as usize] = (now - mark).as_secs_f64();
+            mark = now;
+        };
         self.shared.fire_failpoint(UpdateStage::Validate)?;
         Self::validate_delta(&prev.rsn, delta)?;
 
@@ -919,6 +939,7 @@ impl MacEngine {
         let mut users_on_reweighted_edges = Vec::new();
         let mut drift = prev.drift;
         let mut reweighted_epochs = prev.reweighted_epochs;
+        lap(UpdateStage::Validate);
         if !delta.edge_updates.is_empty() {
             self.shared.fire_failpoint(UpdateStage::GTreeRefresh)?;
             let outcome = rsn.apply_edge_updates(&delta.edge_updates)?;
@@ -931,6 +952,7 @@ impl MacEngine {
                 drift += added;
                 reweighted_epochs += 1;
             }
+            lap(UpdateStage::GTreeRefresh);
         }
 
         self.shared.fire_failpoint(UpdateStage::LeafEdits)?;
@@ -966,6 +988,7 @@ impl MacEngine {
 
         // Drift-gated recalibration: the cost model's only weight-dependent
         // input is the sampled average edge weight; re-probe when it moved.
+        lap(UpdateStage::LeafEdits);
         self.shared.fire_failpoint(UpdateStage::Recalibrate)?;
         let mut calibration = prev.calibration;
         let mut calibrated_avg_edge_weight = prev.calibrated_avg_edge_weight;
@@ -992,6 +1015,7 @@ impl MacEngine {
             }
         }
 
+        lap(UpdateStage::Recalibrate);
         let mut move_log = prev.move_log.clone();
         if move_log.len() == MOVE_LOG_EPOCHS {
             move_log.pop_front();
@@ -1020,7 +1044,9 @@ impl MacEngine {
             self.shared.fire_failpoint(UpdateStage::Swap)?;
             *guard = next;
         }
+        lap(UpdateStage::Swap);
         stats.elapsed_seconds = start.elapsed().as_secs_f64();
+        stats.stage_seconds = stage_seconds;
         Ok(stats)
     }
 

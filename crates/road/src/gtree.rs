@@ -13,12 +13,16 @@
 //! dropped whenever a strictly shorter two-hop witness through another border
 //! of the same child already covers it, which keeps the reduced Dijkstras
 //! exact while shrinking the quadratic clique to near-linear size on
-//! grid-like cuts. Matrix fills run level-by-level on a scoped thread pool
-//! with row-granular work stealing (deterministic output regardless of
-//! thread count). Point-to-point queries combine the per-level matrices with
-//! a dynamic program over the ancestor chain; taking the minimum over
-//! **all** common ancestors (not only the LCA) makes the answer exact even
-//! when the true shortest path leaves the LCA's region. Exactness against
+//! grid-like cuts. Matrix rows are filled on one scoped thread pool that
+//! claims a row at a time and writes it in place: level by level at build
+//! time, and for the dirty leaves and each recomputed internal node of a
+//! refresh. Both use every core of the host (`available_parallelism`) once
+//! the estimated work passes one shared threshold, and the output is
+//! bit-identical whatever the thread count. Point-to-point queries combine
+//! the per-level matrices with a dynamic program over the ancestor chain;
+//! taking the minimum over **all** common ancestors (not only the LCA)
+//! makes the answer exact even when the true shortest path leaves the LCA's
+//! region. Exactness against
 //! Dijkstra is enforced by the property tests of this module.
 //!
 //! Every node lives behind its own [`Arc`], so cloning a tree shares all
@@ -26,12 +30,20 @@
 //! ([`GTree::apply_edge_updates`]) copies only the nodes it recomputes; an
 //! earlier clone (a previous serving epoch) keeps the untouched nodes in
 //! common with the refreshed tree and its own copies of the rest.
+//!
+//! **Refresh tie contract.** The refresh patches rows from the old matrix
+//! and detects changed borders with a relative margin of `1e-12` (see
+//! `refresh_internal_matrix`): a pair whose old path ties the old detour
+//! through the changed borders within the margin is not patched on that
+//! ground, and a refreshed entry may differ from a fresh build only within
+//! that margin, per refresh. Where every path sum is exact in f64 (integer
+//! weights, say), refreshed matrices equal a fresh build bit for bit.
 
 use crate::budget::BudgetTicker;
 use crate::dijkstra::{heap_key, SsspScratch, SweepQueue};
 use crate::network::{EdgeUpdate, RoadNetwork, RoadVertexId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default maximum number of vertices per leaf region.
 pub const DEFAULT_LEAF_CAPACITY: usize = 32;
@@ -46,9 +58,11 @@ pub const DEFAULT_FANOUT: usize = 4;
 /// of unioning the borders of `fanout` huge parts (see [`GTree::partition`]).
 const SPINE_FACTOR: usize = 32;
 
-/// Below this many total matrix rows a build level is filled serially — the
-/// scoped-thread dispatch overhead outweighs the work.
-const PARALLEL_ROW_THRESHOLD: usize = 256;
+/// Below this much estimated work a set of matrix rows is filled serially:
+/// spawning the scoped workers costs more than it saves. The estimate is
+/// rows × reduced-graph edges for internal nodes and rows × region size for
+/// leaves, the same on the build and the refresh path.
+const PARALLEL_WORK_THRESHOLD: usize = 1 << 14;
 
 #[derive(Debug, Clone)]
 struct GTreeNode {
@@ -235,6 +249,12 @@ impl GTree {
     /// partition fanout (clamped to `2..=64`; powers of two keep the
     /// bisection rounds balanced).
     pub fn build_with_params(net: &RoadNetwork, leaf_capacity: usize, fanout: usize) -> Self {
+        Self::build_on(net, leaf_capacity, fanout, RowPool::host())
+    }
+
+    /// [`build_with_params`](Self::build_with_params) with the matrix rows
+    /// filled on `pool`.
+    fn build_on(net: &RoadNetwork, leaf_capacity: usize, fanout: usize, pool: RowPool) -> Self {
         let leaf_capacity = leaf_capacity.max(4);
         let fanout = fanout.clamp(2, 64);
         let n = net.num_vertices();
@@ -252,7 +272,7 @@ impl GTree {
         }
         tree.root = tree.partition(net, all, None, leaf_capacity, fanout);
         tree.compute_borders(net);
-        tree.compute_matrices(net);
+        tree.compute_matrices(net, pool);
         tree
     }
 
@@ -627,10 +647,28 @@ impl GTree {
     /// [`Arc`]: when a clone of the tree (an earlier serving epoch) still
     /// shares a node, that node alone is copied, and every node the refresh
     /// leaves alone stays shared.
+    ///
+    /// Like the build, the refresh uses every core of the host
+    /// (`available_parallelism`): the rows of each recomputed node, and of
+    /// all dirty leaves together, are filled in place on a scoped worker
+    /// pool once their estimated work is large enough. Node copies stay on
+    /// the calling thread, and the matrices are bit-identical whatever the
+    /// thread count.
     pub fn apply_edge_updates(
         &mut self,
         net: &RoadNetwork,
         updates: &[EdgeUpdate],
+    ) -> GTreeUpdateStats {
+        self.refresh_on(net, updates, RowPool::host())
+    }
+
+    /// [`apply_edge_updates`](Self::apply_edge_updates) with the matrix
+    /// rows filled on `pool`.
+    fn refresh_on(
+        &mut self,
+        net: &RoadNetwork,
+        updates: &[EdgeUpdate],
+        pool: RowPool,
     ) -> GTreeUpdateStats {
         let mut stats = GTreeUpdateStats {
             updates: updates.len(),
@@ -665,47 +703,58 @@ impl GTree {
                     .extend([upd.u, upd.v]);
             }
         }
-        // Reverse creation order visits children before parents, so every
-        // recomputed internal matrix reads already-refreshed child matrices
-        // and the children's changed-border lists are final before the parent
-        // asks. `changed[id]` = `Some(positions of the borders whose
+        // `changed[id]` = `Some(positions of the borders whose
         // border-to-border rows changed)` once a node's matrix changed; a
         // change confined to non-border entries (empty list) stops
         // propagating, because parents only observe the border submatrix.
         let mut changed: Vec<Option<Vec<usize>>> = vec![None; self.nodes.len()];
-        let mut region_mask = vec![false; self.num_vertices];
+        // A leaf matrix depends on the network alone, so every dirty leaf is
+        // filled in one pool run. Recomputation is deterministic: an
+        // unchanged leaf reproduces its matrix exactly and stays shared with
+        // any clone of the tree.
+        let leaves: Vec<NodeFill> = (0..self.nodes.len())
+            .filter(|&id| source_dirty[id] && self.nodes[id].children.is_empty())
+            .map(|id| NodeFill { id, reduced: None })
+            .collect();
+        let matrices = self.fill_level_rows(net, &leaves, pool);
+        for (fill, matrix) in leaves.iter().zip(matrices) {
+            let id = fill.id;
+            stats.dirty_leaves += 1;
+            stats.recomputed_matrix_cells += matrix.len();
+            stats.row_dijkstras += self.nodes[id].union_borders.len();
+            if self.nodes[id].matrix != matrix {
+                let old_sub = self.border_submatrix(id);
+                self.node_mut(id).matrix = matrix;
+                changed[id] = Some(self.changed_borders_since(id, &old_sub));
+            }
+        }
+        // Reverse creation order visits children before parents, so every
+        // recomputed internal matrix reads already-refreshed child matrices
+        // and the children's changed-border lists are final before the parent
+        // asks.
         let mut row_of = vec![u32::MAX; self.num_vertices];
-        let mut scratch = SsspScratch::new();
         let no_touched: Vec<RoadVertexId> = Vec::new();
         for id in (0..self.nodes.len()).rev() {
-            let recompute = source_dirty[id]
-                || self.nodes[id]
-                    .children
-                    .iter()
-                    .any(|&c| changed[c].as_ref().is_some_and(|l| !l.is_empty()));
+            let recompute = !self.nodes[id].children.is_empty()
+                && (source_dirty[id]
+                    || self.nodes[id]
+                        .children
+                        .iter()
+                        .any(|&c| changed[c].as_ref().is_some_and(|l| !l.is_empty())));
             if !recompute {
                 continue;
             }
-            if self.nodes[id].children.is_empty() {
-                let old_sub = self.border_submatrix(id);
-                let chg = self.fill_leaf_matrix(net, id, &mut region_mask, &mut scratch);
-                changed[id] = chg.then(|| self.changed_borders_since(id, &old_sub));
-                stats.dirty_leaves += 1;
-                stats.recomputed_matrix_cells += self.nodes[id].matrix.len();
-                stats.row_dijkstras += self.nodes[id].union_borders.len();
-            } else {
-                let touched = level_touched
-                    .get(&id)
-                    .map_or(no_touched.as_slice(), Vec::as_slice);
-                let (report, dijkstra_rows, patched_rows) =
-                    self.refresh_internal_matrix(net, id, &changed, touched, &mut row_of);
-                changed[id] = report;
-                stats.dirty_internal += 1;
-                let size = self.nodes[id].union_borders.len();
-                stats.recomputed_matrix_cells += (dijkstra_rows + patched_rows) * size;
-                stats.row_dijkstras += dijkstra_rows;
-                stats.patched_rows += patched_rows;
-            }
+            let touched = level_touched
+                .get(&id)
+                .map_or(no_touched.as_slice(), Vec::as_slice);
+            let (report, dijkstra_rows, patched_rows) =
+                self.refresh_internal_matrix(net, id, &changed, touched, &mut row_of, pool);
+            changed[id] = report;
+            stats.dirty_internal += 1;
+            let size = self.nodes[id].union_borders.len();
+            stats.recomputed_matrix_cells += (dijkstra_rows + patched_rows) * size;
+            stats.row_dijkstras += dijkstra_rows;
+            stats.patched_rows += patched_rows;
         }
         stats
     }
@@ -1159,7 +1208,7 @@ impl GTree {
         }
     }
 
-    fn compute_matrices(&mut self, net: &RoadNetwork) {
+    fn compute_matrices(&mut self, net: &RoadNetwork, pool: RowPool) {
         // Parents are created before their children, so one increasing-id
         // pass settles every node's depth. Levels are processed bottom-up: an
         // internal matrix reads only its children's borders and matrices
@@ -1177,9 +1226,6 @@ impl GTree {
         for (id, &d) in depth.iter().enumerate() {
             levels[d].push(id);
         }
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         let mut row_of = vec![u32::MAX; self.num_vertices];
         for level in levels.iter().rev() {
             // Index spaces and row arrays first (serial, cheap): the level's
@@ -1203,7 +1249,7 @@ impl GTree {
                 })
                 .collect();
             let t_contract = t0.elapsed();
-            let matrices = self.fill_level_rows(net, &fills, workers);
+            let matrices = self.fill_level_rows(net, &fills, pool);
             if trace {
                 let rows: usize = fills
                     .iter()
@@ -1287,99 +1333,66 @@ impl GTree {
         node.child_border_rows = child_border_rows;
     }
 
-    /// Fills the matrices of one build level. Row tasks (one masked or
-    /// reduced Dijkstra each) are flattened across all nodes of the level and
-    /// claimed from an atomic counter by scoped worker threads, so a single
-    /// huge node (the root) still spreads across every core. Each row is
-    /// computed independently from immutable inputs, so the result is
-    /// deterministic regardless of thread count; small levels (and
-    /// single-core hosts) run the identical computation serially.
+    /// Fills the matrices of `fills`: a build level, or every dirty leaf of
+    /// a refresh. The row tasks (one masked or reduced Dijkstra each) of all
+    /// nodes go to one [`RowPool`] run, so a single huge node (the root)
+    /// still spreads across every core. Each row is computed independently
+    /// from immutable inputs straight into its matrix, so the result is
+    /// deterministic regardless of thread count.
     fn fill_level_rows(
         &self,
         net: &RoadNetwork,
         fills: &[NodeFill],
-        workers: usize,
+        pool: RowPool,
     ) -> Vec<Vec<f64>> {
         let sizes: Vec<usize> = fills
             .iter()
             .map(|f| self.nodes[f.id].union_borders.len())
             .collect();
-        let mut row_base = vec![0usize; fills.len() + 1];
-        for (i, &s) in sizes.iter().enumerate() {
-            row_base[i + 1] = row_base[i] + s;
-        }
-        let total_rows = row_base[fills.len()];
+        let work = fills
+            .iter()
+            .zip(&sizes)
+            .map(|(f, &size)| size * f.reduced.as_ref().map_or(size, |r| r.targets.len()))
+            .sum();
         let mut matrices: Vec<Vec<f64>> =
             sizes.iter().map(|&s| vec![f64::INFINITY; s * s]).collect();
-        if workers <= 1 || total_rows < PARALLEL_ROW_THRESHOLD {
-            let mut worker = FillWorker::new(net.num_vertices());
-            for (fi, matrix) in matrices.iter_mut().enumerate() {
-                let size = sizes[fi];
-                for row in 0..size {
-                    let out = self.compute_matrix_row(net, &fills[fi], row, &mut worker);
-                    matrix[row * size..(row + 1) * size].copy_from_slice(&out);
-                }
-            }
-            return matrices;
-        }
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let computed: Vec<Vec<(usize, Vec<f64>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut worker = FillWorker::new(net.num_vertices());
-                        let mut out: Vec<(usize, Vec<f64>)> = Vec::new();
-                        loop {
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            if g >= total_rows {
-                                break;
-                            }
-                            let fi = row_base.partition_point(|&b| b <= g) - 1;
-                            let row = g - row_base[fi];
-                            out.push((
-                                g,
-                                self.compute_matrix_row(net, &fills[fi], row, &mut worker),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("matrix fill worker panicked"))
-                .collect()
-        });
-        for chunk in computed {
-            for (g, row) in chunk {
-                let fi = row_base.partition_point(|&b| b <= g) - 1;
-                let r = g - row_base[fi];
-                let size = sizes[fi];
-                matrices[fi][r * size..(r + 1) * size].copy_from_slice(&row);
-            }
-        }
+        let rows = matrices.iter_mut().zip(fills.iter().zip(&sizes)).flat_map(
+            |(matrix, (fill, &size))| {
+                // An empty matrix has no rows; the chunk width only must
+                // not be zero.
+                matrix
+                    .chunks_exact_mut(size.max(1))
+                    .enumerate()
+                    .map(move |(row, out)| (fill, row, out))
+            },
+        );
+        pool.run(
+            work,
+            rows,
+            || FillWorker::new(net.num_vertices()),
+            |worker, (fill, row, out)| {
+                self.compute_matrix_row(net, fill, row, out, worker);
+                0
+            },
+        );
         matrices
     }
 
-    /// Computes one matrix row of a node being filled: a masked within-region
-    /// Dijkstra for leaves, a reduced-graph Dijkstra for internal nodes.
+    /// Computes one matrix row of a node being filled into `out`: a masked
+    /// within-region Dijkstra for leaves, a reduced-graph Dijkstra for
+    /// internal nodes.
     fn compute_matrix_row(
         &self,
         net: &RoadNetwork,
         fill: &NodeFill,
         row: usize,
+        out: &mut [f64],
         worker: &mut FillWorker,
-    ) -> Vec<f64> {
-        let node = &self.nodes[fill.id];
+    ) {
         match &fill.reduced {
-            Some(reduced) => {
-                let mut out = vec![f64::INFINITY; node.union_borders.len()];
-                reduced_dijkstra_row(reduced, row, &mut out, &mut worker.queue);
-                out
-            }
+            Some(reduced) => reduced_dijkstra_row(reduced, row, out, &mut worker.queue),
             None => {
-                let ub = &node.union_borders;
+                let ub = &self.nodes[fill.id].union_borders;
                 let FillWorker {
                     sssp, region_mask, ..
                 } = worker;
@@ -1394,11 +1407,12 @@ impl GTree {
                     &mut BudgetTicker::unlimited(),
                 );
                 let dists = sssp.dist();
-                let out: Vec<f64> = ub.iter().map(|&u| dists[u as usize]).collect();
+                for (slot, &u) in out.iter_mut().zip(ub) {
+                    *slot = dists[u as usize];
+                }
                 for &v in ub {
                     region_mask[v as usize] = false;
                 }
-                out
             }
         }
     }
@@ -1537,42 +1551,6 @@ impl GTree {
         }
     }
 
-    /// (Re)computes a leaf's full pairwise within-region distance matrix from
-    /// the current network weights and stores it when it differs from the
-    /// current one (recomputation is deterministic, so unchanged inputs
-    /// reproduce the matrix exactly). Returns whether it changed; an
-    /// unchanged leaf stays shared with any clone of the tree.
-    fn fill_leaf_matrix(
-        &mut self,
-        net: &RoadNetwork,
-        id: usize,
-        region_mask: &mut [bool],
-        scratch: &mut SsspScratch,
-    ) -> bool {
-        let vertices = &self.nodes[id].union_borders;
-        for &v in vertices {
-            region_mask[v as usize] = true;
-        }
-        let size = vertices.len();
-        let mut matrix = vec![f64::INFINITY; size * size];
-        let mut unlimited = BudgetTicker::unlimited();
-        for (i, &v) in vertices.iter().enumerate() {
-            scratch.run(net, &[(v, 0.0)], None, Some(region_mask), &mut unlimited);
-            let dists = scratch.dist();
-            for (j, &u) in vertices.iter().enumerate() {
-                matrix[i * size + j] = dists[u as usize];
-            }
-        }
-        for &v in vertices {
-            region_mask[v as usize] = false;
-        }
-        let changed = self.nodes[id].matrix != matrix;
-        if changed {
-            self.node_mut(id).matrix = matrix;
-        }
-        changed
-    }
-
     /// Extracts a node's current border-to-border submatrix (row-major over
     /// `border_rows`) — the only part of its matrix a parent's reduced graph
     /// can observe.
@@ -1636,9 +1614,27 @@ impl GTree {
     /// graph is undirected), and `min(old(s,t), B_new)` equals that whenever
     /// `old(s,t) < B_old` (the old path avoided `C`, so `A = old`) **or**
     /// `B_new <= old(s,t)` (the detour got cheap enough to dominate `A >=
-    /// old`). Both comparisons carry an epsilon margin so f64 association
-    /// ties fall to the re-Dijkstra side. Returns the node's changed-border
-    /// list (`None` if the matrix is unchanged) plus
+    /// old`).
+    ///
+    /// **Tie contract.** Both comparisons carry the relative margin `m =
+    /// 1e-12 · max(|B_old|, 1)`, the margin [`significantly_different`]
+    /// uses for change detection. A pair with `old(s,t)` within `m` of
+    /// `B_old` fails the first test, so a near-tie between the old path and
+    /// the old detour is never taken as "avoided `C`": it is patched only by
+    /// the second test, else the row goes to the Dijkstra side. The second
+    /// test accepts `B_new <= old(s,t) + m`, so a patched entry may sit up
+    /// to `m` above the exact value, and change detection reports a border
+    /// distance that moved by at most its margin as unchanged. A refreshed
+    /// entry may therefore differ from a fresh build only within that
+    /// margin, per refresh. Where every path sum is exact in f64 (integer
+    /// weights, say) nothing falls inside a margin, and the refreshed
+    /// matrices equal a fresh build bit for bit.
+    ///
+    /// The three row sets — every row of a dense change, the fresh `C` rows,
+    /// then the patch-or-Dijkstra rows, which read only the old matrix, the
+    /// fresh `C` rows and their own worker's buffers — each run on `pool`,
+    /// written in place into the node's new matrix. Returns the node's
+    /// changed-border list (`None` if the matrix is unchanged) plus
     /// `(dijkstra_rows, patched_rows)`. The node is copied out of any clone
     /// sharing it only once `C` is non-empty.
     fn refresh_internal_matrix(
@@ -1648,6 +1644,7 @@ impl GTree {
         changed: &[Option<Vec<usize>>],
         touched: &[RoadVertexId],
         row_of: &mut [u32],
+        pool: RowPool,
     ) -> (Option<Vec<usize>>, usize, usize) {
         let size = self.nodes[id].union_borders.len();
         if size == 0 {
@@ -1675,89 +1672,91 @@ impl GTree {
         }
         let old_sub = self.border_submatrix(id);
         let reduced = self.reduced_graph_for_update(net, id, changed, row_of);
+        let row_work = reduced.targets.len();
         let old = std::mem::take(&mut self.node_mut(id).matrix);
         let mut matrix = vec![f64::INFINITY; size * size];
-        let mut queue = SweepQueue::default();
-        if c_rows.len() * 2 >= size {
+        let dijkstra = |queue: &mut SweepQueue, (s, out): (usize, &mut [f64])| {
+            reduced_dijkstra_row(&reduced, s, out, queue);
+            1
+        };
+        let (dijkstra_rows, patched_rows) = if c_rows.len() * 2 >= size {
             // Dense change: patching cannot beat recomputing everything.
-            for (s, row) in matrix.chunks_exact_mut(size).enumerate() {
-                reduced_dijkstra_row(&reduced, s, row, &mut queue);
+            let rows = matrix.chunks_exact_mut(size).enumerate();
+            pool.run(size * row_work, rows, SweepQueue::default, dijkstra);
+            (size, 0)
+        } else {
+            // Fresh rows for every changed source; row `c` doubles as the
+            // new `new(s, c)` column by symmetry.
+            let rows = matrix
+                .chunks_exact_mut(size)
+                .enumerate()
+                .filter(|(r, _)| in_c[*r]);
+            pool.run(c_rows.len() * row_work, rows, SweepQueue::default, dijkstra);
+            let mut fresh: Vec<&[f64]> = Vec::with_capacity(c_rows.len());
+            let mut rest: Vec<(usize, &mut [f64])> = Vec::with_capacity(size - c_rows.len());
+            for (r, row) in matrix.chunks_exact_mut(size).enumerate() {
+                if in_c[r] {
+                    fresh.push(row);
+                } else {
+                    rest.push((r, row));
+                }
             }
-            let node_changed = old != matrix;
-            self.node_mut(id).matrix = matrix;
-            let report = node_changed.then(|| self.changed_borders_since(id, &old_sub));
-            return (report, size, 0);
-        }
-        // Fresh rows for every changed source; row `c` doubles as the new
-        // `new(s, c)` column by symmetry.
-        for &c in &c_rows {
-            reduced_dijkstra_row(
-                &reduced,
-                c,
-                &mut matrix[c * size..(c + 1) * size],
-                &mut queue,
+            let rest_rows = rest.len();
+            let redone = pool.run(
+                rest_rows * row_work,
+                rest.into_iter(),
+                || PatchWorker::new(size),
+                |worker, (s, out)| {
+                    let PatchWorker {
+                        b_old,
+                        b_new,
+                        queue,
+                    } = worker;
+                    b_old.fill(f64::INFINITY);
+                    b_new.fill(f64::INFINITY);
+                    let old_row = &old[s * size..(s + 1) * size];
+                    for (&c, new_c) in c_rows.iter().zip(&fresh) {
+                        let osc = old_row[c];
+                        if osc.is_finite() {
+                            lower_by_sum(b_old, osc, &old[c * size..(c + 1) * size]);
+                        }
+                        let nsc = new_c[s];
+                        if nsc.is_finite() {
+                            lower_by_sum(b_new, nsc, new_c);
+                        }
+                    }
+                    // An infinite detour bound is exact (reweights never
+                    // change reachability, so `old == A` there); finite
+                    // bounds must clear the tie margin. The second clause
+                    // is what keeps patching effective: a shortest path that
+                    // merely touches `C` without using a changed edge keeps
+                    // `B_new == old`, and `min(A, B_new) = B_new` then holds
+                    // because `A >= old` always.
+                    let safe = (0..size).all(|t| {
+                        if in_c[t] {
+                            return true;
+                        }
+                        let bo = b_old[t];
+                        if bo.is_infinite() {
+                            return true;
+                        }
+                        let m = 1e-12 * bo.abs().max(1.0);
+                        old_row[t] < bo - m || b_new[t] <= old_row[t] + m
+                    });
+                    if !safe {
+                        return dijkstra(queue, (s, out));
+                    }
+                    for ((slot, &o), &b) in out.iter_mut().zip(old_row).zip(b_new.iter()) {
+                        *slot = o.min(b);
+                    }
+                    for (&c, new_c) in c_rows.iter().zip(&fresh) {
+                        out[c] = new_c[s];
+                    }
+                    0
+                },
             );
-        }
-        let mut dijkstra_rows = c_rows.len();
-        let mut patched_rows = 0usize;
-        let mut b_old = vec![f64::INFINITY; size];
-        let mut b_new = vec![f64::INFINITY; size];
-        for s in 0..size {
-            if in_c[s] {
-                continue;
-            }
-            b_old.fill(f64::INFINITY);
-            b_new.fill(f64::INFINITY);
-            let old_row = &old[s * size..(s + 1) * size];
-            for &c in &c_rows {
-                let osc = old_row[c];
-                if osc.is_finite() {
-                    lower_by_sum(&mut b_old, osc, &old[c * size..(c + 1) * size]);
-                }
-                let new_c = &matrix[c * size..(c + 1) * size];
-                let nsc = new_c[s];
-                if nsc.is_finite() {
-                    lower_by_sum(&mut b_new, nsc, new_c);
-                }
-            }
-            // An infinite detour bound is exact (reweights never change
-            // reachability, so `old == A` there); finite bounds must clear
-            // the margin that absorbs f64 association ties. The second
-            // clause is what keeps patching effective: a shortest path that
-            // merely touches `C` without using a changed edge keeps
-            // `B_new == old`, and `min(A, B_new) = B_new` then holds because
-            // `A >= old` always.
-            let safe = (0..size).all(|t| {
-                if in_c[t] {
-                    return true;
-                }
-                let bo = b_old[t];
-                if bo.is_infinite() {
-                    return true;
-                }
-                let m = 1e-12 * bo.abs().max(1.0);
-                old_row[t] < bo - m || b_new[t] <= old_row[t] + m
-            });
-            if safe {
-                for t in 0..size {
-                    let v = if in_c[t] {
-                        matrix[t * size + s]
-                    } else {
-                        old_row[t].min(b_new[t])
-                    };
-                    matrix[s * size + t] = v;
-                }
-                patched_rows += 1;
-            } else {
-                reduced_dijkstra_row(
-                    &reduced,
-                    s,
-                    &mut matrix[s * size..(s + 1) * size],
-                    &mut queue,
-                );
-                dijkstra_rows += 1;
-            }
-        }
+            (c_rows.len() + redone, rest_rows - redone)
+        };
         let node_changed = old != matrix;
         self.node_mut(id).matrix = matrix;
         let report = node_changed.then(|| self.changed_borders_since(id, &old_sub));
@@ -1873,6 +1872,87 @@ impl FillWorker {
             region_mask: vec![false; num_vertices],
             queue: SweepQueue::default(),
         }
+    }
+}
+
+/// Per-thread buffers of a refresh's patch-or-Dijkstra rows: the old and
+/// new detour bounds through `C` of the row being patched, and the queue of
+/// a row that falls back to a Dijkstra.
+#[derive(Debug)]
+struct PatchWorker {
+    b_old: Vec<f64>,
+    b_new: Vec<f64>,
+    queue: SweepQueue,
+}
+
+impl PatchWorker {
+    fn new(size: usize) -> Self {
+        PatchWorker {
+            b_old: vec![f64::INFINITY; size],
+            b_new: vec![f64::INFINITY; size],
+            queue: SweepQueue::default(),
+        }
+    }
+}
+
+/// The threads a set of matrix rows may run on, and the least work estimate
+/// worth spawning them for (see [`PARALLEL_WORK_THRESHOLD`]).
+#[derive(Debug, Clone, Copy)]
+struct RowPool {
+    threads: usize,
+    min_work: usize,
+}
+
+impl RowPool {
+    /// Every core of the host, for work above [`PARALLEL_WORK_THRESHOLD`].
+    fn host() -> Self {
+        RowPool {
+            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            min_work: PARALLEL_WORK_THRESHOLD,
+        }
+    }
+
+    /// Runs `row(worker, item)` for every item and returns the sum of the
+    /// results. Below `min_work` (or with one thread) the calling thread
+    /// runs them all with one worker; otherwise it and `threads - 1` scoped
+    /// helpers claim items one at a time, each with its own `new_worker()`.
+    /// An item carries the `&mut` row it writes, so rows are filled in place
+    /// and no row allocates; the output is the same whichever thread runs
+    /// an item, as long as `row` reads only shared inputs and its worker's
+    /// scratch.
+    fn run<T, W, I, N, F>(self, work: usize, items: I, new_worker: N, row: F) -> usize
+    where
+        T: Send,
+        I: Iterator<Item = T> + Send,
+        N: Fn() -> W + Sync,
+        F: Fn(&mut W, T) -> usize + Sync,
+    {
+        if self.threads <= 1 || work < self.min_work {
+            let mut worker = new_worker();
+            return items.map(|item| row(&mut worker, item)).sum();
+        }
+        let items = Mutex::new(items);
+        let claim = || {
+            let mut worker = new_worker();
+            let mut total = 0;
+            loop {
+                // The guard drops at the end of this statement, before the
+                // row runs.
+                let next = items.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some(item) = next else {
+                    return total;
+                };
+                total += row(&mut worker, item);
+            }
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.threads).map(|_| scope.spawn(claim)).collect();
+            let own = claim();
+            own + helpers
+                .into_iter()
+                .map(|h| h.join().expect("matrix row worker panicked"))
+                .sum::<usize>()
+        })
     }
 }
 
@@ -2968,5 +3048,156 @@ mod tests {
             }
         }
         assert!(checked > 50, "only {checked} child cliques checked");
+    }
+
+    /// A serial pool and a four-thread pool that parallelises any amount of
+    /// work, so even these small trees take the threaded path.
+    const POOLS: [RowPool; 2] = [
+        RowPool {
+            threads: 1,
+            min_work: 0,
+        },
+        RowPool {
+            threads: 4,
+            min_work: 0,
+        },
+    ];
+
+    /// An integer weight in `0..=4` (zero-length roads and many ties) when
+    /// `integer`, else a real weight in `[0.5, 3)`.
+    fn random_weight(rng: &mut rand::rngs::StdRng, integer: bool) -> f64 {
+        use rand::prelude::*;
+        if integer {
+            f64::from(rng.random_range(0..5u32))
+        } else {
+            rng.random_range(0.5..3.0)
+        }
+    }
+
+    /// A grid of 5–11 rows and columns with random weights.
+    fn random_grid(rng: &mut rand::rngs::StdRng, integer: bool) -> RoadNetwork {
+        use rand::prelude::*;
+        let (rows, cols) = (rng.random_range(5..12u32), rng.random_range(5..12u32));
+        let mut edges = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                if c + 1 < cols {
+                    edges.push((v, v + 1, random_weight(rng, integer)));
+                }
+                if r + 1 < rows {
+                    edges.push((v, v + cols, random_weight(rng, integer)));
+                }
+            }
+        }
+        RoadNetwork::from_edges((rows * cols) as usize, &edges)
+    }
+
+    /// Reweights `count` random edges of `net` in place and returns the
+    /// batch.
+    fn random_reweights(
+        rng: &mut rand::rngs::StdRng,
+        net: &mut RoadNetwork,
+        count: usize,
+        integer: bool,
+    ) -> Vec<EdgeUpdate> {
+        use rand::prelude::*;
+        let edges: Vec<(u32, u32, f64)> = net.edges().collect();
+        let updates: Vec<EdgeUpdate> = (0..count)
+            .map(|_| {
+                let (u, v, _) = edges[rng.random_range(0..edges.len())];
+                EdgeUpdate::new(u, v, random_weight(rng, integer))
+            })
+            .collect();
+        net.apply_edge_updates(&updates).expect("valid reweights");
+        updates
+    }
+
+    /// Builds and refreshes on one thread and on four give the same trees:
+    /// every matrix bit for bit, the same update statistics, and the same
+    /// nodes copied out of the pre-update clone (no more than were
+    /// recomputed; every other node stays the same allocation). Rounds go
+    /// from one reweight up to a third of the edges, which makes the top
+    /// nodes take the dense-change path.
+    #[test]
+    fn serial_and_parallel_pools_agree_bit_for_bit() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x9A11E1);
+        for case in 0..6 {
+            let integer = case >= 3;
+            let mut net = if integer {
+                adversarial_network(&mut rng)
+            } else {
+                random_grid(&mut rng, false)
+            };
+            let (cap, fanout) = (rng.random_range(4..10), [2, 4][rng.random_range(0..2)]);
+            let mut trees = POOLS.map(|pool| GTree::build_on(&net, cap, fanout, pool));
+            assert_eq!(
+                matrix_bits(&trees[0]),
+                matrix_bits(&trees[1]),
+                "case {case}: build"
+            );
+            for round in 0..4 {
+                let count = [1, 3, 8, net.num_edges() / 3][round].max(1);
+                let updates = random_reweights(&mut rng, &mut net, count, integer);
+                let before = trees.clone();
+                let mut stats = Vec::new();
+                let mut copied = Vec::new();
+                for ((tree, pre), pool) in trees.iter_mut().zip(&before).zip(POOLS) {
+                    stats.push(tree.refresh_on(&net, &updates, pool));
+                    copied.push(
+                        (0..tree.num_nodes())
+                            .filter(|&id| !Arc::ptr_eq(&pre.nodes[id], &tree.nodes[id]))
+                            .collect::<Vec<_>>(),
+                    );
+                }
+                let at = format!("case {case} round {round}");
+                assert_eq!(stats[0], stats[1], "{at}: stats");
+                assert_eq!(matrix_bits(&trees[0]), matrix_bits(&trees[1]), "{at}");
+                assert_eq!(copied[0], copied[1], "{at}: copied nodes");
+                assert!(copied[0].len() <= stats[0].dirty_leaves + stats[0].dirty_internal);
+            }
+        }
+    }
+
+    /// The refresh's tie contract: its 1e-12 margins only ever keep an
+    /// entry within that margin of a recomputation. With integer weights
+    /// every path sum is exact, nothing falls inside a margin, and after
+    /// every round the refreshed matrices equal a fresh build bit for bit,
+    /// serial and parallel.
+    #[test]
+    fn refresh_matches_fresh_build_bit_for_bit_on_integer_weights() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x71E5);
+        let (mut internal, mut patched) = (0usize, 0usize);
+        for case in 0..6 {
+            let mut net = if case % 2 == 0 {
+                random_grid(&mut rng, true)
+            } else {
+                adversarial_network(&mut rng)
+            };
+            let cap = rng.random_range(4..10);
+            let mut trees = POOLS.map(|_| GTree::build_with_capacity(&net, cap));
+            for round in 0..5 {
+                let count = rng.random_range(1..6);
+                let updates = random_reweights(&mut rng, &mut net, count, true);
+                let fresh = matrix_bits(&GTree::build_with_capacity(&net, cap));
+                for (tree, pool) in trees.iter_mut().zip(POOLS) {
+                    let stats = tree.refresh_on(&net, &updates, pool);
+                    internal += stats.dirty_internal;
+                    patched += stats.patched_rows;
+                    assert_eq!(
+                        matrix_bits(tree),
+                        fresh,
+                        "case {case} round {round}, {} threads",
+                        pool.threads
+                    );
+                }
+            }
+        }
+        assert!(
+            internal > 0 && patched > 0,
+            "{internal} internal refreshes, {patched} patched rows"
+        );
     }
 }

@@ -15,6 +15,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use road_social_mac::core::{
     AlgorithmChoice, MacEngine, MacQuery, MacSearchResult, NetworkDelta, RoadSocialNetwork,
+    UpdateStage,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -412,6 +413,40 @@ fn concurrent_serving_during_updates_settles_on_the_final_epoch() {
         let b = reference_session.execute(query).unwrap();
         assert_results_identical(&format!("settled query {i}"), &a, &b);
     }
+}
+
+/// `stage_seconds` splits an update's wall time by stage: no stage is
+/// negative, together they fit in `elapsed_seconds` (which also counts the
+/// wait for the update lock), and a delta that only moves users skips the
+/// G-tree refresh.
+#[test]
+fn update_stage_times_fit_in_the_elapsed_time() {
+    let (rsn, group) = random_network(19, 400, true);
+    let engine = MacEngine::build_uncalibrated(rsn);
+    let (u, v, w) = engine.epoch().network().road().edges().nth(5).unwrap();
+    let reweight = engine
+        .apply_updates(&NetworkDelta::new().reweight_edge(u, v, w * 2.0))
+        .unwrap();
+    let moved = engine
+        .apply_updates(&NetworkDelta::new().move_user(group[0], Location::vertex(3)))
+        .unwrap();
+    for (name, stats) in [("reweight", &reweight), ("move", &moved)] {
+        assert!(
+            stats.stage_seconds.iter().all(|&s| s >= 0.0),
+            "{name}: {:?}",
+            stats.stage_seconds
+        );
+        let total: f64 = stats.stage_seconds.iter().sum();
+        // A nanosecond of slack: each stage is rounded to f64 on its own.
+        assert!(
+            total <= stats.elapsed_seconds + 1e-9,
+            "{name}: stages sum to {total} s of {} s",
+            stats.elapsed_seconds
+        );
+    }
+    let refresh = UpdateStage::GTreeRefresh as usize;
+    assert!(reweight.stage_seconds[refresh] > 0.0);
+    assert_eq!(moved.stage_seconds[refresh], 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@
 //! attributes to a single influence value via 100 random weight vectors drawn
 //! from `R` and report the average time; Sky/Sky+ ignore `R` entirely.
 //!
+//! Next to each search's time the table prints its cell count and its
+//! distinct-community count (`cells/comms`): LS-NC is a heuristic, and a
+//! fast LS-NC that reports nothing is no win over GS-NC.
+//!
 //! ```text
 //! cargo run -p rsn-bench --release --bin fig13_14_comparison -- --preset sf_delicious [--scale 0.2]
 //! ```
@@ -14,7 +18,7 @@ use rand::rngs::StdRng;
 use rsn_baselines::influ::{Influ, InfluPlus};
 use rsn_baselines::sky::{skyline_communities, skyline_communities_pruned};
 use rsn_bench::runner::{with_dimensionality, QuerySpec};
-use rsn_core::{AlgorithmChoice, MacEngine, RoadSocialNetwork, SearchContext};
+use rsn_core::{AlgorithmChoice, MacEngine, MacSearchResult, RoadSocialNetwork, SearchContext};
 use rsn_datagen::presets::{build_preset_scaled, Dataset, PresetName, PresetScale};
 use std::time::Instant;
 
@@ -49,8 +53,8 @@ fn main() {
         preset.label()
     );
     println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "param", "GS-NC", "LS-NC", "Influ", "Influ+", "Sky", "Sky+"
+        "{:>6} {:>10} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "param", "GS-NC", "cells/comms", "LS-NC", "cells/comms", "Influ", "Influ+", "Sky", "Sky+"
     );
 
     println!("(b) varying k");
@@ -67,9 +71,20 @@ fn main() {
     }
 }
 
+/// What one search reported, as `cells/distinct communities`.
+fn reported(result: &MacSearchResult) -> String {
+    format!(
+        "{}/{}",
+        result.cells.len(),
+        result.distinct_communities().len()
+    )
+}
+
 struct Row {
     gs_nc: f64,
+    gs_reported: String,
     ls_nc: f64,
+    ls_reported: String,
     influ: f64,
     influ_plus: f64,
     sky: f64,
@@ -84,23 +99,27 @@ fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row 
     let mut session = engine.session();
 
     let start = Instant::now();
-    let _ = session
+    let gs = session
         .execute(&query.clone().with_algorithm(AlgorithmChoice::Global))
         .unwrap();
     let gs_nc = start.elapsed().as_secs_f64();
+    let gs_reported = reported(&gs);
 
     let start = Instant::now();
-    let _ = session
+    let ls = session
         .execute(&query.clone().with_algorithm(AlgorithmChoice::Local))
         .unwrap();
     let ls_nc = start.elapsed().as_secs_f64();
+    let ls_reported = reported(&ls);
 
     // Baselines run on the same maximal (k,t)-core, mirroring the paper's
     // setup (they share the range filter and core extraction).
     let Some(ctx) = SearchContext::build(rsn, &query).unwrap() else {
         return Row {
             gs_nc,
+            gs_reported,
             ls_nc,
+            ls_reported,
             influ: 0.0,
             influ_plus: 0.0,
             sky: 0.0,
@@ -148,7 +167,9 @@ fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row 
 
     Row {
         gs_nc,
+        gs_reported,
         ls_nc,
+        ls_reported,
         influ,
         influ_plus,
         sky,
@@ -165,7 +186,15 @@ fn run_capped(f: impl FnOnce()) -> f64 {
 
 fn print_row(label: &str, row: &Row) {
     println!(
-        "{:>6} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
-        label, row.gs_nc, row.ls_nc, row.influ, row.influ_plus, row.sky, row.sky_plus
+        "{:>6} {:>10.4} {:>12} {:>10.4} {:>12} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
+        label,
+        row.gs_nc,
+        row.gs_reported,
+        row.ls_nc,
+        row.ls_reported,
+        row.influ,
+        row.influ_plus,
+        row.sky,
+        row.sky_plus
     );
 }

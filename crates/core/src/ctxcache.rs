@@ -221,8 +221,6 @@ pub(crate) struct CachedEntry {
     /// The context; an entry with a stored answer lets it go at the first
     /// epoch change (see [`ContextCache`]).
     pub(crate) parts: Option<ContextParts>,
-    /// The (k,t)-core size, which the algorithm resolution reads.
-    pub(crate) core_size: usize,
     pub(crate) reuse: Reuse,
     pub(crate) outcome: Option<CompactOutcome>,
 }
@@ -232,7 +230,6 @@ impl CachedEntry {
     pub(crate) fn new(key: QuerySignature, parts: ContextParts, reuse: Reuse) -> Self {
         CachedEntry {
             key,
-            core_size: parts.core_size(),
             parts: Some(parts),
             reuse,
             outcome: None,

@@ -35,18 +35,11 @@
 //! Per-thread execution state lives in [`QuerySession`] (obtained via
 //! [`MacEngine::session`]); the engine itself holds no per-query state.
 
-use crate::budget::{BudgetTicker, QueryBudget};
-use crate::context::{BuildOutcome, ContextScratch, SearchContext};
 use crate::error::{DeltaEntry, MacError};
-use crate::global::{self, GsScratch};
-use crate::ktcore::KtOutcome;
-use crate::local::{self, ExpandStrategy};
 use crate::network::RoadSocialNetwork;
 use crate::policy::ExecutionPolicy;
 use crate::query::MacQuery;
 use crate::session::QuerySession;
-use rsn_geom::region::PrefRegion;
-use rsn_geom::weights::WeightVector;
 use rsn_graph::graph::VertexId;
 use rsn_road::gtree::{GTreeUpdateStats, LeafTargets};
 use rsn_road::network::{EdgeUpdate, Location};
@@ -57,70 +50,34 @@ use rsn_road::rangefilter::{
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which search algorithm answers a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AlgorithmChoice {
-    /// Let the executing session resolve through its engine's calibration:
-    /// the exact global search while the maximal (k,t)-core fits under the
-    /// calibrated size threshold
-    /// ([`EngineCalibration::local_core_threshold`]), the local
-    /// expand-and-verify framework beyond it (the paper's scalable path,
-    /// Section VI).
+    /// Inherit the choice: a query-level `Auto` takes its
+    /// [`ExecutionPolicy::algorithm`], and a policy-level `Auto` runs the
+    /// exact global search (Algorithm 1), whatever the size of the maximal
+    /// (k,t)-core. GS time grows steeply with the core (a 400-user random
+    /// network with k = 3 and σ = 0.05 took 26–29 s for 163,994 cells in a
+    /// release build on a 2-vCPU host, where LS took 5 ms and reported
+    /// none), so bound it with [`QuerySession::execute_with_budget`] or
+    /// [`ExecutionPolicy::with_default_budget`]; a budget-cut answer is a
+    /// `Partial` whose cells are exact.
     #[default]
     Auto,
     /// Always run the DFS-based global search (Algorithm 1) — exact.
     Global,
     /// Always run the local expand-and-verify framework (Algorithms 3–5) —
     /// the paper's heuristic for large cores; results are confirmed against
-    /// the fixed-weight peeling oracle but cells may be missed.
+    /// the fixed-weight peeling oracle but cells may be missed. Beyond small
+    /// inputs it may miss all of them: it reported 0 cells on a 300-user
+    /// random network (core 294, k = 3, σ = 0.05) where GS reported 2,370,
+    /// on 9 of 9 k = 3 queries over a 10k-vertex grid (core 1,994) where GS
+    /// reported 794–2,884, and on five d = 3 evaluation presets at 0.05
+    /// scale. Only an explicit choice runs it.
     Local,
 }
-
-/// Fallback (k,t)-core size above which `AlgorithmChoice::Auto` switches
-/// from the exact global search to the local framework, used whenever the
-/// build-time crossover probe cannot produce a trustworthy measurement
-/// (uncalibrated builds, empty or near-empty networks, probe cores outside
-/// the probe's accepted core-size window, timings under the noise floor).
-/// The
-/// global search's arrangement work grows super-linearly with the core
-/// (every level of the peel re-arranges the surviving leaves), while the
-/// local framework's expand-and-verify cost is governed by the candidate
-/// budget; the paper's evaluation (Fig. 13–14) shows the local algorithms
-/// winning by orders of magnitude on large cores.
-pub const DEFAULT_LOCAL_CORE_THRESHOLD: usize = 4096;
-
-/// Clamp bounds for the measured GS→LS crossover threshold. The lower bound
-/// keeps small cores on the exact global search no matter how flattering the
-/// local timing looked (the local framework is a heuristic; exactness is
-/// cheap at this size), the upper bound keeps a lucky global timing from
-/// routing arbitrarily large cores to the super-linear exact path.
-const CROSSOVER_THRESHOLD_BOUNDS: (usize, usize) = (256, 1 << 22);
-
-/// Probe-core window inside which the crossover measurement is trusted.
-/// Below the floor both algorithms finish in noise. The ceiling bounds the
-/// probe's own cost: the exact global search is super-linear in the core, so
-/// timing it on a core of thousands costs whole seconds of engine build —
-/// instead the probe *shrinks its distance threshold* until the anchor core
-/// fits under the ceiling and extrapolates the crossover from there.
-const CROSSOVER_PROBE_CORE_RANGE: (usize, usize) = (32, 128);
-
-/// How many times the crossover probe shrinks its distance threshold looking
-/// for an anchor core inside [`CROSSOVER_PROBE_CORE_RANGE`].
-const CROSSOVER_PROBE_ATTEMPTS: usize = 8;
-
-/// Seconds below which a crossover probe timing is treated as noise.
-const CROSSOVER_NOISE_FLOOR: f64 = 1e-6;
-
-/// Hard wall-clock cap on the *entire* crossover probe — every extraction
-/// attempt and both timed searches run under one deadline-armed
-/// [`BudgetTicker`](rsn_road::budget::BudgetTicker), and exhaustion keeps
-/// [`DEFAULT_LOCAL_CORE_THRESHOLD`]. An engine build must never stall on its
-/// own calibration: the probe costs single-digit milliseconds on networks
-/// where it matters, so a build that would blow this cap is one where the
-/// measurement is untrustworthy anyway (debug builds, starved machines).
-const CROSSOVER_PROBE_DEADLINE: Duration = Duration::from_millis(250);
 
 /// Relative drift of the sampled average edge weight beyond which
 /// [`MacEngine::apply_updates`] re-runs the calibration probe. The average
@@ -154,11 +111,6 @@ pub struct EngineCalibration {
     pub walk_probe_seconds: f64,
     /// The distance threshold the probe used (0.0 when no probe ran).
     pub probe_t: f64,
-    /// (k,t)-core size above which `AlgorithmChoice::Auto` resolves to the
-    /// local framework instead of the exact global search: measured
-    /// per-network by the build-time crossover probe when it ran and was
-    /// trusted, [`DEFAULT_LOCAL_CORE_THRESHOLD`] otherwise.
-    pub local_core_threshold: usize,
 }
 
 impl Default for EngineCalibration {
@@ -168,7 +120,6 @@ impl Default for EngineCalibration {
             sweep_probe_seconds: 0.0,
             walk_probe_seconds: 0.0,
             probe_t: 0.0,
-            local_core_threshold: DEFAULT_LOCAL_CORE_THRESHOLD,
         }
     }
 }
@@ -542,32 +493,15 @@ impl EngineEpoch {
             explicit => explicit,
         }
     }
-
-    /// Resolves an [`AlgorithmChoice`] given the query's maximal (k,t)-core
-    /// size (known after the shared context build). Never returns `Auto`.
-    pub fn resolve_algorithm(
-        &self,
-        requested: AlgorithmChoice,
-        core_size: usize,
-    ) -> AlgorithmChoice {
-        match requested {
-            AlgorithmChoice::Auto => {
-                if core_size <= self.inner.calibration.local_core_threshold {
-                    AlgorithmChoice::Global
-                } else {
-                    AlgorithmChoice::Local
-                }
-            }
-            explicit => explicit,
-        }
-    }
 }
 
 impl MacEngine {
     /// Prepares an engine, running the measured calibration probe (one timed
     /// sweep + one timed multi-seed walk) when the network carries a G-tree
-    /// index. Build cost is one probe — milliseconds on laptop-scale
-    /// networks — plus the user-target grouping.
+    /// index. The probe sets only the range-filter cost model; nothing
+    /// about the search algorithm is measured, since an `Auto` query always
+    /// runs the exact global search. Build cost is one probe — milliseconds
+    /// on laptop-scale networks — plus the user-target grouping.
     pub fn build(rsn: RoadSocialNetwork) -> Self {
         Self::assemble(rsn, true, ExecutionPolicy::default())
     }
@@ -603,11 +537,6 @@ impl MacEngine {
             if let (Some(tree), Some(targets)) = (rsn.gtree(), user_targets.as_ref()) {
                 calibration = Self::probe(&rsn, tree, targets);
                 calibrated_avg_edge_weight = sampled_avg_edge_weight(rsn.road());
-            }
-            // The GS→LS crossover depends on the social structure, not the
-            // index, so it is measured even on unindexed networks.
-            if let Some(threshold) = Self::probe_crossover(&rsn, user_targets.as_ref()) {
-                calibration.local_core_threshold = threshold;
             }
         }
         MacEngine {
@@ -722,115 +651,6 @@ impl MacEngine {
         calibration
     }
 
-    /// The build-time GS→LS crossover probe. Builds one probe query (the
-    /// best-connected user, `k = 2`, threshold ≈ [`PROBE_HOP_RADIUS`] average
-    /// edge weights, the full preference region), runs the exact global
-    /// search and the local framework on the same context (best of two each),
-    /// and extrapolates the core size where they break even: the global
-    /// search's arrangement work is super-linear in the core while the local
-    /// framework's is roughly linear, so if the global run takes `g` seconds
-    /// and the local run `l` seconds on a core of `c` users, the modelled
-    /// crossover is `c · l / g`, clamped to [`CROSSOVER_THRESHOLD_BOUNDS`].
-    ///
-    /// Returns `None` — keep [`DEFAULT_LOCAL_CORE_THRESHOLD`] — whenever the
-    /// measurement cannot be trusted: no users, degenerate weights, a probe
-    /// core outside [`CROSSOVER_PROBE_CORE_RANGE`], a timing under the noise
-    /// floor, or the [`CROSSOVER_PROBE_DEADLINE`] exhausted anywhere along
-    /// the way (the whole probe — extraction attempts, context build, and
-    /// all four timed runs — shares one deadline-armed ticker, so a slow
-    /// machine or a pathological network can never stall an engine build).
-    fn probe_crossover(rsn: &RoadSocialNetwork, targets: Option<&LeafTargets>) -> Option<usize> {
-        if rsn.num_users() == 0 || rsn.road().num_vertices() == 0 || rsn.attribute_dim() < 2 {
-            return None;
-        }
-        let avg_w = sampled_avg_edge_weight(rsn.road());
-        if !(avg_w.is_finite() && avg_w > 0.0) {
-            return None;
-        }
-        let seed = (0..rsn.num_users() as VertexId).max_by_key(|&v| rsn.social().degree(v))?;
-        // A paper-scale preference region (Table III uses sigma as a small
-        // fraction of the axis): the arrangement work of both searches grows
-        // steeply with the region, and serving queries use narrow regions —
-        // probing with the full domain would time a workload nobody runs.
-        let center = WeightVector::uniform(rsn.attribute_dim()).ok()?;
-        let region = PrefRegion::around(&center, 0.05).ok()?;
-        let budget = QueryBudget::new().with_deadline(CROSSOVER_PROBE_DEADLINE);
-        let mut ticker = budget.arm();
-        let mut scratch = ContextScratch::new();
-        let (core_floor, core_ceiling) = CROSSOVER_PROBE_CORE_RANGE;
-        let mut probe_t = avg_w * PROBE_HOP_RADIUS;
-        for _attempt in 0..CROSSOVER_PROBE_ATTEMPTS {
-            let query = MacQuery::new(vec![seed], 2, probe_t, region.clone());
-            // Size the anchor core with the extraction alone first: the full
-            // context build adds an O(core²) r-dominance graph, far too
-            // expensive to pay just to learn the core is oversized.
-            let core = match crate::ktcore::maximal_kt_core_with_ticker(
-                rsn,
-                &query,
-                RangeFilterChoice::DijkstraSweep,
-                targets,
-                &mut scratch.kt,
-                &mut ticker,
-                None,
-            ) {
-                Ok(KtOutcome::Core(core)) => core.vertices.len(),
-                Ok(KtOutcome::Empty) | Ok(KtOutcome::Exhausted(_)) | Err(_) => return None,
-            };
-            if core > core_ceiling {
-                // Too expensive to time the exact search here; tighten the
-                // distance threshold to shrink the anchor core.
-                probe_t *= 0.7;
-                continue;
-            }
-            if core < core_floor {
-                return None;
-            }
-            let ctx = match SearchContext::build_with_ticker(
-                rsn,
-                &query,
-                RangeFilterChoice::DijkstraSweep,
-                targets,
-                &mut scratch,
-                &mut ticker,
-                None,
-            ) {
-                Ok(BuildOutcome::Ready(ctx)) => ctx,
-                Ok(BuildOutcome::Empty) | Ok(BuildOutcome::Exhausted(_)) | Err(_) => return None,
-            };
-            // Best of two repetitions, like the filter probe: the first run
-            // warms caches, the second measures the steady state. Both sides
-            // charge the shared deadline ticker, so the polling overhead
-            // cancels out of the ratio and a tripped deadline abandons the
-            // probe instead of reporting a truncated (meaningless) timing.
-            let mut time = |run: &mut dyn FnMut(&mut BudgetTicker) -> bool| {
-                let mut best = f64::INFINITY;
-                for _ in 0..2 {
-                    let start = Instant::now();
-                    if !run(&mut ticker) {
-                        return None;
-                    }
-                    best = best.min(start.elapsed().as_secs_f64());
-                }
-                Some(best)
-            };
-            let mut gs_scratch = GsScratch::new();
-            let global_seconds = time(&mut |ticker| {
-                global::explore_context(&ctx, &mut gs_scratch, 1, ticker).completed
-            })?;
-            // The session's default expansion knobs, so the measured cost is
-            // the cost Auto-routed queries will actually pay.
-            let local_seconds = time(&mut |ticker| {
-                local::run_context(&ctx, ExpandStrategy::default(), 12, 1, ticker).completed
-            })?;
-            if global_seconds < CROSSOVER_NOISE_FLOOR || local_seconds < CROSSOVER_NOISE_FLOOR {
-                return None;
-            }
-            let (lo, hi) = CROSSOVER_THRESHOLD_BOUNDS;
-            return Some(((core as f64 * (local_seconds / global_seconds)) as usize).clamp(lo, hi));
-        }
-        None
-    }
-
     /// Pins the epoch currently being served: one brief read lock, one `Arc`
     /// clone. All state accessors live on the returned [`EngineEpoch`] so a
     /// caller reads a consistent snapshot even while updates land.
@@ -862,16 +682,6 @@ impl MacEngine {
     /// (see [`EngineEpoch::resolve_filter`]).
     pub fn resolve_filter(&self, query: &MacQuery) -> RangeFilterChoice {
         self.epoch().resolve_filter(query)
-    }
-
-    /// Resolves an [`AlgorithmChoice`] through the current epoch (see
-    /// [`EngineEpoch::resolve_algorithm`]). Never returns `Auto`.
-    pub fn resolve_algorithm(
-        &self,
-        requested: AlgorithmChoice,
-        core_size: usize,
-    ) -> AlgorithmChoice {
-        self.epoch().resolve_algorithm(requested, core_size)
     }
 
     /// Applies a batch of network changes **without rebuilding**: copies the
@@ -1002,13 +812,7 @@ impl MacEngine {
                     true
                 };
                 if drifted {
-                    // The GS→LS crossover is a property of the social
-                    // structure and the machine, neither of which a delta
-                    // can change (topology is fixed): keep the build-time
-                    // measurement instead of paying the probe again.
-                    let threshold = calibration.local_core_threshold;
                     calibration = Self::probe(&rsn, tree, targets);
-                    calibration.local_core_threshold = threshold;
                     calibrated_avg_edge_weight = avg_w;
                     stats.recalibrated = true;
                 }
@@ -1249,87 +1053,6 @@ mod tests {
         assert_eq!(
             epoch.resolve_filter_with(&q, RangeFilterChoice::Auto),
             engine.resolve_filter(&q)
-        );
-    }
-
-    #[test]
-    fn algorithm_auto_switches_on_core_size() {
-        let engine = MacEngine::build_uncalibrated(network(true));
-        let thr = engine.calibration().local_core_threshold;
-        assert_eq!(
-            engine.resolve_algorithm(AlgorithmChoice::Auto, thr),
-            AlgorithmChoice::Global
-        );
-        assert_eq!(
-            engine.resolve_algorithm(AlgorithmChoice::Auto, thr + 1),
-            AlgorithmChoice::Local
-        );
-        assert_eq!(
-            engine.resolve_algorithm(AlgorithmChoice::Local, 1),
-            AlgorithmChoice::Local
-        );
-        assert_eq!(
-            engine.resolve_algorithm(AlgorithmChoice::Global, usize::MAX),
-            AlgorithmChoice::Global
-        );
-    }
-
-    /// 64 users whose circulant social graph (degree 4 everywhere) survives
-    /// the `k = 2` peel intact and whose locations all sit well inside the
-    /// probe radius: the crossover probe gets a core above its trust floor.
-    fn probeable_network() -> RoadSocialNetwork {
-        let n: u32 = 64;
-        let mut social_edges = Vec::new();
-        for i in 0..n {
-            social_edges.push((i, (i + 1) % n));
-            social_edges.push((i, (i + 2) % n));
-        }
-        let social = Graph::from_edges(n as usize, &social_edges);
-        let road_edges: Vec<(u32, u32, f64)> = (0..7).map(|i| (i, i + 1, 1.0)).collect();
-        let road = RoadNetwork::from_edges(8, &road_edges);
-        let locations = (0..n).map(|i| Location::vertex(i % 8)).collect();
-        let attrs = (0..n)
-            .map(|i| vec![(i % 10) as f64 / 10.0, 1.0 - (i % 10) as f64 / 10.0])
-            .collect();
-        RoadSocialNetwork::new(social, road, locations, attrs).unwrap()
-    }
-
-    #[test]
-    fn measured_build_probes_the_algorithm_crossover() {
-        let engine = MacEngine::build(probeable_network());
-        let thr = engine.calibration().local_core_threshold;
-        let (lo, hi) = CROSSOVER_THRESHOLD_BOUNDS;
-        assert!(
-            (lo..=hi).contains(&thr),
-            "crossover threshold {thr} escaped the clamp [{lo}, {hi}]"
-        );
-        // Routing pins that hold whatever the probe timings were: cores under
-        // the clamp floor stay on the exact global search, cores above the
-        // clamp ceiling always go to the local framework.
-        assert_eq!(
-            engine.resolve_algorithm(AlgorithmChoice::Auto, lo - 1),
-            AlgorithmChoice::Global
-        );
-        assert_eq!(
-            engine.resolve_algorithm(AlgorithmChoice::Auto, hi + 1),
-            AlgorithmChoice::Local
-        );
-    }
-
-    #[test]
-    fn uncalibrated_and_tiny_networks_keep_the_default_crossover() {
-        // Deterministic builds never time anything.
-        let engine = MacEngine::build_uncalibrated(probeable_network());
-        assert_eq!(
-            engine.calibration().local_core_threshold,
-            DEFAULT_LOCAL_CORE_THRESHOLD
-        );
-        // Six users is under the probe-core trust floor: the measurement is
-        // rejected and the analytic default survives a measured build.
-        let engine = MacEngine::build(network(true));
-        assert_eq!(
-            engine.calibration().local_core_threshold,
-            DEFAULT_LOCAL_CORE_THRESHOLD
         );
     }
 

@@ -375,9 +375,9 @@ fn base_stats(ctx: &SearchContext<'_>) -> SearchStats {
 /// serial on the calling thread, `0` = all cores), reporting the top-`j`
 /// MACs per cell for the context query's `j`. The entry point of
 /// [`QuerySession`](crate::session::QuerySession), which passes its
-/// retained scratch so warmed queries allocate nothing, and of the engine's
-/// calibration probe. `elapsed_seconds` covers only the exploration;
-/// callers overwrite it with their end-to-end timing.
+/// retained scratch so warmed queries allocate nothing. `elapsed_seconds`
+/// covers only the exploration; callers overwrite it with their end-to-end
+/// timing.
 ///
 /// Charges `ticker` one unit per DFS task and stops cooperatively; an
 /// unlimited ticker always runs to completion. Serial runs stop exactly

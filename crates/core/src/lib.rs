@@ -23,9 +23,10 @@
 //! MAC search is an online query service over a fixed network, and the API is
 //! shaped accordingly: build a [`MacEngine`] **once** per network (it owns
 //! the network behind an `Arc`, pre-groups the G-tree user targets, and runs
-//! the measured `Auto` calibration probe), open one [`QuerySession`] per
-//! serving thread, and execute many queries through it — every network-sized
-//! buffer is session-held and reused, so the steady state is allocation-free.
+//! the measured calibration probe of the `Auto` range filter), open one
+//! [`QuerySession`] per serving thread, and execute many queries through
+//! it — every network-sized buffer is session-held and reused, so the
+//! steady state is allocation-free.
 //! When the road network changes (traffic reweights, user churn), apply a
 //! [`NetworkDelta`] through [`MacEngine::apply_updates`]: the engine patches
 //! its prepared state incrementally and swaps in a new epoch; live sessions
@@ -61,8 +62,9 @@
 //!   by the test suite.
 //!
 //! Both run through a [`QuerySession`]: a query's explicit
-//! [`AlgorithmChoice`] picks one, and `AlgorithmChoice::Auto` resolves
-//! between them through the engine's calibration. A one-off query is a
+//! [`AlgorithmChoice`] picks one, and `AlgorithmChoice::Auto` (the default)
+//! runs the exact global search; the heuristic local framework runs only
+//! when chosen explicitly. A one-off query is a
 //! fresh session on a throwaway engine, e.g.
 //! `MacEngine::build_uncalibrated(rsn).session().execute(&query)`.
 

@@ -87,10 +87,9 @@ fn verify_candidate(
 }
 
 /// Runs the expand-and-verify framework on a prebuilt [`SearchContext`] —
-/// the entry point of [`QuerySession`](crate::session::QuerySession) and of
-/// the engine's calibration probe. `elapsed_seconds`
-/// covers only this phase; callers overwrite it with their end-to-end
-/// timing.
+/// the entry point of [`QuerySession`](crate::session::QuerySession).
+/// `elapsed_seconds` covers only this phase; callers overwrite it with
+/// their end-to-end timing.
 ///
 /// Expansion (Algorithm 4) is charged to `ticker` as one lump (it is
 /// bounded by the core size times the candidate cap) and stays serial —

@@ -62,8 +62,10 @@ use rsn_road::rangefilter::RangeFilterChoice;
 pub struct ExecutionPolicy {
     /// Default search algorithm for queries whose own
     /// [`algorithm`](crate::query::MacQuery::algorithm) is `Auto`. A policy
-    /// `Auto` (the default) resolves through the engine's calibrated
-    /// crossover rule.
+    /// `Auto` (the default) runs the exact global search, like `Global`;
+    /// only `Local` selects the heuristic local framework. Bound the global
+    /// search's time on large cores with
+    /// [`default_budget`](Self::default_budget).
     pub algorithm: AlgorithmChoice,
     /// Default Lemma-1 range-filter strategy for queries whose own
     /// [`filter`](crate::query::MacQuery::filter) is `Auto`. A policy `Auto`
@@ -103,8 +105,9 @@ impl Default for ExecutionPolicy {
 }
 
 impl ExecutionPolicy {
-    /// The default policy: calibrated `Auto` algorithm and filter, serial
-    /// execution, default local knobs, unlimited budget.
+    /// The default policy: `Auto` algorithm (the exact global search) and
+    /// calibrated `Auto` filter, serial execution, default local knobs,
+    /// unlimited budget.
     pub fn new() -> Self {
         ExecutionPolicy::default()
     }

@@ -31,11 +31,10 @@ pub struct MacQuery {
     /// indexed work (`BENCH_PR3.json`); all strategies return identical user
     /// sets.
     pub filter: RangeFilterChoice,
-    /// Which search algorithm answers the query. `Auto` (the default) lets
-    /// the executing [`QuerySession`](crate::session::QuerySession) resolve
-    /// through its engine's calibration: the exact global search up to the
-    /// calibrated (k,t)-core size threshold, the local expand-and-verify
-    /// framework beyond it.
+    /// Which search algorithm answers the query. `Auto` (the default) takes
+    /// the executing [`QuerySession`](crate::session::QuerySession)'s policy
+    /// default, which is the exact global search unless the policy says
+    /// `Local`.
     pub algorithm: AlgorithmChoice,
 }
 
@@ -65,7 +64,7 @@ impl MacQuery {
         self
     }
 
-    /// Selects the search algorithm (global / local / calibrated auto).
+    /// Selects the search algorithm (global / local / the policy's default).
     pub fn with_algorithm(mut self, algorithm: AlgorithmChoice) -> Self {
         self.algorithm = algorithm;
         self

@@ -317,7 +317,7 @@ impl QuerySession {
         &mut self,
         epoch: &EngineEpoch,
         query: &MacQuery,
-        requested: AlgorithmChoice,
+        algorithm: AlgorithmChoice,
     ) -> (Option<QuerySignature>, Option<CachedEntry>) {
         let Some(cache) = self.cache.as_mut() else {
             return (None, None);
@@ -327,7 +327,6 @@ impl QuerySession {
         let before = cache.stats();
         // An entry whose context is gone serves only its stored answer.
         let taken = cache.take(epoch, &key, |entry| {
-            let algorithm = epoch.resolve_algorithm(requested, entry.core_size);
             entry.parts.is_some()
                 || entry
                     .outcome
@@ -352,8 +351,9 @@ impl QuerySession {
         }
     }
 
-    /// Executes one query exactly, resolving the algorithm and range-filter
-    /// strategy through the engine's calibration. The problem follows the
+    /// Executes one query exactly: the algorithm follows the query and the
+    /// policy (`Auto` runs the global search), the range-filter strategy
+    /// resolves through the engine's calibration. The problem follows the
     /// query's `j`: top-j (Problem 1) when `j > 1`, non-contained MAC
     /// (Problem 2) at `j = 1`. For Problem 2 on a `j > 1` query, pass
     /// `query.clone().with_top_j(1)`.
@@ -545,14 +545,18 @@ impl QuerySession {
         }
     }
 
-    /// The algorithm the policy layering requests *before* calibration: an
-    /// explicit query choice wins, a query-level `Auto` falls back to the
-    /// policy default (a remaining `Auto` is resolved by the engine's
-    /// calibrated crossover).
-    fn requested_algorithm(&self, query: &MacQuery) -> AlgorithmChoice {
-        match query.algorithm {
+    /// The algorithm that answers `query`: an explicit query choice wins, a
+    /// query-level `Auto` falls back to the policy default, and only an
+    /// explicit `Local` runs the local framework; everything else runs the
+    /// exact global search. Never returns `Auto`.
+    fn algorithm_for(&self, query: &MacQuery) -> AlgorithmChoice {
+        let requested = match query.algorithm {
             AlgorithmChoice::Auto => self.policy.algorithm,
             explicit => explicit,
+        };
+        match requested {
+            AlgorithmChoice::Local => AlgorithmChoice::Local,
+            _ => AlgorithmChoice::Global,
         }
     }
 
@@ -625,10 +629,10 @@ impl QuerySession {
         // build path validates inside the core extraction; a cache hit skips
         // that stage, so the cached path validates explicitly (cheap,
         // O(|Q|)) to keep invalid queries an error either way.
-        let requested = self.requested_algorithm(query);
+        let algorithm = self.algorithm_for(query);
         let (mut new_key, cached) = if self.cache.is_some() {
             query.validate(rsn)?;
-            self.take_cached_entry(&epoch, query, requested)
+            self.take_cached_entry(&epoch, query, algorithm)
         } else {
             (None, None)
         };
@@ -636,7 +640,6 @@ impl QuerySession {
         // the key, the reuse record, and the stored answer.
         let (ctx, entry_rest) = match cached {
             Some(entry) => {
-                let algorithm = epoch.resolve_algorithm(requested, entry.core_size);
                 if let Some(outcome) = entry
                     .outcome
                     .as_ref()
@@ -662,7 +665,6 @@ impl QuerySession {
                     parts,
                     reuse,
                     outcome,
-                    ..
                 } = entry;
                 let parts = parts.expect("the lookup only takes entries it can serve");
                 (
@@ -720,7 +722,6 @@ impl QuerySession {
                 }
             }
         };
-        let algorithm = epoch.resolve_algorithm(requested, ctx.core_size());
         let (mut run, phase) = match algorithm {
             // Verification fans out only under an unlimited ticker; a limited
             // one keeps it serial so a partial answer is a prefix.
@@ -734,7 +735,7 @@ impl QuerySession {
                 ),
                 QueryPhase::LocalSearch,
             ),
-            // resolve_algorithm never returns Auto. Global search stays
+            // algorithm_for never returns Auto. Global search stays
             // serial under the default policy — a serial prefix is what makes
             // a partial answer a strict subset of the full run — and shares
             // the ticker across workers (via an atomic latch) when the policy

@@ -42,9 +42,10 @@
 //!
 //! Every query runs through a session: the query's `j` picks the problem
 //! (top-j MACs for `j > 1`, the non-contained MAC for `j = 1`), and
-//! `AlgorithmChoice::{Global, Local, Auto}` picks the global search, the
-//! local framework, or whichever the engine's calibration predicts is
-//! faster, with all network-sized scratch reused across queries.
+//! `AlgorithmChoice::{Global, Local, Auto}` picks the exact global search,
+//! the heuristic local framework, or the policy's default (the global
+//! search unless the policy says `Local`), with all network-sized scratch
+//! reused across queries.
 //!
 //! *How* queries execute — parallel worker count, algorithm and filter
 //! defaults, the default budget — is one

@@ -115,8 +115,7 @@ fn workload(rsn: &RoadSocialNetwork, group: &[u32], indexed: bool) -> Vec<MacQue
 /// The fresh per-query construction a reused session must match: a new
 /// serial session (fresh scratch, no context cache) on a throwaway
 /// uncalibrated engine, with the algorithm made explicit and `Auto` resolved
-/// the way the session resolves it (the engine's `local_core_threshold` is
-/// far above these core sizes, so `Auto` is `Global` here).
+/// the way the session resolves it under the default policy: `Global`.
 fn fresh_reference(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
     let algorithm = match query.algorithm {
         AlgorithmChoice::Local => AlgorithmChoice::Local,
@@ -288,7 +287,9 @@ fn filter_strategies_agree_end_to_end() {
 
 /// The measured calibration probe only affects *strategy selection*, never
 /// results: engines with measured and analytic constants agree on every
-/// workload query.
+/// workload query, and on a (k,t)-core of more than 256 users an `Auto`
+/// query on the measured engine still answers exactly what the global
+/// search answers.
 #[test]
 fn measured_and_analytic_engines_agree_on_results() {
     let (rsn, group) = random_network(23, 120, true);
@@ -302,6 +303,22 @@ fn measured_and_analytic_engines_agree_on_results() {
         let a = a_session.execute(query).unwrap();
         assert_results_identical(&format!("calibration query {i}"), &m, &a);
     }
+
+    let (rsn, group) = random_network(23, 300, true);
+    let measured = MacEngine::build(rsn.clone());
+    let analytic = MacEngine::build_uncalibrated(rsn);
+    // `t` is above every distance, so no user is cut by the range filter.
+    let auto_q = MacQuery::new(group[..2].to_vec(), 3, 1e9, region_for(0.05));
+    let global_q = auto_q.clone().with_algorithm(AlgorithmChoice::Global);
+    let auto = measured.session().execute(&auto_q).unwrap();
+    let global = analytic.session().execute(&global_q).unwrap();
+    assert!(
+        global.stats.kt_core_vertices > 256,
+        "core of {} users is too small to pin a large-core Auto query",
+        global.stats.kt_core_vertices
+    );
+    assert!(!global.cells.is_empty());
+    assert_results_identical("large-core Auto vs Global", &global, &auto);
 }
 
 /// The engine → session → query policy layering: an engine-level

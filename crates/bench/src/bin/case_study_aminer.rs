@@ -81,7 +81,8 @@ fn main() {
 
     // Baselines on the same (k,t)-core.
     if let Some(ctx) = SearchContext::build(rsn, &query).unwrap() {
-        let sky = skyline_communities(&ctx.local_graph, &ctx.attrs, 5);
+        let sky = skyline_communities(&ctx.local_graph, &ctx.attrs, 5, None)
+            .expect("no deadline, so the search completes");
         println!(
             "SkyC: {} skyline communities (no query vertices, attribute-only)",
             sky.len()

@@ -9,6 +9,9 @@
 //! distinct-community count (`cells/comms`): LS-NC is a heuristic, and a
 //! fast LS-NC that reports nothing is no win over GS-NC.
 //!
+//! Sky and Sky+ run under a deadline of `SKY_TIME_CAP_SECONDS`; a search
+//! the deadline cuts prints `>30`, like the paper's "Inf" marks.
+//!
 //! ```text
 //! cargo run -p rsn-bench --release --bin fig13_14_comparison -- --preset sf_delicious [--scale 0.2]
 //! ```
@@ -20,7 +23,7 @@ use rsn_baselines::sky::{skyline_communities, skyline_communities_pruned};
 use rsn_bench::runner::{with_dimensionality, QuerySpec};
 use rsn_core::{AlgorithmChoice, MacEngine, MacSearchResult, RoadSocialNetwork, SearchContext};
 use rsn_datagen::presets::{build_preset_scaled, Dataset, PresetName, PresetScale};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const INFLU_WEIGHT_SAMPLES: usize = 20;
 const SKY_TIME_CAP_SECONDS: f64 = 30.0;
@@ -87,8 +90,9 @@ struct Row {
     ls_reported: String,
     influ: f64,
     influ_plus: f64,
-    sky: f64,
-    sky_plus: f64,
+    /// `None`: cut at `SKY_TIME_CAP_SECONDS`.
+    sky: Option<f64>,
+    sky_plus: Option<f64>,
 }
 
 fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row {
@@ -122,8 +126,8 @@ fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row 
             ls_reported,
             influ: 0.0,
             influ_plus: 0.0,
-            sky: 0.0,
-            sky_plus: 0.0,
+            sky: Some(0.0),
+            sky_plus: Some(0.0),
         };
     };
     let graph = &ctx.local_graph;
@@ -158,12 +162,8 @@ fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row 
     let influ_plus = start.elapsed().as_secs_f64() / INFLU_WEIGHT_SAMPLES as f64;
 
     // Sky / Sky+ blow up quickly with d; cap them like the paper's "Inf" marks.
-    let sky = run_capped(|| {
-        let _ = skyline_communities(graph, attrs, k);
-    });
-    let sky_plus = run_capped(|| {
-        let _ = skyline_communities_pruned(graph, attrs, k);
-    });
+    let sky = run_capped(|deadline| skyline_communities(graph, attrs, k, deadline));
+    let sky_plus = run_capped(|deadline| skyline_communities_pruned(graph, attrs, k, deadline));
 
     Row {
         gs_nc,
@@ -177,16 +177,25 @@ fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row 
     }
 }
 
-fn run_capped(f: impl FnOnce()) -> f64 {
+/// Seconds `search` took, or `None` if it hit the cap's deadline.
+fn run_capped<T>(search: impl FnOnce(Option<Instant>) -> Option<T>) -> Option<f64> {
     let start = Instant::now();
-    f();
-    let elapsed = start.elapsed().as_secs_f64();
-    elapsed.min(SKY_TIME_CAP_SECONDS)
+    let deadline = start + Duration::from_secs_f64(SKY_TIME_CAP_SECONDS);
+    search(Some(deadline))?;
+    Some(start.elapsed().as_secs_f64())
+}
+
+/// A capped time to four decimals, or `>cap` when the deadline cut it.
+fn capped(seconds: Option<f64>) -> String {
+    match seconds {
+        Some(s) => format!("{s:.4}"),
+        None => format!(">{SKY_TIME_CAP_SECONDS:.0}"),
+    }
 }
 
 fn print_row(label: &str, row: &Row) {
     println!(
-        "{:>6} {:>10.4} {:>12} {:>10.4} {:>12} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
+        "{:>6} {:>10.4} {:>12} {:>10.4} {:>12} {:>10.4} {:>10.4} {:>10} {:>10}",
         label,
         row.gs_nc,
         row.gs_reported,
@@ -194,7 +203,7 @@ fn print_row(label: &str, row: &Row) {
         row.ls_reported,
         row.influ,
         row.influ_plus,
-        row.sky,
-        row.sky_plus
+        capped(row.sky),
+        capped(row.sky_plus)
     );
 }

@@ -1,15 +1,17 @@
 //! # rsn-bench
 //!
-//! Benchmark harness reproducing every table and figure of the paper's
-//! evaluation section (see DESIGN.md §5 for the experiment index and
-//! EXPERIMENTS.md for recorded results).
+//! Binaries reproducing the tables and figures of the paper's evaluation
+//! section, one per table or figure group in `src/bin/`: `table2_datasets`,
+//! `fig_sweeps` (Figs. 6–10), `fig11_scalability`, `fig12_ratio`,
+//! `fig13_14_comparison` and the `case_study_*` pair (Figs. 15–16). Each
+//! prints the rows or series the paper reports. [`params`] holds the
+//! Table-III parameter space and [`runner`] the shared query execution.
 //!
-//! The harness binaries in `src/bin/` print the same rows/series the paper
-//! reports; the Criterion benches in `benches/` give statistically robust
-//! timings for the core building blocks. Dataset sizes default to a laptop
-//! scale (a fraction of the paper's server-scale datasets); the shapes —
-//! which algorithm wins, by roughly what factor, and how costs scale in each
-//! parameter — are the reproduction target, not absolute seconds.
+//! Dataset sizes default to a laptop scale (a fraction of the paper's
+//! server-scale datasets); the shapes — which algorithm wins, by roughly
+//! what factor, and how costs scale in each parameter — are the
+//! reproduction target, not absolute seconds. The repository's speed is
+//! tracked by the separate `perfbench` package against `BENCHMARK.json`.
 
 pub mod params;
 pub mod runner;

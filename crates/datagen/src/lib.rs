@@ -10,7 +10,7 @@
 //! anti-correlated method of the skyline literature, and users are mapped to
 //! road locations from check-ins. None of those datasets can be redistributed
 //! here, so this crate generates *structurally equivalent* synthetic
-//! replacements (see DESIGN.md §4 for the substitution argument):
+//! replacements:
 //!
 //! * [`road`] — sparse, near-planar road networks with average degree ≈ 2.5.
 //! * [`social`] — preferential-attachment graphs with planted dense groups so

@@ -50,8 +50,10 @@ pub enum RangeFilterChoice {
     /// Let the network pick from the measured crossover ([`resolve_auto`]):
     /// the bounded Dijkstra sweep when the radius-t ball is small (every
     /// laptop-scale preset), the multi-seed batched G-tree walk when an
-    /// index exists and the estimated ball dwarfs the indexed work
-    /// (`BENCH_PR3.json` records the crossover measurements).
+    /// index exists and the estimated ball dwarfs the indexed work. Measured
+    /// on one core, the sweep beat the walk by 4–62× on 2.5k- and
+    /// 10k-vertex grids and the walk beat the sweep by 4–296× on a
+    /// 50k-vertex corridor.
     #[default]
     Auto,
     /// Always run one t-bounded Dijkstra sweep per query location.
@@ -566,11 +568,11 @@ fn multi_seed_batched_within(
 }
 
 /// Sweep-vs-batched conversion factor of [`resolve_auto`]'s cost model,
-/// calibrated from the `BENCH_PR3.json` crossover measurements: one modeled
-/// sweep relaxation (a heap operation plus an edge scan) costs about as much
-/// as this many batched matrix-cell touches (the measured unit costs were
-/// ~10 ns per batched cell and ~40 ns per modeled sweep relaxation on the
-/// recorder machine). Lowering the constant makes `Auto` keep the sweep
+/// calibrated from the measured sweep/walk crossover: one modeled sweep
+/// relaxation (a heap operation plus an edge scan) costs about as much as
+/// this many batched matrix-cell touches (the measured unit costs were
+/// ~10 ns per batched cell and ~40 ns per modeled sweep relaxation on one
+/// core). Lowering the constant makes `Auto` keep the sweep
 /// longer. This is the *analytic fallback*; a prepared engine measures the
 /// constant per network at build time (see [`AutoCalibration`]).
 pub const AUTO_SWEEP_CELL_COST: f64 = 16.0;
@@ -585,7 +587,7 @@ pub const AUTO_SWEEP_CELL_COST_BOUNDS: (f64, f64) = (0.5, 512.0);
 /// The cost model of [`resolve_auto`] compares modeled sweep relaxations
 /// against modeled batched matrix-cell touches; the one free parameter is the
 /// conversion factor between the two units. The analytic default
-/// ([`AUTO_SWEEP_CELL_COST`]) was fitted on one recorder machine — a prepared
+/// ([`AUTO_SWEEP_CELL_COST`]) was fitted on one machine — a prepared
 /// engine instead *measures* it on the actual network and hardware at build
 /// time: one timed t-bounded sweep and one timed multi-seed walk over the
 /// same probe query, each divided by its modeled unit count, give the
@@ -665,8 +667,9 @@ impl AutoCalibration {
 ///   occupancy-scaled share of all entry extensions, plus each user seed's
 ///   leaf border rows for all `|Q|` columns.
 ///
-/// The crossover measurements (`BENCH_PR3.json`) show what this model
-/// encodes: on grid-like road networks the walk's fixed floor grows with
+/// The crossover measurements (one core: the sweep 4–62× faster on 2.5k-
+/// and 10k-vertex grids, the walk 4–296× faster on a 50k-vertex corridor)
+/// show what this model encodes: on grid-like road networks the walk's fixed floor grows with
 /// the same `√|V|` cut that makes the ball expensive, so the sweep wins at
 /// every generatable scale and `Auto` keeps it; on small-separator
 /// (corridor/highway-like) networks the floor collapses and the batched
@@ -1268,7 +1271,7 @@ mod tests {
     /// A corridor/highway-like road network: a long weighted path with a
     /// shortcut every fifth vertex. Its separators (and so the G-tree border
     /// sets) stay tiny at any size — the topology where the batched walk
-    /// genuinely beats the sweep (`BENCH_PR3.json` crossover rows).
+    /// genuinely beats the sweep (4–296× on a measured 50k-vertex corridor).
     fn corridor(n: u32) -> RoadNetwork {
         let mut edges: Vec<(u32, u32, f64)> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
         edges.extend((0..n.saturating_sub(5)).step_by(5).map(|i| (i, i + 5, 2.5)));
@@ -1278,9 +1281,9 @@ mod tests {
     #[test]
     fn auto_on_indexed_large_corridor_switches_to_the_batched_walk() {
         // The other direction of the pin: on an indexed large small-separator
-        // network the walk's border sets stay tiny and the measured crossover
-        // rows (`BENCH_PR3.json`) show the multi-seed walk winning from
-        // moderate radii up to full-graph balls — Auto must use the index.
+        // network the walk's border sets stay tiny, and on a 50k-vertex
+        // corridor the multi-seed walk measured 4× faster than the sweep at
+        // t = 50 and 128–296× at full-graph balls — Auto must use the index.
         let net = corridor(20_000);
         let tree = GTree::build(&net);
         for t in [50.0, 1_000.0, 10_000.0] {

@@ -75,10 +75,11 @@
 //! );
 //! ```
 //!
-//! The open-loop load harness (`cargo run --release -p rsn-bench --bin
-//! serve_load`) drives this stack with Poisson arrivals, a Zipf-skewed query
-//! population, and a concurrent updater thread, and records latency
-//! percentiles, throughput, and hit rates to `BENCH_PR9.json`.
+//! The workspace's `tests/serve_frontend.rs` pins served answers to direct
+//! execution, partial answers to exact prefixes, and error-free serving
+//! under a concurrent updater thread. The `serve-zipf` workload of the
+//! repository benchmark (`perfbench/`) checks the answers a Zipf-skewed
+//! query population gets through the per-worker caches.
 
 pub mod coalesce;
 pub mod queue;

@@ -50,7 +50,8 @@ fn main() {
     // user preferences, the influential community collapses everything to one
     // score.
     if let Some(ctx) = SearchContext::build(rsn, &query).expect("valid query") {
-        let sky = skyline_communities(&ctx.local_graph, &ctx.attrs, 5);
+        let sky = skyline_communities(&ctx.local_graph, &ctx.attrs, 5, None)
+            .expect("no deadline, so the search completes");
         println!(
             "SkyC finds {} skyline communities (query-agnostic)",
             sky.len()

@@ -5,10 +5,13 @@
 //! session must stay clean: the next unbudgeted query through the same
 //! session returns results cell-identical to a fresh session.
 
+mod common;
+
+use common::{assert_results_identical, assert_valid_prefix};
 use proptest::prelude::*;
 use road_social_mac::core::{
-    AlgorithmChoice, ExhaustionCause, MacEngine, MacError, MacQuery, MacSearchResult, QueryBudget,
-    QueryOutcome, RoadSocialNetwork,
+    AlgorithmChoice, ExhaustionCause, MacEngine, MacError, MacQuery, QueryBudget, QueryOutcome,
+    RoadSocialNetwork,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -70,51 +73,6 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
         MacQuery::new(q2.clone(), 5, 50.0, region()).with_top_j(2),
         MacQuery::new(q2, 4, 80.0, region()).with_algorithm(AlgorithmChoice::Local),
     ]
-}
-
-fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: sample weight");
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: communities"
-        );
-    }
-}
-
-/// A partial answer's cells must be an exact prefix of the full run's: the
-/// budgeted stages process the same units in the same order and only ever
-/// drop whole trailing units.
-fn assert_prefix_of(label: &str, partial: &MacSearchResult, full: &MacSearchResult) {
-    assert!(
-        partial.cells.len() <= full.cells.len(),
-        "{label}: partial reported more cells than the full run"
-    );
-    for (i, (pc, fc)) in partial.cells.iter().zip(&full.cells).enumerate() {
-        assert_eq!(
-            pc.sample_weight, fc.sample_weight,
-            "{label}: cell {i} sample weight"
-        );
-        assert_eq!(
-            pc.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            fc.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: cell {i} communities"
-        );
-    }
 }
 
 /// A zero deadline must trip on the very first budget check of every query —
@@ -310,7 +268,7 @@ proptest! {
                 }
                 QueryOutcome::Partial(partial) => {
                     prop_assert_eq!(partial.cause, ExhaustionCause::WorkLimit);
-                    assert_prefix_of(
+                    assert_valid_prefix(
                         &format!("limit {limit}, query {i}, partial"),
                         &partial.result,
                         &full,

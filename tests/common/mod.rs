@@ -1,7 +1,11 @@
-//! Definition-level references shared by the integration suites. Each is
-//! written from the paper's definitions and shares no code with the engine
-//! layer it checks.
+//! Helpers shared by the integration suites: the result-identity checks
+//! every identity gate uses, and definition-level references written from
+//! the paper's definitions that share no code with the engine layer they
+//! check. Each suite uses a subset, so the unused rest is not dead code.
 
+#![allow(dead_code)]
+
+use road_social_mac::core::{CellResult, MacSearchResult};
 use road_social_mac::road::{Location, RoadNetwork};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -89,4 +93,37 @@ pub fn reference_within(
         }
     }
     d_q.iter().map(|&d| d <= t).collect()
+}
+
+/// Asserts that `a` and `b` report the same cells in the same order: equal
+/// cell geometry, sample weight and community members in every cell.
+pub fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
+    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
+    assert_cells_identical(label, &a.cells, &b.cells);
+}
+
+/// Asserts that `partial`'s cells are an exact prefix of `full`'s: the
+/// budgeted stages process the same units in the same order and only ever
+/// drop whole trailing units.
+pub fn assert_valid_prefix(label: &str, partial: &MacSearchResult, full: &MacSearchResult) {
+    assert!(
+        partial.cells.len() <= full.cells.len(),
+        "{label}: partial has more cells than the full answer"
+    );
+    assert_cells_identical(label, &partial.cells, &full.cells);
+}
+
+/// Compares the cells the two slices share, position by position.
+fn assert_cells_identical(label: &str, a: &[CellResult], b: &[CellResult]) {
+    fn members(cell: &CellResult) -> Vec<&[u32]> {
+        cell.communities.iter().map(|c| &c.vertices[..]).collect()
+    }
+    for (i, (ca, cb)) in a.iter().zip(b).enumerate() {
+        assert_eq!(ca.cell, cb.cell, "{label}: cell {i} geometry");
+        assert_eq!(
+            ca.sample_weight, cb.sample_weight,
+            "{label}: cell {i} sample weight"
+        );
+        assert_eq!(members(ca), members(cb), "{label}: cell {i} communities");
+    }
 }

@@ -10,6 +10,9 @@
 //! fresh session is opened per pass, so any stale entry the cache wrongly
 //! reused would diverge immediately.
 
+mod common;
+
+use common::assert_results_identical;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -94,24 +97,6 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
         queries.push(base);
     }
     queries
-}
-
-fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: sample weight");
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: communities"
-        );
-    }
 }
 
 /// One randomized update batch against independently tracked shadow state

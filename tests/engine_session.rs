@@ -5,6 +5,9 @@
 //! across interleaved query shapes, algorithms, filter strategies, and
 //! thread-shared engines.
 
+mod common;
+
+use common::assert_results_identical;
 use proptest::prelude::*;
 use road_social_mac::core::{
     AlgorithmChoice, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork,
@@ -137,22 +140,9 @@ fn fresh(rsn: &RoadSocialNetwork, query: &MacQuery, policy: ExecutionPolicy) -> 
         .unwrap()
 }
 
-fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: sample weight");
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: communities"
-        );
-    }
+/// The shared identity check, plus the size of the maximal (k,t)-core.
+fn assert_identical_with_core(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
+    assert_results_identical(label, a, b);
     assert_eq!(
         a.stats.kt_core_vertices, b.stats.kt_core_vertices,
         "{label}: core size"
@@ -178,7 +168,7 @@ proptest! {
         for (i, query) in workload(&rsn, &group, indexed).iter().enumerate() {
             let fresh = fresh_reference(&rsn, query);
             let served = session.execute(query).unwrap();
-            assert_results_identical(&format!("seed {seed}, query {i}"), &fresh, &served);
+            assert_identical_with_core(&format!("seed {seed}, query {i}"), &fresh, &served);
         }
     }
 }
@@ -216,7 +206,7 @@ fn threads_sharing_one_engine_match_serial_execution() {
             let results = handle.join().expect("worker panicked");
             assert_eq!(results.len(), reference.len());
             for (i, (a, b)) in reference.iter().zip(&results).enumerate() {
-                assert_results_identical(&format!("thread query {i}"), a, b);
+                assert_identical_with_core(&format!("thread query {i}"), a, b);
             }
         }
     });
@@ -239,7 +229,7 @@ fn batch_execution_matches_individual_execution() {
     assert_eq!(outcome.stats.queries, queries.len());
     assert!(outcome.stats.queries_per_second > 0.0);
     for (i, (a, b)) in expect.iter().zip(&outcome.results).enumerate() {
-        assert_results_identical(&format!("batch query {i}"), a, b);
+        assert_identical_with_core(&format!("batch query {i}"), a, b);
     }
 }
 
@@ -274,9 +264,9 @@ fn filter_strategies_agree_end_to_end() {
         &walk.clone().with_algorithm(AlgorithmChoice::Global),
         ExecutionPolicy::new(),
     );
-    assert_results_identical("walk vs sweep", &via_walk, &via_sweep);
-    assert_results_identical("walk vs auto", &via_walk, &via_auto);
-    assert_results_identical("walk vs one-shot", &via_walk, &via_oneshot);
+    assert_identical_with_core("walk vs sweep", &via_walk, &via_sweep);
+    assert_identical_with_core("walk vs auto", &via_walk, &via_auto);
+    assert_identical_with_core("walk vs one-shot", &via_walk, &via_oneshot);
     // An explicit query-level choice always wins over the calibrated Auto.
     let explicit = base.with_range_filter(RangeFilterChoice::DijkstraSweep);
     assert_eq!(
@@ -301,7 +291,7 @@ fn measured_and_analytic_engines_agree_on_results() {
     for (i, query) in workload(&rsn, &group, true).iter().enumerate() {
         let m = m_session.execute(query).unwrap();
         let a = a_session.execute(query).unwrap();
-        assert_results_identical(&format!("calibration query {i}"), &m, &a);
+        assert_identical_with_core(&format!("calibration query {i}"), &m, &a);
     }
 
     let (rsn, group) = random_network(23, 300, true);
@@ -318,7 +308,7 @@ fn measured_and_analytic_engines_agree_on_results() {
         global.stats.kt_core_vertices
     );
     assert!(!global.cells.is_empty());
-    assert_results_identical("large-core Auto vs Global", &global, &auto);
+    assert_identical_with_core("large-core Auto vs Global", &global, &auto);
 }
 
 /// The engine → session → query policy layering: an engine-level
@@ -347,13 +337,13 @@ fn execution_policy_layers_engine_session_query() {
         &local_q,
         ExecutionPolicy::new().with_max_candidates(20),
     );
-    assert_results_identical("policy-default Local", &via_policy, &reference);
+    assert_identical_with_core("policy-default Local", &via_policy, &reference);
 
     // Query-level choice wins over the policy default.
     let global_q = auto_q.clone().with_algorithm(AlgorithmChoice::Global);
     let via_query = session.execute(&global_q).unwrap();
     let gs_reference = fresh(&rsn, &global_q, ExecutionPolicy::new());
-    assert_results_identical("query overrides policy", &via_query, &gs_reference);
+    assert_identical_with_core("query overrides policy", &via_query, &gs_reference);
 
     // Session-level with_policy replaces the engine's policy wholesale.
     let mut overridden = engine
@@ -362,5 +352,5 @@ fn execution_policy_layers_engine_session_query() {
     assert_eq!(overridden.policy().algorithm, AlgorithmChoice::Auto);
     assert_eq!(overridden.policy().parallelism, 2);
     let parallel = overridden.execute(&global_q).unwrap();
-    assert_results_identical("parallel session ≡ serial", &parallel, &gs_reference);
+    assert_identical_with_core("parallel session ≡ serial", &parallel, &gs_reference);
 }

@@ -10,6 +10,9 @@
 //! state (an edge list and a location vector the test mutates itself), so a
 //! bug in the engine's own mutation path cannot leak into the reference.
 
+mod common;
+
+use common::assert_results_identical;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -115,22 +118,9 @@ fn workload(rsn: &RoadSocialNetwork, group: &[u32], indexed: bool) -> Vec<MacQue
     queries
 }
 
-fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: sample weight");
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: communities"
-        );
-    }
+/// The shared identity check, plus the size of the maximal (k,t)-core.
+fn assert_identical_with_core(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
+    assert_results_identical(label, a, b);
     assert_eq!(
         a.stats.kt_core_vertices, b.stats.kt_core_vertices,
         "{label}: core size"
@@ -244,13 +234,13 @@ proptest! {
                 let label = format!("seed {seed}, batch {batch}, query {i}");
                 let updated = session.execute(query).unwrap();
                 let fresh = reference_session.execute(query).unwrap();
-                assert_results_identical(&label, &updated, &fresh);
+                assert_identical_with_core(&label, &updated, &fresh);
                 if query.j > 1 {
                     // Problem 2 on the same query: the non-contained MAC.
                     let nc = query.clone().with_top_j(1);
                     let updated_nc = session.execute(&nc).unwrap();
                     let fresh_nc = reference_session.execute(&nc).unwrap();
-                    assert_results_identical(
+                    assert_identical_with_core(
                         &format!("{label} (non-contained)"),
                         &updated_nc,
                         &fresh_nc,
@@ -268,7 +258,7 @@ proptest! {
                 .zip(&fresh_batch.results)
                 .enumerate()
             {
-                assert_results_identical(
+                assert_identical_with_core(
                     &format!("seed {seed}, batch {batch}, batched query {i}"),
                     a,
                     b,
@@ -334,7 +324,7 @@ fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
     let mut unmodified_session = unmodified.session();
     for (i, query) in queries.iter().enumerate() {
         let a = unmodified_session.execute(query).unwrap();
-        assert_results_identical(&format!("epoch-0 query {i}"), &a, &before[i]);
+        assert_identical_with_core(&format!("epoch-0 query {i}"), &a, &before[i]);
     }
 
     // The surviving session serves epoch 1 and matches a scratch rebuild.
@@ -352,7 +342,7 @@ fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
     for (i, query) in queries.iter().enumerate() {
         let a = session.execute(query).unwrap();
         let b = reference_session.execute(query).unwrap();
-        assert_results_identical(&format!("epoch-1 query {i}"), &a, &b);
+        assert_identical_with_core(&format!("epoch-1 query {i}"), &a, &b);
     }
     assert!(session.queries_executed() >= 2 * queries.len() as u64);
 }
@@ -411,7 +401,7 @@ fn concurrent_serving_during_updates_settles_on_the_final_epoch() {
     for (i, query) in queries.iter().enumerate() {
         let a = session.execute(query).unwrap();
         let b = reference_session.execute(query).unwrap();
-        assert_results_identical(&format!("settled query {i}"), &a, &b);
+        assert_identical_with_core(&format!("settled query {i}"), &a, &b);
     }
 }
 

@@ -8,6 +8,9 @@
 
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::assert_results_identical;
 use road_social_mac::core::{
     MacEngine, MacError, MacQuery, MacSearchResult, NetworkDelta, RoadSocialNetwork, UpdateStage,
 };
@@ -71,28 +74,11 @@ fn serve(engine: &MacEngine) -> Vec<MacSearchResult> {
         .collect()
 }
 
-fn assert_results_identical(label: &str, a: &[MacSearchResult], b: &[MacSearchResult]) {
-    assert_eq!(a.len(), b.len());
+/// [`assert_results_identical`] on every query of two served workloads.
+fn assert_all_identical(label: &str, a: &[MacSearchResult], b: &[MacSearchResult]) {
+    assert_eq!(a.len(), b.len(), "{label}: query count");
     for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            ra.cells.len(),
-            rb.cells.len(),
-            "{label}: query {i} cell count"
-        );
-        for (ca, cb) in ra.cells.iter().zip(&rb.cells) {
-            assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: query {i}");
-            assert_eq!(
-                ca.communities
-                    .iter()
-                    .map(|c| &c.vertices)
-                    .collect::<Vec<_>>(),
-                cb.communities
-                    .iter()
-                    .map(|c| &c.vertices)
-                    .collect::<Vec<_>>(),
-                "{label}: query {i} communities"
-            );
-        }
+        assert_results_identical(&format!("{label}: query {i}"), ra, rb);
     }
 }
 
@@ -106,7 +92,7 @@ fn assert_consistent(label: &str, engine: &MacEngine, indexed: bool) -> bool {
         other => panic!("{label}: unexpected epoch {other}"),
     };
     let clean = MacEngine::build_uncalibrated(network(updated, indexed));
-    assert_results_identical(label, &serve(&clean), &serve(engine));
+    assert_all_identical(label, &serve(&clean), &serve(engine));
     updated
 }
 
@@ -250,11 +236,7 @@ fn query_panics_are_contained_and_the_session_recovers() {
             other => panic!("expected ExecutionPanicked, got {other:?}"),
         }
         let again = session.execute(query).unwrap();
-        assert_results_identical(
-            &format!("post-panic query {i}"),
-            std::slice::from_ref(&reference[i]),
-            std::slice::from_ref(&again),
-        );
+        assert_results_identical(&format!("post-panic query {i}"), &reference[i], &again);
     }
     // Budgeted paths are guarded too.
     use road_social_mac::core::QueryBudget;
@@ -265,7 +247,7 @@ fn query_panics_are_contained_and_the_session_recovers() {
     assert!(matches!(err, MacError::ExecutionPanicked(_)));
     // The engine itself never noticed.
     assert_eq!(engine.epoch().id(), 0);
-    assert_results_identical("engine unaffected", &reference, &serve(&engine));
+    assert_all_identical("engine unaffected", &reference, &serve(&engine));
 }
 
 #[test]

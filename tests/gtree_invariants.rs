@@ -16,19 +16,28 @@
 //! * every union-border space is duplicate-free, and the precomputed index
 //!   arrays (`border_rows`, `child_border_rows`, `leaf_pos`) round-trip
 //!   through an independent linear-scan lookup (`GTree::ub_position_of`).
+//!
+//! Beyond the structure, the suite pins that a multiway index serves the
+//! same query answers as the binary-bisection reference, fresh and after an
+//! update, and (optimized builds only) that a 40k-vertex grid builds within
+//! its wall-clock budget.
 
+mod common;
+
+use common::assert_results_identical;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use road_social_mac::core::{
-    AlgorithmChoice, MacEngine, MacQuery, MacSearchResult, RoadSocialNetwork,
+    AlgorithmChoice, MacEngine, MacQuery, NetworkDelta, RoadSocialNetwork,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
 use road_social_mac::datagen::road::{generate_road, RoadConfig};
 use road_social_mac::datagen::social::{generate_social, PlantedGroup, SocialConfig};
 use road_social_mac::geom::PrefRegion;
-use road_social_mac::road::{sssp, EdgeUpdate, GTree, RangeFilterChoice, RoadNetwork};
+use road_social_mac::road::{sssp, EdgeUpdate, GTree, Location, RangeFilterChoice, RoadNetwork};
+use std::time::Instant;
 
 fn check_invariants(net: &RoadNetwork, tree: &GTree) {
     let n = net.num_vertices();
@@ -316,11 +325,13 @@ fn gtree_build_invariants_single_leaf() {
 }
 
 /// End-to-end serving identity: an engine whose network is indexed with a
-/// multiway G-tree returns the same communities, sample weights, and core
-/// sizes as one indexed with the binary-bisection reference tree, across the
-/// sweep, the multi-seed walk, and `Auto`. Together with the
-/// distance-level proptest above this pins the contract that fanout is a
-/// build-cost knob only.
+/// multiway G-tree returns the same cells, communities, sample weights, and
+/// core sizes as one indexed with the binary-bisection reference tree,
+/// across the sweep, the multi-seed walk, and `Auto` — on the fresh build
+/// and again after both engines absorb the same reweight + user-move delta,
+/// so the incremental path keeps the trees equivalent, not just the
+/// builders. Together with the distance-level proptest above this pins the
+/// contract that fanout is a build-cost knob only.
 #[test]
 fn multiway_index_serves_identical_queries_to_binary() {
     for (seed, fanout) in [(11u64, 4usize), (29, 8)] {
@@ -355,8 +366,7 @@ fn multiway_index_serves_identical_queries_to_binary() {
         let group = social.groups[0].clone();
         let rsn = RoadSocialNetwork::new(social.graph, road, locations, attrs).unwrap();
         let multi = MacEngine::build_uncalibrated(rsn.clone().with_gtree_index_params(16, fanout));
-        let binary = MacEngine::build_uncalibrated(rsn.with_gtree_index_params(16, 2));
-        let (mut sm, mut sb) = (multi.session(), binary.session());
+        let binary = MacEngine::build_uncalibrated(rsn.clone().with_gtree_index_params(16, 2));
 
         let region = PrefRegion::from_ranges(&[(0.2, 0.5), (0.2, 0.5)]).unwrap();
         let filters = [
@@ -364,41 +374,90 @@ fn multiway_index_serves_identical_queries_to_binary() {
             RangeFilterChoice::GTreeMultiSeedBatched,
             RangeFilterChoice::Auto,
         ];
-        for i in 0..6usize {
-            let q: Vec<u32> = group.iter().copied().take(1 + i % 3).collect();
-            let query = MacQuery::new(
-                q,
-                4 + (i % 2) as u32,
-                [30.0, 55.0, 85.0][i % 3],
-                region.clone(),
-            )
-            .with_algorithm(AlgorithmChoice::Global)
-            .with_range_filter(filters[i % filters.len()]);
-            let a = sm.execute(&query).unwrap();
-            let b = sb.execute(&query).unwrap();
-            assert_query_identical(&format!("fanout {fanout} seed {seed} query {i}"), &a, &b);
+        let queries: Vec<MacQuery> = (0..6usize)
+            .map(|i| {
+                let q: Vec<u32> = group.iter().copied().take(1 + i % 3).collect();
+                MacQuery::new(
+                    q,
+                    4 + (i % 2) as u32,
+                    [30.0, 55.0, 85.0][i % 3],
+                    region.clone(),
+                )
+                .with_algorithm(AlgorithmChoice::Global)
+                .with_range_filter(filters[i % filters.len()])
+            })
+            .collect();
+        let check = |stage: &str| {
+            let (mut sm, mut sb) = (multi.session(), binary.session());
+            for (i, query) in queries.iter().enumerate() {
+                let a = sm.execute(query).unwrap();
+                let b = sb.execute(query).unwrap();
+                let label = format!("fanout {fanout} seed {seed} {stage} query {i}");
+                assert_results_identical(&label, &a, &b);
+                assert_eq!(
+                    a.stats.kt_core_vertices, b.stats.kt_core_vertices,
+                    "{label}: core size"
+                );
+            }
+        };
+        check("fresh");
+
+        // One mixed delta on both engines: a dozen reweights, up and down,
+        // and eight user moves, half of them query users.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
+        let edges: Vec<(u32, u32, f64)> = rsn.road().edges().collect();
+        let road_n = rsn.road().num_vertices() as u32;
+        let mut delta = NetworkDelta::new();
+        for _ in 0..12 {
+            let (u, v, w) = edges[rng.random_range(0..edges.len())];
+            delta = delta.reweight_edge(u, v, w * rng.random_range(0.3..3.0));
         }
+        for k in 0..8usize {
+            let user = if k % 2 == 0 {
+                group[k / 2]
+            } else {
+                rng.random_range(0..n_users as u32)
+            };
+            delta = delta.move_user(user, Location::vertex(rng.random_range(0..road_n)));
+        }
+        multi.apply_updates(&delta).unwrap();
+        binary.apply_updates(&delta).unwrap();
+        check("after an update");
     }
 }
 
-fn assert_query_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: sample weight");
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: communities"
-        );
-    }
-    assert_eq!(
-        a.stats.kt_core_vertices, b.stats.kt_core_vertices,
-        "{label}: core size"
+/// The continental-scale build budget: a 40k-vertex grid builds its G-tree
+/// (leaf capacity 128) within 30 s of wall clock. It takes about 2 s on a
+/// 2-vCPU host, so the budget separates a regression from noise. Sampled
+/// distances of the built tree are checked against Dijkstra. Optimized
+/// builds only: the debug profile times nothing a user runs.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock budget of an optimized build; runs under --release"
+)]
+fn continental_grid_gtree_builds_within_budget() {
+    const BUDGET_SECONDS: f64 = 30.0;
+    let net = generate_road(&RoadConfig::with_size(40_000, 7));
+    let start = Instant::now();
+    let tree = GTree::build_with_capacity(&net, 128);
+    let seconds = start.elapsed().as_secs_f64();
+    assert!(
+        seconds <= BUDGET_SECONDS,
+        "40k grid G-tree build took {seconds:.1} s, budget is {BUDGET_SECONDS:.0} s"
     );
+    let mut rng = StdRng::seed_from_u64(7);
+    let n = net.num_vertices() as u32;
+    for _ in 0..3 {
+        let s = rng.random_range(0..n);
+        let d = sssp(&net, s);
+        for _ in 0..64 {
+            let v = rng.random_range(0..n);
+            let (got, want) = (tree.dist(s, v), d[v as usize]);
+            assert!(
+                got == want || (got - want).abs() < 1e-9,
+                "tree distance {s} -> {v} is {got} but Dijkstra says {want}"
+            );
+        }
+    }
 }

@@ -6,6 +6,9 @@
 //! problems (non-contained and top-j). These tests pin that contract with
 //! seeded random networks; timing may differ between runs, answers may not.
 
+mod common;
+
+use common::assert_results_identical;
 use road_social_mac::core::{
     AlgorithmChoice, ExecutionPolicy, ExhaustionCause, MacEngine, MacQuery, MacSearchResult,
     NetworkDelta, QueryBudget, QueryOutcome, RoadSocialNetwork,
@@ -84,28 +87,6 @@ fn run_fresh(
         .session()
         .execute(&query.clone().with_algorithm(algorithm))
         .unwrap()
-}
-
-fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (i, (ca, cb)) in a.cells.iter().zip(&b.cells).enumerate() {
-        assert_eq!(ca.cell, cb.cell, "{label}: cell {i} geometry");
-        assert_eq!(
-            ca.sample_weight, cb.sample_weight,
-            "{label}: cell {i} sample weight"
-        );
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: cell {i} communities"
-        );
-    }
 }
 
 /// The work-stealing parallel global search, at several worker counts,

@@ -5,6 +5,9 @@
 //! every accepted request; and a concurrent updater must never produce an
 //! error or a torn answer.
 
+mod common;
+
+use common::{assert_results_identical, assert_valid_prefix};
 use road_social_mac::core::{
     AlgorithmChoice, MacEngine, MacQuery, MacSearchResult, NetworkDelta, QueryBudget, QueryOutcome,
     RoadSocialNetwork,
@@ -68,49 +71,6 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
         queries.push(query);
     }
     queries
-}
-
-fn assert_results_identical(label: &str, a: &MacSearchResult, b: &MacSearchResult) {
-    assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell count diverged");
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.sample_weight, cb.sample_weight, "{label}: sample weight");
-        assert_eq!(
-            ca.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            cb.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: communities"
-        );
-    }
-}
-
-/// `partial` must be an exact prefix of `full`'s cells.
-fn assert_valid_prefix(label: &str, partial: &MacSearchResult, full: &MacSearchResult) {
-    assert!(
-        partial.cells.len() <= full.cells.len(),
-        "{label}: partial has more cells than the full answer"
-    );
-    for (i, (pc, fc)) in partial.cells.iter().zip(&full.cells).enumerate() {
-        assert_eq!(
-            pc.sample_weight, fc.sample_weight,
-            "{label}: prefix diverged at cell {i}"
-        );
-        assert_eq!(
-            pc.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            fc.communities
-                .iter()
-                .map(|c| &c.vertices)
-                .collect::<Vec<_>>(),
-            "{label}: prefix communities diverged at cell {i}"
-        );
-    }
 }
 
 /// Served responses — through the queue, workers, coalescing, and caches —

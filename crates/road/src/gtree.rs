@@ -25,6 +25,16 @@
 //! region. Exactness against
 //! Dijkstra is enforced by the property tests of this module.
 //!
+//! **Partition.** The regions come from balanced bisection with
+//! Fiduccia–Mattheyses refinement (`bisect`), and the partition runs on the
+//! same pool, so it too uses every core: each depth's bisection rounds run
+//! as batches in which every part, and every growth seed of a large part,
+//! is its own task. The tree does not depend on the thread count: each
+//! attempt is a pure function of its part and seed, the winning seed is
+//! picked in seed order, and node ids are assigned afterwards in the
+//! depth-first preorder of a serial recursion. [`GTree::build_report`]
+//! gives the time of each build phase and each level's matrix work.
+//!
 //! Every node lives behind its own [`Arc`], so cloning a tree shares all
 //! node matrices. An incremental reweight refresh
 //! ([`GTree::apply_edge_updates`]) copies only the nodes it recomputes; an
@@ -44,6 +54,7 @@ use crate::dijkstra::{heap_key, SsspScratch, SweepQueue};
 use crate::network::{EdgeUpdate, RoadNetwork, RoadVertexId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Default maximum number of vertices per leaf region.
 pub const DEFAULT_LEAF_CAPACITY: usize = 32;
@@ -58,10 +69,13 @@ pub const DEFAULT_FANOUT: usize = 4;
 /// of unioning the borders of `fanout` huge parts (see [`GTree::partition`]).
 const SPINE_FACTOR: usize = 32;
 
-/// Below this much estimated work a set of matrix rows is filled serially:
-/// spawning the scoped workers costs more than it saves. The estimate is
-/// rows × reduced-graph edges for internal nodes and rows × region size for
-/// leaves, the same on the build and the refresh path.
+/// Below this much estimated work a set of pool tasks runs serially:
+/// spawning the scoped workers costs more than it saves. The estimate
+/// counts edge scans: rows × reduced-graph edges for internal nodes and
+/// rows × the region's road edges for leaves, the same on the build and the
+/// refresh path; the partition prices a part's adjacency and seed searches
+/// at its road edges each, and an attempt at its in-part edges times
+/// [`FM_PASSES`].
 const PARALLEL_WORK_THRESHOLD: usize = 1 << 14;
 
 #[derive(Debug, Clone)]
@@ -127,6 +141,35 @@ pub struct GTree {
     leaf_pos: Vec<u32>,
     root: usize,
     num_vertices: usize,
+    /// Shared by every clone, so an epoch copy does not allocate for it.
+    report: Arc<BuildReport>,
+}
+
+/// What one [`GTree`] build spent its time on, phase by phase
+/// ([`GTree::build_report`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BuildReport {
+    /// Seconds spent partitioning the network into the region tree.
+    pub partition_seconds: f64,
+    /// Seconds spent finding every region's border vertices.
+    pub border_seconds: f64,
+    /// The matrix work of each tree depth, root first.
+    pub levels: Vec<LevelReport>,
+}
+
+/// The matrix work of the nodes at one tree depth, in a [`BuildReport`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LevelReport {
+    /// Nodes at this depth.
+    pub nodes: usize,
+    /// Matrix rows filled: the nodes' union borders together.
+    pub rows: usize,
+    /// Directed edges of the depth's contracted reduced border graphs.
+    pub reduced_edges: usize,
+    /// Seconds spent contracting the reduced border graphs.
+    pub contract_seconds: f64,
+    /// Seconds spent filling the depth's matrix rows.
+    pub fill_seconds: f64,
 }
 
 /// Target seeds of a batched one-to-many evaluation, grouped by G-tree leaf.
@@ -264,15 +307,19 @@ impl GTree {
             leaf_pos: vec![0; n],
             root: 0,
             num_vertices: n,
+            report: Arc::default(),
         };
-        let all: Vec<RoadVertexId> = (0..n as u32).collect();
-        if n == 0 {
-            tree.nodes.push(Arc::new(GTreeNode::new(None, Vec::new())));
-            return tree;
-        }
-        tree.root = tree.partition(net, all, None, leaf_capacity, fanout);
+        let started = Instant::now();
+        tree.partition(net, leaf_capacity, fanout, pool);
+        let partitioned = Instant::now();
         tree.compute_borders(net);
-        tree.compute_matrices(net, pool);
+        let bordered = Instant::now();
+        let levels = tree.compute_matrices(net, pool);
+        tree.report = Arc::new(BuildReport {
+            partition_seconds: (partitioned - started).as_secs_f64(),
+            border_seconds: (bordered - partitioned).as_secs_f64(),
+            levels,
+        });
         tree
     }
 
@@ -280,6 +327,12 @@ impl GTree {
     /// the tree still shares it.
     fn node_mut(&mut self, id: usize) -> &mut GTreeNode {
         Arc::make_mut(&mut self.nodes[id])
+    }
+
+    /// What the build of this tree spent its time on. A refresh leaves it
+    /// unchanged: it describes the build.
+    pub fn build_report(&self) -> &BuildReport {
+        &self.report
     }
 
     /// Number of tree nodes.
@@ -1115,12 +1168,12 @@ impl GTree {
         result
     }
 
-    /// Recursively partitions `vertices` into a subtree; returns the node id.
+    /// Partitions the network into the region tree and numbers its nodes.
     ///
     /// An over-capacity region splits into up to `fanout` parts by repeated
     /// balanced-bisection rounds: every round bisects each part that is still
     /// over the leaf capacity (a part small enough to be a leaf is carried
-    /// through unsplit, never handed to `bisect`, whose degenerate fallback
+    /// through unsplit, never handed to [`bisect`], whose degenerate fallback
     /// could empty it). With `fanout == 2` a single round runs and the tree
     /// is exactly the historical binary bisection — same node order, same
     /// regions.
@@ -1134,51 +1187,104 @@ impl GTree {
     /// matrix sizes at roughly one cut's worth of borders while the bulk of
     /// the tree — everything at metro scale and below — still gets the
     /// shallow multiway shape.
-    fn partition(
-        &mut self,
-        net: &RoadNetwork,
-        vertices: Vec<RoadVertexId>,
-        parent: Option<usize>,
-        leaf_capacity: usize,
-        fanout: usize,
-    ) -> usize {
+    ///
+    /// The regions split depth by depth, and every round of one depth is a
+    /// single [`bisect`] batch on `pool`, so sibling regions and sibling
+    /// parts split side by side. Each bisection is a pure function of its
+    /// part, so the regions do not depend on the thread count; the nodes are
+    /// then numbered in the depth-first preorder of a serial recursion (a
+    /// region, then each child's subtree in turn), so neither do the ids.
+    fn partition(&mut self, net: &RoadNetwork, leaf_capacity: usize, fanout: usize, pool: RowPool) {
+        let n = self.num_vertices;
+        let mut plan = vec![PlanRegion {
+            vertices: (0..n as u32).collect(),
+            children: Vec::new(),
+        }];
+        let mut depth: Vec<usize> = if n > leaf_capacity {
+            vec![0]
+        } else {
+            Vec::new()
+        };
+        let mut locate = vec![PartSlot::NONE; n];
+        while !depth.is_empty() {
+            let mut splits: Vec<RegionSplit> = depth
+                .iter()
+                .map(|&r| {
+                    let vertices = &plan[r].vertices;
+                    let spine = vertices.len() > leaf_capacity.saturating_mul(SPINE_FACTOR);
+                    RegionSplit {
+                        parts: vec![vertices.clone()],
+                        fanout: if fanout > 2 && spine { 2 } else { fanout },
+                        open: true,
+                    }
+                })
+                .collect();
+            loop {
+                // `(split, part)` of every part this round bisects; a region
+                // with no part over capacity, or at its fanout, is done.
+                let mut jobs: Vec<(usize, usize)> = Vec::new();
+                for (i, split) in splits.iter_mut().enumerate() {
+                    if !split.open || split.parts.len() * 2 > split.fanout {
+                        split.open = false;
+                        continue;
+                    }
+                    let before = jobs.len();
+                    jobs.extend(
+                        (0..split.parts.len())
+                            .filter(|&j| split.parts[j].len() > leaf_capacity)
+                            .map(|j| (i, j)),
+                    );
+                    split.open = jobs.len() > before;
+                }
+                if jobs.is_empty() {
+                    break;
+                }
+                let parts: Vec<&[RoadVertexId]> = jobs
+                    .iter()
+                    .map(|&(i, j)| splits[i].parts[j].as_slice())
+                    .collect();
+                let halves = bisect(net, &parts, &mut locate, pool);
+                // Last job first, so the earlier jobs' part indices hold.
+                for (&(i, j), (left, right)) in jobs.iter().zip(halves).rev() {
+                    splits[i].parts[j] = left;
+                    splits[i].parts.insert(j + 1, right);
+                }
+            }
+            let mut next = Vec::new();
+            for (&r, split) in depth.iter().zip(splits) {
+                for part in split.parts {
+                    let child = plan.len();
+                    if part.len() > leaf_capacity {
+                        next.push(child);
+                    }
+                    plan.push(PlanRegion {
+                        vertices: part,
+                        children: Vec::new(),
+                    });
+                    plan[r].children.push(child);
+                }
+            }
+            depth = next;
+        }
+        self.root = self.place(&mut plan, 0, None);
+    }
+
+    /// Appends plan region `r` and its subtree as tree nodes in depth-first
+    /// preorder (the region, then each child's subtree in turn) and returns
+    /// the region's node id.
+    fn place(&mut self, plan: &mut [PlanRegion], r: usize, parent: Option<usize>) -> usize {
         let id = self.nodes.len();
-        self.nodes
-            .push(Arc::new(GTreeNode::new(parent, vertices.clone())));
-        if vertices.len() <= leaf_capacity {
+        let vertices = std::mem::take(&mut plan[r].vertices);
+        let children = std::mem::take(&mut plan[r].children);
+        if children.is_empty() {
             for &v in &vertices {
                 self.leaf_of[v as usize] = id;
             }
-            return id;
         }
-        let region_len = vertices.len();
-        let eff_fanout = if fanout > 2 && region_len > leaf_capacity.saturating_mul(SPINE_FACTOR) {
-            2
-        } else {
-            fanout
-        };
-        let mut parts = vec![vertices];
-        while parts.len() * 2 <= eff_fanout {
-            let mut next = Vec::with_capacity(parts.len() * 2);
-            let mut split_any = false;
-            for part in parts {
-                if part.len() <= leaf_capacity {
-                    next.push(part);
-                } else {
-                    let (left, right) = bisect(net, &part);
-                    next.push(left);
-                    next.push(right);
-                    split_any = true;
-                }
-            }
-            parts = next;
-            if !split_any {
-                break;
-            }
-        }
-        let children: Vec<usize> = parts
+        self.nodes.push(Arc::new(GTreeNode::new(parent, vertices)));
+        let children = children
             .into_iter()
-            .map(|part| self.partition(net, part, Some(id), leaf_capacity, fanout))
+            .map(|c| self.place(plan, c, Some(id)))
             .collect();
         self.node_mut(id).children = children;
         id
@@ -1208,7 +1314,9 @@ impl GTree {
         }
     }
 
-    fn compute_matrices(&mut self, net: &RoadNetwork, pool: RowPool) {
+    /// Fills every node's matrix, bottom-up by depth, and reports each
+    /// depth's work (root first).
+    fn compute_matrices(&mut self, net: &RoadNetwork, pool: RowPool) -> Vec<LevelReport> {
         // Parents are created before their children, so one increasing-id
         // pass settles every node's depth. Levels are processed bottom-up: an
         // internal matrix reads only its children's borders and matrices
@@ -1226,8 +1334,9 @@ impl GTree {
         for (id, &d) in depth.iter().enumerate() {
             levels[d].push(id);
         }
+        let mut reports = vec![LevelReport::default(); levels.len()];
         let mut row_of = vec![u32::MAX; self.num_vertices];
-        for level in levels.iter().rev() {
+        for (level, report) in levels.iter().zip(&mut reports).rev() {
             // Index spaces and row arrays first (serial, cheap): the level's
             // contraction reads them, as does everything after the build.
             for &id in level {
@@ -1235,8 +1344,7 @@ impl GTree {
             }
             // Contract the reduced border graphs, then fill every matrix row
             // of the level on the worker pool.
-            let trace = std::env::var_os("GTREE_TRACE").is_some();
-            let t0 = std::time::Instant::now();
+            let started = Instant::now();
             let fills: Vec<NodeFill> = level
                 .iter()
                 .map(|&id| NodeFill {
@@ -1248,36 +1356,26 @@ impl GTree {
                     },
                 })
                 .collect();
-            let t_contract = t0.elapsed();
+            let contracted = Instant::now();
             let matrices = self.fill_level_rows(net, &fills, pool);
-            if trace {
-                let rows: usize = fills
+            *report = LevelReport {
+                nodes: fills.len(),
+                rows: level
                     .iter()
-                    .map(|f| self.nodes[f.id].union_borders.len())
-                    .sum();
-                let max_size = fills
-                    .iter()
-                    .map(|f| self.nodes[f.id].union_borders.len())
-                    .max()
-                    .unwrap_or(0);
-                let edges: usize = fills
+                    .map(|&id| self.nodes[id].union_borders.len())
+                    .sum(),
+                reduced_edges: fills
                     .iter()
                     .filter_map(|f| f.reduced.as_ref().map(|r| r.targets.len()))
-                    .sum();
-                eprintln!(
-                    "level: {} nodes, {} rows, max_size {}, reduced_edges {}, contract {:?}, fill {:?}",
-                    fills.len(),
-                    rows,
-                    max_size,
-                    edges,
-                    t_contract,
-                    t0.elapsed() - t_contract
-                );
-            }
+                    .sum(),
+                contract_seconds: (contracted - started).as_secs_f64(),
+                fill_seconds: contracted.elapsed().as_secs_f64(),
+            };
             for (fill, matrix) in fills.iter().zip(matrices) {
                 self.node_mut(fill.id).matrix = matrix;
             }
         }
+        reports
     }
 
     /// Sets node `id`'s matrix index space — its region for a leaf, the
@@ -1349,10 +1447,20 @@ impl GTree {
             .iter()
             .map(|f| self.nodes[f.id].union_borders.len())
             .collect();
+        // Rows × edges a row's Dijkstra scans: the reduced graph's, or for
+        // a leaf its region's road edges.
         let work = fills
             .iter()
             .zip(&sizes)
-            .map(|(f, &size)| size * f.reduced.as_ref().map_or(size, |r| r.targets.len()))
+            .map(|(f, &size)| {
+                size * f.reduced.as_ref().map_or_else(
+                    || {
+                        let region = &self.nodes[f.id].union_borders;
+                        region.iter().map(|&v| net.degree(v)).sum()
+                    },
+                    |r| r.targets.len(),
+                )
+            })
             .sum();
         let mut matrices: Vec<Vec<f64>> =
             sizes.iter().map(|&s| vec![f64::INFINITY; s * s]).collect();
@@ -1895,8 +2003,9 @@ impl PatchWorker {
     }
 }
 
-/// The threads a set of matrix rows may run on, and the least work estimate
-/// worth spawning them for (see [`PARALLEL_WORK_THRESHOLD`]).
+/// The threads a set of matrix rows or bisection tasks may run on, and the
+/// least work estimate worth spawning them for (see
+/// [`PARALLEL_WORK_THRESHOLD`]).
 #[derive(Debug, Clone, Copy)]
 struct RowPool {
     threads: usize,
@@ -1913,9 +2022,10 @@ impl RowPool {
     }
 
     /// Runs `row(worker, item)` for every item and returns the sum of the
-    /// results. Below `min_work` (or with one thread) the calling thread
-    /// runs them all with one worker; otherwise it and `threads - 1` scoped
-    /// helpers claim items one at a time, each with its own `new_worker()`.
+    /// results. Below `min_work` (or with one thread, or one item) the
+    /// calling thread runs them all with one worker; otherwise it and up to
+    /// `threads - 1` scoped helpers, no more than there are items, claim
+    /// items one at a time, each with its own `new_worker()`.
     /// An item carries the `&mut` row it writes, so rows are filled in place
     /// and no row allocates; the output is the same whichever thread runs
     /// an item, as long as `row` reads only shared inputs and its worker's
@@ -1927,7 +2037,8 @@ impl RowPool {
         N: Fn() -> W + Sync,
         F: Fn(&mut W, T) -> usize + Sync,
     {
-        if self.threads <= 1 || work < self.min_work {
+        let threads = self.threads.min(items.size_hint().1.unwrap_or(usize::MAX));
+        if threads <= 1 || work < self.min_work {
             let mut worker = new_worker();
             return items.map(|item| row(&mut worker, item)).sum();
         }
@@ -1946,7 +2057,7 @@ impl RowPool {
             }
         };
         std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..self.threads).map(|_| scope.spawn(claim)).collect();
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
             let own = claim();
             own + helpers
                 .into_iter()
@@ -1983,101 +2094,196 @@ fn reduced_dijkstra_row(g: &ReducedGraph, source: usize, dist: &mut [f64], queue
     }
 }
 
-/// Splits a vertex set into two balanced halves while minimizing the number
-/// of cut edges — and therefore the border count at every level of the tree.
-///
-/// Distance-based splitting (two-sided BFS growth, bisector orderings) falls
-/// apart on road networks with long-range shortcut edges: hop distances turn
-/// small-world and the "geometric" halves scatter into dozens of fragments,
-/// leaving almost every vertex a border. Cut minimization sidesteps the
-/// metric entirely. One half is grown greedily from a far-apart seed, always
-/// absorbing the frontier vertex whose move reduces the running cut the most
-/// (greedy graph growing, the seed heuristic used by multilevel
-/// partitioners), then two Fiduccia–Mattheyses-style sweeps move
-/// positive-gain boundary vertices across the cut under a small balance
-/// slack. Ties are broken by vertex id everywhere, so the split is
-/// deterministic. Disconnected parts are handled by re-seeding the growth
-/// when a component is exhausted; a degenerate split falls back to halving
-/// the list.
-fn bisect(net: &RoadNetwork, vertices: &[RoadVertexId]) -> (Vec<RoadVertexId>, Vec<RoadVertexId>) {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, VecDeque};
-    let n = vertices.len();
-    if n < 2 {
-        let mid = n / 2;
-        return (vertices[..mid].to_vec(), vertices[mid..].to_vec());
-    }
-    let mut idx: HashMap<RoadVertexId, u32> = HashMap::with_capacity(n);
-    for (i, &v) in vertices.iter().enumerate() {
-        idx.insert(v, i as u32);
-    }
-    // Per-vertex degree restricted to the part (edges leaving the part are
-    // borders regardless of the split, so they never enter a gain).
-    let deg_part: Vec<i32> = vertices
-        .iter()
-        .map(|&v| {
-            net.neighbors(v)
-                .iter()
-                .filter(|&&(u, _)| idx.contains_key(&u))
-                .count() as i32
-        })
-        .collect();
+/// Most refinement passes one bisection attempt runs.
+const FM_PASSES: usize = 8;
 
-    // BFS-farthest vertex from `from` (a periphery vertex, so the grown half
-    // does not enclose the seed's component center).
-    let far_from = |from: usize| -> usize {
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[from] = true;
-        queue.push_back(vertices[from]);
-        let mut last = from as u32;
-        while let Some(v) = queue.pop_front() {
-            last = idx[&v];
+/// Parts above this many vertices are bisected from three growth seeds
+/// instead of one.
+const MULTI_SEED_PART: usize = 2048;
+
+/// One region of the partition plan: its vertices and, once it is split,
+/// its child regions (plan indices).
+#[derive(Debug)]
+struct PlanRegion {
+    vertices: Vec<RoadVertexId>,
+    children: Vec<usize>,
+}
+
+/// A region being split by bisection rounds: its current parts, its
+/// effective fanout and whether it takes another round.
+#[derive(Debug)]
+struct RegionSplit {
+    parts: Vec<Vec<RoadVertexId>>,
+    fanout: usize,
+    open: bool,
+}
+
+/// A vertex's part within one [`bisect`] batch and its position there.
+#[derive(Debug, Clone, Copy)]
+struct PartSlot {
+    part: u32,
+    pos: u32,
+}
+
+impl PartSlot {
+    /// A vertex outside every part of the batch.
+    const NONE: PartSlot = PartSlot {
+        part: u32::MAX,
+        pos: u32::MAX,
+    };
+}
+
+/// A part restricted to itself: each vertex's in-part neighbours as part
+/// positions (CSR, in road-network neighbour order), plus the part's growth
+/// seeds.
+#[derive(Debug)]
+struct PartGraph {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    seeds: Vec<usize>,
+}
+
+impl PartGraph {
+    /// Room for a part of `len` vertices whose road neighbour lists hold
+    /// `scanned` entries in total, the most its in-part lists can hold.
+    fn with_capacity(len: usize, scanned: usize) -> Self {
+        PartGraph {
+            offsets: Vec::with_capacity(len + 1),
+            targets: Vec::with_capacity(scanned),
+            seeds: Vec::with_capacity(3),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn neighbors(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Degree within the part (edges leaving the part are borders whatever
+    /// the split, so they never enter a gain).
+    fn degree(&self, i: usize) -> i32 {
+        (self.offsets[i + 1] - self.offsets[i]) as i32
+    }
+
+    /// Fills the in-part adjacency of part `p` from the batch's dense
+    /// `locate` index, then picks the growth seeds: the BFS-farthest vertex
+    /// from position 0, and for a part above [`MULTI_SEED_PART`] also from
+    /// positions `n / 3` and `2n / 3` (consecutive repeats dropped).
+    /// `seen` and `queue` are the BFS scratch.
+    fn fill(
+        &mut self,
+        net: &RoadNetwork,
+        part: &[RoadVertexId],
+        p: usize,
+        locate: &[PartSlot],
+        seen: &mut Vec<bool>,
+        queue: &mut Vec<u32>,
+    ) {
+        self.offsets.push(0);
+        for &v in part {
             for &(u, _) in net.neighbors(v) {
-                if let Some(&ui) = idx.get(&u) {
-                    if !seen[ui as usize] {
-                        seen[ui as usize] = true;
-                        queue.push_back(u);
-                    }
+                let slot = locate[u as usize];
+                if slot.part as usize == p {
+                    self.targets.push(slot.pos);
+                }
+            }
+            self.offsets.push(self.targets.len() as u32);
+        }
+        let n = part.len();
+        if n < 2 {
+            return;
+        }
+        let starts: &[usize] = if n > MULTI_SEED_PART {
+            &[0, n / 3, 2 * n / 3]
+        } else {
+            &[0]
+        };
+        for &from in starts {
+            let seed = self.far_from(from, seen, queue);
+            if self.seeds.last() != Some(&seed) {
+                self.seeds.push(seed);
+            }
+        }
+    }
+
+    /// The BFS-farthest position from `from` (a periphery vertex, so the
+    /// grown half does not enclose the seed's component center): the last
+    /// one the BFS reaches.
+    fn far_from(&self, from: usize, seen: &mut Vec<bool>, queue: &mut Vec<u32>) -> usize {
+        seen.clear();
+        seen.resize(self.len(), false);
+        queue.clear();
+        seen[from] = true;
+        queue.push(from as u32);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &u in self.neighbors(v as usize) {
+                if !seen[u as usize] {
+                    seen[u as usize] = true;
+                    queue.push(u);
                 }
             }
         }
-        last as usize
-    };
+        queue[queue.len() - 1] as usize
+    }
 
-    let half = n / 2;
-    let slack = (n / 16).max(1);
-    let min_side = half.saturating_sub(slack).max(1);
-    let max_side = (half + slack).min(n - 1);
-    let gain_of = |deg_in: i32, deg: i32| 2 * deg_in - deg;
+    /// Gain of moving position `vi` off its current side.
+    fn move_gain(&self, vi: usize, in_a: &[bool], deg_in_a: &[i32]) -> i32 {
+        if in_a[vi] {
+            self.degree(vi) - 2 * deg_in_a[vi]
+        } else {
+            2 * deg_in_a[vi] - self.degree(vi)
+        }
+    }
 
-    // One full growth + refinement attempt from a given seed; returns the
-    // half-set assignment, its size, and the resulting cut edge count.
-    let attempt = |seed: usize| -> (Vec<bool>, usize, i64) {
-        // Greedy growth: absorb the frontier vertex with the maximal gain
-        // `(neighbors already in A) - (neighbors still outside)` =
-        // 2·deg_in - deg. The heap is lazy (stale entries are re-checked
-        // against the current gain); ties prefer the smaller vertex id for
-        // determinism.
-        let mut in_a = vec![false; n];
-        let mut deg_in_a = vec![0i32; n];
-        let mut heap: BinaryHeap<(i32, Reverse<u32>)> = BinaryHeap::new();
-        heap.push((gain_of(0, deg_part[seed]), Reverse(seed as u32)));
+    /// One full growth and refinement attempt from `seed`: writes the side-A
+    /// flags into `in_a` (all `false` on entry, one per part position) and
+    /// returns the cut edge count.
+    ///
+    /// Greedy growth absorbs the frontier vertex with the maximal gain
+    /// `(neighbours already in A) - (neighbours still outside)`; the heap
+    /// is lazy (stale entries are re-checked against the current gain), and
+    /// an exhausted component re-seeds from the first unassigned position.
+    /// Fiduccia–Mattheyses passes with rollback follow: each moves the
+    /// best-gain unlocked vertex (negative gains included, so the pass can
+    /// climb out of local minima), locks it, and finally rolls back to the
+    /// best prefix of the move sequence. Passes repeat, at most
+    /// [`FM_PASSES`], until one fails to improve the cut.
+    fn attempt(&self, seed: usize, in_a: &mut [bool], worker: &mut BisectWorker) -> i64 {
+        use std::cmp::Reverse;
+        let n = self.len();
+        let half = n / 2;
+        let slack = (n / 16).max(1);
+        let min_side = half.saturating_sub(slack).max(1);
+        let max_side = (half + slack).min(n - 1);
+        let BisectWorker {
+            deg_in_a,
+            locked,
+            heap_a,
+            heap_b,
+            moves,
+        } = worker;
+        deg_in_a.clear();
+        deg_in_a.resize(n, 0);
+        heap_a.clear();
+        heap_a.push((-self.degree(seed), Reverse(seed as u32)));
         let mut a_count = 0usize;
         let mut next_reseed = 0usize;
         while a_count < half {
-            let vi = match heap.pop() {
+            let vi = match heap_a.pop() {
                 Some((g, Reverse(vi))) => {
                     let vi = vi as usize;
-                    if in_a[vi] || g != gain_of(deg_in_a[vi], deg_part[vi]) {
+                    if in_a[vi] || g != 2 * deg_in_a[vi] - self.degree(vi) {
                         continue; // stale or already absorbed
                     }
                     vi
                 }
                 None => {
-                    // Component exhausted: re-seed from the first unassigned
-                    // vertex (deterministic; `next_reseed` only moves
-                    // forward).
+                    // `next_reseed` only moves forward.
                     while next_reseed < n && in_a[next_reseed] {
                         next_reseed += 1;
                     }
@@ -2089,64 +2295,47 @@ fn bisect(net: &RoadNetwork, vertices: &[RoadVertexId]) -> (Vec<RoadVertexId>, V
             };
             in_a[vi] = true;
             a_count += 1;
-            for &(u, _) in net.neighbors(vertices[vi]) {
-                if let Some(&ui) = idx.get(&u) {
-                    let ui = ui as usize;
-                    deg_in_a[ui] += 1;
-                    if !in_a[ui] {
-                        heap.push((gain_of(deg_in_a[ui], deg_part[ui]), Reverse(ui as u32)));
-                    }
+            for &u in self.neighbors(vi) {
+                let u = u as usize;
+                deg_in_a[u] += 1;
+                if !in_a[u] {
+                    heap_a.push((2 * deg_in_a[u] - self.degree(u), Reverse(u as u32)));
                 }
             }
         }
 
-        // Fiduccia–Mattheyses refinement with rollback: each pass moves the
-        // best-gain unlocked vertex (negative gains included, so the pass can
-        // climb out of local minima), locks it, and finally rolls back to the
-        // best prefix of the move sequence. Passes repeat until one fails to
-        // improve the cut.
-        for _pass in 0..8 {
-            let mut locked = vec![false; n];
-            // Move gain for the vertex's CURRENT side; (gain, id)-keyed lazy
-            // heaps, one per side so balance limits can force a side.
-            let move_gain = |vi: usize, in_a: &[bool], deg_in_a: &[i32]| {
-                if in_a[vi] {
-                    deg_part[vi] - 2 * deg_in_a[vi]
-                } else {
-                    2 * deg_in_a[vi] - deg_part[vi]
-                }
-            };
-            let mut heap_a: BinaryHeap<(i32, Reverse<u32>)> = BinaryHeap::new();
-            let mut heap_b: BinaryHeap<(i32, Reverse<u32>)> = BinaryHeap::new();
+        for _pass in 0..FM_PASSES {
+            locked.clear();
+            locked.resize(n, false);
+            // One heap per side, so balance limits can force a side; both
+            // are heapified in place from their reused buffers.
+            let mut side_a = std::mem::take(heap_a).into_vec();
+            let mut side_b = std::mem::take(heap_b).into_vec();
+            side_a.clear();
+            side_b.clear();
             for vi in 0..n {
-                let entry = (move_gain(vi, &in_a, &deg_in_a), Reverse(vi as u32));
+                let entry = (self.move_gain(vi, in_a, deg_in_a), Reverse(vi as u32));
                 if in_a[vi] {
-                    heap_a.push(entry);
+                    side_a.push(entry);
                 } else {
-                    heap_b.push(entry);
+                    side_b.push(entry);
                 }
             }
-            let mut moves: Vec<usize> = Vec::new();
+            *heap_a = GainHeap::from(side_a);
+            *heap_b = GainHeap::from(side_b);
+            moves.clear();
             let mut gain_sum = 0i64;
             let mut best_sum = 0i64;
             let mut best_prefix = 0usize;
             loop {
                 // Drop stale tops, then pick the better feasible side (ties
                 // prefer the side whose move restores balance, then A).
-                let clean = |heap: &mut BinaryHeap<(i32, Reverse<u32>)>,
-                             want_a: bool,
-                             in_a: &[bool],
-                             deg_in_a: &[i32],
-                             locked: &[bool]| {
+                let clean = |heap: &mut GainHeap, want_a: bool, in_a: &[bool], deg_in_a: &[i32]| {
                     while let Some(&(g, Reverse(v))) = heap.peek() {
                         let vi = v as usize;
                         if !locked[vi]
                             && in_a[vi] == want_a
-                            && g == if want_a {
-                                deg_part[vi] - 2 * deg_in_a[vi]
-                            } else {
-                                2 * deg_in_a[vi] - deg_part[vi]
-                            }
+                            && g == self.move_gain(vi, in_a, deg_in_a)
                         {
                             return Some((g, vi));
                         }
@@ -2155,12 +2344,12 @@ fn bisect(net: &RoadNetwork, vertices: &[RoadVertexId]) -> (Vec<RoadVertexId>, V
                     None
                 };
                 let from_a = if a_count > min_side {
-                    clean(&mut heap_a, true, &in_a, &deg_in_a, &locked)
+                    clean(heap_a, true, in_a, deg_in_a)
                 } else {
                     None
                 };
                 let from_b = if a_count < max_side {
-                    clean(&mut heap_b, false, &in_a, &deg_in_a, &locked)
+                    clean(heap_b, false, in_a, deg_in_a)
                 } else {
                     None
                 };
@@ -2186,23 +2375,21 @@ fn bisect(net: &RoadNetwork, vertices: &[RoadVertexId]) -> (Vec<RoadVertexId>, V
                 };
                 let delta = if in_a[vi] { -1i32 } else { 1 };
                 in_a[vi] = !in_a[vi];
-                a_count = (a_count as i64 + delta as i64) as usize;
+                a_count = a_count.wrapping_add_signed(delta as isize);
                 locked[vi] = true;
-                for &(u, _) in net.neighbors(vertices[vi]) {
-                    if let Some(&ui) = idx.get(&u) {
-                        let ui = ui as usize;
-                        deg_in_a[ui] += delta;
-                        if !locked[ui] {
-                            let entry = (move_gain(ui, &in_a, &deg_in_a), Reverse(ui as u32));
-                            if in_a[ui] {
-                                heap_a.push(entry);
-                            } else {
-                                heap_b.push(entry);
-                            }
+                for &u in self.neighbors(vi) {
+                    let u = u as usize;
+                    deg_in_a[u] += delta;
+                    if !locked[u] {
+                        let entry = (self.move_gain(u, in_a, deg_in_a), Reverse(u as u32));
+                        if in_a[u] {
+                            heap_a.push(entry);
+                        } else {
+                            heap_b.push(entry);
                         }
                     }
                 }
-                moves.push(vi);
+                moves.push(vi as u32);
                 gain_sum += gain as i64;
                 if gain_sum > best_sum {
                     best_sum = gain_sum;
@@ -2211,13 +2398,12 @@ fn bisect(net: &RoadNetwork, vertices: &[RoadVertexId]) -> (Vec<RoadVertexId>, V
             }
             // Roll back everything after the best prefix.
             for &vi in moves[best_prefix..].iter().rev() {
+                let vi = vi as usize;
                 let delta = if in_a[vi] { -1i32 } else { 1 };
                 in_a[vi] = !in_a[vi];
-                a_count = (a_count as i64 + delta as i64) as usize;
-                for &(u, _) in net.neighbors(vertices[vi]) {
-                    if let Some(&ui) = idx.get(&u) {
-                        deg_in_a[ui as usize] += delta;
-                    }
+                a_count = a_count.wrapping_add_signed(delta as isize);
+                for &u in self.neighbors(vi) {
+                    deg_in_a[u as usize] += delta;
                 }
             }
             if best_sum == 0 {
@@ -2225,42 +2411,167 @@ fn bisect(net: &RoadNetwork, vertices: &[RoadVertexId]) -> (Vec<RoadVertexId>, V
             }
         }
 
-        let cut: i64 = (0..n)
+        (0..n)
             .filter(|&vi| in_a[vi])
-            .map(|vi| (deg_part[vi] - deg_in_a[vi]) as i64)
-            .sum();
-        (in_a, a_count, cut)
-    };
+            .map(|vi| (self.degree(vi) - deg_in_a[vi]) as i64)
+            .sum()
+    }
+}
 
-    // Large parts are worth several growth seeds — the cut they produce is
-    // paid again on every matrix row above them. Small parts take one.
-    let seeds: Vec<usize> = if n > 2048 {
-        let mut s = vec![far_from(0), far_from(n / 3), far_from(2 * n / 3)];
-        s.dedup();
-        s
-    } else {
-        vec![far_from(0)]
-    };
-    let (in_a, a_count, _) = seeds
-        .into_iter()
-        .map(attempt)
-        .min_by_key(|&(_, _, cut)| cut)
-        .unwrap();
+/// One growth-and-refinement attempt of a [`bisect`] batch: which part,
+/// from which seed, and its outcome (the side-A flags and the cut).
+#[derive(Debug)]
+struct Attempt {
+    part: usize,
+    seed: usize,
+    in_a: Vec<bool>,
+    cut: i64,
+}
 
-    let mut left = Vec::with_capacity(a_count);
-    let mut right = Vec::with_capacity(n - a_count);
-    for (i, &v) in vertices.iter().enumerate() {
-        if in_a[i] {
-            left.push(v);
-        } else {
-            right.push(v);
+/// A lazy max-heap of `(gain, Reverse(position))`: the best gain pops
+/// first, ties by the smaller position.
+type GainHeap = std::collections::BinaryHeap<(i32, std::cmp::Reverse<u32>)>;
+
+/// Per-thread buffers of the bisection attempts, sized for the batch's
+/// largest part up front and reused by every attempt and refinement pass
+/// the thread runs.
+#[derive(Debug)]
+struct BisectWorker {
+    deg_in_a: Vec<i32>,
+    locked: Vec<bool>,
+    heap_a: GainHeap,
+    heap_b: GainHeap,
+    moves: Vec<u32>,
+}
+
+impl BisectWorker {
+    fn with_capacity(n: usize) -> Self {
+        BisectWorker {
+            deg_in_a: Vec::with_capacity(n),
+            locked: Vec::with_capacity(n),
+            heap_a: GainHeap::with_capacity(n),
+            heap_b: GainHeap::with_capacity(n),
+            moves: Vec::with_capacity(n),
         }
     }
-    if left.is_empty() || right.is_empty() {
-        let mid = n / 2;
-        return (vertices[..mid].to_vec(), vertices[mid..].to_vec());
+}
+
+/// Splits each of `parts` into two balanced halves while minimizing the
+/// number of cut edges — and therefore the border count at every level of
+/// the tree.
+///
+/// Distance-based splitting (two-sided BFS growth, bisector orderings) falls
+/// apart on road networks with long-range shortcut edges: hop distances turn
+/// small-world and the "geometric" halves scatter into dozens of fragments,
+/// leaving almost every vertex a border. Cut minimization sidesteps the
+/// metric entirely. One half is grown greedily from a far-apart seed, always
+/// absorbing the frontier vertex whose move reduces the running cut the most
+/// (greedy graph growing, the seed heuristic used by multilevel
+/// partitioners), then Fiduccia–Mattheyses passes move boundary vertices
+/// across the cut under a small balance slack ([`PartGraph::attempt`]).
+/// Large parts are worth three growth seeds — the cut they produce is paid
+/// again on every matrix row above them — and the first attempt with the
+/// minimum cut wins. Ties are broken by part position everywhere.
+/// Disconnected parts are handled by re-seeding the growth when a component
+/// is exhausted; a degenerate split falls back to halving the list.
+///
+/// The batch runs on `pool`, which uses every core of the host: first one
+/// task per part builds its in-part adjacency through the dense `locate`
+/// index (all [`PartSlot::NONE`] on entry and on return; the parts are
+/// disjoint) and picks its seeds, then one task per seed runs an attempt.
+/// Each task reads only its part and writes only its own outputs, and the
+/// winner is chosen in seed order afterwards, so every split is a pure
+/// function of its part and the thread count changes nothing.
+fn bisect(
+    net: &RoadNetwork,
+    parts: &[&[RoadVertexId]],
+    locate: &mut [PartSlot],
+    pool: RowPool,
+) -> Vec<(Vec<RoadVertexId>, Vec<RoadVertexId>)> {
+    let mut graphs = Vec::with_capacity(parts.len());
+    let mut fill_work = 0;
+    for (p, part) in parts.iter().enumerate() {
+        let mut scanned = 0;
+        for (i, &v) in part.iter().enumerate() {
+            locate[v as usize] = PartSlot {
+                part: p as u32,
+                pos: i as u32,
+            };
+            scanned += net.degree(v);
+        }
+        let searches = if part.len() > MULTI_SEED_PART { 3 } else { 1 };
+        fill_work += scanned * (1 + searches);
+        graphs.push(PartGraph::with_capacity(part.len(), scanned));
     }
-    (left, right)
+    let largest = parts.iter().map(|p| p.len()).max().unwrap_or(0);
+    let located: &[PartSlot] = locate;
+    pool.run(
+        fill_work,
+        graphs.iter_mut().zip(parts).enumerate(),
+        || (Vec::with_capacity(largest), Vec::with_capacity(largest)),
+        |(seen, queue), (p, (graph, part))| {
+            graph.fill(net, part, p, located, seen, queue);
+            0
+        },
+    );
+    for &v in parts.iter().copied().flatten() {
+        locate[v as usize] = PartSlot::NONE;
+    }
+
+    let mut attempts: Vec<Attempt> = graphs
+        .iter()
+        .enumerate()
+        .flat_map(|(p, graph)| {
+            graph.seeds.iter().map(move |&seed| Attempt {
+                part: p,
+                seed,
+                in_a: vec![false; graph.len()],
+                cut: 0,
+            })
+        })
+        .collect();
+    let attempt_work = attempts
+        .iter()
+        .map(|a| graphs[a.part].targets.len() * FM_PASSES)
+        .sum();
+    pool.run(
+        attempt_work,
+        attempts.iter_mut(),
+        || BisectWorker::with_capacity(largest),
+        |worker, a| {
+            a.cut = graphs[a.part].attempt(a.seed, &mut a.in_a, worker);
+            0
+        },
+    );
+
+    let mut attempts = attempts.into_iter().peekable();
+    parts
+        .iter()
+        .enumerate()
+        .map(|(p, part)| {
+            let mut best: Option<Attempt> = None;
+            while let Some(a) = attempts.next_if(|a| a.part == p) {
+                if best.as_ref().is_none_or(|b| a.cut < b.cut) {
+                    best = Some(a);
+                }
+            }
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            if let Some(best) = best {
+                for (&v, &a) in part.iter().zip(&best.in_a) {
+                    if a {
+                        left.push(v);
+                    } else {
+                        right.push(v);
+                    }
+                }
+            }
+            if left.is_empty() || right.is_empty() {
+                let mid = part.len() / 2;
+                return (part[..mid].to_vec(), part[mid..].to_vec());
+            }
+            (left, right)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -2345,6 +2656,10 @@ mod tests {
         let tree = GTree::build_with_capacity(&net, 4);
         assert_eq!(tree.dist(4, 4), 0.0);
         assert!(tree.dist(0, 99).is_infinite());
+        // An empty network builds a single empty leaf.
+        let empty = GTree::build(&RoadNetwork::from_edges(0, &[]));
+        assert_eq!((empty.num_nodes(), empty.height()), (1, 1));
+        assert!(empty.dist(0, 0).is_infinite());
     }
 
     #[test]
@@ -3113,22 +3428,428 @@ mod tests {
         updates
     }
 
+    /// A frozen copy of the serial partition the parallel one replaced: a
+    /// recursion that pushes a node, splits it by bisection rounds, then
+    /// recurses into each part in turn, with a `HashMap`-indexed bisection
+    /// running its growth seeds one after another. The pin
+    /// `serial_and_parallel_pools_agree_bit_for_bit` holds every build to
+    /// its node regions, child order and leaf assignment. Do not edit.
+    mod reference {
+        use crate::gtree::SPINE_FACTOR;
+        use crate::network::{RoadNetwork, RoadVertexId};
+        use std::collections::HashMap;
+
+        /// Every node's region and children in id order, and each vertex's
+        /// leaf.
+        pub type Shape = (Vec<(Vec<RoadVertexId>, Vec<usize>)>, Vec<usize>);
+
+        /// The shape of the tree the serial recursion builds.
+        pub fn partition_shape(net: &RoadNetwork, leaf_capacity: usize, fanout: usize) -> Shape {
+            let n = net.num_vertices();
+            let mut shape = (Vec::new(), vec![usize::MAX; n]);
+            partition(
+                net,
+                (0..n as u32).collect(),
+                &mut shape,
+                leaf_capacity.max(4),
+                fanout.clamp(2, 64),
+            );
+            shape
+        }
+
+        fn partition(
+            net: &RoadNetwork,
+            vertices: Vec<RoadVertexId>,
+            shape: &mut Shape,
+            leaf_capacity: usize,
+            fanout: usize,
+        ) -> usize {
+            let id = shape.0.len();
+            shape.0.push((vertices.clone(), Vec::new()));
+            if vertices.len() <= leaf_capacity {
+                for &v in &vertices {
+                    shape.1[v as usize] = id;
+                }
+                return id;
+            }
+            let region_len = vertices.len();
+            let eff_fanout =
+                if fanout > 2 && region_len > leaf_capacity.saturating_mul(SPINE_FACTOR) {
+                    2
+                } else {
+                    fanout
+                };
+            let mut parts = vec![vertices];
+            while parts.len() * 2 <= eff_fanout {
+                let mut next = Vec::with_capacity(parts.len() * 2);
+                let mut split_any = false;
+                for part in parts {
+                    if part.len() <= leaf_capacity {
+                        next.push(part);
+                    } else {
+                        let (left, right) = bisect(net, &part);
+                        next.push(left);
+                        next.push(right);
+                        split_any = true;
+                    }
+                }
+                parts = next;
+                if !split_any {
+                    break;
+                }
+            }
+            let children: Vec<usize> = parts
+                .into_iter()
+                .map(|part| partition(net, part, shape, leaf_capacity, fanout))
+                .collect();
+            shape.0[id].1 = children;
+            id
+        }
+
+        /// Splits a vertex set into two balanced halves while minimizing the number
+        /// of cut edges — and therefore the border count at every level of the tree.
+        ///
+        /// Distance-based splitting (two-sided BFS growth, bisector orderings) falls
+        /// apart on road networks with long-range shortcut edges: hop distances turn
+        /// small-world and the "geometric" halves scatter into dozens of fragments,
+        /// leaving almost every vertex a border. Cut minimization sidesteps the
+        /// metric entirely. One half is grown greedily from a far-apart seed, always
+        /// absorbing the frontier vertex whose move reduces the running cut the most
+        /// (greedy graph growing, the seed heuristic used by multilevel
+        /// partitioners), then two Fiduccia–Mattheyses-style sweeps move
+        /// positive-gain boundary vertices across the cut under a small balance
+        /// slack. Ties are broken by vertex id everywhere, so the split is
+        /// deterministic. Disconnected parts are handled by re-seeding the growth
+        /// when a component is exhausted; a degenerate split falls back to halving
+        /// the list.
+        pub fn bisect(
+            net: &RoadNetwork,
+            vertices: &[RoadVertexId],
+        ) -> (Vec<RoadVertexId>, Vec<RoadVertexId>) {
+            use std::cmp::Reverse;
+            use std::collections::{BinaryHeap, VecDeque};
+            let n = vertices.len();
+            if n < 2 {
+                let mid = n / 2;
+                return (vertices[..mid].to_vec(), vertices[mid..].to_vec());
+            }
+            let mut idx: HashMap<RoadVertexId, u32> = HashMap::with_capacity(n);
+            for (i, &v) in vertices.iter().enumerate() {
+                idx.insert(v, i as u32);
+            }
+            // Per-vertex degree restricted to the part (edges leaving the part are
+            // borders regardless of the split, so they never enter a gain).
+            let deg_part: Vec<i32> = vertices
+                .iter()
+                .map(|&v| {
+                    net.neighbors(v)
+                        .iter()
+                        .filter(|&&(u, _)| idx.contains_key(&u))
+                        .count() as i32
+                })
+                .collect();
+
+            // BFS-farthest vertex from `from` (a periphery vertex, so the grown half
+            // does not enclose the seed's component center).
+            let far_from = |from: usize| -> usize {
+                let mut seen = vec![false; n];
+                let mut queue = VecDeque::new();
+                seen[from] = true;
+                queue.push_back(vertices[from]);
+                let mut last = from as u32;
+                while let Some(v) = queue.pop_front() {
+                    last = idx[&v];
+                    for &(u, _) in net.neighbors(v) {
+                        if let Some(&ui) = idx.get(&u) {
+                            if !seen[ui as usize] {
+                                seen[ui as usize] = true;
+                                queue.push_back(u);
+                            }
+                        }
+                    }
+                }
+                last as usize
+            };
+
+            let half = n / 2;
+            let slack = (n / 16).max(1);
+            let min_side = half.saturating_sub(slack).max(1);
+            let max_side = (half + slack).min(n - 1);
+            let gain_of = |deg_in: i32, deg: i32| 2 * deg_in - deg;
+
+            // One full growth + refinement attempt from a given seed; returns the
+            // half-set assignment, its size, and the resulting cut edge count.
+            let attempt = |seed: usize| -> (Vec<bool>, usize, i64) {
+                // Greedy growth: absorb the frontier vertex with the maximal gain
+                // `(neighbors already in A) - (neighbors still outside)` =
+                // 2·deg_in - deg. The heap is lazy (stale entries are re-checked
+                // against the current gain); ties prefer the smaller vertex id for
+                // determinism.
+                let mut in_a = vec![false; n];
+                let mut deg_in_a = vec![0i32; n];
+                let mut heap: BinaryHeap<(i32, Reverse<u32>)> = BinaryHeap::new();
+                heap.push((gain_of(0, deg_part[seed]), Reverse(seed as u32)));
+                let mut a_count = 0usize;
+                let mut next_reseed = 0usize;
+                while a_count < half {
+                    let vi = match heap.pop() {
+                        Some((g, Reverse(vi))) => {
+                            let vi = vi as usize;
+                            if in_a[vi] || g != gain_of(deg_in_a[vi], deg_part[vi]) {
+                                continue; // stale or already absorbed
+                            }
+                            vi
+                        }
+                        None => {
+                            // Component exhausted: re-seed from the first unassigned
+                            // vertex (deterministic; `next_reseed` only moves
+                            // forward).
+                            while next_reseed < n && in_a[next_reseed] {
+                                next_reseed += 1;
+                            }
+                            if next_reseed >= n {
+                                break;
+                            }
+                            next_reseed
+                        }
+                    };
+                    in_a[vi] = true;
+                    a_count += 1;
+                    for &(u, _) in net.neighbors(vertices[vi]) {
+                        if let Some(&ui) = idx.get(&u) {
+                            let ui = ui as usize;
+                            deg_in_a[ui] += 1;
+                            if !in_a[ui] {
+                                heap.push((
+                                    gain_of(deg_in_a[ui], deg_part[ui]),
+                                    Reverse(ui as u32),
+                                ));
+                            }
+                        }
+                    }
+                }
+
+                // Fiduccia–Mattheyses refinement with rollback: each pass moves the
+                // best-gain unlocked vertex (negative gains included, so the pass can
+                // climb out of local minima), locks it, and finally rolls back to the
+                // best prefix of the move sequence. Passes repeat until one fails to
+                // improve the cut.
+                for _pass in 0..8 {
+                    let mut locked = vec![false; n];
+                    // Move gain for the vertex's CURRENT side; (gain, id)-keyed lazy
+                    // heaps, one per side so balance limits can force a side.
+                    let move_gain = |vi: usize, in_a: &[bool], deg_in_a: &[i32]| {
+                        if in_a[vi] {
+                            deg_part[vi] - 2 * deg_in_a[vi]
+                        } else {
+                            2 * deg_in_a[vi] - deg_part[vi]
+                        }
+                    };
+                    let mut heap_a: BinaryHeap<(i32, Reverse<u32>)> = BinaryHeap::new();
+                    let mut heap_b: BinaryHeap<(i32, Reverse<u32>)> = BinaryHeap::new();
+                    for vi in 0..n {
+                        let entry = (move_gain(vi, &in_a, &deg_in_a), Reverse(vi as u32));
+                        if in_a[vi] {
+                            heap_a.push(entry);
+                        } else {
+                            heap_b.push(entry);
+                        }
+                    }
+                    let mut moves: Vec<usize> = Vec::new();
+                    let mut gain_sum = 0i64;
+                    let mut best_sum = 0i64;
+                    let mut best_prefix = 0usize;
+                    loop {
+                        // Drop stale tops, then pick the better feasible side (ties
+                        // prefer the side whose move restores balance, then A).
+                        let clean = |heap: &mut BinaryHeap<(i32, Reverse<u32>)>,
+                                     want_a: bool,
+                                     in_a: &[bool],
+                                     deg_in_a: &[i32],
+                                     locked: &[bool]| {
+                            while let Some(&(g, Reverse(v))) = heap.peek() {
+                                let vi = v as usize;
+                                if !locked[vi]
+                                    && in_a[vi] == want_a
+                                    && g == if want_a {
+                                        deg_part[vi] - 2 * deg_in_a[vi]
+                                    } else {
+                                        2 * deg_in_a[vi] - deg_part[vi]
+                                    }
+                                {
+                                    return Some((g, vi));
+                                }
+                                heap.pop();
+                            }
+                            None
+                        };
+                        let from_a = if a_count > min_side {
+                            clean(&mut heap_a, true, &in_a, &deg_in_a, &locked)
+                        } else {
+                            None
+                        };
+                        let from_b = if a_count < max_side {
+                            clean(&mut heap_b, false, &in_a, &deg_in_a, &locked)
+                        } else {
+                            None
+                        };
+                        let (gain, vi) = match (from_a, from_b) {
+                            (Some((ga, va)), Some((gb, vb))) => {
+                                if ga > gb || (ga == gb && a_count > half) {
+                                    heap_a.pop();
+                                    (ga, va)
+                                } else {
+                                    heap_b.pop();
+                                    (gb, vb)
+                                }
+                            }
+                            (Some((ga, va)), None) => {
+                                heap_a.pop();
+                                (ga, va)
+                            }
+                            (None, Some((gb, vb))) => {
+                                heap_b.pop();
+                                (gb, vb)
+                            }
+                            (None, None) => break,
+                        };
+                        let delta = if in_a[vi] { -1i32 } else { 1 };
+                        in_a[vi] = !in_a[vi];
+                        a_count = (a_count as i64 + delta as i64) as usize;
+                        locked[vi] = true;
+                        for &(u, _) in net.neighbors(vertices[vi]) {
+                            if let Some(&ui) = idx.get(&u) {
+                                let ui = ui as usize;
+                                deg_in_a[ui] += delta;
+                                if !locked[ui] {
+                                    let entry =
+                                        (move_gain(ui, &in_a, &deg_in_a), Reverse(ui as u32));
+                                    if in_a[ui] {
+                                        heap_a.push(entry);
+                                    } else {
+                                        heap_b.push(entry);
+                                    }
+                                }
+                            }
+                        }
+                        moves.push(vi);
+                        gain_sum += gain as i64;
+                        if gain_sum > best_sum {
+                            best_sum = gain_sum;
+                            best_prefix = moves.len();
+                        }
+                    }
+                    // Roll back everything after the best prefix.
+                    for &vi in moves[best_prefix..].iter().rev() {
+                        let delta = if in_a[vi] { -1i32 } else { 1 };
+                        in_a[vi] = !in_a[vi];
+                        a_count = (a_count as i64 + delta as i64) as usize;
+                        for &(u, _) in net.neighbors(vertices[vi]) {
+                            if let Some(&ui) = idx.get(&u) {
+                                deg_in_a[ui as usize] += delta;
+                            }
+                        }
+                    }
+                    if best_sum == 0 {
+                        break;
+                    }
+                }
+
+                let cut: i64 = (0..n)
+                    .filter(|&vi| in_a[vi])
+                    .map(|vi| (deg_part[vi] - deg_in_a[vi]) as i64)
+                    .sum();
+                (in_a, a_count, cut)
+            };
+
+            // Large parts are worth several growth seeds — the cut they produce is
+            // paid again on every matrix row above them. Small parts take one.
+            let seeds: Vec<usize> = if n > 2048 {
+                let mut s = vec![far_from(0), far_from(n / 3), far_from(2 * n / 3)];
+                s.dedup();
+                s
+            } else {
+                vec![far_from(0)]
+            };
+            let (in_a, a_count, _) = seeds
+                .into_iter()
+                .map(attempt)
+                .min_by_key(|&(_, _, cut)| cut)
+                .unwrap();
+
+            let mut left = Vec::with_capacity(a_count);
+            let mut right = Vec::with_capacity(n - a_count);
+            for (i, &v) in vertices.iter().enumerate() {
+                if in_a[i] {
+                    left.push(v);
+                } else {
+                    right.push(v);
+                }
+            }
+            if left.is_empty() || right.is_empty() {
+                let mid = n / 2;
+                return (vertices[..mid].to_vec(), vertices[mid..].to_vec());
+            }
+            (left, right)
+        }
+    }
+
+    /// The shape of `tree`, in the form of [`reference::Shape`].
+    fn partition_shape(tree: &GTree) -> reference::Shape {
+        let nodes = (0..tree.num_nodes())
+            .map(|id| (tree.vertices_of(id).to_vec(), tree.children_of(id).to_vec()))
+            .collect();
+        let leaf_of = (0..tree.num_vertices as u32)
+            .map(|v| tree.leaf_id_of(v))
+            .collect();
+        (nodes, leaf_of)
+    }
+
+    /// A 32 × 64 grid of 2,048 vertices with random real weights, plus
+    /// `extra` pendant vertices hung off its last corner: the root part
+    /// sits just below (`extra == 0`) or just above the size at which
+    /// bisection tries three growth seeds.
+    fn cutoff_grid(rng: &mut rand::rngs::StdRng, extra: u32) -> RoadNetwork {
+        let (rows, cols) = (32u32, 64u32);
+        assert_eq!((rows * cols) as usize, MULTI_SEED_PART);
+        let mut edges = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = r * cols + c;
+                if c + 1 < cols {
+                    edges.push((v, v + 1, random_weight(rng, false)));
+                }
+                if r + 1 < rows {
+                    edges.push((v, v + cols, random_weight(rng, false)));
+                }
+            }
+        }
+        let n = rows * cols + extra;
+        for v in rows * cols..n {
+            edges.push((v - 1, v, random_weight(rng, false)));
+        }
+        RoadNetwork::from_edges(n as usize, &edges)
+    }
+
     /// Builds and refreshes on one thread and on four give the same trees:
     /// every matrix bit for bit, the same update statistics, and the same
     /// nodes copied out of the pre-update clone (no more than were
-    /// recomputed; every other node stays the same allocation). Rounds go
-    /// from one reweight up to a third of the edges, which makes the top
-    /// nodes take the dense-change path.
+    /// recomputed; every other node stays the same allocation). Both builds
+    /// partition exactly as the frozen serial recursion of [`reference`]
+    /// does: the same node regions, child order and leaf of every vertex.
+    /// Rounds go from one reweight up to a third of the edges, which makes
+    /// the top nodes take the dense-change path. The last two cases, built
+    /// only, put the root part either side of the three-seed cutoff.
     #[test]
     fn serial_and_parallel_pools_agree_bit_for_bit() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x9A11E1);
-        for case in 0..6 {
+        for case in 0..8 {
             let integer = case >= 3;
-            let mut net = if integer {
-                adversarial_network(&mut rng)
-            } else {
-                random_grid(&mut rng, false)
+            let mut net = match case {
+                0..=2 => random_grid(&mut rng, false),
+                3..=5 => adversarial_network(&mut rng),
+                _ => cutoff_grid(&mut rng, case - 6),
             };
             let (cap, fanout) = (rng.random_range(4..10), [2, 4][rng.random_range(0..2)]);
             let mut trees = POOLS.map(|pool| GTree::build_on(&net, cap, fanout, pool));
@@ -3137,7 +3858,16 @@ mod tests {
                 matrix_bits(&trees[1]),
                 "case {case}: build"
             );
-            for round in 0..4 {
+            let shape = reference::partition_shape(&net, cap, fanout);
+            for (tree, pool) in trees.iter().zip(POOLS) {
+                assert!(
+                    partition_shape(tree) == shape,
+                    "case {case}: the {}-thread partition differs from the serial reference",
+                    pool.threads
+                );
+            }
+            let rounds = if case < 6 { 4 } else { 0 };
+            for round in 0..rounds {
                 let count = [1, 3, 8, net.num_edges() / 3][round].max(1);
                 let updates = random_reweights(&mut rng, &mut net, count, integer);
                 let before = trees.clone();
@@ -3157,6 +3887,42 @@ mod tests {
                 assert_eq!(copied[0], copied[1], "{at}: copied nodes");
                 assert!(copied[0].len() <= stats[0].dirty_leaves + stats[0].dirty_internal);
             }
+        }
+    }
+
+    /// The build report has one level per tree depth, root first; its
+    /// levels count every node and every matrix row, only leaves sit at
+    /// the deepest depth, its phase times are non-negative and fit in the
+    /// build's elapsed time, and clones share it.
+    #[test]
+    fn build_report_accounts_for_every_level() {
+        let net = grid(13, 11);
+        for pool in POOLS {
+            let started = std::time::Instant::now();
+            let tree = GTree::build_on(&net, 4, 4, pool);
+            let elapsed = started.elapsed().as_secs_f64();
+            let report = tree.build_report();
+            assert_eq!(report.levels.len(), tree.height());
+            assert_eq!(report.levels[0].nodes, 1);
+            let nodes: usize = report.levels.iter().map(|l| l.nodes).sum();
+            assert_eq!(nodes, tree.num_nodes());
+            let rows: usize = report.levels.iter().map(|l| l.rows).sum();
+            let union_borders: usize = (0..tree.num_nodes())
+                .map(|id| tree.union_borders_of(id).len())
+                .sum();
+            assert_eq!(rows, union_borders);
+            assert!(report.levels[0].reduced_edges > 0);
+            assert_eq!(report.levels.last().unwrap().reduced_edges, 0);
+            let mut phases = vec![report.partition_seconds, report.border_seconds];
+            for level in &report.levels {
+                phases.extend([level.contract_seconds, level.fill_seconds]);
+            }
+            assert!(phases.iter().all(|&t| t >= 0.0), "{report:?}");
+            assert!(
+                phases.iter().sum::<f64>() <= elapsed,
+                "{report:?} in {elapsed} s"
+            );
+            assert!(Arc::ptr_eq(&tree.clone().report, &tree.report));
         }
     }
 

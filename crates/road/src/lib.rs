@@ -36,7 +36,7 @@ pub mod rangefilter;
 
 pub use budget::{BudgetTicker, ExhaustionCause, SharedBudget, WorkerTicker};
 pub use dijkstra::{bounded_sssp, sssp, sssp_from_location, SsspScratch};
-pub use gtree::{GTree, GTreeUpdateStats};
+pub use gtree::{BuildReport, GTree, GTreeUpdateStats, LevelReport};
 pub use network::{EdgeUpdate, Location, RoadNetwork, RoadNetworkBuilder, RoadVertexId};
 pub use rangefilter::{
     reuse_margin, AutoCalibration, FilterScratch, QueryReach, RangeFilter, RangeFilterChoice,

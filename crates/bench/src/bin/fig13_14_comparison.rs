@@ -99,7 +99,7 @@ fn compare(dataset: &Dataset, rsn: &RoadSocialNetwork, k: u32, d: usize) -> Row 
     let spec = QuerySpec::defaults(dataset, k, dataset.default_t, 10, 0.01, d);
     // j = 1: the non-contained MAC (Problem 2) the baselines compete on.
     let query = spec.to_query().with_top_j(1);
-    let engine = MacEngine::build_uncalibrated(rsn.clone());
+    let engine = MacEngine::build(rsn.clone());
     let mut session = engine.session();
 
     let start = Instant::now();

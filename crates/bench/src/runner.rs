@@ -117,7 +117,7 @@ pub fn with_attrs(dataset: &Dataset, d: usize, dist: AttrDistribution) -> RoadSo
 /// returns their timings (the engine build itself is not timed — it is the
 /// once-per-network preparation the serving model amortizes away).
 pub fn measure_all(rsn: &RoadSocialNetwork, spec: &QuerySpec) -> AlgoTimings {
-    let engine = MacEngine::build_uncalibrated(rsn.clone());
+    let engine = MacEngine::build(rsn.clone());
     let mut session = engine.session();
     let global = spec.to_query().with_algorithm(AlgorithmChoice::Global);
     let local = spec.to_query().with_algorithm(AlgorithmChoice::Local);

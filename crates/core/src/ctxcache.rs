@@ -475,7 +475,7 @@ mod tests {
     /// Stores the entry for `query(3)` on the current epoch, applies
     /// `delta`, and reports whether the entry survived the next lookup.
     fn survives(delta: NetworkDelta) -> (bool, ContextCacheStats) {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let q = query(3);
         let mut cache = ContextCache::new(4);
         let epoch = engine.epoch();
@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn take_store_roundtrip_counts_hits_and_misses() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let epoch = engine.epoch();
         let q = query(3);
         let key = q.signature().context_signature();
@@ -513,7 +513,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_drops_the_oldest_entry() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let epoch = engine.epoch();
         let mut cache = ContextCache::new(2);
         let keys: Vec<_> = (1..4)
@@ -570,7 +570,7 @@ mod tests {
         assert!(!kept);
         assert_eq!((stats.move_drops, stats.epoch_invalidations), (1, 1));
         // Vertex 2 is at distance 2: still kept, 0.5 inside t.
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let q = query(3);
         let key = q.signature().context_signature();
         let mut cache = ContextCache::new(4);
@@ -603,7 +603,7 @@ mod tests {
         assert!(!kept, "the field is relative to the query locations");
         assert_eq!(stats.move_drops, 1);
 
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let q = query(3);
         let mut cache = ContextCache::new(4);
         let epoch = engine.epoch();
@@ -624,7 +624,7 @@ mod tests {
     /// which a change below its rounding leaves equal.
     #[test]
     fn a_slackless_entry_drops_at_any_weight_change_even_one_the_drift_absorbs() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         // Drive the drift to 2^54, where a change of 0.5 rounds away.
         let far = (1u64 << 54) as f64 + 1.0;
         engine

@@ -1,9 +1,10 @@
 //! The prepared, shareable — and now **mutable** — query-serving engine.
 //!
 //! The paper frames MAC search as an *online query service* over a
-//! road-social network: the network, its G-tree index, and the cost-model
-//! constants are all per-network state that should be prepared **once** and
-//! then serve many queries. [`MacEngine`] is that preparation:
+//! road-social network: the network, its G-tree index and the grouping of
+//! user locations by index leaf are all per-network state that should be
+//! prepared **once** and then serve many queries. [`MacEngine`] is that
+//! preparation:
 //!
 //! * it owns the [`RoadSocialNetwork`] behind an `Arc`, so an engine is
 //!   cheaply `Clone + Send + Sync` — one engine can be shared by any number
@@ -11,12 +12,11 @@
 //! * when the network carries a G-tree index it pre-groups every user
 //!   location by G-tree leaf ([`rsn_road::rangefilter::group_user_targets`]),
 //!   a per-network computation the batched range filters would otherwise
-//!   repeat per query;
-//! * at build time it runs a **measured calibration probe** — one timed
-//!   t-bounded Dijkstra sweep and one timed multi-seed G-tree walk over the
-//!   same probe query — replacing the analytic constant of the `Auto`
-//!   range-filter cost model with the measured per-network/per-machine unit
-//!   cost ratio (see [`AutoCalibration`]).
+//!   repeat per query.
+//!
+//! The build runs no timed code: the same network always yields the same
+//! engine, and an `Auto` range filter resolves through the deterministic
+//! cost model of [`rsn_road::rangefilter::resolve_auto`].
 //!
 //! Real road networks change while a service runs — traffic reweights edges,
 //! users appear and move. [`MacEngine::apply_updates`] absorbs a
@@ -27,10 +27,7 @@
 //! rows via the incremental target maintenance), and swap the pointer. Every
 //! [`QuerySession`] pins one epoch per query, so in-flight queries finish on
 //! a consistent snapshot, the next query sees the new network, and all
-//! session scratch survives untouched. The calibration probe re-runs only
-//! when the sampled average edge weight has drifted past
-//! [`RECALIBRATION_DRIFT`] — the one network statistic the `Auto` cost model
-//! reads.
+//! session scratch survives untouched.
 //!
 //! Per-thread execution state lives in [`QuerySession`] (obtained via
 //! [`MacEngine::session`]); the engine itself holds no per-query state.
@@ -44,9 +41,7 @@ use rsn_graph::graph::VertexId;
 use rsn_road::gtree::{GTreeUpdateStats, LeafTargets};
 use rsn_road::network::{EdgeUpdate, Location};
 use rsn_road::rangefilter::{
-    add_user_target, auto_cost_estimates, group_user_targets, remove_user_target,
-    resolve_auto_calibrated, sampled_avg_edge_weight, AutoCalibration, FilterScratch, RangeFilter,
-    RangeFilterChoice,
+    add_user_target, group_user_targets, remove_user_target, RangeFilterChoice,
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
@@ -61,9 +56,13 @@ pub enum AlgorithmChoice {
     /// (k,t)-core. GS time grows steeply with the core (a 400-user random
     /// network with k = 3 and σ = 0.05 took 26–29 s for 163,994 cells in a
     /// release build on a 2-vCPU host, where LS took 5 ms and reported
-    /// none), so bound it with [`QuerySession::execute_with_budget`] or
-    /// [`ExecutionPolicy::with_default_budget`]; a budget-cut answer is a
-    /// `Partial` whose cells are exact.
+    /// none), so bound it with [`QuerySession::execute_with_budget`]; a
+    /// budget-cut answer is a `Partial` whose cells are exact. The policy's
+    /// [`default_budget`](ExecutionPolicy::default_budget) bounds only
+    /// queries submitted to `rsn-serve`'s `MacServer`:
+    /// [`QuerySession::execute`] and
+    /// [`execute_batch`](QuerySession::execute_batch) ignore it and run
+    /// unbounded.
     #[default]
     Auto,
     /// Always run the DFS-based global search (Algorithm 1) — exact.
@@ -79,58 +78,10 @@ pub enum AlgorithmChoice {
     Local,
 }
 
-/// Relative drift of the sampled average edge weight beyond which
-/// [`MacEngine::apply_updates`] re-runs the calibration probe. The average
-/// edge weight is the only network statistic the `Auto` cost model reads
-/// from the weights (it turns `t` into an expected hop radius), so while it
-/// holds steady the measured sweep-vs-walk constant keeps describing the
-/// network and the probe would be wasted work.
-pub const RECALIBRATION_DRIFT: f64 = 0.2;
-
 /// How many epochs of user moves an epoch remembers
 /// ([`EngineEpoch::moved_since`]). A cached session further behind than
 /// this clears its cache at its next query.
 const MOVE_LOG_EPOCHS: usize = 64;
-
-/// Maximum number of query locations the calibration probe uses.
-const PROBE_QUERY_LOCATIONS: usize = 4;
-/// Hop radius the probe's threshold aims for (multiplied by the sampled
-/// average edge weight); large enough to make both strategies do real work,
-/// small enough to keep engine builds fast.
-const PROBE_HOP_RADIUS: f64 = 12.0;
-
-/// What the engine measured (or assumed) at build time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineCalibration {
-    /// The `Auto` range-filter conversion factor: measured per-network when
-    /// the probe ran and was trusted, the analytic default otherwise.
-    pub filter: AutoCalibration,
-    /// Wall-clock seconds of the timed probe sweep (0.0 when no probe ran).
-    pub sweep_probe_seconds: f64,
-    /// Wall-clock seconds of the timed probe walk (0.0 when no probe ran).
-    pub walk_probe_seconds: f64,
-    /// The distance threshold the probe used (0.0 when no probe ran).
-    pub probe_t: f64,
-}
-
-impl Default for EngineCalibration {
-    fn default() -> Self {
-        EngineCalibration {
-            filter: AutoCalibration::default(),
-            sweep_probe_seconds: 0.0,
-            walk_probe_seconds: 0.0,
-            probe_t: 0.0,
-        }
-    }
-}
-
-impl EngineCalibration {
-    /// Whether the filter constant came from an accepted build-time
-    /// measurement (as opposed to the analytic fallback).
-    pub fn is_measured(&self) -> bool {
-        self.filter.is_measured()
-    }
-}
 
 /// A batch of road-network changes for [`MacEngine::apply_updates`]: traffic
 /// reweights of existing road segments plus user location churn. Applied
@@ -198,8 +149,9 @@ pub struct UpdateStats {
     /// G-tree incremental-refresh statistics (`None` without an index or
     /// without edge updates).
     pub gtree: Option<GTreeUpdateStats>,
-    /// Whether the calibration probe re-ran (sampled average edge weight
-    /// drifted past [`RECALIBRATION_DRIFT`]).
+    /// Always `false`: the engine no longer calibrates. Kept only because
+    /// the `perfbench` benchmark reads it; it goes when that benchmark
+    /// stops reading it.
     pub recalibrated: bool,
     /// Wall-clock seconds for the whole update.
     pub elapsed_seconds: f64,
@@ -210,7 +162,7 @@ pub struct UpdateStats {
     /// of a delta without reweights) reads 0. The stages sum to at most
     /// [`elapsed_seconds`](Self::elapsed_seconds), which also counts the
     /// wait for the update lock.
-    pub stage_seconds: [f64; 5],
+    pub stage_seconds: [f64; UpdateStage::ALL.len()],
 }
 
 /// The stages of one [`MacEngine::apply_updates`] call, in execution order.
@@ -226,19 +178,16 @@ pub enum UpdateStage {
     GTreeRefresh,
     /// Per-leaf user-target row edits (moved + on-edge users).
     LeafEdits,
-    /// Drift-gated calibration re-probe.
-    Recalibrate,
     /// Publishing the new epoch (the single pointer store).
     Swap,
 }
 
 impl UpdateStage {
     /// All stages, in execution order.
-    pub const ALL: [UpdateStage; 5] = [
+    pub const ALL: [UpdateStage; 4] = [
         UpdateStage::Validate,
         UpdateStage::GTreeRefresh,
         UpdateStage::LeafEdits,
-        UpdateStage::Recalibrate,
         UpdateStage::Swap,
     ];
 
@@ -248,7 +197,6 @@ impl UpdateStage {
             UpdateStage::Validate => "validate",
             UpdateStage::GTreeRefresh => "gtree-refresh",
             UpdateStage::LeafEdits => "leaf-edits",
-            UpdateStage::Recalibrate => "recalibrate",
             UpdateStage::Swap => "swap",
         }
     }
@@ -263,17 +211,11 @@ type FailpointHook = Arc<dyn Fn(UpdateStage) -> Result<(), MacError> + Send + Sy
 #[derive(Debug)]
 struct EngineInner {
     rsn: RoadSocialNetwork,
-    calibration: EngineCalibration,
     /// User seeds pre-grouped by G-tree leaf (present iff the network has an
     /// index) — shared by every session's batched filter evaluations.
     user_targets: Option<LeafTargets>,
     /// Monotonic epoch id (0 at build, +1 per applied delta).
     epoch: u64,
-    /// The sampled average edge weight at the last calibration (0.0 when no
-    /// probe ran) — the drift reference for re-probing.
-    calibrated_avg_edge_weight: f64,
-    /// Whether the build requested measurement (updates only re-probe then).
-    measured_build: bool,
     /// Cumulative distance drift `C` since the build (see
     /// [`EngineEpoch::drift`]).
     drift: f64,
@@ -362,8 +304,8 @@ impl EngineShared {
 /// Build once ([`build`](Self::build)), then open one [`QuerySession`] per
 /// serving thread ([`session`](Self::session)) and execute many queries
 /// through it. Cloning an engine clones an `Arc` — all clones (and all
-/// sessions opened from them) share the network, the index, the pre-grouped
-/// user targets, and the calibration, **including every later
+/// sessions opened from them) share the network, the index and the
+/// pre-grouped user targets, **including every later
 /// [`apply_updates`](Self::apply_updates)**: a delta applied through any
 /// clone is visible to all of them from their next query on.
 ///
@@ -377,7 +319,7 @@ impl EngineShared {
 /// # let locations = vec![Location::vertex(0); 4];
 /// # let attrs = vec![vec![1.0, 2.0], vec![2.0, 1.0], vec![3.0, 3.0], vec![1.5, 2.5]];
 /// # let rsn = rsn_core::RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
-/// let engine = MacEngine::build(rsn); // calibration runs here, once
+/// let engine = MacEngine::build(rsn); // user grouping runs here, once
 /// let mut session = engine.session(); // per-thread scratch lives here
 /// let region = PrefRegion::from_ranges(&[(0.2, 0.8)]).unwrap();
 /// let query = MacQuery::new(vec![0], 2, 10.0, region);
@@ -409,11 +351,6 @@ impl EngineEpoch {
     /// The served network of this epoch.
     pub fn network(&self) -> &RoadSocialNetwork {
         &self.inner.rsn
-    }
-
-    /// What the engine measured (or assumed) when this epoch was prepared.
-    pub fn calibration(&self) -> &EngineCalibration {
-        &self.inner.calibration
     }
 
     /// User seeds pre-grouped by G-tree leaf, when the network has an index.
@@ -459,19 +396,11 @@ impl EngineEpoch {
         )
     }
 
-    /// Resolves a query's range-filter strategy through this epoch's
-    /// calibration: an explicit query-level `filter` wins, a remaining
-    /// `Auto` goes through the calibrated crossover rule with the measured
-    /// per-network constant.
-    pub fn resolve_filter(&self, query: &MacQuery) -> RangeFilterChoice {
-        self.resolve_filter_with(query, RangeFilterChoice::Auto)
-    }
-
-    /// [`resolve_filter`](Self::resolve_filter) with an
-    /// [`ExecutionPolicy`]-level default interposed: a query-level `Auto`
-    /// falls back to `policy_default`, and only when that is also `Auto`
-    /// does the calibrated crossover rule decide. This is the resolution a
-    /// [`QuerySession`] applies.
+    /// Resolves a query's range-filter strategy: an explicit query-level
+    /// `filter` wins, a query-level `Auto` falls back to `policy_default`,
+    /// and only when that is also `Auto` does the cost model decide
+    /// ([`RoadSocialNetwork::resolve_range_filter`]). This is the
+    /// resolution a [`QuerySession`] applies.
     pub fn resolve_filter_with(
         &self,
         query: &MacQuery,
@@ -481,73 +410,33 @@ impl EngineEpoch {
             RangeFilterChoice::Auto => policy_default,
             explicit => explicit,
         };
-        match requested {
-            RangeFilterChoice::Auto => resolve_auto_calibrated(
-                self.inner.rsn.road(),
-                self.inner.rsn.gtree(),
-                query.q.len(),
-                query.t,
-                self.inner.rsn.num_users(),
-                &self.inner.calibration.filter,
-            ),
-            explicit => explicit,
-        }
+        self.inner
+            .rsn
+            .resolve_range_filter(requested, query.q.len(), query.t)
     }
 }
 
 impl MacEngine {
-    /// Prepares an engine, running the measured calibration probe (one timed
-    /// sweep + one timed multi-seed walk) when the network carries a G-tree
-    /// index. The probe sets only the range-filter cost model; nothing
-    /// about the search algorithm is measured, since an `Auto` query always
-    /// runs the exact global search. Build cost is one probe — milliseconds
-    /// on laptop-scale networks — plus the user-target grouping.
-    pub fn build(rsn: RoadSocialNetwork) -> Self {
-        Self::assemble(rsn, true, ExecutionPolicy::default())
-    }
-
-    /// Prepares an engine **without** the timed probe: the `Auto` cost model
-    /// keeps its analytic constants (and [`apply_updates`](Self::apply_updates)
-    /// never re-probes). Deterministic-build escape hatch for tests and
-    /// reproducible benchmarks.
-    pub fn build_uncalibrated(rsn: RoadSocialNetwork) -> Self {
-        Self::assemble(rsn, false, ExecutionPolicy::default())
-    }
-
-    /// Prepares an engine (calibration probe included) under an explicit
-    /// [`ExecutionPolicy`]: every [`session`](Self::session) opened from this
-    /// engine — or any clone — starts from `policy` instead of the default.
-    pub fn build_with_policy(rsn: RoadSocialNetwork, policy: ExecutionPolicy) -> Self {
-        Self::assemble(rsn, true, policy)
-    }
-
-    /// [`build_uncalibrated`](Self::build_uncalibrated) under an explicit
+    /// Prepares an engine: groups the user locations by G-tree leaf when
+    /// the network carries an index. Sessions start from the default
     /// [`ExecutionPolicy`].
-    pub fn build_uncalibrated_with_policy(rsn: RoadSocialNetwork, policy: ExecutionPolicy) -> Self {
-        Self::assemble(rsn, false, policy)
+    pub fn build(rsn: RoadSocialNetwork) -> Self {
+        Self::build_with_policy(rsn, ExecutionPolicy::default())
     }
 
-    fn assemble(rsn: RoadSocialNetwork, measure: bool, policy: ExecutionPolicy) -> Self {
+    /// Prepares an engine under an explicit [`ExecutionPolicy`]: every
+    /// [`session`](Self::session) opened from this engine — or any clone —
+    /// starts from `policy` instead of the default.
+    pub fn build_with_policy(rsn: RoadSocialNetwork, policy: ExecutionPolicy) -> Self {
         let user_targets = rsn
             .gtree()
             .map(|tree| group_user_targets(tree, rsn.road(), rsn.locations()));
-        let mut calibration = EngineCalibration::default();
-        let mut calibrated_avg_edge_weight = 0.0;
-        if measure {
-            if let (Some(tree), Some(targets)) = (rsn.gtree(), user_targets.as_ref()) {
-                calibration = Self::probe(&rsn, tree, targets);
-                calibrated_avg_edge_weight = sampled_avg_edge_weight(rsn.road());
-            }
-        }
         MacEngine {
             shared: Arc::new(EngineShared {
                 current: RwLock::new(Arc::new(EngineInner {
                     rsn,
-                    calibration,
                     user_targets,
                     epoch: 0,
-                    calibrated_avg_edge_weight,
-                    measured_build: measure,
                     drift: 0.0,
                     reweighted_epochs: 0,
                     move_log: VecDeque::new(),
@@ -558,6 +447,21 @@ impl MacEngine {
                 failpoint: Mutex::new(None),
             }),
         }
+    }
+
+    /// Same as [`build`](Self::build). Kept only because the `perfbench`
+    /// benchmark calls it; it goes when that benchmark calls `build`.
+    #[doc(hidden)]
+    pub fn build_uncalibrated(rsn: RoadSocialNetwork) -> Self {
+        Self::build(rsn)
+    }
+
+    /// Same as [`build_with_policy`](Self::build_with_policy). Kept only
+    /// because the `perfbench` benchmark calls it; it goes when that
+    /// benchmark calls `build_with_policy`.
+    #[doc(hidden)]
+    pub fn build_uncalibrated_with_policy(rsn: RoadSocialNetwork, policy: ExecutionPolicy) -> Self {
+        Self::build_with_policy(rsn, policy)
     }
 
     /// Installs a fault-injection hook fired at each [`UpdateStage`] of every
@@ -586,71 +490,6 @@ impl MacEngine {
         }
     }
 
-    /// The build-time calibration probe: times one t-bounded sweep and one
-    /// multi-seed walk over the same probe query (the first few user
-    /// locations, threshold ≈ [`PROBE_HOP_RADIUS`] average edge weights),
-    /// divides each by its modeled unit count, and accepts the measured
-    /// ratio when both timings clear the noise floor
-    /// ([`AutoCalibration::from_probe`]).
-    fn probe(
-        rsn: &RoadSocialNetwork,
-        tree: &rsn_road::gtree::GTree,
-        targets: &LeafTargets,
-    ) -> EngineCalibration {
-        let mut calibration = EngineCalibration::default();
-        let users = rsn.locations();
-        if users.is_empty() || rsn.road().num_vertices() == 0 {
-            return calibration;
-        }
-        let q_locs: Vec<Location> = users
-            .iter()
-            .copied()
-            .take(PROBE_QUERY_LOCATIONS.min(users.len()))
-            .collect();
-        // The same deterministic sample the cost model turns t into a hop
-        // radius with, so the probe threshold and the unit estimates agree.
-        let avg_w = sampled_avg_edge_weight(rsn.road());
-        if !(avg_w.is_finite() && avg_w > 0.0) {
-            return calibration;
-        }
-        let probe_t = avg_w * PROBE_HOP_RADIUS;
-        let Some((sweep_units, batched_units)) =
-            auto_cost_estimates(rsn.road(), tree, q_locs.len(), probe_t, users.len())
-        else {
-            return calibration;
-        };
-
-        let mut scratch = FilterScratch::new();
-        let mut out = Vec::new();
-        let mut time_filter = |filter: &RangeFilter<'_>| {
-            // Best of two repetitions: the first run grows the scratch
-            // buffers, the second measures the steady state.
-            let mut best = f64::INFINITY;
-            for _ in 0..2 {
-                let start = Instant::now();
-                filter.users_within_with(
-                    rsn.road(),
-                    &q_locs,
-                    probe_t,
-                    users,
-                    Some(targets),
-                    &mut scratch,
-                    &mut out,
-                );
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let sweep_seconds = time_filter(&RangeFilter::DijkstraSweep);
-        let walk_seconds = time_filter(&RangeFilter::GTreeMultiSeedBatched(tree));
-        calibration.filter =
-            AutoCalibration::from_probe(sweep_seconds, sweep_units, walk_seconds, batched_units);
-        calibration.sweep_probe_seconds = sweep_seconds;
-        calibration.walk_probe_seconds = walk_seconds;
-        calibration.probe_t = probe_t;
-        calibration
-    }
-
     /// Pins the epoch currently being served: one brief read lock, one `Arc`
     /// clone. All state accessors live on the returned [`EngineEpoch`] so a
     /// caller reads a consistent snapshot even while updates land.
@@ -658,11 +497,6 @@ impl MacEngine {
         EngineEpoch {
             inner: self.shared.read_current(),
         }
-    }
-
-    /// What the engine measured (or assumed) for the current epoch.
-    pub fn calibration(&self) -> EngineCalibration {
-        *self.epoch().calibration()
     }
 
     /// The engine-level [`ExecutionPolicy`] every session starts from.
@@ -676,12 +510,6 @@ impl MacEngine {
     /// [`QuerySession::with_policy`].
     pub fn session(&self) -> QuerySession {
         QuerySession::new(self.clone())
-    }
-
-    /// Resolves a query's range-filter strategy through the current epoch
-    /// (see [`EngineEpoch::resolve_filter`]).
-    pub fn resolve_filter(&self, query: &MacQuery) -> RangeFilterChoice {
-        self.epoch().resolve_filter(query)
     }
 
     /// Applies a batch of network changes **without rebuilding**: copies the
@@ -704,9 +532,7 @@ impl MacEngine {
     ///   an update applied under a running `MacServer` briefly shares the
     ///   cores with its workers;
     /// * the pre-grouped per-leaf user rows are edited for exactly the moved
-    ///   users and the on-edge users of reweighted segments;
-    /// * the calibration probe re-runs only when the sampled average edge
-    ///   weight drifted past [`RECALIBRATION_DRIFT`] (measured builds only).
+    ///   users and the on-edge users of reweighted segments.
     ///
     /// Sessions (and engine clones) observe the new epoch from their next
     /// query; queries already executing finish on the epoch they pinned.
@@ -726,7 +552,7 @@ impl MacEngine {
 
         // Each stage runs from `mark` to the next stage's start.
         let mut mark = Instant::now();
-        let mut stage_seconds = [0.0; 5];
+        let mut stage_seconds = [0.0; UpdateStage::ALL.len()];
         let mut lap = |stage: UpdateStage| {
             let now = Instant::now();
             stage_seconds[stage as usize] = (now - mark).as_secs_f64();
@@ -796,30 +622,7 @@ impl MacEngine {
             }
         }
 
-        // Drift-gated recalibration: the cost model's only weight-dependent
-        // input is the sampled average edge weight; re-probe when it moved.
         lap(UpdateStage::LeafEdits);
-        self.shared.fire_failpoint(UpdateStage::Recalibrate)?;
-        let mut calibration = prev.calibration;
-        let mut calibrated_avg_edge_weight = prev.calibrated_avg_edge_weight;
-        if prev.measured_build && !delta.edge_updates.is_empty() {
-            if let (Some(tree), Some(targets)) = (rsn.gtree(), user_targets.as_ref()) {
-                let avg_w = sampled_avg_edge_weight(rsn.road());
-                let reference = prev.calibrated_avg_edge_weight;
-                let drifted = if reference > 0.0 {
-                    ((avg_w - reference) / reference).abs() > RECALIBRATION_DRIFT
-                } else {
-                    true
-                };
-                if drifted {
-                    calibration = Self::probe(&rsn, tree, targets);
-                    calibrated_avg_edge_weight = avg_w;
-                    stats.recalibrated = true;
-                }
-            }
-        }
-
-        lap(UpdateStage::Recalibrate);
         let mut move_log = prev.move_log.clone();
         if move_log.len() == MOVE_LOG_EPOCHS {
             move_log.pop_front();
@@ -827,11 +630,8 @@ impl MacEngine {
         move_log.push_back(delta.user_moves.iter().map(|&(user, _)| user).collect());
         let next = Arc::new(EngineInner {
             rsn,
-            calibration,
             user_targets,
             epoch: prev.epoch + 1,
-            calibrated_avg_edge_weight,
-            measured_build: prev.measured_build,
             drift,
             reweighted_epochs,
             move_log,
@@ -964,6 +764,7 @@ mod tests {
     use rsn_geom::region::PrefRegion;
     use rsn_graph::graph::Graph;
     use rsn_road::network::RoadNetwork;
+    use rsn_road::rangefilter::{FilterScratch, RangeFilter};
 
     fn network(indexed: bool) -> RoadSocialNetwork {
         let social =
@@ -993,7 +794,7 @@ mod tests {
 
     #[test]
     fn engine_clones_share_the_network_and_see_updates() {
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         let clone = engine.clone();
         let (a, b) = (engine.epoch(), clone.epoch());
         assert!(std::ptr::eq(a.network(), b.network()));
@@ -1010,32 +811,38 @@ mod tests {
         assert_eq!(a.network().road().edge_weight(0, 1), Some(1.0));
     }
 
+    /// A small corridor-like road network (a unit-weight path with a
+    /// 2.5-weight shortcut every fifth vertex, whose G-tree cuts stay tiny)
+    /// carrying six users spread along it: a network where `Auto` picks the
+    /// G-tree walk once the ball covers the whole corridor.
+    fn corridor_network() -> RoadSocialNetwork {
+        const N: u32 = 400;
+        let mut edges: Vec<(u32, u32, f64)> = (0..N - 1).map(|i| (i, i + 1, 1.0)).collect();
+        edges.extend((0..N - 5).step_by(5).map(|i| (i, i + 5, 2.5)));
+        let road = RoadNetwork::from_edges(N as usize, &edges);
+        let social =
+            Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
+        let locations = (0..6).map(|i| Location::vertex(i * 70)).collect();
+        let attrs = vec![vec![1.0, 1.0]; 6];
+        RoadSocialNetwork::new(social, road, locations, attrs)
+            .unwrap()
+            .with_gtree_index_capacity(16)
+    }
+
     #[test]
     fn unindexed_engine_has_no_targets_and_sweeps() {
         let engine = MacEngine::build(network(false));
-        assert!(engine.epoch().user_targets().is_none());
-        assert!(!engine.calibration().is_measured());
+        let epoch = engine.epoch();
+        assert!(epoch.user_targets().is_none());
         assert_eq!(
-            engine.resolve_filter(&query()),
+            epoch.resolve_filter_with(&query(), RangeFilterChoice::Auto),
             RangeFilterChoice::DijkstraSweep
         );
     }
 
     #[test]
-    fn measured_calibration_stays_in_trusted_bounds() {
-        use rsn_road::rangefilter::AUTO_SWEEP_CELL_COST_BOUNDS;
-        let engine = MacEngine::build(network(true));
-        let c = engine.calibration().filter.sweep_cell_cost;
-        let (lo, hi) = AUTO_SWEEP_CELL_COST_BOUNDS;
-        assert!(
-            (lo..=hi).contains(&c),
-            "measured constant {c} outside trusted bounds"
-        );
-    }
-
-    #[test]
     fn filter_resolution_layers_query_over_policy_default() {
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         let epoch = engine.epoch();
         // A query-level Auto adopts the policy-level default.
         let q = query();
@@ -1049,16 +856,37 @@ mod tests {
             epoch.resolve_filter_with(&q2, RangeFilterChoice::GTreeMultiSeedBatched),
             RangeFilterChoice::DijkstraSweep
         );
-        // Auto all the way down falls through to the calibrated rule.
+        // Auto all the way down falls through to the network's cost model.
         assert_eq!(
             epoch.resolve_filter_with(&q, RangeFilterChoice::Auto),
-            engine.resolve_filter(&q)
+            epoch
+                .network()
+                .resolve_range_filter(RangeFilterChoice::Auto, q.q.len(), q.t)
         );
+
+        // On an indexed corridor whose whole length lies within t, the same
+        // path reaches the G-tree walk — identically on two separately
+        // built engines, and as the network's own range filter resolves it.
+        let rsn = corridor_network();
+        let region = PrefRegion::from_ranges(&[(0.2, 0.4)]).unwrap();
+        let q = MacQuery::new(vec![0, 3], 2, 1_000.0, region);
+        let first = MacEngine::build(rsn.clone()).epoch();
+        let second = MacEngine::build(rsn.clone()).epoch();
+        let resolved = first.resolve_filter_with(&q, RangeFilterChoice::Auto);
+        assert_eq!(resolved, RangeFilterChoice::GTreeMultiSeedBatched);
+        assert_eq!(
+            second.resolve_filter_with(&q, RangeFilterChoice::Auto),
+            resolved
+        );
+        assert!(matches!(
+            rsn.range_filter(RangeFilterChoice::Auto, q.q.len(), q.t),
+            RangeFilter::GTreeMultiSeedBatched(_)
+        ));
     }
 
     #[test]
     fn rejected_delta_leaves_the_served_epoch_unchanged() {
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         // Edge (0, 2) does not exist; the batch also carries a valid entry
         // that must NOT land.
         let delta = NetworkDelta::new()
@@ -1079,7 +907,7 @@ mod tests {
 
     #[test]
     fn updates_refresh_user_targets_incrementally() {
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         let delta = NetworkDelta::new().move_user(0, Location::vertex(2));
         let stats = engine.apply_updates(&delta).unwrap();
         assert_eq!(stats.users_moved, 1);
@@ -1119,7 +947,7 @@ mod tests {
         let rsn = RoadSocialNetwork::new(social, road, locations, attrs)
             .unwrap()
             .with_gtree_index_capacity(4);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         let combined = NetworkDelta::new()
             .reweight_edge(0, 1, 1.0)
             .move_user(0, Location::vertex(2));
@@ -1140,7 +968,7 @@ mod tests {
 
     #[test]
     fn empty_delta_is_a_no_op() {
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         let stats = engine.apply_updates(&NetworkDelta::new()).unwrap();
         assert_eq!(stats.epoch, 0, "empty delta must not advance the epoch");
         assert_eq!(engine.epoch().id(), 0);
@@ -1172,7 +1000,7 @@ mod tests {
         let rsn = RoadSocialNetwork::new(social, road, locations, attrs)
             .unwrap()
             .with_gtree_index_capacity(4);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         // Shrinking the edge below the stored offset must reject the delta
         // even though the update names the edge in canonical order.
         let err = engine.apply_updates(&NetworkDelta::new().reweight_edge(1, 2, 1.0));
@@ -1214,7 +1042,7 @@ mod tests {
         // update mutex) poisons both. The epoch pointer is only ever stored
         // whole under the write lock, so the poisoned locks still guard a
         // consistent epoch — the engine must recover and keep serving.
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         let shared = Arc::clone(&engine.shared);
         let panicked = std::thread::spawn(move || {
             let _updates = shared.update_lock.lock().unwrap();
@@ -1246,7 +1074,7 @@ mod tests {
     #[test]
     fn delta_rejections_name_the_entry_and_its_index() {
         use crate::error::DeltaEntry;
-        let engine = MacEngine::build_uncalibrated(network(true));
+        let engine = MacEngine::build(network(true));
         // Missing edge at index 1.
         let err = engine
             .apply_updates(
@@ -1305,7 +1133,7 @@ mod tests {
         ];
         let attrs = vec![vec![1.0]; 3];
         let rsn = RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         // Last update of the edge wins: the first shrink would strand, the
         // second (index 1) is the one that counts and it also strands.
         let err = engine
@@ -1328,40 +1156,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(engine.epoch().network().road().edge_weight(0, 1), Some(6.0));
-    }
-
-    #[test]
-    fn recalibration_is_drift_gated() {
-        // Measured build: a tiny reweight keeps the calibration, a massive
-        // uniform reweight re-probes.
-        let engine = MacEngine::build(network(true));
-        let small = engine
-            .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.05))
-            .unwrap();
-        assert!(
-            !small.recalibrated,
-            "5% drift on one edge must not re-probe"
-        );
-        let big = engine
-            .apply_updates(
-                &NetworkDelta::new()
-                    .reweight_edge(0, 1, 10.0)
-                    .reweight_edge(1, 2, 10.0)
-                    .reweight_edge(2, 3, 100.0),
-            )
-            .unwrap();
-        assert!(big.recalibrated, "10x uniform reweight must re-probe");
-        // Uncalibrated builds never probe, whatever the drift.
-        let analytic = MacEngine::build_uncalibrated(network(true));
-        let stats = analytic
-            .apply_updates(
-                &NetworkDelta::new()
-                    .reweight_edge(0, 1, 10.0)
-                    .reweight_edge(1, 2, 10.0)
-                    .reweight_edge(2, 3, 100.0),
-            )
-            .unwrap();
-        assert!(!stats.recalibrated);
-        assert!(!analytic.calibration().is_measured());
     }
 }

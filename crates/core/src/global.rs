@@ -1248,10 +1248,10 @@ mod tests {
         RoadSocialNetwork::new(social, road, locations, attrs).unwrap()
     }
 
-    /// The global search on a fresh session (cache off, fresh scratch) of an
-    /// uncalibrated engine, with `parallelism` workers.
+    /// The global search on a fresh session (cache off, fresh scratch) of a
+    /// new engine, with `parallelism` workers.
     fn gs(rsn: &RoadSocialNetwork, query: &MacQuery, parallelism: usize) -> MacSearchResult {
-        MacEngine::build_uncalibrated(rsn.clone())
+        MacEngine::build(rsn.clone())
             .session()
             .with_policy(ExecutionPolicy::new().with_parallelism(parallelism))
             .execute(&query.clone().with_algorithm(AlgorithmChoice::Global))

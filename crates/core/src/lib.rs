@@ -22,8 +22,8 @@
 //!
 //! MAC search is an online query service over a fixed network, and the API is
 //! shaped accordingly: build a [`MacEngine`] **once** per network (it owns
-//! the network behind an `Arc`, pre-groups the G-tree user targets, and runs
-//! the measured calibration probe of the `Auto` range filter), open one
+//! the network behind an `Arc` and pre-groups the G-tree user targets; the
+//! build runs no timed code, so it is deterministic), open one
 //! [`QuerySession`] per serving thread, and execute many queries through
 //! it — every network-sized buffer is session-held and reused, so the
 //! steady state is allocation-free.
@@ -66,7 +66,7 @@
 //! runs the exact global search; the heuristic local framework runs only
 //! when chosen explicitly. A one-off query is a
 //! fresh session on a throwaway engine, e.g.
-//! `MacEngine::build_uncalibrated(rsn).session().execute(&query)`.
+//! `MacEngine::build(rsn).session().execute(&query)`.
 
 pub mod budget;
 pub mod context;
@@ -87,10 +87,7 @@ pub mod session;
 pub use budget::{BudgetTicker, ExhaustionCause, QueryBudget};
 pub use context::{ContextParts, ContextScratch, SearchContext};
 pub use ctxcache::{ContextCache, ContextCacheStats, DEFAULT_CONTEXT_CACHE_CAPACITY};
-pub use engine::{
-    AlgorithmChoice, EngineCalibration, EngineEpoch, MacEngine, NetworkDelta, UpdateStage,
-    UpdateStats,
-};
+pub use engine::{AlgorithmChoice, EngineEpoch, MacEngine, NetworkDelta, UpdateStage, UpdateStats};
 pub use error::{DeltaEntry, MacError};
 pub use local::ExpandStrategy;
 pub use network::RoadSocialNetwork;

@@ -549,14 +549,14 @@ mod tests {
     }
 
     /// Runs `query` with `algorithm` on a fresh session (cache off, fresh
-    /// scratch) of an uncalibrated engine under `policy`.
+    /// scratch) of a new engine under `policy`.
     fn run(
         rsn: &RoadSocialNetwork,
         query: &MacQuery,
         algorithm: AlgorithmChoice,
         policy: ExecutionPolicy,
     ) -> MacSearchResult {
-        MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+        MacEngine::build_with_policy(rsn.clone(), policy)
             .session()
             .execute(&query.clone().with_algorithm(algorithm))
             .unwrap()

@@ -225,26 +225,24 @@ impl RoadSocialNetwork {
         ))
     }
 
-    /// Resolves the Lemma-1 range filter for a query's [`RangeFilterChoice`],
-    /// given the query context (`|Q|` and `t`) the calibrated `Auto` rule
-    /// needs.
+    /// Resolves a [`RangeFilterChoice`] to a concrete strategy for a query
+    /// with `num_query_locations` locations and threshold `t`: an explicit
+    /// choice is returned as is, and `Auto` goes through
+    /// [`rsn_road::rangefilter::resolve_auto`]. This is the only place
+    /// `Auto` is resolved; [`range_filter`](Self::range_filter) and
+    /// [`EngineEpoch::resolve_filter_with`](crate::EngineEpoch::resolve_filter_with)
+    /// both call it.
     ///
     /// Every strategy is exact, so the resolution is purely a performance
-    /// decision. The G-tree walk requires a built index and falls back to the
-    /// bounded Dijkstra sweep without one. `Auto` goes through
-    /// [`rsn_road::rangefilter::resolve_auto`]: the t-bounded sweep wherever
-    /// the radius-t ball is small (every laptop-scale preset), the
-    /// multi-seed batched G-tree walk when an index exists and the estimated
-    /// ball dwarfs the indexed work. The calibration rests on measured
-    /// crossovers: on one core the sweep was 4–62× faster on 2.5k- and
-    /// 10k-vertex grids, the walk 4–296× faster on a 50k-vertex corridor.
-    pub fn range_filter(
+    /// decision. It reads no timing, so the same network and query always
+    /// resolve the same way.
+    pub fn resolve_range_filter(
         &self,
         choice: RangeFilterChoice,
         num_query_locations: usize,
         t: f64,
-    ) -> RangeFilter<'_> {
-        let resolved = match choice {
+    ) -> RangeFilterChoice {
+        match choice {
             RangeFilterChoice::Auto => resolve_auto(
                 &self.road,
                 self.gtree.as_deref(),
@@ -253,8 +251,23 @@ impl RoadSocialNetwork {
                 self.num_users(),
             ),
             explicit => explicit,
-        };
-        match (resolved, &self.gtree) {
+        }
+    }
+
+    /// The Lemma-1 range filter for a query's [`RangeFilterChoice`]
+    /// (resolved by [`resolve_range_filter`](Self::resolve_range_filter)).
+    /// The G-tree walk requires a built index and falls back to the bounded
+    /// Dijkstra sweep without one.
+    pub fn range_filter(
+        &self,
+        choice: RangeFilterChoice,
+        num_query_locations: usize,
+        t: f64,
+    ) -> RangeFilter<'_> {
+        match (
+            self.resolve_range_filter(choice, num_query_locations, t),
+            &self.gtree,
+        ) {
             (RangeFilterChoice::GTreeMultiSeedBatched, Some(tree)) => {
                 RangeFilter::GTreeMultiSeedBatched(tree)
             }

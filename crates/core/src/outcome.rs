@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn rehydrated_outcome_equals_the_original_bit_for_bit() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut session = engine.session();
         let mut scratch = GsScratch::new();
         let mut scratch_c = CompactScratch::default();

@@ -39,14 +39,16 @@
 //! # let locations = vec![Location::vertex(0); 4];
 //! # let attrs = vec![vec![1.0, 2.0], vec![2.0, 1.0], vec![3.0, 3.0], vec![1.5, 2.5]];
 //! # let rsn = rsn_core::RoadSocialNetwork::new(social, road, locations, attrs).unwrap();
-//! let policy = ExecutionPolicy::new()
-//!     .with_parallelism(0)                 // all cores for the global search
-//!     .with_default_budget(QueryBudget::new().with_deadline(Duration::from_millis(50)));
+//! let policy = ExecutionPolicy::new().with_parallelism(0); // all cores for the global search
 //! let engine = MacEngine::build_with_policy(rsn, policy);
 //! let mut session = engine.session();      // inherits the engine's policy
 //! # let region = PrefRegion::from_ranges(&[(0.2, 0.8)]).unwrap();
 //! # let query = rsn_core::MacQuery::new(vec![0], 2, 10.0, region);
-//! # assert!(!session.execute(&query).unwrap().is_empty());
+//! // `execute` runs unbounded, whatever the policy's default budget (only
+//! // `rsn-serve`'s `MacServer::submit` applies that); bound one query here:
+//! let budget = QueryBudget::new().with_deadline(Duration::from_millis(50));
+//! let outcome = session.execute_with_budget(&query, &budget).unwrap();
+//! # assert!(!outcome.result().is_empty());
 //! ```
 
 use crate::budget::QueryBudget;
@@ -65,12 +67,15 @@ pub struct ExecutionPolicy {
     /// `Auto` (the default) runs the exact global search, like `Global`;
     /// only `Local` selects the heuristic local framework. Bound the global
     /// search's time on large cores with
-    /// [`default_budget`](Self::default_budget).
+    /// [`execute_with_budget`](crate::session::QuerySession::execute_with_budget);
+    /// the [`default_budget`](Self::default_budget) bounds it only for
+    /// queries submitted to `rsn-serve`'s `MacServer`.
     pub algorithm: AlgorithmChoice,
     /// Default Lemma-1 range-filter strategy for queries whose own
     /// [`filter`](crate::query::MacQuery::filter) is `Auto`. A policy `Auto`
-    /// (the default) resolves through the calibrated crossover rule. All
-    /// strategies return identical user sets; this only affects speed.
+    /// (the default) resolves through the deterministic cost model of
+    /// [`resolve_auto`](rsn_road::rangefilter::resolve_auto). All strategies
+    /// return identical user sets; this only affects speed.
     pub filter: RangeFilterChoice,
     /// Worker threads: `1` = serial (the default), `0` = one per available
     /// core. The global search shares its arrangement subtrees among the
@@ -106,7 +111,7 @@ impl Default for ExecutionPolicy {
 
 impl ExecutionPolicy {
     /// The default policy: `Auto` algorithm (the exact global search) and
-    /// calibrated `Auto` filter, serial execution, default local knobs,
+    /// cost-model `Auto` filter, serial execution, default local knobs,
     /// unlimited budget.
     pub fn new() -> Self {
         ExecutionPolicy::default()

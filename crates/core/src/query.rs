@@ -22,10 +22,8 @@ pub struct MacQuery {
     /// corresponds to reporting only the top community.
     pub j: usize,
     /// Which strategy answers the Lemma-1 range filter ("which users are
-    /// within t") as a set operation. `Auto` resolves through the calibrated
-    /// crossover rule — measured per-network constants when executed through
-    /// a [`MacEngine`](crate::engine::MacEngine), the analytic fallback
-    /// (`rsn_road::rangefilter::resolve_auto`) on the one-shot path: the
+    /// within t") as a set operation. `Auto` resolves through one
+    /// deterministic cost model (`rsn_road::rangefilter::resolve_auto`): the
     /// bounded Dijkstra sweep at laptop scale, the multi-seed batched G-tree
     /// walk on indexed networks whose estimated radius-t ball dwarfs the
     /// indexed work (as on a measured 50k-vertex corridor, where the walk

@@ -2,7 +2,7 @@
 //!
 //! A [`QuerySession`] is the mutable half of the serving API: it pins one
 //! immutable epoch of its [`MacEngine`] per query (network, index,
-//! pre-grouped user targets, calibration — see [`MacEngine::epoch`]; applied
+//! pre-grouped user targets — see [`MacEngine::epoch`]; applied
 //! [`NetworkDelta`](crate::engine::NetworkDelta)s become visible at the next
 //! query, with all scratch intact) and owns every buffer a query
 //! execution needs — the Dijkstra sweep scratch, the G-tree walk's
@@ -353,10 +353,16 @@ impl QuerySession {
 
     /// Executes one query exactly: the algorithm follows the query and the
     /// policy (`Auto` runs the global search), the range-filter strategy
-    /// resolves through the engine's calibration. The problem follows the
-    /// query's `j`: top-j (Problem 1) when `j > 1`, non-contained MAC
-    /// (Problem 2) at `j = 1`. For Problem 2 on a `j > 1` query, pass
-    /// `query.clone().with_top_j(1)`.
+    /// follows the query and the policy, a remaining `Auto` resolved by
+    /// [`EngineEpoch::resolve_filter_with`](crate::EngineEpoch::resolve_filter_with).
+    /// The problem follows the query's `j`: top-j (Problem 1) when `j > 1`,
+    /// non-contained MAC (Problem 2) at `j = 1`. For Problem 2 on a `j > 1`
+    /// query, pass `query.clone().with_top_j(1)`.
+    ///
+    /// The query runs unbounded: the policy's
+    /// [`default_budget`](crate::ExecutionPolicy::default_budget) is ignored
+    /// here (only `rsn-serve`'s `MacServer` applies it). Bound a query with
+    /// [`execute_with_budget`](Self::execute_with_budget).
     pub fn execute(&mut self, query: &MacQuery) -> Result<MacSearchResult, MacError> {
         self.run_guarded(query, BudgetTicker::unlimited())
             .map(QueryOutcome::into_result)
@@ -386,7 +392,8 @@ impl QuerySession {
     }
 
     /// Executes a batch of queries through this session's scratch, returning
-    /// per-query results plus aggregate throughput statistics. Fails on the
+    /// per-query results plus aggregate throughput statistics. Like
+    /// [`execute`](Self::execute), every query runs unbounded. Fails on the
     /// first invalid query (results computed so far are discarded, matching
     /// the all-or-nothing contract of a batch).
     ///
@@ -852,13 +859,13 @@ mod tests {
     }
 
     /// `query` run with `algorithm` on a fresh session (cache off, fresh
-    /// scratch) of its own uncalibrated engine.
+    /// scratch) of its own engine.
     fn fresh(
         rsn: &RoadSocialNetwork,
         query: &MacQuery,
         algorithm: AlgorithmChoice,
     ) -> MacSearchResult {
-        MacEngine::build_uncalibrated(rsn.clone())
+        MacEngine::build(rsn.clone())
             .session()
             .execute(&query.clone().with_algorithm(algorithm))
             .unwrap()
@@ -869,7 +876,7 @@ mod tests {
         let rsn = network();
         let q = query();
         let reference = fresh(&rsn, &q, AlgorithmChoice::Global);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         let mut session = engine.session();
         let got = session.execute(&q).unwrap();
         assert_results_identical(&reference, &got);
@@ -878,7 +885,7 @@ mod tests {
 
     #[test]
     fn session_infers_the_problem_from_j() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut session = engine.session();
         let q1 = query();
         let q2 = query().with_top_j(2);
@@ -900,7 +907,7 @@ mod tests {
         let rsn = network();
         let q = query().with_algorithm(AlgorithmChoice::Local);
         let reference = fresh(&rsn, &q, AlgorithmChoice::Local);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         let mut session = engine.session();
         let got = session.execute(&q).unwrap();
         assert_results_identical(&reference, &got);
@@ -910,7 +917,7 @@ mod tests {
 
     #[test]
     fn batch_matches_individual_execution_and_counts_throughput() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let queries = vec![query(), query().with_top_j(2), query()];
         let mut individual = engine.session();
         let expect: Vec<_> = queries
@@ -933,7 +940,7 @@ mod tests {
 
     #[test]
     fn batch_dedupes_identical_queries_with_identical_results() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         // Two identical pairs plus one distinct query, interleaved.
         let queries = vec![
             query(),
@@ -961,7 +968,7 @@ mod tests {
 
     #[test]
     fn parallel_batch_matches_serial_batch_exactly() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         // Mixed workload with repeats: two distinct signatures, five slots.
         let queries = vec![
             query(),
@@ -989,7 +996,7 @@ mod tests {
 
     #[test]
     fn parallel_batch_reports_the_earliest_error() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut bad = query();
         bad.q.clear();
         let queries = vec![query().with_top_j(2), bad, query()];
@@ -1002,7 +1009,7 @@ mod tests {
 
     #[test]
     fn context_cache_hits_repeat_queries_and_answers_identically() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut plain = engine.session();
         let mut cached = engine.session().with_context_cache(4);
         let q1 = query();
@@ -1029,7 +1036,7 @@ mod tests {
     #[test]
     fn context_cache_invalidates_on_update_and_stays_correct() {
         use crate::engine::NetworkDelta;
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut cached = engine.session().with_context_cache(4);
         let q = query();
         let before = cached.execute(&q).unwrap();
@@ -1062,7 +1069,7 @@ mod tests {
     #[test]
     fn across_epochs_an_entry_serves_its_answer_and_rebuilds_other_variants() {
         use crate::engine::NetworkDelta;
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut cached = engine.session().with_context_cache(4);
         let q1 = query();
         let q2 = query().with_top_j(2);
@@ -1088,7 +1095,7 @@ mod tests {
 
     #[test]
     fn cached_queries_under_a_budget_match_and_invalid_queries_still_error() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut cached = engine.session().with_context_cache(4);
         let q = query();
         let unlimited = QueryBudget::new();
@@ -1108,7 +1115,7 @@ mod tests {
 
     #[test]
     fn session_stats_display_and_merge() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut session = engine.session();
         session.execute(&query()).unwrap();
         let mut total = SessionStats::default();
@@ -1123,7 +1130,7 @@ mod tests {
 
     #[test]
     fn invalid_query_is_an_error_and_empty_core_is_an_empty_result() {
-        let engine = MacEngine::build_uncalibrated(network());
+        let engine = MacEngine::build(network());
         let mut session = engine.session();
         let mut bad = query();
         bad.q.clear();

@@ -407,7 +407,7 @@ impl GTree {
 
     /// Entry-extension cells of a full unpruned walk, per seed: the sum of
     /// the per-node walk cells over all internal nodes —
-    /// an occupancy-independent upper bound and an `Auto` calibration input.
+    /// an occupancy-independent upper bound and an `Auto` cost-model input.
     pub fn walk_cells_total(&self) -> usize {
         (0..self.nodes.len())
             .map(|id| self.node_walk_cells(id))
@@ -416,7 +416,7 @@ impl GTree {
 
     /// Entry-extension cells touched at the top of the tree (the root's
     /// children) — every walk pays this regardless of occupancy, so it is
-    /// the walk's fixed overhead floor; an `Auto` calibration input.
+    /// the walk's fixed overhead floor; an `Auto` cost-model input.
     pub fn walk_cells_root(&self) -> usize {
         self.node_walk_cells(self.root)
     }

@@ -39,8 +39,7 @@ pub use dijkstra::{bounded_sssp, sssp, sssp_from_location, SsspScratch};
 pub use gtree::{BuildReport, GTree, GTreeUpdateStats, LevelReport};
 pub use network::{EdgeUpdate, Location, RoadNetwork, RoadNetworkBuilder, RoadVertexId};
 pub use rangefilter::{
-    reuse_margin, AutoCalibration, FilterScratch, QueryReach, RangeFilter, RangeFilterChoice,
-    REUSE_MARGIN_EPS,
+    reuse_margin, FilterScratch, QueryReach, RangeFilter, RangeFilterChoice, REUSE_MARGIN_EPS,
 };
 
 /// Errors produced by the road substrate.

@@ -20,8 +20,8 @@
 //!
 //! Both are exact and must return identical user sets; the integration
 //! property tests (`tests/range_filter_equivalence.rs`) enforce this.
-//! [`resolve_auto`] turns `Auto` into one of them from the measured
-//! sweep/batched crossover.
+//! [`resolve_auto`] turns `Auto` into one of them with a deterministic cost
+//! model fitted to the measured sweep/batched crossover.
 //!
 //! # Ties at distance `t`
 //!
@@ -47,7 +47,7 @@ use crate::network::{Location, RoadNetwork, RoadVertexId};
 /// Which range-filter strategy a query should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RangeFilterChoice {
-    /// Let the network pick from the measured crossover ([`resolve_auto`]):
+    /// Let the cost model of [`resolve_auto`] pick:
     /// the bounded Dijkstra sweep when the radius-t ball is small (every
     /// laptop-scale preset), the multi-seed batched G-tree walk when an
     /// index exists and the estimated ball dwarfs the indexed work. Measured
@@ -568,84 +568,14 @@ fn multi_seed_batched_within(
 }
 
 /// Sweep-vs-batched conversion factor of [`resolve_auto`]'s cost model,
-/// calibrated from the measured sweep/walk crossover: one modeled sweep
+/// fitted to the measured sweep/walk crossover: one modeled sweep
 /// relaxation (a heap operation plus an edge scan) costs about as much as
 /// this many batched matrix-cell touches (the measured unit costs were
 /// ~10 ns per batched cell and ~40 ns per modeled sweep relaxation on one
-/// core). Lowering the constant makes `Auto` keep the sweep
-/// longer. This is the *analytic fallback*; a prepared engine measures the
-/// constant per network at build time (see [`AutoCalibration`]).
+/// core). Lowering the constant makes `Auto` keep the sweep longer.
 pub const AUTO_SWEEP_CELL_COST: f64 = 16.0;
 
-/// Bounds for a measured [`AutoCalibration::sweep_cell_cost`]: a ratio
-/// outside this range means the probe timings were dominated by noise (a
-/// sub-microsecond measurement on a tiny network), so callers clamp into it.
-pub const AUTO_SWEEP_CELL_COST_BOUNDS: (f64, f64) = (0.5, 512.0);
-
-/// Per-network calibration of the `Auto` range-filter resolution.
-///
-/// The cost model of [`resolve_auto`] compares modeled sweep relaxations
-/// against modeled batched matrix-cell touches; the one free parameter is the
-/// conversion factor between the two units. The analytic default
-/// ([`AUTO_SWEEP_CELL_COST`]) was fitted on one machine — a prepared
-/// engine instead *measures* it on the actual network and hardware at build
-/// time: one timed t-bounded sweep and one timed multi-seed walk over the
-/// same probe query, each divided by its modeled unit count, give the
-/// measured cost of a sweep relaxation in batched-cell units.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoCalibration {
-    /// Measured (or analytic-default) cost of one sweep relaxation in
-    /// batched-cell units. Higher values make `Auto` abandon the sweep
-    /// earlier.
-    pub sweep_cell_cost: f64,
-}
-
-impl Default for AutoCalibration {
-    fn default() -> Self {
-        AutoCalibration {
-            sweep_cell_cost: AUTO_SWEEP_CELL_COST,
-        }
-    }
-}
-
-impl AutoCalibration {
-    /// Builds a calibration from one timed sweep and one timed multi-seed
-    /// walk over the same probe configuration, whose modeled unit counts are
-    /// `sweep_relaxations` / `batched_cells` (from [`auto_cost_estimates`]).
-    /// Falls back to the analytic default when either measurement is too
-    /// small to trust (noise floor) and clamps the ratio into
-    /// [`AUTO_SWEEP_CELL_COST_BOUNDS`].
-    pub fn from_probe(
-        sweep_seconds: f64,
-        sweep_relaxations: f64,
-        walk_seconds: f64,
-        batched_cells: f64,
-    ) -> Self {
-        const NOISE_FLOOR_SECONDS: f64 = 1e-6;
-        if !(sweep_seconds.is_finite() && walk_seconds.is_finite())
-            || sweep_seconds < NOISE_FLOOR_SECONDS
-            || walk_seconds < NOISE_FLOOR_SECONDS
-            || sweep_relaxations <= 0.0
-            || batched_cells <= 0.0
-        {
-            return AutoCalibration::default();
-        }
-        let sweep_unit = sweep_seconds / sweep_relaxations;
-        let walk_unit = walk_seconds / batched_cells;
-        let (lo, hi) = AUTO_SWEEP_CELL_COST_BOUNDS;
-        AutoCalibration {
-            sweep_cell_cost: (sweep_unit / walk_unit).clamp(lo, hi),
-        }
-    }
-
-    /// Whether this calibration differs from the analytic default (i.e. a
-    /// probe measurement was accepted).
-    pub fn is_measured(&self) -> bool {
-        self.sweep_cell_cost != AUTO_SWEEP_CELL_COST
-    }
-}
-
-/// Calibrated `Auto` resolution for the Lemma-1 range filter.
+/// The one rule that turns `Auto` into a Lemma-1 range-filter strategy.
 ///
 /// The sweep's cost is the radius-`t` ball: every vertex within distance `t`
 /// of a query location is settled once per location, so it grows with `t`
@@ -674,35 +604,16 @@ impl AutoCalibration {
 /// every generatable scale and `Auto` keeps it; on small-separator
 /// (corridor/highway-like) networks the floor collapses and the batched
 /// walk wins as soon as the ball is large, so `Auto` switches. A network
-/// without an index always resolves to the sweep. The regression tests pin
-/// both directions so heuristic edits cannot silently flip laptop-scale
-/// queries off the sweep.
+/// without an index always resolves to the sweep. The rule reads only the
+/// network and the query, never a timing, so it is deterministic. The
+/// regression tests pin both directions so heuristic edits cannot silently
+/// flip laptop-scale queries off the sweep.
 pub fn resolve_auto(
     net: &RoadNetwork,
     tree: Option<&GTree>,
     num_query_locations: usize,
     t: f64,
     num_users: usize,
-) -> RangeFilterChoice {
-    resolve_auto_calibrated(
-        net,
-        tree,
-        num_query_locations,
-        t,
-        num_users,
-        &AutoCalibration::default(),
-    )
-}
-
-/// [`resolve_auto`] with an explicit (typically measured) [`AutoCalibration`]
-/// instead of the analytic default constant.
-pub fn resolve_auto_calibrated(
-    net: &RoadNetwork,
-    tree: Option<&GTree>,
-    num_query_locations: usize,
-    t: f64,
-    num_users: usize,
-    calibration: &AutoCalibration,
 ) -> RangeFilterChoice {
     let Some(tree) = tree else {
         return RangeFilterChoice::DijkstraSweep;
@@ -712,7 +623,7 @@ pub fn resolve_auto_calibrated(
     else {
         return RangeFilterChoice::DijkstraSweep;
     };
-    if sweep_relaxations * calibration.sweep_cell_cost > batched_cells {
+    if sweep_relaxations * AUTO_SWEEP_CELL_COST > batched_cells {
         RangeFilterChoice::GTreeMultiSeedBatched
     } else {
         RangeFilterChoice::DijkstraSweep
@@ -721,11 +632,11 @@ pub fn resolve_auto_calibrated(
 
 /// The raw unit counts of the `Auto` cost model for one configuration:
 /// `(modeled sweep edge-relaxations, modeled batched matrix-cell touches)`.
-/// The two are in *different* units — [`AutoCalibration::sweep_cell_cost`]
-/// converts between them. Returns `None` for degenerate configurations
-/// (empty network / query / user set, or no usable edge-weight sample),
-/// where `Auto` always resolves to the sweep.
-pub fn auto_cost_estimates(
+/// The two are in *different* units — [`AUTO_SWEEP_CELL_COST`] converts
+/// between them. Returns `None` for degenerate configurations (empty
+/// network / query / user set, or no usable edge-weight sample), where
+/// `Auto` always resolves to the sweep.
+fn auto_cost_estimates(
     net: &RoadNetwork,
     tree: &GTree,
     num_query_locations: usize,
@@ -772,10 +683,8 @@ pub fn auto_cost_estimates(
 
 /// Average edge weight over a deterministic sample of the network's edges
 /// (the first 1024 in canonical order) — enough signal to turn `t` into an
-/// expected hop radius without an O(m) scan per query. Public so the
-/// engine's calibration probe derives its probe threshold from the *same*
-/// sample the cost model uses for its hop estimate.
-pub fn sampled_avg_edge_weight(net: &RoadNetwork) -> f64 {
+/// expected hop radius without an O(m) scan per query.
+fn sampled_avg_edge_weight(net: &RoadNetwork) -> f64 {
     let mut sum = 0.0;
     let mut count = 0usize;
     for (_, _, w) in net.edges().take(1024) {
@@ -1188,56 +1097,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn calibration_from_probe_clamps_and_rejects_noise() {
-        // Trustworthy probe: ratio = (1e-3/1e4) / (1e-3/1e5) = 10.
-        let cal = AutoCalibration::from_probe(1e-3, 1e4, 1e-3, 1e5);
-        assert!((cal.sweep_cell_cost - 10.0).abs() < 1e-9);
-        assert!(cal.is_measured());
-        // Sub-noise-floor measurements fall back to the analytic default.
-        let noisy = AutoCalibration::from_probe(1e-8, 1e4, 1e-3, 1e5);
-        assert_eq!(noisy.sweep_cell_cost, AUTO_SWEEP_CELL_COST);
-        assert!(!noisy.is_measured());
-        // Extreme ratios clamp into the trusted bounds.
-        let huge = AutoCalibration::from_probe(1.0, 1.0, 1e-3, 1e6);
-        assert_eq!(huge.sweep_cell_cost, AUTO_SWEEP_CELL_COST_BOUNDS.1);
-        let tiny = AutoCalibration::from_probe(1e-3, 1e9, 1.0, 1.0);
-        assert_eq!(tiny.sweep_cell_cost, AUTO_SWEEP_CELL_COST_BOUNDS.0);
-    }
-
-    #[test]
-    fn calibrated_resolution_shifts_the_crossover() {
-        // A corridor where the default calibration picks the batched walk:
-        // an implausibly cheap sweep unit must flip the decision back, and
-        // the estimates must be finite and positive.
-        let net = corridor(20_000);
-        let tree = GTree::build(&net);
-        let (sweep_units, batched_units) =
-            auto_cost_estimates(&net, &tree, 4, 1_000.0, 64).expect("non-degenerate configuration");
-        assert!(sweep_units > 0.0 && batched_units > 0.0);
-        assert_eq!(
-            resolve_auto(&net, Some(&tree), 4, 1_000.0, 64),
-            RangeFilterChoice::GTreeMultiSeedBatched
-        );
-        // The decision flips exactly at the measured unit-cost ratio.
-        let crossover = batched_units / sweep_units;
-        let sweep_cheaper = AutoCalibration {
-            sweep_cell_cost: crossover * 0.99,
-        };
-        assert_eq!(
-            resolve_auto_calibrated(&net, Some(&tree), 4, 1_000.0, 64, &sweep_cheaper),
-            RangeFilterChoice::DijkstraSweep,
-            "a cheap-enough measured sweep must keep the sweep"
-        );
-        let sweep_dearer = AutoCalibration {
-            sweep_cell_cost: crossover * 1.01,
-        };
-        assert_eq!(
-            resolve_auto_calibrated(&net, Some(&tree), 4, 1_000.0, 64, &sweep_dearer),
-            RangeFilterChoice::GTreeMultiSeedBatched
-        );
     }
 
     #[test]

@@ -11,8 +11,8 @@ use road_social_mac::datagen::paper_example::{paper_example_network, paper_regio
 
 fn main() {
     // The 15-user road-social network of Fig. 1 with the attributes of
-    // Fig. 2(a), prepared once: the engine owns the network, and (on indexed
-    // networks) measures its Auto calibration at build time.
+    // Fig. 2(a), prepared once: the engine owns the network and (on indexed
+    // networks) groups the user locations by G-tree leaf at build time.
     let engine = MacEngine::build(paper_example_network());
     let mut session = engine.session();
 

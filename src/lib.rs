@@ -20,8 +20,8 @@
 //!
 //! MAC search is an online query service over a fixed network, and the API is
 //! shaped accordingly: build a [`core::MacEngine`] **once** per network (it
-//! owns the network behind an `Arc`, pre-groups the G-tree user targets, and
-//! runs the measured `Auto` calibration probe), open one
+//! owns the network behind an `Arc` and pre-groups the G-tree user targets;
+//! the build is deterministic), open one
 //! [`core::QuerySession`] per serving thread, and execute many queries
 //! through it.
 //!
@@ -29,7 +29,7 @@
 //! use road_social_mac::prelude::*;
 //!
 //! // Build the paper's running example (Fig. 1 / Fig. 2) and prepare it
-//! // for serving — calibration runs here, once.
+//! // for serving, once.
 //! let rsn = road_social_mac::datagen::paper_example::paper_example_network();
 //! let engine = MacEngine::build(rsn);
 //! let mut session = engine.session(); // one per serving thread

@@ -82,7 +82,7 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
 fn zero_deadline_degrades_to_partial_without_panicking() {
     for indexed in [true, false] {
         let (rsn, group) = random_network(3, 120, indexed);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         let mut session = engine.session();
         let budget = QueryBudget::new().with_deadline(Duration::ZERO);
         for (i, query) in workload(&group).iter().enumerate() {
@@ -104,7 +104,7 @@ fn zero_deadline_degrades_to_partial_without_panicking() {
 #[test]
 fn unlimited_budget_is_complete_and_identical() {
     let (rsn, group) = random_network(5, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut reference = engine.session();
     let mut budgeted = engine.session();
     assert!(QueryBudget::unlimited().is_unlimited());
@@ -126,7 +126,7 @@ fn unlimited_budget_is_complete_and_identical() {
 #[test]
 fn armed_generous_budget_matches_unbudgeted_results() {
     let (rsn, group) = random_network(7, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut reference = engine.session();
     let mut budgeted = engine.session();
     let budget = QueryBudget::new()
@@ -149,7 +149,7 @@ fn armed_generous_budget_matches_unbudgeted_results() {
 #[test]
 fn preset_cancel_flag_stops_the_query_cooperatively() {
     let (rsn, group) = random_network(11, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut session = engine.session();
     let query = &workload(&group)[0];
     let flag = Arc::new(AtomicBool::new(true));
@@ -174,7 +174,7 @@ fn preset_cancel_flag_stops_the_query_cooperatively() {
 #[test]
 fn exhausted_work_limit_is_a_partial_naming_its_cause() {
     let (rsn, group) = random_network(13, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut session = engine.session();
     let query = &workload(&group)[0];
     let outcome = session
@@ -201,7 +201,7 @@ fn exhausted_work_limit_is_a_partial_naming_its_cause() {
 #[test]
 fn budgeted_batch_keeps_going_past_an_invalid_query() {
     let (rsn, group) = random_network(17, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut session = engine.session();
     let good = workload(&group);
     let mut invalid = good[0].clone();
@@ -250,7 +250,7 @@ proptest! {
     fn interrupted_sessions_stay_clean_and_partials_are_prefixes(limit in 1u64..60_000) {
         let indexed = limit % 2 == 0;
         let (rsn, group) = random_network(29, 120, indexed);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         let queries = workload(&group);
         let mut session = engine.session();
         for (i, query) in queries.iter().enumerate() {

@@ -239,7 +239,7 @@ proptest! {
         let mut edges: Vec<(u32, u32, f64)> = rsn0.road().edges().collect();
         let mut locations: Vec<Location> = rsn0.locations().to_vec();
 
-        let engine = MacEngine::build_uncalibrated(rsn0);
+        let engine = MacEngine::build(rsn0);
         let mut cached = engine.session().with_context_cache(8);
         let queries = workload(&group);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCAC4E);
@@ -348,7 +348,7 @@ fn sub_slack_updates_keep_entries_and_updates_across_t_drop_them() {
     let query = MacQuery::new(q, 4, farthest + 8.0, region_for(0.1))
         .with_algorithm(AlgorithmChoice::Global)
         .with_range_filter(RangeFilterChoice::DijkstraSweep);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut cached = engine.session().with_context_cache(8);
     let first = cached.execute(&query).unwrap();
     assert!(!first.is_empty(), "the planted group answers the query");
@@ -421,7 +421,7 @@ fn a_cut_behind_an_unsettled_endpoint_drops_the_entry() {
     let query = MacQuery::new(vec![0], 3, 2.0, region)
         .with_algorithm(AlgorithmChoice::Global)
         .with_range_filter(RangeFilterChoice::DijkstraSweep);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let mut cached = engine.session().with_context_cache(4);
     let before = cached.execute(&query).unwrap();
     assert!(!before.is_empty());

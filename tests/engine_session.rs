@@ -1,7 +1,7 @@
 //! Session-reuse equivalence: queries executed through one reused
 //! [`QuerySession`] (scratch carried across queries, engine-resolved
 //! strategies) must return results identical to fresh per-query construction
-//! — a new session with fresh scratch on a throwaway uncalibrated engine —
+//! — a new session with fresh scratch on a throwaway engine —
 //! across interleaved query shapes, algorithms, filter strategies, and
 //! thread-shared engines.
 
@@ -116,9 +116,9 @@ fn workload(rsn: &RoadSocialNetwork, group: &[u32], indexed: bool) -> Vec<MacQue
 }
 
 /// The fresh per-query construction a reused session must match: a new
-/// serial session (fresh scratch, no context cache) on a throwaway
-/// uncalibrated engine, with the algorithm made explicit and `Auto` resolved
-/// the way the session resolves it under the default policy: `Global`.
+/// serial session (fresh scratch, no context cache) on a throwaway engine,
+/// with the algorithm made explicit and `Auto` resolved the way the session
+/// resolves it under the default policy: `Global`.
 fn fresh_reference(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
     let algorithm = match query.algorithm {
         AlgorithmChoice::Local => AlgorithmChoice::Local,
@@ -131,10 +131,9 @@ fn fresh_reference(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult
     )
 }
 
-/// `query` on a new session of a throwaway uncalibrated engine under
-/// `policy`.
+/// `query` on a new session of a throwaway engine under `policy`.
 fn fresh(rsn: &RoadSocialNetwork, query: &MacQuery, policy: ExecutionPolicy) -> MacSearchResult {
-    MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+    MacEngine::build_with_policy(rsn.clone(), policy)
         .session()
         .execute(query)
         .unwrap()
@@ -158,7 +157,7 @@ proptest! {
 
     /// Interleaved queries through ONE reused session return results
     /// identical to fresh per-query construction — on indexed and unindexed
-    /// networks, with the measured calibration probe enabled.
+    /// networks.
     #[test]
     fn session_reuse_matches_fresh_construction(seed in 0u64..400) {
         let indexed = seed % 2 == 0;
@@ -234,8 +233,8 @@ fn batch_execution_matches_individual_execution() {
 }
 
 /// The filter strategy only affects speed, never answers: the explicit
-/// multi-seed G-tree walk, the explicit Dijkstra sweep, and the calibrated
-/// `Auto` resolution all agree end-to-end.
+/// multi-seed G-tree walk, the explicit Dijkstra sweep, and the `Auto`
+/// resolution all agree end-to-end.
 #[test]
 fn filter_strategies_agree_end_to_end() {
     let (rsn, group) = random_network(11, 120, true);
@@ -267,41 +266,28 @@ fn filter_strategies_agree_end_to_end() {
     assert_identical_with_core("walk vs sweep", &via_walk, &via_sweep);
     assert_identical_with_core("walk vs auto", &via_walk, &via_auto);
     assert_identical_with_core("walk vs one-shot", &via_walk, &via_oneshot);
-    // An explicit query-level choice always wins over the calibrated Auto.
+    // An explicit query-level choice always wins over the Auto cost model.
     let explicit = base.with_range_filter(RangeFilterChoice::DijkstraSweep);
     assert_eq!(
-        engine.resolve_filter(&explicit),
+        engine
+            .epoch()
+            .resolve_filter_with(&explicit, RangeFilterChoice::Auto),
         RangeFilterChoice::DijkstraSweep
     );
 }
 
-/// The measured calibration probe only affects *strategy selection*, never
-/// results: engines with measured and analytic constants agree on every
-/// workload query, and on a (k,t)-core of more than 256 users an `Auto`
-/// query on the measured engine still answers exactly what the global
-/// search answers.
+/// On a (k,t)-core of more than 256 users an `Auto` query answers exactly
+/// what an explicit global search answers: `Auto` never switches to the
+/// local heuristic, however large the core.
 #[test]
-fn measured_and_analytic_engines_agree_on_results() {
-    let (rsn, group) = random_network(23, 120, true);
-    let measured = MacEngine::build(rsn.clone());
-    let analytic = MacEngine::build_uncalibrated(rsn.clone());
-    assert!(!analytic.calibration().is_measured());
-    let mut m_session = measured.session();
-    let mut a_session = analytic.session();
-    for (i, query) in workload(&rsn, &group, true).iter().enumerate() {
-        let m = m_session.execute(query).unwrap();
-        let a = a_session.execute(query).unwrap();
-        assert_identical_with_core(&format!("calibration query {i}"), &m, &a);
-    }
-
+fn large_core_auto_query_matches_explicit_global() {
     let (rsn, group) = random_network(23, 300, true);
-    let measured = MacEngine::build(rsn.clone());
-    let analytic = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     // `t` is above every distance, so no user is cut by the range filter.
     let auto_q = MacQuery::new(group[..2].to_vec(), 3, 1e9, region_for(0.05));
     let global_q = auto_q.clone().with_algorithm(AlgorithmChoice::Global);
-    let auto = measured.session().execute(&auto_q).unwrap();
-    let global = analytic.session().execute(&global_q).unwrap();
+    let auto = engine.session().execute(&auto_q).unwrap();
+    let global = engine.session().execute(&global_q).unwrap();
     assert!(
         global.stats.kt_core_vertices > 256,
         "core of {} users is too small to pin a large-core Auto query",
@@ -321,7 +307,7 @@ fn execution_policy_layers_engine_session_query() {
     let policy = ExecutionPolicy::new()
         .with_algorithm(AlgorithmChoice::Local)
         .with_max_candidates(20);
-    let engine = MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy);
+    let engine = MacEngine::build_with_policy(rsn.clone(), policy);
     assert_eq!(engine.policy().algorithm, AlgorithmChoice::Local);
     let mut session = engine.session();
     assert_eq!(session.policy().max_candidates, 20);

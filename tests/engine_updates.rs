@@ -193,7 +193,7 @@ proptest! {
         let mut edges: Vec<(u32, u32, f64)> = rsn0.road().edges().collect();
         let mut locations: Vec<Location> = rsn0.locations().to_vec();
 
-        let engine = MacEngine::build_uncalibrated(rsn0.clone());
+        let engine = MacEngine::build(rsn0.clone());
         let mut session = engine.session();
         let queries = workload(&rsn0, &group, indexed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
@@ -227,7 +227,7 @@ proptest! {
             } else {
                 rebuilt
             };
-            let reference = MacEngine::build_uncalibrated(rebuilt);
+            let reference = MacEngine::build(rebuilt);
             let mut reference_session = reference.session();
 
             for (i, query) in queries.iter().enumerate() {
@@ -275,7 +275,7 @@ proptest! {
 #[test]
 fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
     let (rsn0, group) = random_network(9, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn0.clone());
+    let engine = MacEngine::build(rsn0.clone());
     let mut session = engine.session();
     let queries = workload(&rsn0, &group, true);
 
@@ -320,7 +320,7 @@ fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
     }
     assert!(moved > 0, "the reweight must change some sampled distance");
     // A fresh engine on the unmodified network agrees with `before`.
-    let unmodified = MacEngine::build_uncalibrated(rsn0.clone());
+    let unmodified = MacEngine::build(rsn0.clone());
     let mut unmodified_session = unmodified.session();
     for (i, query) in queries.iter().enumerate() {
         let a = unmodified_session.execute(query).unwrap();
@@ -337,7 +337,7 @@ fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
     )
     .unwrap()
     .with_gtree_index_capacity(GTREE_LEAF_CAPACITY);
-    let reference = MacEngine::build_uncalibrated(rebuilt);
+    let reference = MacEngine::build(rebuilt);
     let mut reference_session = reference.session();
     for (i, query) in queries.iter().enumerate() {
         let a = session.execute(query).unwrap();
@@ -353,7 +353,7 @@ fn sessions_span_epochs_and_pinned_epochs_stay_consistent() {
 #[test]
 fn concurrent_serving_during_updates_settles_on_the_final_epoch() {
     let (rsn0, group) = random_network(31, 120, true);
-    let engine = MacEngine::build_uncalibrated(rsn0.clone());
+    let engine = MacEngine::build(rsn0.clone());
     let queries = workload(&rsn0, &group, true);
     let deltas: Vec<NetworkDelta> = (0..4)
         .map(|i| {
@@ -395,7 +395,7 @@ fn concurrent_serving_during_updates_settles_on_the_final_epoch() {
     )
     .unwrap()
     .with_gtree_index_capacity(GTREE_LEAF_CAPACITY);
-    let reference = MacEngine::build_uncalibrated(rebuilt);
+    let reference = MacEngine::build(rebuilt);
     let mut reference_session = reference.session();
     let mut session = engine.session();
     for (i, query) in queries.iter().enumerate() {
@@ -405,14 +405,14 @@ fn concurrent_serving_during_updates_settles_on_the_final_epoch() {
     }
 }
 
-/// `stage_seconds` splits an update's wall time by stage: no stage is
-/// negative, together they fit in `elapsed_seconds` (which also counts the
-/// wait for the update lock), and a delta that only moves users skips the
-/// G-tree refresh.
+/// `stage_seconds` splits an update's wall time over the four stages: no
+/// stage is negative, together they fit in `elapsed_seconds` (which also
+/// counts the wait for the update lock), and a delta that only moves users
+/// skips the G-tree refresh.
 #[test]
 fn update_stage_times_fit_in_the_elapsed_time() {
     let (rsn, group) = random_network(19, 400, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let (u, v, w) = engine.epoch().network().road().edges().nth(5).unwrap();
     let reweight = engine
         .apply_updates(&NetworkDelta::new().reweight_edge(u, v, w * 2.0))
@@ -434,6 +434,7 @@ fn update_stage_times_fit_in_the_elapsed_time() {
             stats.elapsed_seconds
         );
     }
+    assert_eq!(reweight.stage_seconds.len(), 4);
     let refresh = UpdateStage::GTreeRefresh as usize;
     assert!(reweight.stage_seconds[refresh] > 0.0);
     assert_eq!(moved.stage_seconds[refresh], 0.0);
@@ -480,7 +481,7 @@ fn thread_allocations() -> u64 {
 #[test]
 fn user_churn_delta_allocation_budget() {
     let (rsn, group) = random_network(13, 600, true);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     // Warm up: the first delta faults in lazy one-time state.
     engine
         .apply_updates(&NetworkDelta::new().move_user(group[0], Location::vertex(3)))
@@ -508,7 +509,7 @@ fn user_churn_delta_allocation_budget() {
 fn reweight_delta_allocation_budget() {
     let (rsn, _) = random_network(17, 3000, true);
     let tree_nodes = rsn.gtree().expect("indexed network").num_nodes();
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     // Warm up: the first delta faults in lazy one-time state.
     let (u, v, w) = engine.epoch().network().road().edges().nth(10).unwrap();
     engine

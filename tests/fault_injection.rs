@@ -91,7 +91,7 @@ fn assert_consistent(label: &str, engine: &MacEngine, indexed: bool) -> bool {
         1 => true,
         other => panic!("{label}: unexpected epoch {other}"),
     };
-    let clean = MacEngine::build_uncalibrated(network(updated, indexed));
+    let clean = MacEngine::build(network(updated, indexed));
     assert_all_identical(label, &serve(&clean), &serve(engine));
     updated
 }
@@ -100,8 +100,8 @@ fn assert_consistent(label: &str, engine: &MacEngine, indexed: bool) -> bool {
 /// checks above could not distinguish a torn state.
 #[test]
 fn the_delta_changes_query_answers() {
-    let old = serve(&MacEngine::build_uncalibrated(network(false, true)));
-    let new = serve(&MacEngine::build_uncalibrated(network(true, true)));
+    let old = serve(&MacEngine::build(network(false, true)));
+    let new = serve(&MacEngine::build(network(true, true)));
     assert_ne!(
         old[0]
             .cells
@@ -132,7 +132,7 @@ fn injected_errors_at_every_stage_leave_the_engine_consistent() {
     for indexed in [true, false] {
         for stage in UpdateStage::ALL {
             let label = format!("error @ {} (indexed={indexed})", stage.name());
-            let engine = MacEngine::build_uncalibrated(network(false, indexed));
+            let engine = MacEngine::build(network(false, indexed));
             engine.set_failpoint(move |s| {
                 if s == stage {
                     Err(MacError::InconsistentNetwork(format!(
@@ -169,7 +169,7 @@ fn injected_panics_at_every_stage_leave_the_engine_consistent() {
     for indexed in [true, false] {
         for stage in UpdateStage::ALL {
             let label = format!("panic @ {} (indexed={indexed})", stage.name());
-            let engine = MacEngine::build_uncalibrated(network(false, indexed));
+            let engine = MacEngine::build(network(false, indexed));
             engine.set_failpoint(move |s| {
                 if s == stage {
                     panic!("injected panic at {}", s.name());
@@ -199,7 +199,7 @@ fn injected_panics_at_every_stage_leave_the_engine_consistent() {
 fn transient_faults_recover_on_retry_without_clearing() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    let engine = MacEngine::build_uncalibrated(network(false, true));
+    let engine = MacEngine::build(network(false, true));
     let tripped = Arc::new(AtomicBool::new(false));
     let hook_tripped = Arc::clone(&tripped);
     engine.set_failpoint(move |s| {
@@ -221,7 +221,7 @@ fn transient_faults_recover_on_retry_without_clearing() {
 /// to a fresh session. The engine and its other sessions are untouched.
 #[test]
 fn query_panics_are_contained_and_the_session_recovers() {
-    let engine = MacEngine::build_uncalibrated(network(false, true));
+    let engine = MacEngine::build(network(false, true));
     let reference = serve(&engine);
     let mut session = engine.session();
     for (i, query) in queries().iter().enumerate() {
@@ -253,14 +253,8 @@ fn query_panics_are_contained_and_the_session_recovers() {
 #[test]
 fn update_stages_are_ordered_and_named() {
     let names: Vec<&str> = UpdateStage::ALL.iter().map(|s| s.name()).collect();
-    assert_eq!(
-        names,
-        [
-            "validate",
-            "gtree-refresh",
-            "leaf-edits",
-            "recalibrate",
-            "swap"
-        ]
-    );
+    assert_eq!(names, ["validate", "gtree-refresh", "leaf-edits", "swap"]);
+    for (i, &stage) in UpdateStage::ALL.iter().enumerate() {
+        assert_eq!(stage as usize, i, "{} out of order", stage.name());
+    }
 }

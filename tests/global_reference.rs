@@ -205,15 +205,15 @@ fn is_connected_k_core(social: &Graph, h: u32, k: u32) -> bool {
     reached == h
 }
 
-/// `query` answered by `algorithm` on a fresh session of a throwaway
-/// uncalibrated engine, on `parallelism` workers.
+/// `query` answered by `algorithm` on a fresh session of a throwaway engine,
+/// on `parallelism` workers.
 fn search(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
     algorithm: AlgorithmChoice,
     parallelism: usize,
 ) -> MacSearchResult {
-    MacEngine::build_uncalibrated(rsn.clone())
+    MacEngine::build(rsn.clone())
         .session()
         .with_policy(
             ExecutionPolicy::new()

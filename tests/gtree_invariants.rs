@@ -365,8 +365,8 @@ fn multiway_index_serves_identical_queries_to_binary() {
         );
         let group = social.groups[0].clone();
         let rsn = RoadSocialNetwork::new(social.graph, road, locations, attrs).unwrap();
-        let multi = MacEngine::build_uncalibrated(rsn.clone().with_gtree_index_params(16, fanout));
-        let binary = MacEngine::build_uncalibrated(rsn.clone().with_gtree_index_params(16, 2));
+        let multi = MacEngine::build(rsn.clone().with_gtree_index_params(16, fanout));
+        let binary = MacEngine::build(rsn.clone().with_gtree_index_params(16, 2));
 
         let region = PrefRegion::from_ranges(&[(0.2, 0.5), (0.2, 0.5)]).unwrap();
         let filters = [

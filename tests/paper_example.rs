@@ -9,15 +9,15 @@ use road_social_mac::core::{
 };
 use road_social_mac::datagen::paper_example::{paper_example_network, paper_region};
 
-/// `query` answered by `algorithm` on a fresh session of a throwaway
-/// uncalibrated engine under `policy`.
+/// `query` answered by `algorithm` on a fresh session of a throwaway engine
+/// under `policy`.
 fn search(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
     algorithm: AlgorithmChoice,
     policy: ExecutionPolicy,
 ) -> MacSearchResult {
-    MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+    MacEngine::build_with_policy(rsn.clone(), policy)
         .session()
         .execute(&query.clone().with_algorithm(algorithm))
         .unwrap()

@@ -76,14 +76,14 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
 }
 
 /// `query` answered by `algorithm` on a fresh session (cache off, fresh
-/// scratch) of an uncalibrated engine under `policy`.
+/// scratch) of a new engine under `policy`.
 fn run_fresh(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
     algorithm: AlgorithmChoice,
     policy: ExecutionPolicy,
 ) -> MacSearchResult {
-    MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy)
+    MacEngine::build_with_policy(rsn.clone(), policy)
         .session()
         .execute(&query.clone().with_algorithm(algorithm))
         .unwrap()
@@ -158,7 +158,7 @@ fn parallel_local_search_matches_serial() {
             let policy = ExecutionPolicy::new()
                 .with_parallelism(3)
                 .with_max_candidates(16);
-            let engine = MacEngine::build_uncalibrated_with_policy(rsn.clone(), policy);
+            let engine = MacEngine::build_with_policy(rsn.clone(), policy);
             let mut session = engine.session();
             let local = query.clone().with_algorithm(AlgorithmChoice::Local);
             let fanned = session.execute(&local).unwrap();
@@ -188,7 +188,7 @@ fn parallel_local_search_matches_serial() {
 fn parallel_batch_matches_serial_across_epochs() {
     for indexed in [false, true] {
         let (rsn, group) = random_network(7, 130, indexed);
-        let engine = MacEngine::build_uncalibrated(rsn);
+        let engine = MacEngine::build(rsn);
         let queries = workload(&group);
 
         let parallel_policy = engine.policy().clone().with_parallelism(3);
@@ -239,7 +239,7 @@ fn parallel_batch_matches_serial_across_epochs() {
 fn zero_deadline_under_parallelism_is_partial_per_query() {
     let (rsn, group) = random_network(3, 120, true);
     let policy = ExecutionPolicy::new().with_parallelism(3);
-    let engine = MacEngine::build_uncalibrated_with_policy(rsn, policy);
+    let engine = MacEngine::build_with_policy(rsn, policy);
     let mut session = engine.session();
     let budget = QueryBudget::new().with_deadline(Duration::ZERO);
 

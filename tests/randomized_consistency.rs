@@ -65,14 +65,13 @@ fn region_for(d: usize, sigma: f64) -> PrefRegion {
     PrefRegion::from_ranges(&ranges).unwrap()
 }
 
-/// `query` answered by `algorithm` on a fresh session of a throwaway
-/// uncalibrated engine.
+/// `query` answered by `algorithm` on a fresh session of a throwaway engine.
 fn search(
     rsn: &RoadSocialNetwork,
     query: &MacQuery,
     algorithm: AlgorithmChoice,
 ) -> MacSearchResult {
-    MacEngine::build_uncalibrated(rsn.clone())
+    MacEngine::build(rsn.clone())
         .session()
         .execute(&query.clone().with_algorithm(algorithm))
         .unwrap()

@@ -79,7 +79,7 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
 #[test]
 fn served_responses_match_direct_execution() {
     let (rsn, group) = random_network(21, 120);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let queries = workload(&group);
     let mut direct = engine.session();
     let expected: Vec<MacSearchResult> =
@@ -140,7 +140,7 @@ fn served_responses_match_direct_execution() {
 #[test]
 fn identical_inflight_requests_coalesce() {
     let (rsn, group) = random_network(33, 120);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let query = workload(&group).remove(0);
     let server = MacServer::start(
         engine.clone(),
@@ -182,7 +182,7 @@ fn identical_inflight_requests_coalesce() {
 #[test]
 fn expired_deadlines_degrade_to_valid_partial_prefixes() {
     let (rsn, group) = random_network(45, 120);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let queries = workload(&group);
     let mut direct = engine.session();
     let server = MacServer::start(
@@ -219,7 +219,7 @@ fn expired_deadlines_degrade_to_valid_partial_prefixes() {
 #[test]
 fn shutdown_drains_accepted_requests() {
     let (rsn, group) = random_network(57, 120);
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let queries = workload(&group);
     let server = MacServer::start(
         engine,
@@ -248,7 +248,7 @@ fn shutdown_drains_accepted_requests() {
 fn serving_stays_correct_under_concurrent_updates() {
     let (rsn, group) = random_network(69, 120);
     let mut edges: Vec<(u32, u32, f64)> = rsn.road().edges().collect();
-    let engine = MacEngine::build_uncalibrated(rsn);
+    let engine = MacEngine::build(rsn);
     let queries = workload(&group);
     let server = MacServer::start(
         engine.clone(),

@@ -101,7 +101,7 @@ fn query() -> MacQuery {
 /// recycled back into the pools, performs zero heap allocations.
 #[test]
 fn steady_state_query_allocates_nothing() {
-    let engine = MacEngine::build_uncalibrated(network());
+    let engine = MacEngine::build(network());
     let mut session = engine.session().with_context_cache(2);
     let q = query();
 
@@ -142,7 +142,7 @@ fn steady_state_query_allocates_nothing() {
 /// without allocating, and the answer is rebuilt into recycled buffers.
 #[test]
 fn answer_hit_after_a_sub_slack_update_allocates_nothing() {
-    let engine = MacEngine::build_uncalibrated(network());
+    let engine = MacEngine::build(network());
     let mut session = engine.session().with_context_cache(2);
     let q = query();
     let reference = session.execute(&q).unwrap();
@@ -182,7 +182,7 @@ fn answer_hit_after_a_sub_slack_update_allocates_nothing() {
 /// one reuses the entry's buffers.
 #[test]
 fn context_only_hit_still_explores_allocation_free() {
-    let engine = MacEngine::build_uncalibrated(network());
+    let engine = MacEngine::build(network());
     let mut session = engine.session().with_context_cache(2);
     let queries = [query(), query().with_top_j(2)];
     for _ in 0..40 {
@@ -216,7 +216,7 @@ fn context_only_hit_still_explores_allocation_free() {
 /// cached query that follows it still allocates nothing.
 #[test]
 fn cached_query_after_an_empty_core_query_allocates_nothing() {
-    let engine = MacEngine::build_uncalibrated(network());
+    let engine = MacEngine::build(network());
     let mut session = engine.session().with_context_cache(2);
     let q = query();
     // No vertex of the two-K4 fixture has degree 5, so the core is empty.
@@ -279,7 +279,7 @@ fn warmed_kt_core_extraction_allocates_only_the_core() {
 /// everything except the reported result itself.
 #[test]
 fn unrecycled_queries_only_allocate_the_result() {
-    let engine = MacEngine::build_uncalibrated(network());
+    let engine = MacEngine::build(network());
     let mut session = engine.session().with_context_cache(2);
     let q = query();
     for _ in 0..40 {

@@ -6,16 +6,14 @@
 //! cargo run -p rsn-bench --release --bin case_study_yelp [-- --scale 0.3]
 //! ```
 
+use rsn_bench::arg_value;
 use rsn_bench::runner::QuerySpec;
 use rsn_core::{AlgorithmChoice, MacEngine};
 use rsn_datagen::presets::{build_preset_scaled, PresetName, PresetScale};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale: f64 = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
+    let scale: f64 = arg_value(&args, "--scale")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.3);
     let dataset = build_preset_scaled(

@@ -10,6 +10,7 @@
 //! cargo run -p rsn-bench --release --bin fig11_scalability [-- --scale 0.2]
 //! ```
 
+use rsn_bench::arg_value;
 use rsn_bench::params::ParamSpace;
 use rsn_bench::runner::{measure_all, with_dimensionality, QuerySpec};
 use rsn_core::{MacQuery, SearchContext};
@@ -17,10 +18,7 @@ use rsn_datagen::presets::{build_preset_scaled, PresetName, PresetScale};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale: f64 = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
+    let scale: f64 = arg_value(&args, "--scale")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.2);
 

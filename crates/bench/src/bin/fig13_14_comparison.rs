@@ -20,6 +20,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use rsn_baselines::influ::{Influ, InfluPlus};
 use rsn_baselines::sky::{skyline_communities, skyline_communities_pruned};
+use rsn_bench::arg_value;
 use rsn_bench::runner::{with_dimensionality, QuerySpec};
 use rsn_core::{AlgorithmChoice, MacEngine, MacSearchResult, RoadSocialNetwork, SearchContext};
 use rsn_datagen::presets::{build_preset_scaled, Dataset, PresetName, PresetScale};
@@ -30,16 +31,10 @@ const SKY_TIME_CAP_SECONDS: f64 = 30.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let preset = args
-        .iter()
-        .position(|a| a == "--preset")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| PresetName::parse(s))
+    let preset = arg_value(&args, "--preset")
+        .and_then(PresetName::parse)
         .unwrap_or(PresetName::SfDelicious);
-    let scale: f64 = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
+    let scale: f64 = arg_value(&args, "--scale")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.2);
     let dataset = build_preset_scaled(

@@ -10,6 +10,7 @@
 //! faster than GS at the defaults, the gap narrows as k grows, and all
 //! algorithms get more expensive with d, j and σ.
 
+use rsn_bench::arg_value;
 use rsn_bench::params::ParamSpace;
 use rsn_bench::runner::{measure_all, with_dimensionality, QuerySpec};
 use rsn_datagen::presets::{build_preset_scaled, PresetName, PresetScale};
@@ -17,7 +18,7 @@ use rsn_datagen::presets::{build_preset_scaled, PresetName, PresetScale};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let preset = arg_value(&args, "--preset")
-        .and_then(|s| PresetName::parse(&s))
+        .and_then(PresetName::parse)
         .unwrap_or(PresetName::SfSlashdot);
     let scale: f64 = arg_value(&args, "--scale")
         .and_then(|s| s.parse().ok())
@@ -137,11 +138,4 @@ fn print_row(value: &str, t: &rsn_bench::runner::AlgoTimings) {
         "{:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>8} {:>8}",
         value, t.gs_nc, t.gs_t, t.ls_nc, t.ls_t, t.kt_core_size, t.gs_nc_communities
     );
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

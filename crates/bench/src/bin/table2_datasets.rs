@@ -4,6 +4,7 @@
 //! cargo run -p rsn-bench --release --bin table2_datasets [-- --scale 0.25]
 //! ```
 
+use rsn_bench::arg_value;
 use rsn_datagen::presets::{build_preset_scaled, PresetName, PresetScale};
 use rsn_datagen::stats::dataset_stats;
 
@@ -45,9 +46,7 @@ fn main() {
 
 fn parse_scale() -> f64 {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
+    arg_value(&args, "--scale")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.25)
 }

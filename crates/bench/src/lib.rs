@@ -18,3 +18,12 @@ pub mod runner;
 
 pub use params::{ParamSpace, SweepValues};
 pub use runner::{measure_all, AlgoTimings, QuerySpec};
+
+/// The command-line value after `key` (`--scale 0.2` → `Some("0.2")`), if
+/// the flag is present and followed by a value.
+pub fn arg_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == key)
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str)
+}

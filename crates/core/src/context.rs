@@ -288,16 +288,6 @@ impl<'a> SearchContext<'a> {
         out.vertices.sort_unstable();
         out.vertices.dedup();
     }
-
-    /// Translates an alive-mask over local ids to a [`Community`].
-    pub fn community_from_mask(&self, mask: &[bool]) -> Community {
-        Community::new(
-            (0..mask.len())
-                .filter(|&v| mask[v])
-                .map(|v| self.core_vertices[v])
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -60,9 +60,7 @@ pub enum AlgorithmChoice {
     /// budget-cut answer is a `Partial` whose cells are exact. The policy's
     /// [`default_budget`](ExecutionPolicy::default_budget) bounds only
     /// queries submitted to `rsn-serve`'s `MacServer`:
-    /// [`QuerySession::execute`] and
-    /// [`execute_batch`](QuerySession::execute_batch) ignore it and run
-    /// unbounded.
+    /// [`QuerySession::execute`] ignores it and runs unbounded.
     #[default]
     Auto,
     /// Always run the DFS-based global search (Algorithm 1) — exact.
@@ -856,12 +854,17 @@ mod tests {
             epoch.resolve_filter_with(&q2, RangeFilterChoice::GTreeMultiSeedBatched),
             RangeFilterChoice::DijkstraSweep
         );
-        // Auto all the way down falls through to the network's cost model.
+        // Auto all the way down falls through to the network's cost model,
+        // which sweeps on this one-leaf index.
         assert_eq!(
             epoch.resolve_filter_with(&q, RangeFilterChoice::Auto),
+            RangeFilterChoice::DijkstraSweep
+        );
+        assert_eq!(
             epoch
                 .network()
-                .resolve_range_filter(RangeFilterChoice::Auto, q.q.len(), q.t)
+                .resolve_range_filter(RangeFilterChoice::Auto, q.q.len(), q.t),
+            RangeFilterChoice::DijkstraSweep
         );
 
         // On an indexed corridor whose whole length lies within t, the same

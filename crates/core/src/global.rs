@@ -446,7 +446,7 @@ pub(crate) fn explore_context(
         let workers = if worker.scratch.sub_cells.is_empty() {
             1
         } else {
-            resolve_workers(parallelism, usize::MAX)
+            resolve_workers(parallelism)
         };
         if workers <= 1 {
             worker.push_top_cells(leaves0);

@@ -97,4 +97,4 @@ pub use result::{
     CellResult, Community, MacSearchResult, PartialResult, QueryOutcome, QueryPhase, QueryProgress,
     SearchStats,
 };
-pub use session::{BatchOutcome, BatchStats, QuerySession, SessionStats};
+pub use session::{QuerySession, SessionStats};

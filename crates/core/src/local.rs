@@ -19,11 +19,11 @@
 //! peeling oracle's final community equals it. Queries run through a
 //! [`QuerySession`](crate::session::QuerySession); its
 //! [`ExecutionPolicy`](crate::policy::ExecutionPolicy) carries the
-//! expansion strategy, the candidate cap, and the verification parallelism.
+//! expansion strategy and the candidate cap. Like the paper's Algorithms
+//! 3–5, the framework runs serially on the calling thread.
 
 use crate::context::SearchContext;
 use crate::peel::peel_at_weight;
-use crate::policy::resolve_workers;
 use crate::result::{BudgetedRun, CellResult, MacSearchResult, SearchStats};
 use rsn_geom::cell::Cell;
 use rsn_geom::halfspace::HalfSpace;
@@ -31,7 +31,6 @@ use rsn_geom::partition::{arrange_into, ArrangeScratch};
 use rsn_graph::subgraph::SubgraphView;
 use rsn_road::budget::BudgetTicker;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Candidate-selection strategy for the `Expand` procedure (Section VI-A).
@@ -57,59 +56,22 @@ impl Default for ExpandStrategy {
     }
 }
 
-/// Verifies one deduplicated candidate (Algorithm 5) and appends its
-/// confirmed `(cell, communities)` pairs to `out_cells`. The unit of work
-/// both the serial loop and the parallel workers run per candidate.
-fn verify_candidate(
-    ctx: &SearchContext<'_>,
-    cand: &[u32],
-    stats: &mut SearchStats,
-    out_cells: &mut Vec<CellResult>,
-) {
-    let verified = verify(ctx, cand, stats);
-    for (cell, sample) in verified {
-        let communities = if ctx.query.j > 1 {
-            let outcome = peel_at_weight(ctx, &sample);
-            outcome
-                .top_j(ctx.query.j)
-                .into_iter()
-                .map(|locals| ctx.community_from_locals(&locals))
-                .collect()
-        } else {
-            vec![ctx.community_from_locals(cand)]
-        };
-        out_cells.push(CellResult {
-            cell,
-            sample_weight: sample,
-            communities,
-        });
-    }
-}
-
 /// Runs the expand-and-verify framework on a prebuilt [`SearchContext`] —
 /// the entry point of [`QuerySession`](crate::session::QuerySession).
 /// `elapsed_seconds` covers only this phase; callers overwrite it with
 /// their end-to-end timing.
 ///
 /// Expansion (Algorithm 4) is charged to `ticker` as one lump (it is
-/// bounded by the core size times the candidate cap) and stays serial —
-/// it is cheap and order-defining. Verification (Algorithm 5, including
-/// the top-j peels) runs in one of two ways, decided by the ticker:
-///
-/// * **Limited ticker** — a serial loop that charges each candidate at
-///   its boundary, so an exhausted run drops whole candidates: every
-///   reported cell stays exact and a partial answer is a prefix of the
-///   full one (the same contract the budgeted global search keeps).
-/// * **Unlimited ticker** with `parallelism > 1` — the deduplicated
-///   candidates fan out over scoped worker threads pulling from an atomic
-///   cursor; results are reassembled in candidate order and worker
-///   counters folded with [`SearchStats::merge_worker`], so the output is
-///   identical to the serial run cell for cell.
+/// bounded by the core size times the candidate cap). Verification
+/// (Algorithm 5, including the top-j peels) is a serial loop that charges
+/// each candidate at its boundary, so an exhausted run drops whole
+/// candidates: every reported cell stays exact and a partial answer is a
+/// prefix of the full one (the same contract the budgeted global search
+/// keeps).
 pub(crate) fn run_context(
     ctx: &SearchContext<'_>,
     strategy: ExpandStrategy,
     max_candidates: usize,
-    parallelism: usize,
     ticker: &mut BudgetTicker,
 ) -> BudgetedRun {
     let start = Instant::now();
@@ -143,80 +105,32 @@ pub(crate) fn run_context(
     let mut out_cells: Vec<CellResult> = Vec::new();
     let mut explored = 0u64;
     let mut completed = true;
-    // Only an unlimited ticker fans out: a limited one verifies serially
-    // so that an exhausted run leaves a prefix of the full answer.
-    let workers = if ticker.is_unlimited() && parallelism != 1 {
-        let distinct: HashSet<&Vec<u32>> = candidates.iter().collect();
-        // One worker per distinct candidate at most.
-        resolve_workers(parallelism, distinct.len())
-    } else {
-        1
-    };
-    if workers <= 1 {
-        for (i, cand) in candidates.into_iter().enumerate() {
-            // One candidate's verification is roughly linear in its size;
-            // charge it at the boundary so exhaustion drops it whole.
-            if !ticker.charge(cand.len() as u64 + 1) {
-                completed = false;
-                break;
-            }
-            explored = i as u64 + 1;
-            if !seen.insert(cand.clone()) {
-                continue;
-            }
-            verify_candidate(ctx, &cand, &mut stats, &mut out_cells);
+    for (i, cand) in candidates.into_iter().enumerate() {
+        // One candidate's verification is roughly linear in its size;
+        // charge it at the boundary so exhaustion drops it whole.
+        if !ticker.charge(cand.len() as u64 + 1) {
+            completed = false;
+            break;
         }
-    } else {
-        // An unlimited ticker cannot exhaust, so the fan-out charges the
-        // whole verification up front and never stops early.
-        ticker.charge(candidates.iter().map(|c| c.len() as u64 + 1).sum());
-        explored = total;
-        // Deduplicate up front, keeping first-occurrence order: the
-        // serial loop skips repeats in place, so the unique sequence is
-        // the work list either way.
-        let unique: Vec<Vec<u32>> = candidates
-            .into_iter()
-            .filter(|cand| seen.insert(cand.clone()))
-            .collect();
-        stats.parallel_workers = workers;
-        let cursor = AtomicUsize::new(0);
-        // Each worker yields its (candidate index, cells) batches plus a
-        // private stats accumulator to fold after the join.
-        type WorkerYield = (Vec<(usize, Vec<CellResult>)>, SearchStats);
-        let per_worker: Vec<WorkerYield> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local_stats = SearchStats::default();
-                        let mut produced: Vec<(usize, Vec<CellResult>)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(cand) = unique.get(i) else { break };
-                            let mut cells = Vec::new();
-                            verify_candidate(ctx, cand, &mut local_stats, &mut cells);
-                            produced.push((i, cells));
-                        }
-                        (produced, local_stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("local verification worker panicked"))
-                .collect()
-        });
-        // Reassemble in candidate order: slot i holds candidate i's cells.
-        let mut slots: Vec<Option<Vec<CellResult>>> = (0..unique.len()).map(|_| None).collect();
-        for (produced, worker_stats) in per_worker {
-            // Workers start from zeroed stats, so the fold only adds the
-            // verification counters (candidates_generated stays 0 there).
-            stats.merge_worker(&worker_stats);
-            for (i, cells) in produced {
-                slots[i] = Some(cells);
-            }
+        explored = i as u64 + 1;
+        if !seen.insert(cand.clone()) {
+            continue;
         }
-        for slot in slots {
-            out_cells.extend(slot.unwrap_or_default());
+        for (cell, sample) in verify(ctx, &cand, &mut stats) {
+            let communities = if ctx.query.j > 1 {
+                peel_at_weight(ctx, &sample)
+                    .top_j(ctx.query.j)
+                    .into_iter()
+                    .map(|locals| ctx.community_from_locals(&locals))
+                    .collect()
+            } else {
+                vec![ctx.community_from_locals(&cand)]
+            };
+            out_cells.push(CellResult {
+                cell,
+                sample_weight: sample,
+                communities,
+            });
         }
     }
 
@@ -639,41 +553,6 @@ mod tests {
             let policy = ExecutionPolicy::new().with_expand_strategy(strategy);
             let result = run(&rsn, &query, AlgorithmChoice::Local, policy);
             assert!(!result.is_empty(), "strategy {strategy:?} found nothing");
-        }
-    }
-
-    #[test]
-    fn parallel_verification_matches_serial_exactly() {
-        let rsn = network();
-        let region = PrefRegion::from_ranges(&[(0.1, 0.9)]).unwrap();
-        // j = 1 is Problem 2 (LS-NC), j = 2 Problem 1 (LS-T).
-        for j in [1usize, 2] {
-            let query = MacQuery::new(vec![0, 1], 3, 10.0, region.clone()).with_top_j(j);
-            let serial_policy = ExecutionPolicy::new().with_max_candidates(16);
-            let serial = run(&rsn, &query, AlgorithmChoice::Local, serial_policy);
-            let policy = ExecutionPolicy::new()
-                .with_parallelism(3)
-                .with_max_candidates(16);
-            let parallel = run(&rsn, &query, AlgorithmChoice::Local, policy);
-            assert_eq!(serial.cells.len(), parallel.cells.len());
-            for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-                assert_eq!(a.sample_weight, b.sample_weight);
-                assert_eq!(
-                    a.communities
-                        .iter()
-                        .map(|c| &c.vertices)
-                        .collect::<Vec<_>>(),
-                    b.communities
-                        .iter()
-                        .map(|c| &c.vertices)
-                        .collect::<Vec<_>>(),
-                );
-            }
-            assert_eq!(
-                serial.stats.halfspaces_computed,
-                parallel.stats.halfspaces_computed
-            );
-            assert!(parallel.stats.parallel_workers > 1);
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! An [`ExecutionPolicy`] gathers every knob that selects *how* queries
 //! execute — which algorithm answers them, which range-filter strategy, how
-//! many worker threads a query fans out over, the local framework's
-//! candidate strategy and budget, and the default [`QueryBudget`] — into one
+//! many worker threads the global search shares a query's arrangement over,
+//! the local framework's candidate strategy and budget, and the default
+//! [`QueryBudget`] — into one
 //! builder-style value with three override layers:
 //!
 //! 1. **Engine**: [`MacEngine::build_with_policy`](crate::engine::MacEngine::build_with_policy)
@@ -24,9 +25,9 @@
 //! [`algorithm`](ExecutionPolicy::algorithm): `Global` and `Local` answers
 //! may legitimately differ (the local framework is a heuristic), so layers
 //! that treat equal [query signatures](crate::query::MacQuery::signature) as
-//! interchangeable — batch dedup, request coalescing — must run every member
-//! of the dedup set under one policy, which they do (one policy per session,
-//! one [`ServeConfig`](../../rsn_serve/struct.ServeConfig.html) per server).
+//! interchangeable — such as `rsn-serve`'s request coalescing — must run every
+//! member of a coalesced set under one policy, which it does (one
+//! [`ServeConfig`](../../rsn_serve/struct.ServeConfig.html) per server).
 //!
 //! ```
 //! use rsn_core::{AlgorithmChoice, ExecutionPolicy, MacEngine, QueryBudget};
@@ -77,13 +78,13 @@ pub struct ExecutionPolicy {
     /// [`resolve_auto`](rsn_road::rangefilter::resolve_auto). All strategies
     /// return identical user sets; this only affects speed.
     pub filter: RangeFilterChoice,
-    /// Worker threads: `1` = serial (the default), `0` = one per available
-    /// core. The global search shares its arrangement subtrees among the
-    /// workers by work stealing; the local framework fans out candidate
-    /// verification; a batch spreads its distinct queries. Serving
-    /// deployments that already run one session per core usually keep `1`;
-    /// parallelism pays off for latency-critical single queries on otherwise
-    /// idle cores.
+    /// Global-search worker threads: `1` = serial (the default), `0` = one
+    /// per available core. The global search shares its arrangement subtrees
+    /// among the workers by work stealing; nothing else reads this knob (the
+    /// local framework is serial, and many queries spread over threads
+    /// through `rsn-serve`'s `MacServer`). Serving deployments that already
+    /// run one session per core usually keep `1`; parallelism pays off for
+    /// latency-critical single queries on otherwise idle cores.
     pub parallelism: usize,
     /// Candidate-selection strategy of the local framework.
     pub expand_strategy: ExpandStrategy,
@@ -154,10 +155,9 @@ impl ExecutionPolicy {
     }
 }
 
-/// Resolves a requested worker count (`0` = one per available core) against
-/// `cap` independent units of work: at least one worker, never more than
-/// `cap`. The one rule behind every parallel stage's fan-out width.
-pub(crate) fn resolve_workers(requested: usize, cap: usize) -> usize {
+/// Resolves a requested worker count (`0` = one per available core) to the
+/// global search's pool width: at least one worker.
+pub(crate) fn resolve_workers(requested: usize) -> usize {
     let requested = if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -165,7 +165,7 @@ pub(crate) fn resolve_workers(requested: usize, cap: usize) -> usize {
     } else {
         requested
     };
-    requested.min(cap).max(1)
+    requested.max(1)
 }
 
 #[cfg(test)]
@@ -199,10 +199,8 @@ mod tests {
 
     #[test]
     fn worker_count_is_at_least_one_and_capped() {
-        assert_eq!(resolve_workers(4, 2), 2);
-        assert_eq!(resolve_workers(3, usize::MAX), 3);
-        assert_eq!(resolve_workers(5, 0), 1);
-        assert_eq!(resolve_workers(1, 8), 1);
-        assert!(resolve_workers(0, usize::MAX) >= 1);
+        assert_eq!(resolve_workers(3), 3);
+        assert_eq!(resolve_workers(1), 1);
+        assert!(resolve_workers(0) >= 1);
     }
 }

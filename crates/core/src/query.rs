@@ -72,8 +72,7 @@ impl MacQuery {
     /// The coalescing/caching identity of this query: two queries with equal
     /// signatures have **identical answers** on the same engine epoch, so a
     /// serving layer may execute one of them and fan the result out to both
-    /// (see `rsn-serve`), and [`QuerySession::execute_batch`](crate::session::QuerySession::execute_batch)
-    /// computes each distinct signature once per batch.
+    /// (see `rsn-serve`'s request coalescing).
     ///
     /// The signature covers everything the *answer* depends on — `Q` (order
     /// included: it is part of the reported local ids), `k`, `t`, the region
@@ -132,9 +131,8 @@ impl MacQuery {
 /// redundant execution, a false merge would corrupt an answer, so the
 /// comparison errs on the side of splitting.
 ///
-/// Produced by [`MacQuery::signature`]; consumed by batch deduplication
-/// ([`QuerySession::execute_batch`](crate::session::QuerySession::execute_batch)),
-/// the session context cache, and `rsn-serve`'s request coalescing.
+/// Produced by [`MacQuery::signature`]; consumed by the session context
+/// cache and `rsn-serve`'s request coalescing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QuerySignature {
     q: Vec<VertexId>,

@@ -90,12 +90,11 @@ impl SearchStats {
     /// work counters add up, peak memory takes the maximum, and the
     /// query-level fields (core size, dominance tests, elapsed time) keep the
     /// root's values.
-    pub fn merge_worker(&mut self, worker: &SearchStats) {
+    pub(crate) fn merge_worker(&mut self, worker: &SearchStats) {
         self.partitions_explored += worker.partitions_explored;
         self.unsplit_arrangements += worker.unsplit_arrangements;
         self.halfspaces_computed += worker.halfspaces_computed;
         self.halfspace_insertions += worker.halfspace_insertions;
-        self.candidates_generated += worker.candidates_generated;
         self.tasks_stolen += worker.tasks_stolen;
         self.memory_bytes = self.memory_bytes.max(worker.memory_bytes);
     }
@@ -259,11 +258,6 @@ impl QueryOutcome {
             QueryOutcome::Complete(r) => r,
             QueryOutcome::Partial(p) => p.result,
         }
-    }
-
-    /// Whether the budget exhausted before the search finished.
-    pub fn is_partial(&self) -> bool {
-        matches!(self, QueryOutcome::Partial(_))
     }
 
     /// Whether the search ran to completion.

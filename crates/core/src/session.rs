@@ -24,7 +24,7 @@ use crate::engine::{AlgorithmChoice, EngineEpoch, MacEngine};
 use crate::error::MacError;
 use crate::global::{self, GsScratch};
 use crate::local;
-use crate::policy::{resolve_workers, ExecutionPolicy};
+use crate::policy::ExecutionPolicy;
 use crate::query::{MacQuery, QuerySignature};
 use crate::result::{
     MacSearchResult, PartialResult, QueryOutcome, QueryPhase, QueryProgress, SearchStats,
@@ -32,9 +32,7 @@ use crate::result::{
 use rsn_road::budget::BudgetTicker;
 use rsn_road::rangefilter::QueryReach;
 use rsn_road::ExhaustionCause;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A per-thread handle executing MAC queries against a prepared engine.
@@ -42,10 +40,10 @@ use std::time::Instant;
 /// Obtained from [`MacEngine::session`]. Every entry point derives the
 /// problem from the query's `j`: Problem 1 (the top-j MACs per partition)
 /// when `j > 1`, Problem 2 (the non-contained MAC) at `j = 1` — the two
-/// coincide there. [`execute`](Self::execute) answers exactly,
+/// coincide there. [`execute`](Self::execute) answers exactly, and
 /// [`execute_with_budget`](Self::execute_with_budget) degrades to a partial
-/// answer when its budget runs out, and [`execute_batch`](Self::execute_batch)
-/// serves many queries at once.
+/// answer when its budget runs out. Many queries are a loop over `execute`,
+/// or, across threads, `rsn-serve`'s `MacServer`.
 #[derive(Debug)]
 pub struct QuerySession {
     engine: MacEngine,
@@ -108,9 +106,6 @@ pub struct SessionStats {
     /// Cache entries dropped because a moved user could change their kept
     /// set.
     pub context_cache_move_drops: u64,
-    /// Queries inside [`execute_batch`](QuerySession::execute_batch) calls
-    /// answered by sharing an earlier in-batch result instead of executing.
-    pub batch_queries_deduped: u64,
 }
 
 impl SessionStats {
@@ -127,7 +122,6 @@ impl SessionStats {
         self.context_cache_outcome_hits += other.context_cache_outcome_hits;
         self.context_cache_drift_expiries += other.context_cache_drift_expiries;
         self.context_cache_move_drops += other.context_cache_move_drops;
-        self.batch_queries_deduped += other.batch_queries_deduped;
     }
 
     /// Context-cache hit fraction in `[0, 1]` (0 before any lookup).
@@ -143,13 +137,12 @@ impl SessionStats {
 
 impl std::fmt::Display for SessionStats {
     /// One-line log form:
-    /// `served 120 (118 complete, 2 partial), 0 errors (0 panics recovered), cache 80/100 hits (30 answers), 3 drift-expired, 1 move-dropped, 4 batch-deduped`.
+    /// `served 120 (118 complete, 2 partial), 0 errors (0 panics recovered), cache 80/100 hits (30 answers), 3 drift-expired, 1 move-dropped`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "served {} ({} complete, {} partial), {} errors ({} panics recovered), \
-             cache {}/{} hits ({} answers), {} drift-expired, {} move-dropped, \
-             {} batch-deduped",
+             cache {}/{} hits ({} answers), {} drift-expired, {} move-dropped",
             self.served,
             self.complete,
             self.partial,
@@ -160,32 +153,8 @@ impl std::fmt::Display for SessionStats {
             self.context_cache_outcome_hits,
             self.context_cache_drift_expiries,
             self.context_cache_move_drops,
-            self.batch_queries_deduped,
         )
     }
-}
-
-/// The outcome of one [`QuerySession::execute_batch`] call.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Per-query results, in input order.
-    pub results: Vec<MacSearchResult>,
-    /// Aggregate throughput statistics for the batch.
-    pub stats: BatchStats,
-}
-
-/// Aggregate statistics of one executed batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchStats {
-    /// Number of queries served (including deduplicated ones).
-    pub queries: usize,
-    /// Queries answered by sharing an earlier in-batch result (exact
-    /// signature repeats).
-    pub deduplicated: usize,
-    /// Wall-clock seconds for the whole batch.
-    pub elapsed_seconds: f64,
-    /// Served queries per second (0.0 for an empty batch).
-    pub queries_per_second: f64,
 }
 
 impl QuerySession {
@@ -265,13 +234,6 @@ impl QuerySession {
     /// identical to freshly computed ones.
     pub fn with_context_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(ContextCache::new(capacity));
-        self
-    }
-
-    /// Disables the session-level context cache, dropping any cached
-    /// contexts.
-    pub fn without_context_cache(mut self) -> Self {
-        self.cache = None;
         self
     }
 
@@ -389,167 +351,6 @@ impl QuerySession {
         budget: &QueryBudget,
     ) -> Result<QueryOutcome, MacError> {
         self.run_guarded(query, budget.arm())
-    }
-
-    /// Executes a batch of queries through this session's scratch, returning
-    /// per-query results plus aggregate throughput statistics. Like
-    /// [`execute`](Self::execute), every query runs unbounded. Fails on the
-    /// first invalid query (results computed so far are discarded, matching
-    /// the all-or-nothing contract of a batch).
-    ///
-    /// Queries that are exact repeats of an earlier query in the same batch
-    /// (same [`signature`](MacQuery::signature): users, `k`, `t`, region, `j`,
-    /// algorithm) are answered by sharing that query's result instead of
-    /// re-executing — the batch-local form of the serving front-end's
-    /// coalescing. The whole batch runs against epochs observed during the
-    /// call, so a shared result is exactly what re-execution would have
-    /// produced on the first occurrence's epoch.
-    ///
-    /// When the session's [`ExecutionPolicy`] requests parallelism the
-    /// distinct queries (after deduplication) are distributed across a
-    /// bounded pool of scoped worker threads, each owning its own
-    /// [`QuerySession`] over the shared engine. Batch-level parallelism
-    /// replaces query-level parallelism inside the pool (workers run with
-    /// `parallelism = 1`, so thread counts stay bounded), every query is
-    /// deterministic regardless of which session executes it, and results
-    /// are reassembled in input order — the batch is output-identical to the
-    /// serial path. If several queries fail, the error of the earliest
-    /// failing input slot is returned, exactly as the serial path would.
-    pub fn execute_batch(&mut self, queries: &[MacQuery]) -> Result<BatchOutcome, MacError> {
-        let start = Instant::now();
-        // Deduplicate first (the PR-9 contract): `assignment[i]` maps input
-        // slot `i` to its distinct-query index, in first-occurrence order.
-        let mut seen: HashMap<QuerySignature, usize> = HashMap::new();
-        let mut distinct: Vec<usize> = Vec::new();
-        let mut assignment: Vec<usize> = Vec::with_capacity(queries.len());
-        for (i, query) in queries.iter().enumerate() {
-            let next = distinct.len();
-            let idx = *seen.entry(query.signature()).or_insert(next);
-            if idx == next {
-                distinct.push(i);
-            }
-            assignment.push(idx);
-        }
-        let deduplicated = queries.len() - distinct.len();
-        self.stats.batch_queries_deduped += deduplicated as u64;
-
-        // At most one worker per distinct query; one worker is serial
-        // in-session execution.
-        let workers = resolve_workers(self.policy.parallelism, distinct.len());
-        let mut executed: Vec<Option<MacSearchResult>> = if workers <= 1 {
-            let mut out = Vec::with_capacity(distinct.len());
-            for &qi in &distinct {
-                out.push(Some(self.execute(&queries[qi])?));
-            }
-            out
-        } else {
-            self.execute_distinct_parallel(queries, &distinct, workers)?
-        };
-
-        // Reassemble in input order: the first occurrence takes its executed
-        // result, repeats share a clone of it (as the serial loop did).
-        let mut results: Vec<MacSearchResult> = Vec::with_capacity(queries.len());
-        for (i, &idx) in assignment.iter().enumerate() {
-            if distinct[idx] == i {
-                results.push(executed[idx].take().expect("distinct result present"));
-            } else {
-                let shared = results[distinct[idx]].clone();
-                results.push(shared);
-            }
-        }
-        let elapsed_seconds = start.elapsed().as_secs_f64();
-        let queries_per_second = if queries.is_empty() {
-            0.0
-        } else {
-            queries.len() as f64 / elapsed_seconds.max(1e-12)
-        };
-        Ok(BatchOutcome {
-            results,
-            stats: BatchStats {
-                queries: queries.len(),
-                deduplicated,
-                elapsed_seconds,
-                queries_per_second,
-            },
-        })
-    }
-
-    /// Parallel half of [`execute_batch`](Self::execute_batch): executes the
-    /// distinct queries across `workers` scoped threads pulling from an
-    /// atomic cursor, each with its own session over the shared engine.
-    /// Worker serving counters and executed-query counts fold back into this
-    /// session, so the observable session statistics match the serial path's
-    /// accounting. Returns per-distinct results, or the error of the
-    /// earliest-failing distinct query.
-    fn execute_distinct_parallel(
-        &mut self,
-        queries: &[MacQuery],
-        distinct: &[usize],
-        workers: usize,
-    ) -> Result<Vec<Option<MacSearchResult>>, MacError> {
-        let engine = &self.engine;
-        // Workers inherit this session's policy minus its parallelism: the
-        // batch level already owns the thread budget, and nested pools would
-        // oversubscribe without changing any result.
-        let mut worker_policy = self.policy.clone();
-        worker_policy.parallelism = 1;
-        let cursor = AtomicUsize::new(0);
-        type WorkerYield = (
-            Vec<(usize, Result<MacSearchResult, MacError>)>,
-            SessionStats,
-            u64,
-        );
-        let per_worker: Vec<WorkerYield> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let worker_policy = worker_policy.clone();
-                    let cursor = &cursor;
-                    s.spawn(move || {
-                        let mut session = engine.session().with_policy(worker_policy);
-                        let mut produced: Vec<(usize, Result<MacSearchResult, MacError>)> =
-                            Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&qi) = distinct.get(i) else { break };
-                            produced.push((i, session.execute(&queries[qi])));
-                        }
-                        (produced, session.stats(), session.queries_executed())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<Result<MacSearchResult, MacError>>> =
-            (0..distinct.len()).map(|_| None).collect();
-        for (produced, worker_stats, worker_executed) in per_worker {
-            self.stats.merge(&worker_stats);
-            self.executed += worker_executed;
-            for (i, outcome) in produced {
-                slots[i] = Some(outcome);
-            }
-        }
-        // `distinct` is in first-occurrence order, so the first error here is
-        // the one the serial loop would have hit first.
-        let mut out = Vec::with_capacity(distinct.len());
-        let mut first_error: Option<MacError> = None;
-        for slot in slots {
-            match slot.expect("every distinct query executed") {
-                Ok(result) => out.push(Some(result)),
-                Err(err) => {
-                    if first_error.is_none() {
-                        first_error = Some(err);
-                    }
-                    out.push(None);
-                }
-            }
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
     }
 
     /// The algorithm that answers `query`: an explicit query choice wins, a
@@ -730,14 +531,11 @@ impl QuerySession {
             }
         };
         let (mut run, phase) = match algorithm {
-            // Verification fans out only under an unlimited ticker; a limited
-            // one keeps it serial so a partial answer is a prefix.
             AlgorithmChoice::Local => (
                 local::run_context(
                     &ctx,
                     self.policy.expand_strategy,
                     self.policy.max_candidates,
-                    self.policy.parallelism,
                     ticker,
                 ),
                 QueryPhase::LocalSearch,
@@ -913,98 +711,6 @@ mod tests {
         assert_results_identical(&reference, &got);
         // Only the local framework generates expansion candidates.
         assert!(got.stats.candidates_generated > 0);
-    }
-
-    #[test]
-    fn batch_matches_individual_execution_and_counts_throughput() {
-        let engine = MacEngine::build(network());
-        let queries = vec![query(), query().with_top_j(2), query()];
-        let mut individual = engine.session();
-        let expect: Vec<_> = queries
-            .iter()
-            .map(|q| individual.execute(q).unwrap())
-            .collect();
-        let mut session = engine.session();
-        let batch = session.execute_batch(&queries).unwrap();
-        assert_eq!(batch.results.len(), 3);
-        assert_eq!(batch.stats.queries, 3);
-        assert!(batch.stats.queries_per_second > 0.0);
-        for (a, b) in expect.iter().zip(&batch.results) {
-            assert_results_identical(a, b);
-        }
-        // The third query repeats the first's signature, so only two actually
-        // executed; the repeat shared the first result.
-        assert_eq!(batch.stats.deduplicated, 1);
-        assert_eq!(session.queries_executed(), 2);
-    }
-
-    #[test]
-    fn batch_dedupes_identical_queries_with_identical_results() {
-        let engine = MacEngine::build(network());
-        // Two identical pairs plus one distinct query, interleaved.
-        let queries = vec![
-            query(),
-            query().with_top_j(2),
-            query(),
-            query().with_top_j(2),
-            query(),
-        ];
-        let mut reference = engine.session();
-        let expect: Vec<_> = queries
-            .iter()
-            .map(|q| reference.execute(q).unwrap())
-            .collect();
-        let mut session = engine.session();
-        let batch = session.execute_batch(&queries).unwrap();
-        assert_eq!(batch.stats.queries, 5);
-        assert_eq!(batch.stats.deduplicated, 3);
-        assert_eq!(session.stats().batch_queries_deduped, 3);
-        // Only the two distinct signatures actually executed.
-        assert_eq!(session.queries_executed(), 2);
-        for (a, b) in expect.iter().zip(&batch.results) {
-            assert_results_identical(a, b);
-        }
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial_batch_exactly() {
-        let engine = MacEngine::build(network());
-        // Mixed workload with repeats: two distinct signatures, five slots.
-        let queries = vec![
-            query(),
-            query().with_top_j(2),
-            query(),
-            query().with_top_j(2),
-            query(),
-        ];
-        let mut serial = engine.session();
-        let expect = serial.execute_batch(&queries).unwrap();
-        let mut parallel = engine
-            .session()
-            .with_policy(ExecutionPolicy::new().with_parallelism(2));
-        let batch = parallel.execute_batch(&queries).unwrap();
-        assert_eq!(batch.stats.queries, 5);
-        assert_eq!(batch.stats.deduplicated, 3);
-        assert_eq!(parallel.stats().batch_queries_deduped, 3);
-        // Worker accounting folds back into the batch session.
-        assert_eq!(parallel.queries_executed(), 2);
-        assert_eq!(parallel.stats().served, 2);
-        for (a, b) in expect.results.iter().zip(&batch.results) {
-            assert_results_identical(a, b);
-        }
-    }
-
-    #[test]
-    fn parallel_batch_reports_the_earliest_error() {
-        let engine = MacEngine::build(network());
-        let mut bad = query();
-        bad.q.clear();
-        let queries = vec![query().with_top_j(2), bad, query()];
-        let mut parallel = engine
-            .session()
-            .with_policy(ExecutionPolicy::new().with_parallelism(3));
-        let err = parallel.execute_batch(&queries).unwrap_err();
-        assert!(matches!(err, MacError::EmptyQuery), "got {err:?}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn paper_social_graph() -> Graph {
 }
 
 /// The road network of Fig. 1(b). Road vertex `r_{i+1}` has id `i`.
-pub fn paper_road_network() -> RoadNetwork {
+fn paper_road_network() -> RoadNetwork {
     RoadNetwork::from_edges(
         15,
         &[
@@ -78,7 +78,7 @@ pub fn paper_road_network() -> RoadNetwork {
 
 /// The 3-dimensional attribute vectors of Fig. 2(a); peripheral users get
 /// uniformly low values so they never influence the example communities.
-pub fn paper_attributes() -> Vec<Vec<f64>> {
+fn paper_attributes() -> Vec<Vec<f64>> {
     let mut attrs = vec![
         vec![8.8, 3.6, 2.2], // v1
         vec![5.9, 6.2, 6.0], // v2

@@ -77,17 +77,6 @@ impl AttrMatrix {
         self.data.chunks_exact(self.dim.max(1))
     }
 
-    /// The underlying flat buffer.
-    pub fn as_flat(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Copies the rows back out as nested vectors (interop with APIs that
-    /// still take `&[Vec<f64>]`; not for hot paths).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.rows().map(|r| r.to_vec()).collect()
-    }
-
     /// Memory footprint of the buffer in bytes.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.data.len() * std::mem::size_of::<f64>()
@@ -115,8 +104,7 @@ mod tests {
         assert_eq!(m.dim(), 3);
         assert_eq!(&m[0], &[1.0, 2.0, 3.0][..]);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0][..]);
-        assert_eq!(m.to_rows(), rows);
-        assert_eq!(m.rows().count(), 2);
+        assert!(m.rows().eq(rows.iter().map(Vec::as_slice)));
         assert!(!m.is_empty());
         assert!(m.memory_bytes() >= 6 * 8);
     }
@@ -127,7 +115,7 @@ mod tests {
         assert!(m.is_empty());
         m.push_row(&[1.0, 2.0]);
         m.push_row(&[3.0, 4.0]);
-        assert_eq!(m.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.data, [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -70,15 +70,6 @@ impl BitSet {
             .any(|(a, b)| a & b != 0)
     }
 
-    /// Number of set bits that are also set in `mask`.
-    pub fn count_intersection(&self, mask: &BitSet) -> usize {
-        self.blocks
-            .iter()
-            .zip(mask.blocks.iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Clears every bit, keeping the capacity.
     pub fn clear_all(&mut self) {
         self.blocks.fill(0);
@@ -167,7 +158,6 @@ mod tests {
         b.set(50);
         b.set(99);
         assert!(a.intersects(&b));
-        assert_eq!(a.count_intersection(&b), 1);
         a.union_with(&b);
         assert_eq!(a.count(), 3);
         let c = BitSet::new(100);

@@ -174,29 +174,14 @@ impl DominanceGraph {
         self.ids[local]
     }
 
-    /// Attribute vector of a local id.
-    pub fn attrs_of(&self, local: usize) -> &[f64] {
-        self.attrs.row(local)
-    }
-
     /// The region `G_d` was built for.
     pub fn region(&self) -> &PrefRegion {
         &self.region
     }
 
-    /// Whether local vertex `a` r-dominates local vertex `b`.
-    pub fn dominates(&self, a: usize, b: usize) -> bool {
-        self.dominators[b].contains(a)
-    }
-
     /// Dominator closure of a local vertex.
     pub fn dominators(&self, local: usize) -> &BitSet {
         &self.dominators[local]
-    }
-
-    /// r-dominance count of a local vertex (number of vertices dominating it).
-    pub fn dom_count(&self, local: usize) -> usize {
-        self.dominators[local].count()
     }
 
     /// Direct parents (transitive reduction) of a local vertex.
@@ -347,6 +332,11 @@ fn union_into(sets: &mut [BitSet], dst: usize, src: usize) {
 mod tests {
     use super::*;
 
+    /// Whether local vertex `a` r-dominates local vertex `b`.
+    fn dominates(gd: &DominanceGraph, a: usize, b: usize) -> bool {
+        gd.dominators(b).contains(a)
+    }
+
     /// Fig. 2(a) attribute vectors of v1..v7 with the region of Fig. 2(b).
     fn paper_setup() -> (Vec<u32>, Vec<Vec<f64>>, PrefRegion) {
         let ids = vec![1, 2, 3, 4, 5, 6, 7];
@@ -372,9 +362,9 @@ mod tests {
 
         // Fig. 4(b): v7 is in the bottom layer, dominated by v2 and v6
         // (transitively) and by v3 directly.
-        assert!(gd.dominates(local(2), local(7)));
-        assert!(gd.dominates(local(6), local(7)));
-        assert!(gd.dominates(local(3), local(7)));
+        assert!(dominates(&gd, local(2), local(7)));
+        assert!(dominates(&gd, local(6), local(7)));
+        assert!(dominates(&gd, local(3), local(7)));
         // v7 dominates nothing
         assert_eq!(gd.children(local(7)).len(), 0);
         // the full-graph leaves include v7, v5 and v1 (initial leaves used in
@@ -440,13 +430,13 @@ mod tests {
         let region = PrefRegion::from_ranges(&[(0.1, 0.3), (0.2, 0.4), (0.1, 0.2)]).unwrap();
         let gd = DominanceGraph::build(&ids, &attrs, &region);
         for a in 0..n {
-            assert!(!gd.dominates(a, a), "irreflexive");
+            assert!(!dominates(&gd, a, a), "irreflexive");
             for b in 0..n {
-                if gd.dominates(a, b) {
-                    assert!(!gd.dominates(b, a), "antisymmetric");
+                if dominates(&gd, a, b) {
+                    assert!(!dominates(&gd, b, a), "antisymmetric");
                     for c in 0..n {
-                        if gd.dominates(b, c) {
-                            assert!(gd.dominates(a, c), "transitive closure");
+                        if dominates(&gd, b, c) {
+                            assert!(dominates(&gd, a, c), "transitive closure");
                         }
                     }
                 }
@@ -475,7 +465,7 @@ mod tests {
                 let expect =
                     r_dominance(&attrs[a], &attrs[b], &region) == DominanceRelation::Dominates;
                 assert_eq!(
-                    gd.dominates(a, b),
+                    dominates(&gd, a, b),
                     expect,
                     "closure mismatch for {a} -> {b}"
                 );
@@ -502,7 +492,7 @@ mod tests {
         let gd = DominanceGraph::build(&ids, &attrs, &region);
         assert_eq!(gd.tests_performed(), n - 1);
         for v in 0..n {
-            assert_eq!(gd.dom_count(v), n - 1 - v);
+            assert_eq!(gd.dominators(v).count(), n - 1 - v);
             let parent: &[u32] = if v + 1 < n { &[v as u32 + 1] } else { &[] };
             assert_eq!(gd.parents(v), parent);
             assert_eq!(gd.layer(v) as usize, n - 1 - v);

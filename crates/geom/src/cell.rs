@@ -91,12 +91,12 @@ impl Cell {
     }
 
     /// Makes `self` the clip of `src` by the half-space `hs` — or by its
-    /// complement when `negate` is set, bitwise identical to clipping by
-    /// [`HalfSpace::negated`] — reusing `self`'s buffers: `src`'s constraints
-    /// plus `hs` (or `¬hs`) last, and on the 2-D path `src`'s polygon clipped
-    /// Sutherland–Hodgman style. Excess constraint half-spaces are parked in
-    /// `spare` and missing ones are recovered from it, so pooled cells cycle
-    /// without heap traffic.
+    /// complement `−f(w) ≥ 0` when `negate` is set, bitwise identical to
+    /// clipping by the sign-flipped half-space — reusing `self`'s buffers:
+    /// `src`'s constraints plus `hs` (or `¬hs`) last, and on the 2-D path
+    /// `src`'s polygon clipped Sutherland–Hodgman style. Excess constraint
+    /// half-spaces are parked in `spare` and missing ones are recovered from
+    /// it, so pooled cells cycle without heap traffic.
     pub fn assign_clip(
         &mut self,
         src: &Cell,
@@ -268,33 +268,6 @@ impl Cell {
         } else {
             None
         }
-    }
-
-    /// Minimum of the affine form of `hs` over the cell; `None` when the cell
-    /// is empty.
-    pub fn min_of(&self, hs: &HalfSpace) -> Option<f64> {
-        if let Some(poly) = &self.poly {
-            return if poly.is_empty() {
-                None
-            } else {
-                self.poly_extremes(hs).map(|(min, _)| min)
-            };
-        }
-        let (a, b) = self.lp_constraints();
-        lp_extreme(hs, &a, &b, false)
-    }
-
-    /// Maximum of the affine form of `hs` over the cell; `None` when empty.
-    pub fn max_of(&self, hs: &HalfSpace) -> Option<f64> {
-        if let Some(poly) = &self.poly {
-            return if poly.is_empty() {
-                None
-            } else {
-                self.poly_extremes(hs).map(|(_, max)| max)
-            };
-        }
-        let (a, b) = self.lp_constraints();
-        lp_extreme(hs, &a, &b, true)
     }
 
     /// Whether the cell has no feasible point (or only a degenerate sliver
@@ -519,7 +492,7 @@ impl Cell {
 /// Buffer-reusing Sutherland–Hodgman clip against `f(w) ≥ 0` — or against the
 /// complement `−f(w) ≥ 0` when `negate` is set. Sign flipping is exact in
 /// IEEE arithmetic (negation distributes over rounding), so the negated form
-/// is bitwise identical to clipping against [`HalfSpace::negated`].
+/// is bitwise identical to clipping against the sign-flipped half-space.
 fn clip_polygon_into(poly: &[(f64, f64)], hs: &HalfSpace, negate: bool, out: &mut Vec<(f64, f64)>) {
     let sign = if negate { -1.0 } else { 1.0 };
     let eval = |p: (f64, f64)| sign * hs.eval(&[p.0, p.1]);
@@ -585,6 +558,31 @@ mod tests {
     use super::*;
     use crate::region::PrefRegion;
 
+    /// Minimum (`maximize = false`) or maximum of the affine form of `hs`
+    /// over `cell`; `None` when the cell is empty. The polygon's vertices on
+    /// the 2-D path, one LP otherwise: the reference `classify` must agree
+    /// with.
+    fn extreme_of(cell: &Cell, hs: &HalfSpace, maximize: bool) -> Option<f64> {
+        if let Some(poly) = &cell.poly {
+            return if poly.is_empty() {
+                None
+            } else {
+                let (min, max) = cell.poly_extremes(hs)?;
+                Some(if maximize { max } else { min })
+            };
+        }
+        let (a, b) = cell.lp_constraints();
+        lp_extreme(hs, &a, &b, maximize)
+    }
+
+    fn min_of(cell: &Cell, hs: &HalfSpace) -> Option<f64> {
+        extreme_of(cell, hs, false)
+    }
+
+    fn max_of(cell: &Cell, hs: &HalfSpace) -> Option<f64> {
+        extreme_of(cell, hs, true)
+    }
+
     fn paper_cell() -> Cell {
         Cell::from_region(&PrefRegion::from_ranges(&[(0.1, 0.5), (0.2, 0.4)]).unwrap())
     }
@@ -649,8 +647,8 @@ mod tests {
         // only the measure-zero boundary w1 = 0.3 remains; min/max of any
         // genuine direction collapses
         let w1 = HalfSpace::new(vec![1.0, 0.0], 0.0);
-        let min = empty.min_of(&w1).unwrap();
-        let max = empty.max_of(&w1).unwrap();
+        let min = min_of(&empty, &w1).unwrap();
+        let max = max_of(&empty, &w1).unwrap();
         assert!((max - min).abs() < 1e-6);
     }
 
@@ -671,8 +669,8 @@ mod tests {
     fn min_max_values() {
         let cell = paper_cell();
         let hs = HalfSpace::new(vec![1.0, 1.0], 0.0); // w1 + w2
-        assert!((cell.min_of(&hs).unwrap() - 0.3).abs() < 1e-6);
-        assert!((cell.max_of(&hs).unwrap() - 0.9).abs() < 1e-6);
+        assert!((min_of(&cell, &hs).unwrap() - 0.3).abs() < 1e-6);
+        assert!((max_of(&cell, &hs).unwrap() - 0.9).abs() < 1e-6);
     }
 
     #[test]
@@ -798,7 +796,8 @@ mod tests {
 
     /// On the dense-LP path (d = 4, so three reduced dimensions), `classify`
     /// builds the constraint system once for both LPs; its answer must be
-    /// the one derived from `min_of` and `max_of`, which build their own.
+    /// the one derived from the `min_of` and `max_of` helpers, which build
+    /// their own.
     #[test]
     fn lp_classify_matches_min_and_max() {
         use rand::prelude::*;
@@ -819,7 +818,7 @@ mod tests {
             }
             assert!(cell.polygon().is_none(), "3-D cells take the LP path");
             let probe = random_hs(&mut rng);
-            let expected = match (cell.min_of(&probe), cell.max_of(&probe)) {
+            let expected = match (min_of(&cell, &probe), max_of(&cell, &probe)) {
                 (None, _) => CellSide::Empty,
                 (Some(min), _) if min >= -EPS => CellSide::Positive,
                 (_, None) => CellSide::Empty,
@@ -859,13 +858,13 @@ mod tests {
             // LP reference on a polygon-less twin of the same H-representation.
             let mut lp_cell = cell.clone();
             lp_cell.poly = None;
-            match (cell.min_of(&probe), lp_cell.min_of(&probe)) {
+            match (min_of(&cell, &probe), min_of(&lp_cell, &probe)) {
                 (Some(a), Some(b)) => {
                     assert!((a - b).abs() < 1e-6, "round {round}: min {a} vs lp {b}")
                 }
                 (a, b) => assert_eq!(a.is_some(), b.is_some(), "round {round}"),
             }
-            match (cell.max_of(&probe), lp_cell.max_of(&probe)) {
+            match (max_of(&cell, &probe), max_of(&lp_cell, &probe)) {
                 (Some(a), Some(b)) => {
                     assert!((a - b).abs() < 1e-6, "round {round}: max {a} vs lp {b}")
                 }
@@ -876,8 +875,8 @@ mod tests {
             let (pc, lc) = (cell.classify(&probe), lp_cell.classify(&probe));
             if pc != lc {
                 // tolerate only near-degenerate disagreement
-                let min = lp_cell.min_of(&probe).unwrap_or(0.0);
-                let max = lp_cell.max_of(&probe).unwrap_or(0.0);
+                let min = min_of(&lp_cell, &probe).unwrap_or(0.0);
+                let max = max_of(&lp_cell, &probe).unwrap_or(0.0);
                 assert!(
                     min.abs() < 1e-6 || max.abs() < 1e-6,
                     "round {round}: poly {pc:?} vs lp {lc:?} (min {min}, max {max})"

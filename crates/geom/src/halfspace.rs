@@ -11,7 +11,6 @@
 //! `HS: f(w) ≥ 0` with `f(w) = offset + coeffs · w`. These half-spaces are the
 //! atoms of the arrangement that Algorithm 1 builds inside the region `R`.
 
-use crate::weights::WeightVector;
 use crate::EPS;
 use serde::{Deserialize, Serialize};
 
@@ -76,22 +75,9 @@ impl HalfSpace {
                 .sum::<f64>()
     }
 
-    /// Evaluates the affine form at a [`WeightVector`].
-    pub fn eval_weight(&self, w: &WeightVector) -> f64 {
-        self.eval(w.reduced())
-    }
-
     /// Whether the point satisfies the half-space (with tolerance).
     pub fn contains(&self, reduced_w: &[f64]) -> bool {
         self.eval(reduced_w) >= -EPS
-    }
-
-    /// The complementary half-space `f(w) ≤ 0`, i.e. `−f(w) ≥ 0`.
-    pub fn negated(&self) -> HalfSpace {
-        HalfSpace {
-            coeffs: self.coeffs.iter().map(|c| -c).collect(),
-            offset: -self.offset,
-        }
     }
 
     /// Whether the affine form is (numerically) identically zero, which
@@ -104,6 +90,7 @@ impl HalfSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::WeightVector;
 
     #[test]
     fn halfspace_matches_score_difference() {
@@ -126,7 +113,8 @@ mod tests {
         let hs = HalfSpace::score_at_least(&u, &v);
         assert!(hs.contains(&[0.6]));
         assert!(!hs.contains(&[0.4]));
-        let neg = hs.negated();
+        // The complementary half-space S(v) ≥ S(u).
+        let neg = HalfSpace::score_at_least(&v, &u);
         assert!(neg.contains(&[0.4]));
         assert!(!neg.contains(&[0.6]));
         // boundary point satisfies both (closed half-spaces)
@@ -147,6 +135,6 @@ mod tests {
     fn eval_weight_consistency() {
         let hs = HalfSpace::new(vec![2.0, -1.0], 0.5);
         let w = WeightVector::new(vec![0.25, 0.25]).unwrap();
-        assert!((hs.eval_weight(&w) - (0.5 + 0.5 - 0.25)).abs() < 1e-12);
+        assert!((hs.eval(w.reduced()) - (0.5 + 0.5 - 0.25)).abs() < 1e-12);
     }
 }

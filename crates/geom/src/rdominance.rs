@@ -36,19 +36,13 @@ pub enum DominanceRelation {
 /// corners of `R` (Section IV-A: `O(p·d)` where `p` is the number of polytope
 /// vertices).
 pub fn r_dominance(a: &[f64], b: &[f64], region: &PrefRegion) -> DominanceRelation {
-    let hs = HalfSpace::score_at_least(a, b);
-    r_dominance_from_halfspace(&hs, region)
+    r_dominance_at_corners(&HalfSpace::score_at_least(a, b), &region.corners())
 }
 
 /// Same as [`r_dominance`] but takes the precomputed half-space
-/// `S(a) ≥ S(b)`, avoiding recomputation in hot loops.
-pub fn r_dominance_from_halfspace(hs: &HalfSpace, region: &PrefRegion) -> DominanceRelation {
-    r_dominance_at_corners(hs, &region.corners())
-}
-
-/// Same as [`r_dominance_from_halfspace`] but takes the region's
-/// precomputed [`corners`](PrefRegion::corners), so a caller testing many
-/// pairs against one region lists the corners once.
+/// `S(a) ≥ S(b)` and the region's precomputed
+/// [`corners`](PrefRegion::corners), so a caller testing many pairs against
+/// one region builds neither twice.
 pub fn r_dominance_at_corners(hs: &HalfSpace, corners: &[Vec<f64>]) -> DominanceRelation {
     let mut any_pos = false;
     let mut any_neg = false;

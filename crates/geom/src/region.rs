@@ -118,15 +118,6 @@ impl PrefRegion {
             .collect();
         WeightVector::new_unchecked(reduced)
     }
-
-    /// Side length per dimension.
-    pub fn side_lengths(&self) -> Vec<f64> {
-        self.lows
-            .iter()
-            .zip(self.highs.iter())
-            .map(|(&lo, &hi)| hi - lo)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +139,6 @@ mod tests {
         let pivot = r.pivot();
         assert!((pivot.reduced()[0] - 0.3).abs() < 1e-12);
         assert!((pivot.reduced()[1] - 0.3).abs() < 1e-12);
-        let sides = r.side_lengths();
-        assert!((sides[0] - 0.4).abs() < 1e-12 && (sides[1] - 0.2).abs() < 1e-12);
     }
 
     #[test]

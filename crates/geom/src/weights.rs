@@ -52,20 +52,6 @@ impl WeightVector {
         })
     }
 
-    /// Builds the reduced form from a full `d`-dimensional weight vector.
-    pub fn from_full(full: &[f64]) -> Result<Self, GeomError> {
-        if full.is_empty() {
-            return Err(GeomError::InvalidDimension(0));
-        }
-        let sum: f64 = full.iter().sum();
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(GeomError::InvalidPreference(format!(
-                "full weights must sum to 1, got {sum}"
-            )));
-        }
-        Self::new(full[..full.len() - 1].to_vec())
-    }
-
     /// The reduced coordinates `(w_1, …, w_{d−1})`.
     pub fn reduced(&self) -> &[f64] {
         &self.reduced
@@ -77,12 +63,12 @@ impl WeightVector {
     }
 
     /// Number of attributes d.
-    pub fn full_dim(&self) -> usize {
+    fn full_dim(&self) -> usize {
         self.reduced.len() + 1
     }
 
     /// The implied last weight `w_d = 1 − Σ_{i<d} w_i`.
-    pub fn last_weight(&self) -> f64 {
+    fn last_weight(&self) -> f64 {
         1.0 - self.reduced.iter().sum::<f64>()
     }
 
@@ -128,8 +114,6 @@ mod tests {
         assert_eq!(w.full_dim(), 3);
         assert!((w.last_weight() - 0.5).abs() < 1e-12);
         assert_eq!(w.full(), vec![0.2, 0.3, 0.5]);
-        let w2 = WeightVector::from_full(&[0.2, 0.3, 0.5]).unwrap();
-        assert_eq!(w, w2);
     }
 
     #[test]
@@ -167,7 +151,5 @@ mod tests {
         assert!(WeightVector::new(vec![0.7, 0.6]).is_err());
         assert!(WeightVector::new(vec![-0.2]).is_err());
         assert!(WeightVector::new(vec![f64::NAN]).is_err());
-        assert!(WeightVector::from_full(&[0.3, 0.3]).is_err());
-        assert!(WeightVector::from_full(&[]).is_err());
     }
 }

@@ -69,17 +69,6 @@ pub fn is_connected_subset(g: &Graph, alive: &[bool], subset: &[VertexId]) -> bo
     }
 }
 
-/// Whether the entire alive subgraph is connected (trivially true when it is
-/// empty).
-pub fn is_induced_connected(g: &Graph, alive: &[bool]) -> bool {
-    let n = g.num_vertices();
-    let Some(start) = (0..n).find(|&v| alive[v]) else {
-        return true;
-    };
-    let reach = bfs_reachable(g, start as u32, alive);
-    (0..n).all(|v| !alive[v] || reach[v])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,15 +137,5 @@ mod tests {
         let mut alive3 = alive.clone();
         alive3[0] = false;
         assert!(!is_connected_subset(&g, &alive3, &[0, 1]));
-    }
-
-    #[test]
-    fn induced_connectivity() {
-        let g = two_triangles_with_bridge();
-        assert!(is_induced_connected(&g, &[true; 7]));
-        let mut alive = vec![true; 7];
-        alive[3] = false;
-        assert!(!is_induced_connected(&g, &alive));
-        assert!(is_induced_connected(&g, &[false; 7]));
     }
 }

@@ -166,11 +166,6 @@ impl Graph {
         };
         (graph, new_to_old)
     }
-
-    /// Degree sequence, useful for dataset statistics (Table II).
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        self.adj.iter().map(Vec::len).collect()
-    }
 }
 
 /// Incremental builder for [`Graph`] that validates vertex ranges and
@@ -198,11 +193,6 @@ impl GraphBuilder {
             self.edges.push((a, b));
         }
         self
-    }
-
-    /// Number of (not yet de-duplicated) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalizes the graph: sorts adjacency lists and removes duplicates.
@@ -271,7 +261,6 @@ mod tests {
         let g = triangle_plus_pendant();
         assert_eq!(g.max_degree(), 3);
         assert!((g.avg_degree() - 2.0).abs() < 1e-12);
-        assert_eq!(g.degree_sequence(), vec![3, 2, 2, 1]);
     }
 
     #[test]

@@ -252,24 +252,6 @@ impl<'a> SubgraphView<'a> {
             .filter(move |&u| self.alive[u as usize])
     }
 
-    /// Minimum degree over alive vertices (`δ(H)` of the paper); `None` when
-    /// the view is empty.
-    pub fn min_degree(&self) -> Option<u32> {
-        (0..self.alive.len())
-            .filter(|&v| self.alive[v])
-            .map(|v| self.degree[v])
-            .min()
-    }
-
-    /// Number of alive edges (each edge counted once).
-    pub fn num_alive_edges(&self) -> usize {
-        let total: u64 = (0..self.alive.len())
-            .filter(|&v| self.alive[v])
-            .map(|v| u64::from(self.degree[v]))
-            .sum();
-        (total / 2) as usize
-    }
-
     /// A checkpoint of the current state; pass to [`rollback`](Self::rollback)
     /// to restore it.
     #[inline]
@@ -577,6 +559,24 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
 
+    /// Minimum degree over alive vertices (`δ(H)` of the paper); `None` when
+    /// the view is empty.
+    fn min_degree(view: &SubgraphView) -> Option<u32> {
+        (0..view.alive.len())
+            .filter(|&v| view.alive[v])
+            .map(|v| view.degree[v])
+            .min()
+    }
+
+    /// Number of alive edges (each edge counted once).
+    fn num_alive_edges(view: &SubgraphView) -> usize {
+        let total: u64 = (0..view.alive.len())
+            .filter(|&v| view.alive[v])
+            .map(|v| u64::from(view.degree[v]))
+            .sum();
+        (total / 2) as usize
+    }
+
     /// Triangle {0,1,2} + path 2-3-4 + triangle {4,5,6}.
     fn chain_of_triangles() -> Graph {
         Graph::from_edges(
@@ -600,8 +600,8 @@ mod tests {
         let view = SubgraphView::full(&g);
         assert_eq!(view.num_alive(), 7);
         assert_eq!(view.degree_of(2), 3);
-        assert_eq!(view.min_degree(), Some(2));
-        assert_eq!(view.num_alive_edges(), 8);
+        assert_eq!(min_degree(&view), Some(2));
+        assert_eq!(num_alive_edges(&view), 8);
     }
 
     #[test]
@@ -632,7 +632,7 @@ mod tests {
         assert!(removed.contains(&3));
         // the far triangle survives
         assert!(view.is_alive(4) && view.is_alive(5) && view.is_alive(6));
-        assert_eq!(view.min_degree(), Some(2));
+        assert_eq!(min_degree(&view), Some(2));
         assert_eq!(view.num_alive(), 3);
     }
 
@@ -715,7 +715,7 @@ mod tests {
         view.peel_to_k_core(3);
         assert_eq!(view.log_since(cp), &[4]);
         assert_eq!(view.num_alive(), 8);
-        assert_eq!(view.min_degree(), Some(3));
+        assert_eq!(min_degree(&view), Some(3));
     }
 
     #[test]
@@ -746,7 +746,7 @@ mod tests {
             assert_eq!(view.is_alive(v), fresh.is_alive(v));
         }
         assert_eq!(view.num_alive(), 7);
-        assert_eq!(view.num_alive_edges(), fresh.num_alive_edges());
+        assert_eq!(num_alive_edges(&view), num_alive_edges(&fresh));
     }
 
     #[test]
@@ -762,7 +762,7 @@ mod tests {
         assert_eq!(view.alive_vertices(), alive_after_first);
         view.rollback(cp0);
         assert_eq!(view.num_alive(), 9);
-        assert_eq!(view.min_degree(), Some(2));
+        assert_eq!(min_degree(&view), Some(2));
     }
 
     #[test]
@@ -811,7 +811,7 @@ mod tests {
             }
             let before_alive: Vec<bool> = (0..n as u32).map(|v| view.is_alive(v)).collect();
             let before_deg: Vec<u32> = (0..n as u32).map(|v| view.degree_of(v)).collect();
-            let before_edges = view.num_alive_edges();
+            let before_edges = num_alive_edges(&view);
             let cp = view.checkpoint();
             for _ in 0..rng.random_range(1..6usize) {
                 match rng.random_range(0..3u32) {
@@ -833,7 +833,7 @@ mod tests {
                     "round {round}: degree diverged at {v}"
                 );
             }
-            assert_eq!(view.num_alive_edges(), before_edges, "round {round}");
+            assert_eq!(num_alive_edges(&view), before_edges, "round {round}");
         }
     }
 

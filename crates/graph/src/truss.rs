@@ -13,7 +13,7 @@ use crate::graph::{Graph, VertexId};
 /// The truss number of an edge `e` is the largest `k` such that `e` belongs to
 /// a k-truss, i.e. a subgraph in which every edge participates in at least
 /// `k − 2` triangles. Returns a map keyed by canonical `(min, max)` edges.
-pub fn truss_numbers(g: &Graph) -> std::collections::HashMap<(VertexId, VertexId), u32> {
+fn truss_numbers(g: &Graph) -> std::collections::HashMap<(VertexId, VertexId), u32> {
     use std::collections::HashMap;
     let mut support: HashMap<(VertexId, VertexId), u32> = HashMap::new();
     // Triangle counting by neighbourhood intersection (adjacency lists sorted).
@@ -100,12 +100,6 @@ fn canonical(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
     }
 }
 
-/// The maximal truss number over all edges (0 for a triangle-free graph this
-/// is 2, and 0 for an edgeless graph).
-pub fn max_truss_number(g: &Graph) -> u32 {
-    truss_numbers(g).values().copied().max().unwrap_or(0)
-}
-
 /// Extracts the connected k-truss containing every query vertex, if any:
 /// keeps only edges with truss number `>= k`, then returns the connected
 /// component (by vertices) containing all of `q`.
@@ -165,7 +159,6 @@ mod tests {
         assert_eq!(truss[&(2, 3)], 4);
         assert_eq!(truss[&(3, 4)], 2);
         assert_eq!(truss[&(4, 5)], 2);
-        assert_eq!(max_truss_number(&g), 4);
     }
 
     #[test]
@@ -190,7 +183,6 @@ mod tests {
     fn truss_empty_inputs() {
         let g = Graph::new(3);
         assert!(truss_numbers(&g).is_empty());
-        assert_eq!(max_truss_number(&g), 0);
         assert!(connected_k_truss_containing(&g, 2, &[0]).is_none());
         assert!(connected_k_truss_containing(&g, 2, &[]).is_none());
     }

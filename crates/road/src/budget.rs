@@ -263,7 +263,7 @@ impl SharedBudget {
 
     /// Total units flushed by all workers so far. Exact once every
     /// [`WorkerTicker`] has finished or dropped.
-    pub fn total_spent(&self) -> u64 {
+    fn total_spent(&self) -> u64 {
         self.spent.load(Ordering::Acquire)
     }
 

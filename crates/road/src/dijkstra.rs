@@ -306,7 +306,7 @@ impl SsspScratch {
 /// `f64::INFINITY`. `allowed` optionally restricts the search to a vertex
 /// subset (used by the G-tree to compute within-region matrices). Allocates a
 /// fresh field per call; hot paths should hold an [`SsspScratch`] instead.
-pub fn multi_source_dijkstra(
+fn multi_source_dijkstra(
     net: &RoadNetwork,
     seeds: &[(RoadVertexId, f64)],
     bound: Option<f64>,

@@ -268,7 +268,8 @@ struct SeedClimb {
 }
 
 impl GTree {
-    /// Builds the index with the default leaf capacity and fanout.
+    /// Builds the index with the default leaf capacity
+    /// ([`DEFAULT_LEAF_CAPACITY`]) and fanout ([`DEFAULT_FANOUT`]).
     pub fn build(net: &RoadNetwork) -> Self {
         Self::build_with_capacity(net, DEFAULT_LEAF_CAPACITY)
     }
@@ -338,23 +339,6 @@ impl GTree {
     /// Number of tree nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Height of the tree (a single leaf tree has height 1).
-    pub fn height(&self) -> usize {
-        fn depth(nodes: &[Arc<GTreeNode>], i: usize) -> usize {
-            1 + nodes[i]
-                .children
-                .iter()
-                .map(|&c| depth(nodes, c))
-                .max()
-                .unwrap_or(0)
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            depth(&self.nodes, self.root)
-        }
     }
 
     /// Approximate memory footprint of the index in bytes.
@@ -561,15 +545,6 @@ impl GTree {
             }
         }
         best
-    }
-
-    /// Vertices grouped by leaf region (used by tests and diagnostics).
-    pub fn leaf_regions(&self) -> Vec<Vec<RoadVertexId>> {
-        self.nodes
-            .iter()
-            .filter(|n| n.children.is_empty())
-            .map(|n| n.vertices.clone())
-            .collect()
     }
 
     /// Groups target seeds `(item, vertex, offset)` by the leaf containing the
@@ -2580,6 +2555,19 @@ mod tests {
     use crate::dijkstra::sssp;
     use crate::network::RoadNetwork;
 
+    /// Height of the tree (a single leaf tree has height 1).
+    fn height(tree: &GTree) -> usize {
+        fn depth(nodes: &[Arc<GTreeNode>], i: usize) -> usize {
+            1 + nodes[i]
+                .children
+                .iter()
+                .map(|&c| depth(nodes, c))
+                .max()
+                .unwrap_or(0)
+        }
+        depth(&tree.nodes, tree.root)
+    }
+
     fn grid(rows: u32, cols: u32) -> RoadNetwork {
         let mut edges = Vec::new();
         for r in 0..rows {
@@ -2612,7 +2600,7 @@ mod tests {
         let net = grid(6, 6);
         let tree = GTree::build_with_capacity(&net, 6);
         assert!(tree.num_nodes() > 3);
-        assert!(tree.height() >= 3);
+        assert!(height(&tree) >= 3);
         for s in [0u32, 7, 17, 35] {
             let d = sssp(&net, s);
             for v in 0..36u32 {
@@ -2631,9 +2619,10 @@ mod tests {
         let net = grid(5, 5);
         let tree = GTree::build_with_capacity(&net, 5);
         let mut seen = [false; 25];
-        for region in tree.leaf_regions() {
-            assert!(region.len() <= 5);
-            for v in region {
+        let leaves = tree.nodes.iter().filter(|n| n.children.is_empty());
+        for leaf in leaves {
+            assert!(leaf.vertices.len() <= 5);
+            for &v in &leaf.vertices {
                 assert!(!seen[v as usize], "vertex {v} in two leaves");
                 seen[v as usize] = true;
             }
@@ -2658,7 +2647,7 @@ mod tests {
         assert!(tree.dist(0, 99).is_infinite());
         // An empty network builds a single empty leaf.
         let empty = GTree::build(&RoadNetwork::from_edges(0, &[]));
-        assert_eq!((empty.num_nodes(), empty.height()), (1, 1));
+        assert_eq!((empty.num_nodes(), height(&empty)), (1, 1));
         assert!(empty.dist(0, 0).is_infinite());
     }
 
@@ -2679,10 +2668,10 @@ mod tests {
         for fanout in [4usize, 8] {
             let multi = GTree::build_with_params(&net, 6, fanout);
             assert!(
-                multi.height() < binary.height(),
+                height(&multi) < height(&binary),
                 "fanout {fanout} tree should be shallower than binary ({} vs {})",
-                multi.height(),
-                binary.height()
+                height(&multi),
+                height(&binary)
             );
             for s in [0u32, 13, 40, 77] {
                 for v in 0..81u32 {
@@ -2707,7 +2696,7 @@ mod tests {
         let cols = 12u32;
         let net = grid(rows, cols);
         let mut tree = GTree::build_with_capacity(&net, 8);
-        assert!(tree.height() >= 3, "need a deep tree for this test");
+        assert!(height(&tree) >= 3, "need a deep tree for this test");
         // Reweight one edge; rebuild the network with the new weight.
         let mut edges: Vec<(u32, u32, f64)> = net.edges().collect();
         let (u, v, _) = edges[edges.len() / 2];
@@ -3902,7 +3891,7 @@ mod tests {
             let tree = GTree::build_on(&net, 4, 4, pool);
             let elapsed = started.elapsed().as_secs_f64();
             let report = tree.build_report();
-            assert_eq!(report.levels.len(), tree.height());
+            assert_eq!(report.levels.len(), height(&tree));
             assert_eq!(report.levels[0].nodes, 1);
             let nodes: usize = report.levels.iter().map(|l| l.nodes).sum();
             assert_eq!(nodes, tree.num_nodes());

@@ -604,7 +604,8 @@ pub const AUTO_SWEEP_CELL_COST: f64 = 16.0;
 /// every generatable scale and `Auto` keeps it; on small-separator
 /// (corridor/highway-like) networks the floor collapses and the batched
 /// walk wins as soon as the ball is large, so `Auto` switches. A network
-/// without an index always resolves to the sweep. The rule reads only the
+/// without an index, or whose index is a single leaf (the walk then prunes
+/// nothing), always resolves to the sweep. The rule reads only the
 /// network and the query, never a timing, so it is deterministic. The
 /// regression tests pin both directions so heuristic edits cannot silently
 /// flip laptop-scale queries off the sweep.
@@ -634,8 +635,8 @@ pub fn resolve_auto(
 /// `(modeled sweep edge-relaxations, modeled batched matrix-cell touches)`.
 /// The two are in *different* units — [`AUTO_SWEEP_CELL_COST`] converts
 /// between them. Returns `None` for degenerate configurations (empty
-/// network / query / user set, or no usable edge-weight sample), where
-/// `Auto` always resolves to the sweep.
+/// network / query / user set, a one-leaf index, or no usable edge-weight
+/// sample), where `Auto` always resolves to the sweep.
 fn auto_cost_estimates(
     net: &RoadNetwork,
     tree: &GTree,
@@ -644,7 +645,8 @@ fn auto_cost_estimates(
     num_users: usize,
 ) -> Option<(f64, f64)> {
     let n = net.num_vertices();
-    if n == 0 || num_query_locations == 0 || num_users == 0 {
+    let leaves = tree.num_leaves();
+    if n == 0 || num_query_locations == 0 || num_users == 0 || leaves <= 1 {
         return None;
     }
     let avg_w = sampled_avg_edge_weight(net);
@@ -668,7 +670,7 @@ fn auto_cost_estimates(
     // Each query location contributes up to two on-edge seeds to the walk.
     let seeds = 2.0 * q;
     let sweep_relaxations = q * est_ball * net.avg_degree().max(2.0);
-    let leaves = tree.num_leaves().max(1) as f64;
+    let leaves = leaves as f64;
     let avg_leaf = n as f64 / leaves;
     // The walk's t-pruning skips occupied subtrees beyond the ball, so only
     // the users inside the estimated ball drive its occupancy cost.
@@ -1125,6 +1127,16 @@ mod tests {
                 );
             }
         }
+        // A 4-vertex path indexed as one leaf (capacity 4): the walk has
+        // nothing to prune, whatever the cost model would estimate.
+        let tiny = RoadNetwork::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 10.0)]);
+        let tree = GTree::build_with_capacity(&tiny, 4);
+        assert_eq!(tree.num_leaves(), 1);
+        assert_eq!(
+            resolve_auto(&tiny, Some(&tree), 1, 2.0, 6),
+            RangeFilterChoice::DijkstraSweep,
+            "a one-leaf index must sweep"
+        );
     }
 
     /// A corridor/highway-like road network: a long weighted path with a

@@ -87,7 +87,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Whether [`close`](Self::close) was called.
-    pub fn is_closed(&self) -> bool {
+    fn is_closed(&self) -> bool {
         self.lock().closed
     }
 

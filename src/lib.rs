@@ -47,8 +47,8 @@
 //! search unless the policy says `Local`), with all network-sized scratch
 //! reused across queries.
 //!
-//! *How* queries execute — parallel worker count, algorithm and filter
-//! defaults, the default budget — is one
+//! *How* queries execute — the global search's worker count, algorithm and
+//! filter defaults, the default budget — is one
 //! [`core::ExecutionPolicy`], set at [`core::MacEngine::build_with_policy`],
 //! overridable per session ([`core::QuerySession::with_policy`]), with
 //! explicit per-query choices always winning. Parallel execution is

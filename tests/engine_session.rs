@@ -211,27 +211,6 @@ fn threads_sharing_one_engine_match_serial_execution() {
     });
 }
 
-/// A batch through one session equals the same queries executed
-/// individually through a fresh session.
-#[test]
-fn batch_execution_matches_individual_execution() {
-    let (rsn, group) = random_network(7, 120, true);
-    let engine = MacEngine::build(rsn.clone());
-    let queries = workload(&rsn, &group, true);
-    let mut individual = engine.session();
-    let expect: Vec<MacSearchResult> = queries
-        .iter()
-        .map(|q| individual.execute(q).unwrap())
-        .collect();
-    let mut batched = engine.session();
-    let outcome = batched.execute_batch(&queries).unwrap();
-    assert_eq!(outcome.stats.queries, queries.len());
-    assert!(outcome.stats.queries_per_second > 0.0);
-    for (i, (a, b)) in expect.iter().zip(&outcome.results).enumerate() {
-        assert_identical_with_core(&format!("batch query {i}"), a, b);
-    }
-}
-
 /// The filter strategy only affects speed, never answers: the explicit
 /// multi-seed G-tree walk, the explicit Dijkstra sweep, and the `Auto`
 /// resolution all agree end-to-end.

@@ -321,6 +321,9 @@ fn gtree_build_invariants_single_leaf() {
     let tree = GTree::build_with_capacity(&net, 64);
     assert_eq!(tree.num_nodes(), 1);
     assert_eq!(tree.num_leaves(), 1);
+    // The build report has one level, holding the one node.
+    let levels: Vec<usize> = tree.build_report().levels.iter().map(|l| l.nodes).collect();
+    assert_eq!(levels, [1]);
     check_invariants(&net, &tree);
 }
 

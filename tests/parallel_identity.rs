@@ -1,17 +1,17 @@
 //! Parallel execution is an implementation detail, never an answer change:
-//! every parallel configuration — the work-stealing global search, the
-//! fan-out local verification, the multi-worker batch — must be
-//! cell-identical to its serial counterpart, on indexed and unindexed
-//! networks, across engine epochs separated by live updates, and for both
-//! problems (non-contained and top-j). These tests pin that contract with
-//! seeded random networks; timing may differ between runs, answers may not.
+//! the work-stealing global search — the one parallel path inside a query —
+//! must be cell-identical to the serial DFS at every worker count, on
+//! indexed and unindexed networks, across engine epochs separated by live
+//! updates, and for both problems (non-contained and top-j). These tests pin
+//! that contract with seeded random networks; timing may differ between
+//! runs, answers may not.
 
 mod common;
 
 use common::assert_results_identical;
 use road_social_mac::core::{
-    AlgorithmChoice, ExecutionPolicy, ExhaustionCause, MacEngine, MacQuery, MacSearchResult,
-    NetworkDelta, QueryBudget, QueryOutcome, RoadSocialNetwork,
+    AlgorithmChoice, ExecutionPolicy, ExhaustionCause, MacEngine, MacQuery, NetworkDelta,
+    QueryBudget, QueryOutcome, RoadSocialNetwork,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -63,7 +63,7 @@ fn region() -> PrefRegion {
 }
 
 /// A mixed workload exercising both problems and both algorithms, with exact
-/// signature repeats so batch deduplication has something to do.
+/// signature repeats.
 fn workload(group: &[u32]) -> Vec<MacQuery> {
     let q2: Vec<u32> = group.iter().copied().take(2).collect();
     vec![
@@ -75,157 +75,47 @@ fn workload(group: &[u32]) -> Vec<MacQuery> {
     ]
 }
 
-/// `query` answered by `algorithm` on a fresh session (cache off, fresh
-/// scratch) of a new engine under `policy`.
-fn run_fresh(
-    rsn: &RoadSocialNetwork,
-    query: &MacQuery,
-    algorithm: AlgorithmChoice,
-    policy: ExecutionPolicy,
-) -> MacSearchResult {
-    MacEngine::build_with_policy(rsn.clone(), policy)
-        .session()
-        .execute(&query.clone().with_algorithm(algorithm))
-        .unwrap()
-}
-
 /// The work-stealing parallel global search, at several worker counts,
 /// reports exactly the serial DFS's cells, in the serial DFS's order, for
-/// both problems, on indexed and unindexed networks.
+/// both problems, on indexed and unindexed networks, and again on the epoch
+/// an `apply_updates` reweight publishes.
 #[test]
 fn parallel_global_search_matches_serial() {
     for seed in [11u64, 42, 77] {
         for indexed in [false, true] {
             let (rsn, group) = random_network(seed, 130, indexed);
+            let engine = MacEngine::build(rsn);
             let q2: Vec<u32> = group.iter().copied().take(2).collect();
-            for (query, top_j) in [
-                (MacQuery::new(q2.clone(), 4, 60.0, region()), false),
-                (
-                    MacQuery::new(q2.clone(), 4, 60.0, region()).with_top_j(3),
-                    true,
-                ),
-            ] {
-                let global = AlgorithmChoice::Global;
-                let serial = run_fresh(&rsn, &query, global, ExecutionPolicy::new());
-                for workers in [2usize, 3] {
-                    let policy = ExecutionPolicy::new().with_parallelism(workers);
-                    let got = run_fresh(&rsn, &query, global, policy);
-                    assert_results_identical(
-                        &format!(
-                            "seed {seed}, indexed {indexed}, top_j {top_j}, workers {workers}"
-                        ),
-                        &serial,
-                        &got,
-                    );
+            for epoch in 0..2 {
+                for (query, top_j) in [
+                    (MacQuery::new(q2.clone(), 4, 60.0, region()), false),
+                    (
+                        MacQuery::new(q2.clone(), 4, 60.0, region()).with_top_j(3),
+                        true,
+                    ),
+                ] {
+                    let query = query.with_algorithm(AlgorithmChoice::Global);
+                    let serial = engine.session().execute(&query).unwrap();
+                    for workers in [2usize, 3] {
+                        let policy = ExecutionPolicy::new().with_parallelism(workers);
+                        let got = engine.session().with_policy(policy).execute(&query);
+                        assert_results_identical(
+                            &format!(
+                                "seed {seed}, indexed {indexed}, epoch {epoch}, \
+                                 top_j {top_j}, workers {workers}"
+                            ),
+                            &serial,
+                            &got.unwrap(),
+                        );
+                    }
                 }
-            }
-        }
-    }
-}
-
-/// The local framework's parallel candidate verification reports exactly the
-/// serial verification's cells, for both problems.
-#[test]
-fn parallel_local_search_matches_serial() {
-    for seed in [5u64, 23, 61] {
-        let (rsn, group) = random_network(seed, 130, seed % 2 == 0);
-        let q2: Vec<u32> = group.iter().copied().take(2).collect();
-        for (query, top_j) in [
-            (MacQuery::new(q2.clone(), 4, 70.0, region()), false),
-            (
-                MacQuery::new(q2.clone(), 4, 70.0, region()).with_top_j(2),
-                true,
-            ),
-        ] {
-            let local = AlgorithmChoice::Local;
-            let serial_policy = ExecutionPolicy::new().with_max_candidates(16);
-            let serial = run_fresh(&rsn, &query, local, serial_policy);
-            for workers in [2usize, 4] {
-                let policy = ExecutionPolicy::new()
-                    .with_parallelism(workers)
-                    .with_max_candidates(16);
-                let got = run_fresh(&rsn, &query, local, policy);
-                assert_results_identical(
-                    &format!("seed {seed}, top_j {top_j}, workers {workers}"),
-                    &serial,
-                    &got,
-                );
-            }
-
-            // The session path fans verification out under an unlimited
-            // budget and keeps it serial under a limited one (a partial
-            // answer must be a prefix), answering identically either way.
-            let policy = ExecutionPolicy::new()
-                .with_parallelism(3)
-                .with_max_candidates(16);
-            let engine = MacEngine::build_with_policy(rsn.clone(), policy);
-            let mut session = engine.session();
-            let local = query.clone().with_algorithm(AlgorithmChoice::Local);
-            let fanned = session.execute(&local).unwrap();
-            let label = format!("seed {seed}, top_j {top_j}, session");
-            assert_results_identical(&label, &serial, &fanned);
-            assert!(
-                fanned.stats.parallel_workers > 1,
-                "{label}: unbudgeted session LS did not fan out"
-            );
-            let generous = QueryBudget::new().with_work_limit(u64::MAX);
-            let limited = session.execute_with_budget(&local, &generous).unwrap();
-            assert!(limited.is_complete(), "{label}: generous budget exhausted");
-            assert_results_identical(&label, &serial, limited.result());
-            assert_eq!(
-                limited.result().stats.parallel_workers,
-                0,
-                "{label}: budgeted session LS must verify serially"
-            );
-        }
-    }
-}
-
-/// The multi-worker batch returns, slot for slot, the results a serial
-/// session produces — including the deduplicated repeats — and stays
-/// identical across an `apply_updates` epoch change.
-#[test]
-fn parallel_batch_matches_serial_across_epochs() {
-    for indexed in [false, true] {
-        let (rsn, group) = random_network(7, 130, indexed);
-        let engine = MacEngine::build(rsn);
-        let queries = workload(&group);
-
-        let parallel_policy = engine.policy().clone().with_parallelism(3);
-        for epoch in 0..2 {
-            let serial = engine
-                .session()
-                .execute_batch(&queries)
-                .expect("serial batch");
-            let parallel = engine
-                .session()
-                .with_policy(parallel_policy.clone())
-                .execute_batch(&queries)
-                .expect("parallel batch");
-            assert_eq!(
-                serial.stats.deduplicated, parallel.stats.deduplicated,
-                "indexed {indexed}, epoch {epoch}: dedup count"
-            );
-            assert_eq!(serial.results.len(), parallel.results.len());
-            for (i, (a, b)) in serial.results.iter().zip(&parallel.results).enumerate() {
-                assert_results_identical(
-                    &format!("indexed {indexed}, epoch {epoch}, slot {i}"),
-                    a,
-                    b,
-                );
-            }
-
-            // Nudge one road edge and repeat on the new epoch.
-            if epoch == 0 {
-                let (u, v, w) = {
-                    let net = engine.epoch();
-                    let road = net.network().road();
-                    let (v, w) = road.neighbors(0)[0];
-                    (0u32, v, w)
-                };
-                engine
-                    .apply_updates(&NetworkDelta::new().reweight_edge(u, v, w * 1.5))
-                    .expect("update applies");
+                // Nudge one road edge and repeat on the new epoch.
+                if epoch == 0 {
+                    let (v, w) = engine.epoch().network().road().neighbors(0)[0];
+                    engine
+                        .apply_updates(&NetworkDelta::new().reweight_edge(0, v, w * 1.5))
+                        .expect("update applies");
+                }
             }
         }
     }

@@ -112,6 +112,8 @@ fn served_responses_match_direct_execution() {
                 format!("workers {workers}, coalescing {coalescing}, cache {cache}, query {i}");
             assert_results_identical(&label, outcome.result(), &expected[*i]);
         }
+        // Every request was answered, so none is still queued.
+        assert_eq!(server.queue_depth(), 0);
         let stats = server.shutdown();
         assert_eq!(stats.submitted, (queries.len() * 3) as u64);
         assert_eq!(stats.sessions.errors, 0);

@@ -4,7 +4,7 @@
 //! σ, (c) size of the maximal (k,t)-core vs k, (d) memory overhead of `G_d`
 //! / GS-NC / LS-NC vs d. The paper's BBS column also counts an R-tree over
 //! the attributes; the build here sorts by pivot score instead, so the `G_d`
-//! column counts `G_d` only.
+//! column counts `G_d` only: its ids and dominator closures.
 //!
 //! ```text
 //! cargo run -p rsn-bench --release --bin fig11_scalability [-- --scale 0.2]

@@ -56,11 +56,6 @@ impl QueryBudget {
         QueryBudget::default()
     }
 
-    /// An explicitly unlimited budget (alias of [`new`](Self::new)).
-    pub fn unlimited() -> Self {
-        QueryBudget::default()
-    }
-
     /// Sets the wall-clock allowance, measured from execution start.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);

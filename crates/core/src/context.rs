@@ -61,6 +61,9 @@ pub(crate) enum BuildOutcome<'a> {
 /// the expensive-to-build core-local structures (induced (k,t)-core graph,
 /// attribute matrix, and above all the `O(core²)`-to-build r-dominance
 /// graph) survive while the lifetimes of the borrowing context do not.
+/// The attribute matrix is held here once; `G_d` keeps only its ids and
+/// dominator closures, so [`approx_bytes`](Self::approx_bytes) counts the
+/// matrix once.
 #[derive(Debug, Clone)]
 pub struct ContextParts {
     core_vertices: Vec<VertexId>,

@@ -168,28 +168,31 @@ fn expand(
             }
         }
     }
+    let layers = ctx.gd.layers();
     let mut candidates: Vec<Vec<u32>> = Vec::new();
     for seed in seeds {
         if candidates.len() >= max_candidates {
             break;
         }
         let budget = max_candidates - candidates.len();
-        candidates.extend(expand_once(ctx, strategy, seed, budget));
+        candidates.extend(expand_once(ctx, strategy, &layers, seed, budget));
     }
     candidates
 }
 
 /// One best-first expansion run, optionally seeded with an extra vertex.
+/// `layers` holds the `G_d` layer `l(v)` of every core vertex.
 fn expand_once(
     ctx: &SearchContext<'_>,
     strategy: ExpandStrategy,
+    layers: &[u32],
     extra_seed: Option<u32>,
     budget: usize,
 ) -> Vec<Vec<u32>> {
     let n = ctx.core_size();
     let k = ctx.query.k;
     let graph = &ctx.local_graph;
-    let zeta_layer = ctx.gd.max_layer() as f64 + 1.0;
+    let zeta_layer = layers.iter().copied().max().unwrap_or(0) as f64 + 1.0;
 
     let mut in_h = vec![false; n];
     let mut deg_in_h = vec![0u32; n];
@@ -240,7 +243,7 @@ fn expand_once(
             .copied()
             .map(|v| {
                 (
-                    priority(ctx, strategy, v, &members, &deg_in_h, zeta_layer),
+                    priority(ctx, strategy, layers, v, &members, &deg_in_h, zeta_layer),
                     v,
                 )
             })
@@ -264,12 +267,13 @@ fn expand_once(
 fn priority(
     ctx: &SearchContext<'_>,
     strategy: ExpandStrategy,
+    layers: &[u32],
     v: u32,
     members: &[u32],
     deg_in_h: &[u32],
     zeta_layer: f64,
 ) -> f64 {
-    let f3 = zeta_layer - ctx.gd.layer(v as usize) as f64;
+    let f3 = zeta_layer - layers[v as usize] as f64;
     match strategy {
         ExpandStrategy::DegreeDriven { lambda } => {
             let f2 = deg_in_h[v as usize] as f64;

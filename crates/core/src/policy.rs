@@ -105,7 +105,7 @@ impl Default for ExecutionPolicy {
             parallelism: 1,
             expand_strategy: ExpandStrategy::default(),
             max_candidates: 12,
-            default_budget: QueryBudget::unlimited(),
+            default_budget: QueryBudget::new(),
         }
     }
 }

@@ -33,4 +33,4 @@ pub mod social;
 pub mod stats;
 
 pub use attrs::AttrDistribution;
-pub use presets::{build_preset, Dataset, PresetName};
+pub use presets::{Dataset, PresetName};

@@ -124,11 +124,6 @@ impl Default for PresetScale {
     }
 }
 
-/// Builds a preset at the default scale.
-pub fn build_preset(name: PresetName) -> Dataset {
-    build_preset_scaled(name, PresetScale::default(), 0)
-}
-
 /// Builds a preset with an explicit scale and seed offset.
 pub fn build_preset_scaled(name: PresetName, scale: PresetScale, seed: u64) -> Dataset {
     let (road_n, social_n, attach_m, d, dist, default_t) = match name {

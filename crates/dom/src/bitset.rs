@@ -70,11 +70,6 @@ impl BitSet {
             .any(|(a, b)| a & b != 0)
     }
 
-    /// Clears every bit, keeping the capacity.
-    pub fn clear_all(&mut self) {
-        self.blocks.fill(0);
-    }
-
     /// Iterator over the indices of set bits, in increasing order.
     ///
     /// Walks only the set bits of each block (lowest first via

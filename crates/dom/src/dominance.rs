@@ -1,12 +1,15 @@
 //! The r-dominance graph `G_d` (Section IV-B).
 //!
-//! `G_d` is a DAG over the vertices of the maximal (k,t)-core whose arcs are
-//! the transitive reduction of the pair-wise r-dominance relation w.r.t. the
-//! region `R`. Construction follows the paper's adapted BBS: vertices are
-//! visited in decreasing score under the *pivot vector* of `R` (so a vertex
-//! can only be r-dominated by vertices visited before it). The order is a
-//! sort by pivot score; an R-tree would yield the same order, and BBS prunes
-//! none of its subtrees because `G_d` needs every relation.
+//! `G_d` is the DAG of the pair-wise r-dominance relation over the vertices
+//! of the maximal (k,t)-core w.r.t. the region `R`. It is kept as its
+//! dominator closures: `dominators(v)` holds every vertex that r-dominates
+//! `v`, directly or through a chain. Both searches read `G_d` only through
+//! these closures, so no arcs are stored. Construction follows the paper's
+//! adapted BBS: vertices are visited in decreasing score under the *pivot
+//! vector* of `R` (so a vertex can only be r-dominated by vertices visited
+//! before it). The order is a sort by pivot score; an R-tree would yield the
+//! same order, and BBS prunes none of its subtrees because `G_d` needs every
+//! relation.
 //!
 //! Each vertex is tested against the visited ones nearest first. A dominator
 //! found this way brings its whole dominator closure along, and every vertex
@@ -15,10 +18,10 @@
 //! reused half-space and evaluates it at the region's corners, listed once
 //! per build.
 //!
-//! Besides the arcs, the structure exposes everything the search algorithms
-//! need: dominator closures, r-dominance counts, layers (`l(v)` used by the
-//! Eq. 3/Eq. 4 priorities), the leaf set, and the `G_e`/`G_c`, `l_b(G_e)`,
-//! `l_t(G_c)` selectors of the local-search verification (Section VI-B).
+//! From the closures the structure answers what the searches need: the leaf
+//! set (`l_b(G'_d)` of the global search, `l_b(G_e)` of the local search),
+//! the top set (`l_t(G_c)`, Section VI-B) and, computed on call, the layers
+//! `l(v)` of the Eq. 3/Eq. 4 priorities.
 
 use crate::attrs::AttrMatrix;
 use crate::bitset::BitSet;
@@ -32,34 +35,14 @@ use rsn_geom::weights::score_reduced;
 pub struct DominanceGraph {
     /// External (social-graph) vertex ids, indexed by local id.
     ids: Vec<u32>,
-    /// Attribute vectors, indexed by local id (row-major).
-    attrs: AttrMatrix,
-    /// The region the graph was built for.
-    region: PrefRegion,
     /// Dominator closure: `dominators[v]` holds every local id that
     /// r-dominates `v`.
     dominators: Vec<BitSet>,
-    /// Transitive-reduction parents (direct dominators).
-    parents: Vec<Vec<u32>>,
-    /// Transitive-reduction children (directly dominated vertices).
-    children: Vec<Vec<u32>>,
-    /// Layer of each vertex: 0 for vertices with no dominator, otherwise
-    /// 1 + the maximum layer of its dominators.
-    layers: Vec<u32>,
     /// Number of r-dominance tests performed during construction (profiling).
     tests_performed: usize,
 }
 
 impl DominanceGraph {
-    /// Builds `G_d` for the given vertices from nested attribute rows.
-    ///
-    /// Convenience wrapper over [`build_flat`](Self::build_flat); callers on
-    /// the query hot path should already hold an [`AttrMatrix`] and call
-    /// `build_flat` directly.
-    pub fn build(ids: &[u32], attrs: &[Vec<f64>], region: &PrefRegion) -> Self {
-        Self::build_flat(ids, &AttrMatrix::from_rows(attrs), region)
-    }
-
     /// Builds `G_d` for the given vertices.
     ///
     /// `ids[i]` is the external id of the vertex whose attribute vector is
@@ -113,43 +96,9 @@ impl DominanceGraph {
             }
         }
 
-        // Transitive reduction: u is a direct parent of v iff u dominates v
-        // and dominates no other dominator of v, i.e. u is outside the union
-        // (`implied`) of the closures of v's dominators.
-        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut implied = BitSet::new(n);
-        for v in 0..n {
-            implied.clear_all();
-            for w in dominators[v].iter() {
-                implied.union_with(&dominators[w]);
-            }
-            for u in dominators[v].iter().filter(|&u| !implied.contains(u)) {
-                parents[v].push(u as u32);
-                children[u].push(v as u32);
-            }
-        }
-
-        // Layers: longest dominator chain above each vertex.
-        let mut layers = vec![0u32; n];
-        let mut order_by_count: Vec<usize> = (0..n).collect();
-        order_by_count.sort_by_key(|&v| dominators[v].count());
-        for &v in &order_by_count {
-            layers[v] = parents[v]
-                .iter()
-                .map(|&p| layers[p as usize] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-
         DominanceGraph {
             ids: ids.to_vec(),
-            attrs: attrs.clone(),
-            region: region.clone(),
             dominators,
-            parents,
-            children,
-            layers,
             tests_performed: tests,
         }
     }
@@ -157,11 +106,6 @@ impl DominanceGraph {
     /// Number of vertices in `G_d`.
     pub fn num_vertices(&self) -> usize {
         self.ids.len()
-    }
-
-    /// External ids, indexed by local id.
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
     }
 
     /// Local id of an external id, if present (a linear scan of the ids).
@@ -174,34 +118,32 @@ impl DominanceGraph {
         self.ids[local]
     }
 
-    /// The region `G_d` was built for.
-    pub fn region(&self) -> &PrefRegion {
-        &self.region
-    }
-
     /// Dominator closure of a local vertex.
     pub fn dominators(&self, local: usize) -> &BitSet {
         &self.dominators[local]
     }
 
-    /// Direct parents (transitive reduction) of a local vertex.
-    pub fn parents(&self, local: usize) -> &[u32] {
-        &self.parents[local]
-    }
-
-    /// Direct children (transitive reduction) of a local vertex.
-    pub fn children(&self, local: usize) -> &[u32] {
-        &self.children[local]
-    }
-
-    /// Layer `l(v)` (0 = top layer, increasing downwards).
-    pub fn layer(&self, local: usize) -> u32 {
-        self.layers[local]
-    }
-
-    /// Maximum layer index (the constant ζ of Eq. 4 can be taken as this + 1).
-    pub fn max_layer(&self) -> u32 {
-        self.layers.iter().copied().max().unwrap_or(0)
+    /// Layer `l(v)` of every local vertex (0 = top layer, increasing
+    /// downwards): the length of the longest dominator chain above `v`.
+    ///
+    /// Computed on call from the closures. A dominator's closure is a strict
+    /// subset of its dominee's, so visiting vertices by closure size settles
+    /// every dominator first, and `1 + max` over the whole closure equals it
+    /// over the direct parents (some direct parent lies on every longest
+    /// chain).
+    pub fn layers(&self) -> Vec<u32> {
+        let n = self.num_vertices();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| self.dominators[v].count());
+        let mut layers = vec![0u32; n];
+        for v in order {
+            layers[v] = self.dominators[v]
+                .iter()
+                .map(|u| layers[u] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        layers
     }
 
     /// Number of r-dominance tests performed during construction.
@@ -268,25 +210,14 @@ impl DominanceGraph {
     /// `mask`** — the top layer of the induced sub-DAG (`l_t(G_c)` when `mask`
     /// selects the complement of the candidate community), in increasing
     /// local id order.
-    pub fn top_within(&self, mask: &[bool]) -> Vec<usize> {
-        self.top_within_excluding(mask, &[])
-    }
-
-    /// Like [`top_within`](Self::top_within) but with some vertices excluded
-    /// from the mask (used for the "replace a bound vertex by its next layer"
-    /// relaxation of Corollary 3).
     ///
     /// The mask is packed into words once; a vertex is on top when its
     /// dominator closure does not intersect the packed mask.
-    pub fn top_within_excluding(&self, mask: &[bool], excluded: &[usize]) -> Vec<usize> {
+    pub fn top_within(&self, mask: &[bool]) -> Vec<usize> {
         debug_assert_eq!(mask.len(), self.num_vertices());
-        let n = self.num_vertices();
-        let mut within = BitSet::new(n);
-        for v in (0..n).filter(|&v| mask[v]) {
+        let mut within = BitSet::new(mask.len());
+        for v in (0..mask.len()).filter(|&v| mask[v]) {
             within.set(v);
-        }
-        for &v in excluded {
-            within.clear(v);
         }
         within
             .iter()
@@ -295,24 +226,15 @@ impl DominanceGraph {
     }
 
     /// Approximate memory footprint of `G_d` itself in bytes (the `G_d`
-    /// column of Fig. 11(d)): ids, attributes, closures, arcs and layers.
+    /// column of Fig. 11(d)): ids and closures.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>();
-        total += self.ids.len() * 4;
-        total += self.attrs.memory_bytes();
-        total += self
-            .dominators
-            .iter()
-            .map(|b| b.memory_bytes())
-            .sum::<usize>();
-        total += self
-            .parents
-            .iter()
-            .chain(self.children.iter())
-            .map(|v| v.len() * 4)
-            .sum::<usize>();
-        total += self.layers.len() * 4;
-        total
+        std::mem::size_of::<Self>()
+            + self.ids.len() * 4
+            + self
+                .dominators
+                .iter()
+                .map(|b| b.memory_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -331,6 +253,11 @@ fn union_into(sets: &mut [BitSet], dst: usize, src: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `G_d` over nested attribute rows.
+    fn build(ids: &[u32], rows: &[Vec<f64>], region: &PrefRegion) -> DominanceGraph {
+        DominanceGraph::build_flat(ids, &AttrMatrix::from_rows(rows), region)
+    }
 
     /// Whether local vertex `a` r-dominates local vertex `b`.
     fn dominates(gd: &DominanceGraph, a: usize, b: usize) -> bool {
@@ -356,7 +283,7 @@ mod tests {
     #[test]
     fn paper_dominance_graph_structure() {
         let (ids, attrs, region) = paper_setup();
-        let gd = DominanceGraph::build(&ids, &attrs, &region);
+        let gd = build(&ids, &attrs, &region);
         assert_eq!(gd.num_vertices(), 7);
         let local = |id: u32| gd.local_of(id).unwrap();
 
@@ -366,7 +293,7 @@ mod tests {
         assert!(dominates(&gd, local(6), local(7)));
         assert!(dominates(&gd, local(3), local(7)));
         // v7 dominates nothing
-        assert_eq!(gd.children(local(7)).len(), 0);
+        assert!((0..7).all(|u| !dominates(&gd, local(7), u)));
         // the full-graph leaves include v7, v5 and v1 (initial leaves used in
         // Fig. 5(a))
         let all = vec![true; 7];
@@ -380,8 +307,9 @@ mod tests {
         let top: Vec<u32> = gd.top_within(&all).iter().map(|&v| gd.id_of(v)).collect();
         assert!(top.contains(&2) && top.contains(&6) && top.contains(&4));
         // layers: top vertices at layer 0, v7 strictly below its dominators
-        assert_eq!(gd.layer(local(2)), 0);
-        assert!(gd.layer(local(7)) > gd.layer(local(3)));
+        let layers = gd.layers();
+        assert_eq!(layers[local(2)], 0);
+        assert!(layers[local(7)] > layers[local(3)]);
     }
 
     #[test]
@@ -389,7 +317,7 @@ mod tests {
         // Section VI-B walkthrough for H1 = {v2, v3, v6, v7}:
         // lb(Ge) = {v7}, lt(Gc) = {v4, v5}.
         let (ids, attrs, region) = paper_setup();
-        let gd = DominanceGraph::build(&ids, &attrs, &region);
+        let gd = build(&ids, &attrs, &region);
         let in_h = |id: u32| [2u32, 3, 6, 7].contains(&id);
         let mask_e: Vec<bool> = (0..7).map(|i| in_h(gd.id_of(i))).collect();
         let mask_c: Vec<bool> = (0..7).map(|i| !in_h(gd.id_of(i))).collect();
@@ -406,15 +334,6 @@ mod tests {
             .collect();
         lt.sort_unstable();
         assert_eq!(lt, vec![4, 5]);
-        // excluding v5 pushes the top layer of Gc down to v1 (and keeps v4)
-        let v5_local = gd.local_of(5).unwrap();
-        let mut lt2: Vec<u32> = gd
-            .top_within_excluding(&mask_c, &[v5_local])
-            .iter()
-            .map(|&v| gd.id_of(v))
-            .collect();
-        lt2.sort_unstable();
-        assert!(lt2.contains(&4));
     }
 
     #[test]
@@ -428,7 +347,7 @@ mod tests {
             .map(|_| (0..4).map(|_| rng.random_range(0.0..10.0)).collect())
             .collect();
         let region = PrefRegion::from_ranges(&[(0.1, 0.3), (0.2, 0.4), (0.1, 0.2)]).unwrap();
-        let gd = DominanceGraph::build(&ids, &attrs, &region);
+        let gd = build(&ids, &attrs, &region);
         for a in 0..n {
             assert!(!dominates(&gd, a, a), "irreflexive");
             for b in 0..n {
@@ -456,7 +375,7 @@ mod tests {
             .map(|_| (0..3).map(|_| rng.random_range(0.0..10.0)).collect())
             .collect();
         let region = PrefRegion::from_ranges(&[(0.15, 0.45), (0.2, 0.35)]).unwrap();
-        let gd = DominanceGraph::build(&ids, &attrs, &region);
+        let gd = build(&ids, &attrs, &region);
         for a in 0..n {
             for b in 0..n {
                 if a == b {
@@ -489,43 +408,20 @@ mod tests {
             .map(|i| base.iter().map(|&x| x + 0.75 * i as f64).collect())
             .collect();
         let region = PrefRegion::from_ranges(&[(0.1, 0.3), (0.2, 0.4), (0.1, 0.2)]).unwrap();
-        let gd = DominanceGraph::build(&ids, &attrs, &region);
+        let gd = build(&ids, &attrs, &region);
         assert_eq!(gd.tests_performed(), n - 1);
-        for v in 0..n {
+        for (v, layer) in gd.layers().into_iter().enumerate() {
             assert_eq!(gd.dominators(v).count(), n - 1 - v);
-            let parent: &[u32] = if v + 1 < n { &[v as u32 + 1] } else { &[] };
-            assert_eq!(gd.parents(v), parent);
-            assert_eq!(gd.layer(v) as usize, n - 1 - v);
-        }
-    }
-
-    #[test]
-    fn reduction_has_no_redundant_arcs() {
-        let (ids, attrs, region) = paper_setup();
-        let gd = DominanceGraph::build(&ids, &attrs, &region);
-        for v in 0..gd.num_vertices() {
-            for &p in gd.parents(v) {
-                // no other dominator of v is dominated by p (otherwise the arc
-                // p -> v would be implied by transitivity)
-                for u in gd.dominators(v).iter() {
-                    if u == p as usize {
-                        continue;
-                    }
-                    assert!(
-                        !gd.dominators(u).contains(p as usize),
-                        "redundant arc {p} -> {v}"
-                    );
-                }
-            }
+            assert_eq!(layer as usize, n - 1 - v);
         }
     }
 
     #[test]
     fn memory_and_empty_graph() {
         let region = PrefRegion::from_ranges(&[(0.1, 0.5), (0.2, 0.4)]).unwrap();
-        let gd = DominanceGraph::build(&[], &[], &region);
+        let gd = build(&[], &[], &region);
         assert_eq!(gd.num_vertices(), 0);
-        assert_eq!(gd.max_layer(), 0);
+        assert!(gd.layers().is_empty());
         assert!(gd.memory_bytes() > 0);
         assert!(gd.leaves_within(&[]).is_empty());
     }

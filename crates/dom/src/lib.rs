@@ -21,9 +21,10 @@
 //! * [`attrs::AttrMatrix`] — flat row-major attribute storage shared with
 //!   the search hot loops.
 //! * [`bitset::BitSet`] — compact dominator sets.
-//! * [`dominance::DominanceGraph`] — the DAG `G_d` with transitive-reduction
-//!   arcs, layers, dominator closures, and the `G_e`/`G_c`, `l_b`/`l_t`
-//!   selectors used by the local search (Section VI-B).
+//! * [`dominance::DominanceGraph`] — the DAG `G_d`, kept as its dominator
+//!   closures, with the leaf and top selectors (`l_b`/`l_t`) both searches
+//!   read and the layers `l(v)` of the local search's priorities, computed
+//!   on call.
 
 pub mod attrs;
 pub mod bitset;

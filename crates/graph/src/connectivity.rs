@@ -54,21 +54,6 @@ pub fn connected_components(g: &Graph, alive: &[bool]) -> (Vec<u32>, usize) {
     (comp, next as usize)
 }
 
-/// Whether all vertices of `subset` lie in one connected component of the
-/// subgraph induced by `alive`.
-pub fn is_connected_subset(g: &Graph, alive: &[bool], subset: &[VertexId]) -> bool {
-    match subset.first() {
-        None => true,
-        Some(&first) => {
-            if !alive[first as usize] {
-                return false;
-            }
-            let reach = bfs_reachable(g, first, alive);
-            subset.iter().all(|&v| reach[v as usize])
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,14 +113,11 @@ mod tests {
     fn connected_subset_checks() {
         let g = two_triangles_with_bridge();
         let alive = vec![true; 7];
-        assert!(is_connected_subset(&g, &alive, &[0, 6]));
+        assert!(bfs_reachable(&g, 0, &alive)[6]);
         let mut alive2 = alive.clone();
         alive2[3] = false;
-        assert!(!is_connected_subset(&g, &alive2, &[0, 6]));
-        assert!(is_connected_subset(&g, &alive2, &[4, 5, 6]));
-        assert!(is_connected_subset(&g, &alive2, &[]));
-        let mut alive3 = alive.clone();
-        alive3[0] = false;
-        assert!(!is_connected_subset(&g, &alive3, &[0, 1]));
+        assert!(!bfs_reachable(&g, 0, &alive2)[6]);
+        let reach = bfs_reachable(&g, 4, &alive2);
+        assert!(reach[5] && reach[6]);
     }
 }

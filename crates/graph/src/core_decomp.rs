@@ -11,8 +11,7 @@
 //! in one pass, and reports the masked subgraph's `n` and `m` for the
 //! coreness bound; [`MaskedPeel::connected_k_core_containing`] then peels the
 //! mask in place and finds the component of `Q` by BFS. No induced copy of
-//! the masked subgraph is built. [`maximal_connected_k_core_containing`] is
-//! the all-alive case.
+//! the masked subgraph is built.
 
 use crate::graph::{Graph, VertexId};
 use crate::GraphError;
@@ -257,30 +256,22 @@ impl MaskedPeel<'_> {
     }
 }
 
-/// Computes the maximal **connected** k-core containing every vertex of `q`
-/// (the `k-ĉore` of the paper): the connected component of the maximal k-core
-/// that contains all query vertices.
-///
-/// The all-alive case of the masked peel ([`PeelScratch::load`]); callers
-/// that peel repeatedly, or inside a vertex mask, hold a [`PeelScratch`].
-///
-/// Returns `Ok(None)` when no such component exists (some query vertex falls
-/// out of the k-core, or query vertices end up in different components).
-pub fn maximal_connected_k_core_containing(
-    g: &Graph,
-    k: u32,
-    q: &[VertexId],
-) -> Result<Option<Vec<VertexId>>, GraphError> {
-    let mut alive = vec![true; g.num_vertices()];
-    PeelScratch::new()
-        .load(g, &mut alive)
-        .connected_k_core_containing(k, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
+
+    /// The maximal connected k-core of the whole graph containing `q`.
+    fn connected_core(
+        g: &Graph,
+        k: u32,
+        q: &[VertexId],
+    ) -> Result<Option<Vec<VertexId>>, GraphError> {
+        let mut alive = vec![true; g.num_vertices()];
+        PeelScratch::new()
+            .load(g, &mut alive)
+            .connected_k_core_containing(k, q)
+    }
 
     /// The 15-vertex social network of Fig. 1(a) in the paper.
     ///
@@ -434,18 +425,18 @@ mod tests {
             }
         }
         let g = Graph::from_edges(9, &edges);
-        let res = maximal_connected_k_core_containing(&g, 3, &[0]).unwrap();
+        let res = connected_core(&g, 3, &[0]).unwrap();
         assert_eq!(res, Some(vec![0, 1, 2, 3]));
-        let res2 = maximal_connected_k_core_containing(&g, 3, &[5, 8]).unwrap();
+        let res2 = connected_core(&g, 3, &[5, 8]).unwrap();
         assert_eq!(res2, Some(vec![5, 6, 7, 8]));
         // query spanning both components of the 3-core -> None
-        let res3 = maximal_connected_k_core_containing(&g, 3, &[0, 8]).unwrap();
+        let res3 = connected_core(&g, 3, &[0, 8]).unwrap();
         assert_eq!(res3, None);
         // the cut vertex is not in any 3-core
-        let res4 = maximal_connected_k_core_containing(&g, 3, &[4]).unwrap();
+        let res4 = connected_core(&g, 3, &[4]).unwrap();
         assert_eq!(res4, None);
         // with k = 2 the whole graph is one connected 2-core
-        let res5 = maximal_connected_k_core_containing(&g, 2, &[0, 8]).unwrap();
+        let res5 = connected_core(&g, 2, &[0, 8]).unwrap();
         assert_eq!(res5.map(|v| v.len()), Some(9));
     }
 
@@ -453,11 +444,11 @@ mod tests {
     fn connected_k_core_rejects_bad_input() {
         let g = Graph::new(3);
         assert!(matches!(
-            maximal_connected_k_core_containing(&g, 1, &[]),
+            connected_core(&g, 1, &[]),
             Err(GraphError::EmptyQuery)
         ));
         assert!(matches!(
-            maximal_connected_k_core_containing(&g, 1, &[7]),
+            connected_core(&g, 1, &[7]),
             Err(GraphError::VertexOutOfRange { .. })
         ));
     }
@@ -467,9 +458,7 @@ mod tests {
         let g = paper_social_graph();
         // Q = {v2, v3, v6} -> indices {1, 2, 5}; the maximal connected 3-core
         // containing them is {v1..v7} = indices 0..=6.
-        let res = maximal_connected_k_core_containing(&g, 3, &[1, 2, 5])
-            .unwrap()
-            .unwrap();
+        let res = connected_core(&g, 3, &[1, 2, 5]).unwrap().unwrap();
         assert_eq!(res, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 }

@@ -26,8 +26,8 @@ pub mod graph;
 pub mod subgraph;
 pub mod truss;
 
-pub use connectivity::{bfs_reachable, connected_components, is_connected_subset};
-pub use core_decomp::{core_numbers, coreness_upper_bound, maximal_connected_k_core_containing};
+pub use connectivity::{bfs_reachable, connected_components};
+pub use core_decomp::{core_numbers, coreness_upper_bound};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use subgraph::{SubgraphView, ViewScratch};
 

@@ -322,11 +322,6 @@ pub fn sssp(net: &RoadNetwork, source: RoadVertexId) -> Vec<f64> {
     multi_source_dijkstra(net, &[(source, 0.0)], None, None)
 }
 
-/// Single-source shortest distances, not expanding past `bound`.
-pub fn bounded_sssp(net: &RoadNetwork, source: RoadVertexId, bound: f64) -> Vec<f64> {
-    multi_source_dijkstra(net, &[(source, 0.0)], Some(bound), None)
-}
-
 /// The Dijkstra seeds of a location (the `ω(u, p)` convention of the
 /// paper): one for a vertex, one per endpoint for an on-edge point. Held
 /// inline, so computing them never allocates; derefs to the seed slice.
@@ -462,7 +457,7 @@ mod tests {
     #[test]
     fn bounded_sssp_stops_early() {
         let net = line_net();
-        let d = bounded_sssp(&net, 0, 3.0);
+        let d = sssp_from_location(&net, &Location::Vertex(0), Some(3.0));
         assert_eq!(d[0], 0.0);
         assert_eq!(d[1], 2.0);
         assert!(d[2].is_infinite());

@@ -35,7 +35,7 @@ pub mod network;
 pub mod rangefilter;
 
 pub use budget::{BudgetTicker, ExhaustionCause, SharedBudget, WorkerTicker};
-pub use dijkstra::{bounded_sssp, sssp, sssp_from_location, SsspScratch};
+pub use dijkstra::{sssp, sssp_from_location, SsspScratch};
 pub use gtree::{BuildReport, GTree, GTreeUpdateStats, LevelReport};
 pub use network::{EdgeUpdate, Location, RoadNetwork, RoadNetworkBuilder, RoadVertexId};
 pub use rangefilter::{

@@ -107,11 +107,11 @@ fn unlimited_budget_is_complete_and_identical() {
     let engine = MacEngine::build(rsn);
     let mut reference = engine.session();
     let mut budgeted = engine.session();
-    assert!(QueryBudget::unlimited().is_unlimited());
+    assert!(QueryBudget::new().is_unlimited());
     for (i, query) in workload(&group).iter().enumerate() {
         let expect = reference.execute(query).unwrap();
         let outcome = budgeted
-            .execute_with_budget(query, &QueryBudget::unlimited())
+            .execute_with_budget(query, &QueryBudget::new())
             .unwrap();
         let QueryOutcome::Complete(got) = outcome else {
             panic!("query {i}: unlimited budget must complete");

@@ -243,7 +243,7 @@ proptest! {
         let mut cached = engine.session().with_context_cache(8);
         let queries = workload(&group);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCAC4E);
-        let unlimited = QueryBudget::unlimited();
+        let unlimited = QueryBudget::new();
 
         let batches = 6u64;
         for batch in 0..batches {

@@ -154,7 +154,7 @@ fn local_search_cells_and_stats_are_pinned() {
     assert_eq!(s.partitions_explored, 45);
     assert_eq!((s.halfspaces_computed, s.halfspace_insertions), (38, 38));
     assert_eq!((s.dominance_tests, s.candidates_generated), (19, 18));
-    assert_eq!(s.memory_bytes, 5520);
+    assert_eq!(s.memory_bytes, 5092);
     assert_eq!((s.parallel_workers, s.tasks_stolen), (0, 0));
 }
 

@@ -33,6 +33,10 @@
 //!   had descended there itself. Every report is tagged with its DFS path, and the merge sorts by
 //!   path — lexicographic path order **is** the serial emission order, so the
 //!   output is bit-identical to the serial run regardless of how work moved.
+//!   One drain loop runs every stack: it charges each task one budget unit,
+//!   donates every 16 tasks when it has a pool, and unwinds once on
+//!   exhaustion. A serial run is that drain without a pool, on the calling
+//!   thread; a pool worker wraps it in steal, prefix replay and retire.
 //!
 //! * **Pooled scratch.** All per-query allocations (task stack, leaf arena,
 //!   half-space cache, arrangement nodes, deletion groups, result husks) live
@@ -74,7 +78,7 @@ use rsn_geom::cell::Cell;
 use rsn_geom::halfspace::HalfSpace;
 use rsn_geom::partition::{arrange_into, ArrangeScratch};
 use rsn_graph::subgraph::{Checkpoint, SubgraphView, ViewScratch};
-use rsn_road::budget::{BudgetTicker, SharedBudget, WorkerTicker};
+use rsn_road::budget::{BudgetTicker, SharedBudget};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -335,16 +339,20 @@ impl GsScratch {
 /// its scratch, deletion history, and output buffers.
 struct Worker<'c, 'g, 's> {
     ctx: &'c SearchContext<'g>,
-    k: u32,
-    q: &'c [u32],
-    j: usize,
+    /// `ctx.gd.memory_bytes()`, fixed once `G_d` is built.
+    gd_bytes: usize,
     scratch: &'s mut GsScratch,
-    /// Tag every report with its DFS path (parallel runs only; the merge
-    /// sorts by path to recover the serial order).
-    record_paths: bool,
     out_cells: Vec<CellResult>,
-    out_paths: Vec<Vec<u32>>,
+    /// The DFS path of every report (parallel runs only; the merge sorts by
+    /// path to recover the serial order).
+    out_paths: Option<Vec<Vec<u32>>>,
     stats: SearchStats,
+    /// Tasks charged and run, and tasks dropped when the budget tripped.
+    executed: u64,
+    dropped: u64,
+    /// Lexicographically smallest dropped DFS path (path-recording workers
+    /// only).
+    frontier: Option<Vec<u32>>,
 }
 
 /// Everything a parallel run hands back to the coordinator.
@@ -395,10 +403,6 @@ pub(crate) fn explore_context(
     ticker: &mut BudgetTicker,
 ) -> BudgetedRun {
     let start = Instant::now();
-    let k = ctx.query.k;
-    let q: &[u32] = &ctx.local_q;
-    let j = ctx.query.j;
-
     // Guard before the root arrangement, whose half-space set is
     // quadratic in the initial leaf count.
     if !ticker.charge(1) {
@@ -417,7 +421,7 @@ pub(crate) fn explore_context(
 
     scratch.reset();
     let out_buf = std::mem::take(&mut scratch.out_buf);
-    let mut worker = Worker::new(ctx, k, q, j, scratch, false, base_stats(ctx), out_buf);
+    let mut worker = Worker::new(ctx, scratch, base_stats(ctx), out_buf, None);
     let mut view =
         SubgraphView::full_from_scratch(&ctx.local_graph, &mut worker.scratch.view_scratch);
     let leaves0 = worker.prepare_root(&view);
@@ -450,10 +454,10 @@ pub(crate) fn explore_context(
         };
         if workers <= 1 {
             worker.push_top_cells(leaves0);
-            let (done, executed, dropped) = worker.run_local(&mut view, ticker);
-            explored += executed;
-            completed = done;
-            remaining = dropped;
+            completed = worker.drain(&mut view, || ticker.charge(1), None);
+            debug_assert!(worker.scratch.deletion_groups.is_empty());
+            explored += worker.executed;
+            remaining = worker.dropped;
             out_cells = std::mem::take(&mut worker.out_cells);
             stats = std::mem::take(&mut worker.stats);
         } else {
@@ -461,9 +465,7 @@ pub(crate) fn explore_context(
             let top_cells: Vec<Cell> = worker.scratch.sub_cells.drain(..).collect();
             let root_stats = std::mem::take(&mut worker.stats);
             let shared = ticker.share();
-            let outcome = run_parallel(
-                ctx, k, q, j, workers, leaves0, top_cells, root_stats, &shared,
-            );
+            let outcome = run_parallel(ctx, workers, leaves0, top_cells, root_stats, &shared);
             ticker.absorb(&shared);
             explored += outcome.executed;
             completed = outcome.frontier.is_none();
@@ -491,12 +493,8 @@ pub(crate) fn explore_context(
 /// private scratch; seeds and stolen subtrees flow through one mutexed
 /// injector queue. Reports are path-tagged and merged by path sort, which
 /// reproduces the serial DFS emission order exactly.
-#[allow(clippy::too_many_arguments)]
 fn run_parallel(
     ctx: &SearchContext<'_>,
-    k: u32,
-    q: &[u32],
-    j: usize,
     workers: usize,
     leaves0: Vec<u32>,
     top_cells: Vec<Cell>,
@@ -540,25 +538,20 @@ fn run_parallel(
                     let mut scratch = GsScratch::new();
                     let mut worker = Worker::new(
                         ctx,
-                        k,
-                        q,
-                        j,
                         &mut scratch,
-                        true,
                         SearchStats::default(),
                         Vec::new(),
+                        Some(Vec::new()),
                     );
                     let mut view = SubgraphView::full(&ctx.local_graph);
-                    let mut ticker = pool.budget.worker();
-                    let (executed, dropped, frontier) =
-                        worker.run_pool(&mut view, pool, &mut ticker);
+                    worker.run_pool(&mut view, pool);
                     (
                         std::mem::take(&mut worker.out_cells),
-                        std::mem::take(&mut worker.out_paths),
+                        worker.out_paths.take().unwrap_or_default(),
                         std::mem::take(&mut worker.stats),
-                        executed,
-                        dropped,
-                        frontier,
+                        worker.executed,
+                        worker.dropped,
+                        worker.frontier.take(),
                     )
                 })
             })
@@ -603,27 +596,25 @@ fn run_parallel(
 }
 
 impl<'c, 'g, 's> Worker<'c, 'g, 's> {
-    #[allow(clippy::too_many_arguments)]
+    /// A worker that reports into `out_cells`, and tags each report with
+    /// its DFS path when `out_paths` is `Some`.
     fn new(
         ctx: &'c SearchContext<'g>,
-        k: u32,
-        q: &'c [u32],
-        j: usize,
         scratch: &'s mut GsScratch,
-        record_paths: bool,
         stats: SearchStats,
         out_cells: Vec<CellResult>,
+        out_paths: Option<Vec<Vec<u32>>>,
     ) -> Self {
         Worker {
             ctx,
-            k,
-            q,
-            j,
+            gd_bytes: ctx.gd.memory_bytes(),
             scratch,
-            record_paths,
             out_cells,
-            out_paths: Vec::new(),
+            out_paths,
             stats,
+            executed: 0,
+            dropped: 0,
+            frontier: None,
         }
     }
 
@@ -686,56 +677,64 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         }
     }
 
-    /// Drains the task stack, charging one unit per popped task. On
-    /// exhaustion the remaining stack is unwound — pending `Retreat`
-    /// rollbacks are applied innermost-first so the shared view (and the
-    /// deletion history) return to the untouched (k,t)-core state, while
-    /// dropped `Visit`/`Arrange` tasks are only counted. Returns
-    /// `(completed, tasks executed, tasks dropped)`.
-    fn run_local(
+    /// The one task loop: pops each task and charges it one unit, and with a
+    /// `pool` donates a pending subtree to an idle worker every 16 tasks. On
+    /// exhaustion the remaining stack is unwound: pending `Retreat`
+    /// rollbacks are applied innermost-first, so the shared view and the
+    /// deletion history return to their state before this drain, while
+    /// dropped `Visit`/`Arrange` tasks are counted, recycled and, on a
+    /// path-recording worker, folded into the smallest dropped DFS path.
+    /// Returns whether the stack ran empty without a trip.
+    fn drain(
         &mut self,
         view: &mut SubgraphView<'_>,
-        ticker: &mut BudgetTicker,
-    ) -> (bool, u64, u64) {
-        let mut executed = 0u64;
+        mut charge: impl FnMut() -> bool,
+        pool: Option<&SharedPool<'_>>,
+    ) -> bool {
+        let mut pops = 0u32;
         while let Some(task) = self.scratch.stack.pop() {
-            if !ticker.charge(1) {
-                let mut dropped = 0u64;
-                let mut next = Some(task);
-                while let Some(t) = next {
-                    match t {
+            if !charge() {
+                self.scratch.stack.push(task);
+                while let Some(task) = self.scratch.stack.pop() {
+                    let (cell, depth, idx) = match task {
                         Task::Retreat { cp, arena_mark } => {
                             self.apply_retreat(view, cp, arena_mark);
+                            continue;
                         }
-                        Task::Visit { cell, .. } | Task::Arrange { cell, .. } => {
-                            dropped += 1;
-                            self.scratch.arrange.recycle_cell(cell);
-                        }
+                        Task::Visit {
+                            cell, depth, idx, ..
+                        } => (cell, depth, Some(idx)),
+                        // An arrange is the descent *into* the subtree
+                        // rooted at its parent's path.
+                        Task::Arrange { cell, depth, .. } => (cell, depth, None),
+                    };
+                    self.dropped += 1;
+                    self.scratch.arrange.recycle_cell(cell);
+                    if self.out_paths.is_some() {
+                        let mut p = self.scratch.cur_path[..depth as usize - 1].to_vec();
+                        p.extend(idx);
+                        self.frontier = min_path(self.frontier.take(), p);
                     }
-                    next = self.scratch.stack.pop();
                 }
-                debug_assert!(self.scratch.deletion_groups.is_empty());
-                return (false, executed, dropped);
+                return false;
             }
-            executed += 1;
+            self.executed += 1;
+            pops += 1;
+            if let Some(pool) = pool {
+                if pops.is_multiple_of(16) {
+                    self.try_donate(pool);
+                }
+            }
             self.run_task(view, task);
         }
-        (true, executed, 0)
+        true
     }
 
     /// Work-stealing main loop: pull seeds/stolen subtrees from the pool,
-    /// replay their deletion prefix, explore, donate pending subtrees to idle
-    /// workers, and charge per task through the shared ticker. Returns
-    /// `(executed, dropped, local frontier)`.
-    fn run_pool(
-        &mut self,
-        view: &mut SubgraphView<'_>,
-        pool: &SharedPool<'_>,
-        ticker: &mut WorkerTicker<'_>,
-    ) -> (u64, u64, Option<Vec<u32>>) {
-        let mut executed = 0u64;
-        let mut dropped = 0u64;
-        let mut frontier: Option<Vec<u32>> = None;
+    /// replay their deletion prefix, [`drain`](Self::drain) them charging
+    /// the shared budget, and retire the prefix.
+    fn run_pool(&mut self, view: &mut SubgraphView<'_>, pool: &SharedPool<'_>) {
+        let mut ticker = pool.budget.worker();
         while let Some(item) = get_work(pool) {
             let Stolen {
                 cell,
@@ -784,50 +783,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                 });
             }
 
-            let mut pops = 0u32;
-            while let Some(task) = self.scratch.stack.pop() {
-                if !ticker.charge(1) {
-                    // Budget tripped mid-subtree: unwind, recording the
-                    // smallest dropped path so the coordinator can cut
-                    // the merged output to a coherent prefix.
-                    let mut next = Some(task);
-                    while let Some(tk) = next {
-                        match tk {
-                            Task::Retreat { cp, arena_mark } => {
-                                self.apply_retreat(view, cp, arena_mark);
-                            }
-                            Task::Visit {
-                                cell, depth, idx, ..
-                            } => {
-                                dropped += 1;
-                                let d = depth as usize;
-                                let mut p = Vec::with_capacity(d);
-                                p.extend_from_slice(&self.scratch.cur_path[..d - 1]);
-                                p.push(idx);
-                                frontier = min_path(frontier, p);
-                                self.scratch.arrange.recycle_cell(cell);
-                            }
-                            Task::Arrange { cell, depth, .. } => {
-                                // An arrange is the descent *into* the
-                                // subtree rooted at its parent's path.
-                                dropped += 1;
-                                let d = depth as usize;
-                                let p = self.scratch.cur_path[..d - 1].to_vec();
-                                frontier = min_path(frontier, p);
-                                self.scratch.arrange.recycle_cell(cell);
-                            }
-                        }
-                        next = self.scratch.stack.pop();
-                    }
-                    break;
-                }
-                executed += 1;
-                pops += 1;
-                if pops.is_multiple_of(16) {
-                    self.try_donate(pool);
-                }
-                self.run_task(view, task);
-            }
+            self.drain(view, || ticker.charge(1), Some(pool));
 
             // Retire the prefix seeds and restore the untouched core state.
             {
@@ -845,7 +801,6 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             view.rollback(cp0);
             self.scratch.arena.truncate(arena_base as usize);
         }
-        (executed, dropped, frontier)
     }
 
     /// Donates the bottom-most pending `Visit` (the largest unexplored
@@ -950,7 +905,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
                 .map(|g| bytes_of(g))
                 .sum::<usize>()
         );
-        let live_bytes = self.ctx.gd.memory_bytes()
+        let live_bytes = self.gd_bytes
             + view.alive_mask().len() * 5
             + depth as usize * cell_bytes
             + self.scratch.group_bytes;
@@ -1105,19 +1060,20 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
         };
 
         // Corollary 1(1): the smallest-score vertex is a query vertex.
-        if self.q.contains(&u) {
+        let q: &[u32] = &ctx.local_q;
+        if q.contains(&u) {
             self.report_cell(view, cell);
             return;
         }
         // Tentative deletion (lines 15-20) behind a checkpoint.
         let cp = view.checkpoint();
-        view.delete_cascade(u, self.k);
-        let mut ok = self.q.iter().all(|&qv| view.is_alive(qv));
+        view.delete_cascade(u, ctx.query.k);
+        let mut ok = q.iter().all(|&qv| view.is_alive(qv));
         if ok {
             // The view was connected at `cp` (see the module doc), so the
             // trim may stop once the cascade's boundary is reached.
-            view.retain_component_since(self.q[0], cp);
-            ok = self.q.iter().all(|&qv| view.is_alive(qv));
+            view.retain_component_since(q[0], cp);
+            ok = q.iter().all(|&qv| view.is_alive(qv));
         }
         if !ok {
             // Corollary 1(2): deleting u destroys the community, so the
@@ -1157,7 +1113,7 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
     /// output buffers come from (and eventually return to) the scratch pools.
     fn report_cell(&mut self, view: &SubgraphView<'_>, cell: Cell) {
         let ctx = self.ctx;
-        let target = (1 + self.scratch.deletion_groups.len()).min(self.j.max(1));
+        let target = (1 + self.scratch.deletion_groups.len()).min(ctx.query.j.max(1));
         let mut res = self
             .scratch
             .spare_results
@@ -1198,8 +1154,8 @@ impl<'c, 'g, 's> Worker<'c, 'g, 's> {
             }
         }
         self.out_cells.push(res);
-        if self.record_paths {
-            self.out_paths.push(self.scratch.cur_path.clone());
+        if let Some(paths) = &mut self.out_paths {
+            paths.push(self.scratch.cur_path.clone());
         }
     }
 }

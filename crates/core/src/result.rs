@@ -265,14 +265,6 @@ impl QueryOutcome {
         matches!(self, QueryOutcome::Complete(_))
     }
 
-    /// Progress counters when the outcome is partial.
-    pub fn progress(&self) -> Option<&QueryProgress> {
-        match self {
-            QueryOutcome::Complete(_) => None,
-            QueryOutcome::Partial(p) => Some(&p.progress),
-        }
-    }
-
     /// The [`Display`](std::fmt::Display) form as an owned string, for
     /// callers assembling structured log records.
     pub fn summary(&self) -> String {

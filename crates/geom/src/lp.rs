@@ -33,14 +33,6 @@ impl LpOutcome {
             _ => None,
         }
     }
-
-    /// The optimal point, if any.
-    pub fn point(&self) -> Option<&[f64]> {
-        match self {
-            LpOutcome::Optimal { point, .. } => Some(point),
-            _ => None,
-        }
-    }
 }
 
 const TOL: f64 = 1e-9;
@@ -267,6 +259,16 @@ fn pivot(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LpOutcome {
+        /// The optimal point, if any.
+        fn point(&self) -> Option<&[f64]> {
+            match self {
+                LpOutcome::Optimal { point, .. } => Some(point),
+                _ => None,
+            }
+        }
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");

@@ -95,12 +95,6 @@ impl BudgetTicker {
         BudgetTicker::new(None, None, None)
     }
 
-    /// Whether this ticker has no deadline, work limit, or cancellation flag
-    /// — i.e. it can never exhaust.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.work_limit.is_none() && self.cancel.is_none()
-    }
-
     /// Charges `units` of work. Returns `true` while the budget holds;
     /// `false` once it is exhausted (and on every later call).
     #[inline]
@@ -133,11 +127,6 @@ impl BudgetTicker {
             }
         }
         true
-    }
-
-    /// Whether the budget has been exhausted.
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted.is_some()
     }
 
     /// Why the budget exhausted, once it has.
@@ -221,12 +210,6 @@ pub struct SharedBudget {
 }
 
 impl SharedBudget {
-    /// A shared budget that never exhausts (workers still pay the amortized
-    /// checks).
-    pub fn unlimited() -> Self {
-        BudgetTicker::unlimited().share()
-    }
-
     /// A per-worker charging view. Any number may be live at once.
     pub fn worker(&self) -> WorkerTicker<'_> {
         WorkerTicker {
@@ -342,13 +325,6 @@ impl WorkerTicker<'_> {
         true
     }
 
-    /// Whether this worker has observed exhaustion. Other workers may have
-    /// tripped the shared latch without this view noticing yet; the next
-    /// [`charge`](Self::charge) interval will.
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted.is_some()
-    }
-
     /// The exhaustion cause this worker observed, once it has.
     pub fn cause(&self) -> Option<ExhaustionCause> {
         self.exhausted
@@ -375,18 +351,8 @@ mod tests {
         for _ in 0..10_000 {
             assert!(t.charge(17));
         }
-        assert!(!t.is_exhausted());
         assert_eq!(t.cause(), None);
         assert_eq!(t.spent(), 170_000);
-    }
-
-    #[test]
-    fn only_a_ticker_without_limits_is_unlimited() {
-        assert!(BudgetTicker::unlimited().is_unlimited());
-        assert!(!BudgetTicker::new(None, Some(u64::MAX), None).is_unlimited());
-        assert!(!BudgetTicker::new(Some(Instant::now()), None, None).is_unlimited());
-        let flag = Arc::new(AtomicBool::new(false));
-        assert!(!BudgetTicker::new(None, None, Some(flag)).is_unlimited());
     }
 
     #[test]
@@ -495,7 +461,6 @@ mod tests {
             assert!(!w.charge(95));
         }
         t.absorb(&shared);
-        assert!(t.is_exhausted());
         assert_eq!(t.cause(), Some(ExhaustionCause::WorkLimit));
         assert_eq!(t.spent(), 105);
         assert!(!t.charge(1));

@@ -10,9 +10,18 @@ Lists each `pub fn` / `pub const` / `pub static` under `crates/*/src`
 * `FILE-LOCAL`: its own file's non-test code.
 
 Comments are skipped except code inside doc-test fences, and `pub use ...;`
-re-exports are not callers. Names are matched as words, so a common name
-(`new`, `len`) hides behind other items of that name; treat the list as a
-floor.
+re-exports are not callers. A method (a `pub fn` with a `self` receiver)
+is called only by its call shapes, `.name(` and `::name`, so a field or a
+local of the same name is no caller. Other names are matched as words. The
+scan is type-blind all the same: a name hides behind every other item of
+that name (`new`, `len`, or a `charge` or `cause` that two budget types
+both define), so treat the list as a floor.
+
+To check one item by hand, make it `pub(crate)` and build the workspace
+and perfbench (`cargo build --release --all-targets` and `cargo build
+--release --manifest-path perfbench/Cargo.toml`). A build error names a
+caller outside the crate; if the build succeeds, rustc's `dead_code`
+warning says whether anything in the crate still calls it.
 
 The rule it serves: a `DEAD` or `TEST-ONLY` function is deleted with the
 test lines whose subject it is, and a `FILE-LOCAL` function becomes
@@ -43,6 +52,8 @@ KEEPS = {
 
 REEXPORT = re.compile(r"^\s*pub use [^;]*;", re.M)
 DECL = re.compile(r"^\s*pub (fn|const|static) (\w+)", re.M)
+# The rest of a `pub fn` declaration when its first parameter is `self`.
+RECEIVER = re.compile(r"\s*(<[^(]*>)?\s*\(\s*(&\s*('\w+\s+)?)?(mut\s+)?self\b")
 TESTS = re.compile(r"#\[cfg\(test\)\]\s*mod tests")
 
 
@@ -81,10 +92,17 @@ def scan():
         m = TESTS.search(texts[f])
         body, tests = (texts[f][: m.start()], texts[f][m.start() :]) if m else (texts[f], "")
         for d in DECL.finditer(body):
-            word = re.compile(r"\b" + d.group(2) + r"\b")
+            name = d.group(2)
+            method = d.group(1) == "fn" and RECEIVER.match(body, d.end())
+            if method:
+                word = re.compile(r"\.\s*" + name + r"\s*(::<[^(]*>)?\(|::" + name + r"\b")
+            else:
+                word = re.compile(r"\b" + name + r"\b")
             if any(word.search(texts[g]) for g in scope if g != f):
                 continue
-            n_own, n_test = len(word.findall(body)) - 1, len(word.findall(tests))
+            # A word match counts the declaration itself; a call shape does not.
+            n_own = len(word.findall(body)) - (0 if method else 1)
+            n_test = len(word.findall(tests))
             verdict = "FILE-LOCAL" if n_own else ("TEST-ONLY" if n_test else "DEAD")
             line = body[: d.start()].count("\n") + 1
             yield verdict, f, line, d.group(1), d.group(2)

@@ -43,13 +43,13 @@
 
 mod common;
 
-use common::reference_within;
+use common::{assert_results_identical, assert_valid_prefix, reference_within};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use road_social_mac::core::peel::peel_at_weight;
 use road_social_mac::core::{
-    AlgorithmChoice, Community, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult,
-    RoadSocialNetwork, SearchContext,
+    AlgorithmChoice, Community, ExecutionPolicy, MacEngine, MacQuery, MacSearchResult, QueryBudget,
+    QueryOutcome, RoadSocialNetwork, SearchContext,
 };
 use road_social_mac::datagen::attrs::{generate_attrs, AttrDistribution};
 use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
@@ -669,4 +669,47 @@ fn global_search_is_deterministic_across_runs() {
         assert_eq!(ca.sample_weight, cb.sample_weight);
         assert_eq!(ca.communities[0].vertices, cb.communities[0].vertices);
     }
+}
+
+/// A parallel run whose work limit trips mid-search returns an exact prefix
+/// of the serial answer: the merge keeps only the reports before the
+/// smallest dropped DFS path. Workers flush their charges every
+/// `CHECK_INTERVAL` units, so only a search far larger than that interval
+/// trips with cells already confirmed; this preset query reports about
+/// 3,400 cells for a serial spend of about 152k units, and the limits
+/// spread over that spend. Optimized builds only: the search takes about
+/// half a second there.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a mid-search trip needs a large search; runs under --release"
+)]
+fn parallel_partials_that_trip_mid_search_are_serial_prefixes() {
+    let (rsn, query) = preset_query(PresetName::FlLastfm, 6, 0.03);
+    let query = query.with_algorithm(AlgorithmChoice::Global);
+    let engine = MacEngine::build(rsn);
+    let serial = engine.session().execute(&query).unwrap();
+    assert!(
+        serial.cells.len() >= 1_000,
+        "too few cells to trip mid-search"
+    );
+    let mut nonempty = 0;
+    for workers in [2usize, 3] {
+        let mut session = engine
+            .session()
+            .with_policy(ExecutionPolicy::new().with_parallelism(workers));
+        for limit in (1..=9u64).map(|i| i * 16_000) {
+            let label = format!("{workers} workers, work limit {limit}");
+            let budget = QueryBudget::new().with_work_limit(limit);
+            match session.execute_with_budget(&query, &budget).unwrap() {
+                QueryOutcome::Complete(got) => assert_results_identical(&label, &serial, &got),
+                QueryOutcome::Partial(partial) => {
+                    assert_eq!(partial.result.stats.parallel_workers, workers, "{label}");
+                    assert_valid_prefix(&label, &partial.result, &serial);
+                    nonempty += usize::from(!partial.result.cells.is_empty());
+                }
+            }
+        }
+    }
+    assert!(nonempty >= 4, "only {nonempty} partials confirmed any cell");
 }

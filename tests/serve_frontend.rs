@@ -17,7 +17,7 @@ use road_social_mac::datagen::locations::{assign_locations, LocationConfig};
 use road_social_mac::datagen::road::{generate_road, RoadConfig};
 use road_social_mac::datagen::social::{generate_social, PlantedGroup, SocialConfig};
 use road_social_mac::geom::PrefRegion;
-use road_social_mac::serve::{MacServer, ServeConfig};
+use road_social_mac::serve::{MacServer, ServeConfig, SubmitError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,6 +96,7 @@ fn served_responses_match_direct_execution() {
                 ..ServeConfig::default()
             },
         );
+        assert_eq!(server.workers(), workers);
         // Several rounds of the same workload: exercises coalescing (same
         // query in flight) and the context cache (repeats across rounds).
         let handles: Vec<(usize, _)> = (0..3)
@@ -214,6 +215,53 @@ fn expired_deadlines_degrade_to_valid_partial_prefixes() {
         }
     }
     server.shutdown();
+}
+
+/// `try_submit` sheds instead of blocking: against a one-slot queue and one
+/// worker, each call of a burst either returns a handle, whose answer equals
+/// direct session execution, or `QueueFull`, and the shutdown statistics
+/// count every `QueueFull` as shed. Whether any call sheds depends on the
+/// worker's timing; the checks hold either way.
+#[test]
+fn try_submit_answers_or_sheds_against_a_full_queue() {
+    let (rsn, group) = random_network(63, 120);
+    let engine = MacEngine::build(rsn);
+    let queries = workload(&group);
+    let mut direct = engine.session();
+    let expected: Vec<MacSearchResult> =
+        queries.iter().map(|q| direct.execute(q).unwrap()).collect();
+    let server = MacServer::start(
+        engine,
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            coalescing: false,
+            context_cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let burst = 24;
+    let mut handles = Vec::new();
+    let mut full = 0u64;
+    for i in 0..burst {
+        match server.try_submit(queries[i % queries.len()].clone()) {
+            Ok(handle) => handles.push((i % queries.len(), handle)),
+            Err(SubmitError::QueueFull) => full += 1,
+            Err(err) => panic!("submission {i}: {err}"),
+        }
+    }
+    for (i, handle) in &handles {
+        let response = handle.wait();
+        let outcome = response
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("query {i} failed: {e}"));
+        assert_results_identical(&format!("query {i}"), outcome.result(), &expected[*i]);
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.shed, full);
+    assert_eq!(stats.submitted, handles.len() as u64);
+    assert_eq!(stats.submitted + stats.shed, burst as u64);
 }
 
 /// Shutdown answers everything already accepted: no handle waits forever,

@@ -56,14 +56,13 @@ pub(crate) enum BuildOutcome<'a> {
 }
 
 /// The owned parts of a [`SearchContext`] — everything except the `rsn` /
-/// `query` borrows. This is what the session-level
-/// [`ContextCache`](crate::ctxcache::ContextCache) stores between queries:
-/// the expensive-to-build core-local structures (induced (k,t)-core graph,
-/// attribute matrix, and above all the `O(core²)`-to-build r-dominance
-/// graph) survive while the lifetimes of the borrowing context do not.
-/// The attribute matrix is held here once; `G_d` keeps only its ids and
-/// dominator closures, so [`approx_bytes`](Self::approx_bytes) counts the
-/// matrix once.
+/// `query` borrows: the induced (k,t)-core graph, the attribute matrix and
+/// the r-dominance graph. Nothing in the engine keeps them past the query;
+/// the type and [`approx_bytes`](Self::approx_bytes) remain only so the
+/// repository benchmark can report a context's size
+/// (`core.ctxcache.entry_bytes`). The attribute matrix is held here once;
+/// `G_d` keeps only its ids and dominator closures, so `approx_bytes`
+/// counts the matrix once.
 #[derive(Debug, Clone)]
 pub struct ContextParts {
     core_vertices: Vec<VertexId>,
@@ -74,12 +73,7 @@ pub struct ContextParts {
 }
 
 impl ContextParts {
-    /// Number of vertices in the (k,t)-core.
-    pub fn core_size(&self) -> usize {
-        self.core_vertices.len()
-    }
-
-    /// Approximate heap footprint, for cache accounting/diagnostics.
+    /// Approximate heap footprint of the context.
     pub fn approx_bytes(&self) -> usize {
         self.core_vertices.len() * std::mem::size_of::<VertexId>()
             + self.local_graph.num_edges() * 2 * std::mem::size_of::<u32>()
@@ -221,9 +215,9 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Disassembles the context into its owned, network-independent parts so
-    /// a [`ContextCache`](crate::ctxcache::ContextCache) can keep them across
-    /// queries. The inverse of [`from_parts`](Self::from_parts).
+    /// Disassembles the context into its owned, network-independent parts
+    /// (moved, not cloned). Kept for the repository benchmark, which sizes
+    /// a context through [`ContextParts::approx_bytes`].
     pub fn into_parts(self) -> ContextParts {
         ContextParts {
             core_vertices: self.core_vertices,
@@ -231,27 +225,6 @@ impl<'a> SearchContext<'a> {
             local_q: self.local_q,
             attrs: self.attrs,
             gd: self.gd,
-        }
-    }
-
-    /// Reassembles a context from cached parts (zero-copy: the parts are
-    /// moved, not cloned). The caller owes the cache coherence argument:
-    /// `parts` must have been produced by a query with the same
-    /// [context signature](crate::query::QuerySignature::context_signature)
-    /// on the same engine epoch — the session context cache enforces both.
-    pub fn from_parts(
-        rsn: &'a RoadSocialNetwork,
-        query: &'a MacQuery,
-        parts: ContextParts,
-    ) -> Self {
-        SearchContext {
-            rsn,
-            query,
-            core_vertices: parts.core_vertices,
-            local_graph: parts.local_graph,
-            local_q: parts.local_q,
-            attrs: parts.attrs,
-            gd: parts.gd,
         }
     }
 

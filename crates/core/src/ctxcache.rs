@@ -1,18 +1,21 @@
-//! Session-level search-context and answer cache.
+//! Session-level answer cache.
 //!
 //! A result-bearing MAC query pays most of its latency **before** the search
 //! proper: the Lemma-1 range filter, the (k,t)-core peel, and the `O(core²)`
 //! r-dominance graph build all run per query even when the query is a repeat
 //! of one served moments ago — a common shape under production traffic, where
-//! popular (Q, k, t, R) combinations recur (the load harness models this with
-//! a Zipf-skewed query population). The [`ContextCache`] closes that gap: a
-//! [`QuerySession`](crate::session::QuerySession) with a cache keeps the
-//! owned [`ContextParts`] of recently built contexts keyed by the query's
-//! [context signature](crate::query::QuerySignature::context_signature), and
-//! a repeat query skips straight to the search stage. Each entry also keeps
-//! the last complete answer searched on it, stored flat and keyed by `j` and
-//! the resolved algorithm: a repeat of that exact query skips the search
-//! too.
+//! popular queries recur (the load harness models this with a Zipf-skewed
+//! query population). The [`ContextCache`] closes that gap: a
+//! [`QuerySession`](crate::session::QuerySession) with a cache keeps the last
+//! complete answer of recently served queries, stored flat and keyed by the
+//! query's [signature](crate::query::MacQuery::signature) under the algorithm
+//! the session resolved. A repeat of that exact query — same users, `k`, `t`,
+//! region, `j` and algorithm — skips every stage; any other query runs the
+//! same pipeline as an uncached session, and charges its budget the same.
+//!
+//! The `Context*` names ([`ContextCache`], [`ContextCacheStats`],
+//! `with_context_cache`) date from when entries also kept built search
+//! contexts; they stay because the repository benchmark reads them.
 //!
 //! Coherence is by distance slack, not by epoch. Only Lemma 1 reads the road
 //! network: the peel, `G_d` and the answer depend on the kept set
@@ -38,25 +41,14 @@
 //!   the rounding of the cumulative drift leaves it equal). An entry whose
 //!   drift lands exactly on the margin is dropped.
 //!
-//! A kept entry answers exactly as a rebuild would, and so does its stored
-//! answer. A cache further behind than the engine's move log clears itself.
+//! A kept entry's answer is exactly what a rebuild would return. A cache
+//! further behind than the engine's move log clears itself.
 //!
-//! Contexts are large and made of many small allocations (the dominance
-//! graph holds a few per core vertex), so an entry that has a stored answer
-//! lets its context go at the first epoch change it survives: across epochs
-//! it serves its answer, and a query wanting another `j` or algorithm
-//! rebuilds the context. Within its epoch an entry serves both, like the
-//! epoch-scoped cache it replaced. Keeping every context alive across
-//! epochs would hold the cache's full set of contexts for good, where the
-//! epoch-scoped cache dropped them at every update.
-//!
-//! Entries are **moved out** on hit and moved back in after the search
-//! completes: a cache hit is zero-copy, and a query that panics mid-search
-//! simply loses its entry (degrading to a miss next time) instead of ever
-//! exposing torn state.
+//! A hit reads the stored answer in place; an entry is added only once its
+//! query completed, so a query that panics mid-search leaves the cache as
+//! it was.
 
-use crate::context::ContextParts;
-use crate::engine::{AlgorithmChoice, EngineEpoch};
+use crate::engine::EngineEpoch;
 use crate::outcome::{CompactOutcome, CompactScratch};
 use crate::query::QuerySignature;
 use crate::result::MacSearchResult;
@@ -64,19 +56,17 @@ use rsn_graph::graph::VertexId;
 use rsn_road::network::Location;
 use rsn_road::rangefilter::{reuse_margin, QueryReach};
 
-/// Default number of cached contexts when a cache is enabled without an
+/// Default number of cached answers when a cache is enabled without an
 /// explicit capacity.
 pub const DEFAULT_CONTEXT_CACHE_CAPACITY: usize = 32;
 
 /// Hit/miss/eviction/invalidation counters of one [`ContextCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextCacheStats {
-    /// Lookups that found a reusable entry (its context, and possibly its
-    /// stored answer).
+    /// Lookups answered from a stored answer.
     pub hits: u64,
-    /// Lookups that found nothing usable (first sight, evicted, dropped by
-    /// an update, or an entry that kept only its answer asked for another
-    /// `j` or algorithm).
+    /// Lookups that found no entry (first sight, an incomplete earlier run,
+    /// evicted, or dropped by an update).
     pub misses: u64,
     /// Entries dropped to make room for newer ones.
     pub evictions: u64,
@@ -84,9 +74,6 @@ pub struct ContextCacheStats {
     /// and the entries of a cache that fell further behind than the
     /// engine's move log.
     pub epoch_invalidations: u64,
-    /// Hits answered from the entry's stored answer, without a search (a
-    /// subset of `hits`).
-    pub outcome_hits: u64,
     /// Entries dropped because the drift since their build reached their
     /// slack minus the margin.
     pub drift_expiries: u64,
@@ -207,52 +194,25 @@ impl Reuse {
             false
         }
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.reach.approx_bytes()
-    }
 }
 
-/// One cache entry: the context, what makes it reusable across epochs, and
-/// the last complete answer searched on it.
+/// One cache entry: a complete answer and what makes it reusable across
+/// epochs.
 #[derive(Debug)]
-pub(crate) struct CachedEntry {
-    pub(crate) key: QuerySignature,
-    /// The context; an entry with a stored answer lets it go at the first
-    /// epoch change (see [`ContextCache`]).
-    pub(crate) parts: Option<ContextParts>,
-    pub(crate) reuse: Reuse,
-    pub(crate) outcome: Option<CompactOutcome>,
+struct CachedEntry {
+    key: QuerySignature,
+    reuse: Reuse,
+    outcome: CompactOutcome,
 }
 
-impl CachedEntry {
-    /// A fresh entry holding `parts`, with no stored answer yet.
-    pub(crate) fn new(key: QuerySignature, parts: ContextParts, reuse: Reuse) -> Self {
-        CachedEntry {
-            key,
-            parts: Some(parts),
-            reuse,
-            outcome: None,
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.parts.as_ref().map_or(0, ContextParts::approx_bytes)
-            + self.reuse.approx_bytes()
-            + self.outcome.as_ref().map_or(0, |o| o.approx_bytes())
-    }
-}
-
-/// A bounded, LRU-evicting map from
-/// [context signature](crate::query::QuerySignature::context_signature) to
-/// the owned parts of a built [`SearchContext`](crate::context::SearchContext)
-/// and its last complete answer, kept coherent across engine epochs by
-/// distance slack (see the [module docs](self)).
+/// A bounded, LRU-evicting map from a query's answer key (its
+/// [signature](crate::query::MacQuery::signature) under the resolved
+/// algorithm) to its last complete answer, kept coherent across engine
+/// epochs by distance slack (see the [module docs](self)).
 ///
 /// The entry count is intentionally small (a serving thread sees a handful of
-/// hot signatures, and one entry can hold an `O(core)`-sized graph plus an
-/// `O(core²)`-edge dominance graph), so lookups are a linear scan — cheaper
-/// than hashing at this size and free of hasher state.
+/// hot queries), so lookups are a linear scan — cheaper than hashing at this
+/// size and free of hasher state.
 #[derive(Debug)]
 pub struct ContextCache {
     /// Most recently used last.
@@ -266,8 +226,8 @@ pub struct ContextCache {
 }
 
 impl ContextCache {
-    /// Creates an empty cache holding at most `capacity` contexts (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    /// Creates an empty cache holding at most `capacity` answers (minimum 1).
+    pub(crate) fn new(capacity: usize) -> Self {
         ContextCache {
             entries: Vec::new(),
             capacity: capacity.max(1),
@@ -277,33 +237,13 @@ impl ContextCache {
         }
     }
 
-    /// Maximum number of cached contexts.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently cached contexts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache currently holds no context.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> ContextCacheStats {
+    pub(crate) fn stats(&self) -> ContextCacheStats {
         self.stats
     }
 
-    /// Approximate heap footprint of everything cached.
-    pub fn approx_bytes(&self) -> usize {
-        self.entries.iter().map(CachedEntry::approx_bytes).sum()
-    }
-
     /// Drops every entry (the counters survive).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
@@ -327,12 +267,7 @@ impl ContextCache {
         }
         self.entries
             .retain_mut(|entry| match entry.reuse.sync(&entry.key, epoch, since) {
-                Ok(()) => {
-                    if entry.outcome.is_some() {
-                        entry.parts = None;
-                    }
-                    true
-                }
+                Ok(()) => true,
                 Err(cause) => {
                     stats.epoch_invalidations += 1;
                     match cause {
@@ -344,63 +279,50 @@ impl ContextCache {
             });
     }
 
-    /// Takes the entry for `key` out of the cache, after syncing the cache
-    /// to `epoch`, when `usable` accepts it: an entry whose context is
-    /// gone serves only its stored answer. The entry is *removed* — the
-    /// caller is expected to [`store`](Self::store) it back once the query
-    /// is answered, which keeps a hit zero-copy and panic-safe. An entry
-    /// `usable` rejects is dropped, and the lookup counts as a miss.
-    pub(crate) fn take(
+    /// The stored answer for `key`, after syncing the cache to `epoch`;
+    /// a found entry becomes the most recently used. Counts the lookup as a
+    /// hit or a miss.
+    pub(crate) fn lookup(
         &mut self,
         epoch: &EngineEpoch,
         key: &QuerySignature,
-        usable: impl FnOnce(&CachedEntry) -> bool,
-    ) -> Option<CachedEntry> {
+    ) -> Option<&CompactOutcome> {
         self.sync(epoch);
-        let found = self.entries.iter().position(|e| &e.key == key);
-        match found.map(|pos| self.entries.remove(pos)) {
-            Some(entry) if usable(&entry) => {
-                self.stats.hits += 1;
-                Some(entry)
-            }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let Some(pos) = self.entries.iter().position(|e| &e.key == key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.entries[pos..].rotate_left(1);
+        self.entries.last().map(|e| &e.outcome)
     }
 
-    /// Counts a hit answered from the entry's stored answer.
-    pub(crate) fn note_outcome_hit(&mut self) {
-        self.stats.outcome_hits += 1;
-    }
-
-    /// Inserts (or re-inserts, after a [`take`](Self::take)) an entry,
-    /// marking it most recently used; with `answer` — a complete result of
-    /// top-`j` under the resolved algorithm — the entry's stored answer is
-    /// replaced by it. Evicts the least recently used entry when full.
+    /// Stores `result`, the complete answer of the query keyed by `key`,
+    /// with its reuse record as the most recently used entry, evicting the
+    /// least recently used entry when full. The caller stores only after a
+    /// missed [`lookup`](Self::lookup) on the same epoch, so no entry holds
+    /// `key` yet. An answer that does not fit the flat form is not stored.
     pub(crate) fn store(
         &mut self,
         epoch: &EngineEpoch,
-        mut entry: CachedEntry,
-        answer: Option<(&MacSearchResult, usize, AlgorithmChoice)>,
+        key: QuerySignature,
+        reuse: Reuse,
+        result: &MacSearchResult,
     ) {
         self.sync(epoch);
-        if let Some((result, j, algorithm)) = answer {
-            let slot = entry.outcome.get_or_insert_with(CompactOutcome::default);
-            if !slot.assign(result, j, algorithm, &mut self.compact) {
-                entry.outcome = None;
-            }
-        }
-        if let Some(pos) = self.entries.iter().position(|e| e.key == entry.key) {
-            // Same signature stored twice (e.g. two sessions' worth of work
-            // merged): keep the newer entry, refresh recency.
-            self.entries.remove(pos);
-        } else if self.entries.len() >= self.capacity {
+        debug_assert!(self.entries.iter().all(|e| e.key != key));
+        let Some(outcome) = CompactOutcome::new(result, &mut self.compact) else {
+            return;
+        };
+        if self.entries.len() >= self.capacity {
             self.entries.remove(0);
             self.stats.evictions += 1;
         }
-        self.entries.push(entry);
+        self.entries.push(CachedEntry {
+            key,
+            reuse,
+            outcome,
+        });
     }
 }
 
@@ -412,6 +334,7 @@ mod tests {
     use crate::engine::{MacEngine, NetworkDelta};
     use crate::network::RoadSocialNetwork;
     use crate::query::MacQuery;
+    use crate::result::SearchStats;
     use rsn_geom::region::PrefRegion;
     use rsn_graph::graph::Graph;
     use rsn_road::network::RoadNetwork;
@@ -448,28 +371,34 @@ mod tests {
         MacQuery::new(vec![0], k, 2.5, region)
     }
 
-    /// The entry a cached session would store for `query` on `epoch`.
-    fn entry_for(query: &MacQuery, epoch: &EngineEpoch) -> CachedEntry {
+    /// The reuse record a cached session would store for `query` on
+    /// `epoch`.
+    fn reuse_for(query: &MacQuery, epoch: &EngineEpoch) -> Reuse {
         let mut reach = QueryReach::new();
-        let mut scratch = ContextScratch::new();
         let built = SearchContext::build_with_ticker(
             epoch.network(),
             query,
             RangeFilterChoice::DijkstraSweep,
             None,
-            &mut scratch,
+            &mut ContextScratch::new(),
             &mut BudgetTicker::unlimited(),
             Some(&mut reach),
         )
         .unwrap();
-        let BuildOutcome::Ready(ctx) = built else {
-            panic!("the fixture has a core")
+        assert!(
+            matches!(built, BuildOutcome::Ready(_)),
+            "the fixture has a core"
+        );
+        Reuse::new(reach, epoch)
+    }
+
+    /// Stores an (empty) answer for `query` built on `epoch`.
+    fn store(cache: &mut ContextCache, query: &MacQuery, epoch: &EngineEpoch) {
+        let answer = MacSearchResult {
+            cells: Vec::new(),
+            stats: SearchStats::default(),
         };
-        CachedEntry::new(
-            query.signature().context_signature(),
-            ctx.into_parts(),
-            Reuse::new(reach, epoch),
-        )
+        cache.store(epoch, query.signature(), reuse_for(query, epoch), &answer);
     }
 
     /// Stores the entry for `query(3)` on the current epoch, applies
@@ -478,34 +407,30 @@ mod tests {
         let engine = MacEngine::build(network());
         let q = query(3);
         let mut cache = ContextCache::new(4);
-        let epoch = engine.epoch();
-        cache.store(&epoch, entry_for(&q, &epoch), None);
+        store(&mut cache, &q, &engine.epoch());
         engine.apply_updates(&delta).unwrap();
-        let key = q.signature().context_signature();
-        let kept = cache.take(&engine.epoch(), &key, |_| true).is_some();
+        let kept = cache.lookup(&engine.epoch(), &q.signature()).is_some();
         (kept, cache.stats())
     }
 
     #[test]
-    fn take_store_roundtrip_counts_hits_and_misses() {
+    fn lookups_count_hits_and_misses() {
         let engine = MacEngine::build(network());
         let epoch = engine.epoch();
         let q = query(3);
-        let key = q.signature().context_signature();
+        let key = q.signature();
         let mut cache = ContextCache::new(4);
-        assert!(cache.take(&epoch, &key, |_| true).is_none());
-        cache.store(&epoch, entry_for(&q, &epoch), None);
-        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(&epoch, &key).is_none());
+        store(&mut cache, &q, &epoch);
+        assert_eq!(cache.entries.len(), 1);
         assert!(
-            cache.entries[0].reuse.approx_bytes() > 0,
+            cache.entries[0].reuse.reach.has_field(),
             "the entry keeps its distance field"
         );
-        let entry = cache.take(&epoch, &key, |_| true).expect("hit");
-        // A take removes the entry; storing it back restores the hit.
-        assert_eq!(entry.key, key);
-        assert!(cache.is_empty());
-        cache.store(&epoch, entry, None);
-        assert!(cache.take(&epoch, &key, |_| true).is_some());
+        // A lookup reads the entry in place: it stays cached.
+        assert!(cache.lookup(&epoch, &key).is_some());
+        assert!(cache.lookup(&epoch, &key).is_some());
+        assert_eq!(cache.entries.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
@@ -516,20 +441,20 @@ mod tests {
         let engine = MacEngine::build(network());
         let epoch = engine.epoch();
         let mut cache = ContextCache::new(2);
-        let keys: Vec<_> = (1..4)
-            .map(|k| query(k).signature().context_signature())
-            .collect();
-        for k in 1..4 {
-            cache.store(&epoch, entry_for(&query(k), &epoch), None);
-        }
-        assert_eq!(cache.len(), 2);
+        let queries: Vec<_> = (1..4).map(query).collect();
+        store(&mut cache, &queries[0], &epoch);
+        store(&mut cache, &queries[1], &epoch);
+        // A hit refreshes the first entry, so the second is evicted.
+        assert!(cache.lookup(&epoch, &queries[0].signature()).is_some());
+        store(&mut cache, &queries[2], &epoch);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(
-            cache.take(&epoch, &keys[0], |_| true).is_none(),
-            "oldest entry evicted"
+            cache.lookup(&epoch, &queries[1].signature()).is_none(),
+            "least recently used entry evicted"
         );
-        assert!(cache.take(&epoch, &keys[1], |_| true).is_some());
-        assert!(cache.take(&epoch, &keys[2], |_| true).is_some());
+        assert!(cache.lookup(&epoch, &queries[0].signature()).is_some());
+        assert!(cache.lookup(&epoch, &queries[2].signature()).is_some());
     }
 
     #[test]
@@ -572,28 +497,27 @@ mod tests {
         // Vertex 2 is at distance 2: still kept, 0.5 inside t.
         let engine = MacEngine::build(network());
         let q = query(3);
-        let key = q.signature().context_signature();
+        let key = q.signature();
         let mut cache = ContextCache::new(4);
-        let epoch = engine.epoch();
-        cache.store(&epoch, entry_for(&q, &epoch), None);
+        store(&mut cache, &q, &engine.epoch());
         engine
             .apply_updates(&NetworkDelta::new().move_user(4, Location::vertex(2)))
             .unwrap();
-        let entry = cache
-            .take(&engine.epoch(), &key, |_| true)
-            .expect("move inside t keeps");
+        assert!(
+            cache.lookup(&engine.epoch(), &key).is_some(),
+            "move inside t keeps"
+        );
         // The field's bound sits at most two steps of t / 65534 above 2.
-        let slack = entry.reuse.slack;
+        let slack = cache.entries[0].reuse.slack;
         assert!(
             slack <= 0.5 && slack > 0.5 - 2.0 * 2.5 / 65534.0,
             "slack {slack}"
         );
-        cache.store(&engine.epoch(), entry, None);
         // The tightened slack now rejects a drift of 0.75.
         engine
             .apply_updates(&NetworkDelta::new().reweight_edge(3, 4, 1.75))
             .unwrap();
-        assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
+        assert!(cache.lookup(&engine.epoch(), &key).is_none());
         assert_eq!(cache.stats().drift_expiries, 1);
     }
 
@@ -606,16 +530,14 @@ mod tests {
         let engine = MacEngine::build(network());
         let q = query(3);
         let mut cache = ContextCache::new(4);
-        let epoch = engine.epoch();
-        cache.store(&epoch, entry_for(&q, &epoch), None);
+        store(&mut cache, &q, &engine.epoch());
         for _ in 0..=MOVE_LOG_TEST_EPOCHS {
             // Same-weight reweights: new epochs with no drift and no moves.
             engine
                 .apply_updates(&NetworkDelta::new().reweight_edge(3, 4, 1.0))
                 .unwrap();
         }
-        let key = q.signature().context_signature();
-        assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
+        assert!(cache.lookup(&engine.epoch(), &q.signature()).is_none());
         assert_eq!(cache.stats().epoch_invalidations, 1);
     }
 
@@ -633,27 +555,25 @@ mod tests {
         // Users 2..4 sit at exactly t = 1.
         let region = PrefRegion::from_ranges(&[(0.3, 0.7)]).unwrap();
         let q = MacQuery::new(vec![0], 3, 1.0, region);
-        let key = q.signature().context_signature();
+        let key = q.signature();
         let mut cache = ContextCache::new(4);
-        let epoch = engine.epoch();
-        let entry = entry_for(&q, &epoch);
-        assert_eq!(entry.reuse.slack, 0.0);
-        cache.store(&epoch, entry, None);
+        store(&mut cache, &q, &engine.epoch());
+        assert_eq!(cache.entries[0].reuse.slack, 0.0);
         // A move-only delta keeps every distance.
         engine
             .apply_updates(&NetworkDelta::new().move_user(4, Location::vertex(0)))
             .unwrap();
-        let entry = cache
-            .take(&engine.epoch(), &key, |_| true)
-            .expect("no weight changed");
-        cache.store(&engine.epoch(), entry, None);
+        assert!(
+            cache.lookup(&engine.epoch(), &key).is_some(),
+            "no weight changed"
+        );
         // Users 2..4 leave the ball, yet the drift does not move.
         let drift = engine.epoch().drift();
         engine
             .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.5))
             .unwrap();
         assert_eq!(engine.epoch().drift(), drift);
-        assert!(cache.take(&engine.epoch(), &key, |_| true).is_none());
+        assert!(cache.lookup(&engine.epoch(), &key).is_none());
         assert_eq!(cache.stats().drift_expiries, 1);
     }
 

@@ -1,4 +1,4 @@
-//! Compact storage of a finished answer for the session context cache.
+//! Compact storage of a finished answer for the session answer cache.
 //!
 //! A [`MacSearchResult`] holds one `Cell` per partition, and every cell owns
 //! its half-space constraints as separate small vectors. Across the cells of
@@ -12,7 +12,6 @@
 //! [`QuerySession::recycle`](crate::session::QuerySession::recycle) returned,
 //! so a warmed hit allocates nothing.
 
-use crate::engine::AlgorithmChoice;
 use crate::global::GsScratch;
 use crate::result::{CellResult, Community, MacSearchResult, SearchStats};
 use rsn_geom::cell::Cell;
@@ -28,12 +27,9 @@ struct CellSpan {
     communities: u32,
 }
 
-/// One complete answer, stored flat and keyed by the `j` and resolved
-/// algorithm it answers.
+/// One complete answer, stored flat.
 #[derive(Debug, Default)]
 pub(crate) struct CompactOutcome {
-    j: usize,
-    algorithm: AlgorithmChoice,
     stats: SearchStats,
     /// Reduced dimension of the cells.
     dim: usize,
@@ -58,7 +54,7 @@ pub(crate) struct CompactOutcome {
     cells: Vec<CellSpan>,
 }
 
-/// Scratch of [`CompactOutcome::assign`]: content hash to index, for
+/// Scratch of [`CompactOutcome::new`]: content hash to index, for
 /// hyperplanes and for communities.
 #[derive(Debug, Default)]
 pub(crate) struct CompactScratch {
@@ -67,85 +63,50 @@ pub(crate) struct CompactScratch {
 }
 
 impl CompactOutcome {
-    /// Whether this outcome answers a query with top-`j` under `algorithm`.
-    pub(crate) fn answers(&self, j: usize, algorithm: AlgorithmChoice) -> bool {
-        self.j == j && self.algorithm == algorithm
-    }
-
-    /// Approximate heap footprint.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.lows.capacity() + self.highs.capacity() + self.planes.capacity()) * size_of::<f64>()
-            + self.weights.capacity() * size_of::<f64>()
-            + self.constraints.capacity() * size_of::<u16>()
-            + self.poly.capacity() * size_of::<(f64, f64)>()
-            + (self.communities.capacity() + self.members.capacity() + self.member_ends.capacity())
-                * size_of::<u32>()
-            + self.cells.capacity() * size_of::<CellSpan>()
-    }
-
-    /// Refills this outcome from `result`, reusing every buffer. Returns
-    /// `false`, leaving the outcome unusable, when the answer does not fit
-    /// the flat form: cells that do not share one box, dimension and
+    /// Compacts `result`. Returns `None` when the answer does not fit the
+    /// flat form: cells that do not share one box, dimension and
     /// representation (the search never produces them), or more than
     /// 65,536 distinct hyperplanes.
-    pub(crate) fn assign(
-        &mut self,
-        result: &MacSearchResult,
-        j: usize,
-        algorithm: AlgorithmChoice,
-        scratch: &mut CompactScratch,
-    ) -> bool {
-        self.j = j;
-        self.algorithm = algorithm;
-        self.stats = result.stats.clone();
-        self.planes.clear();
-        self.constraints.clear();
-        self.poly.clear();
-        self.weights.clear();
-        self.communities.clear();
-        self.members.clear();
-        self.member_ends.clear();
-        self.cells.clear();
+    pub(crate) fn new(result: &MacSearchResult, scratch: &mut CompactScratch) -> Option<Self> {
         scratch.planes.clear();
         scratch.communities.clear();
+        let mut out = CompactOutcome {
+            stats: result.stats.clone(),
+            ..CompactOutcome::default()
+        };
         let Some(first) = result.cells.first() else {
-            self.lows.clear();
-            self.highs.clear();
-            return true;
+            return Some(out);
         };
         let (lows, highs) = first.cell.bounds();
-        self.dim = lows.len();
-        self.lows.clear();
-        self.lows.extend_from_slice(lows);
-        self.highs.clear();
-        self.highs.extend_from_slice(highs);
-        self.has_poly = first.cell.polygon().is_some();
+        out.dim = lows.len();
+        out.lows = lows.to_vec();
+        out.highs = highs.to_vec();
+        out.has_poly = first.cell.polygon().is_some();
         // Size the per-cell runs exactly up front: an entry's buffers are
         // then one allocation each instead of a doubling trail.
         let cells = &result.cells;
-        self.cells.reserve_exact(cells.len());
-        self.constraints
+        out.cells.reserve_exact(cells.len());
+        out.constraints
             .reserve_exact(cells.iter().map(|c| c.cell.constraints().len()).sum());
         let poly_len = |c: &CellResult| c.cell.polygon().map_or(0, <[_]>::len);
-        self.poly.reserve_exact(cells.iter().map(poly_len).sum());
-        self.weights
+        out.poly.reserve_exact(cells.iter().map(poly_len).sum());
+        out.weights
             .reserve_exact(cells.iter().map(|c| c.sample_weight.len()).sum());
-        self.communities
+        out.communities
             .reserve_exact(cells.iter().map(|c| c.communities.len()).sum());
-        let width = self.dim + 1;
+        let width = out.dim + 1;
         for res in cells {
             let cell = &res.cell;
-            if cell.bounds() != (&self.lows[..], &self.highs[..])
-                || cell.polygon().is_some() != self.has_poly
+            if cell.bounds() != (&out.lows[..], &out.highs[..])
+                || cell.polygon().is_some() != out.has_poly
             {
-                return false;
+                return None;
             }
             for hs in cell.constraints() {
-                if hs.coeffs.len() != self.dim {
-                    return false;
+                if hs.coeffs.len() != out.dim {
+                    return None;
                 }
-                let planes = &mut self.planes;
+                let planes = &mut out.planes;
                 let id = intern_run(
                     &mut scratch.planes,
                     key_of(
@@ -169,16 +130,16 @@ impl CompactOutcome {
                     planes.push(hs.offset);
                 }
                 let Ok(id) = u16::try_from(id) else {
-                    return false;
+                    return None;
                 };
-                self.constraints.push(id);
+                out.constraints.push(id);
             }
             if let Some(poly) = cell.polygon() {
-                self.poly.extend_from_slice(poly);
+                out.poly.extend_from_slice(poly);
             }
-            self.weights.extend_from_slice(&res.sample_weight);
+            out.weights.extend_from_slice(&res.sample_weight);
             for community in &res.communities {
-                let (members, ends) = (&mut self.members, &mut self.member_ends);
+                let (members, ends) = (&mut out.members, &mut out.member_ends);
                 let id = intern_run(
                     &mut scratch.communities,
                     key_of(community.vertices.iter().map(|&v| u64::from(v))),
@@ -189,16 +150,16 @@ impl CompactOutcome {
                     members.extend_from_slice(&community.vertices);
                     ends.push(members.len() as u32);
                 }
-                self.communities.push(id);
+                out.communities.push(id);
             }
-            self.cells.push(CellSpan {
-                constraints: self.constraints.len() as u32,
-                poly: self.poly.len() as u32,
-                weights: self.weights.len() as u32,
-                communities: self.communities.len() as u32,
+            out.cells.push(CellSpan {
+                constraints: out.constraints.len() as u32,
+                poly: out.poly.len() as u32,
+                weights: out.weights.len() as u32,
+                communities: out.communities.len() as u32,
             });
         }
-        true
+        Some(out)
     }
 
     /// Rebuilds the stored answer, bit for bit, in buffers drawn from the
@@ -296,7 +257,7 @@ fn intern_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MacEngine;
+    use crate::engine::{AlgorithmChoice, MacEngine};
     use crate::network::RoadSocialNetwork;
     use crate::query::MacQuery;
     use rsn_geom::region::PrefRegion;
@@ -345,10 +306,7 @@ mod tests {
                 .with_top_j(j);
             let result = session.execute(&query).unwrap();
             assert!(result.num_cells() > 1, "the fixture splits the region");
-            let mut outcome = CompactOutcome::default();
-            assert!(outcome.assign(&result, j, AlgorithmChoice::Global, &mut scratch_c));
-            assert!(outcome.answers(j, AlgorithmChoice::Global));
-            assert!(!outcome.answers(j + 1, AlgorithmChoice::Global));
+            let outcome = CompactOutcome::new(&result, &mut scratch_c).expect("the answer fits");
             // Twice: the second rebuild runs on recycled husks.
             for _ in 0..2 {
                 let back = outcome.rehydrate(&mut scratch);

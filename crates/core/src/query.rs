@@ -81,15 +81,9 @@ impl MacQuery {
     /// The range-filter strategy is deliberately excluded: all filter
     /// strategies are property-tested identical, so it only affects speed.
     pub fn signature(&self) -> QuerySignature {
-        QuerySignature {
-            q: self.q.clone(),
-            k: self.k,
-            t_bits: self.t.to_bits(),
-            region_low_bits: self.region.lows().iter().map(|w| w.to_bits()).collect(),
-            region_high_bits: self.region.highs().iter().map(|w| w.to_bits()).collect(),
-            j: self.j,
-            algorithm: self.algorithm,
-        }
+        let mut signature = QuerySignature::empty();
+        self.write_answer_key(self.algorithm, &mut signature);
+        signature
     }
 
     /// Validates the query against a network.
@@ -145,12 +139,12 @@ pub struct QuerySignature {
 }
 
 impl MacQuery {
-    /// In-place form of
-    /// [`signature().context_signature()`](QuerySignature::context_signature):
-    /// rebuilds `out` into this query's context signature reusing its heap
-    /// buffers, so a warmed caller (the session's cache-key husk) computes
-    /// the key without allocating.
-    pub(crate) fn write_context_signature(&self, out: &mut QuerySignature) {
+    /// Rebuilds `out` in place into this query's [`signature`](Self::signature)
+    /// with the algorithm replaced by `algorithm` — the key of the session
+    /// answer cache, where `algorithm` is the one the session resolved.
+    /// Reuses `out`'s heap buffers, so a warmed caller (the session's
+    /// cache-key husk) computes the key without allocating.
+    pub(crate) fn write_answer_key(&self, algorithm: AlgorithmChoice, out: &mut QuerySignature) {
         out.q.clear();
         out.q.extend_from_slice(&self.q);
         out.k = self.k;
@@ -161,14 +155,14 @@ impl MacQuery {
         out.region_high_bits.clear();
         out.region_high_bits
             .extend(self.region.highs().iter().map(|w| w.to_bits()));
-        out.j = 1;
-        out.algorithm = AlgorithmChoice::Auto;
+        out.j = self.j;
+        out.algorithm = algorithm;
     }
 }
 
 impl QuerySignature {
     /// An empty signature husk for in-place rebuilding via
-    /// [`MacQuery::write_context_signature`]; never equal to a real query's
+    /// [`MacQuery::write_answer_key`]; never equal to a real query's
     /// signature (queries validate non-empty `Q`).
     pub(crate) fn empty() -> Self {
         QuerySignature {
@@ -190,19 +184,6 @@ impl QuerySignature {
     /// The distance threshold `t`.
     pub(crate) fn t(&self) -> f64 {
         f64::from_bits(self.t_bits)
-    }
-
-    /// The identity of the query's **search context** (maximal (k,t)-core +
-    /// r-dominance graph): everything in the signature except `j` and the
-    /// algorithm, which select how the context is searched but not what it
-    /// is. Two queries with equal context signatures share one cached
-    /// context even when one asks top-j and the other non-contained.
-    pub fn context_signature(&self) -> QuerySignature {
-        QuerySignature {
-            j: 1,
-            algorithm: AlgorithmChoice::Auto,
-            ..self.clone()
-        }
     }
 }
 
@@ -270,17 +251,15 @@ mod tests {
                 .with_range_filter(RangeFilterChoice::DijkstraSweep)
                 .signature()
         );
-        // The context signature additionally merges j and the algorithm.
+        // The answer key is the signature under the resolved algorithm,
+        // rebuilt in place on a husk of another query.
+        let mut key = MacQuery::new(vec![2], 1, 0.5, region).signature();
+        base.write_answer_key(AlgorithmChoice::Global, &mut key);
         assert_eq!(
-            base.signature().context_signature(),
-            base.clone().with_top_j(3).signature().context_signature()
-        );
-        assert_eq!(
-            base.signature().context_signature(),
+            key,
             base.clone()
                 .with_algorithm(AlgorithmChoice::Global)
                 .signature()
-                .context_signature()
         );
     }
 

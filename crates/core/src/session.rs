@@ -19,8 +19,8 @@
 
 use crate::budget::QueryBudget;
 use crate::context::{BuildOutcome, ContextScratch, SearchContext};
-use crate::ctxcache::{CachedEntry, ContextCache, ContextCacheStats, Reuse};
-use crate::engine::{AlgorithmChoice, EngineEpoch, MacEngine};
+use crate::ctxcache::{ContextCache, ContextCacheStats, Reuse};
+use crate::engine::{AlgorithmChoice, MacEngine};
 use crate::error::MacError;
 use crate::global::{self, GsScratch};
 use crate::local;
@@ -48,13 +48,12 @@ use std::time::Instant;
 pub struct QuerySession {
     engine: MacEngine,
     scratch: ContextScratch,
-    /// Session-level search-context cache (`None` = disabled, the default):
-    /// repeat queries with the same context signature skip the range filter,
-    /// the (k,t)-core peel, and the `O(core²)` r-dominance graph build, and
-    /// an exact repeat of the last complete answer skips the search too.
+    /// Session-level answer cache (`None` = disabled, the default): an
+    /// exact repeat of a query whose last run completed is answered from
+    /// the stored answer, skipping every stage.
     cache: Option<ContextCache>,
     /// The range filter's record of a cached session's next context build;
-    /// it moves into the cache entry the build produces.
+    /// it moves into the cache entry of the build's complete answer.
     reach: QueryReach,
     /// Retained global-search scratch: task stack, leaf arena, half-space
     /// and arrangement pools — reused across queries so a warmed query
@@ -65,9 +64,9 @@ pub struct QuerySession {
     /// Seeded from the engine's policy at [`MacEngine::session`]; replaced
     /// wholesale by [`with_policy`](Self::with_policy).
     policy: ExecutionPolicy,
-    /// Pooled cache-key husk: the context signature of the current query is
-    /// rebuilt in place on this buffer (and swapped with the cache entry's
-    /// owned key on a hit), so a warmed cache lookup allocates nothing.
+    /// Pooled cache-key husk: the answer key of the current query is
+    /// rebuilt in place on this buffer (and moves into the cache entry a
+    /// miss stores), so a warmed cache lookup allocates nothing.
     key_buf: Option<QuerySignature>,
     executed: u64,
     stats: SessionStats,
@@ -94,13 +93,10 @@ pub struct SessionStats {
     /// Mid-query panics contained by the session guard (each also counts as
     /// one error).
     pub panics_recovered: u64,
-    /// Context-cache hits (0 when the cache is disabled).
+    /// Answer-cache hits (0 when the cache is disabled).
     pub context_cache_hits: u64,
-    /// Context-cache misses (0 when the cache is disabled).
+    /// Answer-cache misses (0 when the cache is disabled).
     pub context_cache_misses: u64,
-    /// Context-cache hits answered from a stored answer, without a search
-    /// (a subset of `context_cache_hits`).
-    pub context_cache_outcome_hits: u64,
     /// Cache entries dropped because the road drift reached their slack.
     pub context_cache_drift_expiries: u64,
     /// Cache entries dropped because a moved user could change their kept
@@ -119,12 +115,11 @@ impl SessionStats {
         self.panics_recovered += other.panics_recovered;
         self.context_cache_hits += other.context_cache_hits;
         self.context_cache_misses += other.context_cache_misses;
-        self.context_cache_outcome_hits += other.context_cache_outcome_hits;
         self.context_cache_drift_expiries += other.context_cache_drift_expiries;
         self.context_cache_move_drops += other.context_cache_move_drops;
     }
 
-    /// Context-cache hit fraction in `[0, 1]` (0 before any lookup).
+    /// Answer-cache hit fraction in `[0, 1]` (0 before any lookup).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.context_cache_hits + self.context_cache_misses;
         if total == 0 {
@@ -137,12 +132,12 @@ impl SessionStats {
 
 impl std::fmt::Display for SessionStats {
     /// One-line log form:
-    /// `served 120 (118 complete, 2 partial), 0 errors (0 panics recovered), cache 80/100 hits (30 answers), 3 drift-expired, 1 move-dropped`.
+    /// `served 120 (118 complete, 2 partial), 0 errors (0 panics recovered), cache 80/100 hits, 3 drift-expired, 1 move-dropped`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "served {} ({} complete, {} partial), {} errors ({} panics recovered), \
-             cache {}/{} hits ({} answers), {} drift-expired, {} move-dropped",
+             cache {}/{} hits, {} drift-expired, {} move-dropped",
             self.served,
             self.complete,
             self.partial,
@@ -150,7 +145,6 @@ impl std::fmt::Display for SessionStats {
             self.panics_recovered,
             self.context_cache_hits,
             self.context_cache_hits + self.context_cache_misses,
-            self.context_cache_outcome_hits,
             self.context_cache_drift_expiries,
             self.context_cache_move_drops,
         )
@@ -221,13 +215,13 @@ impl QuerySession {
         &self.policy
     }
 
-    /// Enables the session-level [`ContextCache`] with room for `capacity`
-    /// contexts (minimum 1): repeat queries sharing a
-    /// [context signature](crate::query::QuerySignature::context_signature)
-    /// reuse the built search context — skipping the range filter, the
-    /// (k,t)-core peel, and the `O(core²)` r-dominance graph build — and an
-    /// exact repeat (same `j` and resolved algorithm) of the last complete
-    /// answer on that context reuses the answer. Entries survive an
+    /// Enables the session-level answer cache, a [`ContextCache`] with
+    /// room for `capacity` answers (minimum 1): an exact repeat of a query
+    /// (same [signature](MacQuery::signature) under the resolved algorithm)
+    /// whose last run completed reuses that answer, skipping the range
+    /// filter, the (k,t)-core peel, the `O(core²)` r-dominance graph build
+    /// and the search. Every other query runs exactly as on an uncached
+    /// session, budget charges included. Entries survive an
     /// [`apply_updates`](MacEngine::apply_updates) only while the update
     /// provably cannot change their kept set (see
     /// [`ctxcache`](crate::ctxcache)), so cached answers are always
@@ -252,7 +246,7 @@ impl QuerySession {
         self.stats
     }
 
-    /// Counter snapshot of the context cache, when one is enabled.
+    /// Counter snapshot of the answer cache, when one is enabled.
     pub fn context_cache_stats(&self) -> Option<ContextCacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
@@ -260,57 +254,13 @@ impl QuerySession {
     /// Returns a finished result's buffers to this session's scratch pools:
     /// the next global-search query reuses the result's cell, weight, and
     /// community vectors instead of allocating fresh ones. This closes the
-    /// last allocation loop of the steady state — with a context-cache hit
+    /// last allocation loop of the steady state — with an answer-cache hit
     /// and recycled results, a repeated query performs no heap allocation at
     /// all (pinned by the counting-allocator test in
     /// `tests/steady_state_alloc.rs`). Callers that keep their results simply
     /// drop them; recycling is an optimization, not a duty.
     pub fn recycle(&mut self, result: MacSearchResult) {
         self.gs_scratch.recycle(result);
-    }
-
-    /// Takes the cached entry for this query (if caching is on), after
-    /// syncing the cache to the pinned `epoch`, and counts the lookup.
-    /// Also returns the owned lookup key — rebuilt in place on the session's
-    /// pooled husk, so a warmed lookup computes it without allocating —
-    /// which the caller hands back with the entry to the cache's `store`
-    /// after the query; a panic in between only loses the entry.
-    fn take_cached_entry(
-        &mut self,
-        epoch: &EngineEpoch,
-        query: &MacQuery,
-        algorithm: AlgorithmChoice,
-    ) -> (Option<QuerySignature>, Option<CachedEntry>) {
-        let Some(cache) = self.cache.as_mut() else {
-            return (None, None);
-        };
-        let mut key = self.key_buf.take().unwrap_or_else(QuerySignature::empty);
-        query.write_context_signature(&mut key);
-        let before = cache.stats();
-        // An entry whose context is gone serves only its stored answer.
-        let taken = cache.take(epoch, &key, |entry| {
-            entry.parts.is_some()
-                || entry
-                    .outcome
-                    .as_ref()
-                    .is_some_and(|o| o.answers(query.j, algorithm))
-        });
-        let after = cache.stats();
-        self.stats.context_cache_drift_expiries += after.drift_expiries - before.drift_expiries;
-        self.stats.context_cache_move_drops += after.move_drops - before.move_drops;
-        match taken {
-            Some(entry) => {
-                self.stats.context_cache_hits += 1;
-                // The entry keeps its own key; park the husk for the next
-                // lookup so the steady state never allocates a signature.
-                self.key_buf = Some(key);
-                (None, Some(entry))
-            }
-            None => {
-                self.stats.context_cache_misses += 1;
-                (Some(key), None)
-            }
-        }
     }
 
     /// Executes one query exactly: the algorithm follows the query and the
@@ -386,9 +336,8 @@ impl QuerySession {
             Err(payload) => {
                 // The scratch buffers may hold torn intermediate state from
                 // the unwound query; rebuild them so the session stays
-                // serviceable. A context the cache had lent out is simply
-                // lost (its entry was removed on take), so the cache never
-                // holds torn state either.
+                // serviceable. The cache gains an entry only after a query
+                // completes, so it never holds torn state.
                 self.scratch = ContextScratch::new();
                 self.stats.panics_recovered += 1;
                 let msg = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -432,102 +381,74 @@ impl QuerySession {
         let epoch = self.engine.epoch();
         self.fire_query_failpoint();
         let rsn = epoch.network();
-        // Queries sharing everything the context depends on (users, k, t,
-        // region) share one cache slot regardless of j / algorithm. The
-        // build path validates inside the core extraction; a cache hit skips
-        // that stage, so the cached path validates explicitly (cheap,
-        // O(|Q|)) to keep invalid queries an error either way.
         let algorithm = self.algorithm_for(query);
-        let (mut new_key, cached) = if self.cache.is_some() {
+        // The key of a missed lookup: the complete answer is stored under
+        // it.
+        let mut key = None;
+        if let Some(cache) = self.cache.as_mut() {
+            // A hit runs no stage, so validate here (cheap, O(|Q|)) to keep
+            // invalid queries an error either way.
             query.validate(rsn)?;
-            self.take_cached_entry(&epoch, query, algorithm)
-        } else {
-            (None, None)
-        };
-        // What goes back into the cache with the context after the search:
-        // the key, the reuse record, and the stored answer.
-        let (ctx, entry_rest) = match cached {
-            Some(entry) => {
-                if let Some(outcome) = entry
-                    .outcome
-                    .as_ref()
-                    .filter(|o| o.answers(query.j, algorithm))
-                {
-                    // The stored answer is exact on this epoch (the sync
-                    // kept the entry), so it is the answer: no stage runs
-                    // and the ticker is not charged.
-                    let mut result = outcome.rehydrate(&mut self.gs_scratch);
-                    result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
-                    self.stats.context_cache_outcome_hits += 1;
-                    let cache = self.cache.as_mut().expect("a hit implies a cache");
-                    cache.note_outcome_hit();
-                    cache.store(&epoch, entry, None);
-                    self.executed += 1;
-                    return Ok(QueryOutcome::Complete(result));
-                }
-                // A cached context skips the filter/peel/build stages and
-                // their budget charges entirely: only the search stage draws
-                // on the ticker, exactly as if the context had been free.
-                let CachedEntry {
-                    key,
-                    parts,
-                    reuse,
-                    outcome,
-                } = entry;
-                let parts = parts.expect("the lookup only takes entries it can serve");
-                (
-                    SearchContext::from_parts(rsn, query, parts),
-                    Some((key, reuse, outcome)),
-                )
+            let mut husk = self.key_buf.take().unwrap_or_else(QuerySignature::empty);
+            query.write_answer_key(algorithm, &mut husk);
+            let before = cache.stats();
+            // The stored answer is exact on this epoch (the sync kept the
+            // entry), so it is the answer: no stage runs and the ticker is
+            // not charged.
+            let hit = cache
+                .lookup(&epoch, &husk)
+                .map(|outcome| outcome.rehydrate(&mut self.gs_scratch));
+            let after = cache.stats();
+            self.stats.context_cache_drift_expiries += after.drift_expiries - before.drift_expiries;
+            self.stats.context_cache_move_drops += after.move_drops - before.move_drops;
+            if let Some(mut result) = hit {
+                self.stats.context_cache_hits += 1;
+                self.key_buf = Some(husk);
+                result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
+                self.executed += 1;
+                return Ok(QueryOutcome::Complete(result));
             }
-            None => {
-                let filter = epoch.resolve_filter_with(query, self.policy.filter);
-                // Only a context headed for the cache records its reach.
-                let reach = new_key.is_some().then_some(&mut self.reach);
-                let built = SearchContext::build_with_ticker(
-                    rsn,
-                    query,
-                    filter,
-                    epoch.user_targets(),
-                    &mut self.scratch,
-                    ticker,
-                    reach,
-                );
-                // No context reaches the cache on these paths; park the key
-                // husk for the next lookup so it is not reallocated.
-                if !matches!(built, Ok(BuildOutcome::Ready(_))) {
-                    if let Some(key) = new_key.take() {
-                        self.key_buf = Some(key);
-                    }
-                }
-                match built? {
-                    BuildOutcome::Ready(ctx) => {
-                        let rest = new_key.take().map(|key| {
-                            let reach = std::mem::take(&mut self.reach);
-                            (key, Reuse::new(reach, &epoch), None)
-                        });
-                        (*ctx, rest)
-                    }
-                    BuildOutcome::Empty => {
-                        self.executed += 1;
-                        return Ok(QueryOutcome::Complete(Self::empty_result(start)));
-                    }
-                    BuildOutcome::Exhausted(phase) => {
-                        self.executed += 1;
-                        return Ok(QueryOutcome::Partial(PartialResult {
-                            result: Self::empty_result(start),
-                            cause: ticker.cause().unwrap_or(ExhaustionCause::WorkLimit),
-                            progress: QueryProgress {
-                                phase,
-                                explored: ticker.spent(),
-                                // The pipeline stopped before the search
-                                // stages; at least the current stage's work
-                                // is known undone.
-                                remaining: 1,
-                            },
-                        }));
-                    }
-                }
+            self.stats.context_cache_misses += 1;
+            key = Some(husk);
+        }
+        let filter = epoch.resolve_filter_with(query, self.policy.filter);
+        // Only a build whose answer may be cached records its reach.
+        let reach = key.is_some().then_some(&mut self.reach);
+        let built = SearchContext::build_with_ticker(
+            rsn,
+            query,
+            filter,
+            epoch.user_targets(),
+            &mut self.scratch,
+            ticker,
+            reach,
+        );
+        // No answer reaches the cache on these paths; park the key husk for
+        // the next lookup so it is not reallocated.
+        if !matches!(built, Ok(BuildOutcome::Ready(_))) {
+            if let Some(key) = key.take() {
+                self.key_buf = Some(key);
+            }
+        }
+        let ctx = match built? {
+            BuildOutcome::Ready(ctx) => ctx,
+            BuildOutcome::Empty => {
+                self.executed += 1;
+                return Ok(QueryOutcome::Complete(Self::empty_result(start)));
+            }
+            BuildOutcome::Exhausted(phase) => {
+                self.executed += 1;
+                return Ok(QueryOutcome::Partial(PartialResult {
+                    result: Self::empty_result(start),
+                    cause: ticker.cause().unwrap_or(ExhaustionCause::WorkLimit),
+                    progress: QueryProgress {
+                        phase,
+                        explored: ticker.spent(),
+                        // The pipeline stopped before the search stages; at
+                        // least the current stage's work is known undone.
+                        remaining: 1,
+                    },
+                }));
             }
         };
         let (mut run, phase) = match algorithm {
@@ -555,16 +476,14 @@ impl QuerySession {
                 QueryPhase::GlobalSearch,
             ),
         };
-        if let Some((key, reuse, outcome)) = entry_rest {
-            let entry = CachedEntry {
-                outcome,
-                ..CachedEntry::new(key, ctx.into_parts(), reuse)
-            };
-            // Only a complete answer is stored; a partial one leaves the
-            // entry's previous answer in place.
-            let answer = run.completed.then_some((&run.result, query.j, algorithm));
-            if let Some(cache) = self.cache.as_mut() {
-                cache.store(&epoch, entry, answer);
+        if let Some(key) = key {
+            match self.cache.as_mut().filter(|_| run.completed) {
+                // Only a complete answer is stored.
+                Some(cache) => {
+                    let reuse = Reuse::new(std::mem::take(&mut self.reach), &epoch);
+                    cache.store(&epoch, key, reuse, &run.result);
+                }
+                None => self.key_buf = Some(key),
             }
         }
         run.result.stats.elapsed_seconds = start.elapsed().as_secs_f64();
@@ -719,23 +638,21 @@ mod tests {
         let mut plain = engine.session();
         let mut cached = engine.session().with_context_cache(4);
         let q1 = query();
-        let q2 = query().with_top_j(2); // same context signature as q1
+        let q2 = query().with_top_j(2);
         for _ in 0..3 {
             assert_results_identical(&plain.execute(&q1).unwrap(), &cached.execute(&q1).unwrap());
             assert_results_identical(&plain.execute(&q2).unwrap(), &cached.execute(&q2).unwrap());
         }
         let stats = cached.stats();
-        // First q1 misses; everything after (including q2, which shares the
-        // context signature) hits.
-        assert_eq!(stats.context_cache_misses, 1);
-        assert_eq!(stats.context_cache_hits, 5);
+        // q1 and q2 differ in j, so each has its own entry: the first run
+        // of each misses, every repeat hits.
+        assert_eq!(
+            (stats.context_cache_misses, stats.context_cache_hits),
+            (2, 4)
+        );
         assert_eq!(stats.served, 6);
         assert_eq!(stats.complete, 6);
-        let cache_stats = cached.context_cache_stats().unwrap();
-        assert_eq!(cache_stats.hits, 5);
-        // The entry stores one answer: alternating j swaps it every time,
-        // so each hit reused the context and searched.
-        assert_eq!(cache_stats.outcome_hits, 0);
+        assert_eq!(cached.context_cache_stats().unwrap().hits, 4);
         assert!(plain.context_cache_stats().is_none());
     }
 
@@ -752,11 +669,11 @@ mod tests {
         engine
             .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.5))
             .unwrap();
-        let answers = cached.stats().context_cache_outcome_hits;
+        let hits = cached.stats().context_cache_hits;
         assert_results_identical(&cached.execute(&q).unwrap(), &before);
-        assert_eq!(cached.stats().context_cache_outcome_hits, answers + 1);
+        assert_eq!(cached.stats().context_cache_hits, hits + 1);
         // Strand user 3 on the far side of a now-expensive road segment: it
-        // drops out of the (k,t)-core, so the cached context is stale and
+        // drops out of the (k,t)-core, so the cached answer is stale and
         // must not be reused.
         let delta = NetworkDelta::new()
             .reweight_edge(0, 1, 100.0)
@@ -783,19 +700,18 @@ mod tests {
         engine
             .apply_updates(&NetworkDelta::new().reweight_edge(0, 1, 1.5))
             .unwrap();
-        // The entry survives the update with its answer, not its context:
-        // the same query is an answer hit, the other j rebuilds.
+        // The entry survives the update: the same query is a hit, the
+        // other j has no entry and runs the pipeline.
         let mut fresh = engine.session();
         assert_results_identical(&cached.execute(&q1).unwrap(), &fresh.execute(&q1).unwrap());
         assert_results_identical(&cached.execute(&q2).unwrap(), &fresh.execute(&q2).unwrap());
         let stats = cached.stats();
-        assert_eq!(stats.context_cache_outcome_hits, 1);
         assert_eq!(
             (stats.context_cache_hits, stats.context_cache_misses),
             (1, 2)
         );
-        // The rebuilt entry holds its context again for this epoch.
-        assert_results_identical(&cached.execute(&q1).unwrap(), &fresh.execute(&q1).unwrap());
+        // The other j's answer is now stored too.
+        assert_results_identical(&cached.execute(&q2).unwrap(), &fresh.execute(&q2).unwrap());
         assert_eq!(cached.stats().context_cache_hits, 2);
     }
 

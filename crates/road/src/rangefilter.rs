@@ -34,7 +34,7 @@
 //!
 //! A sweep can also record a [`QueryReach`]: an upper bound on the
 //! per-vertex `max_q d(q, v)` field and the *slack* `min_u |t - D_Q(u)|`.
-//! A session's context cache reuses an answer across road updates while
+//! A session's answer cache reuses an answer across road updates while
 //! the cumulative distance drift since the answer was built stays strictly
 //! below that slack minus a margin ([`reuse_margin`], a stated relative EPS
 //! of `t`). An entry whose drift lands exactly on the margin is dropped.
@@ -191,12 +191,6 @@ impl QueryReach {
         self.kept
             .get(user / 64)
             .is_some_and(|w| w & (1 << (user % 64)) != 0)
-    }
-
-    /// Approximate heap footprint.
-    pub fn approx_bytes(&self) -> usize {
-        self.field.capacity() * std::mem::size_of::<u16>()
-            + self.kept.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Folds one query location's sweep field into the vertex field.

@@ -45,8 +45,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Whether identical in-flight requests share one execution.
     pub coalescing: bool,
-    /// Per-worker [`ContextCache`](rsn_core::ContextCache) capacity
-    /// (0 = caching disabled).
+    /// Per-worker answer-cache capacity, in stored answers (0 = caching
+    /// disabled; see [`ContextCache`](rsn_core::ContextCache)).
     pub context_cache_capacity: usize,
     /// The [`ExecutionPolicy`] every worker session executes under. Its
     /// [`default_budget`](ExecutionPolicy::default_budget) is the budget
@@ -162,8 +162,8 @@ pub struct ServerStats {
     /// Worker threads the server ran.
     pub workers: usize,
     /// Merged per-worker session counters (executions, partials, errors,
-    /// context-cache hits, stored-answer hits, and entries dropped by road
-    /// updates — see [`SessionStats`]).
+    /// answer-cache hits, and entries dropped by road updates — see
+    /// [`SessionStats`]).
     pub sessions: SessionStats,
 }
 
@@ -177,7 +177,7 @@ impl ServerStats {
         }
     }
 
-    /// Context-cache hit fraction across all workers, in `[0, 1]`.
+    /// Answer-cache hit fraction across all workers, in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
         self.sessions.cache_hit_rate()
     }

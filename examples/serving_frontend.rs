@@ -1,6 +1,6 @@
 //! Serving front-end: run the paper's running example (Fig. 1/2) behind a
 //! threaded [`MacServer`] — a bounded request queue feeding worker threads
-//! that each own a pinned, context-cached [`QuerySession`] — while identical
+//! that each own a pinned, answer-cached [`QuerySession`] — while identical
 //! in-flight requests coalesce into one execution and a background thread
 //! applies live road-network updates.
 //!

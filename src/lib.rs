@@ -12,7 +12,7 @@
 //! * [`dom`] — flat attribute matrix and the r-dominance graph `G_d`.
 //! * [`core`] — the MAC model and the global/local search algorithms.
 //! * [`serve`] — threaded serving front-end (request queue, coalescing,
-//!   per-worker context caches).
+//!   per-worker answer caches).
 //! * [`baselines`] — Influ/Influ+/Sky/Sky+/ATC-style comparison algorithms.
 //! * [`datagen`] — synthetic road-social network and attribute generators.
 //!

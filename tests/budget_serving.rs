@@ -230,6 +230,50 @@ fn budgeted_batch_keeps_going_past_an_invalid_query() {
     );
 }
 
+/// The budget contract holds on cached sessions: a query the cache does not
+/// answer runs, and charges, exactly what an uncached session runs. A cached
+/// session first holds the complete `j = 1` answer of a query; its `j = 2`
+/// variant, budgeted at a sweep of work limits, must then equal a fresh
+/// uncached session's outcome at every limit: kind, cause, progress and
+/// cells.
+#[test]
+fn a_cached_session_charges_a_miss_like_an_uncached_one() {
+    let (rsn, group) = random_network(29, 120, false);
+    let engine = MacEngine::build(rsn);
+    let top2 = workload(&group).remove(1);
+    let top1 = top2.clone().with_top_j(1);
+    let (mut partials, mut searched) = (0, 0);
+    for limit in (1..1_500).step_by(11) {
+        let budget = QueryBudget::new().with_work_limit(limit);
+        let mut cached = engine.session().with_context_cache(4);
+        cached.execute(&top1).unwrap();
+        let got = cached.execute_with_budget(&top2, &budget).unwrap();
+        let want = engine
+            .session()
+            .execute_with_budget(&top2, &budget)
+            .unwrap();
+        let label = format!("work limit {limit}");
+        match (&got, &want) {
+            (QueryOutcome::Complete(got), QueryOutcome::Complete(want)) => {
+                assert_results_identical(&label, want, got);
+            }
+            (QueryOutcome::Partial(got), QueryOutcome::Partial(want)) => {
+                assert_eq!(got.cause, want.cause, "{label}: cause");
+                assert_eq!(got.progress, want.progress, "{label}: progress");
+                assert_results_identical(&label, &want.result, &got.result);
+                partials += 1;
+                searched += usize::from(!got.result.is_empty());
+            }
+            _ => panic!("{label}: cached {got:?} vs uncached {want:?}"),
+        }
+    }
+    // The sweep reaches into the search stage, not just the build.
+    assert!(
+        partials > 10 && searched > 3,
+        "{partials} partials, {searched} with cells"
+    );
+}
+
 /// Reduced deterministic grid under the debug profile; the full grid runs in
 /// the release CI job (same convention as the other proptest harnesses).
 const FUZZ_CASES: u32 = if cfg!(debug_assertions) { 8 } else { 40 };
@@ -247,7 +291,7 @@ proptest! {
     ///    query through the same session is cell-identical to a fresh
     ///    session.
     #[test]
-    fn interrupted_sessions_stay_clean_and_partials_are_prefixes(limit in 1u64..60_000) {
+    fn interrupted_sessions_stay_clean_and_partials_are_prefixes(limit in 1u64..4_000) {
         let indexed = limit % 2 == 0;
         let (rsn, group) = random_network(29, 120, indexed);
         let engine = MacEngine::build(rsn);

@@ -1,8 +1,8 @@
-//! Context-cache coherence under dynamic updates: a long-lived session with
+//! Answer-cache coherence under dynamic updates: a long-lived session with
 //! a [`ContextCache`](road_social_mac::core::ContextCache) must answer every
 //! query **identically** to a fresh cache-less session on the same engine
-//! epoch — across repeated serving passes (which hit the cache, and its
-//! stored answers) interleaved with
+//! epoch — across repeated serving passes (which hit the cache's stored
+//! answers) interleaved with
 //! [`apply_updates`](road_social_mac::core::MacEngine::apply_updates)
 //! batches. An entry survives a batch only while the batch provably cannot
 //! change its kept set: the batches include random traffic, reweights
@@ -84,8 +84,8 @@ fn region_for(sigma: f64) -> PrefRegion {
     PrefRegion::from_ranges(&ranges).unwrap()
 }
 
-/// A few hot queries, shaped so several share a context signature (same
-/// users/k/t/region, different j) — exactly what the cache is for.
+/// A few hot queries, in pairs that differ only in j: each variant keeps
+/// its own cache entry, so the pairs check that they never share one.
 fn workload(group: &[u32]) -> Vec<MacQuery> {
     let mut queries = Vec::new();
     for i in 0..3usize {
@@ -361,10 +361,7 @@ fn sub_slack_updates_keep_entries_and_updates_across_t_drop_them() {
     assert_results_identical("after a sub-slack reweight", &kept, &fresh);
     let stats = cached.context_cache_stats().unwrap();
     assert_eq!(stats.epoch_invalidations, 0, "{stats:?}");
-    assert_eq!(
-        stats.outcome_hits, 1,
-        "the entry answers from its stored answer"
-    );
+    assert_eq!(stats.hits, 1, "the entry answers from its stored answer");
 
     // Scale every edge up: the query's farthest users leave the ball.
     let mut across = NetworkDelta::new();
@@ -450,9 +447,5 @@ fn a_cut_behind_an_unsettled_endpoint_drops_the_entry() {
     let after = cached.execute(&query).unwrap();
     assert_results_identical("after a cut behind an unsettled endpoint", &after, &fresh);
     let stats = cached.context_cache_stats().unwrap();
-    assert_eq!(
-        (stats.drift_expiries, stats.outcome_hits),
-        (1, 0),
-        "{stats:?}"
-    );
+    assert_eq!((stats.drift_expiries, stats.hits), (1, 0), "{stats:?}");
 }

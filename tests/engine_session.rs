@@ -116,7 +116,7 @@ fn workload(rsn: &RoadSocialNetwork, group: &[u32], indexed: bool) -> Vec<MacQue
 }
 
 /// The fresh per-query construction a reused session must match: a new
-/// serial session (fresh scratch, no context cache) on a throwaway engine,
+/// serial session (fresh scratch, no answer cache) on a throwaway engine,
 /// with the algorithm made explicit and `Auto` resolved the way the session
 /// resolves it under the default policy: `Global`.
 fn fresh_reference(rsn: &RoadSocialNetwork, query: &MacQuery) -> MacSearchResult {
